@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -221,6 +221,59 @@ class MergeMemory:
         mem.short_term = {(int(k[0]), int(k[1])): int(v) for k, v in d["short_term"]}
         mem.long_term = {(int(k[0]), int(k[1])) for k in d["long_term"]}
         return mem
+
+
+def draw_merge_pairs(
+    eligible: Sequence[int],
+    mem: MergeMemory,
+    n: int,
+    rng: np.random.Generator,
+) -> list[MergePairKey]:
+    """Draw up to ``n`` distinct pairs uniformly from the eligible pairs.
+
+    ``eligible`` holds ascending FE ids. The candidates are the pairs of
+    ``combinations(eligible, 2)`` not in long-term memory, in that
+    lexicographic order; ``rng.choice`` picks positions in that list
+    without replacement, and each position is mapped straight to its
+    pair. Nothing is enumerated: the ranks of the excluded pairs are
+    skipped over and the rank left is unranked, so the cost grows with
+    the number of eligible ids and of pairs in long-term memory, not
+    with the number of pairs. The draws and the generator's state
+    afterwards are those of listing the candidates and indexing into
+    the list.
+    """
+    k = len(eligible)
+    position = {fe_id: i for i, fe_id in enumerate(eligible)}
+    excluded = sorted(
+        _pair_rank(position[a], position[b], k)
+        for a, b in mem.long_term
+        if a < b and a in position and b in position
+    )
+    n_candidates = k * (k - 1) // 2 - len(excluded)
+    if n_candidates <= 0:
+        return []
+    # preceding[i] is the number of candidates ranked below the i-th
+    # excluded rank; the d-th candidate's rank is d plus the number of
+    # excluded ranks below it, which are those with preceding[i] <= d
+    preceding = [r - i for i, r in enumerate(excluded)]
+    picked = rng.choice(n_candidates, size=min(n, n_candidates), replace=False)
+    pairs = []
+    for d in picked:
+        i, j = _pair_unrank(int(d) + bisect_right(preceding, int(d)), k)
+        pairs.append((eligible[i], eligible[j]))
+    return pairs
+
+
+def _pair_rank(i: int, j: int, k: int) -> int:
+    """Position of (i, j), i < j, in ``combinations(range(k), 2)``."""
+    return i * (2 * k - i - 1) // 2 + (j - i - 1)
+
+
+def _pair_unrank(rank: int, k: int) -> tuple[int, int]:
+    """Inverse of ``_pair_rank``."""
+    from_end = k * (k - 1) // 2 - 1 - rank
+    i = k - 2 - (math.isqrt(8 * from_end + 1) - 1) // 2
+    return i, rank - _pair_rank(i, i + 1, k) + i + 1
 
 
 # =====================================================================
@@ -611,21 +664,14 @@ def merging_stage(
     policy = policy or EvalPolicy()
     if resample_k < 0:
         raise InvalidParams(f"resample_k must be >= 0, got {resample_k}")
-    eligible = sorted(
-        fe.id for fe in tree.fe_nodes() if tree.evaluated_mt_children(fe.id)
-    )
+    eligible = tree.eligible_fe_ids()
     if len(eligible) < 2:
         raise InsufficientParents(
             f"merging needs >= 2 FE nodes with evaluated children, found {len(eligible)}"
         )
     _emit(log, EventKind.STAGE_STARTED, stage="merging", iteration=tree.iteration)
     try:
-        candidates = [k for k in combinations(eligible, 2) if not mem.excluded(k)]
-        n_pairs = min(params.n_fe, len(candidates))
-        idx = rng.choice(len(candidates), size=n_pairs, replace=False) if candidates else []
-        chosen = [candidates[int(i)] for i in idx]
-
-        for a_id, b_id in chosen:
+        for a_id, b_id in draw_merge_pairs(eligible, mem, params.n_fe, rng):
             _check_budget(clock)
             _merge_one_pair(tree, mem, gen, evaluator, params, metric, rng,
                             a_id, b_id, ctx, log, clock, policy,

@@ -16,6 +16,21 @@ Layout::
 
 Scores are stored in native metric units; orientation (higher or lower
 is better) is applied at comparison time via :class:`MetricSpec`.
+
+The tree keeps three indexes up to date as nodes are attached and
+scored, so that a search step costs the same however large the tree
+has grown:
+
+* the nodes of each level, in attach order (``nodes_at_level``);
+* the number of evaluated children of each node, which gives the FE
+  nodes eligible for merging (``eligible_fe_ids``) without a scan;
+* the set of dirty FE nodes, whose aggregate may be stale: an FE node
+  is dirty from the moment it is attached, and again whenever one of
+  its children is attached evaluated, marked evaluated or marked
+  failed. ``backpropagate`` recomputes only those.
+
+Node status and raw scores must therefore change only through
+``mark_evaluated`` and ``mark_failed``.
 """
 
 from __future__ import annotations
@@ -198,6 +213,9 @@ class IdeationTree:
         self._children: dict[int, list[int]] = {}
         self._root_id: Optional[int] = None
         self._next_id: int = 0
+        self._by_level: dict[NodeLevel, list[Node]] = {level: [] for level in NodeLevel}
+        self._evaluated_children: dict[int, int] = {}
+        self._dirty_fe: set[int] = set()
 
     # ---- construction ----
 
@@ -290,10 +308,32 @@ class IdeationTree:
     def _attach(self, node: Node) -> None:
         self.nodes[node.id] = node
         self._children[node.id] = []
+        self._evaluated_children[node.id] = 0
+        self._by_level[node.level].append(node)
+        if node.level is NodeLevel.FE:
+            self._dirty_fe.add(node.id)
         if node.parent_id is None:
             self._root_id = node.id
         else:
             self._children[node.parent_id].append(node.id)
+            if node.status is NodeStatus.EVALUATED:
+                self._evaluated_children[node.parent_id] += 1
+                self._touch_parent(node)
+
+    def _touch_parent(self, node: Node) -> None:
+        """Mark the parent's aggregate stale when it is an FE node."""
+        if node.parent_id is not None and self.nodes[node.parent_id].level is NodeLevel.FE:
+            self._dirty_fe.add(node.parent_id)
+
+    def _set_status(self, node: Node, status: NodeStatus) -> None:
+        if node.parent_id is not None:
+            was = node.status is NodeStatus.EVALUATED
+            now = status is NodeStatus.EVALUATED
+            if was != now:
+                self._evaluated_children[node.parent_id] += 1 if now else -1
+            if was or now:
+                self._touch_parent(node)
+        node.status = status
 
     # ---- access ----
 
@@ -307,7 +347,8 @@ class IdeationTree:
         return [self.nodes[c] for c in self._children.get(node_id, [])]
 
     def nodes_at_level(self, level: NodeLevel) -> list[Node]:
-        return [n for n in self.nodes.values() if n.level is level]
+        """Nodes of one level in attach order (a fresh list)."""
+        return list(self._by_level[level])
 
     def fe_nodes(self) -> list[Node]:
         return self.nodes_at_level(NodeLevel.FE)
@@ -315,24 +356,29 @@ class IdeationTree:
     def evaluated_mt_children(self, fe_id: int) -> list[Node]:
         return [c for c in self.children(fe_id) if c.status is NodeStatus.EVALUATED]
 
+    def eligible_fe_ids(self) -> list[int]:
+        """Ids of the FE nodes with at least one evaluated child, ascending."""
+        counts = self._evaluated_children
+        return sorted(fe.id for fe in self._by_level[NodeLevel.FE] if counts[fe.id])
+
     def mark_evaluated(self, node_id: int, raw_score: float) -> None:
         if not math.isfinite(raw_score):
             raise NonFiniteScore(f"raw score for node {node_id} is {raw_score}")
         node = self.nodes[node_id]
         node.raw_score = float(raw_score)
-        node.status = NodeStatus.EVALUATED
+        self._set_status(node, NodeStatus.EVALUATED)
 
     def mark_failed(self, node_id: int) -> None:
         node = self.nodes[node_id]
         node.raw_score = None
-        node.status = NodeStatus.FAILED
+        self._set_status(node, NodeStatus.FAILED)
 
     def best_evaluated_mt(self, metric: MetricSpec) -> Optional[Node]:
         """Evaluated MT node with the maximal oriented raw score; ties go
         to the lowest node id. None when nothing has been evaluated."""
         best: Optional[Node] = None
-        for node in self.nodes.values():
-            if node.level is not NodeLevel.MT or node.status is not NodeStatus.EVALUATED:
+        for node in self._by_level[NodeLevel.MT]:
+            if node.status is not NodeStatus.EVALUATED:
                 continue
             if best is None:
                 best = node
@@ -347,14 +393,15 @@ class IdeationTree:
 
     def snapshot(self) -> str:
         """Canonical self-describing document; stable byte-for-byte for
-        equal trees (nodes sorted by id, keys sorted)."""
+        equal trees (nodes sorted by id, keys sorted, compact
+        separators, no whitespace)."""
         doc = {
             "tree_schema": TREE_SCHEMA_VERSION,
             "iteration": self.iteration,
             "next_id": self._next_id,
             "nodes": [self.nodes[i].to_dict() for i in sorted(self.nodes)],
         }
-        return json.dumps(doc, sort_keys=True, indent=2)
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def restore(cls, document: str) -> "IdeationTree":
@@ -404,21 +451,27 @@ def _check_score_consistency(node: Node) -> None:
 
 
 def backpropagate(tree: IdeationTree) -> IdeationTree:
-    """Recompute aggregated scores bottom-up and return the same tree.
+    """Bring aggregated scores up to date and return the same tree.
 
     An FE node's aggregate is the arithmetic mean of its evaluated MT
-    children's raw scores, unset when it has none. The root aggregate is
-    the mean of the set FE aggregates and is reporting-only: it never
-    feeds selection. Idempotent, and independent of insertion order.
+    children's raw scores, in child order, unset when it has none. Only
+    the FE nodes in the tree's dirty set are recomputed, and the set is
+    then cleared; every other FE aggregate is already current. The root
+    aggregate is the mean of the set FE aggregates, in attach order, and
+    is reporting-only: it never feeds selection. The result equals a
+    full recompute of every FE node, float for float. Idempotent, and
+    independent of insertion order.
     """
-    root_parts: list[float] = []
-    for fe in tree.fe_nodes():
-        scores = [c.raw_score for c in tree.evaluated_mt_children(fe.id)]
-        if scores:
-            fe.aggregated_score = float(sum(scores) / len(scores))
-            root_parts.append(fe.aggregated_score)
-        else:
-            fe.aggregated_score = None
+    for fe_id in tree._dirty_fe:
+        scores = [c.raw_score for c in tree.evaluated_mt_children(fe_id)]
+        tree.nodes[fe_id].aggregated_score = (
+            float(sum(scores) / len(scores)) if scores else None
+        )
+    tree._dirty_fe.clear()
+    root_parts = [
+        fe.aggregated_score for fe in tree._by_level[NodeLevel.FE]
+        if fe.aggregated_score is not None
+    ]
     root = tree.root
     root.aggregated_score = float(sum(root_parts) / len(root_parts)) if root_parts else None
     return tree

@@ -4,6 +4,7 @@ log replay, mostly end to end over the synthetic ports."""
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 
 import pytest
@@ -33,6 +34,7 @@ from ideatree.orchestrator import (
     replay,
     verify_replay,
 )
+from ideatree.search import MergeMemory
 from ideatree.setup_stages import (
     BaselineResult,
     BaselineVerdict,
@@ -329,6 +331,35 @@ def _run(tmp_path, name="run", **overrides):
     out = tmp_path / name
     result = execute_run(config, ports, out)
     return config, out, result
+
+
+def test_engine_calls_per_node_stay_flat(tmp_path, monkeypatch):
+    """Bookkeeping calls grow linearly with the tree: quadrupling the
+    budget (about 510 to 2,090 nodes) leaves the calls per node flat.
+    Listing every FE pair per merge, or rescanning every FE node per
+    backpropagate, makes them grow with the tree and fails this."""
+    calls: Counter = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for owner, name in ((IdeationTree, "evaluated_mt_children"), (MergeMemory, "excluded")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    per_node = {}
+    for budget in (2_500.0, 10_000.0):
+        calls.clear()
+        _, _, result = _run(tmp_path, f"b{int(budget)}", seed=1,
+                            time_run_minutes=budget, checkpoint_every_stage=False)
+        nodes = len(result.tree.nodes)
+        per_node[budget] = {name: calls[name] / nodes
+                            for name in ("evaluated_mt_children", "excluded")}
+    for name, small in per_node[2_500.0].items():
+        large = per_node[10_000.0][name]
+        assert large <= 1.25 * small + 1.0, (name, per_node)
+        assert large <= 5.0, (name, per_node)
 
 
 def test_run_artifacts_layout(tmp_path):

@@ -7,10 +7,13 @@ sampling weights are checked against Monte Carlo frequencies.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ideatree.errors import (
     BudgetExhausted,
@@ -30,6 +33,7 @@ from ideatree.search import (
     SelectionMode,
     StageParams,
     adding_stage,
+    draw_merge_pairs,
     is_merge_failure,
     merge_delta,
     merging_stage,
@@ -569,3 +573,58 @@ def test_merging_stage_deterministic_for_seed():
         return world.tree.snapshot()
 
     assert run_once() == run_once()
+
+
+# ---- merge-pair draw ----
+
+def _enumerated_pairs(eligible, mem, n, rng):
+    """Reference draw: list every non-excluded pair, index into the list."""
+    candidates = [k for k in combinations(eligible, 2) if not mem.excluded(k)]
+    if not candidates:
+        return []
+    idx = rng.choice(len(candidates), size=min(n, len(candidates)), replace=False)
+    return [candidates[int(i)] for i in idx]
+
+
+@st.composite
+def _pair_draw_cases(draw):
+    k = draw(st.integers(min_value=2, max_value=60))
+    eligible = sorted(draw(st.sets(st.integers(0, 500), min_size=k, max_size=k)))
+    all_pairs = list(combinations(eligible, 2))
+    density = draw(st.sampled_from(["none", "sparse", "dense", "full"]))
+    if density == "full":
+        long_term = set(all_pairs)
+    elif density == "none":
+        long_term = set()
+    else:
+        share = 0.1 if density == "sparse" else 0.9
+        mask_seed = draw(st.integers(0, 2**32 - 1))
+        mask = np.random.default_rng(mask_seed).random(len(all_pairs)) < share
+        long_term = {p for p, m in zip(all_pairs, mask) if m}
+    # pairs outside the eligible set and non-canonical keys never
+    # match an eligible pair, and must not shift the draw
+    strays = draw(st.lists(st.tuples(st.integers(0, 600), st.integers(0, 600)), max_size=8))
+    long_term |= set(strays)
+    n = draw(st.integers(min_value=1, max_value=len(all_pairs) + 3))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return eligible, long_term, n, seed
+
+
+@settings(max_examples=300, deadline=None)
+@given(_pair_draw_cases())
+def test_draw_merge_pairs_matches_enumeration(case):
+    eligible, long_term, n, seed = case
+    mem = MergeMemory(long_term=long_term)
+    rng_ref, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+    expected = _enumerated_pairs(eligible, mem, n, rng_ref)
+    assert draw_merge_pairs(eligible, mem, n, rng_new) == expected
+    assert rng_new.bit_generator.state == rng_ref.bit_generator.state
+
+
+def test_draw_merge_pairs_fully_excluded_draws_nothing():
+    eligible = [2, 5, 9]
+    mem = MergeMemory(long_term=set(combinations(eligible, 2)))
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    assert draw_merge_pairs(eligible, mem, 4, rng) == []
+    assert rng.bit_generator.state == before

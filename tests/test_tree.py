@@ -6,6 +6,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ideatree.errors import (
     DuplicateId,
@@ -15,6 +17,8 @@ from ideatree.errors import (
     NonFiniteScore,
     UnknownParent,
 )
+from ideatree.events import EventKind, RunLog
+from ideatree.orchestrator import replay_events
 from ideatree.tree import (
     IdeationTree,
     Node,
@@ -250,3 +254,91 @@ def test_ids_not_reused_after_restore():
     used = set(restored.nodes)
     fresh = restored.spawn(restored.root.id, NodeLevel.FE, "later fe")
     assert fresh.id not in used
+
+
+# ---- incremental indexes against full scans ----
+
+_INDEX_OPS = ("fe", "mt", "mt", "evaluate", "evaluate", "fail", "resample", "restore", "replay")
+
+
+def _full_recompute(tree: IdeationTree) -> dict:
+    """Every aggregate from a scan of all FE nodes, the way
+    ``backpropagate`` worked before it kept a dirty set."""
+    out = {}
+    root_parts = []
+    for fe in [n for n in tree.nodes.values() if n.level is NodeLevel.FE]:
+        scores = [c.raw_score for c in tree.children(fe.id) if c.status is NodeStatus.EVALUATED]
+        if scores:
+            out[fe.id] = float(sum(scores) / len(scores))
+            root_parts.append(out[fe.id])
+        else:
+            out[fe.id] = None
+    out[tree.root.id] = float(sum(root_parts) / len(root_parts)) if root_parts else None
+    return out
+
+
+def _apply_index_op(tree: IdeationTree, log: RunLog, op: str, data) -> IdeationTree:
+    """One mutation, mirrored into ``log`` the way the engine logs it."""
+    fes = [n.id for n in tree.nodes.values() if n.level is NodeLevel.FE]
+    mts = [n.id for n in tree.nodes.values() if n.level is NodeLevel.MT]
+    score = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
+    if op == "fe":
+        node = tree.spawn(tree.root.id, NodeLevel.FE, "fe", status=NodeStatus.IMPLEMENTED)
+        log.append(EventKind.NODE_PROPOSED, node=node.to_dict())
+    elif op == "mt" and fes:
+        node = tree.spawn(data.draw(st.sampled_from(fes)), NodeLevel.MT, "mt")
+        log.append(EventKind.NODE_PROPOSED, node=node.to_dict())
+    elif op in ("evaluate", "fail") and mts:
+        node_id = data.draw(st.sampled_from(mts))
+        if op == "evaluate":
+            tree.mark_evaluated(node_id, data.draw(score))
+        else:
+            tree.mark_failed(node_id)
+        node = tree.nodes[node_id]
+        log.append(EventKind.NODE_EVALUATED, node_id=node_id,
+                   raw_score=node.raw_score, status=node.status.value)
+    elif op == "resample" and fes:
+        scored = [i for i in mts if tree.nodes[i].status is NodeStatus.EVALUATED]
+        if scored:
+            origin = tree.nodes[data.draw(st.sampled_from(scored))]
+            copy = Node(
+                id=tree.allocate_id(), level=NodeLevel.MT,
+                parent_id=data.draw(st.sampled_from(fes)), idea_text=origin.idea_text,
+                raw_score=origin.raw_score, status=NodeStatus.EVALUATED,
+                provenance=Provenance.resampled(origin.id),
+            )
+            tree.add_node(copy.parent_id, copy)
+            log.append(EventKind.NODE_PROPOSED, node=copy.to_dict())
+    elif op == "restore":
+        tree = IdeationTree.restore(tree.snapshot())
+    elif op == "replay":
+        tree = replay_events(log.events)
+    return tree
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_indexes_match_full_scans(data):
+    """Random mutation sequences, a few mutations between checks: the
+    dirty-set backpropagate equals a full recompute float for float and
+    the brute-force oracle, and every index equals a scan of all nodes."""
+    tree = IdeationTree.create("root")
+    log = RunLog()
+    log.append(EventKind.NODE_PROPOSED, node=tree.root.to_dict())
+    for _ in range(data.draw(st.integers(1, 30))):
+        for _ in range(data.draw(st.integers(1, 3))):
+            tree = _apply_index_op(tree, log, data.draw(st.sampled_from(_INDEX_OPS)), data)
+        backpropagate(tree)
+
+        full = _full_recompute(tree)
+        assert {nid: tree.nodes[nid].aggregated_score for nid in full} == full
+        for nid, want in oracle_aggregates(tree).items():
+            got = tree.nodes[nid].aggregated_score
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15) if want is not None else got is None
+        for level in NodeLevel:
+            scanned = [n for n in tree.nodes.values() if n.level is level]
+            assert [id(n) for n in tree.nodes_at_level(level)] == [id(n) for n in scanned]
+        assert tree.eligible_fe_ids() == sorted(
+            fe.id for fe in tree.fe_nodes() if tree.evaluated_mt_children(fe.id)
+        )
+        assert replay_events(log.events).snapshot() == tree.snapshot()
