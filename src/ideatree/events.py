@@ -17,6 +17,9 @@ from .errors import CorruptLog, LogVersionMismatch
 
 LOG_SCHEMA_VERSION = 1
 
+# the log file in a run directory
+LOG_FILENAME = "run.jsonl"
+
 
 class EventKind(str, Enum):
     RUN_STARTED = "run_started"

@@ -27,7 +27,7 @@ from .errors import (
     MissingRunArtifacts,
 )
 from .evaluation import EvaluationPort, LandscapeConfig, SimulatedEvaluator
-from .events import Event, EventKind, RunLog, read_log
+from .events import LOG_FILENAME, Event, EventKind, RunLog, read_log
 from .generation import (
     ContextState,
     ExternalQueryPolicy,
@@ -70,7 +70,6 @@ from .tree import (
 logger = logging.getLogger(__name__)
 
 CHECKPOINT_DIR = "checkpoints"
-LOG_FILENAME = "run.jsonl"
 FINAL_SNAPSHOT_FILENAME = "final_snapshot.json"
 RESULT_FILENAME = "result.json"
 CONFIG_COPY_FILENAME = "config.yaml"

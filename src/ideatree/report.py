@@ -14,10 +14,8 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import MalformedLeaderboardFile, MissingRunArtifacts
-from .events import Event, EventKind, read_log
+from .events import LOG_FILENAME, Event, EventKind, read_log
 from .tree import MetricDirection, MetricSpec, NodeLevel, NodeStatus, ProvenanceKind
-
-LOG_FILENAME = "run.jsonl"
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,20 @@ has grown:
 
 Node status and raw scores must therefore change only through
 ``mark_evaluated`` and ``mark_failed``.
+
+Two caches make a per-stage checkpoint cost what changed since the
+last one rather than the size of the tree:
+
+* a memo of each node's encoded snapshot fragment, by node id. A
+  fragment is reused while the fields that may be written after attach
+  (``status``, ``raw_score``, ``predicted_score``, ``aggregated_score``
+  and ``code_artifact``) still hold the very objects it was encoded
+  from, so a write from anywhere, through the tree or not, re-encodes
+  the node on the next ``snapshot``;
+* the running best evaluated MT node for the last metric asked about,
+  which ``mark_evaluated`` and the attach of an evaluated MT node fold
+  new scores into. Scoring the best node again, or marking it failed,
+  drops it, and the next ``best_evaluated_mt`` rescans.
 """
 
 from __future__ import annotations
@@ -51,6 +65,10 @@ from .errors import (
 )
 
 TREE_SCHEMA_VERSION = 1
+
+# One encoder for every node fragment: ``json.dumps`` with keyword
+# arguments builds a new encoder on each call.
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class NodeLevel(str, Enum):
@@ -216,6 +234,12 @@ class IdeationTree:
         self._by_level: dict[NodeLevel, list[Node]] = {level: [] for level in NodeLevel}
         self._evaluated_children: dict[int, int] = {}
         self._dirty_fe: set[int] = set()
+        # node id -> (status, raw_score, predicted_score,
+        # aggregated_score, code_artifact, fragment): the fields as they
+        # were when the node was encoded, then its encoded fragment
+        self._fragments: dict[int, tuple] = {}
+        # (metric, best evaluated MT node) or None when unknown
+        self._best: Optional[tuple[MetricSpec, Optional[Node]]] = None
 
     # ---- construction ----
 
@@ -319,6 +343,7 @@ class IdeationTree:
             if node.status is NodeStatus.EVALUATED:
                 self._evaluated_children[node.parent_id] += 1
                 self._touch_parent(node)
+                self._fold_best(node)
 
     def _touch_parent(self, node: Node) -> None:
         """Mark the parent's aggregate stale when it is an FE node."""
@@ -367,41 +392,80 @@ class IdeationTree:
         node = self.nodes[node_id]
         node.raw_score = float(raw_score)
         self._set_status(node, NodeStatus.EVALUATED)
+        self._fold_best(node)
 
     def mark_failed(self, node_id: int) -> None:
         node = self.nodes[node_id]
         node.raw_score = None
         self._set_status(node, NodeStatus.FAILED)
+        if self._best is not None and self._best[1] is node:
+            self._best = None
 
     def best_evaluated_mt(self, metric: MetricSpec) -> Optional[Node]:
         """Evaluated MT node with the maximal oriented raw score; ties go
-        to the lowest node id. None when nothing has been evaluated."""
-        best: Optional[Node] = None
-        for node in self._by_level[NodeLevel.MT]:
-            if node.status is not NodeStatus.EVALUATED:
-                continue
-            if best is None:
-                best = node
-                continue
-            a = metric.orient(node.raw_score)
-            b = metric.orient(best.raw_score)
-            if a > b or (a == b and node.id < best.id):
-                best = node
-        return best
+        to the lowest node id. None when nothing has been evaluated.
+
+        The answer for the last metric asked about is kept as a running
+        best: new scores are folded into it as they arrive, and only a
+        new metric, or a rescore or failure of the best node itself,
+        costs a scan of the MT nodes."""
+        if self._best is None or self._best[0] != metric:
+            best: Optional[Node] = None
+            for node in self._by_level[NodeLevel.MT]:
+                if node.status is NodeStatus.EVALUATED and (
+                    best is None or _beats(metric, node, best)
+                ):
+                    best = node
+            self._best = (metric, best)
+        return self._best[1]
+
+    def _fold_best(self, node: Node) -> None:
+        """Bring the running best up to date after ``node`` was scored."""
+        if self._best is None or node.level is not NodeLevel.MT:
+            return
+        metric, best = self._best
+        if node is best:
+            # its new score may have fallen below another node's
+            self._best = None
+        elif best is None or _beats(metric, node, best):
+            self._best = (metric, node)
 
     # ---- serialization ----
 
     def snapshot(self) -> str:
         """Canonical self-describing document; stable byte-for-byte for
         equal trees (nodes sorted by id, keys sorted, compact
-        separators, no whitespace)."""
-        doc = {
-            "tree_schema": TREE_SCHEMA_VERSION,
-            "iteration": self.iteration,
-            "next_id": self._next_id,
-            "nodes": [self.nodes[i].to_dict() for i in sorted(self.nodes)],
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        separators, no whitespace). The same bytes as
+        ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` of
+        the whole document.
+
+        Each node's fragment is memoised by id and encoded again only
+        when one of ``status``, ``raw_score``, ``predicted_score``,
+        ``aggregated_score`` or ``code_artifact`` no longer holds the
+        object it was encoded from; the other fields are fixed once the
+        node is attached. A fresh tree encodes every node once."""
+        memo = self._fragments
+        parts = []
+        for nid in sorted(self.nodes):
+            node = self.nodes[nid]
+            m = memo.get(nid)
+            # identity, not equality: 0.0 == -0.0 and 1 == 1.0, but
+            # they encode differently
+            if (m is None or m[0] is not node.status or m[1] is not node.raw_score
+                    or m[2] is not node.predicted_score
+                    or m[3] is not node.aggregated_score
+                    or m[4] is not node.code_artifact):
+                m = memo[nid] = (
+                    node.status, node.raw_score, node.predicted_score,
+                    node.aggregated_score, node.code_artifact,
+                    _ENCODER.encode(node.to_dict()),
+                )
+            parts.append(m[5])
+        return (
+            f'{{"iteration":{_ENCODER.encode(self.iteration)},'
+            f'"next_id":{_ENCODER.encode(self._next_id)},'
+            f'"nodes":[{",".join(parts)}],"tree_schema":{TREE_SCHEMA_VERSION}}}'
+        )
 
     @classmethod
     def restore(cls, document: str) -> "IdeationTree":
@@ -436,6 +500,14 @@ class IdeationTree:
         if stored_next is not None:
             tree._next_id = max(tree._next_id, int(stored_next))
         return tree
+
+
+def _beats(metric: MetricSpec, node: Node, best: Node) -> bool:
+    """True when ``node`` outranks ``best``: a higher oriented raw
+    score, or the same score and a lower id."""
+    a = metric.orient(node.raw_score)
+    b = metric.orient(best.raw_score)
+    return a > b or (a == b and node.id < best.id)
 
 
 def _check_score_consistency(node: Node) -> None:

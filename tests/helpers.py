@@ -7,6 +7,8 @@ sides of a comparison.
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 
 from ideatree.tree import (
@@ -68,6 +70,48 @@ def oracle_aggregates(tree: IdeationTree) -> dict[int, float | None]:
     root = tree.root
     expected[root.id] = sum(fe_values) / len(fe_values) if fe_values else None
     return expected
+
+
+def reference_snapshot(tree: IdeationTree) -> str:
+    """A cold encode of the whole tree: every field of every node read
+    afresh and the whole document encoded in one ``json.dumps`` call,
+    keys sorted and separators compact."""
+    nodes = []
+    for nid in sorted(tree.nodes):
+        node = tree.nodes[nid]
+        nodes.append({
+            "id": node.id,
+            "level": node.level.value,
+            "parent_id": node.parent_id,
+            "idea_text": node.idea_text,
+            "code_artifact": node.code_artifact,
+            "raw_score": node.raw_score,
+            "predicted_score": node.predicted_score,
+            "aggregated_score": node.aggregated_score,
+            "status": node.status.value,
+            "provenance": {"kind": node.provenance.kind.value,
+                           "sources": list(node.provenance.sources)},
+            "created_iteration": node.created_iteration,
+        })
+    doc = {"tree_schema": 1, "iteration": tree.iteration,
+           "next_id": tree._next_id, "nodes": nodes}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+
+
+def oracle_best(tree: IdeationTree, metric: MetricSpec):
+    """Full scan for the best evaluated MT node: the highest score on a
+    higher-is-better axis, ties to the lowest id; None when none."""
+    best = None
+    for nid in sorted(tree.nodes):
+        node = tree.nodes[nid]
+        if node.level is not NodeLevel.MT or node.status is not NodeStatus.EVALUATED:
+            continue
+        score = node.raw_score
+        if metric.direction is MetricDirection.LOWER_BETTER:
+            score = -score
+        if best is None or score > best[0]:
+            best = (score, node)
+    return None if best is None else best[1]
 
 
 def make_world(

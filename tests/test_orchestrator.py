@@ -4,6 +4,7 @@ log replay, mostly end to end over the synthetic ports."""
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -52,6 +53,8 @@ from ideatree.setup_stages import (
 from ideatree.tree import (
     IdeationTree,
     MetricDirection,
+    MetricSpec,
+    Node,
     NodeLevel,
     NodeStatus,
 )
@@ -333,33 +336,60 @@ def _run(tmp_path, name="run", **overrides):
     return config, out, result
 
 
-def test_engine_calls_per_node_stay_flat(tmp_path, monkeypatch):
-    """Bookkeeping calls grow linearly with the tree: quadrupling the
-    budget (about 510 to 2,090 nodes) leaves the calls per node flat.
-    Listing every FE pair per merge, or rescanning every FE node per
-    backpropagate, makes them grow with the tree and fails this."""
+def _assert_calls_per_node_flat(tmp_path, monkeypatch, targets, **overrides) -> None:
+    """Calls of each ``(owner, name, caller)`` target per tree node stay
+    flat from a seeded 2.5k run to a 10k one (about 510 and 2,090
+    nodes). With a ``caller`` module name, only the calls made from that
+    module count."""
     calls: Counter = Counter()
 
-    def counting(name, fn):
+    def counting(name, fn, caller):
         def counted(*args, **kwargs):
-            calls[name] += 1
+            if caller is None or sys._getframe(1).f_globals.get("__name__") == caller:
+                calls[name] += 1
             return fn(*args, **kwargs)
         return counted
 
-    for owner, name in ((IdeationTree, "evaluated_mt_children"), (MergeMemory, "excluded")):
-        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    for owner, name, caller in targets:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name), caller))
     per_node = {}
     for budget in (2_500.0, 10_000.0):
         calls.clear()
         _, _, result = _run(tmp_path, f"b{int(budget)}", seed=1,
-                            time_run_minutes=budget, checkpoint_every_stage=False)
+                            time_run_minutes=budget, **overrides)
         nodes = len(result.tree.nodes)
-        per_node[budget] = {name: calls[name] / nodes
-                            for name in ("evaluated_mt_children", "excluded")}
+        per_node[budget] = {name: calls[name] / nodes for _, name, _ in targets}
     for name, small in per_node[2_500.0].items():
         large = per_node[10_000.0][name]
         assert large <= 1.25 * small + 1.0, (name, per_node)
         assert large <= 5.0, (name, per_node)
+
+
+def test_engine_calls_per_node_stay_flat(tmp_path, monkeypatch):
+    """Bookkeeping calls grow linearly with the tree: quadrupling the
+    budget leaves the calls per node flat. Listing every FE pair per
+    merge, or rescanning every FE node per backpropagate, makes them
+    grow with the tree and fails this."""
+    _assert_calls_per_node_flat(
+        tmp_path, monkeypatch,
+        ((IdeationTree, "evaluated_mt_children", None), (MergeMemory, "excluded", None)),
+        checkpoint_every_stage=False,
+    )
+
+
+def test_checkpoint_calls_per_node_stay_flat(tmp_path, monkeypatch):
+    """With a checkpoint after every stage, a node is encoded again only
+    when it changes, and the best node is a running best, so node
+    encodes and the tree's score orientations per node stay flat.
+    Encoding every node per checkpoint, or scanning every MT node for
+    the best, makes them grow with the tree and fails this. Only the
+    tree's orientations count: the softmax selection in search.py still
+    orients every scored FE node per stage."""
+    _assert_calls_per_node_flat(
+        tmp_path, monkeypatch,
+        ((Node, "to_dict", None), (MetricSpec, "orient", "ideatree.tree")),
+        checkpoint_every_stage=True,
+    )
 
 
 def test_run_artifacts_layout(tmp_path):
