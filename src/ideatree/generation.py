@@ -117,15 +117,11 @@ def select_context_nodes(
         idx = rng.choice(len(eligible), size=min(n, len(eligible)), replace=False)
         return [eligible[int(i)] for i in idx]
     anchor_vec = embedder.embed(anchor_node.idea_text)
+    sign = -1.0 if strategy is MemoryStrategy.FARTHEST else 1.0
     ranked = sorted(
         eligible,
-        key=lambda node: (cosine_distance(anchor_vec, embedder.embed(node.idea_text)), node.id),
+        key=lambda node: (sign * cosine_distance(anchor_vec, embedder.embed(node.idea_text)), node.id),
     )
-    if strategy is MemoryStrategy.FARTHEST:
-        ranked = sorted(
-            eligible,
-            key=lambda node: (-cosine_distance(anchor_vec, embedder.embed(node.idea_text)), node.id),
-        )
     return ranked[:n]
 
 

@@ -8,9 +8,11 @@ sides of a comparison.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 
+from ideatree.embedding import HashedEmbedding
 from ideatree.tree import (
     IdeationTree,
     MetricDirection,
@@ -112,6 +114,44 @@ def oracle_best(tree: IdeationTree, metric: MetricSpec):
         if best is None or score > best[0]:
             best = (score, node)
     return None if best is None else best[1]
+
+
+def reference_retrieve(corpus_dir, query: str, k: int, dimension: int = 64):
+    """Read, parse, embed (with a fresh ``HashedEmbedding``) and rank
+    every ``*.txt`` file afresh.
+
+    Returns ``(file name, source, title, body)`` for the top k, ranked by
+    cosine similarity to the query, ties to the lower file name. A file
+    starts with header lines (``source:``, ``title:``) up to a blank
+    line; a first line that is neither makes the whole file the body."""
+    if k <= 0:
+        return []
+    embedder = HashedEmbedding(dimension)
+    q = embedder.embed(query)
+    scored = []
+    for path in sorted(Path(corpus_dir).glob("*.txt")):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        source, title, start = "local", path.stem, len(lines)
+        for i, line in enumerate(lines):
+            key, colon, value = line.strip().partition(":")
+            if not line.strip():
+                start = i + 1
+                break
+            if colon and key.lower() == "source":
+                value = value.strip().lower()
+                source = value if value in ("papers", "competitions", "local") else "local"
+            elif colon and key.lower() == "title":
+                title = value.strip()
+            else:
+                start = 0
+                break
+        body = "\n".join(lines[start:]).strip()
+        d = embedder.embed(title + "\n" + body)
+        nq, nd = float(np.linalg.norm(q)), float(np.linalg.norm(d))
+        sim = 0.0 if nq == 0.0 or nd == 0.0 else float(np.dot(q, d) / (nq * nd))
+        scored.append((-sim, path.name, source, title, body))
+    scored.sort(key=lambda t: (t[0], t[1]))
+    return [(name, source, title, body) for _, name, source, title, body in scored[:k]]
 
 
 def make_world(

@@ -7,11 +7,15 @@ than mocks, so transport, retry, and parse behaviour are all real.
 from __future__ import annotations
 
 import json
+import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ideatree.checker import (
     Check,
@@ -47,7 +51,7 @@ from ideatree.errors import InvalidSpaceConfig
 from ideatree.retrieval import FileCorpusRetriever
 from ideatree.tree import IdeationTree, NodeLevel
 
-from helpers import attach_evaluated_fe
+from helpers import attach_evaluated_fe, reference_retrieve
 
 
 # ---- context state ----
@@ -126,6 +130,31 @@ def test_select_context_nodes_farthest_is_reverse_of_nearest():
     far = select_context_nodes(tree, anchor, MemoryStrategy.FARTHEST, 3, embedder, rng)
     assert near[0].id != far[0].id
     assert {n.id for n in near} == {n.id for n in far}
+
+
+@pytest.mark.parametrize("strategy, expected", [
+    (MemoryStrategy.NEAREST, ["3.0,0.0", "1.0,1.0", "2.0,2.0", "0.0,1.0", "0.0,2.0"]),
+    (MemoryStrategy.FARTHEST, ["0.0,1.0", "0.0,2.0", "1.0,1.0", "2.0,2.0", "3.0,0.0"]),
+])
+def test_select_context_nodes_embeds_once_and_ties_break_on_id(strategy, expected):
+    """Vectors along one ray are at equal distance from the anchor, so
+    the lower node id goes first in both directions; every node is
+    embedded once."""
+    tree = IdeationTree.create("root")
+    for text in ("1.0,0.0", "0.0,1.0", "0.0,2.0", "1.0,1.0", "2.0,2.0", "3.0,0.0"):
+        attach_evaluated_fe(tree, [0.5], idea=text)
+    anchor = tree.fe_nodes()[0]
+    calls = []
+
+    class CountingEmbed(EuclidEmbed):
+        def embed(self, text):
+            calls.append(text)
+            return super().embed(text)
+
+    picked = select_context_nodes(tree, anchor, strategy, 10, CountingEmbed(),
+                                  np.random.default_rng(0))
+    assert [n.idea_text for n in picked] == expected
+    assert len(calls) == 6
 
 
 def test_select_context_nodes_random_excludes_anchor():
@@ -222,9 +251,14 @@ def test_retriever_k_edge_cases(corpus):
 
 
 def test_retriever_missing_dir(tmp_path):
+    """A failed read is not kept: once the directory exists, the same
+    retriever reads it."""
     retriever = FileCorpusRetriever(tmp_path / "nope")
     with pytest.raises(RetrievalFailure):
         retriever.retrieve("anything", 1)
+    (tmp_path / "nope").mkdir()
+    (tmp_path / "nope" / "a.txt").write_text("title: Late arrival\n\nbody", encoding="utf-8")
+    assert [d.title for d in retriever.retrieve("anything", 1)] == ["Late arrival"]
 
 
 def test_retriever_headerless_file_becomes_local_doc(corpus):
@@ -232,6 +266,50 @@ def test_retriever_headerless_file_becomes_local_doc(corpus):
     docs = retriever.retrieve("plain file without a header block", 5)
     hit = [d for d in docs if "plain file" in d.body]
     assert hit and hit[0].source.value == "local"
+
+
+# words with mixed case, non-ASCII letters and digits; a small pool, so
+# texts share tokens and repeat them
+_WORDS = ("gradient", "Boosting", "trees", "tree", "ensemble", "FEATURE", "crosses",
+          "naïve", "straße", "İstanbul", "x1", "42", "tfidf")
+_phrases = st.lists(st.sampled_from(_WORDS), max_size=8).map(" ".join)
+_documents = st.one_of(
+    st.builds(lambda source, title, body: f"source: {source}\ntitle: {title}\n\n{body}",
+              st.sampled_from(("papers", "competitions", "local", "Papers", "blogs")),
+              _phrases, _phrases),
+    _phrases,
+    st.text(max_size=40),
+)
+
+
+@st.composite
+def _corpora(draw):
+    """File name -> text. Some texts repeat under other names, and
+    header documents that differ only in their source embed alike, so
+    rankings tie and the file name decides."""
+    texts = draw(st.lists(_documents, max_size=8))
+    if texts:
+        texts += draw(st.lists(st.sampled_from(texts), max_size=4))
+    order = draw(st.permutations(range(len(texts))))
+    return {f"doc_{i:02d}.txt": text for i, text in zip(order, texts)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(_corpora(), st.lists(st.tuples(st.one_of(_phrases, st.text(max_size=30)),
+                                      st.integers(-1, 14)), min_size=1, max_size=5))
+def test_retriever_index_matches_cold_reference(files, queries):
+    """One retriever answers every query in turn exactly as a cold read,
+    parse, embed and rank of the directory would."""
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus_dir = Path(tmp)
+        for name, text in files.items():
+            (corpus_dir / name).write_text(text, encoding="utf-8")
+        retriever = FileCorpusRetriever(corpus_dir)
+        for query, k in queries:
+            got = [(d.source.value, d.title, d.body) for d in retriever.retrieve(query, k)]
+            expected = [(source, title, body)
+                        for _, source, title, body in reference_retrieve(corpus_dir, query, k)]
+            assert got == expected
 
 
 # ---- checker ----

@@ -35,6 +35,8 @@ from ideatree.orchestrator import (
     replay,
     verify_replay,
 )
+from ideatree import retrieval
+from ideatree.retrieval import FileCorpusRetriever
 from ideatree.search import MergeMemory
 from ideatree.setup_stages import (
     BaselineResult,
@@ -328,9 +330,9 @@ def test_initialize_tree_raises_when_nothing_survives():
 
 # ---- whole runs ----
 
-def _run(tmp_path, name="run", **overrides):
+def _run(tmp_path, name="run", corpus_dir=None, **overrides):
     config = _sim_config(**overrides)
-    ports = build_synthetic_ports(config)
+    ports = build_synthetic_ports(config, corpus_dir=corpus_dir)
     out = tmp_path / name
     result = execute_run(config, ports, out)
     return config, out, result
@@ -390,6 +392,35 @@ def test_checkpoint_calls_per_node_stay_flat(tmp_path, monkeypatch):
         ((Node, "to_dict", None), (MetricSpec, "orient", "ideatree.tree")),
         checkpoint_every_stage=True,
     )
+
+
+def test_corpus_is_read_once_per_run(tmp_path, monkeypatch):
+    """A run parses each corpus file once, however many stages query the
+    corpus. Reading the directory again per query makes the parses grow
+    with the run (files times queries) and fails this."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i in range(4):
+        (corpus / f"doc_{i}.txt").write_text(
+            f"source: papers\ntitle: idea {i}\n\ntree survey nodes {i}", encoding="utf-8")
+    calls: Counter = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(retrieval, "_parse_document",
+                        counting("parse", retrieval._parse_document))
+    monkeypatch.setattr(FileCorpusRetriever, "retrieve",
+                        counting("retrieve", FileCorpusRetriever.retrieve))
+    for budget in (2_500.0, 10_000.0):
+        calls.clear()
+        _run(tmp_path, f"b{int(budget)}", corpus_dir=corpus, seed=1,
+             time_run_minutes=budget, rag_policy="always")
+        assert calls["retrieve"] > 1, calls
+        assert calls["parse"] == 4, (budget, calls)
 
 
 def test_run_artifacts_layout(tmp_path):
