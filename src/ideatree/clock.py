@@ -7,7 +7,6 @@ runs deterministic and lets tests replay exact budget arithmetic.
 
 from __future__ import annotations
 
-import threading
 import time
 
 
@@ -35,26 +34,24 @@ class WallClock:
 class SimulatedClock:
     """Single accountant for simulated cost units.
 
-    Thread-safe so that parallel evaluation workers can charge it; reads
-    are monotone because costs are non-negative.
+    It has no lock: the engine charges it only on the thread that
+    commits results, never from an evaluation worker. Reads are
+    monotone because costs are non-negative.
     """
 
     def __init__(self, budget_minutes: float):
         self.budget = float(budget_minutes)
         self._elapsed = 0.0
-        self._lock = threading.Lock()
 
     def elapsed(self) -> float:
-        with self._lock:
-            return self._elapsed
+        return self._elapsed
 
     def charge(self, cost: float | None) -> None:
         if cost is None:
             return
         if cost < 0:
             raise ValueError(f"cost must be non-negative, got {cost}")
-        with self._lock:
-            self._elapsed += float(cost)
+        self._elapsed += float(cost)
 
     def remaining(self) -> float:
         return self.budget - self.elapsed()

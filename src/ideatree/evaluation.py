@@ -82,8 +82,9 @@ class LandscapeConfig:
 
     Quality peaks at ``optimum`` and decays with Euclidean distance.
     Merged-provenance nodes earn ``merge_bonus`` scaled by their own
-    landscape quality, so combining good parents pays off. Costs are
-    charged per call to the simulated clock.
+    landscape quality, so combining good parents pays off. The costs
+    are what ``SimulatedEvaluator.cost`` reports; the engine charges
+    them to the run's clock.
     """
 
     dimension: int
@@ -115,10 +116,8 @@ def simulated_evaluate(
     landscape: LandscapeConfig,
     metric: MetricSpec,
     rng: np.random.Generator,
-    mode: EvalMode = EvalMode.FULL,
-    clock=None,
 ) -> float:
-    """Score one node on the landscape and charge the clock.
+    """Score one node on the landscape.
 
     quality = 1 / (1 + distance-to-optimum), plus merge_bonus * quality
     for merged-provenance nodes, plus Gaussian noise drawn from ``rng``.
@@ -130,8 +129,6 @@ def simulated_evaluate(
         raise UnparseableIdea(
             f"idea has {len(values)} coordinates, landscape wants {landscape.dimension}"
         )
-    if clock is not None:
-        clock.charge(landscape.full_cost if mode is EvalMode.FULL else landscape.debug_cost)
     point = np.asarray(values, dtype=float)
     distance = float(np.linalg.norm(point - np.asarray(landscape.optimum)))
     quality = 1.0 / (1.0 + distance)
@@ -148,23 +145,22 @@ class SimulatedEvaluator:
 
     Noise is derived per idea text from the evaluator seed, so repeat
     evaluations of the same idea agree regardless of call order; that
-    also makes parallel evaluation safe.
+    also makes parallel evaluation safe. It charges no clock: the
+    engine charges ``cost(mode)`` for each call that returns.
     """
 
-    def __init__(self, landscape: LandscapeConfig, metric: MetricSpec, seed: int, clock=None):
+    def __init__(self, landscape: LandscapeConfig, metric: MetricSpec, seed: int):
         self.landscape = landscape
         self.metric = metric
         self.seed = int(seed)
-        self.clock = clock
 
     def _rng_for(self, node: Node) -> np.random.Generator:
         digest = hashlib.sha256(f"{self.seed}:{node.idea_text}".encode("utf-8")).digest()
         return np.random.default_rng(int.from_bytes(digest[:8], "big"))
 
     def evaluate(self, node: Node, mode: EvalMode) -> float:
-        return simulated_evaluate(
-            node, self.landscape, self.metric, self._rng_for(node), mode, clock=self.clock
-        )
+        # both modes score alike; they differ only in cost
+        return simulated_evaluate(node, self.landscape, self.metric, self._rng_for(node))
 
     def cost(self, mode: EvalMode) -> Optional[float]:
         return self.landscape.full_cost if mode is EvalMode.FULL else self.landscape.debug_cost

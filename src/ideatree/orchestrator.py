@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import logging
+from concurrent.futures import Executor, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -42,9 +44,9 @@ from .scoring import AnchorSet, BaselinePredictor, Predictor, build_anchor_set
 from .search import (
     EvalPolicy,
     MergeMemory,
+    PendingSet,
     SelectionMode,
     StageParams,
-    _evaluate_batch,
     adding_stage,
     merging_stage,
 )
@@ -120,7 +122,7 @@ def build_synthetic_ports(config: RunConfig, corpus_dir: Optional[Path] = None) 
         noise_sigma=syn.noise_sigma, full_cost=syn.full_cost,
         debug_cost=syn.debug_cost, merge_bonus=syn.merge_bonus,
     )
-    evaluator = SimulatedEvaluator(landscape, metric, seed=config.seed, clock=clock)
+    evaluator = SimulatedEvaluator(landscape, metric, seed=config.seed)
     task = TaskSpec(
         description=f"synthetic {syn.dimension}-dimensional landscape",
         schema={f"x{i}": "float" for i in range(syn.dimension)},
@@ -157,8 +159,16 @@ def _eval_policy(config: RunConfig, predict_fn=None) -> EvalPolicy:
         accelerated_debug=config.accelerated_debugging,
         predict_fn=predict_fn,
         predict_fraction=config.predict_fraction,
-        workers=config.worker_count,
     )
+
+
+def _evaluation_pool(worker_count: int):
+    """The run's one evaluation pool, as a context manager that shuts it
+    down; none for a single worker, whose jobs run inline."""
+    if worker_count > 1:
+        return ThreadPoolExecutor(max_workers=worker_count,
+                                  thread_name_prefix="ideatree-eval")
+    return nullcontext()
 
 
 # =====================================================================
@@ -175,13 +185,16 @@ def initialize_tree(
     metric: MetricSpec,
     log: Optional[RunLog] = None,
     root_idea: str = DEFAULT_ROOT_IDEA,
+    clock=None,
+    pool: Optional[Executor] = None,
 ) -> IdeationTree:
     """Build the starting tree: enriched root, a first rank of feature
     ideas, and fully evaluated model children under each.
 
     Initialization is not budget-gated (a zero-budget run still ends
-    with a best node), but evaluations do charge the clock. If not one
-    model idea survives evaluation there is nothing to search from and
+    with a best node), but evaluations do charge ``clock``. They run on
+    ``pool`` when given and are committed at the end. If not one model
+    idea survives evaluation there is nothing to search from and
     InitializationFailure is raised.
     """
     tree = IdeationTree.create(root_idea)
@@ -192,18 +205,19 @@ def initialize_tree(
         if note:
             ctx.append(SegmentTag.EDA, note)
     fe_texts = gen.propose_fe(ctx, config.number_of_ideas_data)
-    policy = _eval_policy(config)
-    for fe_text in fe_texts:
-        fe = tree.spawn(tree.root.id, NodeLevel.FE, fe_text)
-        if log is not None:
-            log.append(EventKind.NODE_PROPOSED, node=fe.to_dict())
-        children = []
-        for mt_text in gen.propose_mt(fe, ctx, config.number_of_ideas_modelling):
-            node = tree.spawn(fe.id, NodeLevel.MT, mt_text)
+    pending = PendingSet(tree, evaluator, _eval_policy(config), clock=clock, log=log, pool=pool)
+    try:
+        for fe_text in fe_texts:
+            fe = tree.spawn(tree.root.id, NodeLevel.FE, fe_text)
             if log is not None:
-                log.append(EventKind.NODE_PROPOSED, node=node.to_dict())
-            children.append(node)
-        _evaluate_batch(tree, children, evaluator, metric, policy, None, log)
+                log.append(EventKind.NODE_PROPOSED, node=fe.to_dict())
+            for mt_text in gen.propose_mt(fe, ctx, config.number_of_ideas_modelling):
+                node = tree.spawn(fe.id, NodeLevel.MT, mt_text)
+                if log is not None:
+                    log.append(EventKind.NODE_PROPOSED, node=node.to_dict())
+                pending.dispatch(node)
+    finally:
+        pending.commit()
     backpropagate(tree)
     if tree.best_evaluated_mt(metric) is None:
         raise InitializationFailure("no model idea survived initial evaluation")
@@ -226,11 +240,13 @@ def run_main_loop(
     seed_sequence: Optional[np.random.SeedSequence] = None,
     run_dir: Optional[Path] = None,
     predict_fn=None,
+    pool: Optional[Executor] = None,
 ) -> RunResult:
     """Alternate adding and merging until the budget is gone.
 
     Budget is checked strictly before each stage starts; a stage that
-    runs out mid-way commits its finished work and ends the run. The
+    runs out mid-way commits its finished work and ends the run. Stages
+    run their evaluations on ``pool`` when given. The
     merging phase is skipped (with log events preserving alternation)
     while fewer than two feature nodes have evaluated children. Each
     stage is followed by a checkpoint and a log flush.
@@ -297,6 +313,7 @@ def run_main_loop(
                 max_add=config.max_add_idea,
                 parent_window=config.parent_window,
                 selection_mode=SelectionMode(config.selection_mode),
+                pool=pool,
             )
         except BudgetExhausted:
             note_budget_out()
@@ -321,6 +338,7 @@ def run_main_loop(
                     ctx=ctx, log=log, clock=clock, policy=plain_policy,
                     resample_k=config.resample_count,
                     proportional_resample=config.sample_top_proportional,
+                    pool=pool,
                 )
             except InsufficientParents:
                 _skip_merging(log, tree, reason="fewer than two eligible feature nodes")
@@ -370,7 +388,13 @@ def execute_run(
     dataset_dir: Optional[Path] = None,
 ) -> RunResult:
     """Setup → initialize → main loop, with the run directory laid out
-    for later reporting and replay."""
+    for later reporting and replay.
+
+    One pool of ``worker_count`` threads serves every evaluation of the
+    run and is shut down, its jobs finished, however the run ends. The
+    pool size changes wall time only: results are committed on this
+    thread in node-id order, so the run directory is the same for any
+    worker count."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dump_config(config, out_dir / CONFIG_COPY_FILENAME)
@@ -392,31 +416,32 @@ def execute_run(
     ctx.append(SegmentTag.READER, setup.task.description)
     seed_sequence = np.random.SeedSequence(config.seed)
     init_rng = np.random.default_rng(seed_sequence.spawn(1)[0])
-    try:
-        tree = initialize_tree(
-            ctx, ports.gen, ports.evaluator, config, init_rng,
-            metric=ports.metric, log=log,
+    with _evaluation_pool(config.worker_count) as pool:
+        try:
+            tree = initialize_tree(
+                ctx, ports.gen, ports.evaluator, config, init_rng,
+                metric=ports.metric, log=log, clock=clock, pool=pool,
+            )
+        except InitializationFailure:
+            log.flush()
+            raise
+
+        predict_fn = None
+        if config.predict_before_evaluate and ports.predictor is not None:
+            anchor_set = _build_anchors(tree, ports, config, ctx, log, pool)
+            if anchor_set is not None:
+                predictor = ports.predictor
+                dataset_description = setup.task.description
+
+                def predict_fn(text: str) -> float:
+                    return predictor.predict(text, anchor_set, dataset_description)
+
+        mem = MergeMemory(theta_fail=config.theta_fail)
+        result = run_main_loop(
+            tree, ctx, ports, mem, config, clock,
+            log=log, seed_sequence=seed_sequence, run_dir=out_dir,
+            predict_fn=predict_fn, pool=pool,
         )
-    except InitializationFailure:
-        log.flush()
-        raise
-
-    predict_fn = None
-    if config.predict_before_evaluate and ports.predictor is not None:
-        anchor_set = _build_anchors(tree, ports, config, ctx, log)
-        if anchor_set is not None:
-            predictor = ports.predictor
-            dataset_description = setup.task.description
-
-            def predict_fn(text: str) -> float:
-                return predictor.predict(text, anchor_set, dataset_description)
-
-    mem = MergeMemory(theta_fail=config.theta_fail)
-    result = run_main_loop(
-        tree, ctx, ports, mem, config, clock,
-        log=log, seed_sequence=seed_sequence, run_dir=out_dir,
-        predict_fn=predict_fn,
-    )
     (out_dir / FINAL_SNAPSHOT_FILENAME).write_text(tree.snapshot(), encoding="utf-8")
     (out_dir / RESULT_FILENAME).write_text(
         json.dumps(
@@ -437,7 +462,8 @@ def execute_run(
     return result
 
 
-def _build_anchors(tree, ports: PortSet, config: RunConfig, ctx, log) -> Optional[AnchorSet]:
+def _build_anchors(tree, ports: PortSet, config: RunConfig, ctx, log,
+                   pool: Optional[Executor]) -> Optional[AnchorSet]:
     """Anchor evaluations happen once, before the loop, outside the
     budget gate (like initialization). Failure to build anchors turns
     prediction off rather than killing the run."""
@@ -458,7 +484,7 @@ def _build_anchors(tree, ports: PortSet, config: RunConfig, ctx, log) -> Optiona
             tree, ports.evaluator, architectures, ports.metric,
             min_anchors=config.number_of_ideas_min,
             max_anchors=config.number_of_ideas_max,
-            log=log,
+            log=log, clock=ports.clock, pool=pool,
         )
     except Exception as exc:
         logger.warning("anchor construction failed, prediction disabled: %s", exc)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import logging
 import re
+from concurrent.futures import Executor
 from dataclasses import dataclass, field
 from typing import Optional, Protocol
 
@@ -21,18 +22,17 @@ import requests
 from .errors import (
     AnchorConstructionFailed,
     EmptyAnchorSet,
-    EvaluationFailure,
     InvalidParams,
     MalformedResponse,
     NoFeNodes,
     RetriesExhausted,
     TransportFailure,
 )
-from .evaluation import EvalMode, EvaluationPort
+from .evaluation import EvaluationPort
 from .events import EventKind, RunLog
 from .generation import EndpointConfig, _load_template, request_completion
-from .search import softmax_select
-from .tree import IdeationTree, MetricSpec, Node, NodeLevel, backpropagate
+from .search import EvalPolicy, PendingSet, softmax_select
+from .tree import IdeationTree, MetricSpec, Node, NodeLevel, NodeStatus, backpropagate
 
 logger = logging.getLogger(__name__)
 
@@ -87,6 +87,8 @@ def build_anchor_set(
     min_anchors: int = 2,
     max_anchors: int = 5,
     log: Optional[RunLog] = None,
+    clock=None,
+    pool: Optional[Executor] = None,
 ) -> AnchorSet:
     """Gather anchors in two sweeps of real evaluations.
 
@@ -95,9 +97,11 @@ def build_anchor_set(
     id. Sweep two takes the architecture that scored best in sweep one
     and runs it under the remaining feature nodes, best aggregates
     first, until ``max_anchors`` is reached. Every evaluation lands in
-    the tree as an ordinary node; failures are marked and omitted. If
-    fewer than ``min_anchors`` survive the whole procedure, nothing
-    usable came back and AnchorConstructionFailed is raised.
+    the tree as an ordinary node, charged to ``clock`` like a stage's
+    (sweep one's run together on ``pool`` when given); failures are
+    marked and omitted. If fewer than ``min_anchors`` survive the whole
+    procedure, nothing usable came back and AnchorConstructionFailed is
+    raised.
     """
     if min_anchors < 1 or max_anchors < min_anchors:
         raise InvalidParams(
@@ -120,34 +124,29 @@ def build_anchor_set(
     ranked_fe = sorted(fe_nodes, key=fe_rank)
     phase1_fe = ranked_fe[0]
 
-    anchors: list[Anchor] = []
+    pending = PendingSet(tree, evaluator, EvalPolicy(), clock=clock, log=log, pool=pool)
 
-    def evaluate_anchor(fe: Node, arch: str) -> Optional[Anchor]:
-        node = tree.spawn(fe.id, NodeLevel.MT, arch)
-        if log is not None:
-            log.append(EventKind.NODE_PROPOSED, node=node.to_dict())
-        try:
-            raw = evaluator.evaluate(node, EvalMode.FULL)
-        except EvaluationFailure as exc:
-            tree.mark_failed(node.id)
+    def evaluate_anchors(fe: Node, archs: list[str]) -> list[Anchor]:
+        nodes = []
+        for arch in archs:
+            node = tree.spawn(fe.id, NodeLevel.MT, arch)
             if log is not None:
-                log.append(EventKind.NODE_EVALUATED, node_id=node.id, raw_score=None,
-                           status=node.status.value, error=str(exc))
-            logger.warning("anchor evaluation failed for %r under fe %d: %s", arch, fe.id, exc)
-            return None
-        tree.mark_evaluated(node.id, raw)
-        if log is not None:
-            log.append(EventKind.NODE_EVALUATED, node_id=node.id, raw_score=raw,
-                       status=node.status.value)
-        return Anchor(
-            description=arch, true_score=raw, fe_node_id=fe.id,
-            architecture_tag=arch, mt_node_id=node.id,
-        )
+                log.append(EventKind.NODE_PROPOSED, node=node.to_dict())
+            pending.dispatch(node)
+            nodes.append(node)
+        pending.commit()
+        anchors = []
+        for arch, node in zip(archs, nodes):
+            if node.status is NodeStatus.EVALUATED:
+                anchors.append(Anchor(
+                    description=arch, true_score=node.raw_score, fe_node_id=fe.id,
+                    architecture_tag=arch, mt_node_id=node.id,
+                ))
+            else:
+                logger.warning("anchor evaluation failed for %r under fe %d", arch, fe.id)
+        return anchors
 
-    for arch in architectures[:max_anchors]:
-        anchor = evaluate_anchor(phase1_fe, arch)
-        if anchor is not None:
-            anchors.append(anchor)
+    anchors = evaluate_anchors(phase1_fe, architectures[:max_anchors])
 
     if not anchors:
         backpropagate(tree)
@@ -161,10 +160,9 @@ def build_anchor_set(
     for fe in ranked_fe[1:]:
         if slots <= 0:
             break
-        anchor = evaluate_anchor(fe, phase2_arch)
-        if anchor is not None:
-            anchors.append(anchor)
-            slots -= 1
+        found = evaluate_anchors(fe, [phase2_arch])
+        anchors.extend(found)
+        slots -= len(found)
 
     backpropagate(tree)
     if len(anchors) < min_anchors:

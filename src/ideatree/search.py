@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import logging
 import math
-from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from bisect import bisect_right, insort
+from concurrent.futures import Executor, Future, wait
+from contextlib import contextmanager
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .errors import (
     NonFiniteScore,
     UnknownParent,
 )
+from .evaluation import EvalMode
 from .events import EventKind, RunLog
 from .generation import ContextState, ExternalQueryPolicy, SegmentTag, gate_external_query
 from .tree import (
@@ -332,24 +334,16 @@ class EvalPolicy:
     accelerated_debug: bool = True
     predict_fn: Optional[Callable[[str], float]] = None
     predict_fraction: float = 0.5
-    workers: int = 1
 
     def __post_init__(self):
         if self.validation_attempts < 0:
             raise InvalidParams("validation_attempts must be >= 0")
         if not 0.0 < self.predict_fraction <= 1.0:
             raise InvalidParams("predict_fraction must be in (0, 1]")
-        if self.workers < 1:
-            raise InvalidParams("workers must be >= 1")
 
 
 class _BudgetStop(Exception):
     """Internal: the clock ran out mid-stage."""
-
-
-def _check_budget(clock) -> None:
-    if clock is not None and clock.exhausted():
-        raise _BudgetStop()
 
 
 def _emit(log: Optional[RunLog], kind: EventKind, **payload):
@@ -358,89 +352,172 @@ def _emit(log: Optional[RunLog], kind: EventKind, **payload):
 
 
 # =====================================================================
-# Candidate scoring
+# Pending evaluations
 # =====================================================================
 
-def _run_one_evaluation(node: Node, evaluator, policy: EvalPolicy):
-    """Validation cycles then the metric run; returns the raw score.
-    Raises EvaluationFailure. May run on a worker thread."""
-    from .evaluation import EvalMode  # local import avoids a cycle at module load
+def _run_calls(evaluator, node: Node, modes: tuple[EvalMode, ...]):
+    """Make one candidate's evaluator calls in order, stopping at the
+    first EvaluationFailure. Returns ``(raw score or None, error or
+    None, number of calls that returned)``. May run on a worker thread,
+    so it touches nothing but the evaluator."""
+    for returned, mode in enumerate(modes):
+        try:
+            value = evaluator.evaluate(node, mode)
+        except EvaluationFailure as exc:
+            return None, str(exc) or "evaluation failed", returned
+    return float(value), None, len(modes)
 
-    shakeout_mode = EvalMode.DEBUG if policy.accelerated_debug else EvalMode.FULL
-    for _ in range(policy.validation_attempts):
-        evaluator.evaluate(node, shakeout_mode)
-    return evaluator.evaluate(node, EvalMode.FULL)
+
+class _RanInline:
+    """A job run at once on the calling thread, read like a done future:
+    ``result`` returns its value or raises its exception."""
+
+    __slots__ = ("_value", "_error")
+
+    def __init__(self, fn, *args):
+        try:
+            self._value, self._error = fn(*args), None
+        except Exception as exc:  # raised again when the result is read
+            self._value, self._error = None, exc
+
+    def result(self):
+        if self._error is not None:
+            raise self._error
+        return self._value
 
 
-def _evaluate_batch(
-    tree: IdeationTree,
-    nodes: list[Node],
-    evaluator,
-    metric: MetricSpec,
-    policy: EvalPolicy,
-    clock,
-    log: Optional[RunLog],
-) -> None:
-    """Evaluate ``nodes``, committing results in ascending node-id order.
+class PendingSet:
+    """A stage's evaluations, dispatched and not yet committed.
 
-    The budget is checked before each dispatch; on exhaustion whatever
-    already ran is committed and the stage unwinds via _BudgetStop.
+    ``dispatch`` hands a candidate's calls (its validation runs, then
+    the metric run) to ``pool``, or makes them at once when there is
+    none, and returns, so the caller keeps proposing while they run.
+    Nothing a job does reaches the tree, the log or the clock before
+    ``commit``: that waits for every job, then in node-id order charges
+    ``evaluator.cost(mode)`` for each call that returned (one that
+    raised costs nothing), marks the node evaluated or failed and logs
+    ``node_evaluated``, and last runs the ``after_commit`` callbacks in
+    order. A job that raises anything but EvaluationFailure has it
+    raised again by ``commit``, once the jobs before it are applied.
+
+    ``check_budget`` is the budget rule: it projects the clock over the
+    pending jobs as if all their calls returned, adding their costs in
+    commit order, and only when that reaches the budget does it commit
+    and check the clock itself. Stop decisions and logged clock
+    readings are thus those of one inline worker, whatever the pool,
+    and the overrun stays below one job's cost.
     """
-    ordered = sorted(nodes, key=lambda n: n.id)
-    results: dict[int, tuple[Optional[float], Optional[str]]] = {}
 
-    def commit():
-        for node in ordered:
-            if node.id not in results:
-                continue
-            score, error = results[node.id]
+    def __init__(self, tree: IdeationTree, evaluator, policy: EvalPolicy, *,
+                 clock=None, log: Optional[RunLog] = None,
+                 pool: Optional[Executor] = None):
+        self.tree = tree
+        self.evaluator = evaluator
+        self.clock = clock
+        self.log = log
+        self.pool = pool
+        shakeout = EvalMode.DEBUG if policy.accelerated_debug else EvalMode.FULL
+        self._modes = (shakeout,) * policy.validation_attempts + (EvalMode.FULL,)
+        self._costs = [evaluator.cost(mode) for mode in self._modes]
+        self._jobs: list[tuple[int, Node, Future | _RanInline]] = []
+        self._after: list[Callable[[], None]] = []
+
+    def dispatch(self, node: Node) -> None:
+        if self.pool is None:
+            job = _RanInline(_run_calls, self.evaluator, node, self._modes)
+        else:
+            job = self.pool.submit(_run_calls, self.evaluator, node, self._modes)
+        insort(self._jobs, (node.id, node, job))
+
+    def after_commit(self, fn: Callable[[], None]) -> None:
+        self._after.append(fn)
+
+    def check_budget(self) -> None:
+        """Raise _BudgetStop, after committing, when the clock is out."""
+        if self.clock is None:
+            return
+        projected = self.clock.elapsed()
+        for _ in self._jobs:
+            for cost in self._costs:
+                if cost is not None:
+                    projected += cost
+        if projected >= self.clock.budget:
+            self.commit()
+            if self.clock.exhausted():
+                raise _BudgetStop()
+
+    def commit(self) -> None:
+        jobs, self._jobs = self._jobs, []
+        after, self._after = self._after, []
+        if self.pool is not None:
+            wait([job for _, _, job in jobs])
+        for _, node, job in jobs:
+            score, error, returned = job.result()
+            if self.clock is not None:
+                for cost in self._costs[:returned]:
+                    self.clock.charge(cost)
             if error is None:
-                tree.mark_evaluated(node.id, score)
-                _emit(log, EventKind.NODE_EVALUATED, node_id=node.id,
+                self.tree.mark_evaluated(node.id, score)
+                _emit(self.log, EventKind.NODE_EVALUATED, node_id=node.id,
                       raw_score=node.raw_score, status=node.status.value)
             else:
-                tree.mark_failed(node.id)
-                _emit(log, EventKind.NODE_EVALUATED, node_id=node.id,
+                self.tree.mark_failed(node.id)
+                _emit(self.log, EventKind.NODE_EVALUATED, node_id=node.id,
                       raw_score=None, status=node.status.value, error=error)
+        for fn in after:
+            fn()
 
+
+@contextmanager
+def _stage_scope(tree: IdeationTree, log: Optional[RunLog], stage: str,
+                 pending: PendingSet) -> Iterator[None]:
+    """Bracket a stage's body with its start and finish events.
+
+    However the body ends, what it dispatched is committed. On the ways
+    out a run carries on from (done, clock out, generator failure) the
+    aggregates are refreshed and ``stage_finished`` names the outcome;
+    _BudgetStop leaves as BudgetExhausted. Any other exception
+    propagates once the jobs in flight have finished.
+    """
+    def finish(outcome: str, **extra) -> None:
+        pending.commit()
+        backpropagate(tree)
+        _emit(log, EventKind.STAGE_FINISHED, stage=stage, iteration=tree.iteration,
+              outcome=outcome, **extra)
+
+    _emit(log, EventKind.STAGE_STARTED, stage=stage, iteration=tree.iteration)
     try:
-        if policy.workers <= 1:
-            for node in ordered:
-                _check_budget(clock)
-                try:
-                    results[node.id] = (float(_run_one_evaluation(node, evaluator, policy)), None)
-                except EvaluationFailure as exc:
-                    results[node.id] = (None, str(exc) or "evaluation failed")
-        else:
-            with ThreadPoolExecutor(max_workers=policy.workers) as pool:
-                futures = []
-                for node in ordered:
-                    _check_budget(clock)
-                    futures.append((node, pool.submit(_run_one_evaluation, node, evaluator, policy)))
-                for node, fut in futures:
-                    try:
-                        results[node.id] = (float(fut.result()), None)
-                    except EvaluationFailure as exc:
-                        results[node.id] = (None, str(exc) or "evaluation failed")
-    finally:
-        commit()
+        yield
+    except _BudgetStop:
+        finish("budget_exhausted")
+        raise BudgetExhausted(f"{stage} stage stopped by the clock")
+    except GeneratorFailure as exc:
+        finish("generator_failure", error=str(exc))
+        raise
+    except BaseException:
+        pending.commit()
+        raise
+    finish("ok")
 
+
+# =====================================================================
+# Candidate scoring
+# =====================================================================
 
 def _propose_and_score_mt(
     tree: IdeationTree,
     fe_node: Node,
     ctx: Optional[ContextState],
     gen,
-    evaluator,
     m: int,
     metric: MetricSpec,
     policy: EvalPolicy,
-    clock,
+    pending: PendingSet,
     log: Optional[RunLog],
 ) -> list[Node]:
-    """Attach m fresh MT children under ``fe_node`` and score them,
-    applying predict-then-evaluate pruning when the policy carries a
-    predictor. Returns the new nodes."""
+    """Attach m fresh MT children under ``fe_node`` and dispatch their
+    evaluations, applying predict-then-evaluate pruning when the policy
+    carries a predictor. Returns the new nodes, not yet scored."""
     texts = gen.propose_mt(fe_node, ctx, m)
     spawned = []
     for text in texts:
@@ -469,7 +546,9 @@ def _propose_and_score_mt(
         )
         to_evaluate = sorted(fallback + ranked[:keep_n], key=lambda n: n.id)
 
-    _evaluate_batch(tree, to_evaluate, evaluator, metric, policy, clock, log)
+    for node in to_evaluate:
+        pending.check_budget()
+        pending.dispatch(node)
     return spawned
 
 
@@ -533,6 +612,7 @@ def adding_stage(
     max_add: Optional[int] = None,
     parent_window: Optional[int] = None,
     selection_mode: SelectionMode = SelectionMode.FE_AGGREGATE,
+    pool: Optional[Executor] = None,
 ) -> IdeationTree:
     """One expansion pass.
 
@@ -543,14 +623,16 @@ def adding_stage(
     restricts selection to FE nodes created within that many recent
     iterations. ``selection_mode=MT_LITERAL`` instead samples the subset
     over the freshly scored MT nodes and expands their parents.
+    Evaluations run on ``pool`` when given, while the stage keeps
+    proposing, and are committed before each selection.
 
     Raises GeneratorFailure (stage aborted, committed nodes stay) and
     BudgetExhausted (partial results committed).
     """
     policy = policy or EvalPolicy()
-    _emit(log, EventKind.STAGE_STARTED, stage="adding", iteration=tree.iteration)
-    try:
-        _check_budget(clock)
+    pending = PendingSet(tree, evaluator, policy, clock=clock, log=log, pool=pool)
+    with _stage_scope(tree, log, "adding", pending):
+        pending.check_budget()
         segment = gen.enrich_eda(tree, ctx)
         if segment:
             ctx.append(SegmentTag.EDA, segment)
@@ -566,9 +648,10 @@ def adding_stage(
         fresh_mt: list[Node] = []
         for fe in new_fe:
             fresh_mt.extend(
-                _propose_and_score_mt(tree, fe, ctx, gen, evaluator, params.m_mt,
-                                      metric, policy, clock, log)
+                _propose_and_score_mt(tree, fe, ctx, gen, params.m_mt,
+                                      metric, policy, pending, log)
             )
+        pending.commit()
         backpropagate(tree)
 
         targets = _select_expansion_targets(
@@ -576,20 +659,8 @@ def adding_stage(
         )
         per_target = params.m_mt if max_add is None else min(params.m_mt, max_add)
         for fe_id in targets:
-            _propose_and_score_mt(tree, tree.nodes[fe_id], ctx, gen, evaluator,
-                                  per_target, metric, policy, clock, log)
-        backpropagate(tree)
-    except _BudgetStop:
-        backpropagate(tree)
-        _emit(log, EventKind.STAGE_FINISHED, stage="adding", iteration=tree.iteration,
-              outcome="budget_exhausted")
-        raise BudgetExhausted("adding stage stopped by the clock")
-    except GeneratorFailure as exc:
-        backpropagate(tree)
-        _emit(log, EventKind.STAGE_FINISHED, stage="adding", iteration=tree.iteration,
-              outcome="generator_failure", error=str(exc))
-        raise
-    _emit(log, EventKind.STAGE_FINISHED, stage="adding", iteration=tree.iteration, outcome="ok")
+            _propose_and_score_mt(tree, tree.nodes[fe_id], ctx, gen, per_target,
+                                  metric, policy, pending, log)
     return tree
 
 
@@ -647,6 +718,7 @@ def merging_stage(
     policy: Optional[EvalPolicy] = None,
     resample_k: int = 1,
     proportional_resample: bool = False,
+    pool: Optional[Executor] = None,
 ) -> tuple[IdeationTree, MergeMemory]:
     """One recombination pass.
 
@@ -656,12 +728,15 @@ def merging_stage(
     children plus ``resample_k`` score-carrying copies sampled from each
     parent, and books the outcome into the merge memory. Then
     ``n_selected`` FE nodes are softmax-selected and each has its two
-    best MT children merged into one new scored child.
+    best MT children merged into one new scored child. Evaluations run
+    on ``pool`` when given; the merge verdicts are booked, in pair
+    order, once the pair loop's evaluations are committed.
 
     Raises InsufficientParents when fewer than two FE nodes are
     eligible, GeneratorFailure, and BudgetExhausted.
     """
-    policy = policy or EvalPolicy()
+    # nothing is pruned here: the merge verdict needs real scores
+    policy = replace(policy or EvalPolicy(), predict_fn=None)
     if resample_k < 0:
         raise InvalidParams(f"resample_k must be >= 0, got {resample_k}")
     eligible = tree.eligible_fe_ids()
@@ -669,36 +744,26 @@ def merging_stage(
         raise InsufficientParents(
             f"merging needs >= 2 FE nodes with evaluated children, found {len(eligible)}"
         )
-    _emit(log, EventKind.STAGE_STARTED, stage="merging", iteration=tree.iteration)
-    try:
+    pending = PendingSet(tree, evaluator, policy, clock=clock, log=log, pool=pool)
+    with _stage_scope(tree, log, "merging", pending):
         for a_id, b_id in draw_merge_pairs(eligible, mem, params.n_fe, rng):
-            _check_budget(clock)
-            _merge_one_pair(tree, mem, gen, evaluator, params, metric, rng,
-                            a_id, b_id, ctx, log, clock, policy,
-                            resample_k, proportional_resample)
+            pending.check_budget()
+            _merge_one_pair(tree, mem, gen, params, metric, rng, a_id, b_id,
+                            ctx, log, policy, pending, resample_k, proportional_resample)
+        pending.commit()
         backpropagate(tree)
 
-        _merge_best_children(tree, gen, evaluator, params, metric, rng,
-                             ctx, log, clock, policy)
-        backpropagate(tree)
-    except _BudgetStop:
-        backpropagate(tree)
-        _emit(log, EventKind.STAGE_FINISHED, stage="merging", iteration=tree.iteration,
-              outcome="budget_exhausted")
-        raise BudgetExhausted("merging stage stopped by the clock")
-    except GeneratorFailure as exc:
-        backpropagate(tree)
-        _emit(log, EventKind.STAGE_FINISHED, stage="merging", iteration=tree.iteration,
-              outcome="generator_failure", error=str(exc))
-        raise
-    _emit(log, EventKind.STAGE_FINISHED, stage="merging", iteration=tree.iteration, outcome="ok")
+        _merge_best_children(tree, gen, params, metric, rng, ctx, log, pending)
     return tree, mem
 
 
 def _merge_one_pair(
-    tree, mem, gen, evaluator, params, metric, rng,
-    a_id, b_id, ctx, log, clock, policy, resample_k, proportional_resample,
+    tree, mem, gen, params, metric, rng,
+    a_id, b_id, ctx, log, policy, pending, resample_k, proportional_resample,
 ):
+    """Merge one FE pair into a new FE node, dispatch its fresh MT
+    children, add the resampled copies, and have the verdict booked
+    when the fresh children are committed."""
     key = pair_key(a_id, b_id)
     node_a, node_b = tree.nodes[a_id], tree.nodes[b_id]
     merged_text = gen.merge_fe(node_a, node_b, ctx)
@@ -708,16 +773,8 @@ def _merge_one_pair(
     )
     _emit(log, EventKind.NODE_PROPOSED, node=merged.to_dict())
 
-    # fresh children are scored; pruning never applies here, the merge
-    # verdict needs real numbers
-    fresh_policy = EvalPolicy(
-        validation_attempts=policy.validation_attempts,
-        accelerated_debug=policy.accelerated_debug,
-        predict_fn=None,
-        workers=policy.workers,
-    )
-    _propose_and_score_mt(tree, merged, ctx, gen, evaluator, params.m_mt,
-                          metric, fresh_policy, clock, log)
+    _propose_and_score_mt(tree, merged, ctx, gen, params.m_mt,
+                          metric, policy, pending, log)
 
     if resample_k > 0:
         for parent_id in (a_id, b_id):
@@ -735,9 +792,17 @@ def _merge_one_pair(
                 )
                 _emit(log, EventKind.NODE_PROPOSED, node=copy.to_dict())
 
-    if tree.evaluated_mt_children(merged.id):
-        delta = merge_delta(tree, merged.id, a_id, b_id, metric)
-        failed = delta <= params.merge_epsilon
+    pending.after_commit(
+        lambda: _book_merge(tree, mem, key, merged.id, metric, params.merge_epsilon, log)
+    )
+
+
+def _book_merge(tree, mem, key, merged_id, metric, epsilon, log):
+    """Judge a merge by its committed children and record the verdict."""
+    a_id, b_id = key
+    if tree.evaluated_mt_children(merged_id):
+        delta = merge_delta(tree, merged_id, a_id, b_id, metric)
+        failed = delta <= epsilon
     else:
         # every fresh child failed and nothing was resampled
         delta = None
@@ -745,17 +810,17 @@ def _merge_one_pair(
 
     if failed:
         promoted = mem.record_failure(key)
-        _emit(log, EventKind.MERGE_ATTEMPTED, pair=list(key), merged_id=merged.id,
+        _emit(log, EventKind.MERGE_ATTEMPTED, pair=list(key), merged_id=merged_id,
               outcome="failure", delta=delta)
         if promoted:
             _emit(log, EventKind.MEMORY_PROMOTED, pair=list(key), failures=mem.theta_fail)
     else:
         mem.record_success(key)
-        _emit(log, EventKind.MERGE_ATTEMPTED, pair=list(key), merged_id=merged.id,
+        _emit(log, EventKind.MERGE_ATTEMPTED, pair=list(key), merged_id=merged_id,
               outcome="success", delta=delta)
 
 
-def _merge_best_children(tree, gen, evaluator, params, metric, rng, ctx, log, clock, policy):
+def _merge_best_children(tree, gen, params, metric, rng, ctx, log, pending):
     """Within each softmax-selected FE node, merge its two best MT
     children into one new scored child."""
     cands = sorted((fe for fe in tree.fe_nodes() if fe.aggregated_score is not None),
@@ -765,12 +830,6 @@ def _merge_best_children(tree, gen, evaluator, params, metric, rng, ctx, log, cl
     oriented = [metric.orient(fe.aggregated_score) for fe in cands]
     dist = softmax_select(oriented, params.softmax_temperature, [fe.id for fe in cands])
     selected = dist.sample_without_replacement(params.n_selected, rng)
-    child_policy = EvalPolicy(
-        validation_attempts=policy.validation_attempts,
-        accelerated_debug=policy.accelerated_debug,
-        predict_fn=None,
-        workers=policy.workers,
-    )
     for fe_id in selected:
         kids = sorted(
             tree.evaluated_mt_children(fe_id),
@@ -779,8 +838,8 @@ def _merge_best_children(tree, gen, evaluator, params, metric, rng, ctx, log, cl
         if len(kids) < 2:
             continue
         u, v = kids[0], kids[1]
-        _check_budget(clock)
+        pending.check_budget()
         text = gen.merge_mt(u, v, ctx)
         node = tree.spawn(fe_id, NodeLevel.MT, text, provenance=Provenance.merged(u.id, v.id))
         _emit(log, EventKind.NODE_PROPOSED, node=node.to_dict())
-        _evaluate_batch(tree, [node], evaluator, metric, child_policy, clock, log)
+        pending.dispatch(node)

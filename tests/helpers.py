@@ -7,12 +7,16 @@ sides of a comparison.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 
 from ideatree.embedding import HashedEmbedding
+from ideatree.errors import EvaluationFailure
 from ideatree.tree import (
     IdeationTree,
     MetricDirection,
@@ -166,7 +170,8 @@ def make_world(
     mt_jitter: float = 0.05,
 ):
     """A small ready-to-search world: seeded synthetic generator, a
-    simulated landscape evaluator on one clock, and a tree preloaded
+    simulated landscape evaluator, a clock for the stages to charge
+    (the preloaded evaluations are not charged), and a tree preloaded
     with ``n_fe`` FE nodes carrying ``m_mt`` evaluated children each."""
     from types import SimpleNamespace
 
@@ -182,7 +187,7 @@ def make_world(
         merge_bonus=merge_bonus,
     )
     clock = SimulatedClock(budget)
-    evaluator = SimulatedEvaluator(landscape, metric, seed=seed, clock=clock)
+    evaluator = SimulatedEvaluator(landscape, metric, seed=seed)
     tree = IdeationTree.create("root analysis")
     ctx = ContextState()
     for text in gen.propose_fe(ctx, n_fe):
@@ -209,3 +214,59 @@ def attach_evaluated_fe(
         mt = tree.spawn(fe.id, NodeLevel.MT, vector or f"{idea} mt {k}")
         tree.mark_evaluated(mt.id, s)
     return fe.id
+
+
+class RecordingEvaluator:
+    """Forwards to ``inner`` and records every call as ``(node id, mode,
+    returned)``; the calls ``fail(node, mode)`` picks raise
+    EvaluationFailure instead of forwarding."""
+
+    def __init__(self, inner, fail=lambda node, mode: False):
+        self.inner = inner
+        self.fail = fail
+        self.calls: list = []
+
+    def evaluate(self, node, mode):
+        returned = not self.fail(node, mode)
+        self.calls.append((node.id, mode, returned))
+        if not returned:
+            raise EvaluationFailure("injected failure")
+        return self.inner.evaluate(node, mode)
+
+    def cost(self, mode):
+        return self.inner.cost(mode)
+
+    def returned_cost(self) -> float:
+        """What the calls that returned cost, summed in call order."""
+        total = 0.0
+        for _, mode, returned in self.calls:
+            if returned:
+                total += self.cost(mode)
+        return total
+
+
+class SleepyEvaluator:
+    """Sleeps ``max_s`` times a fraction fixed by the idea text (0 to 2
+    ms by default) before each call, so parallel jobs finish out of
+    dispatch order. Counts calls started and finished."""
+
+    def __init__(self, inner, max_s: float = 0.002):
+        self.inner = inner
+        self.max_s = max_s
+        self.started = 0
+        self.finished = 0
+        self._lock = threading.Lock()
+
+    def evaluate(self, node, mode):
+        with self._lock:
+            self.started += 1
+        try:
+            digest = hashlib.sha256(node.idea_text.encode("utf-8")).digest()
+            time.sleep(self.max_s * digest[0] / 255)
+            return self.inner.evaluate(node, mode)
+        finally:
+            with self._lock:
+                self.finished += 1
+
+    def cost(self, mode):
+        return self.inner.cost(mode)

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from ideatree.clock import SimulatedClock
 from ideatree.errors import EvaluationFailure, InvalidParams, UnparseableIdea
 from ideatree.evaluation import (
     DebugOutcome,
@@ -104,16 +103,6 @@ def test_simulated_rejects_wrong_dimension():
         simulated_evaluate(_mt("not numbers"), cfg, HIGHER, np.random.default_rng(0))
 
 
-def test_simulated_charges_clock_by_mode():
-    cfg = LandscapeConfig(dimension=1, full_cost=5.0, debug_cost=0.5)
-    clock = SimulatedClock(budget_minutes=100.0)
-    node = _mt("0.3")
-    simulated_evaluate(node, cfg, HIGHER, np.random.default_rng(0), EvalMode.FULL, clock=clock)
-    assert clock.elapsed() == pytest.approx(5.0)
-    simulated_evaluate(node, cfg, HIGHER, np.random.default_rng(0), EvalMode.DEBUG, clock=clock)
-    assert clock.elapsed() == pytest.approx(5.5)
-
-
 def test_evaluator_noise_is_repeatable_per_idea():
     cfg = LandscapeConfig(dimension=1, noise_sigma=0.1)
     ev = SimulatedEvaluator(cfg, HIGHER, seed=7)
@@ -125,19 +114,6 @@ def test_evaluator_noise_is_repeatable_per_idea():
     assert ev.evaluate(a, EvalMode.FULL) != ev.evaluate(c, EvalMode.FULL)
     other_seed = SimulatedEvaluator(cfg, HIGHER, seed=8)
     assert ev.evaluate(a, EvalMode.FULL) != other_seed.evaluate(a, EvalMode.FULL)
-
-
-def test_evaluator_cost_accounting_matches_counter():
-    cfg = LandscapeConfig(dimension=1, full_cost=2.0, debug_cost=0.25)
-    clock = SimulatedClock(budget_minutes=1000.0)
-    ev = SimulatedEvaluator(cfg, HIGHER, seed=1, clock=clock)
-    rng = np.random.default_rng(2)
-    expected = 0.0
-    for _ in range(100):
-        mode = EvalMode.FULL if rng.random() < 0.5 else EvalMode.DEBUG
-        ev.evaluate(_mt("0.1"), mode)
-        expected += 2.0 if mode is EvalMode.FULL else 0.25
-    assert clock.elapsed() == pytest.approx(expected)
 
 
 # ---- subprocess execution ----

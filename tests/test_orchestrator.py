@@ -4,12 +4,19 @@ log replay, mostly end to end over the synthetic ports."""
 from __future__ import annotations
 
 import json
+import os
 import sys
+import threading
+import zlib
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ideatree.config import RunConfig, SyntheticConfig, dump_config, load_config
 from ideatree.errors import (
@@ -21,7 +28,8 @@ from ideatree.errors import (
     ResplitsExhausted,
     StageFailure,
 )
-from ideatree.evaluation import FlakyEvaluator
+from ideatree import orchestrator
+from ideatree.evaluation import EvalMode, FlakyEvaluator
 from ideatree.events import EventKind, read_log
 from ideatree.generation import ContextState, SegmentTag
 from ideatree.orchestrator import (
@@ -61,7 +69,7 @@ from ideatree.tree import (
     NodeStatus,
 )
 
-from helpers import HIGHER
+from helpers import HIGHER, RecordingEvaluator, SleepyEvaluator
 
 RESPLIT = BaselineVerdict.RESPLIT_REQUESTED
 OK = BaselineVerdict.SPLIT_OK
@@ -312,9 +320,28 @@ def test_initialize_tree_charges_but_ignores_budget():
     import numpy as np
 
     tree = initialize_tree(ContextState(), ports.gen, ports.evaluator, config,
-                           np.random.default_rng(0), metric=ports.metric)
+                           np.random.default_rng(0), metric=ports.metric, clock=ports.clock)
     assert tree.best_evaluated_mt(ports.metric) is not None
     assert ports.clock.elapsed() > config.time_run_minutes
+
+
+def test_initialize_tree_charges_each_returned_call():
+    """Initialization charges ``cost(mode)`` for every debug and full
+    call that returned, and nothing for a call that raised."""
+    config = _sim_config(validation_attempts=2, number_of_ideas_data=3,
+                         number_of_ideas_modelling=3)
+    ports = build_synthetic_ports(config)
+    evaluator = RecordingEvaluator(
+        ports.evaluator,
+        fail=lambda node, mode: zlib.crc32(f"{node.idea_text}|{mode.value}".encode()) % 4 == 0,
+    )
+    import numpy as np
+
+    initialize_tree(ContextState(), ports.gen, evaluator, config,
+                    np.random.default_rng(0), metric=ports.metric, clock=ports.clock)
+    raised = {mode for _, mode, returned in evaluator.calls if not returned}
+    assert raised == {EvalMode.DEBUG, EvalMode.FULL}
+    assert ports.clock.elapsed() == pytest.approx(evaluator.returned_cost())
 
 
 def test_initialize_tree_raises_when_nothing_survives():
@@ -546,6 +573,142 @@ def test_generator_failure_skips_ahead_to_merging(tmp_path):
     skips = [e for e in events if e.kind is EventKind.SKIPPED_STAGE]
     assert skips[0].payload["reason"] == "fewer than two eligible feature nodes"
     assert result.iterations >= 2
+
+
+def test_run_charges_every_returned_call(tmp_path):
+    """Over initialization, anchors and stages, the clock ends at the
+    cost of the calls that returned, each charged once."""
+    config = _sim_config(predict_before_evaluate=True, validation_attempts=1,
+                         time_run_minutes=400.0)
+    ports = build_synthetic_ports(config)
+    ports.evaluator = RecordingEvaluator(
+        ports.evaluator,
+        fail=lambda node, mode: zlib.crc32(f"{node.idea_text}|{mode.value}".encode()) % 4 == 0,
+    )
+    execute_run(config, ports, tmp_path / "run")
+    calls = ports.evaluator.calls
+    assert {mode for _, mode, returned in calls if not returned} == {EvalMode.DEBUG, EvalMode.FULL}
+    result = json.loads((tmp_path / "run" / RESULT_FILENAME).read_text())
+    assert result["elapsed_minutes"] == pytest.approx(ports.evaluator.returned_cost())
+
+
+def _run_dir_files(run_dir: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(run_dir)): p.read_bytes()
+            for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 10_000),
+    extra_budget=st.floats(0.0, 300.0),
+    predict=st.booleans(),
+    attempts=st.integers(0, 2),
+    fail_every=st.integers(3, 8),
+)
+def test_worker_count_changes_wall_time_only(tmp_path_factory, seed, extra_budget,
+                                             predict, attempts, fail_every):
+    """Runs with 1, 2 and 4 workers write the same run directory, byte
+    for byte (config.yaml apart from worker_count), though the jobs
+    sleep per node and so finish out of order; the clock overruns the
+    budget by less than one job's cost."""
+    base = tmp_path_factory.mktemp("workers")
+    # initialization and anchors cost at most 2*2 jobs of 2+10 units
+    # and 5 anchors of 10, so every run reaches its loop
+    budget = 100.0 + extra_budget
+    runs = {}
+    home = os.getcwd()
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for workers in (1, 2, 4):
+            config = _sim_config(seed=seed, time_run_minutes=budget, worker_count=workers,
+                                 predict_before_evaluate=predict, validation_attempts=attempts,
+                                 checkpoint_every_stage=True)
+            ports = build_synthetic_ports(config)
+            ports.evaluator = FlakyEvaluator(
+                SleepyEvaluator(ports.evaluator),
+                lambda node: zlib.crc32(node.idea_text.encode()) % fail_every == 0,
+            )
+            # the same relative run directory, so logged paths agree
+            cwd = base / f"workers{workers}"
+            cwd.mkdir()
+            os.chdir(cwd)
+            try:
+                execute_run(config, ports, Path("run"))
+            except InitializationFailure:
+                pass
+            else:
+                job_cost = attempts * config.synthetic.debug_cost + config.synthetic.full_cost
+                assert ports.clock.elapsed() - budget < job_cost
+            finally:
+                os.chdir(home)
+            files = _run_dir_files(cwd / "run")
+            settings_doc = yaml.safe_load(files.pop("config.yaml"))
+            assert settings_doc.pop("worker_count") == workers
+            runs[workers] = (files, settings_doc)
+    finally:
+        sys.setswitchinterval(switch)
+    assert runs[2] == runs[1]
+    assert runs[4] == runs[1]
+
+
+def test_one_pool_serves_the_run_and_leaves_no_threads(tmp_path, monkeypatch):
+    pools = []
+
+    class CountedPool(ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            pools.append(self)
+
+    monkeypatch.setattr(orchestrator, "ThreadPoolExecutor", CountedPool)
+    threads_before = set(threading.enumerate())
+
+    class ThreadNoting:
+        def __init__(self, inner):
+            self.inner = inner
+            self.threads = set()
+
+        def evaluate(self, node, mode):
+            self.threads.add(threading.current_thread())
+            return self.inner.evaluate(node, mode)
+
+        def cost(self, mode):
+            return self.inner.cost(mode)
+
+    config = _sim_config(worker_count=3, predict_before_evaluate=True)
+    ports = build_synthetic_ports(config)
+    ports.evaluator = ThreadNoting(ports.evaluator)
+    execute_run(config, ports, tmp_path / "run")
+    assert len(pools) == 1
+    # initialization, anchors and stages all evaluated on that pool
+    assert ports.evaluator.threads
+    assert all(t.name.startswith("ideatree-eval") for t in ports.evaluator.threads)
+    assert set(threading.enumerate()) == threads_before
+
+    # a port that raises mid-stage: the error propagates, every job
+    # that started has finished, and no thread is left
+    class BreaksInTheLoop:
+        def __init__(self, inner):
+            self.inner = inner
+            self.calls = 0
+
+        def merge_fe(self, a, b, ctx):
+            self.calls += 1
+            if self.calls == 2:
+                raise RuntimeError("port bug")
+            return self.inner.merge_fe(a, b, ctx)
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+    ports = build_synthetic_ports(config)
+    ports.evaluator = SleepyEvaluator(ports.evaluator, max_s=0.02)
+    ports.gen = BreaksInTheLoop(ports.gen)
+    with pytest.raises(RuntimeError, match="port bug"):
+        execute_run(config, ports, tmp_path / "broken")
+    assert ports.evaluator.started == ports.evaluator.finished > 0
+    assert set(threading.enumerate()) == threads_before
+    assert len(pools) == 2
 
 
 def test_run_is_deterministic_per_seed(tmp_path):

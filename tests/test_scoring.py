@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
+from ideatree.clock import SimulatedClock
 from ideatree.embedding import VectorIdeaEmbedding, render_idea_vector
 from ideatree.errors import (
     AnchorConstructionFailed,
@@ -25,7 +26,7 @@ from ideatree.scoring import (
 )
 from ideatree.tree import IdeationTree, NodeLevel, NodeStatus, backpropagate
 
-from helpers import HIGHER, LOWER, attach_evaluated_fe
+from helpers import HIGHER, LOWER, RecordingEvaluator, attach_evaluated_fe
 
 
 def _anchor(mt_id, score, description=None, fe=1, arch="a"):
@@ -132,6 +133,19 @@ def test_build_failed_anchor_omitted():
     assert all(a.architecture_tag != ARCHS[1] for a in anchor_set.anchors)
     failed = [n for n in tree.nodes_at_level(NodeLevel.MT) if n.status is NodeStatus.FAILED]
     assert len(failed) >= 1
+
+
+def test_build_charges_each_returned_call():
+    """Anchor evaluations charge ``cost(FULL)`` for every call that
+    returned and nothing for a call that raised."""
+    tree = _prepared_tree([0.3, 0.9, 0.6])
+    clock = SimulatedClock(budget_minutes=1.0)
+    evaluator = RecordingEvaluator(_evaluator(), fail=lambda n, mode: n.idea_text == ARCHS[1])
+    build_anchor_set(tree, evaluator, ARCHS, HIGHER, clock=clock)
+    assert {mode for _, mode, _ in evaluator.calls} == {EvalMode.FULL}
+    assert [returned for _, _, returned in evaluator.calls].count(False) == 1
+    assert clock.elapsed() == pytest.approx(evaluator.returned_cost())
+    assert clock.elapsed() > clock.budget
 
 
 def test_build_too_few_survivors():

@@ -7,6 +7,8 @@ sampling weights are checked against Monte Carlo frequencies.
 from __future__ import annotations
 
 import math
+import zlib
+from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
 
 import mpmath
@@ -26,6 +28,7 @@ from ideatree.errors import (
 )
 from ideatree.clock import SimulatedClock
 from ideatree.evaluation import EvalMode
+from ideatree.events import EventKind, RunLog
 from ideatree.search import (
     EvalPolicy,
     MergeMemory,
@@ -50,7 +53,14 @@ from ideatree.tree import (
     backpropagate,
 )
 
-from helpers import HIGHER, LOWER, attach_evaluated_fe, make_world
+from helpers import (
+    HIGHER,
+    LOWER,
+    RecordingEvaluator,
+    SleepyEvaluator,
+    attach_evaluated_fe,
+    make_world,
+)
 
 
 def softmax_oracle(scores, temperature=1.0):
@@ -385,6 +395,76 @@ def test_adding_stage_budget_exhaustion_commits_partial():
             )
 
 
+def test_stages_charge_each_returned_call():
+    """The stages charge ``cost(mode)`` for every debug and full call
+    that returned, and nothing for a call that raised."""
+    world = make_world(seed=13)
+    evaluator = RecordingEvaluator(
+        world.evaluator,
+        fail=lambda node, mode: zlib.crc32(f"{node.idea_text}|{mode.value}".encode()) % 4 == 0,
+    )
+    policy = EvalPolicy(validation_attempts=2)
+    params = StageParams(n_fe=3, m_mt=3, n_selected=2)
+    adding_stage(world.tree, world.ctx, world.gen, evaluator, params,
+                 world.metric, world.rng, clock=world.clock, policy=policy)
+    merging_stage(world.tree, MergeMemory(), world.gen, evaluator, params,
+                  world.metric, world.rng, ctx=world.ctx, clock=world.clock, policy=policy)
+    raised = {mode for _, mode, returned in evaluator.calls if not returned}
+    assert raised == {EvalMode.DEBUG, EvalMode.FULL}
+    assert world.clock.elapsed() == pytest.approx(evaluator.returned_cost())
+
+
+def test_unexpected_port_error_waits_for_jobs_in_flight():
+    """A port error that is not a GeneratorFailure propagates, but only
+    once the stage has waited for its evaluations and committed them."""
+    world = make_world(seed=17)
+    evaluator = SleepyEvaluator(world.evaluator, max_s=0.05)
+
+    class BreaksOnThirdProposal:
+        def __init__(self, inner):
+            self.inner = inner
+            self.calls = 0
+
+        def propose_mt(self, fe_node, ctx, m):
+            self.calls += 1
+            if self.calls == 3:
+                raise RuntimeError("port bug")
+            return self.inner.propose_mt(fe_node, ctx, m)
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+    before = set(world.tree.nodes)
+    params = StageParams(n_fe=3, m_mt=2, n_selected=1)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        with pytest.raises(RuntimeError, match="port bug"):
+            adding_stage(world.tree, world.ctx, BreaksOnThirdProposal(world.gen), evaluator,
+                         params, world.metric, world.rng, clock=world.clock, pool=pool)
+        # the pool is still open: the stage itself waited
+        assert evaluator.started == evaluator.finished == 4
+    fresh = [n for n in world.tree.nodes_at_level(NodeLevel.MT) if n.id not in before]
+    assert len(fresh) == 4
+    assert all(n.status is NodeStatus.EVALUATED for n in fresh)
+
+
+def test_budget_projection_counts_validation_runs():
+    """Pending jobs are projected at their validation runs plus their
+    metric run: with room for less than two such jobs, the stage
+    starts exactly two."""
+    world = make_world(seed=9)
+    policy = EvalPolicy(validation_attempts=2)
+    job_cost = 2 * world.landscape.debug_cost + world.landscape.full_cost
+    world.clock.budget = 2 * job_cost - 0.5 * world.landscape.debug_cost
+    mt_before = {n.id for n in world.tree.nodes_at_level(NodeLevel.MT)}
+    params = StageParams(n_fe=2, m_mt=2, n_selected=2)
+    with pytest.raises(BudgetExhausted):
+        adding_stage(world.tree, world.ctx, world.gen, world.evaluator, params,
+                     world.metric, world.rng, clock=world.clock, policy=policy)
+    fresh = [n for n in world.tree.nodes_at_level(NodeLevel.MT) if n.id not in mt_before]
+    assert sum(n.status is NodeStatus.EVALUATED for n in fresh) == 2
+    assert world.clock.elapsed() == pytest.approx(2 * job_cost)
+
+
 def test_adding_stage_prediction_gating():
     world = make_world(seed=31)
     policy = EvalPolicy(predict_fn=lambda text: 0.5, predict_fraction=0.5)
@@ -467,6 +547,61 @@ def test_merging_stage_structure_and_memory():
         # every attempted pair got booked exactly once
     booked = len(mem.short_term) + len(mem.long_term)
     assert booked == 2
+
+
+def test_merging_stage_budget_stop_books_finished_pairs():
+    """When the clock runs out in the second pair, the first pair's
+    verdict is still booked, before the stage's finish event; the
+    second pair, cut short, gets none."""
+    world = make_world(seed=53, n_fe=4, m_mt=2)
+    world.clock.budget = world.clock.elapsed() + 3.0 * world.landscape.full_cost
+    mem = MergeMemory()
+    log = RunLog()
+    params = StageParams(n_fe=3, m_mt=2, n_selected=1)
+    with pytest.raises(BudgetExhausted):
+        merging_stage(world.tree, mem, world.gen, world.evaluator, params,
+                      world.metric, world.rng, ctx=world.ctx, log=log, clock=world.clock)
+    merged = [e.payload["node"]["id"] for e in log.of_kind(EventKind.NODE_PROPOSED)
+              if e.payload["node"]["level"] == NodeLevel.FE.value]
+    verdicts = log.of_kind(EventKind.MERGE_ATTEMPTED)
+    assert len(merged) == 2
+    assert [e.payload["merged_id"] for e in verdicts] == merged[:1]
+    assert len(mem.short_term) + len(mem.long_term) == 1
+    finish = log.of_kind(EventKind.STAGE_FINISHED)
+    assert [e.payload["outcome"] for e in finish] == ["budget_exhausted"]
+    assert verdicts[0].seq < finish[0].seq
+
+
+def test_merging_stage_generator_failure_books_finished_pairs():
+    """A generator failure in the second pair unwinds the stage; the
+    first pair's evaluations are committed and its verdict booked."""
+    world = make_world(seed=54, n_fe=4, m_mt=2)
+
+    class FailsSecondMerge:
+        def __init__(self, inner):
+            self.inner = inner
+            self.calls = 0
+
+        def merge_fe(self, a, b, ctx):
+            self.calls += 1
+            if self.calls == 2:
+                raise GeneratorFailure("endpoint down")
+            return self.inner.merge_fe(a, b, ctx)
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+    mem = MergeMemory()
+    log = RunLog()
+    params = StageParams(n_fe=3, m_mt=2, n_selected=1)
+    with pytest.raises(GeneratorFailure):
+        merging_stage(world.tree, mem, FailsSecondMerge(world.gen), world.evaluator, params,
+                      world.metric, world.rng, ctx=world.ctx, log=log, clock=world.clock)
+    assert len(log.of_kind(EventKind.NODE_EVALUATED)) == 2
+    assert len(log.of_kind(EventKind.MERGE_ATTEMPTED)) == 1
+    assert len(mem.short_term) + len(mem.long_term) == 1
+    finish = log.of_kind(EventKind.STAGE_FINISHED)
+    assert [e.payload["outcome"] for e in finish] == ["generator_failure"]
 
 
 def test_merging_stage_resample_leaves_origin_untouched():
