@@ -13,12 +13,17 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from .clock import SimulatedClock, WallClock
 from .config import RunConfig, load_config
 from .errors import ConfigInvalid, IdeaTreeError, InitializationFailure
 from .evaluation import ExecLimits, SubprocessEvaluator
 from .generation import LlmGenerator, MemoryStrategy
-from .orchestrator import PortSet, build_synthetic_ports, execute_run, verify_replay
+from .orchestrator import (
+    PortSet,
+    build_clock,
+    build_synthetic_ports,
+    execute_run,
+    verify_replay,
+)
 from .report import (
     ABLATION_COLUMNS,
     ACCELERATION_COLUMNS,
@@ -73,11 +78,7 @@ def build_llm_ports(config: RunConfig, dataset_dir: Path, out_dir: Path) -> Port
     task = reader.read(dataset_dir)
     metric_port = DescriptionMetric(dataset_dir=dataset_dir)
     metric, _ = metric_port.infer(task)
-    clock = (
-        SimulatedClock(config.time_run_minutes)
-        if config.clock_mode == "simulated"
-        else WallClock(config.time_run_minutes)
-    )
+    clock = build_clock(config)
     corpus = _corpus_dir(dataset_dir)
     gen = LlmGenerator(
         config.endpoint,

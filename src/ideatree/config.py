@@ -83,6 +83,7 @@ class RunConfig:
     rag_policy: str = ExternalQueryPolicy.ADAPTIVE.value
     selection_mode: str = SelectionMode.FE_AGGREGATE.value
     sample_top_proportional: bool = False
+    # log a checkpoint_written event (a log position, no file) per stage
     checkpoint_every_stage: bool = True
     accelerated_debugging: bool = True
     validation_attempts: int = 0

@@ -150,7 +150,7 @@ class CorruptLog(IdeaTreeError):
     """Run log is unreadable, has gaps, or is missing its terminal record."""
 
 
-class LogVersionMismatch(IdeaTreeError):
+class LogVersionMismatch(CorruptLog):
     """Run log was written with an unsupported schema version."""
 
 

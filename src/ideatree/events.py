@@ -1,8 +1,11 @@
 """Append-only run log: structured, strictly ordered events.
 
-Every state change in a run is recorded as one event so that the final
-tree can be reconstructed from the log alone (see orchestrator.replay)
-and reports can be derived without touching checkpoints.
+Every state change in a run is recorded as one event, so the log is the
+run's only per-stage record: the final tree, or the tree at any
+checkpoint, is rebuilt from the log alone (see orchestrator.replay and
+orchestrator.replay_events), and reports are derived from it. A
+checkpoint is a position in the log, the ``checkpoint_written`` event
+after a stage; the events before it rebuild the tree as it was then.
 """
 
 from __future__ import annotations
@@ -91,17 +94,31 @@ class RunLog:
         return [e for e in self.events if e.kind is kind]
 
 
-def read_log(path: Path) -> list[Event]:
+def read_log(path: Path, *, partial: bool = False) -> list[Event]:
     """Load and verify a log file: valid JSON lines, contiguous sequence
-    numbers from zero, a versioned header, and a terminal record."""
+    numbers from zero, a versioned header, and a terminal record.
+
+    With ``partial`` the log of a crashed or killed run is read too: a
+    missing ``run_finished`` is accepted, and a last line that does not
+    decode, torn by the crash, is dropped. Any other defect still raises
+    CorruptLog."""
     path = Path(path)
     events: list[Event] = []
+    torn: Optional[CorruptLog] = None
     with path.open("r", encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
-            events.append(Event.from_json(line))
+            if torn is not None:
+                # the bad line was not the last
+                raise torn
+            try:
+                events.append(Event.from_json(line))
+            except CorruptLog as exc:
+                if not partial:
+                    raise
+                torn = exc
     if not events:
         raise CorruptLog(f"{path} is empty")
     for i, event in enumerate(events):
@@ -113,6 +130,6 @@ def read_log(path: Path) -> list[Event]:
     version = head.payload.get("log_schema")
     if version != LOG_SCHEMA_VERSION:
         raise LogVersionMismatch(f"log schema {version!r}, supported {LOG_SCHEMA_VERSION}")
-    if events[-1].kind is not EventKind.RUN_FINISHED:
+    if not partial and events[-1].kind is not EventKind.RUN_FINISHED:
         raise CorruptLog("log does not end with a run_finished record")
     return events

@@ -3,7 +3,10 @@ recombination until time runs out, checkpointing as it goes.
 
 Everything stochastic draws from streams spawned off one seed, and every
 tree mutation is mirrored into the event log, so a finished run can be
-reproduced bit-for-bit or reconstructed from its log alone.
+reproduced bit-for-bit or reconstructed from its log alone. The log is
+the only per-stage record: a checkpoint is a ``checkpoint_written``
+event, and replaying the events before it rebuilds the tree at that
+stage, for a crashed run too (``read_log(path, partial=True)``).
 """
 
 from __future__ import annotations
@@ -71,12 +74,16 @@ from .tree import (
 
 logger = logging.getLogger(__name__)
 
-CHECKPOINT_DIR = "checkpoints"
 FINAL_SNAPSHOT_FILENAME = "final_snapshot.json"
 RESULT_FILENAME = "result.json"
 CONFIG_COPY_FILENAME = "config.yaml"
 
 DEFAULT_ROOT_IDEA = "exploratory data analysis"
+
+# A run ends after this many stages in a row end in GeneratorFailure.
+# A failed stage charges nothing to the clock, so without a cap a
+# generator that keeps failing would keep the run going forever.
+MAX_FAILED_STAGES = 10
 
 
 @dataclass
@@ -101,6 +108,8 @@ class RunResult:
     iterations: int
     budget_exhausted: bool
     run_dir: Optional[Path] = None
+    # "budget_exhausted", or "generator_failures" after MAX_FAILED_STAGES
+    stop_reason: str = "budget_exhausted"
     setup: Optional[SetupResult] = None
 
 
@@ -109,7 +118,7 @@ def build_synthetic_ports(config: RunConfig, corpus_dir: Optional[Path] = None) 
     subprocesses, deterministic for a given config."""
     syn = config.synthetic
     metric = MetricSpec("landscape_quality", MetricDirection.HIGHER_BETTER)
-    clock = _build_clock(config)
+    clock = build_clock(config)
     space = SpaceConfig(
         dimension=syn.dimension, low=syn.low, high=syn.high,
         mt_jitter=syn.mt_jitter, merge_jitter=syn.merge_jitter,
@@ -147,7 +156,8 @@ def build_synthetic_ports(config: RunConfig, corpus_dir: Optional[Path] = None) 
                    clock=clock, predictor=predictor)
 
 
-def _build_clock(config: RunConfig):
+def build_clock(config: RunConfig):
+    """The clock ``config.clock_mode`` names, over the run's budget."""
     if config.clock_mode == "simulated":
         return SimulatedClock(config.time_run_minutes)
     return WallClock(config.time_run_minutes)
@@ -238,7 +248,6 @@ def run_main_loop(
     *,
     log: RunLog,
     seed_sequence: Optional[np.random.SeedSequence] = None,
-    run_dir: Optional[Path] = None,
     predict_fn=None,
     pool: Optional[Executor] = None,
 ) -> RunResult:
@@ -248,8 +257,17 @@ def run_main_loop(
     runs out mid-way commits its finished work and ends the run. Stages
     run their evaluations on ``pool`` when given. The
     merging phase is skipped (with log events preserving alternation)
-    while fewer than two feature nodes have evaluated children. Each
-    stage is followed by a checkpoint and a log flush.
+    while fewer than two feature nodes have evaluated children.
+
+    A stage that ends in GeneratorFailure keeps its committed work and
+    the run moves on, but after MAX_FAILED_STAGES such stages in a row
+    (skipped stages neither count nor break the row) the run ends, and
+    ``run_finished`` carries ``stop_reason: generator_failures``.
+
+    Each stage is followed by a log flush and, with
+    ``checkpoint_every_stage``, first by a ``checkpoint_written`` event
+    that records the best node so far. The checkpoint is that position
+    in the log: no file is written.
     """
     if seed_sequence is None:
         seed_sequence = np.random.SeedSequence(config.seed)
@@ -272,6 +290,7 @@ def run_main_loop(
     iterations = 0
     budget_out = False
     checkpoint_seq = 0
+    failed_stages = 0
 
     def note_budget_out() -> None:
         nonlocal budget_out
@@ -282,14 +301,11 @@ def run_main_loop(
     def checkpoint() -> None:
         nonlocal checkpoint_seq
         checkpoint_seq += 1
-        if run_dir is not None and config.checkpoint_every_stage:
-            path = Path(run_dir) / CHECKPOINT_DIR / f"stage_{checkpoint_seq:04d}.json"
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(tree.snapshot(), encoding="utf-8")
+        if config.checkpoint_every_stage:
             best = tree.best_evaluated_mt(ports.metric)
             log.append(
                 EventKind.CHECKPOINT_WRITTEN,
-                path=str(path), sequence=checkpoint_seq,
+                sequence=checkpoint_seq,
                 best_node_id=best.id if best else None,
                 best_raw_score=best.raw_score if best else None,
             )
@@ -321,7 +337,12 @@ def run_main_loop(
             break
         except GeneratorFailure as exc:
             logger.warning("adding stage failed, moving on: %s", exc)
+            failed_stages += 1
+        else:
+            failed_stages = 0
         checkpoint()
+        if failed_stages >= MAX_FAILED_STAGES:
+            break
 
         # ---- merging ----
         if clock.exhausted():
@@ -348,15 +369,25 @@ def run_main_loop(
                 break
             except GeneratorFailure as exc:
                 logger.warning("merging stage failed, moving on: %s", exc)
+                failed_stages += 1
+            else:
+                failed_stages = 0
         checkpoint()
+        if failed_stages >= MAX_FAILED_STAGES:
+            break
 
     best = tree.best_evaluated_mt(ports.metric)
+    stop_reason = "budget_exhausted" if budget_out else "generator_failures"
+    if not budget_out:
+        logger.warning("%d stages in a row failed, ending the run", failed_stages)
     log.append(
         EventKind.RUN_FINISHED,
         best_node_id=best.id if best else None,
         best_raw_score=best.raw_score if best else None,
         iterations=iterations,
         budget_exhausted=budget_out,
+        # budget_exhausted alone tells a budget stop
+        **({} if budget_out else {"stop_reason": stop_reason}),
     )
     log.flush()
     return RunResult(
@@ -365,7 +396,7 @@ def run_main_loop(
         best_raw_score=best.raw_score if best else None,
         iterations=iterations,
         budget_exhausted=budget_out,
-        run_dir=Path(run_dir) if run_dir is not None else None,
+        stop_reason=stop_reason,
     )
 
 
@@ -439,7 +470,7 @@ def execute_run(
         mem = MergeMemory(theta_fail=config.theta_fail)
         result = run_main_loop(
             tree, ctx, ports, mem, config, clock,
-            log=log, seed_sequence=seed_sequence, run_dir=out_dir,
+            log=log, seed_sequence=seed_sequence,
             predict_fn=predict_fn, pool=pool,
         )
     (out_dir / FINAL_SNAPSHOT_FILENAME).write_text(tree.snapshot(), encoding="utf-8")

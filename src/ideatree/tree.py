@@ -32,19 +32,12 @@ has grown:
 Node status and raw scores must therefore change only through
 ``mark_evaluated`` and ``mark_failed``.
 
-Two caches make a per-stage checkpoint cost what changed since the
-last one rather than the size of the tree:
-
-* a memo of each node's encoded snapshot fragment, by node id. A
-  fragment is reused while the fields that may be written after attach
-  (``status``, ``raw_score``, ``predicted_score``, ``aggregated_score``
-  and ``code_artifact``) still hold the very objects it was encoded
-  from, so a write from anywhere, through the tree or not, re-encodes
-  the node on the next ``snapshot``;
-* the running best evaluated MT node for the last metric asked about,
-  which ``mark_evaluated`` and the attach of an evaluated MT node fold
-  new scores into. Scoring the best node again, or marking it failed,
-  drops it, and the next ``best_evaluated_mt`` rescans.
+The tree also keeps the best evaluated MT node for the last metric
+asked about as a running best, since every stage's checkpoint event
+records the best node so far. ``mark_evaluated`` and the attach of an
+evaluated MT node fold new scores into it. Scoring the best node
+again, or marking it failed, drops it, and the next
+``best_evaluated_mt`` rescans.
 """
 
 from __future__ import annotations
@@ -65,10 +58,6 @@ from .errors import (
 )
 
 TREE_SCHEMA_VERSION = 1
-
-# One encoder for every node fragment: ``json.dumps`` with keyword
-# arguments builds a new encoder on each call.
-_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 
 
 class NodeLevel(str, Enum):
@@ -234,10 +223,6 @@ class IdeationTree:
         self._by_level: dict[NodeLevel, list[Node]] = {level: [] for level in NodeLevel}
         self._evaluated_children: dict[int, int] = {}
         self._dirty_fe: set[int] = set()
-        # node id -> (status, raw_score, predicted_score,
-        # aggregated_score, code_artifact, fragment): the fields as they
-        # were when the node was encoded, then its encoded fragment
-        self._fragments: dict[int, tuple] = {}
         # (metric, best evaluated MT node) or None when unknown
         self._best: Optional[tuple[MetricSpec, Optional[Node]]] = None
 
@@ -435,37 +420,14 @@ class IdeationTree:
     def snapshot(self) -> str:
         """Canonical self-describing document; stable byte-for-byte for
         equal trees (nodes sorted by id, keys sorted, compact
-        separators, no whitespace). The same bytes as
-        ``json.dumps(doc, sort_keys=True, separators=(",", ":"))`` of
-        the whole document.
-
-        Each node's fragment is memoised by id and encoded again only
-        when one of ``status``, ``raw_score``, ``predicted_score``,
-        ``aggregated_score`` or ``code_artifact`` no longer holds the
-        object it was encoded from; the other fields are fixed once the
-        node is attached. A fresh tree encodes every node once."""
-        memo = self._fragments
-        parts = []
-        for nid in sorted(self.nodes):
-            node = self.nodes[nid]
-            m = memo.get(nid)
-            # identity, not equality: 0.0 == -0.0 and 1 == 1.0, but
-            # they encode differently
-            if (m is None or m[0] is not node.status or m[1] is not node.raw_score
-                    or m[2] is not node.predicted_score
-                    or m[3] is not node.aggregated_score
-                    or m[4] is not node.code_artifact):
-                m = memo[nid] = (
-                    node.status, node.raw_score, node.predicted_score,
-                    node.aggregated_score, node.code_artifact,
-                    _ENCODER.encode(node.to_dict()),
-                )
-            parts.append(m[5])
-        return (
-            f'{{"iteration":{_ENCODER.encode(self.iteration)},'
-            f'"next_id":{_ENCODER.encode(self._next_id)},'
-            f'"nodes":[{",".join(parts)}],"tree_schema":{TREE_SCHEMA_VERSION}}}'
-        )
+        separators, no whitespace)."""
+        doc = {
+            "tree_schema": TREE_SCHEMA_VERSION,
+            "iteration": self.iteration,
+            "next_id": self._next_id,
+            "nodes": [self.nodes[nid].to_dict() for nid in sorted(self.nodes)],
+        }
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def restore(cls, document: str) -> "IdeationTree":

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import random
 import sys
 import threading
 import zlib
@@ -30,17 +31,18 @@ from ideatree.errors import (
 )
 from ideatree import orchestrator
 from ideatree.evaluation import EvalMode, FlakyEvaluator
-from ideatree.events import EventKind, read_log
+from ideatree.events import EventKind, RunLog, read_log
 from ideatree.generation import ContextState, SegmentTag
 from ideatree.orchestrator import (
-    CHECKPOINT_DIR,
     FINAL_SNAPSHOT_FILENAME,
     LOG_FILENAME,
+    MAX_FAILED_STAGES,
     RESULT_FILENAME,
     build_synthetic_ports,
     execute_run,
     initialize_tree,
     replay,
+    replay_events,
     verify_replay,
 )
 from ideatree import retrieval
@@ -407,18 +409,40 @@ def test_engine_calls_per_node_stay_flat(tmp_path, monkeypatch):
 
 
 def test_checkpoint_calls_per_node_stay_flat(tmp_path, monkeypatch):
-    """With a checkpoint after every stage, a node is encoded again only
-    when it changes, and the best node is a running best, so node
-    encodes and the tree's score orientations per node stay flat.
-    Encoding every node per checkpoint, or scanning every MT node for
-    the best, makes them grow with the tree and fails this. Only the
-    tree's orientations count: the softmax selection in search.py still
-    orients every scored FE node per stage."""
+    """With a checkpoint after every stage, node encodes and the tree's
+    score orientations per node stay flat: a checkpoint encodes no node,
+    and the best node it records is a running best. Encoding the tree
+    per checkpoint, or scanning every MT node for the best, makes them
+    grow with the tree and fails this. Only the tree's orientations
+    count: the softmax selection in search.py still orients every scored
+    FE node per stage."""
     _assert_calls_per_node_flat(
         tmp_path, monkeypatch,
         ((Node, "to_dict", None), (MetricSpec, "orient", "ideatree.tree")),
         checkpoint_every_stage=True,
     )
+
+
+def test_snapshot_runs_once_per_run(tmp_path, monkeypatch):
+    """With a checkpoint after every stage, a run encodes the whole
+    tree once, for final_snapshot.json, at a 2.5k and a 10k budget
+    alike. Writing a snapshot per checkpoint fails this."""
+    calls: Counter = Counter()
+    snapshot = IdeationTree.snapshot
+
+    def counted(tree):
+        calls["snapshot"] += 1
+        return snapshot(tree)
+
+    monkeypatch.setattr(IdeationTree, "snapshot", counted)
+    for budget in (2_500.0, 10_000.0):
+        calls.clear()
+        _, out, _ = _run(tmp_path, f"b{int(budget)}", seed=1, time_run_minutes=budget,
+                         checkpoint_every_stage=True)
+        checkpoints = [e for e in read_log(out / LOG_FILENAME)
+                       if e.kind is EventKind.CHECKPOINT_WRITTEN]
+        assert len(checkpoints) > 10
+        assert calls["snapshot"] == 1, (budget, calls)
 
 
 def test_corpus_is_read_once_per_run(tmp_path, monkeypatch):
@@ -456,7 +480,12 @@ def test_run_artifacts_layout(tmp_path):
     assert (out / FINAL_SNAPSHOT_FILENAME).exists()
     assert (out / RESULT_FILENAME).exists()
     assert (out / "config.yaml").exists()
-    assert sorted((out / CHECKPOINT_DIR).glob("stage_*.json"))
+    # checkpoints are log events, not files
+    assert [e for e in read_log(out / LOG_FILENAME)
+            if e.kind is EventKind.CHECKPOINT_WRITTEN]
+    assert not (out / "checkpoints").exists()
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        (LOG_FILENAME, FINAL_SNAPSHOT_FILENAME, RESULT_FILENAME, "config.yaml"))
     written = json.loads((out / RESULT_FILENAME).read_text(encoding="utf-8"))
     assert written["best_node_id"] == result.best_node_id
     assert written["best_raw_score"] == result.best_raw_score
@@ -515,12 +544,68 @@ def test_checkpoint_best_is_monotone(tmp_path):
     assert all(later >= earlier for earlier, later in zip(bests, bests[1:]))
 
 
-def test_checkpoints_are_restorable(tmp_path):
-    _, out, _ = _run(tmp_path)
-    paths = sorted((out / CHECKPOINT_DIR).glob("stage_*.json"))
-    for path in paths:
-        tree = IdeationTree.restore(path.read_text(encoding="utf-8"))
-        assert tree.root.level is NodeLevel.EDA
+def _run_capturing_checkpoints(tmp_path, monkeypatch, name="run", **overrides):
+    """A run, and the tree's snapshot taken in process at each of its
+    checkpoint_written events, by event seq."""
+    trees: list[IdeationTree] = []
+    captured: dict[int, str] = {}
+    initialize = orchestrator.initialize_tree
+    append = RunLog.append
+
+    def keeping_tree(*args, **kwargs):
+        trees.append(initialize(*args, **kwargs))
+        return trees[-1]
+
+    def capturing(log, kind, **payload):
+        event = append(log, kind, **payload)
+        if kind is EventKind.CHECKPOINT_WRITTEN:
+            captured[event.seq] = trees[-1].snapshot()
+        return event
+
+    with monkeypatch.context() as patch:
+        patch.setattr(orchestrator, "initialize_tree", keeping_tree)
+        patch.setattr(RunLog, "append", capturing)
+        _, out, _ = _run(tmp_path, name, seed=3, time_run_minutes=600.0,
+                         predict_before_evaluate=True, validation_attempts=1,
+                         checkpoint_every_stage=True, **overrides)
+    return out, captured
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_checkpoints_match_log_prefix_replay(tmp_path, monkeypatch, workers):
+    """The tree at each checkpoint, as the run held it, is the replay of
+    the log up to that checkpoint's event, byte for byte."""
+    out, captured = _run_capturing_checkpoints(tmp_path, monkeypatch, worker_count=workers)
+    events = read_log(out / LOG_FILENAME)
+    checkpoints = [e.seq for e in events if e.kind is EventKind.CHECKPOINT_WRITTEN]
+    assert len(checkpoints) >= 4
+    assert sorted(captured) == checkpoints
+    for seq in checkpoints:
+        assert replay_events(events[:seq]).snapshot() == captured[seq]
+
+
+def test_crashed_log_replays_to_last_checkpoint(tmp_path, monkeypatch):
+    """A finished log cut at any byte past its first checkpoint, as a
+    crash may leave it: the partial reader and a replay up to the last
+    complete checkpoint give the tree as the run held it there."""
+    out, captured = _run_capturing_checkpoints(tmp_path, monkeypatch)
+    data = (out / LOG_FILENAME).read_bytes()
+    # seq of each checkpoint, and the offset just past its JSON object
+    ends, offset = [], 0
+    for seq, line in enumerate(data.splitlines(keepends=True)):
+        offset += len(line)
+        if seq in captured:
+            ends.append((seq, offset - 1))
+    assert len(ends) >= 4
+    cuts = random.Random(0).sample(range(ends[0][1], len(data)), 200)
+    cuts += [end + d for _, end in ends[1:] for d in (-1, 0, 1)]
+    crashed = tmp_path / "crashed.jsonl"
+    for cut in cuts:
+        crashed.write_bytes(data[:cut])
+        events = read_log(crashed, partial=True)
+        last = max(e.seq for e in events if e.kind is EventKind.CHECKPOINT_WRITTEN)
+        assert last == max(seq for seq, end in ends if end <= cut), cut
+        assert replay_events(events[:last]).snapshot() == captured[last], cut
 
 
 def test_merging_disabled_emits_skip_trio(tmp_path):
@@ -573,6 +658,86 @@ def test_generator_failure_skips_ahead_to_merging(tmp_path):
     skips = [e for e in events if e.kind is EventKind.SKIPPED_STAGE]
     assert skips[0].payload["reason"] == "fewer than two eligible feature nodes"
     assert result.iterations >= 2
+
+
+class _FailsAfterInit:
+    """A generator whose every call raises GeneratorFailure once armed,
+    or only calls of the method named ``only``. Past a hundred times
+    MAX_FAILED_STAGES failed calls it raises RuntimeError, so a run that
+    never stops still ends the test."""
+
+    def __init__(self, inner, only=None):
+        self.inner = inner
+        self.only = only
+        self.armed = False
+        self.failed = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.inner, name)
+        if not self.armed or self.only not in (None, name):
+            return method
+
+        def failing(*args, **kwargs):
+            self.failed += 1
+            if self.failed > 100 * MAX_FAILED_STAGES:
+                raise RuntimeError("the run did not stop")
+            raise GeneratorFailure("endpoint down")
+        return failing
+
+
+def _run_failing_generator(tmp_path, monkeypatch, only=None, budget=500.0, **overrides):
+    config = _sim_config(time_run_minutes=budget, **overrides)
+    ports = build_synthetic_ports(config)
+    gen = ports.gen = _FailsAfterInit(ports.gen, only=only)
+    initialize = orchestrator.initialize_tree
+
+    def arming(*args, **kwargs):
+        tree = initialize(*args, **kwargs)
+        gen.armed = True
+        return tree
+
+    monkeypatch.setattr(orchestrator, "initialize_tree", arming)
+    out = tmp_path / "run"
+    result = execute_run(config, ports, out)
+    return ports, out, result
+
+
+@pytest.mark.parametrize("merging", [True, False])
+def test_failing_generator_ends_the_run(tmp_path, monkeypatch, merging):
+    """A generator that fails every call after initialization ends the
+    run after MAX_FAILED_STAGES stages; skipped merging stages do not
+    break the row. A failed stage charges nothing to the clock, so
+    without the cap this run never ended."""
+    ports, out, result = _run_failing_generator(tmp_path, monkeypatch,
+                                                enable_merging=merging)
+    assert result.stop_reason == "generator_failures"
+    assert not result.budget_exhausted
+    assert ports.clock.elapsed() < 500.0
+    events = read_log(out / LOG_FILENAME)
+    ran = [e.payload["outcome"] for e in events
+           if e.kind is EventKind.STAGE_FINISHED and e.payload["outcome"] != "skipped"]
+    assert ran == ["generator_failure"] * MAX_FAILED_STAGES
+    finished = events[-1].payload
+    assert finished["stop_reason"] == "generator_failures"
+    assert finished["budget_exhausted"] is False
+    written = json.loads((out / RESULT_FILENAME).read_text(encoding="utf-8"))
+    assert written["best_node_id"] == result.best_node_id is not None
+    assert written["budget_exhausted"] is False
+    assert verify_replay(out)
+
+
+def test_stage_that_finishes_resets_the_failed_row(tmp_path, monkeypatch):
+    """Every merging stage fails but every adding stage finishes, so no
+    row of failures grows past one and the budget ends the run."""
+    _, out, result = _run_failing_generator(tmp_path, monkeypatch, only="merge_fe",
+                                            budget=2_500.0)
+    assert result.budget_exhausted
+    assert result.stop_reason == "budget_exhausted"
+    events = read_log(out / LOG_FILENAME)
+    failed = [e for e in events if e.kind is EventKind.STAGE_FINISHED
+              and e.payload["outcome"] == "generator_failure"]
+    assert len(failed) > MAX_FAILED_STAGES
+    assert "stop_reason" not in events[-1].payload
 
 
 def test_run_charges_every_returned_call(tmp_path):
@@ -777,6 +942,42 @@ def test_replay_rejects_tampered_sequence(tmp_path):
     log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(CorruptLog):
         verify_replay(out)
+
+
+def test_partial_read_accepts_a_crashed_log(tmp_path):
+    """No run_finished and a torn last line: the strict reader rejects
+    the log, the partial one drops the torn line and reads the rest."""
+    _, out, _ = _run(tmp_path)
+    log_path = out / LOG_FILENAME
+    full = read_log(log_path)
+    lines = log_path.read_text(encoding="utf-8").splitlines()
+    log_path.write_text("\n".join(lines[:-2]) + "\n" + lines[-2][:25], encoding="utf-8")
+    with pytest.raises(CorruptLog):
+        read_log(log_path)
+    assert read_log(log_path, partial=True) == full[:-2]
+    log_path.write_text("\n".join(lines[:-1]) + "\n", encoding="utf-8")
+    assert read_log(log_path, partial=True) == full[:-1]
+
+
+@pytest.mark.parametrize("defect", ["gap", "bad_middle_line", "header", "schema", "empty"])
+def test_partial_read_still_rejects_other_defects(tmp_path, defect):
+    _, out, _ = _run(tmp_path)
+    log_path = out / LOG_FILENAME
+    lines = log_path.read_text(encoding="utf-8").splitlines()
+    if defect == "gap":
+        del lines[3]
+    elif defect == "bad_middle_line":
+        # a torn copy, so that dropping it would leave no gap
+        lines.insert(3, lines[3][:25])
+    elif defect == "header":
+        lines[0] = lines[0].replace('"run_started"', '"stage_started"')
+    elif defect == "schema":
+        lines[0] = lines[0].replace('"log_schema": 1', '"log_schema": 99')
+    else:
+        lines = []
+    log_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    with pytest.raises(CorruptLog):
+        read_log(log_path, partial=True)
 
 
 def test_replay_requires_artifacts(tmp_path):

@@ -351,24 +351,18 @@ def test_indexes_match_full_scans(data):
         assert replay_events(log.events).snapshot() == tree.snapshot()
 
 
-# ---- snapshot memo and running best against cold recomputes ----
+# ---- snapshot and running best against cold recomputes ----
 
-_MEMO_OPS = _INDEX_OPS + (
-    "snapshot", "snapshot", "best", "mt_scored", "rescore_best", "fail_best",
-    "predict", "code", "fe_status",
-)
+_BEST_OPS = _INDEX_OPS + ("best", "mt_scored", "rescore_best", "fail_best")
 
 
-def _apply_memo_op(tree: IdeationTree, log: RunLog, op: str, data) -> IdeationTree:
-    """One mutation or read that may warm a cache. Writes that bypass
-    the tree (``predicted_score``, ``code_artifact``, FE ``status``) are
-    made on the node directly, the way the engine and tests make them."""
+def _apply_best_op(tree: IdeationTree, log: RunLog, op: str, data) -> IdeationTree:
+    """One mutation, or a best-node query that leaves the running best
+    warm for the mutations after it."""
     if op in _INDEX_OPS:
         return _apply_index_op(tree, log, op, data)
     metric = data.draw(st.sampled_from((HIGHER, LOWER)))
-    if op == "snapshot":
-        tree.snapshot()
-    elif op == "best":
+    if op == "best":
         tree.best_evaluated_mt(metric)
     elif op == "mt_scored":
         fes = [n.id for n in tree.nodes.values() if n.level is NodeLevel.FE]
@@ -379,7 +373,7 @@ def _apply_memo_op(tree: IdeationTree, log: RunLog, op: str, data) -> IdeationTr
                 raw_score=data.draw(st.floats(min_value=-1e3, max_value=1e3)),
             )
             log.append(EventKind.NODE_PROPOSED, node=node.to_dict())
-    elif op in ("rescore_best", "fail_best"):
+    else:
         best = tree.best_evaluated_mt(metric)
         if best is not None:
             if op == "rescore_best":
@@ -390,36 +384,22 @@ def _apply_memo_op(tree: IdeationTree, log: RunLog, op: str, data) -> IdeationTr
                 tree.mark_failed(best.id)
             log.append(EventKind.NODE_EVALUATED, node_id=best.id,
                        raw_score=best.raw_score, status=best.status.value)
-    elif op == "predict":
-        node = tree.nodes[data.draw(st.sampled_from(sorted(tree.nodes)))]
-        node.predicted_score = data.draw(st.one_of(
-            st.none(), st.floats(allow_nan=False, allow_infinity=False), st.integers(-3, 3),
-        ))
-        log.append(EventKind.PREDICTION_MADE, node_id=node.id, predicted=node.predicted_score)
-    elif op == "code":
-        node = tree.nodes[data.draw(st.sampled_from(sorted(tree.nodes)))]
-        node.code_artifact = data.draw(st.one_of(st.none(), st.text(max_size=8)))
-    elif op == "fe_status":
-        fes = [n for n in tree.nodes.values() if n.level is NodeLevel.FE]
-        if fes:
-            data.draw(st.sampled_from(fes)).status = data.draw(st.sampled_from(
-                (NodeStatus.PROPOSED, NodeStatus.IMPLEMENTED, NodeStatus.FAILED)))
     return tree
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.data())
-def test_snapshot_memo_and_running_best_match_cold_scans(data):
-    """Random mutations, with snapshots and best-node queries among
-    them so the caches are warm when fields change: every snapshot
-    equals a cold encode of the whole tree, and the best evaluated MT
-    node equals a full scan for either metric direction."""
+def test_snapshot_and_running_best_match_cold_scans(data):
+    """Random mutations, with best-node queries among them so the
+    running best is warm when scores change: every snapshot equals a
+    cold encode of the whole tree, and the best evaluated MT node
+    equals a full scan for either metric direction."""
     tree = IdeationTree.create("root")
     log = RunLog()
     log.append(EventKind.NODE_PROPOSED, node=tree.root.to_dict())
     for _ in range(data.draw(st.integers(1, 30))):
         for _ in range(data.draw(st.integers(1, 4))):
-            tree = _apply_memo_op(tree, log, data.draw(st.sampled_from(_MEMO_OPS)), data)
+            tree = _apply_best_op(tree, log, data.draw(st.sampled_from(_BEST_OPS)), data)
         if data.draw(st.booleans()):
             backpropagate(tree)
         assert tree.snapshot() == reference_snapshot(tree)
@@ -427,17 +407,13 @@ def test_snapshot_memo_and_running_best_match_cold_scans(data):
             assert tree.best_evaluated_mt(metric) is oracle_best(tree, metric)
 
 
-def test_snapshot_memo_sees_equal_values_that_encode_differently():
-    """0.0 and -0.0, or 1 and 1.0, compare equal but encode apart, so a
-    rewrite with either must still reach the snapshot."""
+def test_snapshot_encodes_equal_values_apart():
+    """0.0 and -0.0, or 1, 1.0 and True, compare equal but encode
+    apart; the snapshot keeps each as it was written."""
     tree = IdeationTree.create("root")
     fe = tree.spawn(tree.root.id, NodeLevel.FE, "fe")
     mt = tree.spawn(fe.id, NodeLevel.MT, "mt")
-    tree.mark_evaluated(mt.id, 0.0)
-    mt.predicted_score = 1
-    assert tree.snapshot() == reference_snapshot(tree)
     tree.mark_evaluated(mt.id, -0.0)
-    assert tree.snapshot() == reference_snapshot(tree)
-    for predicted in (1.0, True, 1):
+    for predicted in (1, 1.0, True):
         mt.predicted_score = predicted
         assert tree.snapshot() == reference_snapshot(tree)
