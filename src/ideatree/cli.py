@@ -30,11 +30,13 @@ from .report import (
     ablation_table,
     acceleration_table,
     leaderboard_standing,
-    progress_report,
+    progress_rows,
+    read_run_log,
     render_rows,
     render_summary,
     render_table,
     run_summary,
+    summarize_events,
 )
 from .retrieval import FileCorpusRetriever
 from .scoring import LlmPredictor
@@ -151,13 +153,16 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def cmd_report(args: argparse.Namespace) -> int:
     run_dirs = [Path(p) for p in args.run_dirs]
     outputs: list[tuple[str, str]] = []
+    summary = None  # of run_dirs[0], once the log is read
     if args.mode == "progress":
         if len(run_dirs) != 1:
             print("progress mode takes exactly one run directory", file=sys.stderr)
             return EXIT_FAILURE
-        rows = progress_report(run_dirs[0])
-        outputs.append(("progress.tsv", render_rows(rows, delimiter=args.delimiter)))
-        outputs.append(("summary.json", render_summary(run_summary(run_dirs[0]))))
+        events = read_run_log(run_dirs[0])
+        summary = summarize_events(run_dirs[0], events)
+        outputs.append(("progress.tsv",
+                        render_rows(progress_rows(events), delimiter=args.delimiter)))
+        outputs.append(("summary.json", render_summary(summary)))
     elif args.mode == "ablation":
         table = ablation_table(run_dirs)
         outputs.append(
@@ -170,7 +175,8 @@ def cmd_report(args: argparse.Namespace) -> int:
              render_table(ACCELERATION_COLUMNS, table, delimiter=args.delimiter))
         )
     if args.leaderboard:
-        standing = leaderboard_standing(run_dirs[0], Path(args.leaderboard))
+        standing = leaderboard_standing(summary or run_summary(run_dirs[0]),
+                                        Path(args.leaderboard))
         outputs.append(("standing.json", render_summary(standing)))
         print(f"percent humans beaten: {standing['percent_humans_beaten']:.1f}% "
               f"({standing['entries']} entries, {standing['direction']})")

@@ -65,7 +65,6 @@ class RunConfig:
 
     # retrieval
     retrieve_n_papers: int = 3
-    retrieve_n_competitions: int = 3
     number_rag_ideas: int = 5
 
     # engine
@@ -129,7 +128,7 @@ class RunConfig:
             "number_of_ideas_modelling", "max_add_idea", "number_of_selected_node",
             "number_of_iterations_parents", "number_of_selected_node_merging",
             "number_of_iterations_children", "number_of_ideas_min", "number_of_ideas_max",
-            "retrieve_n_papers", "retrieve_n_competitions", "number_rag_ideas",
+            "retrieve_n_papers", "number_rag_ideas",
             "theta_fail", "softmax_temperature", "worker_count", "memory_size",
         ):
             positive(name)

@@ -166,26 +166,6 @@ class SimulatedEvaluator:
         return self.landscape.full_cost if mode is EvalMode.FULL else self.landscape.debug_cost
 
 
-class FlakyEvaluator:
-    """Wraps another evaluator and fails deterministically for idea
-    texts matching a predicate. Meant for tests and drills."""
-
-    def __init__(self, inner, should_fail: Callable[[Node], bool]):
-        self.inner = inner
-        self.should_fail = should_fail
-
-    def evaluate(self, node: Node, mode: EvalMode) -> float:
-        if self.should_fail(node):
-            raise EvaluationFailure(
-                "injected failure",
-                report=FailureReport(kind=FailureKind.RUNTIME_ERROR, message="injected failure"),
-            )
-        return self.inner.evaluate(node, mode)
-
-    def cost(self, mode: EvalMode) -> Optional[float]:
-        return self.inner.cost(mode)
-
-
 # =====================================================================
 # Subprocess executor
 # =====================================================================

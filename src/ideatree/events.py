@@ -64,7 +64,9 @@ class Event:
 
 class RunLog:
     """In-memory event list with an optional file sink (one JSON object
-    per line). ``flush`` appends everything not yet written."""
+    per line). ``flush`` writes everything not yet written; the first
+    flush replaces the file, so a run into an existing run directory
+    does not add its events to the old run's."""
 
     def __init__(self, clock=None, path: Optional[Path] = None):
         self.events: list[Event] = []
@@ -83,9 +85,9 @@ class RunLog:
     def flush(self) -> None:
         if self.path is None:
             return
-        if self._flushed == 0 and not self.path.exists():
+        if self._flushed == 0:
             self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as fh:
+        with self.path.open("a" if self._flushed else "w", encoding="utf-8") as fh:
             for event in self.events[self._flushed:]:
                 fh.write(event.to_json() + "\n")
         self._flushed = len(self.events)

@@ -15,7 +15,7 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from typing import Optional, Protocol, Sequence
+from typing import Callable, Optional, Protocol, TypeVar
 
 import numpy as np
 import requests
@@ -39,6 +39,8 @@ from .retrieval import FileCorpusRetriever
 from .tree import IdeationTree, Node, NodeLevel
 
 logger = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 
 # =====================================================================
@@ -331,6 +333,29 @@ def request_completion(
         raise MalformedResponse(f"unexpected response shape: {exc}") from exc
 
 
+def complete_with_retries(
+    session: requests.Session,
+    endpoint: EndpointConfig,
+    system: str,
+    user: str,
+    parse: Callable[[str], T],
+) -> T:
+    """One chat completion read through ``parse``: the retry loop that
+    every endpoint caller shares. A TransportFailure, or a
+    MalformedResponse from ``parse``, fails an attempt; after
+    ``endpoint.max_retries + 1`` failed attempts RetriesExhausted
+    carries the last error."""
+    attempts = endpoint.max_retries + 1
+    last: Optional[GeneratorFailure] = None
+    for attempt in range(attempts):
+        try:
+            return parse(request_completion(session, endpoint, system, user))
+        except (TransportFailure, MalformedResponse) as exc:
+            last = exc
+            logger.warning("completion attempt %d/%d failed: %s", attempt + 1, attempts, exc)
+    raise RetriesExhausted(f"gave up after {attempts} attempts: {last}")
+
+
 def split_ideas(content: str, expected: int) -> list[str]:
     """Split a completion into ideas on separator lines; exact count or
     MalformedResponse."""
@@ -387,19 +412,11 @@ class LlmGenerator:
 
     # ---- transport ----
 
-    def _complete(self, system: str, user: str) -> str:
-        return request_completion(self._session, self.endpoint, system, user)
-
     def _complete_ideas(self, system: str, user: str, expected: int) -> list[str]:
-        attempts = self.endpoint.max_retries + 1
-        last: Optional[GeneratorFailure] = None
-        for attempt in range(attempts):
-            try:
-                return split_ideas(self._complete(system, user), expected)
-            except (TransportFailure, MalformedResponse) as exc:
-                last = exc
-                logger.warning("generation attempt %d/%d failed: %s", attempt + 1, attempts, exc)
-        raise RetriesExhausted(f"gave up after {attempts} attempts: {last}")
+        return complete_with_retries(
+            self._session, self.endpoint, system, user,
+            lambda content: split_ideas(content, expected),
+        )
 
     # ---- port implementation ----
 

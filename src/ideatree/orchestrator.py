@@ -11,13 +11,14 @@ stage, for a crashed run too (``read_log(path, partial=True)``).
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -43,7 +44,7 @@ from .generation import (
 )
 from .embedding import VectorIdeaEmbedding
 from .retrieval import FileCorpusRetriever
-from .scoring import AnchorSet, BaselinePredictor, Predictor, build_anchor_set
+from .scoring import AnchorSet, BaselinePredictor, Predictor, build_anchor_set, rank_fe_nodes
 from .search import (
     EvalPolicy,
     MergeMemory,
@@ -97,7 +98,6 @@ class PortSet:
     metric: MetricSpec
     clock: object
     predictor: Optional[Predictor] = None
-    architectures: Optional[Sequence[str]] = None
 
 
 @dataclass
@@ -286,7 +286,6 @@ def run_main_loop(
         merge_epsilon=config.merge_epsilon,
     )
     policy = _eval_policy(config, predict_fn)
-    plain_policy = _eval_policy(config)
     iterations = 0
     budget_out = False
     checkpoint_seq = 0
@@ -311,66 +310,58 @@ def run_main_loop(
             )
         log.flush()
 
-    while True:
+    # a stage returns False when it was skipped
+    def adding(rng: np.random.Generator) -> bool:
+        adding_stage(
+            tree, ctx, ports.gen, ports.evaluator, adding_params, ports.metric, rng,
+            log=log, clock=clock, policy=policy,
+            external_policy=ExternalQueryPolicy(config.rag_policy),
+            external_cap=config.external_idea_cap,
+            max_add=config.max_add_idea,
+            parent_window=config.parent_window,
+            selection_mode=SelectionMode(config.selection_mode),
+            pool=pool,
+        )
+        return True
+
+    def merging(rng: np.random.Generator) -> bool:
+        if not config.enable_merging:
+            _skip_merging(log, tree, reason="merging disabled")
+            return False
+        try:
+            merging_stage(
+                tree, mem, ports.gen, ports.evaluator, merging_params,
+                ports.metric, rng,
+                ctx=ctx, log=log, clock=clock, policy=policy,
+                resample_k=config.resample_count,
+                proportional_resample=config.sample_top_proportional,
+                pool=pool,
+            )
+        except InsufficientParents:
+            _skip_merging(log, tree, reason="fewer than two eligible feature nodes")
+            return False
+        return True
+
+    for name, stage in itertools.cycle((("adding", adding), ("merging", merging))):
         if clock.exhausted():
             note_budget_out()
             break
-        iterations += 1
-        tree.iteration = iterations
-
-        # ---- adding ----
+        if stage is adding:
+            iterations += 1
+            tree.iteration = iterations
+        # one stream per stage, skipped or not, so the streams stay aligned
         rng = np.random.default_rng(seed_sequence.spawn(1)[0])
         try:
-            adding_stage(
-                tree, ctx, ports.gen, ports.evaluator, adding_params, ports.metric, rng,
-                log=log, clock=clock, policy=policy,
-                external_policy=ExternalQueryPolicy(config.rag_policy),
-                external_cap=config.external_idea_cap,
-                max_add=config.max_add_idea,
-                parent_window=config.parent_window,
-                selection_mode=SelectionMode(config.selection_mode),
-                pool=pool,
-            )
+            ran = stage(rng)
         except BudgetExhausted:
             note_budget_out()
             checkpoint()
             break
         except GeneratorFailure as exc:
-            logger.warning("adding stage failed, moving on: %s", exc)
+            logger.warning("%s stage failed, moving on: %s", name, exc)
             failed_stages += 1
         else:
-            failed_stages = 0
-        checkpoint()
-        if failed_stages >= MAX_FAILED_STAGES:
-            break
-
-        # ---- merging ----
-        if clock.exhausted():
-            note_budget_out()
-            break
-        rng = np.random.default_rng(seed_sequence.spawn(1)[0])
-        if not config.enable_merging:
-            _skip_merging(log, tree, reason="merging disabled")
-        else:
-            try:
-                merging_stage(
-                    tree, mem, ports.gen, ports.evaluator, merging_params,
-                    ports.metric, rng,
-                    ctx=ctx, log=log, clock=clock, policy=plain_policy,
-                    resample_k=config.resample_count,
-                    proportional_resample=config.sample_top_proportional,
-                    pool=pool,
-                )
-            except InsufficientParents:
-                _skip_merging(log, tree, reason="fewer than two eligible feature nodes")
-            except BudgetExhausted:
-                note_budget_out()
-                checkpoint()
-                break
-            except GeneratorFailure as exc:
-                logger.warning("merging stage failed, moving on: %s", exc)
-                failed_stages += 1
-            else:
+            if ran:
                 failed_stages = 0
         checkpoint()
         if failed_stages >= MAX_FAILED_STAGES:
@@ -498,18 +489,8 @@ def _build_anchors(tree, ports: PortSet, config: RunConfig, ctx, log,
     """Anchor evaluations happen once, before the loop, outside the
     budget gate (like initialization). Failure to build anchors turns
     prediction off rather than killing the run."""
-    architectures = list(ports.architectures) if ports.architectures else None
-    if architectures is None:
-        fe_nodes = tree.fe_nodes()
-        anchor_fe = max(
-            fe_nodes,
-            key=lambda n: (
-                ports.metric.orient(n.aggregated_score)
-                if n.aggregated_score is not None else float("-inf"),
-                -n.id,
-            ),
-        )
-        architectures = ports.gen.propose_mt(anchor_fe, ctx, config.number_of_ideas_modelling)
+    anchor_fe = rank_fe_nodes(tree.fe_nodes(), ports.metric)[0]
+    architectures = ports.gen.propose_mt(anchor_fe, ctx, config.number_of_ideas_modelling)
     try:
         return build_anchor_set(
             tree, ports.evaluator, architectures, ports.metric,

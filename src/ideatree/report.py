@@ -3,7 +3,10 @@ cross-run comparisons, and standing against a human leaderboard.
 
 Every number here is recomputed from ``run.jsonl`` alone. The other run
 artifacts (result.json, snapshots) are conveniences; reports must not
-need them, so a log shipped on its own stays fully analyzable.
+need them, so a log shipped on its own stays fully analyzable. The log
+of a crashed run is read up to its last whole line; its progress rows
+end before the last iteration the log reaches, which the crash may have
+cut short.
 """
 
 from __future__ import annotations
@@ -148,22 +151,29 @@ def progress_rows(events: Sequence[Event]) -> list[ReportRow]:
     return rows
 
 
-def _log_path(run_dir: Path) -> Path:
+def read_run_log(run_dir: Path) -> list[Event]:
+    """The events of a run directory's log. A crashed or killed run's
+    log is read too, up to its last whole line."""
     path = Path(run_dir) / LOG_FILENAME
     if not path.exists():
         raise MissingRunArtifacts(f"no {LOG_FILENAME} in {run_dir}")
-    return path
+    return read_log(path, partial=True)
 
 
 def progress_report(run_dir: Path) -> list[ReportRow]:
-    return progress_rows(read_log(_log_path(run_dir)))
+    return progress_rows(read_run_log(run_dir))
 
 
 def run_summary(run_dir: Path) -> dict:
     """Structured whole-run summary, recomputed from the log."""
+    return summarize_events(run_dir, read_run_log(run_dir))
+
+
+def summarize_events(run_dir: Path, events: Sequence[Event]) -> dict:
+    """``run_summary`` of the run in ``run_dir`` from its events."""
     run_dir = Path(run_dir)
     walk = _LogWalk()
-    for event in read_log(_log_path(run_dir)):
+    for event in events:
         walk.feed(event)
     return {
         "run_dir": str(run_dir),
@@ -316,9 +326,9 @@ def percent_humans_beaten(
     return 100.0 * beaten / len(scores)
 
 
-def leaderboard_standing(run_dir: Path, leaderboard_path: Path) -> dict:
-    """Compare a run's best score against a human leaderboard."""
-    summary = run_summary(run_dir)
+def leaderboard_standing(summary: dict, leaderboard_path: Path) -> dict:
+    """Compare the best score of a run's summary against a human
+    leaderboard."""
     direction, scores = read_leaderboard(leaderboard_path)
     percent = percent_humans_beaten(summary["best_raw_score"], scores, direction)
     return {

@@ -19,18 +19,17 @@ from typing import Optional, Protocol
 
 import requests
 
+from .embedding import cosine_similarity
 from .errors import (
     AnchorConstructionFailed,
     EmptyAnchorSet,
     InvalidParams,
     MalformedResponse,
     NoFeNodes,
-    RetriesExhausted,
-    TransportFailure,
 )
 from .evaluation import EvaluationPort
 from .events import EventKind, RunLog
-from .generation import EndpointConfig, _load_template, request_completion
+from .generation import EndpointConfig, _load_template, complete_with_retries
 from .search import EvalPolicy, PendingSet, softmax_select
 from .tree import IdeationTree, MetricSpec, Node, NodeLevel, NodeStatus, backpropagate
 
@@ -78,6 +77,21 @@ class Predictor(Protocol):
                 dataset_description: str) -> float: ...
 
 
+def rank_fe_nodes(fe_nodes: list[Node], metric: MetricSpec) -> list[Node]:
+    """Feature nodes best first: highest oriented aggregate, nodes with
+    no aggregate last, ties to the lowest id."""
+
+    def rank(node: Node) -> tuple[float, int]:
+        oriented = (
+            metric.orient(node.aggregated_score)
+            if node.aggregated_score is not None
+            else float("-inf")
+        )
+        return (-oriented, node.id)
+
+    return sorted(fe_nodes, key=rank)
+
+
 def build_anchor_set(
     tree: IdeationTree,
     evaluator: EvaluationPort,
@@ -113,15 +127,7 @@ def build_anchor_set(
     if not architectures:
         raise InvalidParams("architectures must be non-empty")
 
-    def fe_rank(node: Node) -> tuple[float, int]:
-        oriented = (
-            metric.orient(node.aggregated_score)
-            if node.aggregated_score is not None
-            else float("-inf")
-        )
-        return (-oriented, node.id)
-
-    ranked_fe = sorted(fe_nodes, key=fe_rank)
+    ranked_fe = rank_fe_nodes(fe_nodes, metric)
     phase1_fe = ranked_fe[0]
 
     pending = PendingSet(tree, evaluator, EvalPolicy(), clock=clock, log=log, pool=pool)
@@ -217,16 +223,11 @@ def baseline_predict(
     anchors = anchor_set.sorted_anchors()
     candidate_vec = embedder.embed(candidate)
     sims = [
-        _cosine(candidate_vec, embedder.embed(anchor.description)) for anchor in anchors
+        cosine_similarity(candidate_vec, embedder.embed(anchor.description))
+        for anchor in anchors
     ]
     weights = softmax_select(sims, temperature).probabilities
     return float(sum(w * a.true_score for w, a in zip(weights, anchors)))
-
-
-def _cosine(a, b) -> float:
-    from .embedding import cosine_similarity
-
-    return cosine_similarity(a, b)
 
 
 @dataclass
@@ -274,17 +275,8 @@ class LlmPredictor:
             candidate_description, anchor_set, dataset_description,
             metric_name=self.metric_name,
         )
-        attempts = self.endpoint.max_retries + 1
-        last: Optional[Exception] = None
-        for attempt in range(attempts):
-            try:
-                reply = request_completion(
-                    self._session, self.endpoint,
-                    "You estimate evaluation scores from reference examples.",
-                    prompt,
-                )
-                return parse_predicted_value(reply)
-            except (TransportFailure, MalformedResponse) as exc:
-                last = exc
-                logger.warning("prediction attempt %d/%d failed: %s", attempt + 1, attempts, exc)
-        raise RetriesExhausted(f"gave up after {attempts} attempts: {last}")
+        return complete_with_retries(
+            self._session, self.endpoint,
+            "You estimate evaluation scores from reference examples.",
+            prompt, parse_predicted_value,
+        )

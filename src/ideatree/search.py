@@ -188,9 +188,6 @@ class MergeMemory:
         if self.theta_fail < 1:
             raise InvalidParams(f"theta_fail must be >= 1, got {self.theta_fail}")
 
-    def excluded(self, key: MergePairKey) -> bool:
-        return key in self.long_term
-
     def record_failure(self, key: MergePairKey) -> bool:
         """Count one failure; returns True when this promoted the pair."""
         if key in self.long_term:
@@ -209,20 +206,6 @@ class MergeMemory:
 
     def failures(self, key: MergePairKey) -> int:
         return self.short_term.get(key, 0)
-
-    def to_dict(self) -> dict:
-        return {
-            "theta_fail": self.theta_fail,
-            "short_term": [[list(k), v] for k, v in sorted(self.short_term.items())],
-            "long_term": [list(k) for k in sorted(self.long_term)],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MergeMemory":
-        mem = cls(theta_fail=int(d["theta_fail"]))
-        mem.short_term = {(int(k[0]), int(k[1])): int(v) for k, v in d["short_term"]}
-        mem.long_term = {(int(k[0]), int(k[1])) for k in d["long_term"]}
-        return mem
 
 
 def draw_merge_pairs(
@@ -578,19 +561,6 @@ def merge_delta(
     return best(merged_id) - max(best(parent_a), best(parent_b))
 
 
-def is_merge_failure(
-    tree: IdeationTree,
-    merged_id: int,
-    parent_a: int,
-    parent_b: int,
-    metric: MetricSpec,
-    epsilon: float = 0.0,
-) -> bool:
-    """A merge fails when its best child does not beat both parents'
-    bests by more than epsilon. Ties are failures."""
-    return merge_delta(tree, merged_id, parent_a, parent_b, metric) <= epsilon
-
-
 # =====================================================================
 # Adding stage
 # =====================================================================
@@ -685,13 +655,25 @@ def _select_expansion_targets(
         picked = dist.sample_without_replacement(params.n_selected, rng)
         return [tree.nodes[mt_id].parent_id for mt_id in picked]
 
-    cands = []
-    for fe in sorted(tree.fe_nodes(), key=lambda n: n.id):
-        if fe.aggregated_score is None:
-            continue
-        if parent_window is not None and (tree.iteration - fe.created_iteration) >= parent_window:
-            continue
-        cands.append(fe)
+    return _sample_scored_fe(tree, params, metric, rng, window=parent_window)
+
+
+def _sample_scored_fe(
+    tree: IdeationTree,
+    params: StageParams,
+    metric: MetricSpec,
+    rng: np.random.Generator,
+    window: Optional[int] = None,
+) -> list[int]:
+    """Draw up to ``n_selected`` FE ids without replacement from a
+    softmax over the oriented aggregates of every FE node that has one,
+    in id order. With ``window``, only FE nodes created within that many
+    recent iterations take part."""
+    cands = [
+        fe for fe in sorted(tree.fe_nodes(), key=lambda n: n.id)
+        if fe.aggregated_score is not None
+        and (window is None or tree.iteration - fe.created_iteration < window)
+    ]
     if not cands:
         return []
     oriented = [metric.orient(fe.aggregated_score) for fe in cands]
@@ -798,7 +780,9 @@ def _merge_one_pair(
 
 
 def _book_merge(tree, mem, key, merged_id, metric, epsilon, log):
-    """Judge a merge by its committed children and record the verdict."""
+    """Judge a merge by its committed children and record the verdict.
+    A merge fails when its best child does not beat both parents' bests
+    by more than epsilon, so a tie is a failure."""
     a_id, b_id = key
     if tree.evaluated_mt_children(merged_id):
         delta = merge_delta(tree, merged_id, a_id, b_id, metric)
@@ -823,14 +807,7 @@ def _book_merge(tree, mem, key, merged_id, metric, epsilon, log):
 def _merge_best_children(tree, gen, params, metric, rng, ctx, log, pending):
     """Within each softmax-selected FE node, merge its two best MT
     children into one new scored child."""
-    cands = sorted((fe for fe in tree.fe_nodes() if fe.aggregated_score is not None),
-                   key=lambda n: n.id)
-    if not cands:
-        return
-    oriented = [metric.orient(fe.aggregated_score) for fe in cands]
-    dist = softmax_select(oriented, params.softmax_temperature, [fe.id for fe in cands])
-    selected = dist.sample_without_replacement(params.n_selected, rng)
-    for fe_id in selected:
+    for fe_id in _sample_scored_fe(tree, params, metric, rng):
         kids = sorted(
             tree.evaluated_mt_children(fe_id),
             key=lambda n: (-metric.orient(n.raw_score), n.id),

@@ -17,6 +17,7 @@ import numpy as np
 
 from ideatree.embedding import HashedEmbedding
 from ideatree.errors import EvaluationFailure
+from ideatree.evaluation import FailureKind, FailureReport
 from ideatree.tree import (
     IdeationTree,
     MetricDirection,
@@ -214,6 +215,26 @@ def attach_evaluated_fe(
         mt = tree.spawn(fe.id, NodeLevel.MT, vector or f"{idea} mt {k}")
         tree.mark_evaluated(mt.id, s)
     return fe.id
+
+
+class FlakyEvaluator:
+    """Wraps another evaluator and fails deterministically for the nodes
+    ``should_fail`` picks."""
+
+    def __init__(self, inner, should_fail):
+        self.inner = inner
+        self.should_fail = should_fail
+
+    def evaluate(self, node, mode):
+        if self.should_fail(node):
+            raise EvaluationFailure(
+                "injected failure",
+                report=FailureReport(kind=FailureKind.RUNTIME_ERROR, message="injected failure"),
+            )
+        return self.inner.evaluate(node, mode)
+
+    def cost(self, mode):
+        return self.inner.cost(mode)
 
 
 class RecordingEvaluator:

@@ -4,6 +4,7 @@ tables, leaderboard standings."""
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 import yaml
@@ -16,7 +17,8 @@ from ideatree.cli import (
     main,
 )
 from ideatree.errors import MalformedLeaderboardFile, MissingRunArtifacts
-from ideatree.evaluation import FlakyEvaluator
+from ideatree.events import read_log
+from ideatree.orchestrator import verify_replay
 from ideatree.report import (
     percent_humans_beaten,
     progress_report,
@@ -24,6 +26,8 @@ from ideatree.report import (
     run_summary,
 )
 from ideatree.tree import MetricDirection
+
+from helpers import FlakyEvaluator
 
 
 @pytest.fixture
@@ -70,6 +74,19 @@ def test_run_writes_artifacts(finished_run):
     for name in ("config.yaml", "run.jsonl", "final_snapshot.json", "result.json"):
         assert (finished_run / name).exists()
     assert not (finished_run / "checkpoints").exists()
+
+
+def test_run_again_into_a_run_directory_replaces_its_log(finished_run, config_path):
+    """A second run into the same directory leaves only its own log,
+    which reads strictly and replays to its final snapshot."""
+    first = (finished_run / "run.jsonl").read_bytes()
+    assert main(["run", "--config", str(config_path), "--out", str(finished_run),
+                 "--seed", "7"]) == EXIT_OK
+    events = read_log(finished_run / "run.jsonl")
+    assert events[0].payload["seed"] == 7
+    assert (finished_run / "run.jsonl").read_bytes() != first
+    assert verify_replay(finished_run)
+    assert main(["replay", str(finished_run)]) == EXIT_OK
 
 
 def test_run_seed_flag_overrides_config(tmp_path, config_path):
@@ -156,6 +173,47 @@ def test_report_progress_table(finished_run, capsys):
     assert len(lines) - 1 == summary["iterations"] + 1
     best_column = [float(l.split("\t")[2]) for l in lines[1:]]
     assert best_column == sorted(best_column)
+
+
+def test_report_reads_a_crashed_run(finished_run, tmp_path):
+    """A log cut anywhere past the first stage, as a crash leaves it,
+    still reports: exit 0, and its rows are a prefix of the full run's."""
+    log = (finished_run / "run.jsonl").read_bytes()
+    full_rows = progress_report(finished_run)
+    first_stage = log.index(b'"kind": "stage_finished"')
+    start = log.index(b"\n", first_stage) + 1
+    offsets = random.Random(5).sample(range(start, len(log) - 1), 25)
+    for i, offset in enumerate(sorted(offsets)):
+        crashed = tmp_path / f"crashed_{i}"
+        crashed.mkdir()
+        (crashed / "run.jsonl").write_bytes(log[:offset])
+        assert main(["report", str(crashed), "--out", str(crashed / "tables")]) == EXIT_OK
+        rows = progress_report(crashed)
+        assert rows and rows == full_rows[:len(rows)]
+        summary = json.loads((crashed / "tables" / "summary.json").read_text(encoding="utf-8"))
+        assert summary == run_summary(crashed)
+
+
+@pytest.mark.parametrize("with_leaderboard", [False, True])
+def test_report_progress_parses_the_log_once(finished_run, tmp_path, monkeypatch,
+                                             with_leaderboard):
+    import ideatree.report as report_module
+
+    calls = []
+    read = report_module.read_log
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return read(*args, **kwargs)
+
+    monkeypatch.setattr(report_module, "read_log", counted)
+    argv = ["report", str(finished_run)]
+    if with_leaderboard:
+        lb = tmp_path / "lb.txt"
+        lb.write_text("higher_better\n0.2\n", encoding="utf-8")
+        argv += ["--leaderboard", str(lb)]
+    assert main(argv) == EXIT_OK
+    assert len(calls) == 1
 
 
 def test_report_progress_rejects_multiple_dirs(finished_run, tmp_path, capsys):

@@ -1,7 +1,8 @@
 """Context state, memory selection, retrieval gating, and both generators.
 
-The HTTP generator is exercised against a throwaway local server rather
-than mocks, so transport, retry, and parse behaviour are all real.
+The HTTP generator and the HTTP score predictor are exercised against a
+throwaway local server rather than mocks, so transport, retry, and
+parse behaviour are all real.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -44,11 +46,13 @@ from ideatree.generation import (
     SpaceConfig,
     SyntheticGenerator,
     gate_external_query,
+    request_completion,
     select_context_nodes,
     split_ideas,
 )
 from ideatree.errors import InvalidSpaceConfig
 from ideatree.retrieval import FileCorpusRetriever
+from ideatree.scoring import Anchor, AnchorSet, LlmPredictor
 from ideatree.tree import IdeationTree, NodeLevel
 
 from helpers import attach_evaluated_fe, reference_retrieve
@@ -527,9 +531,9 @@ def test_llm_unreachable_endpoint_is_transport_failure():
 
 
 def test_llm_transport_failure_surfaces_directly():
-    gen = LlmGenerator(EndpointConfig(base_url="http://127.0.0.1:1", model="x", timeout_s=0.5))
+    endpoint = EndpointConfig(base_url="http://127.0.0.1:1", model="x", timeout_s=0.5)
     with pytest.raises(TransportFailure):
-        gen._complete("s", "u")
+        request_completion(requests.Session(), endpoint, "s", "u")
 
 
 def test_llm_enrich_refreshes_memory_notes(stub_server):
@@ -549,3 +553,39 @@ def test_llm_no_key_env_sends_no_auth_header(stub_server):
     gen = LlmGenerator(_endpoint(stub_server))
     gen.propose_fe(ContextState(), 1)
     assert _ScriptedHandler.requests_seen[0]["auth"] is None
+
+
+# ---- http score predictor against the same stub ----
+
+def _anchor_set():
+    return AnchorSet(
+        anchors=(
+            Anchor(description="gbm", true_score=0.7, fe_node_id=1,
+                   architecture_tag="gbm", mt_node_id=2),
+            Anchor(description="mlp", true_score=0.6, fe_node_id=1,
+                   architecture_tag="mlp", mt_node_id=3),
+        ),
+        phase1_fe=1, phase2_arch="gbm",
+    )
+
+
+def test_llm_predictor_retries_then_returns_number(stub_server):
+    _ScriptedHandler.script = [
+        (503, {"error": "busy"}),
+        (200, _chat_reply(" 0.75.\n")),
+    ]
+    predictor = LlmPredictor(_endpoint(stub_server), metric_name="auc")
+    assert predictor.predict("stacked gbm", _anchor_set(), "churn data") == 0.75
+    assert len(_ScriptedHandler.requests_seen) == 2
+    prompt = _ScriptedHandler.requests_seen[1]["body"]["messages"][1]["content"]
+    assert "stacked gbm" in prompt and "auc" in prompt
+
+
+@pytest.mark.parametrize("max_retries", [0, 2])
+def test_llm_predictor_non_number_exhausts_retries(stub_server, max_retries):
+    _ScriptedHandler.script = [(200, _chat_reply("about 0.7, I think"))] * 5
+    endpoint = EndpointConfig(base_url=stub_server, model="test-model",
+                              max_retries=max_retries)
+    with pytest.raises(RetriesExhausted):
+        LlmPredictor(endpoint).predict("stacked gbm", _anchor_set())
+    assert len(_ScriptedHandler.requests_seen) == max_retries + 1

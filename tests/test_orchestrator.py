@@ -3,9 +3,12 @@ log replay, mostly end to end over the synthetic ports."""
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import json
 import os
 import random
+import re
 import sys
 import threading
 import zlib
@@ -14,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -30,9 +34,9 @@ from ideatree.errors import (
     StageFailure,
 )
 from ideatree import orchestrator
-from ideatree.evaluation import EvalMode, FlakyEvaluator
+from ideatree.evaluation import EvalMode
 from ideatree.events import EventKind, RunLog, read_log
-from ideatree.generation import ContextState, SegmentTag
+from ideatree.generation import ContextState, EndpointConfig, SegmentTag
 from ideatree.orchestrator import (
     FINAL_SNAPSHOT_FILENAME,
     LOG_FILENAME,
@@ -47,7 +51,6 @@ from ideatree.orchestrator import (
 )
 from ideatree import retrieval
 from ideatree.retrieval import FileCorpusRetriever
-from ideatree.search import MergeMemory
 from ideatree.setup_stages import (
     BaselineResult,
     BaselineVerdict,
@@ -71,7 +74,7 @@ from ideatree.tree import (
     NodeStatus,
 )
 
-from helpers import HIGHER, RecordingEvaluator, SleepyEvaluator
+from helpers import HIGHER, FlakyEvaluator, RecordingEvaluator, SleepyEvaluator
 
 RESPLIT = BaselineVerdict.RESPLIT_REQUESTED
 OK = BaselineVerdict.SPLIT_OK
@@ -219,7 +222,6 @@ def test_documented_defaults():
     assert config.number_of_ideas_min == 2
     assert config.number_of_ideas_max == 5
     assert config.retrieve_n_papers == 3
-    assert config.retrieve_n_competitions == 3
     assert config.number_rag_ideas == 5
 
 
@@ -230,6 +232,30 @@ def test_named_accessors_track_their_fields():
     assert config.parent_window == 4
     assert config.resample_count == 6
     assert config.external_idea_cap == 9
+
+
+def test_every_config_field_is_read():
+    """Each config field is read somewhere in the package outside
+    config.py, as ``.<field>`` or through a RunConfig property that
+    returns it. A field nothing reads is a knob that does nothing."""
+    package = Path(orchestrator.__file__).parent
+    source = "\n".join(
+        path.read_text(encoding="utf-8")
+        for path in sorted(package.glob("*.py")) if path.name != "config.py"
+    )
+    aliases: dict[str, list[str]] = {}
+    for name, member in vars(RunConfig).items():
+        if isinstance(member, property):
+            for field_name in re.findall(r"self\.(\w+)", inspect.getsource(member.fget)):
+                aliases.setdefault(field_name, []).append(name)
+    unread = [
+        f"{cls.__name__}.{f.name}"
+        for cls in (RunConfig, SyntheticConfig, EndpointConfig)
+        for f in dataclasses.fields(cls)
+        if not any(re.search(rf"\.{name}\b", source)
+                   for name in [f.name, *aliases.get(f.name, [])])
+    ]
+    assert unread == []
 
 
 def test_unknown_key_rejected():
@@ -398,12 +424,12 @@ def _assert_calls_per_node_flat(tmp_path, monkeypatch, targets, **overrides) -> 
 
 def test_engine_calls_per_node_stay_flat(tmp_path, monkeypatch):
     """Bookkeeping calls grow linearly with the tree: quadrupling the
-    budget leaves the calls per node flat. Listing every FE pair per
-    merge, or rescanning every FE node per backpropagate, makes them
-    grow with the tree and fails this."""
+    budget leaves the calls per node flat. Rescanning every FE node per
+    backpropagate makes them grow with the tree and fails this. The
+    merge-pair draw calls no method per pair, so it is not counted."""
     _assert_calls_per_node_flat(
         tmp_path, monkeypatch,
-        ((IdeationTree, "evaluated_mt_children", None), (MergeMemory, "excluded", None)),
+        ((IdeationTree, "evaluated_mt_children", None),),
         checkpoint_every_stage=False,
     )
 
@@ -621,6 +647,27 @@ def test_merging_disabled_emits_skip_trio(tmp_path):
                       and e.payload["stage"] == "merging"]
     assert len(merge_starts) == len(skips) == len(merge_finishes)
     assert all(e.payload["outcome"] == "skipped" for e in merge_finishes)
+
+
+@pytest.mark.parametrize("enable_merging", [True, False])
+def test_each_stage_draws_the_next_spawned_stream(tmp_path, monkeypatch, enable_merging):
+    """Initialization draws the seed's first spawned stream and every
+    stage the next one, a disabled merging stage included, so stage k of
+    the run always gets spawn k whatever the stages before it did."""
+    seen = []
+    for name in ("adding_stage", "merging_stage"):
+        def wrapped(*args, _real=getattr(orchestrator, name), _name=name, **kwargs):
+            seen.append((_name, args[0].iteration, args[6].bit_generator.state))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(orchestrator, name, wrapped)
+    config, _, _ = _run(tmp_path, enable_merging=enable_merging)
+    assert {name for name, _, _ in seen} == (
+        {"adding_stage", "merging_stage"} if enable_merging else {"adding_stage"})
+    for name, iteration, state in seen:
+        spawn = 2 * iteration - 1 if name == "adding_stage" else 2 * iteration
+        expected = np.random.default_rng(
+            np.random.SeedSequence(config.seed, spawn_key=(spawn,)))
+        assert state == expected.bit_generator.state, (name, iteration)
 
 
 def test_generator_failure_skips_ahead_to_merging(tmp_path):

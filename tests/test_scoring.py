@@ -14,7 +14,7 @@ from ideatree.errors import (
     InvalidParams,
     NoFeNodes,
 )
-from ideatree.evaluation import EvalMode, FlakyEvaluator, LandscapeConfig, SimulatedEvaluator
+from ideatree.evaluation import EvalMode, LandscapeConfig, SimulatedEvaluator
 from ideatree.scoring import (
     Anchor,
     AnchorSet,
@@ -26,7 +26,7 @@ from ideatree.scoring import (
 )
 from ideatree.tree import IdeationTree, NodeLevel, NodeStatus, backpropagate
 
-from helpers import HIGHER, LOWER, RecordingEvaluator, attach_evaluated_fe
+from helpers import HIGHER, LOWER, FlakyEvaluator, RecordingEvaluator, attach_evaluated_fe
 
 
 def _anchor(mt_id, score, description=None, fe=1, arch="a"):

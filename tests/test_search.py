@@ -35,9 +35,9 @@ from ideatree.search import (
     SelectionDistribution,
     SelectionMode,
     StageParams,
+    _book_merge,
     adding_stage,
     draw_merge_pairs,
-    is_merge_failure,
     merge_delta,
     merging_stage,
     orient_scores,
@@ -256,7 +256,6 @@ def test_memory_success_goes_long():
     mem.record_failure(key)
     mem.record_success(key)
     assert key in mem.long_term and key not in mem.short_term
-    assert mem.excluded(key)
 
 
 def test_memory_partition_always_disjoint():
@@ -272,17 +271,21 @@ def test_memory_partition_always_disjoint():
         assert all(v < mem.theta_fail for v in mem.short_term.values())
 
 
-def test_memory_roundtrip():
-    mem = MergeMemory(theta_fail=3)
-    mem.record_failure(pair_key(1, 2))
-    mem.record_success(pair_key(2, 3))
-    again = MergeMemory.from_dict(mem.to_dict())
-    assert again.short_term == mem.short_term
-    assert again.long_term == mem.long_term
-    assert again.theta_fail == mem.theta_fail
-
-
 # ---- merge verdict ----
+
+def _booked_verdict(tree, merged, a, b, metric, epsilon):
+    """The outcome the merging stage books for a committed merge, with
+    the memory it leaves."""
+    mem, log = MergeMemory(theta_fail=2), RunLog()
+    _book_merge(tree, mem, pair_key(a, b), merged, metric, epsilon, log)
+    (event,) = log.of_kind(EventKind.MERGE_ATTEMPTED)
+    key = pair_key(a, b)
+    if event.payload["outcome"] == "success":
+        assert key in mem.long_term and not mem.short_term
+    else:
+        assert mem.short_term == {key: 1} and not mem.long_term
+    return event.payload["outcome"]
+
 
 def test_merge_delta_lower_better_example():
     tree = IdeationTree.create("root")
@@ -290,8 +293,9 @@ def test_merge_delta_lower_better_example():
     b = attach_evaluated_fe(tree, [0.25, 0.8])
     merged = attach_evaluated_fe(tree, [0.20])
     assert merge_delta(tree, merged, a, b, LOWER) == pytest.approx(0.05)
-    assert not is_merge_failure(tree, merged, a, b, LOWER, epsilon=0.04)
-    assert is_merge_failure(tree, merged, a, b, LOWER, epsilon=0.05)  # needs to beat epsilon
+    assert _booked_verdict(tree, merged, a, b, LOWER, epsilon=0.04) == "success"
+    # the delta must beat epsilon
+    assert _booked_verdict(tree, merged, a, b, LOWER, epsilon=0.05) == "failure"
 
 
 def test_merge_tie_is_failure():
@@ -299,7 +303,7 @@ def test_merge_tie_is_failure():
     a = attach_evaluated_fe(tree, [0.7])
     b = attach_evaluated_fe(tree, [0.6])
     merged = attach_evaluated_fe(tree, [0.7])
-    assert is_merge_failure(tree, merged, a, b, HIGHER, epsilon=0.0)
+    assert _booked_verdict(tree, merged, a, b, HIGHER, epsilon=0.0) == "failure"
 
 
 def test_merge_delta_requires_children():
@@ -521,6 +525,18 @@ def test_adding_stage_parent_window_limits_targets():
     assert len(world.tree.children(recent[0].id)) == 1 + 1  # fresh batch + expansion
 
 
+@pytest.mark.parametrize("age, eligible", [(1, True), (2, False)])
+def test_parent_window_admits_nodes_younger_than_the_window(age, eligible):
+    world = make_world(seed=34)
+    world.tree.iteration = age  # preloaded FE nodes were created at iteration 0
+    before = {fe.id: len(world.tree.children(fe.id)) for fe in world.tree.fe_nodes()}
+    params = StageParams(n_fe=1, m_mt=1, n_selected=len(before) + 1)
+    adding_stage(world.tree, world.ctx, world.gen, world.evaluator, params,
+                 world.metric, world.rng, clock=world.clock, parent_window=2)
+    expanded = [fe_id for fe_id, n in before.items() if len(world.tree.children(fe_id)) > n]
+    assert expanded == (sorted(before) if eligible else [])
+
+
 # ---- merging stage ----
 
 def test_merging_stage_structure_and_memory():
@@ -714,7 +730,7 @@ def test_merging_stage_deterministic_for_seed():
 
 def _enumerated_pairs(eligible, mem, n, rng):
     """Reference draw: list every non-excluded pair, index into the list."""
-    candidates = [k for k in combinations(eligible, 2) if not mem.excluded(k)]
+    candidates = [k for k in combinations(eligible, 2) if k not in mem.long_term]
     if not candidates:
         return []
     idx = rng.choice(len(candidates), size=min(n, len(candidates)), replace=False)
