@@ -12,11 +12,17 @@ import time
 
 class WallClock:
     """Real elapsed time in minutes. ``charge`` is a no-op because the
-    cost of real work is the time it takes."""
+    cost of real work is the time it takes. ``longest_job`` is the
+    longest evaluation job noted so far, in minutes, which the engine
+    projects the pending work with."""
 
     def __init__(self, budget_minutes: float):
         self.budget = float(budget_minutes)
         self._start = time.monotonic()
+        self.longest_job = 0.0
+
+    def note_job(self, seconds: float) -> None:
+        self.longest_job = max(self.longest_job, seconds / 60.0)
 
     def elapsed(self) -> float:
         return (time.monotonic() - self._start) / 60.0

@@ -260,8 +260,8 @@ class SyntheticGenerator:
         return self._merge(a, b)
 
     def enrich_eda(self, tree: IdeationTree, ctx: ContextState) -> Optional[str]:
-        fe_count = len(tree.fe_nodes())
-        mt_count = len(tree.nodes_at_level(NodeLevel.MT))
+        fe_count = tree.level_size(NodeLevel.FE)
+        mt_count = tree.level_size(NodeLevel.MT)
         return f"tree survey: {len(tree.nodes)} nodes, {fe_count} feature ideas, {mt_count} model ideas"
 
     def query_external(self, ctx: ContextState) -> list[str]:

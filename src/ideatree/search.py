@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
+import time
 from bisect import bisect_right, insort
 from concurrent.futures import Executor, Future, wait
 from contextlib import contextmanager
@@ -19,6 +20,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from .clock import WallClock
 from .errors import (
     BudgetExhausted,
     EmptyInput,
@@ -69,39 +71,44 @@ def orient_scores(scores: Sequence[float], metric: MetricSpec) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SelectionDistribution:
-    """Aligned ids and probabilities; checked on construction."""
+    """Aligned ids and probabilities, held as numpy arrays (int64 and
+    float64); checked on construction."""
 
-    node_ids: tuple[int, ...]
-    probabilities: tuple[float, ...]
+    node_ids: np.ndarray
+    probabilities: np.ndarray
 
     def __post_init__(self):
-        if len(self.node_ids) != len(self.probabilities):
+        ids = np.asarray(self.node_ids, dtype=np.int64)
+        probs = np.asarray(self.probabilities, dtype=float)
+        object.__setattr__(self, "node_ids", ids)
+        object.__setattr__(self, "probabilities", probs)
+        if ids.shape != probs.shape:
             raise InvalidParams("ids and probabilities differ in length")
-        if any(p < 0 for p in self.probabilities):
+        if np.any(probs < 0):
             raise InvalidParams("negative probability")
-        total = sum(self.probabilities)
+        total = float(probs.sum())
         if abs(total - 1.0) > 1e-9:
             raise InvalidParams(f"probabilities sum to {total}, not 1")
 
     def sample_without_replacement(self, k: int, rng: np.random.Generator) -> list[int]:
         """Draw up to k distinct ids, renormalizing after each draw."""
-        ids = list(self.node_ids)
-        probs = np.asarray(self.probabilities, dtype=float)
+        ids, probs = self.node_ids, self.probabilities
         picked: list[int] = []
         for _ in range(min(k, len(ids))):
             p = probs / probs.sum()
             idx = int(rng.choice(len(ids), p=p))
-            picked.append(ids.pop(idx))
-            probs = np.delete(probs, idx)
+            picked.append(int(ids[idx]))
+            ids = np.concatenate((ids[:idx], ids[idx + 1:]))
+            probs = np.concatenate((probs[:idx], probs[idx + 1:]))
         return picked
 
 
 def softmax_select(
-    oriented: Sequence[float],
+    oriented: Sequence[float] | np.ndarray,
     temperature: float = 1.0,
-    node_ids: Optional[Sequence[int]] = None,
+    node_ids: Optional[Sequence[int] | np.ndarray] = None,
 ) -> SelectionDistribution:
     """Softmax over oriented scores, computed with max subtraction so
     large magnitudes cannot overflow."""
@@ -115,8 +122,8 @@ def softmax_select(
     z = (arr - arr.max()) / temperature
     e = np.exp(z)
     p = e / e.sum()
-    ids = tuple(node_ids) if node_ids is not None else tuple(range(len(arr)))
-    return SelectionDistribution(node_ids=ids, probabilities=tuple(float(x) for x in p))
+    ids = node_ids if node_ids is not None else np.arange(len(arr))
+    return SelectionDistribution(node_ids=ids, probabilities=p)
 
 
 def sample_top(
@@ -203,9 +210,6 @@ class MergeMemory:
     def record_success(self, key: MergePairKey) -> None:
         self.short_term.pop(key, None)
         self.long_term.add(key)
-
-    def failures(self, key: MergePairKey) -> int:
-        return self.short_term.get(key, 0)
 
 
 def draw_merge_pairs(
@@ -341,14 +345,16 @@ def _emit(log: Optional[RunLog], kind: EventKind, **payload):
 def _run_calls(evaluator, node: Node, modes: tuple[EvalMode, ...]):
     """Make one candidate's evaluator calls in order, stopping at the
     first EvaluationFailure. Returns ``(raw score or None, error or
-    None, number of calls that returned)``. May run on a worker thread,
-    so it touches nothing but the evaluator."""
+    None, number of calls that returned, wall seconds the calls took)``.
+    May run on a worker thread, so it touches nothing but the
+    evaluator."""
+    start = time.monotonic()
     for returned, mode in enumerate(modes):
         try:
             value = evaluator.evaluate(node, mode)
         except EvaluationFailure as exc:
-            return None, str(exc) or "evaluation failed", returned
-    return float(value), None, len(modes)
+            return None, str(exc) or "evaluation failed", returned, time.monotonic() - start
+    return float(value), None, len(modes), time.monotonic() - start
 
 
 class _RanInline:
@@ -389,6 +395,14 @@ class PendingSet:
     and check the clock itself. Stop decisions and logged clock
     readings are thus those of one inline worker, whatever the pool,
     and the overrun stays below one job's cost.
+
+    A wall clock is charged nothing, and a real evaluator may report no
+    cost, so there the projection is in time: each job is timed on its
+    worker, and the clock keeps the longest job committed so far. When
+    the time left would not cover the pending jobs and one more, run
+    one after another at that length, ``check_budget`` commits; it
+    stops when what is left after that would not cover one more job.
+    The overrun is then about one job, with any number of workers.
     """
 
     def __init__(self, tree: IdeationTree, evaluator, policy: EvalPolicy, *,
@@ -419,6 +433,13 @@ class PendingSet:
         """Raise _BudgetStop, after committing, when the clock is out."""
         if self.clock is None:
             return
+        if isinstance(self.clock, WallClock):
+            longest = self.clock.longest_job
+            if self.clock.remaining() <= longest * (len(self._jobs) + 1):
+                self.commit()
+                if self.clock.remaining() <= longest:
+                    raise _BudgetStop()
+            return
         projected = self.clock.elapsed()
         for _ in self._jobs:
             for cost in self._costs:
@@ -435,8 +456,10 @@ class PendingSet:
         if self.pool is not None:
             wait([job for _, _, job in jobs])
         for _, node, job in jobs:
-            score, error, returned = job.result()
-            if self.clock is not None:
+            score, error, returned, seconds = job.result()
+            if isinstance(self.clock, WallClock):
+                self.clock.note_job(seconds)
+            elif self.clock is not None:
                 for cost in self._costs[:returned]:
                     self.clock.charge(cost)
             if error is None:
@@ -668,16 +691,17 @@ def _sample_scored_fe(
     """Draw up to ``n_selected`` FE ids without replacement from a
     softmax over the oriented aggregates of every FE node that has one,
     in id order. With ``window``, only FE nodes created within that many
-    recent iterations take part."""
-    cands = [
-        fe for fe in sorted(tree.fe_nodes(), key=lambda n: n.id)
-        if fe.aggregated_score is not None
-        and (window is None or tree.iteration - fe.created_iteration < window)
-    ]
-    if not cands:
+    recent iterations take part. The candidates are masked, oriented
+    and weighted on the tree's FE table in a few array operations."""
+    table = tree.fe_table
+    aggregates = table.aggregates
+    scored = ~np.isnan(aggregates)
+    if window is not None:
+        scored &= tree.iteration - table.created < window
+    if not scored.any():
         return []
-    oriented = [metric.orient(fe.aggregated_score) for fe in cands]
-    dist = softmax_select(oriented, params.softmax_temperature, [fe.id for fe in cands])
+    dist = softmax_select(metric.orient(aggregates[scored]), params.softmax_temperature,
+                          table.ids[scored])
     return dist.sample_without_replacement(params.n_selected, rng)
 
 

@@ -17,17 +17,23 @@ Layout::
 Scores are stored in native metric units; orientation (higher or lower
 is better) is applied at comparison time via :class:`MetricSpec`.
 
-The tree keeps three indexes up to date as nodes are attached and
+The tree keeps four indexes up to date as nodes are attached and
 scored, so that a search step costs the same however large the tree
 has grown:
 
-* the nodes of each level, in attach order (``nodes_at_level``);
-* the number of evaluated children of each node, which gives the FE
-  nodes eligible for merging (``eligible_fe_ids``) without a scan;
+* the nodes of each level, in attach order (``nodes_at_level``, and
+  ``level_size`` for just the count);
 * the set of dirty FE nodes, whose aggregate may be stale: an FE node
   is dirty from the moment it is attached, and again whenever one of
   its children is attached evaluated, marked evaluated or marked
-  failed. ``backpropagate`` recomputes only those.
+  failed. ``backpropagate`` recomputes only those;
+* the FE table (``fe_table``): numpy columns of every FE node's id,
+  aggregate (NaN when unset), ``created_iteration`` and number of
+  evaluated children, one row per FE node in attach order. FE nodes
+  must attach in ascending id order, so the rows are in id order too.
+  Softmax selection over FE nodes and the merge-eligible ids
+  (``eligible_fe_ids``) are array operations on it, not scans of the
+  nodes; ``backpropagate`` writes the aggregates it recomputes into it.
 
 Node status and raw scores must therefore change only through
 ``mark_evaluated`` and ``mark_failed``.
@@ -47,6 +53,8 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import (
     DuplicateId,
@@ -95,8 +103,9 @@ class MetricSpec:
     name: str
     direction: MetricDirection
 
-    def orient(self, raw: float) -> float:
-        """Map a raw metric value onto a higher-is-better axis."""
+    def orient(self, raw):
+        """Map a raw metric value, or a numpy array of them elementwise,
+        onto a higher-is-better axis."""
         if self.direction is MetricDirection.HIGHER_BETTER:
             return raw
         return -raw
@@ -210,6 +219,69 @@ class Node:
             raise MalformedDocument(f"bad node record: {exc}") from exc
 
 
+class FeTable:
+    """Columns of the FE nodes, one row per node in attach order.
+
+    ``ids``, ``aggregates`` (NaN where the aggregate is unset),
+    ``created`` (``created_iteration``) and ``evaluated`` (the number of
+    evaluated children) are read-only views of the filled rows. The
+    tree appends a row when it attaches an FE node and writes the other
+    columns as they change; ``rows`` maps an FE id to its row.
+    """
+
+    def __init__(self) -> None:
+        self.rows: dict[int, int] = {}
+        self._ids = np.empty(0, dtype=np.int64)
+        self._aggregates = np.empty(0, dtype=float)
+        self._created = np.empty(0, dtype=np.int64)
+        self._evaluated = np.empty(0, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def append(self, node: Node) -> None:
+        row = len(self.rows)
+        if row == len(self._ids):
+            # doubling keeps appends amortised constant time
+            size = max(64, 2 * row)
+            for name in ("_ids", "_aggregates", "_created", "_evaluated"):
+                grown = np.empty(size, dtype=getattr(self, name).dtype)
+                grown[:row] = getattr(self, name)
+                setattr(self, name, grown)
+        self._ids[row] = node.id
+        self._aggregates[row] = np.nan if node.aggregated_score is None else node.aggregated_score
+        self._created[row] = node.created_iteration
+        self._evaluated[row] = 0
+        self.rows[node.id] = row
+
+    def set_aggregate(self, fe_id: int, value: Optional[float]) -> None:
+        self._aggregates[self.rows[fe_id]] = np.nan if value is None else value
+
+    def count_evaluated(self, fe_id: int, delta: int) -> None:
+        self._evaluated[self.rows[fe_id]] += delta
+
+    def _filled(self, column: np.ndarray) -> np.ndarray:
+        view = column[:len(self.rows)]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def ids(self) -> np.ndarray:
+        return self._filled(self._ids)
+
+    @property
+    def aggregates(self) -> np.ndarray:
+        return self._filled(self._aggregates)
+
+    @property
+    def created(self) -> np.ndarray:
+        return self._filled(self._created)
+
+    @property
+    def evaluated(self) -> np.ndarray:
+        return self._filled(self._evaluated)
+
+
 class IdeationTree:
     """Mutable in-memory tree. Node ids are assigned monotonically and
     never reused within a run, including across snapshot round-trips."""
@@ -221,8 +293,8 @@ class IdeationTree:
         self._root_id: Optional[int] = None
         self._next_id: int = 0
         self._by_level: dict[NodeLevel, list[Node]] = {level: [] for level in NodeLevel}
-        self._evaluated_children: dict[int, int] = {}
         self._dirty_fe: set[int] = set()
+        self.fe_table = FeTable()
         # (metric, best evaluated MT node) or None when unknown
         self._best: Optional[tuple[MetricSpec, Optional[Node]]] = None
 
@@ -315,34 +387,37 @@ class IdeationTree:
         return self.add_node(parent_id, node)
 
     def _attach(self, node: Node) -> None:
+        table = self.fe_table
+        if node.level is NodeLevel.FE and len(table) and node.id <= table.ids[-1]:
+            raise InvariantViolation(
+                f"FE node {node.id} attached after FE node {int(table.ids[-1])}"
+            )
         self.nodes[node.id] = node
         self._children[node.id] = []
-        self._evaluated_children[node.id] = 0
         self._by_level[node.level].append(node)
         if node.level is NodeLevel.FE:
             self._dirty_fe.add(node.id)
+            table.append(node)
         if node.parent_id is None:
             self._root_id = node.id
         else:
             self._children[node.parent_id].append(node.id)
             if node.status is NodeStatus.EVALUATED:
-                self._evaluated_children[node.parent_id] += 1
-                self._touch_parent(node)
+                self._touch_parent(node, 1)
                 self._fold_best(node)
 
-    def _touch_parent(self, node: Node) -> None:
-        """Mark the parent's aggregate stale when it is an FE node."""
-        if node.parent_id is not None and self.nodes[node.parent_id].level is NodeLevel.FE:
+    def _touch_parent(self, node: Node, evaluated_delta: int) -> None:
+        """When the parent is an FE node, mark its aggregate stale and
+        shift its count of evaluated children."""
+        if node.parent_id in self.fe_table.rows:
             self._dirty_fe.add(node.parent_id)
+            self.fe_table.count_evaluated(node.parent_id, evaluated_delta)
 
     def _set_status(self, node: Node, status: NodeStatus) -> None:
-        if node.parent_id is not None:
-            was = node.status is NodeStatus.EVALUATED
-            now = status is NodeStatus.EVALUATED
-            if was != now:
-                self._evaluated_children[node.parent_id] += 1 if now else -1
-            if was or now:
-                self._touch_parent(node)
+        was = node.status is NodeStatus.EVALUATED
+        now = status is NodeStatus.EVALUATED
+        if was or now:
+            self._touch_parent(node, now - was)
         node.status = status
 
     # ---- access ----
@@ -360,6 +435,10 @@ class IdeationTree:
         """Nodes of one level in attach order (a fresh list)."""
         return list(self._by_level[level])
 
+    def level_size(self, level: NodeLevel) -> int:
+        """Number of nodes of one level, without copying them."""
+        return len(self._by_level[level])
+
     def fe_nodes(self) -> list[Node]:
         return self.nodes_at_level(NodeLevel.FE)
 
@@ -368,8 +447,8 @@ class IdeationTree:
 
     def eligible_fe_ids(self) -> list[int]:
         """Ids of the FE nodes with at least one evaluated child, ascending."""
-        counts = self._evaluated_children
-        return sorted(fe.id for fe in self._by_level[NodeLevel.FE] if counts[fe.id])
+        table = self.fe_table
+        return table.ids[table.evaluated > 0].tolist()
 
     def mark_evaluated(self, node_id: int, raw_score: float) -> None:
         if not math.isfinite(raw_score):
@@ -490,22 +569,26 @@ def backpropagate(tree: IdeationTree) -> IdeationTree:
     An FE node's aggregate is the arithmetic mean of its evaluated MT
     children's raw scores, in child order, unset when it has none. Only
     the FE nodes in the tree's dirty set are recomputed, and the set is
-    then cleared; every other FE aggregate is already current. The root
-    aggregate is the mean of the set FE aggregates, in attach order, and
-    is reporting-only: it never feeds selection. The result equals a
-    full recompute of every FE node, float for float. Idempotent, and
-    independent of insertion order.
+    then cleared; every other FE aggregate is already current. Each
+    recomputed aggregate is written to the node and to its row of the
+    FE table. The result equals a full recompute of every FE node, float
+    for float. Idempotent, and independent of insertion order.
+
+    The root aggregate is the mean of the set FE aggregates, taken from
+    the table's aggregate column: the set entries, in attach order, are
+    summed one after another in Python floats, as a loop over the FE
+    nodes would. It is reporting-only, never feeding selection, but it
+    is kept current here so the root is up to date when this returns.
     """
+    table = tree.fe_table
     for fe_id in tree._dirty_fe:
         scores = [c.raw_score for c in tree.evaluated_mt_children(fe_id)]
-        tree.nodes[fe_id].aggregated_score = (
-            float(sum(scores) / len(scores)) if scores else None
-        )
+        aggregate = float(sum(scores) / len(scores)) if scores else None
+        tree.nodes[fe_id].aggregated_score = aggregate
+        table.set_aggregate(fe_id, aggregate)
     tree._dirty_fe.clear()
-    root_parts = [
-        fe.aggregated_score for fe in tree._by_level[NodeLevel.FE]
-        if fe.aggregated_score is not None
-    ]
+    aggregates = table.aggregates
+    root_parts = aggregates[~np.isnan(aggregates)].tolist()
     root = tree.root
     root.aggregated_score = float(sum(root_parts) / len(root_parts)) if root_parts else None
     return tree

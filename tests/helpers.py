@@ -79,6 +79,38 @@ def oracle_aggregates(tree: IdeationTree) -> dict[int, float | None]:
     return expected
 
 
+def reference_sample_scored_fe(
+    tree: IdeationTree,
+    n_selected: int,
+    temperature: float,
+    metric: MetricSpec,
+    rng: np.random.Generator,
+    window: int | None = None,
+) -> list[int]:
+    """The list-based FE softmax draw: every FE node with an aggregate
+    (and, with ``window``, created within that many recent iterations),
+    sorted by id, each oriented on its own; a softmax over them turned
+    into a tuple of Python floats; then draws without replacement, each
+    renormalizing the probabilities left and deleting the one drawn."""
+    cands = [
+        fe for fe in sorted(tree.fe_nodes(), key=lambda n: n.id)
+        if fe.aggregated_score is not None
+        and (window is None or tree.iteration - fe.created_iteration < window)
+    ]
+    if not cands:
+        return []
+    arr = np.asarray([metric.orient(fe.aggregated_score) for fe in cands], dtype=float)
+    e = np.exp((arr - arr.max()) / temperature)
+    probs = np.asarray(tuple(float(x) for x in e / e.sum()), dtype=float)
+    ids = [fe.id for fe in cands]
+    picked = []
+    for _ in range(min(n_selected, len(ids))):
+        idx = int(rng.choice(len(ids), p=probs / probs.sum()))
+        picked.append(ids.pop(idx))
+        probs = np.delete(probs, idx)
+    return picked
+
+
 def reference_snapshot(tree: IdeationTree) -> str:
     """A cold encode of the whole tree: every field of every node read
     afresh and the whole document encoded in one ``json.dumps`` call,

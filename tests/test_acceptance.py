@@ -223,7 +223,7 @@ def test_criterion_03_stage_counts_and_memory_grid():
         key = pair_key(1, 2)
         for i in range(1, theta):
             assert mem.record_failure(key) is False
-            assert mem.failures(key) == i
+            assert mem.short_term.get(key, 0) == i
         assert mem.record_failure(key) is True
         assert key in mem.long_term
         assert key not in mem.short_term

@@ -11,6 +11,7 @@ import random
 import re
 import sys
 import threading
+import time
 import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -394,28 +395,26 @@ def _run(tmp_path, name="run", corpus_dir=None, **overrides):
 
 
 def _assert_calls_per_node_flat(tmp_path, monkeypatch, targets, **overrides) -> None:
-    """Calls of each ``(owner, name, caller)`` target per tree node stay
-    flat from a seeded 2.5k run to a 10k one (about 510 and 2,090
-    nodes). With a ``caller`` module name, only the calls made from that
-    module count."""
+    """Calls of each ``(owner, name)`` target per tree node, from any
+    module, stay flat from a seeded 2.5k run to a 10k one (about 510
+    and 2,090 nodes)."""
     calls: Counter = Counter()
 
-    def counting(name, fn, caller):
+    def counting(name, fn):
         def counted(*args, **kwargs):
-            if caller is None or sys._getframe(1).f_globals.get("__name__") == caller:
-                calls[name] += 1
+            calls[name] += 1
             return fn(*args, **kwargs)
         return counted
 
-    for owner, name, caller in targets:
-        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name), caller))
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     per_node = {}
     for budget in (2_500.0, 10_000.0):
         calls.clear()
         _, _, result = _run(tmp_path, f"b{int(budget)}", seed=1,
                             time_run_minutes=budget, **overrides)
         nodes = len(result.tree.nodes)
-        per_node[budget] = {name: calls[name] / nodes for _, name, _ in targets}
+        per_node[budget] = {name: calls[name] / nodes for _, name in targets}
     for name, small in per_node[2_500.0].items():
         large = per_node[10_000.0][name]
         assert large <= 1.25 * small + 1.0, (name, per_node)
@@ -429,22 +428,23 @@ def test_engine_calls_per_node_stay_flat(tmp_path, monkeypatch):
     merge-pair draw calls no method per pair, so it is not counted."""
     _assert_calls_per_node_flat(
         tmp_path, monkeypatch,
-        ((IdeationTree, "evaluated_mt_children", None),),
+        ((IdeationTree, "evaluated_mt_children"),),
         checkpoint_every_stage=False,
     )
 
 
 def test_checkpoint_calls_per_node_stay_flat(tmp_path, monkeypatch):
-    """With a checkpoint after every stage, node encodes and the tree's
-    score orientations per node stay flat: a checkpoint encodes no node,
-    and the best node it records is a running best. Encoding the tree
-    per checkpoint, or scanning every MT node for the best, makes them
-    grow with the tree and fails this. Only the tree's orientations
-    count: the softmax selection in search.py still orients every scored
-    FE node per stage."""
+    """With a checkpoint after every stage, node encodes and score
+    orientations per node stay flat: a checkpoint encodes no node, the
+    best node it records is a running best, and the softmax selection
+    orients the FE table's scored aggregates in one array call per
+    stage. Every orientation counts, from any module. Encoding the tree
+    per checkpoint, scanning every MT node for the best, or orienting
+    each FE node on its own per stage makes them grow with the tree and
+    fails this."""
     _assert_calls_per_node_flat(
         tmp_path, monkeypatch,
-        ((Node, "to_dict", None), (MetricSpec, "orient", "ideatree.tree")),
+        ((Node, "to_dict"), (MetricSpec, "orient")),
         checkpoint_every_stage=True,
     )
 
@@ -862,6 +862,43 @@ def test_worker_count_changes_wall_time_only(tmp_path_factory, seed, extra_budge
         sys.setswitchinterval(switch)
     assert runs[2] == runs[1]
     assert runs[4] == runs[1]
+
+
+class _TimedOnlyEvaluator:
+    """Sleeps ``seconds`` per call and reports no cost, as a real
+    evaluator timed by a wall clock does."""
+
+    def __init__(self, inner, seconds: float):
+        self.inner = inner
+        self.seconds = seconds
+
+    def evaluate(self, node, mode):
+        time.sleep(self.seconds)
+        return self.inner.evaluate(node, mode)
+
+    def cost(self, mode):
+        return None
+
+
+def test_wall_clock_overrun_is_one_job_with_two_workers(tmp_path):
+    """On a wall clock, with two workers and jobs that report no cost,
+    the run ends within one job (plus scheduling slack) of its budget.
+    Projecting only with ``evaluator.cost`` commits nothing early, so
+    every job dispatched before the budget passes is waited for."""
+    job_s, budget_s = 0.2, 4.0
+    config = RunConfig.from_dict({
+        "seed": 1, "clock_mode": "wall", "time_run_minutes": budget_s / 60.0,
+        "worker_count": 2, "number_of_ideas_data": 4, "number_of_ideas_modelling": 4,
+    })
+    ports = build_synthetic_ports(config)
+    ports.evaluator = _TimedOnlyEvaluator(ports.evaluator, job_s)
+    result = execute_run(config, ports, tmp_path / "run")
+    overrun_s = ports.clock.elapsed() * 60.0 - budget_s
+    stages = [e for e in read_log(tmp_path / "run" / LOG_FILENAME)
+              if e.kind is EventKind.STAGE_STARTED]
+    assert result.budget_exhausted
+    assert stages, "initialization used the whole budget"
+    assert overrun_s <= job_s + 0.1, overrun_s
 
 
 def test_one_pool_serves_the_run_and_leaves_no_threads(tmp_path, monkeypatch):

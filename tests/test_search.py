@@ -36,6 +36,7 @@ from ideatree.search import (
     SelectionMode,
     StageParams,
     _book_merge,
+    _sample_scored_fe,
     adding_stage,
     draw_merge_pairs,
     merge_delta,
@@ -60,6 +61,7 @@ from helpers import (
     SleepyEvaluator,
     attach_evaluated_fe,
     make_world,
+    reference_sample_scored_fe,
 )
 
 
@@ -535,6 +537,72 @@ def test_parent_window_admits_nodes_younger_than_the_window(age, eligible):
                  world.metric, world.rng, clock=world.clock, parent_window=2)
     expanded = [fe_id for fe_id, n in before.items() if len(world.tree.children(fe_id)) > n]
     assert expanded == (sorted(before) if eligible else [])
+
+
+@st.composite
+def _scored_fe_cases(draw):
+    """A tree whose FE nodes were created over several iterations, some
+    with no evaluated child, and the draw's parameters."""
+    tree = IdeationTree.create("root")
+    fe_ids = []
+    for _ in range(draw(st.integers(0, 40))):
+        tree.iteration += draw(st.integers(0, 2))
+        if fe_ids and draw(st.booleans()):
+            fe_id = draw(st.sampled_from(fe_ids))
+            mt = tree.spawn(fe_id, NodeLevel.MT, "mt")
+            if draw(st.integers(0, 3)):
+                tree.mark_evaluated(mt.id, draw(st.floats(-1e6, 1e6)))
+            else:
+                tree.mark_failed(mt.id)
+        else:
+            fe_ids.append(tree.spawn(tree.root.id, NodeLevel.FE, "fe").id)
+    backpropagate(tree)
+    params = StageParams(
+        n_fe=1, m_mt=1, n_selected=draw(st.integers(1, 8)),
+        softmax_temperature=draw(st.sampled_from((0.05, 0.5, 1.0, 3.0, 100.0))),
+    )
+    metric = draw(st.sampled_from((HIGHER, LOWER)))
+    window = draw(st.one_of(st.none(), st.integers(1, 6)))
+    return tree, params, metric, window, draw(st.integers(0, 2**32 - 1))
+
+
+class _RecordingRng:
+    """Forwards ``choice`` to a seeded generator and keeps the bytes of
+    every probability vector it was given."""
+
+    def __init__(self, seed: int):
+        self.inner = np.random.default_rng(seed)
+        self.vectors: list[bytes] = []
+
+    def choice(self, n, p):
+        self.vectors.append(np.asarray(p, dtype=float).tobytes())
+        return self.inner.choice(n, p=p)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scored_fe_cases())
+def test_sample_scored_fe_matches_list_reference(case):
+    """The FE table draw picks the ids the list-based draw picks, hands
+    ``rng.choice`` the same probability vectors, float for float, and
+    leaves the generator in the same state."""
+    tree, params, metric, window, seed = case
+    rng_ref, rng_new = _RecordingRng(seed), _RecordingRng(seed)
+
+    def outcome(draw, rng):
+        try:
+            return draw(rng)
+        except ValueError as exc:  # every probability left underflowed to zero
+            return type(exc), str(exc)
+
+    expected = outcome(lambda rng: reference_sample_scored_fe(
+        tree, params.n_selected, params.softmax_temperature, metric, rng, window), rng_ref)
+    got = outcome(lambda rng: _sample_scored_fe(tree, params, metric, rng, window=window),
+                  rng_new)
+    assert got == expected
+    if isinstance(got, list):
+        assert all(type(fe_id) is int for fe_id in got)
+    assert rng_new.vectors == rng_ref.vectors
+    assert rng_new.inner.bit_generator.state == rng_ref.inner.bit_generator.state
 
 
 # ---- merging stage ----

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -254,6 +255,16 @@ def test_restore_rejects_score_without_evaluated_status():
         IdeationTree.restore(json.dumps(doc))
 
 
+def test_fe_nodes_attach_in_ascending_id_order():
+    tree = IdeationTree.create("root")
+    late = Node(id=tree.allocate_id(), level=NodeLevel.FE, parent_id=None, idea_text="late")
+    tree.spawn(tree.root.id, NodeLevel.FE, "early")
+    with pytest.raises(InvariantViolation):
+        tree.add_node(tree.root.id, late)
+    assert late.id not in tree.nodes
+    assert tree.fe_table.ids.tolist() == [n.id for n in tree.fe_nodes()]
+
+
 def test_ids_not_reused_after_restore():
     tree = IdeationTree.create("root")
     tree.spawn(tree.root.id, NodeLevel.FE, "fe")
@@ -265,7 +276,8 @@ def test_ids_not_reused_after_restore():
 
 # ---- incremental indexes against full scans ----
 
-_INDEX_OPS = ("fe", "mt", "mt", "evaluate", "evaluate", "fail", "resample", "restore", "replay")
+_INDEX_OPS = ("fe", "mt", "mt", "evaluate", "evaluate", "fail", "resample", "restore", "replay",
+              "iteration")
 
 
 def _full_recompute(tree: IdeationTree) -> dict:
@@ -320,7 +332,27 @@ def _apply_index_op(tree: IdeationTree, log: RunLog, op: str, data) -> IdeationT
         tree = IdeationTree.restore(tree.snapshot())
     elif op == "replay":
         tree = replay_events(log.events)
+    elif op == "iteration":
+        tree.iteration += 1
+        log.append(EventKind.STAGE_STARTED, stage="adding", iteration=tree.iteration)
     return tree
+
+
+def _assert_fe_table_matches_scan(tree: IdeationTree) -> None:
+    """The FE table equals a scan of every node: one row per FE node,
+    in attach order, which is id order, holding the node's aggregate
+    (NaN for none), created iteration and evaluated-children count."""
+    fes = sorted((n for n in tree.nodes.values() if n.level is NodeLevel.FE), key=lambda n: n.id)
+    table = tree.fe_table
+    assert table.ids.tolist() == [fe.id for fe in fes] == [fe.id for fe in tree.fe_nodes()]
+    assert table.created.tolist() == [fe.created_iteration for fe in fes]
+    assert table.evaluated.tolist() == [
+        sum(1 for c in tree.nodes.values()
+            if c.parent_id == fe.id and c.status is NodeStatus.EVALUATED)
+        for fe in fes
+    ]
+    for got, fe in zip(table.aggregates.tolist(), fes):
+        assert math.isnan(got) if fe.aggregated_score is None else got == fe.aggregated_score
 
 
 @settings(max_examples=150, deadline=None)
@@ -328,14 +360,18 @@ def _apply_index_op(tree: IdeationTree, log: RunLog, op: str, data) -> IdeationT
 def test_indexes_match_full_scans(data):
     """Random mutation sequences, a few mutations between checks: the
     dirty-set backpropagate equals a full recompute float for float and
-    the brute-force oracle, and every index equals a scan of all nodes."""
+    the brute-force oracle, and every index equals a scan of all nodes.
+    The FE table is checked against a scan after every mutation too,
+    restores and replays included."""
     tree = IdeationTree.create("root")
     log = RunLog()
     log.append(EventKind.NODE_PROPOSED, node=tree.root.to_dict())
     for _ in range(data.draw(st.integers(1, 30))):
         for _ in range(data.draw(st.integers(1, 3))):
             tree = _apply_index_op(tree, log, data.draw(st.sampled_from(_INDEX_OPS)), data)
+            _assert_fe_table_matches_scan(tree)
         backpropagate(tree)
+        _assert_fe_table_matches_scan(tree)
 
         full = _full_recompute(tree)
         assert {nid: tree.nodes[nid].aggregated_score for nid in full} == full
