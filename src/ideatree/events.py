@@ -11,10 +11,9 @@ after a stage; the events before it rebuild the tree as it was then.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import NamedTuple, Optional
 
 from .errors import CorruptLog, LogVersionMismatch
 
@@ -40,26 +39,24 @@ class EventKind(str, Enum):
     RUN_FINISHED = "run_finished"
 
 
-@dataclass(frozen=True)
-class Event:
+# EventKind by its value, so that decoding a log calls no Enum(value)
+_KINDS = {kind.value: kind for kind in EventKind}
+
+# one encoder for every event: json.dumps with keyword arguments builds
+# a new one per call
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+class Event(NamedTuple):
     seq: int
     ts: float
     kind: EventKind
     payload: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {"seq": self.seq, "ts": self.ts, "kind": self.kind.value, "payload": self.payload},
-            sort_keys=True,
+        return _ENCODER.encode(
+            {"seq": self.seq, "ts": self.ts, "kind": self.kind.value, "payload": self.payload}
         )
-
-    @classmethod
-    def from_json(cls, line: str) -> "Event":
-        try:
-            d = json.loads(line)
-            return cls(seq=int(d["seq"]), ts=float(d["ts"]), kind=EventKind(d["kind"]), payload=d["payload"])
-        except (json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
-            raise CorruptLog(f"bad log line: {exc}") from exc
 
 
 class RunLog:
@@ -78,7 +75,7 @@ class RunLog:
         ts = float(self.clock.elapsed()) if self.clock is not None else 0.0
         if kind is EventKind.RUN_STARTED:
             payload.setdefault("log_schema", LOG_SCHEMA_VERSION)
-        event = Event(seq=len(self.events), ts=ts, kind=kind, payload=payload)
+        event = Event(len(self.events), ts, kind, payload)
         self.events.append(event)
         return event
 
@@ -92,40 +89,68 @@ class RunLog:
                 fh.write(event.to_json() + "\n")
         self._flushed = len(self.events)
 
-    def of_kind(self, kind: EventKind) -> list[Event]:
-        return [e for e in self.events if e.kind is kind]
+
+def _decode_events(text: str) -> list[Event]:
+    """The events of the log text, in one decode of the whole text.
+
+    Each line is wrapped in brackets and the lines joined by commas
+    inside an outer array, keeping every newline, so the decoder's line
+    numbers are the file's. A blank line decodes to an empty array and
+    is skipped; a line holding one JSON value decodes to a one-element
+    array. A newline inside a string is invalid JSON, so the added
+    brackets are never string content, and a decode error is reported
+    on the line where the decoder found it. Raises CorruptLog."""
+    try:
+        lines = json.loads("[[" + text.replace("\n", "],\n[") + "]]")
+    except json.JSONDecodeError as exc:
+        # an error at a line's opening bracket (column 1) is the
+        # previous line's: it left the decoder where no array may start
+        raise CorruptLog(f"bad log line {exc.lineno - (exc.colno == 1)}: {exc.msg}") from None
+    if len(lines) != text.count("\n") + 1:
+        # unbalanced brackets in some line's text moved the line breaks
+        raise CorruptLog("the log's lines do not hold one JSON value each")
+    events: list[Event] = []
+    append = events.append
+    for number, values in enumerate(lines, 1):
+        if not values:
+            continue
+        try:
+            (d,) = values
+            append(Event(int(d["seq"]), float(d["ts"]), _KINDS[d["kind"]], d["payload"]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            if isinstance(values, list) and len(values) > 1:
+                reason = f"{len(values)} JSON values on one line"
+            else:
+                reason = f"not an event record: {exc!r}"
+            raise CorruptLog(f"bad log line {number}: {reason}") from None
+    return events
 
 
 def read_log(path: Path, *, partial: bool = False) -> list[Event]:
-    """Load and verify a log file: valid JSON lines, contiguous sequence
-    numbers from zero, a versioned header, and a terminal record.
+    """Load and verify a log file: valid JSON lines, one event each,
+    contiguous sequence numbers from zero, a versioned header, and a
+    terminal record. Blank lines are skipped.
 
     With ``partial`` the log of a crashed or killed run is read too: a
-    missing ``run_finished`` is accepted, and a last line that does not
-    decode, torn by the crash, is dropped. Any other defect still raises
-    CorruptLog."""
+    missing ``run_finished`` is accepted, and a last line that is not an
+    event, torn by the crash, is dropped. Any other defect still raises
+    CorruptLog, naming the line."""
     path = Path(path)
-    events: list[Event] = []
-    torn: Optional[CorruptLog] = None
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if torn is not None:
-                # the bad line was not the last
-                raise torn
-            try:
-                events.append(Event.from_json(line))
-            except CorruptLog as exc:
-                if not partial:
-                    raise
-                torn = exc
+    text = path.read_text(encoding="utf-8")
+    try:
+        events = _decode_events(text)
+    except CorruptLog:
+        if not partial:
+            raise
+        # the crash may have torn the last line; the lines before it
+        # must read, so a bad line anywhere else still raises
+        kept = text.rstrip()
+        events = _decode_events(kept[:kept.rfind("\n") + 1])
     if not events:
         raise CorruptLog(f"{path} is empty")
-    for i, event in enumerate(events):
-        if event.seq != i:
-            raise CorruptLog(f"sequence gap at line {i}: seq={event.seq}")
+    if [event.seq for event in events] != list(range(len(events))):
+        i = next(i for i, event in enumerate(events) if event.seq != i)
+        raise CorruptLog(f"sequence gap at event {i}: seq={events[i].seq}")
     head = events[0]
     if head.kind is not EventKind.RUN_STARTED:
         raise CorruptLog("log does not begin with a run_started record")

@@ -15,10 +15,9 @@ import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
-from typing import Callable, Optional, Protocol, TypeVar
+from typing import TYPE_CHECKING, Callable, Optional, Protocol, TypeVar
 
 import numpy as np
-import requests
 
 from .embedding import (
     HashedEmbedding,
@@ -37,6 +36,11 @@ from .errors import (
 )
 from .retrieval import FileCorpusRetriever
 from .tree import IdeationTree, Node, NodeLevel
+
+if TYPE_CHECKING:
+    # imported where an endpoint is called, so that runs without one,
+    # reports and replays never load it
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -306,6 +310,8 @@ def request_completion(
 ) -> str:
     """One chat-completion round trip. Shared by the generator and the
     score predictor so transport semantics cannot drift apart."""
+    import requests
+
     url = endpoint.base_url.rstrip("/") + "/chat/completions"
     headers = {"Content-Type": "application/json"}
     if endpoint.api_key_env:
@@ -404,7 +410,11 @@ class LlmGenerator:
         self.memory_strategy = memory_strategy
         self._memory_rng = np.random.default_rng(memory_seed)
         self._memory_notes: list[str] = []
-        self._session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self._session = session
         self._templates = {
             name: _load_template(f"{name}.txt")
             for name in ("fe_proposals", "mt_proposals", "merge_ideas", "eda_enrichment")

@@ -209,7 +209,7 @@ def initialize_tree(
     """
     tree = IdeationTree.create(root_idea)
     if log is not None:
-        log.append(EventKind.NODE_PROPOSED, node=tree.root.to_dict())
+        log.append(EventKind.NODE_PROPOSED, node=tree.root.to_record())
     for _ in range(config.number_of_ideas_eda):
         note = gen.enrich_eda(tree, ctx)
         if note:
@@ -220,11 +220,11 @@ def initialize_tree(
         for fe_text in fe_texts:
             fe = tree.spawn(tree.root.id, NodeLevel.FE, fe_text)
             if log is not None:
-                log.append(EventKind.NODE_PROPOSED, node=fe.to_dict())
+                log.append(EventKind.NODE_PROPOSED, node=fe.to_record())
             for mt_text in gen.propose_mt(fe, ctx, config.number_of_ideas_modelling):
                 node = tree.spawn(fe.id, NodeLevel.MT, mt_text)
                 if log is not None:
-                    log.append(EventKind.NODE_PROPOSED, node=node.to_dict())
+                    log.append(EventKind.NODE_PROPOSED, node=node.to_record())
                 pending.dispatch(node)
     finally:
         pending.commit()
@@ -515,10 +515,15 @@ def replay(log_path: Path) -> IdeationTree:
 
 
 def replay_events(events: list[Event]) -> IdeationTree:
+    # the kinds replay acts on, bound once rather than looked up on the
+    # enum for every event
+    proposed, evaluated = EventKind.NODE_PROPOSED, EventKind.NODE_EVALUATED
+    predicted, started = EventKind.PREDICTION_MADE, EventKind.STAGE_STARTED
     tree: Optional[IdeationTree] = None
     for event in events:
-        if event.kind is EventKind.NODE_PROPOSED:
-            node = Node.from_dict(event.payload["node"])
+        kind, payload = event.kind, event.payload
+        if kind is proposed:
+            node = Node.from_dict(payload["node"])
             if tree is None:
                 if node.level is not NodeLevel.EDA:
                     raise CorruptLog("first proposed node is not the root")
@@ -527,17 +532,16 @@ def replay_events(events: list[Event]) -> IdeationTree:
             tree.add_node(node.parent_id, node)
         elif tree is None:
             continue
-        elif event.kind is EventKind.NODE_EVALUATED:
-            node_id = event.payload["node_id"]
-            if event.payload["status"] == "evaluated":
-                tree.mark_evaluated(node_id, event.payload["raw_score"])
+        elif kind is evaluated:
+            node_id = payload["node_id"]
+            if payload["status"] == "evaluated":
+                tree.mark_evaluated(node_id, payload["raw_score"])
             else:
                 tree.mark_failed(node_id)
-        elif event.kind is EventKind.PREDICTION_MADE:
-            node = tree.nodes[event.payload["node_id"]]
-            node.predicted_score = event.payload["predicted"]
-        elif event.kind is EventKind.STAGE_STARTED:
-            tree.iteration = event.payload["iteration"]
+        elif kind is predicted:
+            tree.nodes[payload["node_id"]].predicted_score = payload["predicted"]
+        elif kind is started:
+            tree.iteration = payload["iteration"]
     if tree is None:
         raise CorruptLog("log contains no proposed nodes")
     return backpropagate(tree)

@@ -39,8 +39,19 @@ class ReportRow:
     merged_count: int
 
 
+# node fields as the log holds them
+_FE = NodeLevel.FE.value
+_MT = NodeLevel.MT.value
+_MERGED = ProvenanceKind.MERGED.value
+_EVALUATED = NodeStatus.EVALUATED.value
+
+
 class _LogWalk:
-    """Running tallies while scanning a log front to back."""
+    """Running tallies while scanning a log front to back.
+
+    ``feed`` hands each event's payload to the handler for its kind, in
+    ``_HANDLERS``; node fields are compared as the strings the log holds,
+    so a scan builds no enum members."""
 
     def __init__(self) -> None:
         self.metric: Optional[MetricSpec] = None
@@ -73,44 +84,55 @@ class _LogWalk:
 
     def feed(self, event: Event) -> None:
         self.elapsed = event.ts
-        payload = event.payload
-        if event.kind is EventKind.RUN_STARTED:
-            self.metric = MetricSpec.from_dict(payload["metric"])
-            self.seed = payload.get("seed")
-            self.budget = payload.get("budget_minutes")
-        elif event.kind is EventKind.NODE_PROPOSED:
-            node = payload["node"]
-            level = NodeLevel(node["level"])
-            if level is NodeLevel.FE:
-                self.fe_count += 1
-            elif level is NodeLevel.MT:
-                self.mt_count += 1
-            if node["provenance"]["kind"] == ProvenanceKind.MERGED.value:
-                self.merged_count += 1
-            # resampled copies arrive already scored
-            if node["status"] == NodeStatus.EVALUATED.value:
-                self._offer_score(node["id"], node.get("raw_score"))
-        elif event.kind is EventKind.NODE_EVALUATED:
-            if payload["status"] == NodeStatus.EVALUATED.value:
-                self.evaluations += 1
-                self._offer_score(payload["node_id"], payload.get("raw_score"))
-            else:
-                self.failures += 1
-        elif event.kind is EventKind.PREDICTION_MADE:
-            self.predictions += 1
-        elif event.kind is EventKind.MERGE_ATTEMPTED:
-            self.merges_attempted += 1
-            if payload.get("outcome") == "success":
-                self.merges_succeeded += 1
-        elif event.kind is EventKind.SKIPPED_STAGE:
-            self.skipped_stages += 1
-        elif event.kind is EventKind.STAGE_STARTED:
-            self.iterations = max(self.iterations, payload["iteration"])
-        elif event.kind is EventKind.BUDGET_EXHAUSTED:
-            self.budget_exhausted = True
-        elif event.kind is EventKind.RUN_FINISHED:
-            self.iterations = payload["iterations"]
-            self.budget_exhausted = payload["budget_exhausted"]
+        handler = _HANDLERS.get(event.kind)
+        if handler is not None:
+            handler(self, event.payload)
+
+    def _run_started(self, payload: dict) -> None:
+        self.metric = MetricSpec.from_dict(payload["metric"])
+        self.seed = payload.get("seed")
+        self.budget = payload.get("budget_minutes")
+
+    def _node_proposed(self, payload: dict) -> None:
+        node = payload["node"]
+        level = node["level"]
+        if level == _FE:
+            self.fe_count += 1
+        elif level == _MT:
+            self.mt_count += 1
+        if node["provenance"]["kind"] == _MERGED:
+            self.merged_count += 1
+        # resampled copies arrive already scored
+        if node["status"] == _EVALUATED:
+            self._offer_score(node["id"], node.get("raw_score"))
+
+    def _node_evaluated(self, payload: dict) -> None:
+        if payload["status"] == _EVALUATED:
+            self.evaluations += 1
+            self._offer_score(payload["node_id"], payload.get("raw_score"))
+        else:
+            self.failures += 1
+
+    def _prediction_made(self, payload: dict) -> None:
+        self.predictions += 1
+
+    def _merge_attempted(self, payload: dict) -> None:
+        self.merges_attempted += 1
+        if payload.get("outcome") == "success":
+            self.merges_succeeded += 1
+
+    def _skipped_stage(self, payload: dict) -> None:
+        self.skipped_stages += 1
+
+    def _stage_started(self, payload: dict) -> None:
+        self.iterations = max(self.iterations, payload["iteration"])
+
+    def _budget_exhausted(self, payload: dict) -> None:
+        self.budget_exhausted = True
+
+    def _run_finished(self, payload: dict) -> None:
+        self.iterations = payload["iterations"]
+        self.budget_exhausted = payload["budget_exhausted"]
 
     def row(self, iteration: int, elapsed: float) -> ReportRow:
         return ReportRow(
@@ -123,6 +145,19 @@ class _LogWalk:
         )
 
 
+_HANDLERS = {
+    EventKind.RUN_STARTED: _LogWalk._run_started,
+    EventKind.NODE_PROPOSED: _LogWalk._node_proposed,
+    EventKind.NODE_EVALUATED: _LogWalk._node_evaluated,
+    EventKind.PREDICTION_MADE: _LogWalk._prediction_made,
+    EventKind.MERGE_ATTEMPTED: _LogWalk._merge_attempted,
+    EventKind.SKIPPED_STAGE: _LogWalk._skipped_stage,
+    EventKind.STAGE_STARTED: _LogWalk._stage_started,
+    EventKind.BUDGET_EXHAUSTED: _LogWalk._budget_exhausted,
+    EventKind.RUN_FINISHED: _LogWalk._run_finished,
+}
+
+
 def progress_rows(events: Sequence[Event]) -> list[ReportRow]:
     """One row per iteration, plus row 0 for the initialized tree.
 
@@ -131,17 +166,18 @@ def progress_rows(events: Sequence[Event]) -> list[ReportRow]:
     oriented, so the non-decreasing invariant holds for either metric
     direction.
     """
+    stage_started, run_finished = EventKind.STAGE_STARTED, EventKind.RUN_FINISHED
     walk = _LogWalk()
     rows: list[ReportRow] = []
     flushed = -1
     previous_ts = 0.0
     for event in events:
-        if event.kind is EventKind.STAGE_STARTED:
+        if event.kind is stage_started:
             iteration = event.payload["iteration"]
             if iteration > flushed + 1:
                 rows.append(walk.row(iteration - 1, previous_ts))
                 flushed = iteration - 1
-        elif event.kind is EventKind.RUN_FINISHED:
+        elif event.kind is run_finished:
             walk.feed(event)
             rows.append(walk.row(flushed + 1, event.ts))
             flushed += 1

@@ -15,9 +15,7 @@ import logging
 import re
 from concurrent.futures import Executor
 from dataclasses import dataclass, field
-from typing import Optional, Protocol
-
-import requests
+from typing import TYPE_CHECKING, Optional, Protocol
 
 from .embedding import cosine_similarity
 from .errors import (
@@ -32,6 +30,9 @@ from .events import EventKind, RunLog
 from .generation import EndpointConfig, _load_template, complete_with_retries
 from .search import EvalPolicy, PendingSet, softmax_select
 from .tree import IdeationTree, MetricSpec, Node, NodeLevel, NodeStatus, backpropagate
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -137,7 +138,7 @@ def build_anchor_set(
         for arch in archs:
             node = tree.spawn(fe.id, NodeLevel.MT, arch)
             if log is not None:
-                log.append(EventKind.NODE_PROPOSED, node=node.to_dict())
+                log.append(EventKind.NODE_PROPOSED, node=node.to_record())
             pending.dispatch(node)
             nodes.append(node)
         pending.commit()
@@ -267,7 +268,11 @@ class LlmPredictor:
                  session: Optional[requests.Session] = None):
         self.endpoint = endpoint
         self.metric_name = metric_name
-        self._session = session or requests.Session()
+        if session is None:
+            import requests
+
+            session = requests.Session()
+        self._session = session
 
     def predict(self, candidate_description: str, anchor_set: AnchorSet,
                 dataset_description: str = "") -> float:

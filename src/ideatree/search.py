@@ -93,11 +93,16 @@ class SelectionDistribution:
             raise InvalidParams(f"probabilities sum to {total}, not 1")
 
     def sample_without_replacement(self, k: int, rng: np.random.Generator) -> list[int]:
-        """Draw up to k distinct ids, renormalizing after each draw."""
+        """Draw up to k distinct ids, renormalizing after each draw. The
+        draws stop early once every probability left is zero, as it is
+        when they have all underflowed."""
         ids, probs = self.node_ids, self.probabilities
         picked: list[int] = []
         for _ in range(min(k, len(ids))):
-            p = probs / probs.sum()
+            total = probs.sum()
+            if total == 0:
+                break
+            p = probs / total
             idx = int(rng.choice(len(ids), p=p))
             picked.append(int(ids[idx]))
             ids = np.concatenate((ids[:idx], ids[idx + 1:]))
@@ -528,7 +533,7 @@ def _propose_and_score_mt(
     spawned = []
     for text in texts:
         node = tree.spawn(fe_node.id, NodeLevel.MT, text)
-        _emit(log, EventKind.NODE_PROPOSED, node=node.to_dict())
+        _emit(log, EventKind.NODE_PROPOSED, node=node.to_record())
         spawned.append(node)
 
     to_evaluate = spawned
@@ -635,7 +640,7 @@ def adding_stage(
         new_fe: list[Node] = []
         for text in fe_texts:
             node = tree.spawn(tree.root.id, NodeLevel.FE, text, status=NodeStatus.IMPLEMENTED)
-            _emit(log, EventKind.NODE_PROPOSED, node=node.to_dict())
+            _emit(log, EventKind.NODE_PROPOSED, node=node.to_record())
             new_fe.append(node)
 
         fresh_mt: list[Node] = []
@@ -777,7 +782,7 @@ def _merge_one_pair(
         tree.root.id, NodeLevel.FE, merged_text,
         provenance=Provenance.merged(a_id, b_id), status=NodeStatus.IMPLEMENTED,
     )
-    _emit(log, EventKind.NODE_PROPOSED, node=merged.to_dict())
+    _emit(log, EventKind.NODE_PROPOSED, node=merged.to_record())
 
     _propose_and_score_mt(tree, merged, ctx, gen, params.m_mt,
                           metric, policy, pending, log)
@@ -796,7 +801,7 @@ def _merge_one_pair(
                     raw_score=origin.raw_score,
                     code_artifact=origin.code_artifact,
                 )
-                _emit(log, EventKind.NODE_PROPOSED, node=copy.to_dict())
+                _emit(log, EventKind.NODE_PROPOSED, node=copy.to_record())
 
     pending.after_commit(
         lambda: _book_merge(tree, mem, key, merged.id, metric, params.merge_epsilon, log)
@@ -842,5 +847,5 @@ def _merge_best_children(tree, gen, params, metric, rng, ctx, log, pending):
         pending.check_budget()
         text = gen.merge_mt(u, v, ctx)
         node = tree.spawn(fe_id, NodeLevel.MT, text, provenance=Provenance.merged(u.id, v.id))
-        _emit(log, EventKind.NODE_PROPOSED, node=node.to_dict())
+        _emit(log, EventKind.NODE_PROPOSED, node=node.to_record())
         pending.dispatch(node)

@@ -96,6 +96,15 @@ class MetricDirection(str, Enum):
     LOWER_BETTER = "lower_better"
 
 
+# each enum by its value, so that decoding a node calls no Enum(value)
+_LEVELS = {level.value: level for level in NodeLevel}
+_STATUSES = {status.value: status for status in NodeStatus}
+_PROVENANCE_KINDS = {kind.value: kind for kind in ProvenanceKind}
+
+# the node fields that a node_proposed record omits when they are None
+OPTIONAL_NODE_FIELDS = ("code_artifact", "raw_score", "predicted_score", "aggregated_score")
+
+
 @dataclass(frozen=True)
 class MetricSpec:
     """Name and direction of the competition metric, fixed for a run."""
@@ -160,7 +169,16 @@ class Provenance:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Provenance":
-        return cls(kind=ProvenanceKind(d["kind"]), sources=tuple(int(s) for s in d["sources"]))
+        kind = _PROVENANCE_KINDS[d["kind"]]
+        sources = d["sources"]
+        if kind is ProvenanceKind.GENERATED and not sources:
+            return _GENERATED
+        return cls(kind=kind, sources=tuple(int(s) for s in sources))
+
+
+# provenances are immutable, so every sourceless generated node decoded
+# from a document shares this one
+_GENERATED = Provenance.generated()
 
 
 @dataclass
@@ -199,24 +217,35 @@ class Node:
             "created_iteration": self.created_iteration,
         }
 
+    def to_record(self) -> dict:
+        """``to_dict`` without the OPTIONAL_NODE_FIELDS that are None:
+        the node as a ``node_proposed`` event carries it."""
+        d = self.to_dict()
+        for key in OPTIONAL_NODE_FIELDS:
+            if d[key] is None:
+                del d[key]
+        return d
+
     @classmethod
     def from_dict(cls, d: dict) -> "Node":
+        """The node of a ``to_dict`` or ``to_record`` document: the
+        OPTIONAL_NODE_FIELDS default to None, ``created_iteration`` to 0."""
         try:
             return cls(
                 id=int(d["id"]),
-                level=NodeLevel(d["level"]),
+                level=_LEVELS[d["level"]],
                 parent_id=None if d["parent_id"] is None else int(d["parent_id"]),
                 idea_text=d["idea_text"],
                 code_artifact=d.get("code_artifact"),
                 raw_score=d.get("raw_score"),
                 predicted_score=d.get("predicted_score"),
                 aggregated_score=d.get("aggregated_score"),
-                status=NodeStatus(d["status"]),
+                status=_STATUSES[d["status"]],
                 provenance=Provenance.from_dict(d["provenance"]),
                 created_iteration=int(d.get("created_iteration", 0)),
             )
         except (KeyError, ValueError, TypeError) as exc:
-            raise MalformedDocument(f"bad node record: {exc}") from exc
+            raise MalformedDocument(f"bad node record: {exc!r}") from exc
 
 
 class FeTable:

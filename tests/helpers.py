@@ -18,6 +18,7 @@ import numpy as np
 from ideatree.embedding import HashedEmbedding
 from ideatree.errors import EvaluationFailure
 from ideatree.evaluation import FailureKind, FailureReport
+from ideatree.events import Event, EventKind, RunLog
 from ideatree.tree import (
     IdeationTree,
     MetricDirection,
@@ -29,6 +30,11 @@ from ideatree.tree import (
 
 HIGHER = MetricSpec(name="score", direction=MetricDirection.HIGHER_BETTER)
 LOWER = MetricSpec(name="loss", direction=MetricDirection.LOWER_BETTER)
+
+
+def of_kind(log: RunLog, kind: EventKind) -> list[Event]:
+    """The events of one kind in a log, in order."""
+    return [e for e in log.events if e.kind is kind]
 
 
 def build_random_tree(rng: np.random.Generator, max_nodes: int = 100) -> IdeationTree:
@@ -91,7 +97,8 @@ def reference_sample_scored_fe(
     (and, with ``window``, created within that many recent iterations),
     sorted by id, each oriented on its own; a softmax over them turned
     into a tuple of Python floats; then draws without replacement, each
-    renormalizing the probabilities left and deleting the one drawn."""
+    renormalizing the probabilities left and deleting the one drawn,
+    until every probability left is zero."""
     cands = [
         fe for fe in sorted(tree.fe_nodes(), key=lambda n: n.id)
         if fe.aggregated_score is not None
@@ -105,6 +112,8 @@ def reference_sample_scored_fe(
     ids = [fe.id for fe in cands]
     picked = []
     for _ in range(min(n_selected, len(ids))):
+        if not any(probs):
+            break
         idx = int(rng.choice(len(ids), p=probs / probs.sum()))
         picked.append(ids.pop(idx))
         probs = np.delete(probs, idx)

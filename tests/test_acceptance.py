@@ -46,7 +46,7 @@ from ideatree.tree import (
     backpropagate,
 )
 
-from helpers import HIGHER, LOWER, build_random_tree, make_world, oracle_aggregates
+from helpers import HIGHER, LOWER, build_random_tree, make_world, of_kind, oracle_aggregates
 
 CRITERIA = {
     1: "structural invariants hold over 1000 seeded instances each, under 60s",
@@ -195,7 +195,7 @@ def test_criterion_03_stage_counts_and_memory_grid():
                 StageParams(n_fe=n, m_mt=m, n_selected=s, merge_epsilon=epsilon),
                 world.metric, world.rng, ctx=world.ctx, log=log, resample_k=1,
             )
-            attempts = log.of_kind(EventKind.MERGE_ATTEMPTED)
+            attempts = of_kind(log, EventKind.MERGE_ATTEMPTED)
             pairs = {tuple(e.payload["pair"]) for e in attempts}
             n_pairs = min(n, 3)
             assert len(attempts) == n_pairs

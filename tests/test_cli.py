@@ -315,5 +315,10 @@ def test_progress_rows_count_nodes_by_kind(finished_run):
     assert last.fe_count == summary["fe_count"]
     assert last.mt_count == summary["mt_count"]
     assert last.merged_count == summary["merged_count"]
+    # the log's counts agree with the final tree's, read independently
+    nodes = json.loads((finished_run / "final_snapshot.json").read_text(encoding="utf-8"))["nodes"]
+    assert last.fe_count == sum(n["level"] == "fe" for n in nodes)
+    assert last.mt_count == sum(n["level"] == "mt" for n in nodes)
+    assert last.merged_count == sum(n["provenance"]["kind"] == "merged" for n in nodes) > 0
     assert rows[0].iteration == 0
     assert [r.iteration for r in rows] == list(range(len(rows)))

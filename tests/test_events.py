@@ -1,0 +1,175 @@
+"""The run log's records and its reader: lean node records, old logs
+with full node records, and the defects the one-pass reader rejects."""
+
+from __future__ import annotations
+
+import json
+import shutil
+
+import pytest
+
+from ideatree.config import RunConfig
+from ideatree.errors import CorruptLog
+from ideatree.events import LOG_FILENAME, Event, EventKind, read_log
+from ideatree.orchestrator import (
+    FINAL_SNAPSHOT_FILENAME,
+    build_synthetic_ports,
+    execute_run,
+    replay,
+    verify_replay,
+)
+from ideatree.tree import OPTIONAL_NODE_FIELDS, Node
+
+
+@pytest.fixture(scope="module")
+def finished(tmp_path_factory):
+    """A finished simulated run directory; tests copy it before editing."""
+    config = RunConfig.from_dict({
+        "seed": 7,
+        "clock_mode": "simulated",
+        "time_run_minutes": 200.0,
+        "synthetic": {"full_cost": 10.0, "debug_cost": 1.0},
+    })
+    out = tmp_path_factory.mktemp("events") / "run"
+    execute_run(config, build_synthetic_ports(config), out)
+    return out
+
+
+@pytest.fixture
+def run_dir(finished, tmp_path):
+    out = tmp_path / "run"
+    shutil.copytree(finished, out)
+    return out
+
+
+def _lines(run_dir) -> list[str]:
+    return (run_dir / LOG_FILENAME).read_text(encoding="utf-8").splitlines()
+
+
+def _write(run_dir, lines: list[str], end: str = "\n") -> None:
+    (run_dir / LOG_FILENAME).write_text("\n".join(lines) + end, encoding="utf-8")
+
+
+def _old_form(line: str) -> str:
+    """A line as logs written before lean node records held it: a
+    node_proposed record carries every node field, unset ones as null."""
+    d = json.loads(line)
+    if d["kind"] == "node_proposed":
+        d["payload"]["node"] = Node.from_dict(d["payload"]["node"]).to_dict()
+    return json.dumps(d, sort_keys=True)
+
+
+# ---- records ----
+
+def test_node_proposed_records_omit_unset_optional_fields(finished):
+    records = [e.payload["node"] for e in read_log(finished / LOG_FILENAME)
+               if e.kind is EventKind.NODE_PROPOSED]
+    assert records
+    for record in records:
+        assert None not in (record[key] for key in OPTIONAL_NODE_FIELDS if key in record)
+        assert Node.from_dict(record).to_record() == record
+        assert set(Node.from_dict(record).to_dict()) >= set(record)
+    # resampled copies arrive scored, so some records keep a raw score
+    assert any("raw_score" in record for record in records)
+
+
+def test_event_to_json_keeps_the_bytes_of_json_dumps(finished):
+    for event in read_log(finished / LOG_FILENAME):
+        expected = json.dumps({"seq": event.seq, "ts": event.ts, "kind": event.kind.value,
+                               "payload": event.payload}, sort_keys=True)
+        assert event.to_json() == expected
+
+
+def test_old_form_log_reads_and_replays_to_the_same_snapshot(run_dir):
+    lean = read_log(run_dir / LOG_FILENAME)
+    lean_snapshot = replay(run_dir / LOG_FILENAME).snapshot()
+    old = [_old_form(line) for line in _lines(run_dir)]
+    assert any('"raw_score": null' in line for line in old)
+    _write(run_dir, old)
+    events = read_log(run_dir / LOG_FILENAME)
+    assert [(e.seq, e.kind) for e in events] == [(e.seq, e.kind) for e in lean]
+    assert replay(run_dir / LOG_FILENAME).snapshot() == lean_snapshot
+    assert lean_snapshot == (run_dir / FINAL_SNAPSHOT_FILENAME).read_text(encoding="utf-8")
+    assert verify_replay(run_dir)
+
+
+# ---- defects ----
+
+@pytest.mark.parametrize("bad", [
+    "not json at all",
+    '{"seq": 4, "ts": 0.0, "kind": "node_prop',
+    '{"seq": 4, "ts": 0.0, "kind": "no_such_kind", "payload": {}}',
+    '{"seq": 4, "ts": 0.0, "payload": {}}',
+    "[1, 2, 3]",
+    '{"seq": 4, "ts": 0.0, "kind": "stage_started", "payload": {"x": [1}',
+])
+@pytest.mark.parametrize("partial", [False, True])
+def test_bad_middle_line_names_its_line(run_dir, bad, partial):
+    lines = _lines(run_dir)
+    lines[4] = bad
+    _write(run_dir, lines)
+    with pytest.raises(CorruptLog, match=r"line 5\b"):
+        read_log(run_dir / LOG_FILENAME, partial=partial)
+
+
+def test_line_that_leaves_a_bracket_open_is_blamed_not_the_next(run_dir):
+    """The decoder meets the fault at the next line's start; the reader
+    names the line that left the bracket open."""
+    lines = _lines(run_dir)
+    lines[4] = '{"seq": 4, "ts": 0.0, "kind": "stage_started", "payload": {"x": ['
+    _write(run_dir, lines)
+    with pytest.raises(CorruptLog, match=r"line 5\b"):
+        read_log(run_dir / LOG_FILENAME)
+
+
+@pytest.mark.parametrize("end", ["", "\n\n  \n"])
+def test_torn_last_line_is_dropped_only_when_partial(run_dir, end):
+    lines = _lines(run_dir)
+    full = read_log(run_dir / LOG_FILENAME)
+    _write(run_dir, lines[:-1] + [lines[-1][:30]], end=end)
+    with pytest.raises(CorruptLog, match=rf"line {len(lines)}\b"):
+        read_log(run_dir / LOG_FILENAME)
+    assert read_log(run_dir / LOG_FILENAME, partial=True) == full[:-1]
+
+
+@pytest.mark.parametrize("join", [" ", "", ",", "\t,  "])
+@pytest.mark.parametrize("partial", [False, True])
+def test_line_with_two_json_values_is_rejected(run_dir, join, partial):
+    lines = _lines(run_dir)
+    lines[4] = lines[4] + join + lines[5]
+    del lines[5]
+    _write(run_dir, lines)
+    with pytest.raises(CorruptLog, match=r"line 5\b"):
+        read_log(run_dir / LOG_FILENAME, partial=partial)
+
+
+@pytest.mark.parametrize("nested", ["[[1], [2]]", "[[[1], [2]]]"])
+def test_one_value_split_over_two_lines_is_rejected(run_dir, nested):
+    """Two lines that are one value once joined, each on its own not
+    JSON. With enough nesting the joined text decodes, so the reader
+    must see that the line count and the value count differ."""
+    lines = _lines(run_dir)
+    event = json.loads(lines[4])
+    event["payload"]["x"] = json.loads(nested)
+    encoded = json.dumps(event, sort_keys=True)
+    cut = encoded.index(nested) + nested.index("],") + 1
+    lines[4:5] = [encoded[:cut], encoded[cut + 1:]]
+    _write(run_dir, lines)
+    with pytest.raises(CorruptLog):
+        read_log(run_dir / LOG_FILENAME)
+
+
+def test_blank_lines_are_skipped(run_dir):
+    full = read_log(run_dir / LOG_FILENAME)
+    lines = _lines(run_dir)
+    _write(run_dir, ["", *lines[:3], "", "   ", *lines[3:], "\t"], end="\n\n")
+    assert read_log(run_dir / LOG_FILENAME) == full
+    assert verify_replay(run_dir)
+
+
+def test_events_are_records_read_back_equal(finished):
+    events = read_log(finished / LOG_FILENAME)
+    head = events[0]
+    assert isinstance(head, Event) and head.kind is EventKind.RUN_STARTED
+    assert not hasattr(head, "__dict__")
+    assert events == read_log(finished / LOG_FILENAME)

@@ -8,6 +8,9 @@ parse behaviour are all real.
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -534,6 +537,19 @@ def test_llm_transport_failure_surfaces_directly():
     endpoint = EndpointConfig(base_url="http://127.0.0.1:1", model="x", timeout_s=0.5)
     with pytest.raises(TransportFailure):
         request_completion(requests.Session(), endpoint, "s", "u")
+
+
+def test_import_loads_no_http_client():
+    """Runs without an endpoint, reports and replays never load
+    ``requests``: it is imported only where an endpoint is called."""
+    code = ("import sys, ideatree, ideatree.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "[]"
 
 
 def test_llm_enrich_refreshes_memory_notes(stub_server):

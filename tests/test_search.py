@@ -61,6 +61,7 @@ from helpers import (
     SleepyEvaluator,
     attach_evaluated_fe,
     make_world,
+    of_kind,
     reference_sample_scored_fe,
 )
 
@@ -153,6 +154,19 @@ def test_sample_without_replacement_basics():
     assert set(picked) <= {10, 20, 30}
     # asking for more than exists returns everything
     assert sorted(dist.sample_without_replacement(99, rng)) == [10, 20, 30]
+
+
+def test_sample_without_replacement_stops_when_the_mass_left_is_zero():
+    """Every probability but the first underflows to zero: one draw is
+    made, and then the draws stop instead of renormalizing a zero sum."""
+    dist = softmax_select([1e6, -1e6, -1e6], 0.05, node_ids=[7, 8, 9])
+    assert dist.probabilities.tolist() == [1.0, 0.0, 0.0]
+    rng = np.random.default_rng(3)
+    reference = np.random.default_rng(3)
+    assert dist.sample_without_replacement(2, rng) == [7]
+    # the one draw consumed the stream as an ordinary draw does
+    assert reference.choice(3, p=dist.probabilities) == 0
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 # ---- sample_top ----
@@ -280,7 +294,7 @@ def _booked_verdict(tree, merged, a, b, metric, epsilon):
     the memory it leaves."""
     mem, log = MergeMemory(theta_fail=2), RunLog()
     _book_merge(tree, mem, pair_key(a, b), merged, metric, epsilon, log)
-    (event,) = log.of_kind(EventKind.MERGE_ATTEMPTED)
+    (event,) = of_kind(log, EventKind.MERGE_ATTEMPTED)
     key = pair_key(a, b)
     if event.payload["outcome"] == "success":
         assert key in mem.long_term and not mem.short_term
@@ -587,20 +601,11 @@ def test_sample_scored_fe_matches_list_reference(case):
     leaves the generator in the same state."""
     tree, params, metric, window, seed = case
     rng_ref, rng_new = _RecordingRng(seed), _RecordingRng(seed)
-
-    def outcome(draw, rng):
-        try:
-            return draw(rng)
-        except ValueError as exc:  # every probability left underflowed to zero
-            return type(exc), str(exc)
-
-    expected = outcome(lambda rng: reference_sample_scored_fe(
-        tree, params.n_selected, params.softmax_temperature, metric, rng, window), rng_ref)
-    got = outcome(lambda rng: _sample_scored_fe(tree, params, metric, rng, window=window),
-                  rng_new)
+    expected = reference_sample_scored_fe(
+        tree, params.n_selected, params.softmax_temperature, metric, rng_ref, window)
+    got = _sample_scored_fe(tree, params, metric, rng_new, window=window)
     assert got == expected
-    if isinstance(got, list):
-        assert all(type(fe_id) is int for fe_id in got)
+    assert all(type(fe_id) is int for fe_id in got)
     assert rng_new.vectors == rng_ref.vectors
     assert rng_new.inner.bit_generator.state == rng_ref.inner.bit_generator.state
 
@@ -645,13 +650,13 @@ def test_merging_stage_budget_stop_books_finished_pairs():
     with pytest.raises(BudgetExhausted):
         merging_stage(world.tree, mem, world.gen, world.evaluator, params,
                       world.metric, world.rng, ctx=world.ctx, log=log, clock=world.clock)
-    merged = [e.payload["node"]["id"] for e in log.of_kind(EventKind.NODE_PROPOSED)
+    merged = [e.payload["node"]["id"] for e in of_kind(log, EventKind.NODE_PROPOSED)
               if e.payload["node"]["level"] == NodeLevel.FE.value]
-    verdicts = log.of_kind(EventKind.MERGE_ATTEMPTED)
+    verdicts = of_kind(log, EventKind.MERGE_ATTEMPTED)
     assert len(merged) == 2
     assert [e.payload["merged_id"] for e in verdicts] == merged[:1]
     assert len(mem.short_term) + len(mem.long_term) == 1
-    finish = log.of_kind(EventKind.STAGE_FINISHED)
+    finish = of_kind(log, EventKind.STAGE_FINISHED)
     assert [e.payload["outcome"] for e in finish] == ["budget_exhausted"]
     assert verdicts[0].seq < finish[0].seq
 
@@ -681,10 +686,10 @@ def test_merging_stage_generator_failure_books_finished_pairs():
     with pytest.raises(GeneratorFailure):
         merging_stage(world.tree, mem, FailsSecondMerge(world.gen), world.evaluator, params,
                       world.metric, world.rng, ctx=world.ctx, log=log, clock=world.clock)
-    assert len(log.of_kind(EventKind.NODE_EVALUATED)) == 2
-    assert len(log.of_kind(EventKind.MERGE_ATTEMPTED)) == 1
+    assert len(of_kind(log, EventKind.NODE_EVALUATED)) == 2
+    assert len(of_kind(log, EventKind.MERGE_ATTEMPTED)) == 1
     assert len(mem.short_term) + len(mem.long_term) == 1
-    finish = log.of_kind(EventKind.STAGE_FINISHED)
+    finish = of_kind(log, EventKind.STAGE_FINISHED)
     assert [e.payload["outcome"] for e in finish] == ["generator_failure"]
 
 

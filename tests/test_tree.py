@@ -211,6 +211,15 @@ def test_restore_rejects_garbage():
         IdeationTree.restore(json.dumps({"tree_schema": 2, "nodes": []}))
 
 
+def test_restore_rejects_generated_node_with_sources():
+    tree = IdeationTree.create("root")
+    tree.spawn(tree.root.id, NodeLevel.FE, "a")
+    doc = json.loads(tree.snapshot())
+    doc["nodes"][1]["provenance"]["sources"] = [0]
+    with pytest.raises(InvariantViolation):
+        IdeationTree.restore(json.dumps(doc))
+
+
 def test_restore_rejects_duplicate_node_entries():
     tree = IdeationTree.create("root")
     fe = tree.spawn(tree.root.id, NodeLevel.FE, "fe")
