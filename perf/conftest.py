@@ -1,0 +1,26 @@
+"""Inputs for the layer timings: one seeded grow-25k run, made once per
+session with the benchmark's own workload config."""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+from workloads import WORKLOADS, run_config  # noqa: E402
+
+from ideatree import RunConfig, build_synthetic_ports, execute_run  # noqa: E402
+from ideatree.events import LOG_FILENAME, read_log  # noqa: E402
+
+
+@pytest.fixture(scope="session")
+def grow_run(tmp_path_factory):
+    """The grow-25k run of seed 1: its result and its logged events
+    (about 5,200 nodes and 8,800 events)."""
+    config = RunConfig.from_dict(run_config(WORKLOADS["grow-25k"], seed=1))
+    out = tmp_path_factory.mktemp("grow-25k") / "run"
+    result = execute_run(config, build_synthetic_ports(config), out)
+    return result, read_log(out / LOG_FILENAME)

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 from enum import Enum
+from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import NamedTuple, Optional
+from typing import IO, NamedTuple, Optional, Sequence
 
 from .errors import CorruptLog, LogVersionMismatch
 
@@ -42,9 +43,24 @@ class EventKind(str, Enum):
 # EventKind by its value, so that decoding a log calls no Enum(value)
 _KINDS = {kind.value: kind for kind in EventKind}
 
-# one encoder for every event: json.dumps with keyword arguments builds
-# a new one per call
-_ENCODER = json.JSONEncoder(sort_keys=True)
+# raises TypeError for a value JSON cannot hold, as json.dumps does
+_unencodable = json.JSONEncoder().default
+
+
+def _encode_lines(events: Sequence[Event]) -> list[str]:
+    """Each event's log line, without its newline: the bytes of
+    ``json.dumps(record, sort_keys=True)``.
+
+    One C encoder, the one json.dumps itself uses, is built for the
+    call, with json.dumps's default settings, sorted keys and a fresh
+    circular-reference ``markers`` dict: after an error the encoder
+    leaves stale entries in it, so it is never shared between calls."""
+    encode = c_make_encoder({}, _unencodable, encode_basestring_ascii, None,
+                            ": ", ", ", True, False, True)
+    return [
+        "".join(encode({"kind": e.kind.value, "payload": e.payload, "seq": e.seq, "ts": e.ts}, 0))
+        for e in events
+    ]
 
 
 class Event(NamedTuple):
@@ -54,22 +70,26 @@ class Event(NamedTuple):
     payload: dict
 
     def to_json(self) -> str:
-        return _ENCODER.encode(
-            {"seq": self.seq, "ts": self.ts, "kind": self.kind.value, "payload": self.payload}
-        )
+        return _encode_lines((self,))[0]
 
 
 class RunLog:
     """In-memory event list with an optional file sink (one JSON object
-    per line). ``flush`` writes everything not yet written; the first
-    flush replaces the file, so a run into an existing run directory
-    does not add its events to the old run's."""
+    per line).
+
+    ``flush`` writes everything not yet written. The first flush opens
+    the file with ``"w"``, so a run into an existing run directory does
+    not add its events to the old run's, and the handle then stays open
+    until ``close``. A flush encodes every pending line before its one
+    write, so a flush that fails to encode writes nothing, and a flush
+    retried after it cannot write a line twice."""
 
     def __init__(self, clock=None, path: Optional[Path] = None):
         self.events: list[Event] = []
         self.clock = clock
         self.path = Path(path) if path is not None else None
         self._flushed = 0
+        self._fh: Optional[IO[str]] = None
 
     def append(self, kind: EventKind, **payload) -> Event:
         ts = float(self.clock.elapsed()) if self.clock is not None else 0.0
@@ -82,12 +102,26 @@ class RunLog:
     def flush(self) -> None:
         if self.path is None:
             return
-        if self._flushed == 0:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a" if self._flushed else "w", encoding="utf-8") as fh:
-            for event in self.events[self._flushed:]:
-                fh.write(event.to_json() + "\n")
+        lines = _encode_lines(self.events[self._flushed:])
+        text = "\n".join(lines) + "\n" if lines else ""
+        if self._fh is None:
+            if self._flushed == 0:
+                self.path.parent.mkdir(parents=True, exist_ok=True)
+            # a log closed and then flushed again is appended to
+            self._fh = self.path.open("a" if self._flushed else "w", encoding="utf-8")
+        self._fh.write(text)
+        self._fh.flush()
         self._flushed = len(self.events)
+
+    def close(self) -> None:
+        """Flush what is pending, then close the file, even when the
+        flush fails."""
+        try:
+            self.flush()
+        finally:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
 
 def _decode_events(text: str) -> list[Event]:

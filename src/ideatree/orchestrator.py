@@ -416,55 +416,27 @@ def execute_run(
     run and is shut down, its jobs finished, however the run ends. The
     pool size changes wall time only: results are committed on this
     thread in node-id order, so the run directory is the same for any
-    worker count."""
+    worker count.
+
+    The log is written through one handle held for the run. It is
+    flushed after every stage, and flushed and closed however the run
+    ends; when a port raises, that error, not a failure of the last
+    flush, is the one that propagates."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dump_config(config, out_dir / CONFIG_COPY_FILENAME)
     clock = ports.clock
     log = RunLog(clock=clock, path=out_dir / LOG_FILENAME)
-
-    setup = pipeline_setup(dataset_dir or Path("."), ports.stages, config)
-    log.append(
-        EventKind.RUN_STARTED,
-        seed=config.seed,
-        budget_minutes=config.time_run_minutes,
-        metric=setup.metric.to_dict(),
-        task_rows=setup.task.row_count,
-        split_strategy=setup.plan.strategy,
-        subset=setup.plan.use_subset,
-    )
-
-    ctx = ContextState()
-    ctx.append(SegmentTag.READER, setup.task.description)
-    seed_sequence = np.random.SeedSequence(config.seed)
-    init_rng = np.random.default_rng(seed_sequence.spawn(1)[0])
-    with _evaluation_pool(config.worker_count) as pool:
+    try:
+        setup, result = _search(config, ports, dataset_dir, log)
+    except BaseException:
         try:
-            tree = initialize_tree(
-                ctx, ports.gen, ports.evaluator, config, init_rng,
-                metric=ports.metric, log=log, clock=clock, pool=pool,
-            )
-        except InitializationFailure:
-            log.flush()
-            raise
-
-        predict_fn = None
-        if config.predict_before_evaluate and ports.predictor is not None:
-            anchor_set = _build_anchors(tree, ports, config, ctx, log, pool)
-            if anchor_set is not None:
-                predictor = ports.predictor
-                dataset_description = setup.task.description
-
-                def predict_fn(text: str) -> float:
-                    return predictor.predict(text, anchor_set, dataset_description)
-
-        mem = MergeMemory(theta_fail=config.theta_fail)
-        result = run_main_loop(
-            tree, ctx, ports, mem, config, clock,
-            log=log, seed_sequence=seed_sequence,
-            predict_fn=predict_fn, pool=pool,
-        )
-    (out_dir / FINAL_SNAPSHOT_FILENAME).write_text(tree.snapshot(), encoding="utf-8")
+            log.close()
+        except Exception:
+            logger.exception("could not write the rest of the log of a failed run")
+        raise
+    log.close()
+    (out_dir / FINAL_SNAPSHOT_FILENAME).write_text(result.tree.snapshot(), encoding="utf-8")
     (out_dir / RESULT_FILENAME).write_text(
         json.dumps(
             {
@@ -482,6 +454,51 @@ def execute_run(
     result.run_dir = out_dir
     result.setup = setup
     return result
+
+
+def _search(config: RunConfig, ports: PortSet, dataset_dir: Optional[Path],
+            log: RunLog) -> tuple[SetupResult, RunResult]:
+    """The logged part of a run: setup, initialization and the main
+    loop, on one evaluation pool."""
+    clock = ports.clock
+    setup = pipeline_setup(dataset_dir or Path("."), ports.stages, config)
+    log.append(
+        EventKind.RUN_STARTED,
+        seed=config.seed,
+        budget_minutes=config.time_run_minutes,
+        metric=setup.metric.to_dict(),
+        task_rows=setup.task.row_count,
+        split_strategy=setup.plan.strategy,
+        subset=setup.plan.use_subset,
+    )
+
+    ctx = ContextState()
+    ctx.append(SegmentTag.READER, setup.task.description)
+    seed_sequence = np.random.SeedSequence(config.seed)
+    init_rng = np.random.default_rng(seed_sequence.spawn(1)[0])
+    with _evaluation_pool(config.worker_count) as pool:
+        tree = initialize_tree(
+            ctx, ports.gen, ports.evaluator, config, init_rng,
+            metric=ports.metric, log=log, clock=clock, pool=pool,
+        )
+
+        predict_fn = None
+        if config.predict_before_evaluate and ports.predictor is not None:
+            anchor_set = _build_anchors(tree, ports, config, ctx, log, pool)
+            if anchor_set is not None:
+                predictor = ports.predictor
+                dataset_description = setup.task.description
+
+                def predict_fn(text: str) -> float:
+                    return predictor.predict(text, anchor_set, dataset_description)
+
+        mem = MergeMemory(theta_fail=config.theta_fail)
+        result = run_main_loop(
+            tree, ctx, ports, mem, config, clock,
+            log=log, seed_sequence=seed_sequence,
+            predict_fn=predict_fn, pool=pool,
+        )
+    return setup, result
 
 
 def _build_anchors(tree, ports: PortSet, config: RunConfig, ctx, log,

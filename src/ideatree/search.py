@@ -89,7 +89,8 @@ class SelectionDistribution:
         if np.any(probs < 0):
             raise InvalidParams("negative probability")
         total = float(probs.sum())
-        if abs(total - 1.0) > 1e-9:
+        # written so that a NaN sum fails it too
+        if not abs(total - 1.0) <= 1e-9:
             raise InvalidParams(f"probabilities sum to {total}, not 1")
 
     def sample_without_replacement(self, k: int, rng: np.random.Generator) -> list[int]:
@@ -102,12 +103,23 @@ class SelectionDistribution:
             total = probs.sum()
             if total == 0:
                 break
-            p = probs / total
-            idx = int(rng.choice(len(ids), p=p))
+            idx = _draw_index(probs / total, rng)
             picked.append(int(ids[idx]))
             ids = np.concatenate((ids[:idx], ids[idx + 1:]))
             probs = np.concatenate((probs[:idx], probs[idx + 1:]))
         return picked
+
+
+def _draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
+    """The index ``rng.choice(len(p), p=p)`` draws, leaving ``rng`` in
+    the same state: one ``rng.random()`` inverted through the cdf of
+    ``p``, renormalised to end at exactly 1, as numpy's ``choice`` does
+    once it has validated ``p``. ``p`` must be non-negative and sum to
+    1 within rounding; the callers' checks ensure that, so ``choice``'s
+    own per-call checks are not repeated here."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return int(cdf.searchsorted(rng.random(), side="right"))
 
 
 def softmax_select(

@@ -165,7 +165,8 @@ class Provenance:
             )
 
     def to_dict(self) -> dict:
-        return {"kind": self.kind.value, "sources": list(self.sources)}
+        # keys in sorted order, which the snapshot encoder relies on
+        return {"kind": self.kind._value_, "sources": list(self.sources)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Provenance":
@@ -177,8 +178,14 @@ class Provenance:
 
 
 # provenances are immutable, so every sourceless generated node decoded
-# from a document shares this one
+# from a document or spawned shares this one
 _GENERATED = Provenance.generated()
+
+# The snapshot's keys are sorted where its dicts are built (the document
+# in ``snapshot``, ``Node.to_dict`` and ``Provenance.to_dict``), so the
+# encoder does not sort them again; the bytes are those of json.dumps
+# with sort_keys=True and compact separators.
+_SNAPSHOT_ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 
 @dataclass
@@ -203,18 +210,20 @@ class Node:
     created_iteration: int = 0
 
     def to_dict(self) -> dict:
+        # keys in sorted order, which the snapshot encoder relies on;
+        # ``_value_`` skips the Enum ``value`` property's descriptor call
         return {
-            "id": self.id,
-            "level": self.level.value,
-            "parent_id": self.parent_id,
-            "idea_text": self.idea_text,
-            "code_artifact": self.code_artifact,
-            "raw_score": self.raw_score,
-            "predicted_score": self.predicted_score,
             "aggregated_score": self.aggregated_score,
-            "status": self.status.value,
-            "provenance": self.provenance.to_dict(),
+            "code_artifact": self.code_artifact,
             "created_iteration": self.created_iteration,
+            "id": self.id,
+            "idea_text": self.idea_text,
+            "level": self.level._value_,
+            "parent_id": self.parent_id,
+            "predicted_score": self.predicted_score,
+            "provenance": self.provenance.to_dict(),
+            "raw_score": self.raw_score,
+            "status": self.status._value_,
         }
 
     def to_record(self) -> dict:
@@ -410,7 +419,7 @@ class IdeationTree:
             code_artifact=code_artifact,
             raw_score=raw_score,
             status=status,
-            provenance=provenance or Provenance.generated(),
+            provenance=provenance or _GENERATED,
             created_iteration=self.iteration,
         )
         return self.add_node(parent_id, node)
@@ -530,12 +539,12 @@ class IdeationTree:
         equal trees (nodes sorted by id, keys sorted, compact
         separators, no whitespace)."""
         doc = {
-            "tree_schema": TREE_SCHEMA_VERSION,
             "iteration": self.iteration,
             "next_id": self._next_id,
             "nodes": [self.nodes[nid].to_dict() for nid in sorted(self.nodes)],
+            "tree_schema": TREE_SCHEMA_VERSION,
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        return _SNAPSHOT_ENCODER.encode(doc)
 
     @classmethod
     def restore(cls, document: str) -> "IdeationTree":

@@ -5,12 +5,16 @@ from __future__ import annotations
 
 import json
 import shutil
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ideatree.config import RunConfig
 from ideatree.errors import CorruptLog
-from ideatree.events import LOG_FILENAME, Event, EventKind, read_log
+from ideatree.events import LOG_FILENAME, Event, EventKind, RunLog, read_log
 from ideatree.orchestrator import (
     FINAL_SNAPSHOT_FILENAME,
     build_synthetic_ports,
@@ -91,6 +95,124 @@ def test_old_form_log_reads_and_replays_to_the_same_snapshot(run_dir):
     assert replay(run_dir / LOG_FILENAME).snapshot() == lean_snapshot
     assert lean_snapshot == (run_dir / FINAL_SNAPSHOT_FILENAME).read_text(encoding="utf-8")
     assert verify_replay(run_dir)
+
+
+# ---- the writer ----
+
+class _ListClock:
+    """Hands out the given elapsed times one per call, as event stamps."""
+
+    def __init__(self, times):
+        self.times = iter(times)
+
+    def elapsed(self):
+        return next(self.times)
+
+
+def _dumps(event: Event) -> str:
+    return json.dumps({"seq": event.seq, "ts": event.ts, "kind": event.kind.value,
+                       "payload": event.payload}, sort_keys=True)
+
+
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.text(),
+    st.sampled_from((-0.0, 1e-05, 1e-4, 1e16, 1e17, 5e-324, 1.7976931348623157e308)),
+    st.floats(allow_nan=False), st.integers(-2**80, 2**80),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+# ``RunLog.append`` takes the payload as keyword arguments
+_PAYLOADS = st.dictionaries(st.text().filter(lambda key: key not in ("self", "kind")),
+                            _VALUES, max_size=4)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(_PAYLOADS, max_size=5), min_size=1, max_size=4), st.data())
+def test_flushed_lines_are_json_dumps_with_sorted_keys(batches, data):
+    """Every line a flush writes is ``json.dumps(record, sort_keys=True)``
+    of its event, over several flushes: nested dicts and lists,
+    non-ASCII text, signed zero, exponent floats, big ints, None and
+    bools."""
+    times = data.draw(st.lists(st.floats(0, 1e9), min_size=sum(map(len, batches)),
+                               max_size=sum(map(len, batches))))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sub" / LOG_FILENAME
+        log = RunLog(clock=_ListClock(times), path=path)
+        kinds = list(EventKind)
+        for batch in batches:
+            for i, payload in enumerate(batch):
+                log.append(kinds[i % len(kinds)], **payload)
+            log.flush()
+        log.close()
+        lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == [_dumps(event) for event in log.events]
+    assert [event.to_json() for event in log.events] == lines
+
+
+def _write_log(path: Path, payloads) -> RunLog:
+    log = RunLog(path=path)
+    for payload in payloads:
+        log.append(EventKind.STAGE_STARTED, **payload)
+    log.flush()
+    return log
+
+
+def _circular() -> dict:
+    loop: dict = {"a": [1]}
+    loop["a"].append(loop)
+    return loop
+
+
+@pytest.mark.parametrize("bad, error", [
+    ({"value": object()}, TypeError),
+    ({"value": {1, 2}}, TypeError),
+    ({"value": _circular()}, ValueError),
+])
+def test_flush_that_fails_to_encode_writes_nothing(tmp_path, bad, error):
+    """A payload JSON cannot hold, or a circular one, fails the flush
+    before its write: the file keeps the lines of earlier flushes, a
+    retried flush fails the same way without repeating them, and the
+    next log, with a fresh encoder, writes correctly."""
+    log = _write_log(tmp_path / "a.jsonl", [{"stage": "adding", "n": 1}])
+    before = (tmp_path / "a.jsonl").read_text(encoding="utf-8")
+    log.append(EventKind.STAGE_STARTED, stage="merging")
+    log.append(EventKind.STAGE_STARTED, **bad)
+    for _ in range(2):
+        with pytest.raises(error):
+            log.flush()
+        assert (tmp_path / "a.jsonl").read_text(encoding="utf-8") == before
+    with pytest.raises(error):
+        log.close()
+    assert log._fh is None
+    # nothing of the failed flushes waited in a buffer either
+    assert (tmp_path / "a.jsonl").read_text(encoding="utf-8") == before
+
+    fresh = _write_log(tmp_path / "b.jsonl", [{"x": [1.5, {"é": None}]}, {"y": -0.0}])
+    fresh.close()
+    lines = (tmp_path / "b.jsonl").read_text(encoding="utf-8").splitlines()
+    assert lines == [_dumps(event) for event in fresh.events]
+
+
+def test_flush_keeps_one_handle_until_close(tmp_path):
+    """The first flush replaces an old file and opens the one handle
+    the log keeps; a flush after ``close`` appends through a new one."""
+    path = tmp_path / LOG_FILENAME
+    path.write_text("an older run's log\n", encoding="utf-8")
+    log = _write_log(path, [{"n": 1}])
+    handle = log._fh
+    log.append(EventKind.STAGE_STARTED, n=2)
+    log.flush()
+    assert log._fh is handle and not handle.closed
+    log.close()
+    assert handle.closed and log._fh is None
+    log.close()
+    log.append(EventKind.STAGE_STARTED, n=3)
+    log.close()
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == [_dumps(event) for event in log.events]
 
 
 # ---- defects ----

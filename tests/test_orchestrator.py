@@ -984,6 +984,89 @@ def test_initialization_failure_flushes_log(tmp_path):
     assert first["kind"] == "run_started"
 
 
+class _BreaksInIteration:
+    """Forwards to ``inner`` until asked to evaluate a node created in
+    ``iteration``, then raises RuntimeError, as a port with a bug
+    would; keeps the node it raised on."""
+
+    def __init__(self, inner, iteration: int):
+        self.inner = inner
+        self.iteration = iteration
+        self.raised_on = None
+
+    def evaluate(self, node, mode):
+        if node.created_iteration == self.iteration:
+            self.raised_on = node
+            raise RuntimeError("port bug")
+        return self.inner.evaluate(node, mode)
+
+    def cost(self, mode):
+        return self.inner.cost(mode)
+
+
+def _fds_open_on(path: Path) -> int:
+    fd_dir = Path("/proc/self/fd")
+    count = 0
+    for fd in fd_dir.iterdir():
+        try:
+            count += os.readlink(fd) == str(path)
+        except OSError:  # the directory's own descriptor, gone by now
+            pass
+    return count
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_unexpected_port_error_flushes_and_closes_the_log(tmp_path):
+    """A port error that is neither GeneratorFailure nor
+    BudgetExhausted propagates, and the log keeps every event up to it:
+    the stage it broke is in the log, through the node whose evaluation
+    raised, and no descriptor stays open."""
+    config = _sim_config()
+    ports = build_synthetic_ports(config)
+    ports.evaluator = _BreaksInIteration(ports.evaluator, iteration=2)
+    out = tmp_path / "run"
+    fds_before = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(RuntimeError, match="port bug"):
+        execute_run(config, ports, out)
+    assert len(os.listdir("/proc/self/fd")) == fds_before
+    assert _fds_open_on(out / LOG_FILENAME) == 0
+
+    events = read_log(out / LOG_FILENAME, partial=True)
+    assert events[-1].kind is not EventKind.RUN_FINISHED
+    started = max(i for i, e in enumerate(events) if e.kind is EventKind.STAGE_STARTED)
+    assert events[started].payload == {"stage": "adding", "iteration": 2}
+    stage = events[started + 1:]
+    assert EventKind.STAGE_FINISHED not in {e.kind for e in stage}
+    proposed = [e.payload["node"]["id"] for e in stage if e.kind is EventKind.NODE_PROPOSED]
+    assert ports.evaluator.raised_on.id in proposed
+    # the stage before it was flushed whole, with its checkpoint
+    assert EventKind.CHECKPOINT_WRITTEN in {e.kind for e in events[:started]}
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
+def test_port_error_propagates_when_the_last_flush_fails_too(tmp_path, monkeypatch):
+    """When the flush on the way out fails as well, the port's error is
+    still the one the caller sees, and the log's file is closed."""
+    config = _sim_config()
+    ports = build_synthetic_ports(config)
+    evaluator = ports.evaluator = _BreaksInIteration(ports.evaluator, iteration=2)
+    flush = RunLog.flush
+
+    def flush_until_the_port_breaks(log):
+        if evaluator.raised_on is not None:
+            raise OSError("no space left on device")
+        flush(log)
+
+    monkeypatch.setattr(RunLog, "flush", flush_until_the_port_breaks)
+    out = tmp_path / "run"
+    with pytest.raises(RuntimeError, match="port bug"):
+        execute_run(config, ports, out)
+    assert _fds_open_on(out / LOG_FILENAME) == 0
+    # the stages before the failing one were flushed
+    events = read_log(out / LOG_FILENAME, partial=True)
+    assert events[-1].kind is EventKind.CHECKPOINT_WRITTEN
+
+
 # ---- prediction wiring ----
 
 def test_prediction_gating_produces_prediction_events(tmp_path):

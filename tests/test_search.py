@@ -10,6 +10,7 @@ import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from itertools import combinations
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -36,6 +37,7 @@ from ideatree.search import (
     SelectionMode,
     StageParams,
     _book_merge,
+    _draw_index,
     _sample_scored_fe,
     adding_stage,
     draw_merge_pairs,
@@ -144,6 +146,52 @@ def test_selection_distribution_validation():
         SelectionDistribution(node_ids=(1, 2), probabilities=(0.7, 0.7))
     with pytest.raises(InvalidParams):
         SelectionDistribution(node_ids=(1, 2), probabilities=(1.5, -0.5))
+
+
+def test_selection_distribution_rejects_nan():
+    with pytest.raises(InvalidParams):
+        SelectionDistribution(node_ids=(1, 2), probabilities=(math.nan, 1.0))
+
+
+# weights that cover n == 1, zero entries, subnormal and tiny masses
+# beside large ones, and many equal entries
+_WEIGHTS = st.lists(
+    st.one_of(st.just(0.0), st.just(5e-324), st.floats(1e-320, 1e-300),
+              st.floats(0.0, 1.0), st.floats(1.0, 1e300)),
+    min_size=1, max_size=40,
+).filter(lambda w: 0.0 < math.fsum(w) < math.inf)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_WEIGHTS, st.integers(0, 2**32 - 1))
+def test_draw_index_matches_generator_choice(weights, seed):
+    """Inverting one uniform draw through the cdf gives the index
+    ``Generator.choice(n, p=p)`` gives, and leaves the generator in the
+    same state, draw after draw."""
+    w = np.asarray(weights, dtype=float)
+    p = w / w.sum()
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(5):
+        got = _draw_index(p, ours)
+        assert type(got) is int
+        assert got == theirs.choice(len(p), p=p)
+        assert p[got] > 0
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+class _FixedUniform:
+    def __init__(self, u: float):
+        self.u = u
+
+    def random(self) -> float:
+        return self.u
+
+
+@pytest.mark.parametrize("u, index", [(0.0, 1), (0.25, 1), (0.5, 3), (0.75, 3)])
+def test_draw_index_skips_zero_mass_at_cdf_steps(u, index):
+    """A uniform draw equal to a cdf value goes to the next entry with
+    mass, as in ``Generator.choice``: never to an entry of zero mass."""
+    assert _draw_index(np.array([0.0, 0.5, 0.0, 0.5]), _FixedUniform(u)) == index
 
 
 def test_sample_without_replacement_basics():
@@ -581,8 +629,10 @@ def _scored_fe_cases(draw):
 
 
 class _RecordingRng:
-    """Forwards ``choice`` to a seeded generator and keeps the bytes of
-    every probability vector it was given."""
+    """Forwards ``choice`` and ``random`` to a seeded generator, and
+    keeps the bytes of every probability vector a draw used: the one
+    handed to ``choice`` by the list-based draw, or, through
+    ``_recording_draw_index``, the one the engine's draw inverts."""
 
     def __init__(self, seed: int):
         self.inner = np.random.default_rng(seed)
@@ -592,18 +642,28 @@ class _RecordingRng:
         self.vectors.append(np.asarray(p, dtype=float).tobytes())
         return self.inner.choice(n, p=p)
 
+    def random(self):
+        return self.inner.random()
+
+
+def _recording_draw_index(p, rng: _RecordingRng) -> int:
+    rng.vectors.append(np.asarray(p, dtype=float).tobytes())
+    return _draw_index(p, rng)
+
 
 @settings(max_examples=300, deadline=None)
 @given(_scored_fe_cases())
 def test_sample_scored_fe_matches_list_reference(case):
-    """The FE table draw picks the ids the list-based draw picks, hands
-    ``rng.choice`` the same probability vectors, float for float, and
-    leaves the generator in the same state."""
+    """The FE table draw picks the ids the list-based draw picks,
+    inverts the probability vectors the list-based draw hands
+    ``rng.choice``, float for float, and leaves the generator in the
+    same state."""
     tree, params, metric, window, seed = case
     rng_ref, rng_new = _RecordingRng(seed), _RecordingRng(seed)
     expected = reference_sample_scored_fe(
         tree, params.n_selected, params.softmax_temperature, metric, rng_ref, window)
-    got = _sample_scored_fe(tree, params, metric, rng_new, window=window)
+    with mock.patch("ideatree.search._draw_index", _recording_draw_index):
+        got = _sample_scored_fe(tree, params, metric, rng_new, window=window)
     assert got == expected
     assert all(type(fe_id) is int for fe_id in got)
     assert rng_new.vectors == rng_ref.vectors

@@ -398,7 +398,16 @@ def test_indexes_match_full_scans(data):
 
 # ---- snapshot and running best against cold recomputes ----
 
-_BEST_OPS = _INDEX_OPS + ("best", "mt_scored", "rescore_best", "fail_best")
+_BEST_OPS = _INDEX_OPS + ("best", "mt_scored", "rescore_best", "fail_best", "exotic")
+
+# floats whose shortest repr takes an exponent or a sign, and ints past
+# 64 bits: the snapshot encoder must spell each as json.dumps does
+_EXTREME_FLOATS = st.one_of(
+    st.sampled_from((-0.0, 1e-05, 1e-4, 1e16, 1e17, 5e-324, 2.2250738585072014e-308,
+                     1.7976931348623157e308, -1.7976931348623157e308)),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_EXTREME_SCORES = st.one_of(_EXTREME_FLOATS, st.integers(-2**70, 2**70))
 
 
 def _apply_best_op(tree: IdeationTree, log: RunLog, op: str, data) -> IdeationTree:
@@ -406,6 +415,18 @@ def _apply_best_op(tree: IdeationTree, log: RunLog, op: str, data) -> IdeationTr
     warm for the mutations after it."""
     if op in _INDEX_OPS:
         return _apply_index_op(tree, log, op, data)
+    if op == "exotic":
+        fes = [n.id for n in tree.nodes.values() if n.level is NodeLevel.FE]
+        if fes:
+            # non-ASCII text, and extreme values where they feed no mean
+            node = tree.spawn(
+                data.draw(st.sampled_from(fes)), NodeLevel.MT, data.draw(st.text()),
+                code_artifact=data.draw(st.text()), status=NodeStatus.EVALUATED,
+                raw_score=data.draw(st.floats(-1e300, 1e300)),
+            )
+            node.predicted_score = data.draw(_EXTREME_SCORES)
+            log.append(EventKind.NODE_PROPOSED, node=node.to_dict())
+        return tree
     metric = data.draw(st.sampled_from((HIGHER, LOWER)))
     if op == "best":
         tree.best_evaluated_mt(metric)
@@ -462,3 +483,35 @@ def test_snapshot_encodes_equal_values_apart():
     for predicted in (1, 1.0, True):
         mt.predicted_score = predicted
         assert tree.snapshot() == reference_snapshot(tree)
+
+
+@pytest.mark.parametrize("text", ["é ü 漢字 🙂", "\u2028\x00\"\\", ""])
+def test_snapshot_encodes_non_ascii_text_and_extreme_floats(text):
+    """Non-ASCII and control characters in idea and code text, and
+    floats at the edges of their repr, encode as json.dumps encodes
+    them."""
+    tree = IdeationTree.create(text)
+    fe = tree.spawn(tree.root.id, NodeLevel.FE, text)
+    for value in (1e-05, 1e16, 5e-324, 1.7976931348623157e308, -0.0, 2**64):
+        mt = tree.spawn(fe.id, NodeLevel.MT, text, code_artifact=text * 2)
+        mt.predicted_score = value
+        assert tree.snapshot() == reference_snapshot(tree)
+    tree.mark_evaluated(mt.id, 1e-300)
+    backpropagate(tree)
+    assert tree.snapshot() == reference_snapshot(tree)
+
+
+def test_node_dict_keys_are_sorted():
+    """The snapshot encoder does not sort keys, so every dict a node
+    encodes to is built in sorted key order."""
+    tree = IdeationTree.create("root")
+    a = tree.spawn(tree.root.id, NodeLevel.FE, "a")
+    b = tree.spawn(tree.root.id, NodeLevel.FE, "b")
+    merged = tree.spawn(tree.root.id, NodeLevel.FE, "ab", provenance=Provenance.merged(a.id, b.id))
+    for node in tree.nodes.values():
+        d = node.to_dict()
+        assert list(d) == sorted(d)
+        assert list(d["provenance"]) == sorted(d["provenance"])
+    assert merged.provenance.to_dict()["sources"] == [a.id, b.id]
+    # spawned generated nodes share one immutable provenance
+    assert a.provenance is b.provenance
