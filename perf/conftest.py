@@ -1,5 +1,6 @@
 """Inputs for the layer timings: one seeded grow-25k run, made once per
-session with the benchmark's own workload config."""
+session with the benchmark's own workload config, and that run's
+synthetic ports."""
 
 from __future__ import annotations
 
@@ -17,10 +18,21 @@ from ideatree.events import LOG_FILENAME, read_log  # noqa: E402
 
 
 @pytest.fixture(scope="session")
-def grow_run(tmp_path_factory):
+def grow_config():
+    return RunConfig.from_dict(run_config(WORKLOADS["grow-25k"], seed=1))
+
+
+@pytest.fixture(scope="session")
+def grow_run(tmp_path_factory, grow_config):
     """The grow-25k run of seed 1: its result and its logged events
     (about 5,200 nodes and 8,800 events)."""
-    config = RunConfig.from_dict(run_config(WORKLOADS["grow-25k"], seed=1))
     out = tmp_path_factory.mktemp("grow-25k") / "run"
-    result = execute_run(config, build_synthetic_ports(config), out)
+    result = execute_run(grow_config, build_synthetic_ports(grow_config), out)
     return result, read_log(out / LOG_FILENAME)
+
+
+@pytest.fixture
+def grow_ports(grow_config):
+    """Fresh ports of the grow-25k config, as a run of seed 1 starts
+    with them."""
+    return build_synthetic_ports(grow_config)

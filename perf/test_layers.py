@@ -1,5 +1,6 @@
 """Layer timings with pytest-benchmark: writing the log, snapshotting
-the tree and the softmax draw, on the inputs of a grow-25k run.
+the tree, the softmax draw and the synthetic ports, on the inputs of a
+grow-25k run.
 
     python -m pytest perf --benchmark-only
 
@@ -12,9 +13,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ideatree.evaluation import EvalMode
 from ideatree.events import EventKind, RunLog
 from ideatree.search import softmax_select
-from ideatree.tree import MetricDirection, MetricSpec
+from ideatree.tree import MetricDirection, MetricSpec, NodeLevel
 
 
 def test_runlog_append_and_flush(benchmark, grow_run, tmp_path):
@@ -54,3 +56,43 @@ def test_sample_without_replacement(benchmark, grow_run):
     rng = np.random.default_rng(1)
     picked = benchmark(dist.sample_without_replacement, 2, rng)
     assert len(set(picked)) == 2
+
+
+def test_simulated_evaluate(benchmark, grow_run, grow_ports):
+    """One full-mode evaluation of every MT node of the final tree."""
+    result, _ = grow_run
+    nodes = result.tree.nodes_at_level(NodeLevel.MT)
+    evaluate = grow_ports.evaluator.evaluate
+
+    def score_all() -> list[float]:
+        return [evaluate(node, EvalMode.FULL) for node in nodes]
+
+    scores = benchmark(score_all)
+    assert len(scores) == len(nodes) > 1000
+
+
+def test_synthetic_propose_mt(benchmark, grow_run, grow_ports, grow_config):
+    """One adding-stage proposal under every FE node of the final tree."""
+    result, _ = grow_run
+    fe_nodes = result.tree.nodes_at_level(NodeLevel.FE)
+    propose_mt, m = grow_ports.gen.propose_mt, grow_config.number_of_ideas_modelling
+
+    def propose_all() -> list[list[str]]:
+        return [propose_mt(fe, None, m) for fe in fe_nodes]
+
+    proposals = benchmark(propose_all)
+    assert len(proposals) == len(fe_nodes) and all(len(texts) == m for texts in proposals)
+
+
+def test_synthetic_merge_fe(benchmark, grow_run, grow_ports):
+    """A merge of every pair of FE nodes adjacent in id order."""
+    result, _ = grow_run
+    fe_nodes = result.tree.nodes_at_level(NodeLevel.FE)
+    pairs = list(zip(fe_nodes, fe_nodes[1:]))
+    merge_fe = grow_ports.gen.merge_fe
+
+    def merge_all() -> list[str]:
+        return [merge_fe(a, b, None) for a, b in pairs]
+
+    merged = benchmark(merge_all)
+    assert len(merged) == len(pairs) > 100

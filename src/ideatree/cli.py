@@ -95,6 +95,7 @@ def build_llm_ports(config: RunConfig, dataset_dir: Path, out_dir: Path) -> Port
         limits=ExecLimits(wall_minutes=config.runtime_error_time),
         metric=metric,
         subset_percent=config.subset_size_in_percent,
+        clock=clock,
     )
     predictor = None
     if config.predict_before_evaluate:

@@ -91,18 +91,18 @@ class VectorIdeaEmbedding:
 
 def parse_idea_vector(text: str) -> list[float]:
     """Parse the synthetic idea format: comma-separated floats."""
-    parts = [p.strip() for p in text.strip().split(",")]
-    if not parts or parts == [""]:
-        raise UnparseableIdea("empty idea text")
     try:
-        values = [float(p) for p in parts]
+        # float() strips the same whitespace str.strip() does
+        values = [float(p) for p in text.split(",")]
     except ValueError as exc:
+        if not text.strip():
+            raise UnparseableIdea("empty idea text") from None
         raise UnparseableIdea(f"idea text is not a numeric vector: {text[:80]!r}") from exc
-    if not all(math.isfinite(v) for v in values):
+    if not all(map(math.isfinite, values)):
         raise UnparseableIdea("idea vector contains non-finite values")
     return values
 
 
 def render_idea_vector(values) -> str:
     """Inverse of parse_idea_vector, exact under float round-tripping."""
-    return ",".join(repr(float(v)) for v in values)
+    return ",".join(map(repr, map(float, values)))

@@ -22,6 +22,7 @@ from typing import Callable, Optional, Protocol
 
 import numpy as np
 
+from .clock import WallClock
 from .embedding import parse_idea_vector
 from .errors import EvaluationFailure, InvalidParams, UnparseableIdea
 from .events import EventKind, RunLog
@@ -115,26 +116,30 @@ def simulated_evaluate(
     node: Node,
     landscape: LandscapeConfig,
     metric: MetricSpec,
-    rng: np.random.Generator,
+    rng: Optional[np.random.Generator],
 ) -> float:
     """Score one node on the landscape.
 
     quality = 1 / (1 + distance-to-optimum), plus merge_bonus * quality
-    for merged-provenance nodes, plus Gaussian noise drawn from ``rng``.
-    Raw value is the quality for higher-is-better metrics and
-    1 - quality for lower-is-better ones.
+    for merged-provenance nodes, plus Gaussian noise of scale
+    ``noise_sigma`` drawn from ``rng``. ``rng`` is read only when
+    ``noise_sigma > 0``, and may be None otherwise. Raw value is the
+    quality for higher-is-better metrics and 1 - quality for
+    lower-is-better ones.
     """
     values = parse_idea_vector(node.idea_text)
     if len(values) != landscape.dimension:
         raise UnparseableIdea(
             f"idea has {len(values)} coordinates, landscape wants {landscape.dimension}"
         )
-    point = np.asarray(values, dtype=float)
-    distance = float(np.linalg.norm(point - np.asarray(landscape.optimum)))
+    diff = np.subtract(values, landscape.optimum)
+    # as np.linalg.norm computes it, without its dispatch
+    distance = math.sqrt(diff.dot(diff))
     quality = 1.0 / (1.0 + distance)
     if node.provenance.kind is ProvenanceKind.MERGED:
         quality += landscape.merge_bonus * (1.0 / (1.0 + distance))
-    quality += landscape.noise_sigma * float(rng.standard_normal())
+    if landscape.noise_sigma > 0:
+        quality += landscape.noise_sigma * float(rng.standard_normal())
     if metric.direction is MetricDirection.HIGHER_BETTER:
         return quality
     return 1.0 - quality
@@ -143,10 +148,12 @@ def simulated_evaluate(
 class SimulatedEvaluator:
     """EvaluationPort over a landscape.
 
-    Noise is derived per idea text from the evaluator seed, so repeat
+    Noise is drawn only when the landscape's ``noise_sigma > 0``, from
+    a Generator keyed by the evaluator seed and the idea text, so repeat
     evaluations of the same idea agree regardless of call order; that
-    also makes parallel evaluation safe. It charges no clock: the
-    engine charges ``cost(mode)`` for each call that returns.
+    also makes parallel evaluation safe. With zero noise no Generator is
+    built. It charges no clock: the engine charges ``cost(mode)`` for
+    each call that returns.
     """
 
     def __init__(self, landscape: LandscapeConfig, metric: MetricSpec, seed: int):
@@ -160,7 +167,8 @@ class SimulatedEvaluator:
 
     def evaluate(self, node: Node, mode: EvalMode) -> float:
         # both modes score alike; they differ only in cost
-        return simulated_evaluate(node, self.landscape, self.metric, self._rng_for(node))
+        rng = self._rng_for(node) if self.landscape.noise_sigma > 0 else None
+        return simulated_evaluate(node, self.landscape, self.metric, rng)
 
     def cost(self, mode: EvalMode) -> Optional[float]:
         return self.landscape.full_cost if mode is EvalMode.FULL else self.landscape.debug_cost
@@ -293,20 +301,38 @@ def _write_exec_logs(run_dir: Path, stdout: str, stderr: str) -> None:
     (run_dir / "stderr.txt").write_text(stderr or "", encoding="utf-8")
 
 
+# the shortest timeout a run's remaining wall time clamps a subprocess to
+MIN_TIMEOUT_MINUTES = 1.0 / 60.0
+
+
 class SubprocessEvaluator:
     """EvaluationPort that executes code artifacts in subprocesses.
-    Costs are wall time, so ``cost`` reports None for both modes."""
+    Costs are wall time, so ``cost`` reports None for both modes.
+
+    Under a ``WallClock`` each call's timeout is the smaller of
+    ``limits.wall_minutes`` and the run's remaining time, but never
+    below ``MIN_TIMEOUT_MINUTES``, so no candidate outlives the budget
+    by more than that."""
 
     def __init__(self, workspace: Path, limits: ExecLimits, metric: MetricSpec,
-                 subset_percent: Optional[float] = None):
+                 subset_percent: Optional[float] = None, clock=None):
         self.workspace = Path(workspace)
         self.limits = limits
         self.metric = metric
         self.subset_percent = subset_percent
+        self.clock = clock
+
+    def _call_limits(self) -> ExecLimits:
+        if not isinstance(self.clock, WallClock):
+            return self.limits
+        remaining = max(MIN_TIMEOUT_MINUTES, self.clock.remaining())
+        if remaining >= self.limits.wall_minutes:
+            return self.limits
+        return replace(self.limits, wall_minutes=remaining)
 
     def evaluate(self, node: Node, mode: EvalMode) -> float:
         return subprocess_evaluate(
-            node, self.workspace, self.limits, self.metric,
+            node, self.workspace, self._call_limits(), self.metric,
             mode=mode, subset_percent=self.subset_percent,
         )
 

@@ -10,7 +10,9 @@ after a stage; the events before it rebuild the tree as it was then.
 
 from __future__ import annotations
 
+import gc
 import json
+from contextlib import contextmanager
 from enum import Enum
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
@@ -74,44 +76,53 @@ class Event(NamedTuple):
 
 
 class RunLog:
-    """In-memory event list with an optional file sink (one JSON object
-    per line).
+    """The events of a run not yet written, with an optional file sink
+    (one JSON object per line).
 
-    ``flush`` writes everything not yet written. The first flush opens
-    the file with ``"w"``, so a run into an existing run directory does
-    not add its events to the old run's, and the handle then stays open
-    until ``close``. A flush encodes every pending line before its one
-    write, so a flush that fails to encode writes nothing, and a flush
-    retried after it cannot write a line twice."""
+    ``flush`` writes every pending event and drops it, so a log with a
+    file holds only the events of the stage in progress; ``read_log``
+    reads the run's history back from the file. A log without a file
+    writes nothing and keeps every event it was given. ``seq`` comes
+    from a counter, so it stays contiguous across flushes and closes.
+
+    The first flush opens the file with ``"w"``, so a run into an
+    existing run directory does not add its events to the old run's,
+    and the handle then stays open until ``close``. A flush encodes
+    every pending line before its one write, so a flush that fails to
+    encode writes nothing and keeps its events, and a flush retried
+    after it cannot write a line twice."""
 
     def __init__(self, clock=None, path: Optional[Path] = None):
         self.events: list[Event] = []
         self.clock = clock
         self.path = Path(path) if path is not None else None
-        self._flushed = 0
+        self._seq = 0
+        self._opened = False
         self._fh: Optional[IO[str]] = None
 
     def append(self, kind: EventKind, **payload) -> Event:
         ts = float(self.clock.elapsed()) if self.clock is not None else 0.0
         if kind is EventKind.RUN_STARTED:
             payload.setdefault("log_schema", LOG_SCHEMA_VERSION)
-        event = Event(len(self.events), ts, kind, payload)
+        event = Event(self._seq, ts, kind, payload)
+        self._seq += 1
         self.events.append(event)
         return event
 
     def flush(self) -> None:
         if self.path is None:
             return
-        lines = _encode_lines(self.events[self._flushed:])
+        lines = _encode_lines(self.events)
         text = "\n".join(lines) + "\n" if lines else ""
         if self._fh is None:
-            if self._flushed == 0:
+            if not self._opened:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
             # a log closed and then flushed again is appended to
-            self._fh = self.path.open("a" if self._flushed else "w", encoding="utf-8")
+            self._fh = self.path.open("a" if self._opened else "w", encoding="utf-8")
+            self._opened = True
         self._fh.write(text)
         self._fh.flush()
-        self._flushed = len(self.events)
+        self.events = []
 
     def close(self) -> None:
         """Flush what is pending, then close the file, even when the
@@ -122,6 +133,23 @@ class RunLog:
             if self._fh is not None:
                 self._fh.close()
                 self._fh = None
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector, if it runs, for the body.
+
+    Decoding a log makes one container per record and keeps every one,
+    so a collection during it frees nothing; yet each gen-2 collection
+    walks the whole heap, and whether one falls inside a decode depends
+    on what the process allocated before."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _decode_events(text: str) -> list[Event]:
@@ -135,7 +163,8 @@ def _decode_events(text: str) -> list[Event]:
     brackets are never string content, and a decode error is reported
     on the line where the decoder found it. Raises CorruptLog."""
     try:
-        lines = json.loads("[[" + text.replace("\n", "],\n[") + "]]")
+        with _collector_paused():
+            lines = json.loads("[[" + text.replace("\n", "],\n[") + "]]")
     except json.JSONDecodeError as exc:
         # an error at a line's opening bracket (column 1) is the
         # previous line's: it left the decoder where no array may start

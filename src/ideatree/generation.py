@@ -33,6 +33,7 @@ from .errors import (
     RetriesExhausted,
     RetrievalFailure,
     TransportFailure,
+    UnparseableIdea,
 )
 from .retrieval import FileCorpusRetriever
 from .tree import IdeationTree, Node, NodeLevel
@@ -221,7 +222,10 @@ class SyntheticGenerator:
 
     All randomness flows through one internal stream seeded at
     construction and serialized behind a lock, so outputs are a pure
-    function of (seed, space, call sequence).
+    function of (seed, space, call sequence). Each draw is one
+    Generator call of ``dimension`` values, turned into Python floats;
+    the arithmetic on them is done on Python floats, which round as
+    numpy's float64 does.
     """
 
     def __init__(self, space: SpaceConfig, seed: int, retriever: Optional[FileCorpusRetriever] = None,
@@ -233,28 +237,33 @@ class SyntheticGenerator:
         self._rng = np.random.default_rng(self.seed)
         self._lock = threading.Lock()
 
+    def _point(self, node: Node) -> list[float]:
+        values = parse_idea_vector(node.idea_text)
+        if len(values) != self.space.dimension:
+            raise UnparseableIdea(
+                f"idea has {len(values)} coordinates, the space has {self.space.dimension}"
+            )
+        return values
+
     def propose_fe(self, ctx: ContextState, n: int) -> list[str]:
+        low, high, d = self.space.low, self.space.high, self.space.dimension
         with self._lock:
-            return [
-                render_idea_vector(self._rng.uniform(self.space.low, self.space.high, self.space.dimension))
-                for _ in range(n)
-            ]
+            draws = [self._rng.uniform(low, high, d).tolist() for _ in range(n)]
+        return [render_idea_vector(draw) for draw in draws]
 
     def propose_mt(self, fe_node: Node, ctx: Optional[ContextState], m: int) -> list[str]:
-        base = np.asarray(parse_idea_vector(fe_node.idea_text))
+        base = self._point(fe_node)
         with self._lock:
-            return [
-                render_idea_vector(base + self._rng.normal(0.0, self.space.mt_jitter, self.space.dimension))
-                for _ in range(m)
-            ]
+            draws = [self._rng.normal(0.0, self.space.mt_jitter, self.space.dimension).tolist()
+                     for _ in range(m)]
+        return [render_idea_vector([b + e for b, e in zip(base, draw)]) for draw in draws]
 
     def _merge(self, a: Node, b: Node) -> str:
-        va = np.asarray(parse_idea_vector(a.idea_text))
-        vb = np.asarray(parse_idea_vector(b.idea_text))
-        mid = (va + vb) / 2.0
+        mid = [(x + y) / 2.0 for x, y in zip(self._point(a), self._point(b))]
         if self.space.merge_jitter > 0:
             with self._lock:
-                mid = mid + self._rng.normal(0.0, self.space.merge_jitter, self.space.dimension)
+                draw = self._rng.normal(0.0, self.space.merge_jitter, self.space.dimension).tolist()
+            mid = [x + e for x, e in zip(mid, draw)]
         return render_idea_vector(mid)
 
     def merge_fe(self, a: Node, b: Node, ctx: Optional[ContextState]) -> str:

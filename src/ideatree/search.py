@@ -99,14 +99,16 @@ class SelectionDistribution:
         when they have all underflowed."""
         ids, probs = self.node_ids, self.probabilities
         picked: list[int] = []
-        for _ in range(min(k, len(ids))):
+        draws = min(k, len(ids))
+        for draw in range(1, draws + 1):
             total = probs.sum()
             if total == 0:
                 break
             idx = _draw_index(probs / total, rng)
             picked.append(int(ids[idx]))
-            ids = np.concatenate((ids[:idx], ids[idx + 1:]))
-            probs = np.concatenate((probs[:idx], probs[idx + 1:]))
+            if draw < draws:
+                ids = np.concatenate((ids[:idx], ids[idx + 1:]))
+                probs = np.concatenate((probs[:idx], probs[idx + 1:]))
         return picked
 
 

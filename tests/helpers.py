@@ -26,6 +26,7 @@ from ideatree.tree import (
     NodeLevel,
     NodeStatus,
     Provenance,
+    ProvenanceKind,
 )
 
 HIGHER = MetricSpec(name="score", direction=MetricDirection.HIGHER_BETTER)
@@ -198,6 +199,67 @@ def reference_retrieve(corpus_dir, query: str, k: int, dimension: int = 64):
         scored.append((-sim, path.name, source, title, body))
     scored.sort(key=lambda t: (t[0], t[1]))
     return [(name, source, title, body) for _, name, source, title, body in scored[:k]]
+
+
+def _reference_parse(text: str) -> list[float]:
+    return [float(part.strip()) for part in text.strip().split(",")]
+
+
+def _reference_render(values: np.ndarray) -> str:
+    return ",".join(repr(float(v)) for v in values)
+
+
+class ReferenceGenerator:
+    """The synthetic generator's proposals and merges on numpy arrays,
+    as they were written before the ports moved to Python floats."""
+
+    def __init__(self, space, seed: int):
+        self.space = space
+        self._rng = np.random.default_rng(int(seed))
+
+    def propose_fe(self, ctx, n: int) -> list[str]:
+        return [
+            _reference_render(self._rng.uniform(self.space.low, self.space.high, self.space.dimension))
+            for _ in range(n)
+        ]
+
+    def propose_mt(self, fe_node, ctx, m: int) -> list[str]:
+        base = np.asarray(_reference_parse(fe_node.idea_text))
+        return [
+            _reference_render(base + self._rng.normal(0.0, self.space.mt_jitter, self.space.dimension))
+            for _ in range(m)
+        ]
+
+    def _merge(self, a, b) -> str:
+        va = np.asarray(_reference_parse(a.idea_text))
+        vb = np.asarray(_reference_parse(b.idea_text))
+        mid = (va + vb) / 2.0
+        if self.space.merge_jitter > 0:
+            mid = mid + self._rng.normal(0.0, self.space.merge_jitter, self.space.dimension)
+        return _reference_render(mid)
+
+    def merge_fe(self, a, b, ctx) -> str:
+        return self._merge(a, b)
+
+    def merge_mt(self, a, b, ctx) -> str:
+        return self._merge(a, b)
+
+
+def reference_simulated_evaluate(node, landscape, metric: MetricSpec, seed: int) -> float:
+    """A simulated evaluation with its own keyed Generator, built and
+    drawn from on every call whatever ``noise_sigma`` is, and the
+    distance from ``np.linalg.norm``."""
+    digest = hashlib.sha256(f"{int(seed)}:{node.idea_text}".encode("utf-8")).digest()
+    rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
+    point = np.asarray(_reference_parse(node.idea_text), dtype=float)
+    distance = float(np.linalg.norm(point - np.asarray(landscape.optimum)))
+    quality = 1.0 / (1.0 + distance)
+    if node.provenance.kind is ProvenanceKind.MERGED:
+        quality += landscape.merge_bonus * (1.0 / (1.0 + distance))
+    quality += landscape.noise_sigma * float(rng.standard_normal())
+    if metric.direction is MetricDirection.HIGHER_BETTER:
+        return quality
+    return 1.0 - quality
 
 
 def make_world(

@@ -14,8 +14,12 @@ from ideatree.cli import (
     EXIT_FAILURE,
     EXIT_INITIALIZATION,
     EXIT_OK,
+    build_llm_ports,
     main,
 )
+from ideatree.clock import WallClock
+from ideatree.config import RunConfig
+from ideatree.generation import EndpointConfig
 from ideatree.errors import MalformedLeaderboardFile, MissingRunArtifacts
 from ideatree.events import read_log
 from ideatree.orchestrator import verify_replay
@@ -128,6 +132,19 @@ def test_run_llm_ports_require_endpoint(tmp_path, config_path, capsys):
                  "--ports", "llm+subprocess", "--dataset", str(dataset)])
     assert code == EXIT_CONFIG_INVALID
     assert "endpoint.base_url" in capsys.readouterr().err
+
+
+def test_llm_ports_clamp_subprocess_timeouts_to_the_run_clock(tmp_path):
+    """The subprocess evaluator gets the wall clock the run is timed
+    by; building the ports calls no endpoint."""
+    dataset = tmp_path / "ds"
+    dataset.mkdir()
+    (dataset / "description.txt").write_text("a task", encoding="utf-8")
+    config = RunConfig(clock_mode="wall",
+                       endpoint=EndpointConfig(base_url="http://localhost:9", model="m"))
+    ports = build_llm_ports(config, dataset, tmp_path / "run")
+    assert isinstance(ports.clock, WallClock)
+    assert ports.evaluator.clock is ports.clock
 
 
 # ---- replay ----

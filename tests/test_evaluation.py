@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ideatree.clock import SimulatedClock, WallClock
+from ideatree.embedding import render_idea_vector
 from ideatree.errors import EvaluationFailure, InvalidParams, UnparseableIdea
 from ideatree.evaluation import (
     DebugOutcome,
@@ -16,6 +21,7 @@ from ideatree.evaluation import (
     FailureKind,
     FailureReport,
     FastModeTransform,
+    MIN_TIMEOUT_MINUTES,
     LandscapeConfig,
     SimulatedEvaluator,
     SubprocessEvaluator,
@@ -28,7 +34,7 @@ from ideatree.evaluation import (
 )
 from ideatree.tree import IdeationTree, NodeLevel, Provenance
 
-from helpers import HIGHER, LOWER
+from helpers import HIGHER, LOWER, reference_simulated_evaluate
 
 
 def _mt(idea, provenance=None, artifact=None):
@@ -116,6 +122,37 @@ def test_evaluator_noise_is_repeatable_per_idea():
     assert ev.evaluate(a, EvalMode.FULL) != other_seed.evaluate(a, EvalMode.FULL)
 
 
+_COORD = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2**64 - 1), st.integers(1, 8), st.data())
+def test_simulated_evaluator_matches_its_numpy_form(seed, dimension, data):
+    """The evaluator gives the float of the form that builds a keyed
+    Generator on every call and measures with np.linalg.norm, bit for
+    bit: with and without noise, merged or generated, either direction,
+    in both modes."""
+    coords = st.lists(_COORD, min_size=dimension, max_size=dimension)
+    landscape = LandscapeConfig(
+        dimension=dimension,
+        optimum=tuple(data.draw(coords)),
+        noise_sigma=data.draw(st.just(0.0) | st.floats(1e-6, 5.0)),
+        merge_bonus=data.draw(st.just(0.0) | st.floats(-2.0, 2.0)),
+    )
+    metric = data.draw(st.sampled_from([HIGHER, LOWER]))
+    tree = IdeationTree.create("root")
+    fe = tree.spawn(tree.root.id, NodeLevel.FE, "fe")
+    a = tree.spawn(fe.id, NodeLevel.MT, "a")
+    b = tree.spawn(fe.id, NodeLevel.MT, "b")
+    provenance = Provenance.merged(a.id, b.id) if data.draw(st.booleans()) else None
+    node = tree.spawn(fe.id, NodeLevel.MT, render_idea_vector(data.draw(coords)),
+                      provenance=provenance)
+    expected = reference_simulated_evaluate(node, landscape, metric, seed)
+    evaluator = SimulatedEvaluator(landscape, metric, seed)
+    for mode in EvalMode:
+        assert evaluator.evaluate(node, mode).hex() == expected.hex()
+
+
 # ---- subprocess execution ----
 
 OK_SCRIPT = """\
@@ -195,6 +232,49 @@ def test_subprocess_evaluator_port(tmp_path):
     node = _mt("any", artifact=OK_SCRIPT)
     assert ev.evaluate(node, EvalMode.FULL) == pytest.approx(0.875)
     assert ev.cost(EvalMode.FULL) is None
+
+
+class _EndingClock(WallClock):
+    """A wall clock whose remaining time is fixed, in minutes."""
+
+    def __init__(self, remaining: float):
+        super().__init__(budget_minutes=30.0)
+        self._remaining = remaining
+
+    def remaining(self) -> float:
+        return self._remaining
+
+
+@pytest.mark.parametrize("remaining, timeout", [
+    (2.0 / 60.0, 2.0 / 60.0),
+    (0.0, MIN_TIMEOUT_MINUTES),
+    (-5.0, MIN_TIMEOUT_MINUTES),
+])
+def test_subprocess_timeout_is_clamped_to_the_runs_remaining_time(tmp_path, remaining, timeout):
+    """Under a wall clock near the end of its budget a sleeping
+    candidate fails by timeout within seconds, not after
+    runtime_error_time; a spent budget still gets the floor."""
+    limits = ExecLimits(wall_minutes=30.0)
+    ev = SubprocessEvaluator(tmp_path, limits, HIGHER, clock=_EndingClock(remaining))
+    node = _mt("any", artifact="import time\ntime.sleep(30)\n")
+    start = time.monotonic()
+    with pytest.raises(EvaluationFailure) as err:
+        ev.evaluate(node, EvalMode.FULL)
+    assert err.value.report.kind is FailureKind.TIMEOUT
+    assert err.value.report.message == f"exceeded {timeout} minutes"
+    assert time.monotonic() - start < timeout * 60.0 + 10.0
+    assert ev.limits is limits
+
+
+def test_subprocess_timeout_is_not_clamped_off_a_wall_clock(tmp_path):
+    """A simulated clock counts cost units, not minutes, and a wall
+    clock with more time left than the limit leaves the limit alone."""
+    limits = ExecLimits(wall_minutes=1.0)
+    node = _mt("any", artifact=OK_SCRIPT)
+    for clock in (None, SimulatedClock(0.001), _EndingClock(5.0)):
+        ev = SubprocessEvaluator(tmp_path, limits, HIGHER, clock=clock)
+        assert ev._call_limits() is limits
+        assert ev.evaluate(node, EvalMode.FULL) == pytest.approx(0.875)
 
 
 def test_exec_limits_validation():

@@ -3,6 +3,7 @@ with full node records, and the defects the one-pass reader rejects."""
 
 from __future__ import annotations
 
+import gc
 import json
 import shutil
 import tempfile
@@ -142,22 +143,22 @@ def test_flushed_lines_are_json_dumps_with_sorted_keys(batches, data):
         path = Path(tmp) / "sub" / LOG_FILENAME
         log = RunLog(clock=_ListClock(times), path=path)
         kinds = list(EventKind)
+        written = []
         for batch in batches:
             for i, payload in enumerate(batch):
-                log.append(kinds[i % len(kinds)], **payload)
+                written.append(log.append(kinds[i % len(kinds)], **payload))
             log.flush()
         log.close()
         lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines == [_dumps(event) for event in log.events]
-    assert [event.to_json() for event in log.events] == lines
+    assert lines == [_dumps(event) for event in written]
+    assert [event.to_json() for event in written] == lines
 
 
-def _write_log(path: Path, payloads) -> RunLog:
+def _write_log(path: Path, payloads) -> tuple[RunLog, list[Event]]:
     log = RunLog(path=path)
-    for payload in payloads:
-        log.append(EventKind.STAGE_STARTED, **payload)
+    written = [log.append(EventKind.STAGE_STARTED, **payload) for payload in payloads]
     log.flush()
-    return log
+    return log, written
 
 
 def _circular() -> dict:
@@ -176,7 +177,7 @@ def test_flush_that_fails_to_encode_writes_nothing(tmp_path, bad, error):
     before its write: the file keeps the lines of earlier flushes, a
     retried flush fails the same way without repeating them, and the
     next log, with a fresh encoder, writes correctly."""
-    log = _write_log(tmp_path / "a.jsonl", [{"stage": "adding", "n": 1}])
+    log, _ = _write_log(tmp_path / "a.jsonl", [{"stage": "adding", "n": 1}])
     before = (tmp_path / "a.jsonl").read_text(encoding="utf-8")
     log.append(EventKind.STAGE_STARTED, stage="merging")
     log.append(EventKind.STAGE_STARTED, **bad)
@@ -190,10 +191,10 @@ def test_flush_that_fails_to_encode_writes_nothing(tmp_path, bad, error):
     # nothing of the failed flushes waited in a buffer either
     assert (tmp_path / "a.jsonl").read_text(encoding="utf-8") == before
 
-    fresh = _write_log(tmp_path / "b.jsonl", [{"x": [1.5, {"é": None}]}, {"y": -0.0}])
+    fresh, written = _write_log(tmp_path / "b.jsonl", [{"x": [1.5, {"é": None}]}, {"y": -0.0}])
     fresh.close()
     lines = (tmp_path / "b.jsonl").read_text(encoding="utf-8").splitlines()
-    assert lines == [_dumps(event) for event in fresh.events]
+    assert lines == [_dumps(event) for event in written]
 
 
 def test_flush_keeps_one_handle_until_close(tmp_path):
@@ -201,18 +202,76 @@ def test_flush_keeps_one_handle_until_close(tmp_path):
     the log keeps; a flush after ``close`` appends through a new one."""
     path = tmp_path / LOG_FILENAME
     path.write_text("an older run's log\n", encoding="utf-8")
-    log = _write_log(path, [{"n": 1}])
+    log, written = _write_log(path, [{"n": 1}])
     handle = log._fh
-    log.append(EventKind.STAGE_STARTED, n=2)
+    written.append(log.append(EventKind.STAGE_STARTED, n=2))
     log.flush()
     assert log._fh is handle and not handle.closed
     log.close()
     assert handle.closed and log._fh is None
     log.close()
-    log.append(EventKind.STAGE_STARTED, n=3)
+    written.append(log.append(EventKind.STAGE_STARTED, n=3))
     log.close()
     lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines == [_dumps(event) for event in log.events]
+    assert lines == [_dumps(event) for event in written]
+
+
+def test_a_log_with_a_file_keeps_only_unwritten_events(tmp_path):
+    """A flush drops what it wrote; a log without a file keeps every
+    event, so in-memory callers can read them."""
+    log = RunLog(path=tmp_path / LOG_FILENAME)
+    first = log.append(EventKind.STAGE_STARTED, n=1)
+    assert log.events == [first]
+    log.flush()
+    assert log.events == []
+    second = log.append(EventKind.STAGE_STARTED, n=2)
+    assert log.events == [second]
+    log.close()
+    assert log.events == []
+
+    memory = RunLog()
+    kept = [memory.append(EventKind.STAGE_STARTED, n=n) for n in range(3)]
+    memory.flush()
+    memory.close()
+    assert memory.events == kept
+
+
+def test_seq_stays_contiguous_across_flushes_and_close(tmp_path):
+    """Sequence numbers count every event the log was given, written or
+    not: across flushes, a close, and an append after the close, the
+    file reads back as one contiguous log."""
+    path = tmp_path / LOG_FILENAME
+    log = RunLog(path=path)
+    written = [log.append(EventKind.RUN_STARTED)]
+    for stage in range(3):
+        written.append(log.append(EventKind.STAGE_STARTED, stage=stage))
+        written.append(log.append(EventKind.STAGE_FINISHED, stage=stage))
+        log.flush()
+    written.append(log.append(EventKind.STAGE_STARTED, stage=3))
+    log.close()
+    written.append(log.append(EventKind.RUN_FINISHED))
+    log.close()
+    assert [event.seq for event in written] == list(range(len(written)))
+    assert read_log(path) == written
+
+
+def test_flush_that_fails_to_encode_keeps_its_events(tmp_path):
+    """The pending events stay until a flush writes them, so once the
+    bad payload is mended a retried flush writes each line once."""
+    path = tmp_path / LOG_FILENAME
+    log, written = _write_log(path, [{"n": 1}])
+    written.append(log.append(EventKind.STAGE_STARTED, n=2))
+    bad = log.append(EventKind.STAGE_STARTED, value=object())
+    written.append(bad)
+    with pytest.raises(TypeError):
+        log.flush()
+    assert log.events == written[1:]
+    bad.payload["value"] = 3
+    log.flush()
+    log.close()
+    assert log.events == []
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines == [_dumps(event) for event in written]
 
 
 # ---- defects ----
@@ -287,6 +346,26 @@ def test_blank_lines_are_skipped(run_dir):
     _write(run_dir, ["", *lines[:3], "", "   ", *lines[3:], "\t"], end="\n\n")
     assert read_log(run_dir / LOG_FILENAME) == full
     assert verify_replay(run_dir)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_read_log_leaves_the_collector_as_it_found_it(run_dir, enabled):
+    """The reader pauses the garbage collector only for its decode, and
+    restores it when the decode fails too."""
+    lines = _lines(run_dir)
+    was = gc.isenabled()
+    try:
+        if not enabled:
+            gc.disable()
+        assert read_log(run_dir / LOG_FILENAME)
+        assert gc.isenabled() is enabled
+        _write(run_dir, lines[:4] + ["not json at all"] + lines[5:])
+        with pytest.raises(CorruptLog):
+            read_log(run_dir / LOG_FILENAME)
+        assert gc.isenabled() is enabled
+    finally:
+        if was:
+            gc.enable()
 
 
 def test_events_are_records_read_back_equal(finished):

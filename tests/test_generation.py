@@ -37,6 +37,7 @@ from ideatree.errors import (
     RetrievalFailure,
     RetriesExhausted,
     TransportFailure,
+    UnparseableIdea,
 )
 from ideatree.generation import (
     ContextState,
@@ -58,7 +59,7 @@ from ideatree.retrieval import FileCorpusRetriever
 from ideatree.scoring import Anchor, AnchorSet, LlmPredictor
 from ideatree.tree import IdeationTree, NodeLevel
 
-from helpers import attach_evaluated_fe, reference_retrieve
+from helpers import ReferenceGenerator, attach_evaluated_fe, reference_retrieve
 
 
 # ---- context state ----
@@ -397,6 +398,65 @@ def test_synthetic_merge_is_midpoint():
     b = tree.spawn(tree.root.id, NodeLevel.FE, "1.0,2.0")
     merged = parse_idea_vector(gen.merge_fe(a, b, None))
     assert merged == [0.5, 1.0]
+
+
+_JITTER = st.just(0.0) | st.floats(1e-6, 10.0)
+
+
+@st.composite
+def _spaces(draw) -> SpaceConfig:
+    low = draw(st.floats(-100.0, 100.0))
+    return SpaceConfig(
+        dimension=draw(st.integers(1, 8)),
+        low=low,
+        high=low + draw(st.floats(1e-3, 100.0)),
+        mt_jitter=draw(_JITTER),
+        merge_jitter=draw(_JITTER),
+    )
+
+
+_PORT_CALLS = st.lists(
+    st.tuples(st.sampled_from(["propose_fe", "propose_mt", "merge_fe", "merge_mt"]),
+              st.integers(0, 3), st.integers(0, 50), st.integers(0, 50)),
+    max_size=12,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**64 - 1), _spaces(), _PORT_CALLS, st.data())
+def test_synthetic_ports_match_their_numpy_forms(seed, space, calls, data):
+    """Over a sequence of proposals and merges, each call returns the
+    strings of the ports' numpy forms, so the same floats bit for bit,
+    and leaves the Generator in the same state: the same draws, of the
+    same sizes, in the same order. Parents are a drawn point and
+    whatever the calls made."""
+    tree = IdeationTree.create("root")
+    start = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=space.dimension,
+                               max_size=space.dimension))
+    nodes = [tree.spawn(tree.root.id, NodeLevel.FE, ",".join(map(repr, start)))]
+    gen, ref = SyntheticGenerator(space, seed), ReferenceGenerator(space, seed)
+    ctx = ContextState()
+    for name, count, i, j in calls:
+        a, b = nodes[i % len(nodes)], nodes[j % len(nodes)]
+        args = {"propose_fe": (ctx, count), "propose_mt": (a, ctx, count)}.get(name, (a, b, ctx))
+        got = getattr(gen, name)(*args)
+        assert got == getattr(ref, name)(*args)
+        assert gen._rng.bit_generator.state == ref._rng.bit_generator.state
+        for text in got if isinstance(got, list) else [got]:
+            nodes.append(tree.spawn(tree.root.id, NodeLevel.FE, text))
+
+
+def test_synthetic_ports_reject_a_point_of_another_dimension():
+    gen = SyntheticGenerator(SpaceConfig(dimension=2, merge_jitter=0.1), seed=5)
+    tree = IdeationTree.create("root")
+    flat = tree.spawn(tree.root.id, NodeLevel.FE, "1.0")
+    plane = tree.spawn(tree.root.id, NodeLevel.FE, "1.0,2.0")
+    state = gen._rng.bit_generator.state
+    with pytest.raises(UnparseableIdea):
+        gen.propose_mt(flat, None, 2)
+    with pytest.raises(UnparseableIdea):
+        gen.merge_fe(plane, flat, None)
+    assert gen._rng.bit_generator.state == state
 
 
 def test_synthetic_enrich_and_external(corpus):
