@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -14,7 +15,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import WORKLOADS, run_config  # noqa: E402
 
 from ideatree import RunConfig, build_synthetic_ports, execute_run  # noqa: E402
-from ideatree.events import LOG_FILENAME, read_log  # noqa: E402
+from ideatree.events import LOG_FILENAME, Event, read_log  # noqa: E402
+from ideatree.orchestrator import RunResult  # noqa: E402
 
 
 @pytest.fixture(scope="session")
@@ -22,13 +24,20 @@ def grow_config():
     return RunConfig.from_dict(run_config(WORKLOADS["grow-25k"], seed=1))
 
 
+class GrowRun(NamedTuple):
+    result: RunResult
+    events: list[Event]
+    run_dir: Path
+
+
 @pytest.fixture(scope="session")
-def grow_run(tmp_path_factory, grow_config):
-    """The grow-25k run of seed 1: its result and its logged events
-    (about 5,200 nodes and 8,800 events)."""
+def grow_run(tmp_path_factory, grow_config) -> GrowRun:
+    """The grow-25k run of seed 1: its result, its logged events (about
+    5,200 nodes and 8,800 events) and its run directory, which the
+    cases only read."""
     out = tmp_path_factory.mktemp("grow-25k") / "run"
     result = execute_run(grow_config, build_synthetic_ports(grow_config), out)
-    return result, read_log(out / LOG_FILENAME)
+    return GrowRun(result, read_log(out / LOG_FILENAME), out)
 
 
 @pytest.fixture

@@ -16,6 +16,7 @@ from typing import Optional
 from .config import RunConfig, load_config
 from .errors import ConfigInvalid, IdeaTreeError, InitializationFailure
 from .evaluation import ExecLimits, SubprocessEvaluator
+from .events import collector_paused
 from .generation import LlmGenerator, MemoryStrategy
 from .orchestrator import (
     PortSet,
@@ -151,6 +152,9 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return EXIT_FAILURE
 
 
+# progress mode reads the log once and walks it twice outside
+# progress_report and run_summary, so the whole command is paused
+@collector_paused()
 def cmd_report(args: argparse.Namespace) -> int:
     run_dirs = [Path(p) for p in args.run_dirs]
     outputs: list[tuple[str, str]] = []

@@ -6,21 +6,30 @@ checkpoint, is rebuilt from the log alone (see orchestrator.replay and
 orchestrator.replay_events), and reports are derived from it. A
 checkpoint is a position in the log, the ``checkpoint_written`` event
 after a stage; the events before it rebuild the tree as it was then.
+
+Reading a run back (``read_log``, ``orchestrator.replay`` and
+``verify_replay``, ``report.progress_report`` and ``run_summary``,
+``IdeationTree.restore``) runs under ``collector_paused``: a read keeps
+what it decodes until it returns, so a cyclic collection during it
+would walk every record and free none. Writing a run does not pause the
+collector, since ports may run user code and threads.
 """
 
 from __future__ import annotations
 
+import functools
 import gc
 import json
-from contextlib import contextmanager
 from enum import Enum
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import IO, NamedTuple, Optional, Sequence
+from typing import IO, Callable, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import CorruptLog, LogVersionMismatch
 
 LOG_SCHEMA_VERSION = 1
+
+T = TypeVar("T")
 
 # the log file in a run directory
 LOG_FILENAME = "run.jsonl"
@@ -135,21 +144,42 @@ class RunLog:
                 self._fh = None
 
 
-@contextmanager
-def _collector_paused():
-    """Pause the cyclic garbage collector, if it runs, for the body.
+class collector_paused:
+    """Pause the cyclic garbage collector, if it runs, for the body of a
+    ``with collector_paused():`` block, or, as the decorator
+    ``@collector_paused()``, for each call of the function.
 
-    Decoding a log makes one container per record and keeps every one,
-    so a collection during it frees nothing; yet each gen-2 collection
-    walks the whole heap, and whether one falls inside a decode depends
-    on what the process allocated before."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
+    A read of a run keeps every record it decodes until it returns, so
+    a collection during it frees nothing, yet each one walks the records
+    made so far, and a gen-2 collection the whole heap. The collector is
+    restored as it was found, also when the body raises, and a nested
+    pause leaves it paused until the outermost one ends. Objects freed
+    inside the pause lower the collector's allocation count again, so a
+    read that drops what it built leaves no collection due; one that
+    returns its records is collected once, after it returns. The switch
+    is process-wide: another thread's cyclic garbage waits for the end
+    of the pause.
+
+    It is a class, not a ``contextlib.contextmanager``, whose exit
+    allocates a StopIteration after the collector is back on: here
+    nothing is allocated after that, so no collection starts before a
+    decorated call has returned."""
+
+    def __enter__(self) -> None:
+        self._enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info) -> None:
+        if self._enabled:
             gc.enable()
+
+    def __call__(self, func: Callable[..., T]) -> Callable[..., T]:
+        @functools.wraps(func)
+        def paused(*args, **kwargs) -> T:
+            with collector_paused():
+                return func(*args, **kwargs)
+
+        return paused
 
 
 def _decode_events(text: str) -> list[Event]:
@@ -163,8 +193,7 @@ def _decode_events(text: str) -> list[Event]:
     brackets are never string content, and a decode error is reported
     on the line where the decoder found it. Raises CorruptLog."""
     try:
-        with _collector_paused():
-            lines = json.loads("[[" + text.replace("\n", "],\n[") + "]]")
+        lines = json.loads("[[" + text.replace("\n", "],\n[") + "]]")
     except json.JSONDecodeError as exc:
         # an error at a line's opening bracket (column 1) is the
         # previous line's: it left the decoder where no array may start
@@ -189,6 +218,7 @@ def _decode_events(text: str) -> list[Event]:
     return events
 
 
+@collector_paused()
 def read_log(path: Path, *, partial: bool = False) -> list[Event]:
     """Load and verify a log file: valid JSON lines, one event each,
     contiguous sequence numbers from zero, a versioned header, and a
@@ -197,7 +227,8 @@ def read_log(path: Path, *, partial: bool = False) -> list[Event]:
     With ``partial`` the log of a crashed or killed run is read too: a
     missing ``run_finished`` is accepted, and a last line that is not an
     event, torn by the crash, is dropped. Any other defect still raises
-    CorruptLog, naming the line."""
+    CorruptLog, naming the line. The read runs with the garbage
+    collector paused (``collector_paused``)."""
     path = Path(path)
     text = path.read_text(encoding="utf-8")
     try:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import os
 import threading
+import time
 from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
@@ -305,6 +306,11 @@ class EndpointConfig:
 
 IDEA_SEPARATOR = "---"
 
+# seconds between failed completion attempts: the first wait, doubled
+# after each further failure up to the cap
+RETRY_BACKOFF_BASE_S = 0.5
+RETRY_BACKOFF_CAP_S = 8.0
+
 
 def _load_template(name: str) -> str:
     """Read a prompt template, dropping the leading # comment header so
@@ -354,15 +360,22 @@ def complete_with_retries(
     system: str,
     user: str,
     parse: Callable[[str], T],
+    sleep: Callable[[float], None] = time.sleep,
 ) -> T:
     """One chat completion read through ``parse``: the retry loop that
     every endpoint caller shares. A TransportFailure, or a
     MalformedResponse from ``parse``, fails an attempt; after
     ``endpoint.max_retries + 1`` failed attempts RetriesExhausted
-    carries the last error."""
+    carries the last error. Between attempts it calls ``sleep`` with
+    ``RETRY_BACKOFF_BASE_S``, doubled after each further failure up to
+    ``RETRY_BACKOFF_CAP_S``; it does not sleep after the last one."""
     attempts = endpoint.max_retries + 1
     last: Optional[GeneratorFailure] = None
+    delay = RETRY_BACKOFF_BASE_S
     for attempt in range(attempts):
+        if attempt:
+            sleep(delay)
+            delay = min(2 * delay, RETRY_BACKOFF_CAP_S)
         try:
             return parse(request_completion(session, endpoint, system, user))
         except (TransportFailure, MalformedResponse) as exc:

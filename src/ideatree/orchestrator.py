@@ -33,7 +33,7 @@ from .errors import (
     MissingRunArtifacts,
 )
 from .evaluation import EvaluationPort, LandscapeConfig, SimulatedEvaluator
-from .events import LOG_FILENAME, Event, EventKind, RunLog, read_log
+from .events import LOG_FILENAME, Event, EventKind, RunLog, collector_paused, read_log
 from .generation import (
     ContextState,
     ExternalQueryPolicy,
@@ -524,9 +524,11 @@ def _build_anchors(tree, ports: PortSet, config: RunConfig, ctx, log,
 # Replay
 # =====================================================================
 
+@collector_paused()
 def replay(log_path: Path) -> IdeationTree:
     """Rebuild the final tree from the event log alone, no ports
-    involved. The result must match the run's final snapshot exactly."""
+    involved. The result must match the run's final snapshot exactly.
+    Runs with the garbage collector paused."""
     events = read_log(Path(log_path))
     return replay_events(events)
 
@@ -564,8 +566,10 @@ def replay_events(events: list[Event]) -> IdeationTree:
     return backpropagate(tree)
 
 
+@collector_paused()
 def verify_replay(run_dir: Path) -> bool:
-    """True iff the log replays to exactly the final snapshot."""
+    """True iff the log replays to exactly the final snapshot. Runs
+    with the garbage collector paused."""
     run_dir = Path(run_dir)
     log_path = run_dir / LOG_FILENAME
     snapshot_path = run_dir / FINAL_SNAPSHOT_FILENAME

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import MalformedLeaderboardFile, MissingRunArtifacts
-from .events import LOG_FILENAME, Event, EventKind, read_log
+from .events import LOG_FILENAME, Event, EventKind, collector_paused, read_log
 from .tree import MetricDirection, MetricSpec, NodeLevel, NodeStatus, ProvenanceKind
 
 
@@ -196,12 +196,17 @@ def read_run_log(run_dir: Path) -> list[Event]:
     return read_log(path, partial=True)
 
 
+@collector_paused()
 def progress_report(run_dir: Path) -> list[ReportRow]:
+    """The per-iteration rows of the run in ``run_dir``, recomputed from
+    the log with the garbage collector paused."""
     return progress_rows(read_run_log(run_dir))
 
 
+@collector_paused()
 def run_summary(run_dir: Path) -> dict:
-    """Structured whole-run summary, recomputed from the log."""
+    """Structured whole-run summary, recomputed from the log with the
+    garbage collector paused."""
     return summarize_events(run_dir, read_run_log(run_dir))
 
 

@@ -64,6 +64,7 @@ from .errors import (
     NonFiniteScore,
     UnknownParent,
 )
+from .events import collector_paused
 
 TREE_SCHEMA_VERSION = 1
 
@@ -547,8 +548,10 @@ class IdeationTree:
         return _SNAPSHOT_ENCODER.encode(doc)
 
     @classmethod
+    @collector_paused()
     def restore(cls, document: str) -> "IdeationTree":
-        """Rebuild a tree from a snapshot, re-validating every invariant."""
+        """Rebuild a tree from a snapshot, re-validating every invariant,
+        with the garbage collector paused."""
         try:
             doc = json.loads(document)
         except json.JSONDecodeError as exc:

@@ -350,8 +350,9 @@ def test_blank_lines_are_skipped(run_dir):
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_read_log_leaves_the_collector_as_it_found_it(run_dir, enabled):
-    """The reader pauses the garbage collector only for its decode, and
-    restores it when the decode fails too."""
+    """The reader pauses the garbage collector for the whole read (the
+    decode, the event records and the checks) and restores it as it
+    found it, when the read fails too."""
     lines = _lines(run_dir)
     was = gc.isenabled()
     try:

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -40,6 +41,8 @@ from ideatree.errors import (
     UnparseableIdea,
 )
 from ideatree.generation import (
+    RETRY_BACKOFF_BASE_S,
+    RETRY_BACKOFF_CAP_S,
     ContextState,
     EndpointConfig,
     ExternalQueryPolicy,
@@ -49,6 +52,7 @@ from ideatree.generation import (
     SegmentTag,
     SpaceConfig,
     SyntheticGenerator,
+    complete_with_retries,
     gate_external_query,
     request_completion,
     select_context_nodes,
@@ -597,6 +601,71 @@ def test_llm_transport_failure_surfaces_directly():
     endpoint = EndpointConfig(base_url="http://127.0.0.1:1", model="x", timeout_s=0.5)
     with pytest.raises(TransportFailure):
         request_completion(requests.Session(), endpoint, "s", "u")
+
+
+# ---- retry backoff against a fake session ----
+
+class _FakeResponse:
+    def __init__(self, status_code: int, body):
+        self.status_code = status_code
+        self._body = body
+
+    def json(self):
+        return self._body
+
+
+class _FakeSession:
+    """Answers each post with the next scripted ``(status, body)``,
+    without a network."""
+
+    def __init__(self, script):
+        self.script = list(script)
+        self.posts = 0
+
+    def post(self, url, **kwargs):
+        self.posts += 1
+        return _FakeResponse(*self.script.pop(0))
+
+
+def _complete_recording_sleeps(script, max_retries: int):
+    """complete_with_retries over a fake session, with a sleep that only
+    records its delays; returns the content or the error, the delays
+    and the post count."""
+    session = _FakeSession(script)
+    endpoint = EndpointConfig(base_url="http://fake", model="m", max_retries=max_retries)
+    delays: list[float] = []
+    try:
+        outcome = complete_with_retries(session, endpoint, "s", "u", str.strip,
+                                        sleep=delays.append)
+    except RetriesExhausted as exc:
+        outcome = exc
+    return outcome, delays, session.posts
+
+
+def test_retry_delays_double_up_to_the_cap():
+    start = time.perf_counter()
+    outcome, delays, posts = _complete_recording_sleeps([(503, {})] * 8, max_retries=7)
+    assert isinstance(outcome, RetriesExhausted)
+    assert posts == 8
+    # no sleep after the last attempt
+    assert len(delays) == 7
+    assert delays[0] == RETRY_BACKOFF_BASE_S
+    assert delays == [min(RETRY_BACKOFF_BASE_S * 2 ** i, RETRY_BACKOFF_CAP_S) for i in range(7)]
+    assert delays[-1] == RETRY_BACKOFF_CAP_S > delays[0]
+    # the recorded delays add up to seconds; none of them was slept
+    assert sum(delays) > 10 and time.perf_counter() - start < 1.0
+
+
+def test_retry_sleeps_only_between_failed_attempts():
+    ok = (200, _chat_reply(" done "))
+    assert _complete_recording_sleeps([ok], max_retries=3) == ("done", [], 1)
+    malformed = (200, {"unexpected": True})
+    outcome, delays, posts = _complete_recording_sleeps([(503, {}), malformed, ok],
+                                                        max_retries=3)
+    assert (outcome, posts) == ("done", 3)
+    assert delays == [RETRY_BACKOFF_BASE_S, 2 * RETRY_BACKOFF_BASE_S]
+    outcome, delays, posts = _complete_recording_sleeps([(503, {})], max_retries=0)
+    assert isinstance(outcome, RetriesExhausted) and (delays, posts) == ([], 1)
 
 
 def test_import_loads_no_http_client():
