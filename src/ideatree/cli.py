@@ -79,8 +79,8 @@ def build_llm_ports(config: RunConfig, dataset_dir: Path, out_dir: Path) -> Port
     dataset_dir = Path(dataset_dir)
     reader = DirectoryReader()
     task = reader.read(dataset_dir)
-    metric_port = DescriptionMetric(dataset_dir=dataset_dir)
-    metric, _ = metric_port.infer(task)
+    metric_port = DescriptionMetric()
+    metric = metric_port.infer(task)
     clock = build_clock(config)
     corpus = _corpus_dir(dataset_dir)
     gen = LlmGenerator(

@@ -78,10 +78,6 @@ class RetrievalFailure(IdeaTreeError):
     """External document retrieval failed; treated as an empty result."""
 
 
-class CheckerCrash(IdeaTreeError):
-    """A candidate check raised instead of returning a verdict."""
-
-
 class InvalidSpaceConfig(IdeaTreeError):
     """Synthetic idea space configuration is invalid."""
 

@@ -1,34 +1,29 @@
 """Candidate evaluation: a simulated score landscape for desk-scale
-runs, a subprocess executor for real code artifacts, the fast-mode
-debugging transform, and the bounded debug loop with its error memory.
+runs and a subprocess executor for real code artifacts.
 
 Full-mode results are the scores of record; debug-mode runs exist only
-to shake out errors cheaply and are never written back to a node.
+to shake out errors cheaply and are never written back to a node. The
+engine charges each debug run at the evaluator's debug cost.
 """
 
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 import os
-import re
 import subprocess
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Optional, Protocol
+from typing import Optional, Protocol
 
 import numpy as np
 
 from .clock import WallClock
 from .embedding import parse_idea_vector
 from .errors import EvaluationFailure, InvalidParams, UnparseableIdea
-from .events import EventKind, RunLog
 from .tree import MetricDirection, MetricSpec, Node, ProvenanceKind
-
-logger = logging.getLogger(__name__)
 
 
 class EvalMode(str, Enum):
@@ -52,15 +47,6 @@ class FailureReport:
     stdout: str = ""
     stderr: str = ""
     exit_code: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind.value,
-            "message": self.message,
-            "stdout": self.stdout,
-            "stderr": self.stderr,
-            "exit_code": self.exit_code,
-        }
 
 
 class EvaluationPort(Protocol):
@@ -338,220 +324,3 @@ class SubprocessEvaluator:
 
     def cost(self, mode: EvalMode) -> Optional[float]:
         return None
-
-
-# =====================================================================
-# Fast-mode transform
-# =====================================================================
-
-@dataclass(frozen=True)
-class FastModeTransform:
-    """Parameter caps applied to a code artifact before debug runs.
-
-    ``rules`` maps a parameter name to its cap; any whole-line integer
-    assignment ``name = value`` (spaces optional) is lowered to
-    min(value, cap). ``subset_fraction`` is the percentage of data the
-    executor should use in debug mode; it rides along to the evaluator
-    rather than editing the code.
-    """
-
-    rules: dict[str, int] = field(default_factory=lambda: {"epochs": 2})
-    subset_fraction: float = 10.0
-
-    def __post_init__(self):
-        for name, cap in self.rules.items():
-            if cap < 1:
-                raise InvalidParams(f"cap for {name!r} must be >= 1, got {cap}")
-        if not 0 < self.subset_fraction <= 100:
-            raise InvalidParams("subset_fraction must be a percentage in (0, 100]")
-
-
-@dataclass(frozen=True)
-class RestoreToken:
-    """Everything needed to undo a fast-mode application, even after a
-    fixer has edited other parts of the code."""
-
-    original: str
-    fast: str
-    replacements: tuple[tuple[str, str, str], ...]  # (name, original value, capped value)
-    subset_fraction: float
-
-
-def _assignment_pattern(name: str) -> re.Pattern:
-    return re.compile(rf"^(\s*{re.escape(name)}\s*=\s*)(\d+)(\s*)$", re.MULTILINE)
-
-
-def apply_fast_mode(code: str, transform: FastModeTransform) -> tuple[str, RestoreToken]:
-    """Cap matching parameter assignments; returns the transformed code
-    and a token that restores the original exactly."""
-    fast = code
-    replacements: list[tuple[str, str, str]] = []
-    for name in sorted(transform.rules):
-        cap = transform.rules[name]
-
-        def lower(match: re.Match) -> str:
-            original_value = match.group(2)
-            capped = min(int(original_value), cap)
-            if capped != int(original_value):
-                replacements.append((name, original_value, str(capped)))
-            return f"{match.group(1)}{capped}{match.group(3)}"
-
-        fast = _assignment_pattern(name).sub(lower, fast)
-    token = RestoreToken(
-        original=code, fast=fast,
-        replacements=tuple(replacements),
-        subset_fraction=transform.subset_fraction,
-    )
-    return fast, token
-
-
-def restore_fast_mode(code: str, token: RestoreToken) -> str:
-    """Undo the caps. Untouched fast code restores byte-exactly; code a
-    fixer has edited keeps its fixes and only the capped values are put
-    back."""
-    if code == token.fast:
-        return token.original
-    restored = code
-    for name, original_value, capped in token.replacements:
-        pattern = re.compile(rf"^(\s*{re.escape(name)}\s*=\s*){re.escape(capped)}(\s*)$", re.MULTILINE)
-        restored = pattern.sub(rf"\g<1>{original_value}\g<2>", restored, count=1)
-    return restored
-
-
-# =====================================================================
-# Error memory and the debug loop
-# =====================================================================
-
-_DIGITS = re.compile(r"\d+")
-_PATHS = re.compile(r"(?:[A-Za-z]:)?[\\/][\w.\-\\/]+")
-
-
-def error_signature(error_class: str, message: str) -> str:
-    """Stable digest of an error with volatile parts (numbers, paths)
-    normalized away."""
-    normalized = _PATHS.sub("<path>", message or "")
-    normalized = _DIGITS.sub("#", normalized)
-    digest = hashlib.sha256(f"{error_class}|{normalized}".encode("utf-8")).hexdigest()
-    return digest[:16]
-
-
-class DebugOutcome(str, Enum):
-    DEBUGGED_OK = "debugged_ok"
-    REGENERATE = "regenerate"
-    ABANDONED = "abandoned"
-
-
-@dataclass
-class ErrorRecord:
-    signature: str
-    error_class: str
-    attempts: int = 0
-    outcome: Optional[str] = None
-
-
-@dataclass
-class ErrorLog:
-    """Run-wide memory of failures, keyed by normalized signature, plus
-    the flat attempt history the recurrence rule is audited against."""
-
-    records: dict[str, ErrorRecord] = field(default_factory=dict)
-    attempts: list[dict] = field(default_factory=list)
-
-    def seen(self, signature: str) -> bool:
-        return signature in self.records
-
-    def record_error(self, signature: str, error_class: str, node_id: int, attempt: int) -> None:
-        rec = self.records.get(signature)
-        if rec is None:
-            rec = ErrorRecord(signature=signature, error_class=error_class)
-            self.records[signature] = rec
-        rec.attempts += 1
-        self.attempts.append(
-            {"node_id": node_id, "attempt": attempt, "ok": False, "signature": signature}
-        )
-
-    def record_success(self, node_id: int, attempt: int) -> None:
-        self.attempts.append({"node_id": node_id, "attempt": attempt, "ok": True, "signature": None})
-
-    def set_outcome(self, signature: str, outcome: str) -> None:
-        if signature in self.records:
-            self.records[signature].outcome = outcome
-
-
-def debug_loop(
-    node: Node,
-    port: EvaluationPort,
-    fixer: Callable[[str, FailureReport], str],
-    transform: FastModeTransform,
-    max_retries: int,
-    error_log: ErrorLog,
-    *,
-    log: Optional[RunLog] = None,
-) -> DebugOutcome:
-    """Drive a failing candidate through cheap debug-mode runs.
-
-    The artifact runs with fast-mode caps applied. Errors whose
-    signature was seen before (this node or any earlier one) skip the
-    fixer and ask for regeneration; fresh errors go to the fixer, up to
-    ``max_retries`` attempts. On success the parameter caps are undone
-    (keeping any fixes) and the node carries the repaired artifact; on
-    any other exit the artifact is exactly as it started.
-    """
-    if max_retries < 1:
-        raise InvalidParams(f"max_retries must be >= 1, got {max_retries}")
-    if node.code_artifact is None:
-        raise EvaluationFailure("node has no code artifact to debug")
-    original = node.code_artifact
-    fast, token = apply_fast_mode(original, transform)
-    code = fast
-    outcome = DebugOutcome.ABANDONED
-    last_signature: Optional[str] = None
-    try:
-        for attempt in range(1, max_retries + 1):
-            node.code_artifact = code
-            try:
-                port.evaluate(node, EvalMode.DEBUG)
-            except EvaluationFailure as exc:
-                report = exc.report or FailureReport(
-                    kind=FailureKind.RUNTIME_ERROR, message=str(exc)
-                )
-                signature = error_signature(report.kind.value, report.message)
-                recurring = error_log.seen(signature)
-                error_log.record_error(signature, report.kind.value, node.id, attempt)
-                last_signature = signature
-                _debug_event(log, node.id, attempt, ok=False, signature=signature,
-                             recurring=recurring)
-                if recurring:
-                    outcome = DebugOutcome.REGENERATE
-                    return outcome
-                if attempt == max_retries:
-                    outcome = DebugOutcome.ABANDONED
-                    return outcome
-                code = fixer(code, report)
-            else:
-                error_log.record_success(node.id, attempt)
-                _debug_event(log, node.id, attempt, ok=True, signature=None, recurring=False)
-                outcome = DebugOutcome.DEBUGGED_OK
-                return outcome
-        return outcome
-    finally:
-        if outcome is DebugOutcome.DEBUGGED_OK:
-            node.code_artifact = restore_fast_mode(code, token)
-        else:
-            node.code_artifact = original
-        if last_signature is not None:
-            error_log.set_outcome(
-                last_signature,
-                {
-                    DebugOutcome.DEBUGGED_OK: "fixed",
-                    DebugOutcome.REGENERATE: "regenerated",
-                    DebugOutcome.ABANDONED: "abandoned",
-                }[outcome],
-            )
-
-
-def _debug_event(log: Optional[RunLog], node_id: int, attempt: int, *, ok: bool,
-                 signature: Optional[str], recurring: bool) -> None:
-    if log is not None:
-        log.append(EventKind.DEBUG_ATTEMPT, node_id=node_id, attempt=attempt, ok=ok,
-                   signature=signature, recurring=recurring)

@@ -45,7 +45,6 @@ class EventKind(str, Enum):
     PREDICTION_MADE = "prediction_made"
     MERGE_ATTEMPTED = "merge_attempted"
     MEMORY_PROMOTED = "memory_promoted"
-    DEBUG_ATTEMPT = "debug_attempt"
     CHECKPOINT_WRITTEN = "checkpoint_written"
     BUDGET_EXHAUSTED = "budget_exhausted"
     RUN_FINISHED = "run_finished"
@@ -79,9 +78,6 @@ class Event(NamedTuple):
     ts: float
     kind: EventKind
     payload: dict
-
-    def to_json(self) -> str:
-        return _encode_lines((self,))[0]
 
 
 class RunLog:

@@ -84,9 +84,6 @@ class ContextState:
         self.revision += 1
         return segment
 
-    def by_tag(self, tag: SegmentTag) -> list[Segment]:
-        return [s for s in self._segments if s.tag is tag]
-
     def render(self) -> str:
         """Flatten for prompt assembly, one block per segment in order."""
         return "\n\n".join(f"[{s.tag.value}] {s.text}" for s in self._segments)

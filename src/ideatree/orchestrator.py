@@ -190,7 +190,6 @@ def initialize_tree(
     gen: IdeaGenerator,
     evaluator: EvaluationPort,
     config: RunConfig,
-    rng: np.random.Generator,
     *,
     metric: MetricSpec,
     log: Optional[RunLog] = None,
@@ -247,7 +246,6 @@ def run_main_loop(
     clock,
     *,
     log: RunLog,
-    seed_sequence: Optional[np.random.SeedSequence] = None,
     predict_fn=None,
     pool: Optional[Executor] = None,
 ) -> RunResult:
@@ -268,9 +266,11 @@ def run_main_loop(
     ``checkpoint_every_stage``, first by a ``checkpoint_written`` event
     that records the best node so far. The checkpoint is that position
     in the log: no file is written.
+
+    Stage ``n`` of the loop, counted from 1 with skipped stages
+    included, draws from the stream keyed by ``(config.seed, n)``, so
+    its draws do not depend on what earlier stages drew.
     """
-    if seed_sequence is None:
-        seed_sequence = np.random.SeedSequence(config.seed)
     adding_params = StageParams(
         n_fe=config.number_of_ideas_data,
         m_mt=config.number_of_ideas_modelling,
@@ -287,6 +287,7 @@ def run_main_loop(
     )
     policy = _eval_policy(config, predict_fn)
     iterations = 0
+    stage_number = 0
     budget_out = False
     checkpoint_seq = 0
     failed_stages = 0
@@ -349,8 +350,9 @@ def run_main_loop(
         if stage is adding:
             iterations += 1
             tree.iteration = iterations
-        # one stream per stage, skipped or not, so the streams stay aligned
-        rng = np.random.default_rng(seed_sequence.spawn(1)[0])
+        stage_number += 1
+        rng = np.random.default_rng(
+            np.random.SeedSequence(config.seed, spawn_key=(stage_number,)))
         try:
             ran = stage(rng)
         except BudgetExhausted:
@@ -474,11 +476,9 @@ def _search(config: RunConfig, ports: PortSet, dataset_dir: Optional[Path],
 
     ctx = ContextState()
     ctx.append(SegmentTag.READER, setup.task.description)
-    seed_sequence = np.random.SeedSequence(config.seed)
-    init_rng = np.random.default_rng(seed_sequence.spawn(1)[0])
     with _evaluation_pool(config.worker_count) as pool:
         tree = initialize_tree(
-            ctx, ports.gen, ports.evaluator, config, init_rng,
+            ctx, ports.gen, ports.evaluator, config,
             metric=ports.metric, log=log, clock=clock, pool=pool,
         )
 
@@ -495,8 +495,7 @@ def _search(config: RunConfig, ports: PortSet, dataset_dir: Optional[Path],
         mem = MergeMemory(theta_fail=config.theta_fail)
         result = run_main_loop(
             tree, ctx, ports, mem, config, clock,
-            log=log, seed_sequence=seed_sequence,
-            predict_fn=predict_fn, pool=pool,
+            log=log, predict_fn=predict_fn, pool=pool,
         )
     return setup, result
 

@@ -66,10 +66,6 @@ class AnchorSet:
     def sorted_anchors(self) -> list[Anchor]:
         return sorted(self.anchors, key=lambda a: a.mt_node_id)
 
-    def score_bounds(self) -> tuple[float, float]:
-        scores = [a.true_score for a in self.anchors]
-        return min(scores), max(scores)
-
 
 class Predictor(Protocol):
     """Estimates the raw metric value a candidate would achieve."""

@@ -15,9 +15,8 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Protocol
 
-from .checker import Check, nonempty_check, required_columns_check
 from .config import RunConfig
 from .errors import ResplitsExhausted, StageFailure
 from .tree import MetricDirection, MetricSpec
@@ -63,7 +62,7 @@ class ReaderPort(Protocol):
 
 
 class MetricPort(Protocol):
-    def infer(self, task: TaskSpec) -> tuple[MetricSpec, list[Check]]: ...
+    def infer(self, task: TaskSpec) -> MetricSpec: ...
 
 
 class ValidatorPort(Protocol):
@@ -86,7 +85,6 @@ class SetupStages:
 class SetupResult:
     task: TaskSpec
     metric: MetricSpec
-    checks: tuple[Check, ...]
     plan: SplitPlan
     baseline: BaselineResult
     validator_runs: int
@@ -103,7 +101,7 @@ def pipeline_setup(dataset_dir: Path, stages: SetupStages, config: RunConfig) ->
     the rows.
     """
     task = _run_stage("reader", lambda: stages.reader.read(Path(dataset_dir)))
-    metric, checks = _run_stage("metric", lambda: stages.metric.infer(task))
+    metric = _run_stage("metric", lambda: stages.metric.infer(task))
 
     def make_plan(attempt: int) -> SplitPlan:
         plan = _run_stage("validator", lambda: stages.validator.split(task, attempt))
@@ -118,7 +116,7 @@ def pipeline_setup(dataset_dir: Path, stages: SetupStages, config: RunConfig) ->
         result = _run_stage("baseliner", lambda: stages.baseliner.baseline(task, plan))
         if result.verdict is BaselineVerdict.SPLIT_OK:
             return SetupResult(
-                task=task, metric=metric, checks=tuple(checks), plan=plan,
+                task=task, metric=metric, plan=plan,
                 baseline=result, validator_runs=validator_runs,
             )
         attempt += 1
@@ -158,10 +156,9 @@ class StaticReader:
 @dataclass
 class StaticMetric:
     metric: MetricSpec
-    checks: tuple[Check, ...] = ()
 
-    def infer(self, task: TaskSpec) -> tuple[MetricSpec, list[Check]]:
-        return self.metric, list(self.checks)
+    def infer(self, task: TaskSpec) -> MetricSpec:
+        return self.metric
 
 
 @dataclass
@@ -201,7 +198,6 @@ class ScriptedBaseliner:
 
 DESCRIPTION_FILENAME = "description.txt"
 DATA_FILENAME = "data.csv"
-SAMPLE_SUBMISSION_FILENAME = "sample_submission.csv"
 
 _METRIC_LINE = re.compile(
     r"^metric:\s*(?P<name>[\w.\- ]+?)\s*\((?P<direction>higher|lower) is better\)\s*$",
@@ -212,8 +208,8 @@ _METRIC_LINE = re.compile(
 @dataclass
 class DirectoryReader:
     """Reads the documented dataset layout: ``description.txt`` with the
-    task text, ``data.csv`` with a header row plus one row per record,
-    and optionally ``sample_submission.csv``."""
+    task text and ``data.csv`` with a header row plus one row per
+    record."""
 
     def read(self, dataset_dir: Path) -> TaskSpec:
         dataset_dir = Path(dataset_dir)
@@ -237,12 +233,9 @@ class DirectoryReader:
 @dataclass
 class DescriptionMetric:
     """Parses a ``metric: <name> (<higher|lower> is better)`` line out of
-    the task description; defaults to accuracy when absent. Submission
-    checks come from the sample submission header when one exists."""
+    the task description; defaults to accuracy when absent."""
 
-    dataset_dir: Optional[Path] = None
-
-    def infer(self, task: TaskSpec) -> tuple[MetricSpec, list[Check]]:
+    def infer(self, task: TaskSpec) -> MetricSpec:
         match = _METRIC_LINE.search(task.description)
         if match:
             direction = (
@@ -250,15 +243,5 @@ class DescriptionMetric:
                 if match.group("direction").lower() == "higher"
                 else MetricDirection.LOWER_BETTER
             )
-            metric = MetricSpec(match.group("name").strip(), direction)
-        else:
-            metric = MetricSpec("accuracy", MetricDirection.HIGHER_BETTER)
-        checks: list[Check] = [nonempty_check()]
-        if self.dataset_dir is not None:
-            sample = Path(self.dataset_dir) / SAMPLE_SUBMISSION_FILENAME
-            if sample.exists():
-                with sample.open(encoding="utf-8", newline="") as fh:
-                    header = next(csv.reader(fh), None)
-                if header:
-                    checks.append(required_columns_check([h.strip() for h in header]))
-        return metric, checks
+            return MetricSpec(match.group("name").strip(), direction)
+        return MetricSpec("accuracy", MetricDirection.HIGHER_BETTER)

@@ -320,6 +320,12 @@ def attach_evaluated_fe(
     return fe.id
 
 
+def anchor_score_bounds(anchor_set) -> tuple[float, float]:
+    """The lowest and highest true score among an anchor set's anchors."""
+    scores = [a.true_score for a in anchor_set.anchors]
+    return min(scores), max(scores)
+
+
 class FlakyEvaluator:
     """Wraps another evaluator and fails deterministically for the nodes
     ``should_fail`` picks."""

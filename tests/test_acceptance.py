@@ -46,7 +46,15 @@ from ideatree.tree import (
     backpropagate,
 )
 
-from helpers import HIGHER, LOWER, build_random_tree, make_world, of_kind, oracle_aggregates
+from helpers import (
+    HIGHER,
+    LOWER,
+    anchor_score_bounds,
+    build_random_tree,
+    make_world,
+    of_kind,
+    oracle_aggregates,
+)
 
 CRITERIA = {
     1: "structural invariants hold over 1000 seeded instances each, under 60s",
@@ -374,7 +382,7 @@ def test_criterion_07_predictor_rank_fidelity():
             architecture_tag="x", mt_node_id=node.id,
         ))
     anchor_set = AnchorSet(tuple(anchors), phase1_fe=fe.id, phase2_arch="x")
-    low, high = anchor_set.score_bounds()
+    low, high = anchor_score_bounds(anchor_set)
     predictor = BaselinePredictor(embedder=embedder, temperature=0.1)
 
     rng = np.random.default_rng(7)

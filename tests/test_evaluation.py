@@ -1,4 +1,4 @@
-"""Simulated landscape, subprocess execution, fast-mode caps, debug loop."""
+"""Simulated landscape and subprocess execution."""
 
 from __future__ import annotations
 
@@ -14,21 +14,13 @@ from ideatree.clock import SimulatedClock, WallClock
 from ideatree.embedding import render_idea_vector
 from ideatree.errors import EvaluationFailure, InvalidParams, UnparseableIdea
 from ideatree.evaluation import (
-    DebugOutcome,
-    ErrorLog,
     EvalMode,
     ExecLimits,
     FailureKind,
-    FailureReport,
-    FastModeTransform,
     MIN_TIMEOUT_MINUTES,
     LandscapeConfig,
     SimulatedEvaluator,
     SubprocessEvaluator,
-    apply_fast_mode,
-    debug_loop,
-    error_signature,
-    restore_fast_mode,
     simulated_evaluate,
     subprocess_evaluate,
 )
@@ -280,187 +272,3 @@ def test_subprocess_timeout_is_not_clamped_off_a_wall_clock(tmp_path):
 def test_exec_limits_validation():
     with pytest.raises(InvalidParams):
         ExecLimits(wall_minutes=0.0)
-
-
-# ---- fast mode ----
-
-SLOW_CODE = """\
-import sys
-epochs = 100
-n_estimators = 500
-learning_rate = 0.1
-train(epochs, n_estimators)
-"""
-
-
-def test_apply_fast_mode_caps_assignments():
-    transform = FastModeTransform(rules={"epochs": 2, "n_estimators": 10})
-    fast, token = apply_fast_mode(SLOW_CODE, transform)
-    assert "epochs = 2" in fast
-    assert "n_estimators = 10" in fast
-    assert "learning_rate = 0.1" in fast  # untouched, not an int rule
-    assert token.original == SLOW_CODE
-    assert len(token.replacements) == 2
-
-
-def test_apply_fast_mode_leaves_small_values():
-    transform = FastModeTransform(rules={"epochs": 100})
-    code = "epochs = 3\n"
-    fast, token = apply_fast_mode(code, transform)
-    assert fast == code
-    assert token.replacements == ()
-
-
-def test_apply_fast_mode_skips_non_assignment_uses():
-    transform = FastModeTransform(rules={"epochs": 2})
-    code = "run(epochs = 100)\nresults[epochs] = 100\n"
-    fast, _ = apply_fast_mode(code, transform)
-    assert fast == code
-
-
-def test_restore_untouched_is_byte_exact():
-    transform = FastModeTransform(rules={"epochs": 2, "n_estimators": 10})
-    fast, token = apply_fast_mode(SLOW_CODE, transform)
-    assert restore_fast_mode(fast, token) == SLOW_CODE
-
-
-def test_restore_after_fixer_edit_keeps_the_fix():
-    transform = FastModeTransform(rules={"epochs": 2})
-    fast, token = apply_fast_mode(SLOW_CODE, transform)
-    fixed = fast.replace("import sys", "import sys\nimport os")
-    restored = restore_fast_mode(fixed, token)
-    assert "import os" in restored
-    assert "epochs = 100" in restored
-    assert "epochs = 2" not in restored
-
-
-def test_fast_mode_transform_validation():
-    with pytest.raises(InvalidParams):
-        FastModeTransform(rules={"epochs": 0})
-    with pytest.raises(InvalidParams):
-        FastModeTransform(subset_fraction=0.0)
-    with pytest.raises(InvalidParams):
-        FastModeTransform(subset_fraction=150.0)
-
-
-# ---- error signatures ----
-
-def test_error_signature_normalizes_volatile_parts():
-    a = error_signature("KeyError", "missing row 17 in /tmp/run4/data.csv")
-    b = error_signature("KeyError", "missing row 99 in /var/other/data.csv")
-    assert a == b
-    assert error_signature("ValueError", "missing row 17") != a
-    assert len(a) == 16
-
-
-def test_error_log_bookkeeping():
-    log = ErrorLog()
-    sig = error_signature("ValueError", "boom")
-    assert not log.seen(sig)
-    log.record_error(sig, "ValueError", node_id=3, attempt=1)
-    assert log.seen(sig)
-    assert log.records[sig].attempts == 1
-    log.record_success(node_id=3, attempt=2)
-    log.set_outcome(sig, "fixed")
-    assert log.records[sig].outcome == "fixed"
-    assert [a["ok"] for a in log.attempts] == [False, True]
-
-
-# ---- debug loop ----
-
-class ScriptedPort:
-    """Evaluation port that fails according to a script of reports."""
-
-    def __init__(self, script):
-        self.script = list(script)
-        self.seen_artifacts = []
-
-    def evaluate(self, node, mode):
-        assert mode is EvalMode.DEBUG
-        self.seen_artifacts.append(node.code_artifact)
-        step = self.script.pop(0)
-        if step is None:
-            return 0.5
-        raise EvaluationFailure(step.message, report=step)
-
-    def cost(self, mode):
-        return None
-
-
-def _report(kind, message):
-    return FailureReport(kind=kind, message=message)
-
-
-def test_debug_loop_success_restores_caps_keeps_fix():
-    node = _mt("any", artifact=SLOW_CODE)
-    report = _report(FailureKind.NONZERO_EXIT, "NameError: train")
-    port = ScriptedPort([report, None])
-
-    def fixer(code, rep):
-        return code.replace("train(", "print(")
-
-    log = ErrorLog()
-    outcome = debug_loop(node, port, fixer, FastModeTransform(rules={"epochs": 2}), 3, log)
-    assert outcome is DebugOutcome.DEBUGGED_OK
-    assert "print(" in node.code_artifact
-    assert "epochs = 100" in node.code_artifact  # caps undone
-    assert "epochs = 2" in port.seen_artifacts[0]  # but the runs used the caps
-
-
-def test_debug_loop_clean_first_run_restores_exact_artifact():
-    node = _mt("any", artifact=SLOW_CODE)
-    port = ScriptedPort([None])
-    outcome = debug_loop(node, port, lambda c, r: c, FastModeTransform(rules={"epochs": 2}), 3, ErrorLog())
-    assert outcome is DebugOutcome.DEBUGGED_OK
-    assert node.code_artifact == SLOW_CODE
-
-
-def test_debug_loop_recurring_signature_regenerates():
-    node = _mt("any", artifact="code v1\n")
-    same = _report(FailureKind.NONZERO_EXIT, "KeyError: 'target' at line 44")
-    same_again = _report(FailureKind.NONZERO_EXIT, "KeyError: 'target' at line 91")
-    port = ScriptedPort([same, same_again])
-    log = ErrorLog()
-    outcome = debug_loop(node, port, lambda c, r: c + "# attempt\n", FastModeTransform(), 5, log)
-    assert outcome is DebugOutcome.REGENERATE
-    assert node.code_artifact == "code v1\n"  # untouched on non-success
-    sig = error_signature(FailureKind.NONZERO_EXIT.value, same.message)
-    assert log.records[sig].attempts == 2
-    assert log.records[sig].outcome == "regenerated"
-
-
-def test_debug_loop_cross_node_recurrence():
-    log = ErrorLog()
-    report = _report(FailureKind.NONZERO_EXIT, "KeyError: 'target'")
-    first = _mt("any", artifact="a\n")
-    assert debug_loop(first, ScriptedPort([report, None]), lambda c, r: c, FastModeTransform(), 3, log) \
-        is DebugOutcome.DEBUGGED_OK
-    # a different node hitting the same signature bails out immediately
-    second = _mt("any", artifact="b\n")
-    outcome = debug_loop(second, ScriptedPort([report]), lambda c, r: c, FastModeTransform(), 3, log)
-    assert outcome is DebugOutcome.REGENERATE
-
-
-def test_debug_loop_abandons_after_max_retries():
-    node = _mt("any", artifact="original\n")
-    reports = [
-        _report(FailureKind.NONZERO_EXIT, "error alpha"),
-        _report(FailureKind.NONZERO_EXIT, "error beta"),
-        _report(FailureKind.NONZERO_EXIT, "error gamma"),
-    ]
-    port = ScriptedPort(reports)
-    log = ErrorLog()
-    outcome = debug_loop(node, port, lambda c, r: c + "#\n", FastModeTransform(), 3, log)
-    assert outcome is DebugOutcome.ABANDONED
-    assert node.code_artifact == "original\n"
-    assert len(port.seen_artifacts) == 3
-    assert len(log.records) == 3
-
-
-def test_debug_loop_parameter_validation():
-    node = _mt("any", artifact="x\n")
-    with pytest.raises(InvalidParams):
-        debug_loop(node, ScriptedPort([None]), lambda c, r: c, FastModeTransform(), 0, ErrorLog())
-    bare = _mt("any")
-    with pytest.raises(EvaluationFailure):
-        debug_loop(bare, ScriptedPort([None]), lambda c, r: c, FastModeTransform(), 3, ErrorLog())

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from ideatree.config import RunConfig
 from ideatree.errors import CorruptLog
-from ideatree.events import LOG_FILENAME, Event, EventKind, RunLog, read_log
+from ideatree.events import LOG_FILENAME, Event, EventKind, RunLog, _encode_lines, read_log
 from ideatree.orchestrator import (
     FINAL_SNAPSHOT_FILENAME,
     build_synthetic_ports,
@@ -78,11 +78,11 @@ def test_node_proposed_records_omit_unset_optional_fields(finished):
     assert any("raw_score" in record for record in records)
 
 
-def test_event_to_json_keeps_the_bytes_of_json_dumps(finished):
-    for event in read_log(finished / LOG_FILENAME):
-        expected = json.dumps({"seq": event.seq, "ts": event.ts, "kind": event.kind.value,
-                               "payload": event.payload}, sort_keys=True)
-        assert event.to_json() == expected
+def test_encoded_lines_keep_the_bytes_of_json_dumps(finished):
+    events = read_log(finished / LOG_FILENAME)
+    expected = [json.dumps({"seq": event.seq, "ts": event.ts, "kind": event.kind.value,
+                            "payload": event.payload}, sort_keys=True) for event in events]
+    assert _encode_lines(events) == expected
 
 
 def test_old_form_log_reads_and_replays_to_the_same_snapshot(run_dir):
@@ -151,7 +151,7 @@ def test_flushed_lines_are_json_dumps_with_sorted_keys(batches, data):
         log.close()
         lines = path.read_text(encoding="utf-8").splitlines()
     assert lines == [_dumps(event) for event in written]
-    assert [event.to_json() for event in written] == lines
+    assert _encode_lines(written) == lines
 
 
 def _write_log(path: Path, payloads) -> tuple[RunLog, list[Event]]:

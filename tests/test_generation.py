@@ -23,16 +23,8 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ideatree.checker import (
-    Check,
-    nonempty_check,
-    python_syntax_check,
-    required_columns_check,
-    run_checks,
-)
 from ideatree.embedding import HashedEmbedding, cosine_distance, parse_idea_vector
 from ideatree.errors import (
-    CheckerCrash,
     EmptyInput,
     MalformedResponse,
     RetrievalFailure,
@@ -40,6 +32,7 @@ from ideatree.errors import (
     TransportFailure,
     UnparseableIdea,
 )
+from ideatree import generation
 from ideatree.generation import (
     RETRY_BACKOFF_BASE_S,
     RETRY_BACKOFF_CAP_S,
@@ -81,14 +74,6 @@ def test_context_rejects_empty_text():
     ctx = ContextState()
     with pytest.raises(EmptyInput):
         ctx.append(SegmentTag.EDA, "   ")
-
-
-def test_context_by_tag():
-    ctx = ContextState()
-    ctx.append(SegmentTag.EDA, "a")
-    ctx.append(SegmentTag.READER, "b")
-    ctx.append(SegmentTag.EDA, "c")
-    assert [s.text for s in ctx.by_tag(SegmentTag.EDA)] == ["a", "c"]
 
 
 def test_context_segments_tuple_is_readonly_view():
@@ -324,37 +309,6 @@ def test_retriever_index_matches_cold_reference(files, queries):
             assert got == expected
 
 
-# ---- checker ----
-
-def test_run_checks_pass_and_fail():
-    result = run_checks("x = 1\n", [nonempty_check(), python_syntax_check()])
-    assert result.passed and result.reasons == ()
-    result = run_checks("def broken(:\n", [python_syntax_check()])
-    assert not result.passed
-    assert "syntax" in result.reasons[0]
-
-
-def test_run_checks_required_columns():
-    check = required_columns_check(["id", "target"])
-    ok = run_checks("id,feature,target\n1,2,3\n", [check])
-    assert ok.passed
-    bad = run_checks("id,feature\n1,2\n", [check])
-    assert not bad.passed and "target" in bad.reasons[0]
-
-
-def test_run_checks_empty_candidate():
-    with pytest.raises(EmptyInput):
-        run_checks("", [nonempty_check()])
-
-
-def test_run_checks_crashing_check():
-    def boom(text):
-        raise RuntimeError("oops")
-
-    with pytest.raises(CheckerCrash):
-        run_checks("fine", [Check(name="boom", fn=boom)])
-
-
 # ---- synthetic generator ----
 
 def test_space_config_validation():
@@ -526,9 +480,13 @@ def _chat_reply(content):
 
 
 @pytest.fixture
-def stub_server():
+def stub_server(monkeypatch):
+    # the stub answers at once, so retries need no real backoff; the
+    # schedule itself is checked by the _complete_recording_sleeps tests
+    monkeypatch.setattr(generation, "RETRY_BACKOFF_BASE_S", 0.0)
     server = ThreadingHTTPServer(("127.0.0.1", 0), _ScriptedHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     _ScriptedHandler.script = []
     _ScriptedHandler.requests_seen = []

@@ -170,16 +170,12 @@ def test_directory_reader_and_metric(tmp_path):
     (tmp_path / "data.csv").write_text(
         "order_id,distance,late\n1,4.0,0\n2,9.5,1\n3,2.2,0\n", encoding="utf-8"
     )
-    (tmp_path / "sample_submission.csv").write_text(
-        "order_id,late\n1,0\n", encoding="utf-8"
-    )
     task = DirectoryReader().read(tmp_path)
     assert task.row_count == 3
     assert set(task.schema) == {"order_id", "distance", "late"}
-    metric, checks = DescriptionMetric(dataset_dir=tmp_path).infer(task)
+    metric = DescriptionMetric().infer(task)
     assert metric.name == "f1"
     assert metric.direction is MetricDirection.HIGHER_BETTER
-    assert len(checks) == 2
 
 
 def test_directory_reader_requires_description(tmp_path):
@@ -192,14 +188,14 @@ def test_directory_reader_requires_description(tmp_path):
 
 def test_description_metric_defaults_to_accuracy():
     task = TaskSpec(description="no metric line here")
-    metric, _ = DescriptionMetric().infer(task)
+    metric = DescriptionMetric().infer(task)
     assert metric.name == "accuracy"
     assert metric.direction is MetricDirection.HIGHER_BETTER
 
 
 def test_description_metric_parses_lower_better():
     task = TaskSpec(description="metric: rmse (lower is better)")
-    metric, _ = DescriptionMetric().infer(task)
+    metric = DescriptionMetric().infer(task)
     assert metric.name == "rmse"
     assert metric.direction is MetricDirection.LOWER_BETTER
 
@@ -329,10 +325,8 @@ def test_initialize_tree_shape():
     config = _sim_config()
     ports = build_synthetic_ports(config)
     ctx = ContextState()
-    import numpy as np
-
     tree = initialize_tree(ctx, ports.gen, ports.evaluator, config,
-                           np.random.default_rng(0), metric=ports.metric)
+                           metric=ports.metric)
     fe_nodes = tree.fe_nodes()
     assert len(fe_nodes) == config.number_of_ideas_data
     mt_nodes = tree.nodes_at_level(NodeLevel.MT)
@@ -346,10 +340,8 @@ def test_initialize_tree_shape():
 def test_initialize_tree_charges_but_ignores_budget():
     config = _sim_config(time_run_minutes=0.001)
     ports = build_synthetic_ports(config)
-    import numpy as np
-
     tree = initialize_tree(ContextState(), ports.gen, ports.evaluator, config,
-                           np.random.default_rng(0), metric=ports.metric, clock=ports.clock)
+                           metric=ports.metric, clock=ports.clock)
     assert tree.best_evaluated_mt(ports.metric) is not None
     assert ports.clock.elapsed() > config.time_run_minutes
 
@@ -364,10 +356,8 @@ def test_initialize_tree_charges_each_returned_call():
         ports.evaluator,
         fail=lambda node, mode: zlib.crc32(f"{node.idea_text}|{mode.value}".encode()) % 4 == 0,
     )
-    import numpy as np
-
     initialize_tree(ContextState(), ports.gen, evaluator, config,
-                    np.random.default_rng(0), metric=ports.metric, clock=ports.clock)
+                    metric=ports.metric, clock=ports.clock)
     raised = {mode for _, mode, returned in evaluator.calls if not returned}
     assert raised == {EvalMode.DEBUG, EvalMode.FULL}
     assert ports.clock.elapsed() == pytest.approx(evaluator.returned_cost())
@@ -377,11 +367,9 @@ def test_initialize_tree_raises_when_nothing_survives():
     config = _sim_config()
     ports = build_synthetic_ports(config)
     broken = FlakyEvaluator(ports.evaluator, lambda node: True)
-    import numpy as np
-
     with pytest.raises(InitializationFailure):
         initialize_tree(ContextState(), ports.gen, broken, config,
-                        np.random.default_rng(0), metric=ports.metric)
+                        metric=ports.metric)
 
 
 # ---- whole runs ----
@@ -651,9 +639,9 @@ def test_merging_disabled_emits_skip_trio(tmp_path):
 
 @pytest.mark.parametrize("enable_merging", [True, False])
 def test_each_stage_draws_the_next_spawned_stream(tmp_path, monkeypatch, enable_merging):
-    """Initialization draws the seed's first spawned stream and every
-    stage the next one, a disabled merging stage included, so stage k of
-    the run always gets spawn k whatever the stages before it did."""
+    """Stage k of the run, counted from 1 with a disabled merging stage
+    included, draws the stream keyed by (seed, k), whatever the stages
+    before it did."""
     seen = []
     for name in ("adding_stage", "merging_stage"):
         def wrapped(*args, _real=getattr(orchestrator, name), _name=name, **kwargs):
@@ -668,6 +656,17 @@ def test_each_stage_draws_the_next_spawned_stream(tmp_path, monkeypatch, enable_
         expected = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(spawn,)))
         assert state == expected.bit_generator.state, (name, iteration)
+
+
+def test_keyed_stage_stream_is_the_spawned_stream():
+    """The stream keyed by stage number n is the n-th child that
+    spawning from the seed hands out (child 0 went to initialization
+    before streams were keyed), so keying changed no run's draws."""
+    for seed in range(10):
+        for n in range(1, 7):
+            keyed = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(n,)))
+            spawned = np.random.default_rng(np.random.SeedSequence(seed).spawn(n + 1)[n])
+            assert np.array_equal(keyed.random(8), spawned.random(8)), (seed, n)
 
 
 def test_generator_failure_skips_ahead_to_merging(tmp_path):

@@ -26,7 +26,14 @@ from ideatree.scoring import (
 )
 from ideatree.tree import IdeationTree, NodeLevel, NodeStatus, backpropagate
 
-from helpers import HIGHER, LOWER, FlakyEvaluator, RecordingEvaluator, attach_evaluated_fe
+from helpers import (
+    HIGHER,
+    LOWER,
+    FlakyEvaluator,
+    RecordingEvaluator,
+    anchor_score_bounds,
+    attach_evaluated_fe,
+)
 
 
 def _anchor(mt_id, score, description=None, fe=1, arch="a"):
@@ -64,7 +71,7 @@ def test_anchor_set_rejects_empty():
 
 def test_anchor_set_bounds_and_order():
     s = AnchorSet(anchors=(_anchor(5, 0.9), _anchor(2, 0.4)), phase1_fe=1, phase2_arch="a")
-    assert s.score_bounds() == (0.4, 0.9)
+    assert anchor_score_bounds(s) == (0.4, 0.9)
     assert [a.mt_node_id for a in s.sorted_anchors()] == [2, 5]
 
 
@@ -230,7 +237,7 @@ def test_baseline_stays_in_anchor_hull():
         ),
         phase1_fe=1, phase2_arch="a",
     )
-    lo, hi = anchors.score_bounds()
+    lo, hi = anchor_score_bounds(anchors)
     for _ in range(200):
         candidate = render_idea_vector(rng.uniform(-2, 2, 3))
         value = baseline_predict(candidate, anchors, emb)
