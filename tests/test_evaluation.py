@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import math
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,6 +116,18 @@ def test_evaluator_noise_is_repeatable_per_idea():
     assert ev.evaluate(a, EvalMode.FULL) != other_seed.evaluate(a, EvalMode.FULL)
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.1])
+def test_simulated_modes_score_alike_and_cost_apart(noise):
+    """A debug run scores what a full run scores; only its cost, the
+    landscape's debug_cost, differs."""
+    cfg = LandscapeConfig(dimension=2, noise_sigma=noise, full_cost=4.0, debug_cost=0.5)
+    ev = SimulatedEvaluator(cfg, LOWER, seed=3)
+    node = _mt("0.3,-0.2")
+    assert ev.evaluate(node, EvalMode.DEBUG) == ev.evaluate(node, EvalMode.FULL)
+    assert ev.cost(EvalMode.FULL) == 4.0
+    assert ev.cost(EvalMode.DEBUG) == 0.5
+
+
 _COORD = st.floats(-1e3, 1e3, allow_nan=False)
 
 
@@ -219,11 +233,135 @@ with open("result.txt", "w") as fh:
     assert value == pytest.approx(10.0)
 
 
+SUBSET_SCRIPT = """\
+import os
+with open("result.txt", "w") as fh:
+    fh.write(os.environ.get("DATA_SUBSET_PERCENT", "-1"))
+"""
+
+
+def test_subprocess_subset_reaches_debug_runs_only(tmp_path):
+    """A full run sees no subset even when one is given; a debug run
+    without one sees none either."""
+    node = _mt("any", artifact=SUBSET_SCRIPT)
+    limits = ExecLimits(wall_minutes=1.0)
+    full = subprocess_evaluate(node, tmp_path, limits, HIGHER,
+                               mode=EvalMode.FULL, subset_percent=10.0)
+    debug = subprocess_evaluate(node, tmp_path, limits, HIGHER, mode=EvalMode.DEBUG)
+    assert full == -1.0
+    assert debug == -1.0
+
+
+def test_subprocess_runs_in_its_own_directory_with_a_minimal_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("IDEATREE_TEST_PROBE", "leaked")
+    script = """\
+import json, os
+with open("seen.json", "w") as fh:
+    json.dump({"cwd": os.getcwd(), "env": dict(os.environ)}, fh)
+with open("result.txt", "w") as fh:
+    fh.write("1")
+"""
+    node = _mt("any", artifact=script)
+    subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0), HIGHER)
+    run_dir = tmp_path / "nodes" / f"node_{node.id:05d}_full"
+    seen = json.loads((run_dir / "seen.json").read_text(encoding="utf-8"))
+    assert Path(seen["cwd"]).resolve() == run_dir.resolve()
+    assert seen["env"]["INPUT_DIR"] == str(tmp_path / "input")
+    assert seen["env"]["HOME"] == str(run_dir)
+    assert "IDEATREE_TEST_PROBE" not in seen["env"]
+    assert "DATA_SUBSET_PERCENT" not in seen["env"]
+
+
+def test_subprocess_modes_keep_separate_run_directories(tmp_path):
+    script = """\
+import os
+print("subset", os.environ.get("DATA_SUBSET_PERCENT", "all"))
+open("result.txt", "w").write("0.5")
+"""
+    node = _mt("any", artifact=script)
+    limits = ExecLimits(wall_minutes=1.0)
+    subprocess_evaluate(node, tmp_path, limits, HIGHER, mode=EvalMode.DEBUG, subset_percent=5.0)
+    subprocess_evaluate(node, tmp_path, limits, HIGHER, mode=EvalMode.FULL)
+    for mode, printed in ((EvalMode.DEBUG, "subset 5.0\n"), (EvalMode.FULL, "subset all\n")):
+        run_dir = tmp_path / "nodes" / f"node_{node.id:05d}_{mode.value}"
+        assert (run_dir / "candidate.py").read_text(encoding="utf-8") == script
+        assert (run_dir / "stdout.txt").read_text(encoding="utf-8") == printed
+
+
+def test_subprocess_nonzero_exit_without_stderr(tmp_path):
+    node = _mt("any", artifact="import sys\nsys.exit(3)\n")
+    with pytest.raises(EvaluationFailure) as err:
+        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0), HIGHER)
+    report = err.value.report
+    assert report.kind is FailureKind.NONZERO_EXIT
+    assert report.exit_code == 3
+    assert report.message == "exit code 3: (no stderr)"
+    run_dir = tmp_path / "nodes" / f"node_{node.id:05d}_full"
+    assert (run_dir / "stderr.txt").read_text(encoding="utf-8") == ""
+
+
+def test_subprocess_nonzero_exit_message_is_the_last_stderr_line(tmp_path):
+    script = 'import sys\nsys.stderr.write("first\\nlast words\\n\\n  \\n")\nsys.exit(2)\n'
+    node = _mt("any", artifact=script)
+    with pytest.raises(EvaluationFailure) as err:
+        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0), HIGHER)
+    assert err.value.report.message == "exit code 2: last words"
+    assert str(err.value) == "exit code 2: last words"
+    run_dir = tmp_path / "nodes" / f"node_{node.id:05d}_full"
+    assert (run_dir / "stderr.txt").read_text(encoding="utf-8") == "first\nlast words\n\n  \n"
+
+
+def test_subprocess_timeout_keeps_the_output_so_far(tmp_path):
+    """The output a killed candidate wrote before its timeout reaches
+    the report and the run directory as text."""
+    script = """\
+import sys, time
+print("started", flush=True)
+sys.stderr.write("working\\n")
+sys.stderr.flush()
+time.sleep(30)
+"""
+    node = _mt("any", artifact=script)
+    with pytest.raises(EvaluationFailure) as err:
+        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0 / 60.0), HIGHER)
+    report = err.value.report
+    assert report.kind is FailureKind.TIMEOUT
+    assert report.stdout == "started\n"
+    assert report.stderr == "working\n"
+    run_dir = tmp_path / "nodes" / f"node_{node.id:05d}_full"
+    assert (run_dir / "stdout.txt").read_text(encoding="utf-8") == "started\n"
+    assert (run_dir / "stderr.txt").read_text(encoding="utf-8") == "working\n"
+
+
+def test_subprocess_result_whitespace_is_ignored(tmp_path):
+    node = _mt("any", artifact='open("result.txt", "w").write("  \\n-0.25\\n\\n")\n')
+    assert subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0), HIGHER) == -0.25
+
+
+@pytest.mark.parametrize("text", ["nan", "-inf", "", "1e400"])
+def test_subprocess_non_finite_or_empty_result_is_unparseable(tmp_path, text):
+    node = _mt("any", artifact=f'open("result.txt", "w").write({text!r})\n')
+    with pytest.raises(EvaluationFailure) as err:
+        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0), HIGHER)
+    report = err.value.report
+    assert report.kind is FailureKind.UNPARSEABLE_RESULT
+    assert report.exit_code == 0
+    assert repr(text) in report.message
+
+
 def test_subprocess_evaluator_port(tmp_path):
     ev = SubprocessEvaluator(tmp_path, ExecLimits(wall_minutes=1.0), HIGHER)
     node = _mt("any", artifact=OK_SCRIPT)
     assert ev.evaluate(node, EvalMode.FULL) == pytest.approx(0.875)
     assert ev.cost(EvalMode.FULL) is None
+
+
+def test_subprocess_evaluator_passes_its_subset_to_debug_runs(tmp_path):
+    ev = SubprocessEvaluator(tmp_path, ExecLimits(wall_minutes=1.0), HIGHER, subset_percent=25.0)
+    node = _mt("any", artifact=SUBSET_SCRIPT)
+    assert ev.evaluate(node, EvalMode.DEBUG) == 25.0
+    assert ev.evaluate(node, EvalMode.FULL) == -1.0
+    assert ev.cost(EvalMode.DEBUG) is None
 
 
 class _EndingClock(WallClock):

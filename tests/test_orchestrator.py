@@ -281,6 +281,26 @@ def test_invalid_values_are_collected_not_first_only():
     assert "clock_mode" in problems
 
 
+@pytest.mark.parametrize("values, problem", [
+    ({"validation_attempts": -1}, "validation_attempts must be non-negative"),
+    ({"predict_fraction": 0.0}, "predict_fraction must be in (0, 1], got 0.0"),
+    ({"predict_fraction": 1.5}, "predict_fraction must be in (0, 1], got 1.5"),
+    ({"max_resplits": -1}, "max_resplits must be non-negative"),
+    ({"subset_size_in_percent": 150}, "subset_size_in_percent cannot exceed 100"),
+    ({"synthetic": {"full_cost": 1.0, "debug_cost": 2.0}},
+     "synthetic.debug_cost cannot exceed synthetic.full_cost"),
+    ({"synthetic": {"dimension": 3, "optimum": [0.0, 0.0]}},
+     "synthetic.optimum length must match synthetic.dimension"),
+    ({"synthetic": {"low": 1.0, "high": 1.0}}, "synthetic.low must be below synthetic.high"),
+])
+def test_each_invalid_value_names_its_own_rule(values, problem):
+    """One bad value yields exactly its rule's problem, so the message
+    points at the key to fix."""
+    with pytest.raises(ConfigInvalid) as exc_info:
+        RunConfig.from_dict(values)
+    assert exc_info.value.problems == [problem]
+
+
 def test_min_anchors_cannot_exceed_max():
     with pytest.raises(ConfigInvalid):
         RunConfig.from_dict({"number_of_ideas_min": 6, "number_of_ideas_max": 5})

@@ -33,6 +33,7 @@ from ideatree.events import EventKind, RunLog
 from ideatree.search import (
     EvalPolicy,
     MergeMemory,
+    PendingSet,
     SelectionDistribution,
     SelectionMode,
     StageParams,
@@ -531,6 +532,76 @@ def test_budget_projection_counts_validation_runs():
     fresh = [n for n in world.tree.nodes_at_level(NodeLevel.MT) if n.id not in mt_before]
     assert sum(n.status is NodeStatus.EVALUATED for n in fresh) == 2
     assert world.clock.elapsed() == pytest.approx(2 * job_cost)
+
+
+def test_eval_policy_validation():
+    with pytest.raises(InvalidParams):
+        EvalPolicy(validation_attempts=-1)
+    for fraction in (0.0, -0.5, 1.5, math.nan):
+        with pytest.raises(InvalidParams):
+            EvalPolicy(predict_fraction=fraction)
+    assert EvalPolicy(validation_attempts=0, predict_fraction=1.0).predict_fraction == 1.0
+
+
+def _fresh_mt(world):
+    """A new unevaluated MT node under the world's first FE node."""
+    fe = world.tree.fe_nodes()[0]
+    text = world.gen.propose_mt(fe, world.ctx, 1)[0]
+    return world.tree.spawn(fe.id, NodeLevel.MT, text)
+
+
+@pytest.mark.parametrize("attempts, accelerated", [(0, True), (2, True), (2, False)])
+def test_pending_job_runs_its_validation_runs_then_the_metric_run(attempts, accelerated):
+    """A job makes ``validation_attempts`` shake-out calls, in debug
+    mode when accelerated and in full mode otherwise, then one full
+    call whose value is the score; commit charges each call's cost."""
+    world = make_world(seed=21)
+    evaluator = RecordingEvaluator(world.evaluator)
+    policy = EvalPolicy(validation_attempts=attempts, accelerated_debug=accelerated)
+    log = RunLog()
+    pending = PendingSet(world.tree, evaluator, policy, clock=world.clock, log=log)
+    node = _fresh_mt(world)
+    pending.dispatch(node)
+    pending.commit()
+    shakeout = EvalMode.DEBUG if accelerated else EvalMode.FULL
+    assert evaluator.calls == [(node.id, shakeout, True)] * attempts + [(node.id, EvalMode.FULL, True)]
+    assert node.status is NodeStatus.EVALUATED
+    assert node.raw_score == world.evaluator.evaluate(node, EvalMode.FULL)
+    shakeout_cost = world.landscape.debug_cost if accelerated else world.landscape.full_cost
+    assert world.clock.elapsed() == pytest.approx(
+        attempts * shakeout_cost + world.landscape.full_cost)
+    (event,) = of_kind(log, EventKind.NODE_EVALUATED)
+    assert event.payload == {"node_id": node.id, "raw_score": node.raw_score,
+                             "status": NodeStatus.EVALUATED.value}
+
+
+def test_failed_validation_run_skips_the_metric_run():
+    """A shake-out call that raises ends the job: no later call is
+    made, the node fails, and only the calls that returned are
+    charged."""
+    world = make_world(seed=22)
+    debug_calls = []
+
+    def second_debug_call_fails(node, mode):
+        if mode is EvalMode.DEBUG:
+            debug_calls.append(node.id)
+            return len(debug_calls) == 2
+        return False
+
+    evaluator = RecordingEvaluator(world.evaluator, fail=second_debug_call_fails)
+    log = RunLog()
+    pending = PendingSet(world.tree, evaluator, EvalPolicy(validation_attempts=3),
+                         clock=world.clock, log=log)
+    node = _fresh_mt(world)
+    pending.dispatch(node)
+    pending.commit()
+    assert evaluator.calls == [(node.id, EvalMode.DEBUG, True), (node.id, EvalMode.DEBUG, False)]
+    assert node.status is NodeStatus.FAILED
+    assert node.raw_score is None
+    assert world.clock.elapsed() == pytest.approx(world.landscape.debug_cost)
+    (event,) = of_kind(log, EventKind.NODE_EVALUATED)
+    assert event.payload == {"node_id": node.id, "raw_score": None,
+                             "status": NodeStatus.FAILED.value, "error": "injected failure"}
 
 
 def test_adding_stage_prediction_gating():
