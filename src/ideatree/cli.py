@@ -31,13 +31,11 @@ from .report import (
     ablation_table,
     acceleration_table,
     leaderboard_standing,
-    progress_rows,
-    read_run_log,
     render_rows,
     render_summary,
     render_table,
     run_summary,
-    summarize_events,
+    walk_run_log,
 )
 from .retrieval import FileCorpusRetriever
 from .scoring import LlmPredictor
@@ -152,8 +150,8 @@ def cmd_replay(args: argparse.Namespace) -> int:
     return EXIT_FAILURE
 
 
-# progress mode reads the log once and walks it twice outside
-# progress_report and run_summary, so the whole command is paused
+# progress mode walks the log once, outside progress_report and
+# run_summary, so the whole command is paused
 @collector_paused()
 def cmd_report(args: argparse.Namespace) -> int:
     run_dirs = [Path(p) for p in args.run_dirs]
@@ -163,10 +161,9 @@ def cmd_report(args: argparse.Namespace) -> int:
         if len(run_dirs) != 1:
             print("progress mode takes exactly one run directory", file=sys.stderr)
             return EXIT_FAILURE
-        events = read_run_log(run_dirs[0])
-        summary = summarize_events(run_dirs[0], events)
-        outputs.append(("progress.tsv",
-                        render_rows(progress_rows(events), delimiter=args.delimiter)))
+        walk = walk_run_log(run_dirs[0])
+        summary = walk.summary(run_dirs[0])
+        outputs.append(("progress.tsv", render_rows(walk.rows, delimiter=args.delimiter)))
         outputs.append(("summary.json", render_summary(summary)))
     elif args.mode == "ablation":
         table = ablation_table(run_dirs)

@@ -7,12 +7,23 @@ orchestrator.replay_events), and reports are derived from it. A
 checkpoint is a position in the log, the ``checkpoint_written`` event
 after a stage; the events before it rebuild the tree as it was then.
 
+A run is read back as a stream: ``iter_log`` decodes the log a block of
+``LOG_BLOCK_LINES`` lines at a time and yields each event once the
+block has passed the reader's checks, so a reader that keeps only what
+it builds (``orchestrator.replay``, ``report.progress_report`` and
+``run_summary``) never holds the whole log; ``read_log`` is the same
+stream as a list.
+
 Reading a run back (``read_log``, ``orchestrator.replay`` and
 ``verify_replay``, ``report.progress_report`` and ``run_summary``,
 ``IdeationTree.restore``) runs under ``collector_paused``: a read keeps
-what it decodes until it returns, so a cyclic collection during it
-would walk every record and free none. Writing a run does not pause the
-collector, since ports may run user code and threads.
+what it builds until it returns, so a cyclic collection during it
+would walk every record and free none. The pause wraps the consumer of
+a generator, the function that walks ``iter_log`` to its end, never the
+generator itself: a decorated generator function returns its generator
+at once, and its pause would end before the first event is read.
+Writing a run does not pause the collector, since ports may run user
+code and threads.
 """
 
 from __future__ import annotations
@@ -21,9 +32,10 @@ import functools
 import gc
 import json
 from enum import Enum
+from itertools import islice
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Callable, NamedTuple, Optional, Sequence, TypeVar
+from typing import IO, Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
 
 from .errors import CorruptLog, LogVersionMismatch
 
@@ -33,6 +45,11 @@ T = TypeVar("T")
 
 # the log file in a run directory
 LOG_FILENAME = "run.jsonl"
+
+# lines that ``iter_log`` decodes in one json.loads call: enough that the
+# call's fixed cost is spread thin, few enough that a block's text and
+# records stay a small, fixed share of memory however long the log is
+LOG_BLOCK_LINES = 512
 
 
 class EventKind(str, Enum):
@@ -57,16 +74,24 @@ _KINDS = {kind.value: kind for kind in EventKind}
 _unencodable = json.JSONEncoder().default
 
 
+def c_encoder(*, separators: tuple[str, str], sort_keys: bool):
+    """A fresh C encoder, the one json.dumps itself uses, with
+    json.dumps's other default settings: ``encode(value, 0)`` returns
+    the chunks whose join is ``json.dumps(value, separators=separators,
+    sort_keys=sort_keys)``.
+
+    Its circular-reference ``markers`` dict is fresh too: after an
+    error the encoder leaves stale entries in it, so an encoder is
+    built for each call that encodes, never shared between calls."""
+    item_separator, key_separator = separators
+    return c_make_encoder({}, _unencodable, encode_basestring_ascii, None,
+                          key_separator, item_separator, sort_keys, False, True)
+
+
 def _encode_lines(events: Sequence[Event]) -> list[str]:
     """Each event's log line, without its newline: the bytes of
-    ``json.dumps(record, sort_keys=True)``.
-
-    One C encoder, the one json.dumps itself uses, is built for the
-    call, with json.dumps's default settings, sorted keys and a fresh
-    circular-reference ``markers`` dict: after an error the encoder
-    leaves stale entries in it, so it is never shared between calls."""
-    encode = c_make_encoder({}, _unencodable, encode_basestring_ascii, None,
-                            ": ", ", ", True, False, True)
+    ``json.dumps(record, sort_keys=True)``, from one ``c_encoder``."""
+    encode = c_encoder(separators=(", ", ": "), sort_keys=True)
     return [
         "".join(encode({"kind": e.kind.value, "payload": e.payload, "seq": e.seq, "ts": e.ts}, 0))
         for e in events
@@ -178,28 +203,31 @@ class collector_paused:
         return paused
 
 
-def _decode_events(text: str) -> list[Event]:
-    """The events of the log text, in one decode of the whole text.
+def _decode_events(text: str, first_line: int = 1) -> list[Event]:
+    """The events of the log text, in one decode of the whole text, which
+    begins at line ``first_line`` of the file.
 
     Each line is wrapped in brackets and the lines joined by commas
     inside an outer array, keeping every newline, so the decoder's line
-    numbers are the file's. A blank line decodes to an empty array and
-    is skipped; a line holding one JSON value decodes to a one-element
-    array. A newline inside a string is invalid JSON, so the added
-    brackets are never string content, and a decode error is reported
-    on the line where the decoder found it. Raises CorruptLog."""
+    numbers, counted on from ``first_line``, are the file's. A blank
+    line decodes to an empty array and is skipped; a line holding one
+    JSON value decodes to a one-element array. A newline inside a string
+    is invalid JSON, so the added brackets are never string content, and
+    a decode error is reported on the line where the decoder found it.
+    Raises CorruptLog."""
     try:
         lines = json.loads("[[" + text.replace("\n", "],\n[") + "]]")
     except json.JSONDecodeError as exc:
         # an error at a line's opening bracket (column 1) is the
         # previous line's: it left the decoder where no array may start
-        raise CorruptLog(f"bad log line {exc.lineno - (exc.colno == 1)}: {exc.msg}") from None
+        number = first_line - 1 + exc.lineno - (exc.colno == 1)
+        raise CorruptLog(f"bad log line {number}: {exc.msg}") from None
     if len(lines) != text.count("\n") + 1:
         # unbalanced brackets in some line's text moved the line breaks
         raise CorruptLog("the log's lines do not hold one JSON value each")
     events: list[Event] = []
     append = events.append
-    for number, values in enumerate(lines, 1):
+    for number, values in enumerate(lines, first_line):
         if not values:
             continue
         try:
@@ -214,39 +242,78 @@ def _decode_events(text: str) -> list[Event]:
     return events
 
 
-@collector_paused()
-def read_log(path: Path, *, partial: bool = False) -> list[Event]:
-    """Load and verify a log file: valid JSON lines, one event each,
-    contiguous sequence numbers from zero, a versioned header, and a
-    terminal record. Blank lines are skipped.
+def iter_log(path: Path, *, partial: bool = False) -> Iterator[Event]:
+    """The events of a log file, read and verified ``LOG_BLOCK_LINES``
+    lines at a time: valid JSON lines, one event each, contiguous
+    sequence numbers from zero, a versioned header, and a terminal
+    record. Blank lines are skipped.
 
     With ``partial`` the log of a crashed or killed run is read too: a
     missing ``run_finished`` is accepted, and a last line that is not an
     event, torn by the crash, is dropped. Any other defect still raises
-    CorruptLog, naming the line. The read runs with the garbage
-    collector paused (``collector_paused``)."""
+    CorruptLog, naming the line, counted from the start of the file.
+
+    A block's events are yielded once the whole block has passed these
+    checks, so a reader holds one block of the log at a time; a defect
+    is raised when the read reaches its block, after the events of the
+    blocks before it. A block that does not decode is decoded again with
+    the rest of the file, so a line's fault, and its line number, are
+    those a single decode of the whole log reports. The file is opened
+    at the first ``next``. This is a generator: pause the collector
+    around the loop that consumes it, not on it (see the module
+    docstring)."""
     path = Path(path)
-    text = path.read_text(encoding="utf-8")
-    try:
-        events = _decode_events(text)
-    except CorruptLog:
-        if not partial:
-            raise
-        # the crash may have torn the last line; the lines before it
-        # must read, so a bad line anywhere else still raises
-        kept = text.rstrip()
-        events = _decode_events(kept[:kept.rfind("\n") + 1])
-    if not events:
+    expected = 0  # the seq of the next event
+    last: Optional[Event] = None
+    with path.open(encoding="utf-8") as fh:
+        first_line = 1
+        while block := list(islice(fh, LOG_BLOCK_LINES)):
+            text = "".join(block)
+            try:
+                events = _decode_events(text, first_line)
+            except CorruptLog:
+                # A fault may lie in a value that runs on past the
+                # block's end. Every block before this one decoded, so
+                # the decoder of the whole log would have met this one
+                # as a fresh decoder does; decoding the rest of the file
+                # as one text names the fault that decoder names.
+                text += fh.read()
+                try:
+                    events = _decode_events(text, first_line)
+                except CorruptLog:
+                    if not partial:
+                        raise
+                    # the crash may have torn the last line; the lines
+                    # before it must read, so a bad line anywhere else
+                    # still raises
+                    kept = text.rstrip()
+                    events = _decode_events(kept[:kept.rfind("\n") + 1], first_line)
+            first_line += len(block)
+            if not events:
+                continue
+            if [event.seq for event in events] != list(range(expected, expected + len(events))):
+                i = next(i for i, event in enumerate(events, expected) if event.seq != i)
+                raise CorruptLog(f"sequence gap at event {i}: seq={events[i - expected].seq}")
+            if expected == 0:
+                head = events[0]
+                if head.kind is not EventKind.RUN_STARTED:
+                    raise CorruptLog("log does not begin with a run_started record")
+                version = head.payload.get("log_schema")
+                if version != LOG_SCHEMA_VERSION:
+                    raise LogVersionMismatch(
+                        f"log schema {version!r}, supported {LOG_SCHEMA_VERSION}")
+            expected += len(events)
+            last = events[-1]
+            yield from events
+    if last is None:
         raise CorruptLog(f"{path} is empty")
-    if [event.seq for event in events] != list(range(len(events))):
-        i = next(i for i, event in enumerate(events) if event.seq != i)
-        raise CorruptLog(f"sequence gap at event {i}: seq={events[i].seq}")
-    head = events[0]
-    if head.kind is not EventKind.RUN_STARTED:
-        raise CorruptLog("log does not begin with a run_started record")
-    version = head.payload.get("log_schema")
-    if version != LOG_SCHEMA_VERSION:
-        raise LogVersionMismatch(f"log schema {version!r}, supported {LOG_SCHEMA_VERSION}")
-    if not partial and events[-1].kind is not EventKind.RUN_FINISHED:
+    if not partial and last.kind is not EventKind.RUN_FINISHED:
         raise CorruptLog("log does not end with a run_finished record")
-    return events
+
+
+@collector_paused()
+def read_log(path: Path, *, partial: bool = False) -> list[Event]:
+    """Every event of a log file, as ``iter_log`` reads and verifies
+    them, in a list; raises what ``iter_log`` raises. The read runs with
+    the garbage collector paused (``collector_paused``)."""
+    return list(iter_log(path, partial=partial))

@@ -6,7 +6,7 @@ tree mutation is mirrored into the event log, so a finished run can be
 reproduced bit-for-bit or reconstructed from its log alone. The log is
 the only per-stage record: a checkpoint is a ``checkpoint_written``
 event, and replaying the events before it rebuilds the tree at that
-stage, for a crashed run too (``read_log(path, partial=True)``).
+stage, for a crashed run too (``iter_log(path, partial=True)``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -33,7 +33,10 @@ from .errors import (
     MissingRunArtifacts,
 )
 from .evaluation import EvaluationPort, LandscapeConfig, SimulatedEvaluator
-from .events import LOG_FILENAME, Event, EventKind, RunLog, collector_paused, read_log
+from .events import LOG_FILENAME, Event, EventKind, RunLog, collector_paused, iter_log
+# read_log stays importable here for bench/rep.py, whose --trace 1
+# patches it by this name
+from .events import read_log  # noqa: F401
 from .generation import (
     ContextState,
     ExternalQueryPolicy,
@@ -526,13 +529,15 @@ def _build_anchors(tree, ports: PortSet, config: RunConfig, ctx, log,
 @collector_paused()
 def replay(log_path: Path) -> IdeationTree:
     """Rebuild the final tree from the event log alone, no ports
-    involved. The result must match the run's final snapshot exactly.
-    Runs with the garbage collector paused."""
-    events = read_log(Path(log_path))
-    return replay_events(events)
+    involved, reading the log as a stream. The result must match the
+    run's final snapshot exactly. Runs with the garbage collector
+    paused."""
+    return replay_events(iter_log(Path(log_path)))
 
 
-def replay_events(events: list[Event]) -> IdeationTree:
+def replay_events(events: Iterable[Event]) -> IdeationTree:
+    """The tree that ``events``, in log order, build; they may be any
+    iterable, a stream from ``iter_log`` too."""
     # the kinds replay acts on, bound once rather than looked up on the
     # enum for every event
     proposed, evaluated = EventKind.NODE_PROPOSED, EventKind.NODE_EVALUATED
@@ -567,8 +572,10 @@ def replay_events(events: list[Event]) -> IdeationTree:
 
 @collector_paused()
 def verify_replay(run_dir: Path) -> bool:
-    """True iff the log replays to exactly the final snapshot. Runs
-    with the garbage collector paused."""
+    """True iff the log replays to exactly the bytes of the final
+    snapshot. The replayed tree's snapshot is compared piece by piece
+    with the file as it is read, so neither document is held whole.
+    Runs with the garbage collector paused."""
     run_dir = Path(run_dir)
     log_path = run_dir / LOG_FILENAME
     snapshot_path = run_dir / FINAL_SNAPSHOT_FILENAME
@@ -577,4 +584,10 @@ def verify_replay(run_dir: Path) -> bool:
             f"need both {LOG_FILENAME} and {FINAL_SNAPSHOT_FILENAME} in {run_dir}"
         )
     rebuilt = replay(log_path)
-    return rebuilt.snapshot() == snapshot_path.read_text(encoding="utf-8")
+    with snapshot_path.open("rb") as fh:
+        for piece in rebuilt.snapshot_pieces():
+            # a snapshot is ASCII, so characters are bytes
+            expected = piece.encode("ascii")
+            if fh.read(len(expected)) != expected:
+                return False
+        return not fh.read(1)

@@ -3,10 +3,11 @@ cross-run comparisons, and standing against a human leaderboard.
 
 Every number here is recomputed from ``run.jsonl`` alone. The other run
 artifacts (result.json, snapshots) are conveniences; reports must not
-need them, so a log shipped on its own stays fully analyzable. The log
-of a crashed run is read up to its last whole line; its progress rows
-end before the last iteration the log reaches, which the crash may have
-cut short.
+need them, so a log shipped on its own stays fully analyzable. A report
+walks the log once, as a stream (``events.iter_log``), keeping only its
+tallies and rows. The log of a crashed run is read up to its last whole
+line; its progress rows end before the last iteration the log reaches,
+which the crash may have cut short.
 """
 
 from __future__ import annotations
@@ -17,7 +18,10 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import MalformedLeaderboardFile, MissingRunArtifacts
-from .events import LOG_FILENAME, Event, EventKind, collector_paused, read_log
+from .events import LOG_FILENAME, Event, EventKind, collector_paused, iter_log
+# read_log stays importable here for bench/rep.py, whose --trace 1
+# patches it by this name
+from .events import read_log  # noqa: F401
 from .tree import MetricDirection, MetricSpec, NodeLevel, NodeStatus, ProvenanceKind
 
 
@@ -44,16 +48,28 @@ _FE = NodeLevel.FE.value
 _MT = NodeLevel.MT.value
 _MERGED = ProvenanceKind.MERGED.value
 _EVALUATED = NodeStatus.EVALUATED.value
+_STAGE_STARTED = EventKind.STAGE_STARTED
+_RUN_FINISHED = EventKind.RUN_FINISHED
 
 
 class _LogWalk:
-    """Running tallies while scanning a log front to back.
+    """Running tallies, and the progress rows, while scanning a log
+    front to back.
 
     ``feed`` hands each event's payload to the handler for its kind, in
     ``_HANDLERS``; node fields are compared as the strings the log holds,
-    so a scan builds no enum members."""
+    so a scan builds no enum members.
+
+    ``rows`` gets one row per iteration, plus row 0 for the initialized
+    tree. A row captures the state just before the next iteration's
+    first stage starts (or at RunFinished for the last, after which no
+    row is added). Best score is oriented, so the non-decreasing
+    invariant holds for either metric direction."""
 
     def __init__(self) -> None:
+        self.rows: list[ReportRow] = []
+        # the last iteration with a row; None once run_finished is fed
+        self._rowed: Optional[int] = -1
         self.metric: Optional[MetricSpec] = None
         self.seed: Optional[int] = None
         self.budget: Optional[float] = None
@@ -83,10 +99,20 @@ class _LogWalk:
             self.best_raw = raw
 
     def feed(self, event: Event) -> None:
+        kind = event.kind
+        if kind is _STAGE_STARTED and self._rowed is not None:
+            iteration = event.payload["iteration"]
+            if iteration > self._rowed + 1:
+                # ``elapsed`` is still the previous event's stamp
+                self.rows.append(self.row(iteration - 1, self.elapsed))
+                self._rowed = iteration - 1
         self.elapsed = event.ts
-        handler = _HANDLERS.get(event.kind)
+        handler = _HANDLERS.get(kind)
         if handler is not None:
             handler(self, event.payload)
+        if kind is _RUN_FINISHED and self._rowed is not None:
+            self.rows.append(self.row(self._rowed + 1, event.ts))
+            self._rowed = None
 
     def _run_started(self, payload: dict) -> None:
         self.metric = MetricSpec.from_dict(payload["metric"])
@@ -134,6 +160,32 @@ class _LogWalk:
         self.iterations = payload["iterations"]
         self.budget_exhausted = payload["budget_exhausted"]
 
+    def summary(self, run_dir: Path) -> dict:
+        """The whole-run summary of the run in ``run_dir`` as walked."""
+        run_dir = Path(run_dir)
+        return {
+            "run_dir": str(run_dir),
+            "label": run_dir.name,
+            "seed": self.seed,
+            "budget": self.budget,
+            "metric": self.metric.to_dict() if self.metric else None,
+            "iterations": self.iterations,
+            "budget_exhausted": self.budget_exhausted,
+            "elapsed": self.elapsed,
+            "best_node_id": self.best_node_id,
+            "best_raw_score": self.best_raw,
+            "best_oriented_score": self.best_oriented,
+            "fe_count": self.fe_count,
+            "mt_count": self.mt_count,
+            "merged_count": self.merged_count,
+            "evaluations": self.evaluations,
+            "failed_evaluations": self.failures,
+            "predictions": self.predictions,
+            "merges_attempted": self.merges_attempted,
+            "merges_succeeded": self.merges_succeeded,
+            "skipped_stages": self.skipped_stages,
+        }
+
     def row(self, iteration: int, elapsed: float) -> ReportRow:
         return ReportRow(
             iteration=iteration,
@@ -158,86 +210,31 @@ _HANDLERS = {
 }
 
 
-def progress_rows(events: Sequence[Event]) -> list[ReportRow]:
-    """One row per iteration, plus row 0 for the initialized tree.
-
-    A row captures the state just before the next iteration's first
-    stage starts (or at RunFinished for the last). Best score is
-    oriented, so the non-decreasing invariant holds for either metric
-    direction.
-    """
-    stage_started, run_finished = EventKind.STAGE_STARTED, EventKind.RUN_FINISHED
-    walk = _LogWalk()
-    rows: list[ReportRow] = []
-    flushed = -1
-    previous_ts = 0.0
-    for event in events:
-        if event.kind is stage_started:
-            iteration = event.payload["iteration"]
-            if iteration > flushed + 1:
-                rows.append(walk.row(iteration - 1, previous_ts))
-                flushed = iteration - 1
-        elif event.kind is run_finished:
-            walk.feed(event)
-            rows.append(walk.row(flushed + 1, event.ts))
-            flushed += 1
-            break
-        walk.feed(event)
-        previous_ts = event.ts
-    return rows
-
-
-def read_run_log(run_dir: Path) -> list[Event]:
-    """The events of a run directory's log. A crashed or killed run's
-    log is read too, up to its last whole line."""
+def walk_run_log(run_dir: Path) -> _LogWalk:
+    """One walk of a run directory's log, read as a stream, from which
+    both the progress rows and the summary are taken. A crashed or
+    killed run's log is read too, up to its last whole line."""
     path = Path(run_dir) / LOG_FILENAME
     if not path.exists():
         raise MissingRunArtifacts(f"no {LOG_FILENAME} in {run_dir}")
-    return read_log(path, partial=True)
+    walk = _LogWalk()
+    for event in iter_log(path, partial=True):
+        walk.feed(event)
+    return walk
 
 
 @collector_paused()
 def progress_report(run_dir: Path) -> list[ReportRow]:
     """The per-iteration rows of the run in ``run_dir``, recomputed from
     the log with the garbage collector paused."""
-    return progress_rows(read_run_log(run_dir))
+    return walk_run_log(run_dir).rows
 
 
 @collector_paused()
 def run_summary(run_dir: Path) -> dict:
     """Structured whole-run summary, recomputed from the log with the
     garbage collector paused."""
-    return summarize_events(run_dir, read_run_log(run_dir))
-
-
-def summarize_events(run_dir: Path, events: Sequence[Event]) -> dict:
-    """``run_summary`` of the run in ``run_dir`` from its events."""
-    run_dir = Path(run_dir)
-    walk = _LogWalk()
-    for event in events:
-        walk.feed(event)
-    return {
-        "run_dir": str(run_dir),
-        "label": run_dir.name,
-        "seed": walk.seed,
-        "budget": walk.budget,
-        "metric": walk.metric.to_dict() if walk.metric else None,
-        "iterations": walk.iterations,
-        "budget_exhausted": walk.budget_exhausted,
-        "elapsed": walk.elapsed,
-        "best_node_id": walk.best_node_id,
-        "best_raw_score": walk.best_raw,
-        "best_oriented_score": walk.best_oriented,
-        "fe_count": walk.fe_count,
-        "mt_count": walk.mt_count,
-        "merged_count": walk.merged_count,
-        "evaluations": walk.evaluations,
-        "failed_evaluations": walk.failures,
-        "predictions": walk.predictions,
-        "merges_attempted": walk.merges_attempted,
-        "merges_succeeded": walk.merges_succeeded,
-        "skipped_stages": walk.skipped_stages,
-    }
+    return walk_run_log(run_dir).summary(run_dir)
 
 
 # =====================================================================

@@ -52,7 +52,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -64,7 +64,7 @@ from .errors import (
     NonFiniteScore,
     UnknownParent,
 )
-from .events import collector_paused
+from .events import c_encoder, collector_paused
 
 TREE_SCHEMA_VERSION = 1
 
@@ -181,13 +181,6 @@ class Provenance:
 # provenances are immutable, so every sourceless generated node decoded
 # from a document or spawned shares this one
 _GENERATED = Provenance.generated()
-
-# The snapshot's keys are sorted where its dicts are built (the document
-# in ``snapshot``, ``Node.to_dict`` and ``Provenance.to_dict``), so the
-# encoder does not sort them again; the bytes are those of json.dumps
-# with sort_keys=True and compact separators.
-_SNAPSHOT_ENCODER = json.JSONEncoder(separators=(",", ":"))
-
 
 @dataclass
 class Node:
@@ -538,14 +531,31 @@ class IdeationTree:
     def snapshot(self) -> str:
         """Canonical self-describing document; stable byte-for-byte for
         equal trees (nodes sorted by id, keys sorted, compact
-        separators, no whitespace)."""
-        doc = {
-            "iteration": self.iteration,
-            "next_id": self._next_id,
-            "nodes": [self.nodes[nid].to_dict() for nid in sorted(self.nodes)],
-            "tree_schema": TREE_SCHEMA_VERSION,
-        }
-        return _SNAPSHOT_ENCODER.encode(doc)
+        separators, no whitespace): the join of ``snapshot_pieces``."""
+        return "".join(self.snapshot_pieces())
+
+    def snapshot_pieces(self) -> Iterator[str]:
+        """The snapshot document in pieces: its head up to the nodes
+        list's opening bracket, then each node's record in id order, the
+        ones after the first led by their comma, then the tail. Each
+        node is encoded only when its piece is asked for, so a reader
+        that compares the pieces as they come (``verify_replay``) never
+        holds the whole document.
+
+        The keys are sorted where the dicts are built (the head and tail
+        here, ``Node.to_dict`` and ``Provenance.to_dict``), so the one C
+        encoder of the call does not sort them again; the joined bytes
+        are those of json.dumps of the whole document with
+        sort_keys=True and compact separators."""
+        encode = c_encoder(separators=(",", ":"), sort_keys=False)
+        head = "".join(encode({"iteration": self.iteration, "next_id": self._next_id}, 0))
+        yield head[:-1] + ',"nodes":['
+        nodes = self.nodes
+        separator = ""
+        for nid in sorted(nodes):
+            yield separator + "".join(encode(nodes[nid].to_dict(), 0))
+            separator = ","
+        yield f'],"tree_schema":{TREE_SCHEMA_VERSION}}}'
 
     @classmethod
     @collector_paused()

@@ -217,13 +217,13 @@ def test_report_progress_parses_the_log_once(finished_run, tmp_path, monkeypatch
     import ideatree.report as report_module
 
     calls = []
-    read = report_module.read_log
+    read = report_module.iter_log
 
     def counted(*args, **kwargs):
         calls.append(args)
         return read(*args, **kwargs)
 
-    monkeypatch.setattr(report_module, "read_log", counted)
+    monkeypatch.setattr(report_module, "iter_log", counted)
     argv = ["report", str(finished_run)]
     if with_leaderboard:
         lb = tmp_path / "lb.txt"

@@ -1,5 +1,6 @@
 """The run log's records and its reader: lean node records, old logs
-with full node records, and the defects the one-pass reader rejects."""
+with full node records, the defects the streamed reader rejects, at
+any block size, and the snapshot comparison of ``verify_replay``."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ideatree.events as events_module
 from ideatree.config import RunConfig
 from ideatree.errors import CorruptLog
 from ideatree.events import LOG_FILENAME, Event, EventKind, RunLog, _encode_lines, read_log
@@ -324,18 +326,22 @@ def test_line_with_two_json_values_is_rejected(run_dir, join, partial):
         read_log(run_dir / LOG_FILENAME, partial=partial)
 
 
+def _split_value(lines: list[str], nested: str) -> list[str]:
+    """The lines with line 5 holding ``nested`` in its payload, cut into
+    two lines inside it: each half on its own is not JSON."""
+    event = json.loads(lines[4])
+    event["payload"]["x"] = json.loads(nested)
+    encoded = json.dumps(event, sort_keys=True)
+    cut = encoded.index(nested) + nested.index("],") + 1
+    return lines[:4] + [encoded[:cut], encoded[cut + 1:]] + lines[5:]
+
+
 @pytest.mark.parametrize("nested", ["[[1], [2]]", "[[[1], [2]]]"])
 def test_one_value_split_over_two_lines_is_rejected(run_dir, nested):
     """Two lines that are one value once joined, each on its own not
     JSON. With enough nesting the joined text decodes, so the reader
     must see that the line count and the value count differ."""
-    lines = _lines(run_dir)
-    event = json.loads(lines[4])
-    event["payload"]["x"] = json.loads(nested)
-    encoded = json.dumps(event, sort_keys=True)
-    cut = encoded.index(nested) + nested.index("],") + 1
-    lines[4:5] = [encoded[:cut], encoded[cut + 1:]]
-    _write(run_dir, lines)
+    _write(run_dir, _split_value(_lines(run_dir), nested))
     with pytest.raises(CorruptLog):
         read_log(run_dir / LOG_FILENAME)
 
@@ -375,3 +381,164 @@ def test_events_are_records_read_back_equal(finished):
     assert isinstance(head, Event) and head.kind is EventKind.RUN_STARTED
     assert not hasattr(head, "__dict__")
     assert events == read_log(finished / LOG_FILENAME)
+
+
+# ---- the streamed reader at any block size ----
+
+def _replaced(lines: list[str], index: int, line: str) -> list[str]:
+    return lines[:index] + [line] + lines[index + 1:]
+
+
+def _head_with(lines: list[str], **payload) -> str:
+    event = json.loads(lines[0])
+    event["payload"].update(payload)
+    return json.dumps(event, sort_keys=True)
+
+
+# every log the tests above read, and a few more defects a block
+# boundary could hide, as (lines, end of file) made from the lines of a
+# finished run's log
+LOGS = {
+    "as written": lambda lines: (lines, "\n"),
+    "old form": lambda lines: ([_old_form(line) for line in lines], "\n"),
+    "blank lines": lambda lines: (["", *lines[:3], "", "   ", *lines[3:], "\t"], "\n\n"),
+    **{
+        f"bad middle line {i}": lambda lines, bad=bad: (_replaced(lines, 4, bad), "\n")
+        for i, bad in enumerate([
+            "not json at all",
+            '{"seq": 4, "ts": 0.0, "kind": "node_prop',
+            '{"seq": 4, "ts": 0.0, "kind": "no_such_kind", "payload": {}}',
+            '{"seq": 4, "ts": 0.0, "payload": {}}',
+            "[1, 2, 3]",
+            '{"seq": 4, "ts": 0.0, "kind": "stage_started", "payload": {"x": [1}',
+            '{"seq": 4, "ts": 0.0, "kind": "stage_started", "payload": {"x": [',
+        ])
+    },
+    **{
+        f"torn last line, end {end!r}": lambda lines, end=end: (
+            lines[:-1] + [lines[-1][:30]], end)
+        for end in ["", "\n\n  \n"]
+    },
+    **{
+        f"two values joined by {join!r}": lambda lines, join=join: (
+            lines[:4] + [lines[4] + join + lines[5]] + lines[6:], "\n")
+        for join in [" ", "", ",", "\t,  "]
+    },
+    **{
+        f"one value split, {nested}": lambda lines, nested=nested: (
+            _split_value(lines, nested), "\n")
+        for nested in ["[[1], [2]]", "[[[1], [2]]]"]
+    },
+    "sequence gap": lambda lines: (lines[:6] + lines[7:], "\n"),
+    "no header": lambda lines: (lines[1:], "\n"),
+    "old schema": lambda lines: (_replaced(lines, 0, _head_with(lines, log_schema=0)), "\n"),
+    "no run_finished": lambda lines: (lines[:-1], "\n"),
+    "bad second to last line": lambda lines: (_replaced(lines, len(lines) - 2, "{"), "\n"),
+    "torn first line": lambda lines: ([lines[0][:30]], ""),
+    "blank": lambda lines: (["", "  "], "\n"),
+    "empty": lambda lines: ([], ""),
+}
+
+
+def _outcome(path: Path, partial: bool):
+    """What read_log gives: its events, or the type and message of what
+    it raised."""
+    try:
+        return read_log(path, partial=partial)
+    except CorruptLog as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("partial", [False, True])
+@pytest.mark.parametrize("name", sorted(LOGS))
+def test_small_blocks_read_as_one_block_does(run_dir, monkeypatch, name, partial):
+    """Blocks of one, two and three lines return the same events, and
+    raise the same errors with the same line numbers, as one block
+    holding the whole file: the single decode of the whole log that the
+    reader made before it streamed, whose results the tests above pin
+    (the log is shorter than ``LOG_BLOCK_LINES``)."""
+    lines, end = LOGS[name](_lines(run_dir))
+    assert len(lines) < events_module.LOG_BLOCK_LINES
+    (run_dir / LOG_FILENAME).write_text("\n".join(lines) + end if lines else end,
+                                        encoding="utf-8")
+    outcomes = []
+    for block in (10**9, 1, 2, 3):
+        monkeypatch.setattr(events_module, "LOG_BLOCK_LINES", block)
+        outcomes.append(_outcome(run_dir / LOG_FILENAME, partial))
+    assert outcomes[1:] == outcomes[:1] * 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_log_cut_anywhere_reads_up_to_its_last_whole_line(finished, data):
+    """A log cut at any byte, as a crash leaves it, reads with
+    ``partial`` as the events of its whole lines, at any block size; a
+    line that is whole when the file ends without its newline counts.
+    Without ``partial`` the cut log raises. A bad line anywhere but
+    last still raises, naming its line, with ``partial`` too."""
+    text = (finished / LOG_FILENAME).read_text(encoding="utf-8")
+    full = read_log(finished / LOG_FILENAME)
+    # a cut before the last line's end, which a crash leaves unfinished
+    cut = data.draw(st.integers(0, len(text.rstrip("\n")) - 1), label="cut")
+    block = data.draw(st.sampled_from((1, 2, 3, events_module.LOG_BLOCK_LINES)), label="block")
+    kept = text[:cut]
+    # a line counts when its text is all there, newline or not: when the
+    # newline that ends it is at the cut or before it
+    whole = text.count("\n", 0, cut + 1)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(events_module, "LOG_BLOCK_LINES", block)
+        path = Path(tmp) / LOG_FILENAME
+        path.write_text(kept, encoding="utf-8")
+        with pytest.raises(CorruptLog):
+            read_log(path)
+        if whole == 0:
+            with pytest.raises(CorruptLog, match="is empty"):
+                read_log(path, partial=True)
+            return
+        assert read_log(path, partial=True) == full[:whole]
+        lines = kept.split("\n")
+        last = max(i for i, line in enumerate(lines) if line.strip())
+        if last == 0:
+            return
+        bad = data.draw(st.integers(0, last - 1), label="bad line index")
+        lines[bad] = "not json at all"
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(CorruptLog, match=rf"^bad log line {bad + 1}:"):
+            read_log(path, partial=True)
+
+
+# ---- verify_replay's comparison ----
+
+def _verify_with_snapshot(run_dir: Path, document: bytes) -> bool:
+    (run_dir / FINAL_SNAPSHOT_FILENAME).write_bytes(document)
+    return verify_replay(run_dir)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_verify_replay_sees_any_changed_byte(finished, data):
+    """The piecewise comparison finds a one-byte change anywhere in the
+    final snapshot, at its first and last byte too."""
+    document = (finished / FINAL_SNAPSHOT_FILENAME).read_bytes()
+    offset = data.draw(st.one_of(st.sampled_from((0, len(document) - 1)),
+                                 st.integers(0, len(document) - 1)), label="offset")
+    changed = document[:offset] + bytes([document[offset] ^ 1]) + document[offset + 1:]
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp) / "run"
+        shutil.copytree(finished, run_dir)
+        assert _verify_with_snapshot(run_dir, document)
+        assert not _verify_with_snapshot(run_dir, changed)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_verify_replay_sees_a_truncated_snapshot_or_trailing_bytes(finished, data):
+    document = (finished / FINAL_SNAPSHOT_FILENAME).read_bytes()
+    length = data.draw(st.integers(0, len(document) - 1), label="length")
+    trailing = data.draw(st.sampled_from((b" ", b"\n", b"x", b"\x00", document)),
+                         label="trailing")
+    with tempfile.TemporaryDirectory() as tmp:
+        run_dir = Path(tmp) / "run"
+        shutil.copytree(finished, run_dir)
+        assert not _verify_with_snapshot(run_dir, document[:length])
+        assert not _verify_with_snapshot(run_dir, document + trailing)
