@@ -166,6 +166,12 @@ class RunConfig:
             out.append("synthetic.debug_cost cannot exceed synthetic.full_cost")
         if syn.optimum and len(syn.optimum) != syn.dimension:
             out.append("synthetic.optimum length must match synthetic.dimension")
+        for name, value in _int_values(self.to_dict()):
+            if name == "seed":
+                if not 0 <= value < 2**64:
+                    out.append(f"seed must be in [0, 2**64), got {value}")
+            elif not -2**63 <= value < 2**63:
+                out.append(f"{name} must be in [-2**63, 2**63), got {value}")
         ep = self.endpoint
         if ep.base_url and not ep.model:
             out.append("endpoint.model is required when endpoint.base_url is set")
@@ -249,6 +255,24 @@ class RunConfig:
         doc["synthetic"] = self.synthetic.to_dict()
         doc["endpoint"] = dataclasses.asdict(self.endpoint)
         return doc
+
+
+def _int_values(doc: dict, prefix: str = ""):
+    """(dotted name, value) of every int in a ``to_dict`` document,
+    bools aside, in its sections and sequences too.
+
+    A run logs some of these (``seed``, the budget), and the log's
+    reader decodes an integer outside [-2**63, 2**64) as a float, so
+    the config must hold none; the seed, which seeds numpy's generators,
+    must also not be negative."""
+    for key, value in doc.items():
+        name = prefix + key
+        if isinstance(value, dict):
+            yield from _int_values(value, name + ".")
+        elif isinstance(value, (list, tuple)):
+            yield from ((name, v) for v in value if isinstance(v, int) and not isinstance(v, bool))
+        elif isinstance(value, int) and not isinstance(value, bool):
+            yield name, value
 
 
 def load_config(path: str | Path) -> RunConfig:

@@ -14,6 +14,13 @@ it builds (``orchestrator.replay``, ``report.progress_report`` and
 ``run_summary``) never holds the whole log; ``read_log`` is the same
 stream as a list.
 
+The log is written by the stdlib json encoder and read by
+``decode_json``: orjson decodes each block, and json decodes again only
+a block that orjson refuses, to raise json's error for a bad line or to
+read a value orjson cannot (``NaN``, ``Infinity``, lone surrogates).
+So a block reads back as json reads it, but for integers beyond 64 bits
+(see ``decode_json``).
+
 Reading a run back (``read_log``, ``orchestrator.replay`` and
 ``verify_replay``, ``report.progress_report`` and ``run_summary``,
 ``IdeationTree.restore``) runs under ``collector_paused``: a read keeps
@@ -35,7 +42,9 @@ from enum import Enum
 from itertools import islice
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+from typing import IO, Any, Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+
+import orjson
 
 from .errors import CorruptLog, LogVersionMismatch
 
@@ -46,8 +55,8 @@ T = TypeVar("T")
 # the log file in a run directory
 LOG_FILENAME = "run.jsonl"
 
-# lines that ``iter_log`` decodes in one json.loads call: enough that the
-# call's fixed cost is spread thin, few enough that a block's text and
+# lines that ``iter_log`` decodes in one ``decode_json`` call: enough that
+# the call's fixed cost is spread thin, few enough that a block's text and
 # records stay a small, fixed share of memory however long the log is
 LOG_BLOCK_LINES = 512
 
@@ -203,6 +212,23 @@ class collector_paused:
         return paused
 
 
+def decode_json(text: str) -> Any:
+    """The value of a JSON text, as ``json.loads`` reads it: decoded by
+    orjson, or by json where orjson refuses the text.
+
+    json therefore raises every decode error, with its own message and
+    position, and reads what orjson refuses but json accepts: the
+    ``NaN`` and ``Infinity`` literals, numbers that overflow a double
+    (``1e400``) and lone surrogates. The one difference left is that
+    orjson decodes an integer outside [-2**63, 2**64) as a float. A run
+    logs none: its integers are counts, ids and config values, which
+    ``RunConfig.problems`` bounds."""
+    try:
+        return orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return json.loads(text)
+
+
 def _decode_events(text: str, first_line: int = 1) -> list[Event]:
     """The events of the log text, in one decode of the whole text, which
     begins at line ``first_line`` of the file.
@@ -216,7 +242,7 @@ def _decode_events(text: str, first_line: int = 1) -> list[Event]:
     a decode error is reported on the line where the decoder found it.
     Raises CorruptLog."""
     try:
-        lines = json.loads("[[" + text.replace("\n", "],\n[") + "]]")
+        lines = decode_json("[[" + text.replace("\n", "],\n[") + "]]")
     except json.JSONDecodeError as exc:
         # an error at a line's opening bracket (column 1) is the
         # previous line's: it left the decoder where no array may start
@@ -261,7 +287,11 @@ def iter_log(path: Path, *, partial: bool = False) -> Iterator[Event]:
     those a single decode of the whole log reports. The file is opened
     at the first ``next``. This is a generator: pause the collector
     around the loop that consumes it, not on it (see the module
-    docstring)."""
+    docstring).
+
+    Each block is decoded by ``decode_json``, so the events equal
+    ``json.loads``'s reading of each line but for one difference: an
+    integer outside [-2**63, 2**64) decodes as a float."""
     path = Path(path)
     expected = 0  # the seq of the next event
     last: Optional[Event] = None

@@ -557,6 +557,10 @@ def _propose_and_score_mt(
         for node in spawned:
             try:
                 value = float(policy.predict_fn(node.idea_text))
+                if not math.isfinite(value):
+                    # an infinity would win the ranking and a NaN
+                    # unsettle its order: a failure, like a raise
+                    raise ValueError(f"prediction is {value}")
             except Exception as exc:
                 logger.debug("prediction failed for node %s: %s", node.id, exc)
                 fallback.append(node)

@@ -64,7 +64,7 @@ from .errors import (
     NonFiniteScore,
     UnknownParent,
 )
-from .events import c_encoder, collector_paused
+from .events import c_encoder, collector_paused, decode_json
 
 TREE_SCHEMA_VERSION = 1
 
@@ -182,7 +182,7 @@ class Provenance:
 # from a document or spawned shares this one
 _GENERATED = Provenance.generated()
 
-@dataclass
+@dataclass(slots=True)
 class Node:
     """A single idea in the tree.
 
@@ -563,7 +563,7 @@ class IdeationTree:
         """Rebuild a tree from a snapshot, re-validating every invariant,
         with the garbage collector paused."""
         try:
-            doc = json.loads(document)
+            doc = decode_json(document)
         except json.JSONDecodeError as exc:
             raise MalformedDocument(f"snapshot is not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or "nodes" not in doc:

@@ -1,0 +1,45 @@
+"""Every third-party module the package imports is declared in
+pyproject.toml's ``dependencies``, function-local imports included, so
+an install from the project metadata alone can run every path."""
+
+from __future__ import annotations
+
+import ast
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+tomllib = pytest.importorskip("tomllib")
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "ideatree"
+
+# import name -> distribution name, where the two differ
+DISTRIBUTIONS = {"yaml": "pyyaml"}
+
+
+def _imported_top_level_names() -> set[str]:
+    names: set[str] = set()
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
+                names.add(node.module.split(".")[0])
+    return names
+
+
+def _declared() -> set[str]:
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    return {re.match(r"[A-Za-z0-9._-]+", spec).group().lower().replace("_", "-")
+            for spec in project["dependencies"]}
+
+
+def test_every_third_party_import_is_a_declared_dependency():
+    third_party = _imported_top_level_names() - set(sys.stdlib_module_names) - {"ideatree"}
+    # the walk reaches imports inside functions and TYPE_CHECKING blocks
+    assert {"numpy", "orjson", "yaml", "requests"} <= third_party
+    needed = {DISTRIBUTIONS.get(name, name) for name in third_party}
+    assert sorted(needed - _declared()) == []

@@ -5,7 +5,9 @@ any block size, and the snapshot comparison of ``verify_replay``."""
 from __future__ import annotations
 
 import gc
+import importlib
 import json
+import math
 import shutil
 import tempfile
 from pathlib import Path
@@ -17,7 +19,15 @@ from hypothesis import strategies as st
 import ideatree.events as events_module
 from ideatree.config import RunConfig
 from ideatree.errors import CorruptLog
-from ideatree.events import LOG_FILENAME, Event, EventKind, RunLog, _encode_lines, read_log
+from ideatree.events import (
+    LOG_FILENAME,
+    Event,
+    EventKind,
+    RunLog,
+    _encode_lines,
+    decode_json,
+    read_log,
+)
 from ideatree.orchestrator import (
     FINAL_SNAPSHOT_FILENAME,
     build_synthetic_ports,
@@ -542,3 +552,118 @@ def test_verify_replay_sees_a_truncated_snapshot_or_trailing_bytes(finished, dat
         shutil.copytree(finished, run_dir)
         assert not _verify_with_snapshot(run_dir, document[:length])
         assert not _verify_with_snapshot(run_dir, document + trailing)
+
+
+# ---- the decoder: orjson, and json where orjson refuses ----
+
+def _sorted_keys(value):
+    """``value`` with every dict's keys in sorted order, as the writer's
+    ``sort_keys`` leaves them in the file."""
+    if isinstance(value, dict):
+        return {key: _sorted_keys(value[key]) for key in sorted(value)}
+    if isinstance(value, list):
+        return [_sorted_keys(item) for item in value]
+    return value
+
+
+_WRITTEN_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.text(),
+    st.sampled_from(("\x00\x1f\x7f\n\t\"\\", "é ß 漢字 🌳 \u2028")),
+    st.sampled_from((-0.0, 0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308,
+                     1e16, 1e17, 0.1)),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-2**63, 2**64 - 1), st.sampled_from((-2**63, 2**63 - 1, 2**63, 2**64 - 1)),
+)
+_WRITTEN_PAYLOADS = st.dictionaries(
+    st.text().filter(lambda key: key not in ("self", "kind")),
+    st.recursive(
+        _WRITTEN_SCALARS,
+        lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+        max_leaves=12,
+    ),
+    max_size=4,
+)
+
+
+def _written_run(path: Path, payloads) -> list[dict]:
+    """A log holding a header, one event per payload and a terminal
+    record, flushed in two parts; returns the payloads as written."""
+    log = RunLog(path=path)
+    written = [log.append(EventKind.RUN_STARTED).payload]
+    for i, payload in enumerate(payloads):
+        written.append(log.append(EventKind.STAGE_STARTED, **payload).payload)
+        if i == len(payloads) // 2:
+            log.flush()
+    written.append(log.append(EventKind.RUN_FINISHED).payload)
+    log.close()
+    return written
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_WRITTEN_PAYLOADS, max_size=6))
+def test_what_the_writer_writes_reads_back_the_same(payloads):
+    """Payloads the writer can produce read back equal value for value,
+    by ``repr``, so 0.0 and -0.0, 1 and 1.0 and True, the extreme
+    doubles and the 64-bit integers stay what they were."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / LOG_FILENAME
+        written = _written_run(path, payloads)
+        read = read_log(path)
+    assert [repr(event.payload) for event in read] == [repr(_sorted_keys(p)) for p in written]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [1.5, {"x": -math.inf}]])
+def test_non_finite_payloads_read_back_through_json(tmp_path, monkeypatch, value):
+    """The writer logs a non-finite float as ``NaN`` or ``Infinity``,
+    which orjson refuses, so its block is read by json."""
+    calls = []
+    loads = json.loads
+    monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
+    written = _written_run(tmp_path / LOG_FILENAME, [{"value": value}])
+    read = read_log(tmp_path / LOG_FILENAME)
+    assert len(calls) == 1
+    assert repr(read[1].payload) == repr(written[1]) == repr({"value": value})
+
+
+@pytest.mark.parametrize("text", [
+    "NaN", "[Infinity, -Infinity]", "1e400", "-1e400", '{"a": [1e999]}',
+    '"\\ud800"', '{"\\udc00": "x\\ud83c"}', '"\ud800"',
+])
+def test_decode_json_reads_what_orjson_refuses_as_json_does(text):
+    assert repr(decode_json(text)) == repr(json.loads(text))
+
+
+@pytest.mark.parametrize("text", [
+    "", "{", "[1,]", "not json", '{"a" 1}', '"\x01"', "[1] [2]", '{"a": [1}', "\ufeff[]",
+])
+def test_decode_json_raises_jsons_error(text):
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(text)
+    with pytest.raises(json.JSONDecodeError) as raised:
+        decode_json(text)
+    assert type(raised.value) is json.JSONDecodeError
+    assert str(raised.value) == str(expected.value)
+    assert (raised.value.lineno, raised.value.colno) == (expected.value.lineno,
+                                                         expected.value.colno)
+
+
+@pytest.fixture(scope="module")
+def grow_log(tmp_path_factory) -> Path:
+    """The log of the benchmark's grow-25k run of seed 1 (2 MB)."""
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(bench))
+        workloads = importlib.import_module("workloads")
+    config = RunConfig.from_dict(workloads.run_config(workloads.WORKLOADS["grow-25k"], seed=1))
+    out = tmp_path_factory.mktemp("grow-25k") / "run"
+    execute_run(config, build_synthetic_ports(config), out)
+    return out / LOG_FILENAME
+
+
+def test_decode_json_equals_json_on_every_line_of_a_grow_run(grow_log):
+    lines = grow_log.read_text(encoding="utf-8").splitlines()
+    assert len(lines) > 8000
+    for line in lines:
+        assert repr(decode_json(line)) == repr(json.loads(line))
+    block = "[[" + "],\n[".join(lines) + "]]"
+    assert repr(decode_json(block)) == repr(json.loads(block))

@@ -301,6 +301,33 @@ def test_each_invalid_value_names_its_own_rule(values, problem):
     assert exc_info.value.problems == [problem]
 
 
+@pytest.mark.parametrize("values, problem", [
+    ({"seed": -1}, "seed must be in [0, 2**64), got -1"),
+    ({"seed": 2**70}, f"seed must be in [0, 2**64), got {2**70}"),
+    ({"seed": 2**64}, f"seed must be in [0, 2**64), got {2**64}"),
+    ({"time_run_minutes": 2**63}, f"time_run_minutes must be in [-2**63, 2**63), got {2**63}"),
+    ({"synthetic": {"optimum": [-2**63 - 1, 0.0]}},
+     f"synthetic.optimum must be in [-2**63, 2**63), got {-2**63 - 1}"),
+    ({"endpoint": {"max_tokens": 2**64}},
+     f"endpoint.max_tokens must be in [-2**63, 2**63), got {2**64}"),
+])
+def test_config_integers_must_fit_the_log(values, problem):
+    """An integer a run could log must read back as an integer: the seed
+    in [0, 2**64), every other one in [-2**63, 2**63). A negative seed
+    used to pass and fail later inside numpy's seeding."""
+    with pytest.raises(ConfigInvalid) as exc_info:
+        RunConfig.from_dict(values)
+    assert exc_info.value.problems == [problem]
+
+
+@pytest.mark.parametrize("values", [
+    {"seed": 0}, {"seed": 2**64 - 1}, {"validator_size_threshold": 2**63 - 1},
+    {"merge_epsilon": -2**63}, {"enable_merging": True},
+])
+def test_config_integers_at_their_bounds_pass(values):
+    RunConfig.from_dict(values)
+
+
 def test_min_anchors_cannot_exceed_max():
     with pytest.raises(ConfigInvalid):
         RunConfig.from_dict({"number_of_ideas_min": 6, "number_of_ideas_max": 5})

@@ -636,6 +636,45 @@ def test_adding_stage_prediction_failure_falls_back_to_full():
     assert all(n.status is NodeStatus.EVALUATED for n in fresh)
 
 
+def test_non_finite_prediction_falls_back_to_full():
+    """A predictor that returns an infinity or NaN has failed, as one
+    that raises has: the node gets a real evaluation and no predicted
+    score, and no ``prediction_made`` event carries the value. An
+    infinity would otherwise win the pruning rank, and a NaN make the
+    rank's order depend on position."""
+    world = make_world(seed=32)
+    cycle = [math.inf, -math.inf, math.nan, 0.25, 0.75]
+    calls: list[str] = []
+
+    def predict(text):
+        calls.append(text)
+        return cycle[(len(calls) - 1) % len(cycle)]
+
+    log = RunLog()
+    policy = EvalPolicy(predict_fn=predict, predict_fraction=0.5)
+    params = StageParams(n_fe=2, m_mt=3, n_selected=1)
+    mt_before = {n.id for n in world.tree.nodes_at_level(NodeLevel.MT)}
+    adding_stage(world.tree, world.ctx, world.gen, world.evaluator, params,
+                 world.metric, world.rng, log=log, clock=world.clock, policy=policy)
+    fresh = sorted((n for n in world.tree.nodes_at_level(NodeLevel.MT)
+                    if n.id not in mt_before), key=lambda n: n.id)
+    assert [n.idea_text for n in fresh] == calls and len(calls) == 9
+    made = of_kind(log, EventKind.PREDICTION_MADE)
+    assert all(math.isfinite(e.payload["predicted"]) for e in made)
+    finite = set()
+    for i, node in enumerate(fresh):
+        value = cycle[i % len(cycle)]
+        if math.isfinite(value):
+            finite.add(node.id)
+            assert node.predicted_score == value
+        else:
+            assert node.predicted_score is None
+            assert node.status is NodeStatus.EVALUATED
+    assert {e.payload["node_id"] for e in made} == finite
+    # the finite predictions still prune
+    assert any(n.status is NodeStatus.PROPOSED for n in fresh)
+
+
 def test_adding_stage_mt_literal_mode_runs():
     world = make_world(seed=33)
     params = StageParams(n_fe=2, m_mt=2, n_selected=2)
