@@ -1,7 +1,7 @@
 """Layer timings with pytest-benchmark: writing and reading the log,
-replay, the reports, snapshotting the tree, the tree ops, the softmax
-and merge-pair draws, the synthetic ports and the corpus retriever, on
-the inputs of a grow-25k run.
+replay, the reports, snapshotting and restoring the tree, the tree
+ops, the softmax and merge-pair draws, the synthetic ports and the
+corpus retriever, on the inputs of a grow-25k run.
 
     python -m pytest perf --benchmark-only
 
@@ -58,7 +58,7 @@ def test_read_log(benchmark, grow_run):
 
 
 def test_iter_log(benchmark, grow_run):
-    """The run's log streamed block by block to its end, keeping no
+    """The run's log streamed line by line to its end, keeping no
     event, with the collector paused as a report walks it."""
 
     @collector_paused()
@@ -98,6 +98,13 @@ def test_snapshot(benchmark, grow_run):
     result = grow_run.result
     document = benchmark(result.tree.snapshot)
     assert document.startswith('{"iteration":')
+
+
+def test_restore(benchmark, grow_run):
+    """The final tree rebuilt from its snapshot, about 5,200 nodes."""
+    document = grow_run.result.tree.snapshot()
+    tree = benchmark(IdeationTree.restore, document)
+    assert tree.snapshot() == document
 
 
 def test_sample_without_replacement(benchmark, grow_run):

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Optional
@@ -166,8 +167,11 @@ class RunConfig:
             out.append("synthetic.debug_cost cannot exceed synthetic.full_cost")
         if syn.optimum and len(syn.optimum) != syn.dimension:
             out.append("synthetic.optimum length must match synthetic.dimension")
-        for name, value in _int_values(self.to_dict()):
-            if name == "seed":
+        for name, value in _number_values(self.to_dict()):
+            if isinstance(value, float):
+                if not math.isfinite(value):
+                    out.append(f"{name} must be finite, got {value}")
+            elif name == "seed":
                 if not 0 <= value < 2**64:
                     out.append(f"seed must be in [0, 2**64), got {value}")
             elif not -2**63 <= value < 2**63:
@@ -257,22 +261,28 @@ class RunConfig:
         return doc
 
 
-def _int_values(doc: dict, prefix: str = ""):
-    """(dotted name, value) of every int in a ``to_dict`` document,
-    bools aside, in its sections and sequences too.
+def _number_values(doc: dict, prefix: str = ""):
+    """(dotted name, value) of every int and float in a ``to_dict``
+    document, bools aside, in its sections and sequences too.
 
     A run logs some of these (``seed``, the budget), and the log's
     reader decodes an integer outside [-2**63, 2**64) as a float, so
     the config must hold none; the seed, which seeds numpy's generators,
-    must also not be negative."""
+    must also not be negative. A float must be finite: an infinite
+    budget never ends a simulated run, and NaN or infinity is not JSON
+    where the run logs it."""
     for key, value in doc.items():
         name = prefix + key
         if isinstance(value, dict):
-            yield from _int_values(value, name + ".")
+            yield from _number_values(value, name + ".")
         elif isinstance(value, (list, tuple)):
-            yield from ((name, v) for v in value if isinstance(v, int) and not isinstance(v, bool))
-        elif isinstance(value, int) and not isinstance(value, bool):
+            yield from ((name, v) for v in value if _is_number(v))
+        elif _is_number(value):
             yield name, value
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_config(path: str | Path) -> RunConfig:

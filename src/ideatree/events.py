@@ -7,18 +7,18 @@ orchestrator.replay_events), and reports are derived from it. A
 checkpoint is a position in the log, the ``checkpoint_written`` event
 after a stage; the events before it rebuild the tree as it was then.
 
-A run is read back as a stream: ``iter_log`` decodes the log a block of
-``LOG_BLOCK_LINES`` lines at a time and yields each event once the
-block has passed the reader's checks, so a reader that keeps only what
-it builds (``orchestrator.replay``, ``report.progress_report`` and
+A run is read back as a stream: ``iter_log`` decodes the log one line
+at a time and yields each event once its line has passed the reader's
+checks, so a reader that keeps only what it builds
+(``orchestrator.replay``, ``report.progress_report`` and
 ``run_summary``) never holds the whole log; ``read_log`` is the same
 stream as a list.
 
 The log is written by the stdlib json encoder and read by
-``decode_json``: orjson decodes each block, and json decodes again only
-a block that orjson refuses, to raise json's error for a bad line or to
+``decode_json``: orjson decodes each line, and json decodes again only
+a line that orjson refuses, to raise json's error for a bad line or to
 read a value orjson cannot (``NaN``, ``Infinity``, lone surrogates).
-So a block reads back as json reads it, but for integers beyond 64 bits
+So a line reads back as json reads it, but for integers beyond 64 bits
 (see ``decode_json``).
 
 Reading a run back (``read_log``, ``orchestrator.replay`` and
@@ -39,7 +39,6 @@ import functools
 import gc
 import json
 from enum import Enum
-from itertools import islice
 from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 from typing import IO, Any, Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
@@ -55,10 +54,9 @@ T = TypeVar("T")
 # the log file in a run directory
 LOG_FILENAME = "run.jsonl"
 
-# lines that ``iter_log`` decodes in one ``decode_json`` call: enough that
-# the call's fixed cost is spread thin, few enough that a block's text and
-# records stay a small, fixed share of memory however long the log is
-LOG_BLOCK_LINES = 512
+# the characters JSON counts as whitespace: a log line of these alone
+# is blank, and ``iter_log`` skips it
+_JSON_WHITESPACE = " \t\n\r"
 
 
 class EventKind(str, Enum):
@@ -229,112 +227,64 @@ def decode_json(text: str) -> Any:
         return json.loads(text)
 
 
-def _decode_events(text: str, first_line: int = 1) -> list[Event]:
-    """The events of the log text, in one decode of the whole text, which
-    begins at line ``first_line`` of the file.
-
-    Each line is wrapped in brackets and the lines joined by commas
-    inside an outer array, keeping every newline, so the decoder's line
-    numbers, counted on from ``first_line``, are the file's. A blank
-    line decodes to an empty array and is skipped; a line holding one
-    JSON value decodes to a one-element array. A newline inside a string
-    is invalid JSON, so the added brackets are never string content, and
-    a decode error is reported on the line where the decoder found it.
-    Raises CorruptLog."""
-    try:
-        lines = decode_json("[[" + text.replace("\n", "],\n[") + "]]")
-    except json.JSONDecodeError as exc:
-        # an error at a line's opening bracket (column 1) is the
-        # previous line's: it left the decoder where no array may start
-        number = first_line - 1 + exc.lineno - (exc.colno == 1)
-        raise CorruptLog(f"bad log line {number}: {exc.msg}") from None
-    if len(lines) != text.count("\n") + 1:
-        # unbalanced brackets in some line's text moved the line breaks
-        raise CorruptLog("the log's lines do not hold one JSON value each")
-    events: list[Event] = []
-    append = events.append
-    for number, values in enumerate(lines, first_line):
-        if not values:
-            continue
-        try:
-            (d,) = values
-            append(Event(int(d["seq"]), float(d["ts"]), _KINDS[d["kind"]], d["payload"]))
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            if isinstance(values, list) and len(values) > 1:
-                reason = f"{len(values)} JSON values on one line"
-            else:
-                reason = f"not an event record: {exc!r}"
-            raise CorruptLog(f"bad log line {number}: {reason}") from None
-    return events
-
-
 def iter_log(path: Path, *, partial: bool = False) -> Iterator[Event]:
-    """The events of a log file, read and verified ``LOG_BLOCK_LINES``
-    lines at a time: valid JSON lines, one event each, contiguous
-    sequence numbers from zero, a versioned header, and a terminal
-    record. Blank lines are skipped.
+    """The events of a log file, read and verified one line at a time:
+    valid JSON lines, one event each, contiguous sequence numbers from
+    zero, a versioned header, and a terminal record. Lines of JSON
+    whitespace alone are skipped.
 
     With ``partial`` the log of a crashed or killed run is read too: a
     missing ``run_finished`` is accepted, and a last line that is not an
-    event, torn by the crash, is dropped. Any other defect still raises
-    CorruptLog, naming the line, counted from the start of the file.
+    event, torn by the crash, is dropped. A bad line followed by another
+    line that is not blank still raises. Every defect raises CorruptLog,
+    naming the line, counted from the start of the file.
 
-    A block's events are yielded once the whole block has passed these
-    checks, so a reader holds one block of the log at a time; a defect
-    is raised when the read reaches its block, after the events of the
-    blocks before it. A block that does not decode is decoded again with
-    the rest of the file, so a line's fault, and its line number, are
-    those a single decode of the whole log reports. The file is opened
-    at the first ``next``. This is a generator: pause the collector
-    around the loop that consumes it, not on it (see the module
-    docstring).
+    Each event is yielded once its line has passed these checks, so a
+    reader holds one line of the log at a time, and a defect is raised
+    when the read reaches it, after the events before it. The file is
+    opened at the first ``next``. This is a generator: pause the
+    collector around the loop that consumes it, not on it (see the
+    module docstring).
 
-    Each block is decoded by ``decode_json``, so the events equal
+    Each line is decoded by ``decode_json``, so the events equal
     ``json.loads``'s reading of each line but for one difference: an
     integer outside [-2**63, 2**64) decodes as a float."""
     path = Path(path)
     expected = 0  # the seq of the next event
     last: Optional[Event] = None
+    # with ``partial``, the error of a bad line, raised if a line follows it
+    torn: Optional[CorruptLog] = None
     with path.open(encoding="utf-8") as fh:
-        first_line = 1
-        while block := list(islice(fh, LOG_BLOCK_LINES)):
-            text = "".join(block)
-            try:
-                events = _decode_events(text, first_line)
-            except CorruptLog:
-                # A fault may lie in a value that runs on past the
-                # block's end. Every block before this one decoded, so
-                # the decoder of the whole log would have met this one
-                # as a fresh decoder does; decoding the rest of the file
-                # as one text names the fault that decoder names.
-                text += fh.read()
-                try:
-                    events = _decode_events(text, first_line)
-                except CorruptLog:
-                    if not partial:
-                        raise
-                    # the crash may have torn the last line; the lines
-                    # before it must read, so a bad line anywhere else
-                    # still raises
-                    kept = text.rstrip()
-                    events = _decode_events(kept[:kept.rfind("\n") + 1], first_line)
-            first_line += len(block)
-            if not events:
+        for number, line in enumerate(fh, 1):
+            if not line.strip(_JSON_WHITESPACE):
                 continue
-            if [event.seq for event in events] != list(range(expected, expected + len(events))):
-                i = next(i for i, event in enumerate(events, expected) if event.seq != i)
-                raise CorruptLog(f"sequence gap at event {i}: seq={events[i - expected].seq}")
+            if torn is not None:
+                # the bad line is not the last, so no crash tore it
+                raise torn
+            try:
+                d = decode_json(line)
+                event = Event(int(d["seq"]), float(d["ts"]), _KINDS[d["kind"]], d["payload"])
+            except (KeyError, TypeError, ValueError, OverflowError) as exc:
+                if isinstance(exc, json.JSONDecodeError):
+                    reason = exc.msg
+                else:
+                    reason = f"not an event record: {exc!r}"
+                torn = CorruptLog(f"bad log line {number}: {reason}")
+                if not partial:
+                    raise torn from None
+                continue
+            if event.seq != expected:
+                raise CorruptLog(f"sequence gap at event {expected}: seq={event.seq}")
             if expected == 0:
-                head = events[0]
-                if head.kind is not EventKind.RUN_STARTED:
+                if event.kind is not EventKind.RUN_STARTED:
                     raise CorruptLog("log does not begin with a run_started record")
-                version = head.payload.get("log_schema")
+                version = event.payload.get("log_schema")
                 if version != LOG_SCHEMA_VERSION:
                     raise LogVersionMismatch(
                         f"log schema {version!r}, supported {LOG_SCHEMA_VERSION}")
-            expected += len(events)
-            last = events[-1]
-            yield from events
+            expected += 1
+            last = event
+            yield event
     if last is None:
         raise CorruptLog(f"{path} is empty")
     if not partial and last.kind is not EventKind.RUN_FINISHED:

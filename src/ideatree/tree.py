@@ -561,7 +561,9 @@ class IdeationTree:
     @collector_paused()
     def restore(cls, document: str) -> "IdeationTree":
         """Rebuild a tree from a snapshot, re-validating every invariant,
-        with the garbage collector paused."""
+        with the garbage collector paused. The nodes are attached in one
+        pass, so they must come as ``snapshot`` writes them: the root
+        first, then ascending ids."""
         try:
             doc = decode_json(document)
         except json.JSONDecodeError as exc:
@@ -572,22 +574,23 @@ class IdeationTree:
             raise MalformedDocument(
                 f"unsupported tree_schema {doc.get('tree_schema')!r}"
             )
-        records = [Node.from_dict(d) for d in doc["nodes"]]
-        seen: dict[int, Node] = {}
-        for rec in records:
-            if rec.id in seen:
-                raise InvariantViolation(f"node id {rec.id} appears more than once")
-            seen[rec.id] = rec
-        roots = [r for r in records if r.parent_id is None]
-        if len(roots) != 1:
-            raise InvariantViolation(f"snapshot has {len(roots)} roots, expected 1")
         tree = cls()
         tree.iteration = int(doc.get("iteration", 0))
-        # parents must be attached before children; ids are assigned in
-        # creation order so sorting by id gives a valid insertion order
-        for rec in sorted(records, key=lambda r: r.id):
-            _check_score_consistency(rec)
+        # ids are assigned in creation order, so in id order each node's
+        # parent and sources are attached before it
+        previous: Optional[int] = None
+        for d in doc["nodes"]:
+            rec = Node.from_dict(d)
+            if previous is None:
+                if rec.parent_id is not None:
+                    raise InvariantViolation(f"snapshot begins with node {rec.id}, not its root")
+            elif rec.id <= previous:
+                raise InvariantViolation(
+                    f"node id {rec.id} follows node id {previous}; ids must strictly ascend")
             tree.add_node(rec.parent_id, rec)
+            previous = rec.id
+        if previous is None:
+            raise InvariantViolation("snapshot has 0 roots, expected 1")
         stored_next = doc.get("next_id")
         if stored_next is not None:
             tree._next_id = max(tree._next_id, int(stored_next))

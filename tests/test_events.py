@@ -1,6 +1,6 @@
 """The run log's records and its reader: lean node records, old logs
-with full node records, the defects the streamed reader rejects, at
-any block size, and the snapshot comparison of ``verify_replay``."""
+with full node records, the defects the streamed reader rejects, line
+by line, and the snapshot comparison of ``verify_replay``."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import gc
 import importlib
 import json
 import math
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -16,9 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import ideatree.events as events_module
 from ideatree.config import RunConfig
-from ideatree.errors import CorruptLog
+from ideatree.errors import CorruptLog, LogVersionMismatch
 from ideatree.events import (
     LOG_FILENAME,
     Event,
@@ -306,8 +306,8 @@ def test_bad_middle_line_names_its_line(run_dir, bad, partial):
 
 
 def test_line_that_leaves_a_bracket_open_is_blamed_not_the_next(run_dir):
-    """The decoder meets the fault at the next line's start; the reader
-    names the line that left the bracket open."""
+    """A line that ends inside an open bracket is the bad line, not the
+    one after it."""
     lines = _lines(run_dir)
     lines[4] = '{"seq": 4, "ts": 0.0, "kind": "stage_started", "payload": {"x": ['
     _write(run_dir, lines)
@@ -349,10 +349,9 @@ def _split_value(lines: list[str], nested: str) -> list[str]:
 @pytest.mark.parametrize("nested", ["[[1], [2]]", "[[[1], [2]]]"])
 def test_one_value_split_over_two_lines_is_rejected(run_dir, nested):
     """Two lines that are one value once joined, each on its own not
-    JSON. With enough nesting the joined text decodes, so the reader
-    must see that the line count and the value count differ."""
+    JSON: the first of them is the bad line."""
     _write(run_dir, _split_value(_lines(run_dir), nested))
-    with pytest.raises(CorruptLog):
+    with pytest.raises(CorruptLog, match=r"^bad log line 5: "):
         read_log(run_dir / LOG_FILENAME)
 
 
@@ -393,7 +392,7 @@ def test_events_are_records_read_back_equal(finished):
     assert events == read_log(finished / LOG_FILENAME)
 
 
-# ---- the streamed reader at any block size ----
+# ---- the streamed reader, line by line ----
 
 def _replaced(lines: list[str], index: int, line: str) -> list[str]:
     return lines[:index] + [line] + lines[index + 1:]
@@ -405,9 +404,8 @@ def _head_with(lines: list[str], **payload) -> str:
     return json.dumps(event, sort_keys=True)
 
 
-# every log the tests above read, and a few more defects a block
-# boundary could hide, as (lines, end of file) made from the lines of a
-# finished run's log
+# every log the tests above read, and a few more defects, as (lines,
+# end of file) made from the lines of a finished run's log
 LOGS = {
     "as written": lambda lines: (lines, "\n"),
     "old form": lambda lines: ([_old_form(line) for line in lines], "\n"),
@@ -450,53 +448,89 @@ LOGS = {
 }
 
 
-def _outcome(path: Path, partial: bool):
-    """What read_log gives: its events, or the type and message of what
-    it raised."""
-    try:
-        return read_log(path, partial=partial)
-    except CorruptLog as exc:
-        return type(exc), str(exc)
+# what each log of LOGS reads as, without and with ``partial``: EVENTS,
+# the json reading of each of its lines that is not blank; BUT_LAST, the
+# events of the log as written but its last; or the type of the error
+# raised and a pattern its message matches. "{last}" stands for the
+# number of the as-written log's last line. The line numbers are those
+# the reader gave when it decoded the whole log at once, but for a value
+# split over two lines, which that reader named by no line.
+EVENTS = "events"
+BUT_LAST = "events but the last"
+EMPTY = (CorruptLog, r" is empty$")
+
+
+def _bad(line) -> tuple[type, str]:
+    return CorruptLog, rf"^bad log line {line}: "
+
+
+LOG_OUTCOMES = {
+    "as written": (EVENTS, EVENTS),
+    "old form": (EVENTS, EVENTS),
+    "blank lines": (EVENTS, EVENTS),
+    **{name: (_bad(5), _bad(5)) for name in LOGS
+       if name.startswith(("bad middle line", "two values joined", "one value split"))},
+    **{name: (_bad("{last}"), BUT_LAST) for name in LOGS if name.startswith("torn last line")},
+    "sequence gap": ((CorruptLog, r"^sequence gap at event 6: seq=7$"),) * 2,
+    "no header": ((CorruptLog, r"^sequence gap at event 0: seq=1$"),) * 2,
+    "old schema": ((LogVersionMismatch, r"^log schema 0, supported 1$"),) * 2,
+    "no run_finished": ((CorruptLog, r"^log does not end with a run_finished record$"),
+                        BUT_LAST),
+    "bad second to last line": (_bad("{last_but_one}"),) * 2,
+    "torn first line": (_bad(1), EMPTY),
+    "blank": (EMPTY, EMPTY),
+    "empty": (EMPTY, EMPTY),
+}
+
+
+def _json_events(lines: list[str]) -> list[Event]:
+    return [Event(d["seq"], d["ts"], EventKind(d["kind"]), d["payload"])
+            for d in map(json.loads, filter(str.strip, lines))]
 
 
 @pytest.mark.parametrize("partial", [False, True])
 @pytest.mark.parametrize("name", sorted(LOGS))
-def test_small_blocks_read_as_one_block_does(run_dir, monkeypatch, name, partial):
-    """Blocks of one, two and three lines return the same events, and
-    raise the same errors with the same line numbers, as one block
-    holding the whole file: the single decode of the whole log that the
-    reader made before it streamed, whose results the tests above pin
-    (the log is shorter than ``LOG_BLOCK_LINES``)."""
-    lines, end = LOGS[name](_lines(run_dir))
-    assert len(lines) < events_module.LOG_BLOCK_LINES
-    (run_dir / LOG_FILENAME).write_text("\n".join(lines) + end if lines else end,
-                                        encoding="utf-8")
-    outcomes = []
-    for block in (10**9, 1, 2, 3):
-        monkeypatch.setattr(events_module, "LOG_BLOCK_LINES", block)
-        outcomes.append(_outcome(run_dir / LOG_FILENAME, partial))
-    assert outcomes[1:] == outcomes[:1] * 3
+def test_small_blocks_read_as_one_block_does(run_dir, name, partial):
+    """The reader decodes one line at a time, and each log reads as
+    ``LOG_OUTCOMES`` pins it: the same events, or the same error naming
+    the same line, as a single decode of the whole log gave. The name is
+    kept from the reader that decoded the log in blocks, whose every
+    block size had to match that single decode."""
+    written = _lines(run_dir)
+    lines, end = LOGS[name](written)
+    path = run_dir / LOG_FILENAME
+    path.write_text("\n".join(lines) + end if lines else end, encoding="utf-8")
+    expected = LOG_OUTCOMES[name][partial]
+    if expected == EVENTS:
+        assert read_log(path, partial=partial) == _json_events(lines)
+    elif expected == BUT_LAST:
+        assert read_log(path, partial=partial) == _json_events(written)[:-1]
+    else:
+        error, pattern = expected
+        with pytest.raises(error) as raised:
+            read_log(path, partial=partial)
+        assert type(raised.value) is error
+        assert re.search(pattern.format(last=len(written), last_but_one=len(written) - 1),
+                         str(raised.value))
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_a_log_cut_anywhere_reads_up_to_its_last_whole_line(finished, data):
     """A log cut at any byte, as a crash leaves it, reads with
-    ``partial`` as the events of its whole lines, at any block size; a
-    line that is whole when the file ends without its newline counts.
+    ``partial`` as the events of its whole lines; a line that is whole
+    when the file ends without its newline counts.
     Without ``partial`` the cut log raises. A bad line anywhere but
     last still raises, naming its line, with ``partial`` too."""
     text = (finished / LOG_FILENAME).read_text(encoding="utf-8")
     full = read_log(finished / LOG_FILENAME)
     # a cut before the last line's end, which a crash leaves unfinished
     cut = data.draw(st.integers(0, len(text.rstrip("\n")) - 1), label="cut")
-    block = data.draw(st.sampled_from((1, 2, 3, events_module.LOG_BLOCK_LINES)), label="block")
     kept = text[:cut]
     # a line counts when its text is all there, newline or not: when the
     # newline that ends it is at the cut or before it
     whole = text.count("\n", 0, cut + 1)
-    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(events_module, "LOG_BLOCK_LINES", block)
+    with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / LOG_FILENAME
         path.write_text(kept, encoding="utf-8")
         with pytest.raises(CorruptLog):
@@ -615,7 +649,7 @@ def test_what_the_writer_writes_reads_back_the_same(payloads):
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [1.5, {"x": -math.inf}]])
 def test_non_finite_payloads_read_back_through_json(tmp_path, monkeypatch, value):
     """The writer logs a non-finite float as ``NaN`` or ``Infinity``,
-    which orjson refuses, so its block is read by json."""
+    which orjson refuses, so its line is read by json."""
     calls = []
     loads = json.loads
     monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))

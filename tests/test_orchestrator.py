@@ -6,6 +6,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import json
+import math
 import os
 import random
 import re
@@ -318,6 +319,32 @@ def test_config_integers_must_fit_the_log(values, problem):
     with pytest.raises(ConfigInvalid) as exc_info:
         RunConfig.from_dict(values)
     assert exc_info.value.problems == [problem]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("time_run_minutes", math.inf),
+    ("softmax_temperature", math.nan),
+    ("merge_epsilon", math.inf),
+    ("runtime_error_time", math.inf),
+    ("subset_size_in_percent", math.nan),
+    ("predict_fraction", math.nan),
+    ("synthetic.noise_sigma", math.inf),
+    ("synthetic.full_cost", math.inf),
+    ("synthetic.low", -math.inf),
+    ("synthetic.optimum", math.nan),
+    ("endpoint.timeout_s", math.inf),
+    ("endpoint.temperature", math.nan),
+])
+def test_config_floats_must_be_finite(name, value):
+    """A non-finite float passes every range check written with ``<``,
+    and an infinite budget never ends a simulated run, so each float of
+    the config, in its sections too, must be finite. The config is only
+    validated here; no run starts."""
+    section, _, key = name.rpartition(".")
+    doc = {key: [value, 0.0] if key == "optimum" else value}
+    with pytest.raises(ConfigInvalid) as exc_info:
+        RunConfig.from_dict({section: doc} if section else doc)
+    assert f"{name} must be finite, got {value}" in exc_info.value.problems
 
 
 @pytest.mark.parametrize("values", [

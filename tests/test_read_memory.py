@@ -1,4 +1,4 @@
-"""Reading a run back holds a block of its log, not the whole of it.
+"""Reading a run back holds a line of its log, not the whole of it.
 
 On a seeded run of the benchmark's grow-25k config, the peak memory
 that tracemalloc sees during each read stays below a bound set by the

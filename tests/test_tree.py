@@ -251,6 +251,37 @@ def test_restore_rejects_two_roots():
         IdeationTree.restore(json.dumps(doc))
 
 
+def _three_node_snapshot() -> dict:
+    tree = IdeationTree.create("root")
+    fe = tree.spawn(tree.root.id, NodeLevel.FE, "fe")
+    tree.spawn(fe.id, NodeLevel.MT, "mt")
+    return json.loads(tree.snapshot())
+
+
+def test_restore_rejects_nodes_out_of_id_order():
+    """The writer emits nodes in id order, so restore attaches them in
+    one pass and rejects any other order, even one whose parents still
+    come first."""
+    doc = _three_node_snapshot()
+    _, fe, mt = doc["nodes"]
+    doc["nodes"].append(dict(fe, id=mt["id"] + 1, idea_text="another fe"))
+    doc["nodes"][2], doc["nodes"][3] = doc["nodes"][3], doc["nodes"][2]
+    with pytest.raises(InvariantViolation, match="ascend"):
+        IdeationTree.restore(json.dumps(doc))
+
+
+def test_restore_rejects_a_snapshot_that_does_not_begin_with_its_root():
+    doc = _three_node_snapshot()
+    doc["nodes"].append(doc["nodes"].pop(0))
+    with pytest.raises(InvariantViolation, match="not its root"):
+        IdeationTree.restore(json.dumps(doc))
+
+
+def test_restore_rejects_a_snapshot_without_nodes():
+    with pytest.raises(InvariantViolation):
+        IdeationTree.restore(json.dumps({"tree_schema": 1, "iteration": 0, "nodes": []}))
+
+
 def test_restore_rejects_score_without_evaluated_status():
     tree = IdeationTree.create("root")
     fe = tree.spawn(tree.root.id, NodeLevel.FE, "fe")
