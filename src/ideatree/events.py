@@ -14,12 +14,15 @@ checks, so a reader that keeps only what it builds
 ``run_summary``) never holds the whole log; ``read_log`` is the same
 stream as a list.
 
-The log is written by the stdlib json encoder and read by
-``decode_json``: orjson decodes each line, and json decodes again only
-a line that orjson refuses, to raise json's error for a bad line or to
-read a value orjson cannot (``NaN``, ``Infinity``, lone surrogates).
-So a line reads back as json reads it, but for integers beyond 64 bits
-(see ``decode_json``).
+The log and the snapshot have one codec. ``encode_json`` writes each
+record as orjson's UTF-8 JSON with sorted keys and no whitespace, and
+raises for what it cannot write back exactly: a non-finite float, an
+integer beyond 64 bits, a lone surrogate, a type JSON cannot hold.
+``decode_json`` reads them: orjson decodes each line, and json decodes
+again only a line that orjson refuses, to raise json's error for a bad
+line or to read a value orjson cannot (``NaN``, ``Infinity``, lone
+surrogates), as a hand-edited file may hold. A log of an older schema
+(``LOG_SCHEMA_VERSION``) is refused, not read.
 
 Reading a run back (``read_log``, ``orchestrator.replay`` and
 ``verify_replay``, ``report.progress_report`` and ``run_summary``,
@@ -39,15 +42,14 @@ import functools
 import gc
 import json
 from enum import Enum
-from json.encoder import c_make_encoder, encode_basestring_ascii
 from pathlib import Path
-from typing import IO, Any, Callable, Iterator, NamedTuple, Optional, Sequence, TypeVar
+from typing import IO, Any, Callable, Iterator, NamedTuple, Optional, TypeVar
 
 import orjson
 
 from .errors import CorruptLog, LogVersionMismatch
 
-LOG_SCHEMA_VERSION = 1
+LOG_SCHEMA_VERSION = 2
 
 T = TypeVar("T")
 
@@ -77,34 +79,6 @@ class EventKind(str, Enum):
 # EventKind by its value, so that decoding a log calls no Enum(value)
 _KINDS = {kind.value: kind for kind in EventKind}
 
-# raises TypeError for a value JSON cannot hold, as json.dumps does
-_unencodable = json.JSONEncoder().default
-
-
-def c_encoder(*, separators: tuple[str, str], sort_keys: bool):
-    """A fresh C encoder, the one json.dumps itself uses, with
-    json.dumps's other default settings: ``encode(value, 0)`` returns
-    the chunks whose join is ``json.dumps(value, separators=separators,
-    sort_keys=sort_keys)``.
-
-    Its circular-reference ``markers`` dict is fresh too: after an
-    error the encoder leaves stale entries in it, so an encoder is
-    built for each call that encodes, never shared between calls."""
-    item_separator, key_separator = separators
-    return c_make_encoder({}, _unencodable, encode_basestring_ascii, None,
-                          key_separator, item_separator, sort_keys, False, True)
-
-
-def _encode_lines(events: Sequence[Event]) -> list[str]:
-    """Each event's log line, without its newline: the bytes of
-    ``json.dumps(record, sort_keys=True)``, from one ``c_encoder``."""
-    encode = c_encoder(separators=(", ", ": "), sort_keys=True)
-    return [
-        "".join(encode({"kind": e.kind.value, "payload": e.payload, "seq": e.seq, "ts": e.ts}, 0))
-        for e in events
-    ]
-
-
 class Event(NamedTuple):
     seq: int
     ts: float
@@ -125,9 +99,9 @@ class RunLog:
     The first flush opens the file with ``"w"``, so a run into an
     existing run directory does not add its events to the old run's,
     and the handle then stays open until ``close``. A flush encodes
-    every pending line before its one write, so a flush that fails to
-    encode writes nothing and keeps its events, and a flush retried
-    after it cannot write a line twice."""
+    every pending line with ``encode_json`` before its one write, so a
+    flush that fails to encode writes nothing and keeps its events, and
+    a flush retried after it cannot write a line twice."""
 
     def __init__(self, clock=None, path: Optional[Path] = None):
         self.events: list[Event] = []
@@ -135,7 +109,7 @@ class RunLog:
         self.path = Path(path) if path is not None else None
         self._seq = 0
         self._opened = False
-        self._fh: Optional[IO[str]] = None
+        self._fh: Optional[IO[bytes]] = None
 
     def append(self, kind: EventKind, **payload) -> Event:
         ts = float(self.clock.elapsed()) if self.clock is not None else 0.0
@@ -149,15 +123,18 @@ class RunLog:
     def flush(self) -> None:
         if self.path is None:
             return
-        lines = _encode_lines(self.events)
-        text = "\n".join(lines) + "\n" if lines else ""
+        data = b"".join(
+            encode_json({"kind": e.kind.value, "payload": e.payload, "seq": e.seq, "ts": e.ts})
+            + b"\n"
+            for e in self.events
+        )
         if self._fh is None:
             if not self._opened:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
             # a log closed and then flushed again is appended to
-            self._fh = self.path.open("a" if self._opened else "w", encoding="utf-8")
+            self._fh = self.path.open("ab" if self._opened else "wb")
             self._opened = True
-        self._fh.write(text)
+        self._fh.write(data)
         self._fh.flush()
         self.events = []
 
@@ -210,6 +187,23 @@ class collector_paused:
         return paused
 
 
+def encode_json(value: Any) -> bytes:
+    """The JSON text of ``value`` as UTF-8 bytes, keys sorted at every
+    level and no whitespace: the one encoder of the log and the
+    snapshot, paired with ``decode_json``.
+
+    orjson encodes, and its TypeError is let through: for a type JSON
+    cannot hold (a set, a numpy scalar), a non-``str`` key, an integer
+    outside [-2**63, 2**64), a lone surrogate, or a circular value.
+    orjson writes NaN and the infinities as ``null``, so output holding
+    ``null`` is checked again by json, which raises ValueError for a
+    non-finite float; a record with no None in it skips the check."""
+    data = orjson.dumps(value, option=orjson.OPT_SORT_KEYS)
+    if b"null" in data:
+        json.dumps(value, allow_nan=False)
+    return data
+
+
 def decode_json(text: str) -> Any:
     """The value of a JSON text, as ``json.loads`` reads it: decoded by
     orjson, or by json where orjson refuses the text.
@@ -218,9 +212,8 @@ def decode_json(text: str) -> Any:
     position, and reads what orjson refuses but json accepts: the
     ``NaN`` and ``Infinity`` literals, numbers that overflow a double
     (``1e400``) and lone surrogates. The one difference left is that
-    orjson decodes an integer outside [-2**63, 2**64) as a float. A run
-    logs none: its integers are counts, ids and config values, which
-    ``RunConfig.problems`` bounds."""
+    orjson decodes an integer outside [-2**63, 2**64) as a float;
+    ``encode_json`` writes none."""
     try:
         return orjson.loads(text)
     except orjson.JSONDecodeError:

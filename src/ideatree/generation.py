@@ -383,7 +383,9 @@ def complete_with_retries(
 
 def split_ideas(content: str, expected: int) -> list[str]:
     """Split a completion into ideas on separator lines; exact count or
-    MalformedResponse."""
+    MalformedResponse. A block that is not valid UTF-8 text (a lone
+    surrogate, as a ``\\ud800`` escape in the reply decodes to) is
+    MalformedResponse too, since the run log could not record it."""
     blocks, current = [], []
     for line in content.splitlines():
         if line.strip() == IDEA_SEPARATOR:
@@ -399,6 +401,11 @@ def split_ideas(content: str, expected: int) -> list[str]:
     blocks = [b for b in blocks if b]
     if len(blocks) != expected:
         raise MalformedResponse(f"expected {expected} ideas, parsed {len(blocks)}")
+    for block in blocks:
+        try:
+            block.encode()
+        except UnicodeEncodeError as exc:
+            raise MalformedResponse(f"idea is not UTF-8 text: {exc}") from exc
     return blocks
 
 

@@ -586,8 +586,6 @@ def verify_replay(run_dir: Path) -> bool:
     rebuilt = replay(log_path)
     with snapshot_path.open("rb") as fh:
         for piece in rebuilt.snapshot_pieces():
-            # a snapshot is ASCII, so characters are bytes
-            expected = piece.encode("ascii")
-            if fh.read(len(expected)) != expected:
+            if fh.read(len(piece)) != piece:
                 return False
         return not fh.read(1)

@@ -88,7 +88,7 @@ class FileCorpusRetriever:
             for path in sorted(self.corpus_dir.glob("*.txt")):
                 doc = _parse_document(path)
                 index.append((path.name, doc, self.embedder.embed(doc.title + "\n" + doc.body)))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise RetrievalFailure(f"cannot read corpus: {exc}") from exc
         self._index = index
         return index
@@ -98,8 +98,8 @@ class FileCorpusRetriever:
         file name so results are stable. The corpus is read and embedded
         once, at the first call that succeeds; later edits to the
         directory are not seen by this retriever. Raises RetrievalFailure
-        when the corpus directory cannot be read, and a later call tries
-        again."""
+        when the corpus directory cannot be read or a file in it is not
+        UTF-8 text, and a later call tries again."""
         if k <= 0:
             return []
         index = self._load_index()

@@ -64,9 +64,9 @@ from .errors import (
     NonFiniteScore,
     UnknownParent,
 )
-from .events import c_encoder, collector_paused, decode_json
+from .events import collector_paused, decode_json, encode_json
 
-TREE_SCHEMA_VERSION = 1
+TREE_SCHEMA_VERSION = 2
 
 
 class NodeLevel(str, Enum):
@@ -102,7 +102,7 @@ _LEVELS = {level.value: level for level in NodeLevel}
 _STATUSES = {status.value: status for status in NodeStatus}
 _PROVENANCE_KINDS = {kind.value: kind for kind in ProvenanceKind}
 
-# the node fields that a node_proposed record omits when they are None
+# the node fields that a node record omits when they are None
 OPTIONAL_NODE_FIELDS = ("code_artifact", "raw_score", "predicted_score", "aggregated_score")
 
 
@@ -166,7 +166,6 @@ class Provenance:
             )
 
     def to_dict(self) -> dict:
-        # keys in sorted order, which the snapshot encoder relies on
         return {"kind": self.kind._value_, "sources": list(self.sources)}
 
     @classmethod
@@ -203,36 +202,30 @@ class Node:
     provenance: Provenance = field(default_factory=Provenance.generated)
     created_iteration: int = 0
 
-    def to_dict(self) -> dict:
-        # keys in sorted order, which the snapshot encoder relies on;
+    def to_record(self) -> dict:
+        """The node as a ``node_proposed`` event and the snapshot carry
+        it: every field, but the OPTIONAL_NODE_FIELDS that are None."""
         # ``_value_`` skips the Enum ``value`` property's descriptor call
-        return {
-            "aggregated_score": self.aggregated_score,
-            "code_artifact": self.code_artifact,
+        record = {
             "created_iteration": self.created_iteration,
             "id": self.id,
             "idea_text": self.idea_text,
             "level": self.level._value_,
             "parent_id": self.parent_id,
-            "predicted_score": self.predicted_score,
             "provenance": self.provenance.to_dict(),
-            "raw_score": self.raw_score,
             "status": self.status._value_,
         }
-
-    def to_record(self) -> dict:
-        """``to_dict`` without the OPTIONAL_NODE_FIELDS that are None:
-        the node as a ``node_proposed`` event carries it."""
-        d = self.to_dict()
         for key in OPTIONAL_NODE_FIELDS:
-            if d[key] is None:
-                del d[key]
-        return d
+            value = getattr(self, key)
+            if value is not None:
+                record[key] = value
+        return record
 
     @classmethod
     def from_dict(cls, d: dict) -> "Node":
-        """The node of a ``to_dict`` or ``to_record`` document: the
-        OPTIONAL_NODE_FIELDS default to None, ``created_iteration`` to 0."""
+        """The node of a ``to_record`` document, which may also hold the
+        OPTIONAL_NODE_FIELDS as null: they default to None,
+        ``created_iteration`` to 0."""
         try:
             return cls(
                 id=int(d["id"]),
@@ -530,32 +523,30 @@ class IdeationTree:
 
     def snapshot(self) -> str:
         """Canonical self-describing document; stable byte-for-byte for
-        equal trees (nodes sorted by id, keys sorted, compact
-        separators, no whitespace): the join of ``snapshot_pieces``."""
-        return "".join(self.snapshot_pieces())
+        equal trees: the text of the join of ``snapshot_pieces``. Each
+        piece is decoded on its own, so the bytes and the text of the
+        whole document are never held together."""
+        return "".join(piece.decode() for piece in self.snapshot_pieces())
 
-    def snapshot_pieces(self) -> Iterator[str]:
-        """The snapshot document in pieces: its head up to the nodes
-        list's opening bracket, then each node's record in id order, the
-        ones after the first led by their comma, then the tail. Each
-        node is encoded only when its piece is asked for, so a reader
-        that compares the pieces as they come (``verify_replay``) never
-        holds the whole document.
+    def snapshot_pieces(self) -> Iterator[bytes]:
+        """The snapshot document in UTF-8 pieces: its head up to the
+        nodes list's opening bracket, then each node's ``to_record`` in
+        id order, the ones after the first led by their comma, then the
+        tail. Each node is encoded only when its piece is asked for, so a
+        reader that compares the pieces as they come (``verify_replay``)
+        never holds the whole document.
 
-        The keys are sorted where the dicts are built (the head and tail
-        here, ``Node.to_dict`` and ``Provenance.to_dict``), so the one C
-        encoder of the call does not sort them again; the joined bytes
-        are those of json.dumps of the whole document with
-        sort_keys=True and compact separators."""
-        encode = c_encoder(separators=(",", ":"), sort_keys=False)
-        head = "".join(encode({"iteration": self.iteration, "next_id": self._next_id}, 0))
-        yield head[:-1] + ',"nodes":['
+        Each piece is ``encode_json``'s, so the joined bytes are those
+        of ``encode_json`` of the whole document: keys sorted, no
+        whitespace."""
+        head = encode_json({"iteration": self.iteration, "next_id": self._next_id})
+        yield head[:-1] + b',"nodes":['
         nodes = self.nodes
-        separator = ""
+        separator = b""
         for nid in sorted(nodes):
-            yield separator + "".join(encode(nodes[nid].to_dict(), 0))
-            separator = ","
-        yield f'],"tree_schema":{TREE_SCHEMA_VERSION}}}'
+            yield separator + encode_json(nodes[nid].to_record())
+            separator = b","
+        yield b'],"tree_schema":%d}' % TREE_SCHEMA_VERSION
 
     @classmethod
     @collector_paused()

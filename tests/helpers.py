@@ -8,12 +8,12 @@ sides of a comparison.
 from __future__ import annotations
 
 import hashlib
-import json
 import threading
 import time
 from pathlib import Path
 
 import numpy as np
+import orjson
 
 from ideatree.embedding import HashedEmbedding
 from ideatree.errors import EvaluationFailure
@@ -23,6 +23,7 @@ from ideatree.tree import (
     IdeationTree,
     MetricDirection,
     MetricSpec,
+    Node,
     NodeLevel,
     NodeStatus,
     Provenance,
@@ -121,30 +122,39 @@ def reference_sample_scored_fe(
     return picked
 
 
+def full_record(node: Node) -> dict:
+    """Every field of a node, read afresh, the unset ones as None: a
+    node record as logs held it before records left unset fields out."""
+    return {
+        "id": node.id,
+        "level": node.level.value,
+        "parent_id": node.parent_id,
+        "idea_text": node.idea_text,
+        "code_artifact": node.code_artifact,
+        "raw_score": node.raw_score,
+        "predicted_score": node.predicted_score,
+        "aggregated_score": node.aggregated_score,
+        "status": node.status.value,
+        "provenance": {"kind": node.provenance.kind.value,
+                       "sources": list(node.provenance.sources)},
+        "created_iteration": node.created_iteration,
+    }
+
+
 def reference_snapshot(tree: IdeationTree) -> str:
     """A cold encode of the whole tree: every field of every node read
-    afresh and the whole document encoded in one ``json.dumps`` call,
-    keys sorted and separators compact."""
+    afresh, the four optional fields dropped where they are None, and
+    the whole document encoded in one ``orjson.dumps`` call, keys
+    sorted and no whitespace."""
+    optional = ("code_artifact", "raw_score", "predicted_score", "aggregated_score")
     nodes = []
     for nid in sorted(tree.nodes):
-        node = tree.nodes[nid]
-        nodes.append({
-            "id": node.id,
-            "level": node.level.value,
-            "parent_id": node.parent_id,
-            "idea_text": node.idea_text,
-            "code_artifact": node.code_artifact,
-            "raw_score": node.raw_score,
-            "predicted_score": node.predicted_score,
-            "aggregated_score": node.aggregated_score,
-            "status": node.status.value,
-            "provenance": {"kind": node.provenance.kind.value,
-                           "sources": list(node.provenance.sources)},
-            "created_iteration": node.created_iteration,
-        })
-    doc = {"tree_schema": 1, "iteration": tree.iteration,
+        record = full_record(tree.nodes[nid])
+        nodes.append({key: value for key, value in record.items()
+                      if value is not None or key not in optional})
+    doc = {"tree_schema": 2, "iteration": tree.iteration,
            "next_id": tree._next_id, "nodes": nodes}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return orjson.dumps(doc, option=orjson.OPT_SORT_KEYS).decode()
 
 
 def oracle_best(tree: IdeationTree, metric: MetricSpec):

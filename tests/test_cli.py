@@ -197,7 +197,7 @@ def test_report_reads_a_crashed_run(finished_run, tmp_path):
     still reports: exit 0, and its rows are a prefix of the full run's."""
     log = (finished_run / "run.jsonl").read_bytes()
     full_rows = progress_report(finished_run)
-    first_stage = log.index(b'"kind": "stage_finished"')
+    first_stage = log.index(b'"kind":"stage_finished"')
     start = log.index(b"\n", first_stage) + 1
     offsets = random.Random(5).sample(range(start, len(log) - 1), 25)
     for i, offset in enumerate(sorted(offsets)):

@@ -13,6 +13,7 @@ import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,6 @@ from ideatree.events import (
     Event,
     EventKind,
     RunLog,
-    _encode_lines,
     decode_json,
     read_log,
 )
@@ -36,6 +36,8 @@ from ideatree.orchestrator import (
     verify_replay,
 )
 from ideatree.tree import OPTIONAL_NODE_FIELDS, Node
+
+from helpers import full_record
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +74,7 @@ def _old_form(line: str) -> str:
     node_proposed record carries every node field, unset ones as null."""
     d = json.loads(line)
     if d["kind"] == "node_proposed":
-        d["payload"]["node"] = Node.from_dict(d["payload"]["node"]).to_dict()
+        d["payload"]["node"] = full_record(Node.from_dict(d["payload"]["node"]))
     return json.dumps(d, sort_keys=True)
 
 
@@ -85,16 +87,9 @@ def test_node_proposed_records_omit_unset_optional_fields(finished):
     for record in records:
         assert None not in (record[key] for key in OPTIONAL_NODE_FIELDS if key in record)
         assert Node.from_dict(record).to_record() == record
-        assert set(Node.from_dict(record).to_dict()) >= set(record)
+        assert set(full_record(Node.from_dict(record))) >= set(record)
     # resampled copies arrive scored, so some records keep a raw score
     assert any("raw_score" in record for record in records)
-
-
-def test_encoded_lines_keep_the_bytes_of_json_dumps(finished):
-    events = read_log(finished / LOG_FILENAME)
-    expected = [json.dumps({"seq": event.seq, "ts": event.ts, "kind": event.kind.value,
-                            "payload": event.payload}, sort_keys=True) for event in events]
-    assert _encode_lines(events) == expected
 
 
 def test_old_form_log_reads_and_replays_to_the_same_snapshot(run_dir):
@@ -122,15 +117,22 @@ class _ListClock:
         return next(self.times)
 
 
+def _record(event: Event) -> dict:
+    return {"seq": event.seq, "ts": event.ts, "kind": event.kind.value, "payload": event.payload}
+
+
 def _dumps(event: Event) -> str:
-    return json.dumps({"seq": event.seq, "ts": event.ts, "kind": event.kind.value,
-                       "payload": event.payload}, sort_keys=True)
+    """The log line of an event whose floats json and orjson spell
+    alike: json's text with sorted keys, no whitespace and no escapes
+    beyond JSON's own."""
+    return json.dumps(_record(event), sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=False)
 
 
 _SCALARS = st.one_of(
     st.none(), st.booleans(), st.text(),
     st.sampled_from((-0.0, 1e-05, 1e-4, 1e16, 1e17, 5e-324, 1.7976931348623157e308)),
-    st.floats(allow_nan=False), st.integers(-2**80, 2**80),
+    st.floats(allow_nan=False, allow_infinity=False), st.integers(-2**63, 2**64 - 1),
 )
 _VALUES = st.recursive(
     _SCALARS,
@@ -144,11 +146,13 @@ _PAYLOADS = st.dictionaries(st.text().filter(lambda key: key not in ("self", "ki
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(st.lists(_PAYLOADS, max_size=5), min_size=1, max_size=4), st.data())
-def test_flushed_lines_are_json_dumps_with_sorted_keys(batches, data):
-    """Every line a flush writes is ``json.dumps(record, sort_keys=True)``
-    of its event, over several flushes: nested dicts and lists,
-    non-ASCII text, signed zero, exponent floats, big ints, None and
-    bools."""
+def test_flushed_lines_read_back_as_their_events_with_sorted_keys(batches, data):
+    """Every line a flush writes is one line of UTF-8 JSON that json
+    reads back as its event, with the keys of every dict in sorted
+    order, over several flushes: nested dicts and lists, non-ASCII and
+    line-breaking text, signed zero, exponent floats, 64-bit ints, None
+    and bools. Values are compared by json's own spelling, so 0.0 and
+    -0.0, or 1, 1.0 and True, stay apart."""
     times = data.draw(st.lists(st.floats(0, 1e9), min_size=sum(map(len, batches)),
                                max_size=sum(map(len, batches))))
     with tempfile.TemporaryDirectory() as tmp:
@@ -161,9 +165,11 @@ def test_flushed_lines_are_json_dumps_with_sorted_keys(batches, data):
                 written.append(log.append(kinds[i % len(kinds)], **payload))
             log.flush()
         log.close()
-        lines = path.read_text(encoding="utf-8").splitlines()
-    assert lines == [_dumps(event) for event in written]
-    assert _encode_lines(written) == lines
+        lines = path.read_bytes().split(b"\n")
+    assert lines.pop() == b""
+    assert len(lines) == len(written)
+    for line, event in zip(lines, written):
+        assert json.dumps(json.loads(line.decode())) == json.dumps(_record(event), sort_keys=True)
 
 
 def _write_log(path: Path, payloads) -> tuple[RunLog, list[Event]]:
@@ -182,26 +188,37 @@ def _circular() -> dict:
 @pytest.mark.parametrize("bad, error", [
     ({"value": object()}, TypeError),
     ({"value": {1, 2}}, TypeError),
-    ({"value": _circular()}, ValueError),
+    ({"value": _circular()}, TypeError),
+    ({"value": math.nan}, ValueError),
+    ({"value": [1.5, {"x": math.inf}]}, ValueError),
+    ({"value": -math.inf}, ValueError),
+    ({"value": 2**64}, TypeError),
+    ({"value": -2**63 - 1}, TypeError),
+    ({"value": "idea \ud800"}, TypeError),
+    ({"value": {1: 2}}, TypeError),
+    ({"value": np.float64(0.5)}, TypeError),
 ])
 def test_flush_that_fails_to_encode_writes_nothing(tmp_path, bad, error):
-    """A payload JSON cannot hold, or a circular one, fails the flush
-    before its write: the file keeps the lines of earlier flushes, a
-    retried flush fails the same way without repeating them, and the
-    next log, with a fresh encoder, writes correctly."""
+    """A payload JSON cannot hold, or cannot hold exactly, fails the
+    flush before its write: a circular one, a set, a non-finite float
+    (which orjson would write as null), an integer beyond 64 bits, a
+    lone surrogate, a non-str key or a numpy scalar. The file keeps the
+    lines of earlier flushes, a retried flush fails the same way without
+    repeating them, and the next log writes correctly."""
     log, _ = _write_log(tmp_path / "a.jsonl", [{"stage": "adding", "n": 1}])
-    before = (tmp_path / "a.jsonl").read_text(encoding="utf-8")
-    log.append(EventKind.STAGE_STARTED, stage="merging")
-    log.append(EventKind.STAGE_STARTED, **bad)
+    before = (tmp_path / "a.jsonl").read_bytes()
+    pending = [log.append(EventKind.STAGE_STARTED, stage="merging"),
+               log.append(EventKind.STAGE_STARTED, **bad)]
     for _ in range(2):
         with pytest.raises(error):
             log.flush()
-        assert (tmp_path / "a.jsonl").read_text(encoding="utf-8") == before
+        assert (tmp_path / "a.jsonl").read_bytes() == before
+        assert log.events == pending
     with pytest.raises(error):
         log.close()
     assert log._fh is None
     # nothing of the failed flushes waited in a buffer either
-    assert (tmp_path / "a.jsonl").read_text(encoding="utf-8") == before
+    assert (tmp_path / "a.jsonl").read_bytes() == before
 
     fresh, written = _write_log(tmp_path / "b.jsonl", [{"x": [1.5, {"é": None}]}, {"y": -0.0}])
     fresh.close()
@@ -440,6 +457,7 @@ LOGS = {
     "sequence gap": lambda lines: (lines[:6] + lines[7:], "\n"),
     "no header": lambda lines: (lines[1:], "\n"),
     "old schema": lambda lines: (_replaced(lines, 0, _head_with(lines, log_schema=0)), "\n"),
+    "schema 1": lambda lines: (_replaced(lines, 0, _head_with(lines, log_schema=1)), "\n"),
     "no run_finished": lambda lines: (lines[:-1], "\n"),
     "bad second to last line": lambda lines: (_replaced(lines, len(lines) - 2, "{"), "\n"),
     "torn first line": lambda lines: ([lines[0][:30]], ""),
@@ -473,7 +491,8 @@ LOG_OUTCOMES = {
     **{name: (_bad("{last}"), BUT_LAST) for name in LOGS if name.startswith("torn last line")},
     "sequence gap": ((CorruptLog, r"^sequence gap at event 6: seq=7$"),) * 2,
     "no header": ((CorruptLog, r"^sequence gap at event 0: seq=1$"),) * 2,
-    "old schema": ((LogVersionMismatch, r"^log schema 0, supported 1$"),) * 2,
+    "old schema": ((LogVersionMismatch, r"^log schema 0, supported 2$"),) * 2,
+    "schema 1": ((LogVersionMismatch, r"^log schema 1, supported 2$"),) * 2,
     "no run_finished": ((CorruptLog, r"^log does not end with a run_finished record$"),
                         BUT_LAST),
     "bad second to last line": (_bad("{last_but_one}"),) * 2,
@@ -648,15 +667,23 @@ def test_what_the_writer_writes_reads_back_the_same(payloads):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [1.5, {"x": -math.inf}]])
 def test_non_finite_payloads_read_back_through_json(tmp_path, monkeypatch, value):
-    """The writer logs a non-finite float as ``NaN`` or ``Infinity``,
-    which orjson refuses, so its line is read by json."""
+    """The writer refuses a non-finite float, but a log edited by hand
+    may spell one as ``NaN`` or ``Infinity``, which orjson refuses, so
+    its line is read by json."""
+    path = tmp_path / LOG_FILENAME
+    written = _written_run(path, [{"value": 0}])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    event = json.loads(lines[1])
+    event["payload"]["value"] = value
+    lines[1] = json.dumps(event)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     calls = []
     loads = json.loads
     monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
-    written = _written_run(tmp_path / LOG_FILENAME, [{"value": value}])
-    read = read_log(tmp_path / LOG_FILENAME)
+    read = read_log(path)
     assert len(calls) == 1
-    assert repr(read[1].payload) == repr(written[1]) == repr({"value": value})
+    assert repr(read[1].payload) == repr({"value": value})
+    assert [e.payload for e in read[2:]] == written[2:]
 
 
 @pytest.mark.parametrize("text", [

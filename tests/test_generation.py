@@ -258,6 +258,23 @@ def test_retriever_missing_dir(tmp_path):
     assert [d.title for d in retriever.retrieve("anything", 1)] == ["Late arrival"]
 
 
+def test_retriever_non_utf8_file_is_a_retrieval_failure(corpus):
+    """A corpus file that is not UTF-8 text fails the retrieval, which
+    the external query treats as an empty result, rather than ending
+    the stage and the run; once the file is mended, the same retriever
+    reads the corpus."""
+    (corpus / "f_binary.txt").write_bytes(b"title: Bad bytes\n\n\xff\xfe")
+    retriever = FileCorpusRetriever(corpus)
+    with pytest.raises(RetrievalFailure, match="cannot read corpus"):
+        retriever.retrieve("gradient boosting trees", 3)
+    gen = SyntheticGenerator(SpaceConfig(dimension=2), seed=4, retriever=retriever)
+    ctx = ContextState()
+    assert gate_external_query(ctx, ExternalQueryPolicy.ALWAYS, gen) == []
+    assert ctx.revision == 0
+    (corpus / "f_binary.txt").write_text("title: Mended\n\nbody", encoding="utf-8")
+    assert len(retriever.retrieve("gradient boosting trees", 99)) == 6
+
+
 def test_retriever_headerless_file_becomes_local_doc(corpus):
     retriever = FileCorpusRetriever(corpus)
     docs = retriever.retrieve("plain file without a header block", 5)
@@ -448,6 +465,13 @@ def test_split_ideas_blank_blocks_rejected():
         split_ideas("a\n---\n   \n", 2)
 
 
+def test_split_ideas_rejects_a_lone_surrogate():
+    """A reply whose JSON escapes ``\\ud800`` decodes to a lone
+    surrogate, which the run log cannot record: the reply is malformed."""
+    with pytest.raises(MalformedResponse, match="not UTF-8"):
+        split_ideas("good idea\n---\nbad \ud800 idea", 2)
+
+
 # ---- http generator against a live stub ----
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
@@ -624,6 +648,18 @@ def test_retry_sleeps_only_between_failed_attempts():
     assert delays == [RETRY_BACKOFF_BASE_S, 2 * RETRY_BACKOFF_BASE_S]
     outcome, delays, posts = _complete_recording_sleeps([(503, {})], max_retries=0)
     assert isinstance(outcome, RetriesExhausted) and (delays, posts) == ([], 1)
+
+
+def test_llm_idea_with_a_lone_surrogate_is_retried(monkeypatch):
+    """An idea holding a lone surrogate fails its attempt and is asked
+    for again, so no idea the log cannot write reaches the tree."""
+    monkeypatch.setattr(generation, "RETRY_BACKOFF_BASE_S", 0.0)
+    session = _FakeSession([(200, _chat_reply("idea one\n---\nidea \udc00 two")),
+                            (200, _chat_reply("idea one\n---\nidea two"))])
+    endpoint = EndpointConfig(base_url="http://fake", model="m", max_retries=1)
+    gen = LlmGenerator(endpoint, session=session)
+    assert gen.propose_fe(ContextState(), 2) == ["idea one", "idea two"]
+    assert session.posts == 2
 
 
 def test_import_loads_no_http_client():

@@ -506,9 +506,50 @@ def test_checkpoint_calls_per_node_stay_flat(tmp_path, monkeypatch):
     fails this."""
     _assert_calls_per_node_flat(
         tmp_path, monkeypatch,
-        ((Node, "to_dict"), (MetricSpec, "orient")),
+        ((Node, "to_record"), (MetricSpec, "orient")),
         checkpoint_every_stage=True,
     )
+
+
+class _NumpyEvaluator:
+    """Forwards to ``inner`` and returns its scores as ``np.float64``,
+    as a port built on numpy may."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def evaluate(self, node, mode):
+        return np.float64(self.inner.evaluate(node, mode))
+
+    def cost(self, mode):
+        return self.inner.cost(mode)
+
+
+class _NumpyPredictor:
+    def __init__(self, inner):
+        self.inner = inner
+
+    def predict(self, *args, **kwargs):
+        return np.float64(self.inner.predict(*args, **kwargs))
+
+
+def test_ports_may_return_numpy_scalars(tmp_path):
+    """Ports that score and predict in ``np.float64``, which the log's
+    encoder refuses, run as the same ports returning floats do: the
+    engine casts what they return before it logs it, so the run
+    finishes, logs its predictions, replays, and writes the same bytes."""
+    config = _sim_config(predict_before_evaluate=True, time_run_minutes=400.0)
+    ports = build_synthetic_ports(config)
+    numpy_ports = dataclasses.replace(ports, evaluator=_NumpyEvaluator(ports.evaluator),
+                                      predictor=_NumpyPredictor(ports.predictor))
+    execute_run(config, numpy_ports, tmp_path / "numpy")
+    execute_run(config, build_synthetic_ports(config), tmp_path / "float")
+    kinds = {e.kind for e in read_log(tmp_path / "numpy" / LOG_FILENAME)}
+    assert {EventKind.NODE_EVALUATED, EventKind.PREDICTION_MADE} <= kinds
+    assert verify_replay(tmp_path / "numpy")
+    for name in (LOG_FILENAME, FINAL_SNAPSHOT_FILENAME):
+        assert ((tmp_path / "numpy" / name).read_bytes()
+                == (tmp_path / "float" / name).read_bytes())
 
 
 def test_snapshot_runs_once_per_run(tmp_path, monkeypatch):
@@ -1212,7 +1253,7 @@ def test_partial_read_still_rejects_other_defects(tmp_path, defect):
     elif defect == "header":
         lines[0] = lines[0].replace('"run_started"', '"stage_started"')
     elif defect == "schema":
-        lines[0] = lines[0].replace('"log_schema": 1', '"log_schema": 99')
+        lines[0] = lines[0].replace('"log_schema":2', '"log_schema":99')
     else:
         lines = []
     log_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")

@@ -18,7 +18,7 @@ from ideatree.errors import (
     NonFiniteScore,
     UnknownParent,
 )
-from ideatree.events import EventKind, RunLog
+from ideatree.events import EventKind, RunLog, encode_json
 from ideatree.orchestrator import replay_events
 from ideatree.tree import (
     IdeationTree,
@@ -199,16 +199,16 @@ def test_snapshot_roundtrip_byte_identical():
 def test_snapshot_declares_schema():
     tree = IdeationTree.create("root")
     doc = json.loads(tree.snapshot())
-    assert doc["tree_schema"] == 1
+    assert doc["tree_schema"] == 2
 
 
 def test_restore_rejects_garbage():
     with pytest.raises(MalformedDocument):
         IdeationTree.restore("{not json")
     with pytest.raises(MalformedDocument):
-        IdeationTree.restore(json.dumps({"tree_schema": 1}))
-    with pytest.raises(MalformedDocument):
-        IdeationTree.restore(json.dumps({"tree_schema": 2, "nodes": []}))
+        IdeationTree.restore(json.dumps({"tree_schema": 2}))
+    with pytest.raises(MalformedDocument, match="unsupported tree_schema 1"):
+        IdeationTree.restore(json.dumps({"tree_schema": 1, "nodes": []}))
 
 
 def test_restore_rejects_generated_node_with_sources():
@@ -233,7 +233,7 @@ def test_restore_rejects_duplicate_node_entries():
 
 def test_restore_rejects_two_roots():
     doc = {
-        "tree_schema": 1,
+        "tree_schema": 2,
         "iteration": 0,
         "next_id": 2,
         "nodes": [
@@ -279,7 +279,7 @@ def test_restore_rejects_a_snapshot_that_does_not_begin_with_its_root():
 
 def test_restore_rejects_a_snapshot_without_nodes():
     with pytest.raises(InvariantViolation):
-        IdeationTree.restore(json.dumps({"tree_schema": 1, "iteration": 0, "nodes": []}))
+        IdeationTree.restore(json.dumps({"tree_schema": 2, "iteration": 0, "nodes": []}))
 
 
 def test_restore_rejects_score_without_evaluated_status():
@@ -343,10 +343,10 @@ def _apply_index_op(tree: IdeationTree, log: RunLog, op: str, data) -> IdeationT
     score = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
     if op == "fe":
         node = tree.spawn(tree.root.id, NodeLevel.FE, "fe", status=NodeStatus.IMPLEMENTED)
-        log.append(EventKind.NODE_PROPOSED, node=node.to_dict())
+        log.append(EventKind.NODE_PROPOSED, node=node.to_record())
     elif op == "mt" and fes:
         node = tree.spawn(data.draw(st.sampled_from(fes)), NodeLevel.MT, "mt")
-        log.append(EventKind.NODE_PROPOSED, node=node.to_dict())
+        log.append(EventKind.NODE_PROPOSED, node=node.to_record())
     elif op in ("evaluate", "fail") and mts:
         node_id = data.draw(st.sampled_from(mts))
         if op == "evaluate":
@@ -367,7 +367,7 @@ def _apply_index_op(tree: IdeationTree, log: RunLog, op: str, data) -> IdeationT
                 provenance=Provenance.resampled(origin.id),
             )
             tree.add_node(copy.parent_id, copy)
-            log.append(EventKind.NODE_PROPOSED, node=copy.to_dict())
+            log.append(EventKind.NODE_PROPOSED, node=copy.to_record())
     elif op == "restore":
         tree = IdeationTree.restore(tree.snapshot())
     elif op == "replay":
@@ -405,7 +405,7 @@ def test_indexes_match_full_scans(data):
     restores and replays included."""
     tree = IdeationTree.create("root")
     log = RunLog()
-    log.append(EventKind.NODE_PROPOSED, node=tree.root.to_dict())
+    log.append(EventKind.NODE_PROPOSED, node=tree.root.to_record())
     for _ in range(data.draw(st.integers(1, 30))):
         for _ in range(data.draw(st.integers(1, 3))):
             tree = _apply_index_op(tree, log, data.draw(st.sampled_from(_INDEX_OPS)), data)
@@ -431,14 +431,15 @@ def test_indexes_match_full_scans(data):
 
 _BEST_OPS = _INDEX_OPS + ("best", "mt_scored", "rescore_best", "fail_best", "exotic")
 
-# floats whose shortest repr takes an exponent or a sign, and ints past
-# 64 bits: the snapshot encoder must spell each as json.dumps does
+# floats whose shortest repr takes an exponent or a sign, and ints at
+# the ends of the 64-bit range: the snapshot must spell each as a cold
+# encode of the whole document does
 _EXTREME_FLOATS = st.one_of(
     st.sampled_from((-0.0, 1e-05, 1e-4, 1e16, 1e17, 5e-324, 2.2250738585072014e-308,
                      1.7976931348623157e308, -1.7976931348623157e308)),
     st.floats(allow_nan=False, allow_infinity=False),
 )
-_EXTREME_SCORES = st.one_of(_EXTREME_FLOATS, st.integers(-2**70, 2**70))
+_EXTREME_SCORES = st.one_of(_EXTREME_FLOATS, st.integers(-2**63, 2**64 - 1))
 
 
 def _apply_best_op(tree: IdeationTree, log: RunLog, op: str, data) -> IdeationTree:
@@ -456,7 +457,7 @@ def _apply_best_op(tree: IdeationTree, log: RunLog, op: str, data) -> IdeationTr
                 raw_score=data.draw(st.floats(-1e300, 1e300)),
             )
             node.predicted_score = data.draw(_EXTREME_SCORES)
-            log.append(EventKind.NODE_PROPOSED, node=node.to_dict())
+            log.append(EventKind.NODE_PROPOSED, node=node.to_record())
         return tree
     metric = data.draw(st.sampled_from((HIGHER, LOWER)))
     if op == "best":
@@ -469,7 +470,7 @@ def _apply_best_op(tree: IdeationTree, log: RunLog, op: str, data) -> IdeationTr
                 status=NodeStatus.EVALUATED,
                 raw_score=data.draw(st.floats(min_value=-1e3, max_value=1e3)),
             )
-            log.append(EventKind.NODE_PROPOSED, node=node.to_dict())
+            log.append(EventKind.NODE_PROPOSED, node=node.to_record())
     else:
         best = tree.best_evaluated_mt(metric)
         if best is not None:
@@ -493,7 +494,7 @@ def test_snapshot_and_running_best_match_cold_scans(data):
     equals a full scan for either metric direction."""
     tree = IdeationTree.create("root")
     log = RunLog()
-    log.append(EventKind.NODE_PROPOSED, node=tree.root.to_dict())
+    log.append(EventKind.NODE_PROPOSED, node=tree.root.to_record())
     for _ in range(data.draw(st.integers(1, 30))):
         for _ in range(data.draw(st.integers(1, 4))):
             tree = _apply_best_op(tree, log, data.draw(st.sampled_from(_BEST_OPS)), data)
@@ -519,11 +520,11 @@ def test_snapshot_encodes_equal_values_apart():
 @pytest.mark.parametrize("text", ["é ü 漢字 🙂", "\u2028\x00\"\\", ""])
 def test_snapshot_encodes_non_ascii_text_and_extreme_floats(text):
     """Non-ASCII and control characters in idea and code text, and
-    floats at the edges of their repr, encode as json.dumps encodes
-    them."""
+    floats at the edges of their repr, encode as a cold encode of the
+    whole document encodes them."""
     tree = IdeationTree.create(text)
     fe = tree.spawn(tree.root.id, NodeLevel.FE, text)
-    for value in (1e-05, 1e16, 5e-324, 1.7976931348623157e308, -0.0, 2**64):
+    for value in (1e-05, 1e16, 5e-324, 1.7976931348623157e308, -0.0, 2**64 - 1):
         mt = tree.spawn(fe.id, NodeLevel.MT, text, code_artifact=text * 2)
         mt.predicted_score = value
         assert tree.snapshot() == reference_snapshot(tree)
@@ -532,15 +533,19 @@ def test_snapshot_encodes_non_ascii_text_and_extreme_floats(text):
     assert tree.snapshot() == reference_snapshot(tree)
 
 
-def test_node_dict_keys_are_sorted():
-    """The snapshot encoder does not sort keys, so every dict a node
-    encodes to is built in sorted key order."""
+def test_node_records_encode_with_sorted_keys():
+    """A node record's keys come out sorted at every level, whatever
+    order the record was built in, so equal nodes encode to equal
+    bytes."""
     tree = IdeationTree.create("root")
     a = tree.spawn(tree.root.id, NodeLevel.FE, "a")
     b = tree.spawn(tree.root.id, NodeLevel.FE, "b")
     merged = tree.spawn(tree.root.id, NodeLevel.FE, "ab", provenance=Provenance.merged(a.id, b.id))
+    tree.spawn(merged.id, NodeLevel.MT, "mt", code_artifact="print(1)")
     for node in tree.nodes.values():
-        d = node.to_dict()
+        record = node.to_record()
+        d = json.loads(encode_json(dict(reversed(record.items()))))
+        assert d == record
         assert list(d) == sorted(d)
         assert list(d["provenance"]) == sorted(d["provenance"])
     assert merged.provenance.to_dict()["sources"] == [a.id, b.id]
