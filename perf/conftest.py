@@ -15,7 +15,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 from workloads import WORKLOADS, run_config  # noqa: E402
 
 from ideatree import RunConfig, build_synthetic_ports, execute_run  # noqa: E402
-from ideatree.events import LOG_FILENAME, Event, read_log  # noqa: E402
+from ideatree.events import LOG_FILENAME, read_log  # noqa: E402
 from ideatree.orchestrator import RunResult  # noqa: E402
 
 
@@ -26,15 +26,15 @@ def grow_config():
 
 class GrowRun(NamedTuple):
     result: RunResult
-    events: list[Event]
+    events: list[dict]
     run_dir: Path
 
 
 @pytest.fixture(scope="session")
 def grow_run(tmp_path_factory, grow_config) -> GrowRun:
-    """The grow-25k run of seed 1: its result, its logged events (about
-    5,200 nodes and 8,800 events) and its run directory, which the
-    cases only read."""
+    """The grow-25k run of seed 1: its result, its logged event records
+    (about 5,200 nodes and 8,800 events) and its run directory, which
+    the cases only read."""
     out = tmp_path_factory.mktemp("grow-25k") / "run"
     result = execute_run(grow_config, build_synthetic_ports(grow_config), out)
     return GrowRun(result, read_log(out / LOG_FILENAME), out)

@@ -36,7 +36,8 @@ def test_runlog_append_and_flush(benchmark, grow_run, tmp_path):
     """The run's events appended to a fresh log, with a flush after
     every stage, as the run made them, and a close at the end."""
     events = grow_run.events
-    records = [(e.kind, e.payload, e.kind is EventKind.STAGE_FINISHED) for e in events]
+    records = [(EventKind(e["kind"]), e["payload"], e["kind"] == EventKind.STAGE_FINISHED)
+               for e in events]
     path = tmp_path / "run.jsonl"
 
     def write() -> None:
@@ -52,14 +53,14 @@ def test_runlog_append_and_flush(benchmark, grow_run, tmp_path):
 
 
 def test_read_log(benchmark, grow_run):
-    """The run's log read back, about 8,800 events."""
+    """The run's log read back, about 8,800 event records."""
     events = benchmark(read_log, grow_run.run_dir / LOG_FILENAME)
     assert events == grow_run.events
 
 
 def test_iter_log(benchmark, grow_run):
     """The run's log streamed line by line to its end, keeping no
-    event, with the collector paused as a report walks it."""
+    record, with the collector paused as a report walks it."""
 
     @collector_paused()
     def walk() -> int:
@@ -69,8 +70,8 @@ def test_iter_log(benchmark, grow_run):
 
 
 def test_replay_events(benchmark, grow_run):
-    """The final tree rebuilt from the decoded events, about 5,200
-    nodes."""
+    """The final tree rebuilt from the decoded event records, about
+    5,200 nodes."""
     tree = benchmark(replay_events, grow_run.events)
     assert tree.snapshot() == grow_run.result.tree.snapshot()
 
@@ -234,9 +235,10 @@ def test_draw_merge_pairs(benchmark, grow_run, grow_config):
     holds (each merge that succeeded, each pair promoted)."""
     mem = MergeMemory(theta_fail=grow_config.theta_fail)
     for event in grow_run.events:
-        if (event.kind is EventKind.MERGE_ATTEMPTED and event.payload["outcome"] == "success"
-                or event.kind is EventKind.MEMORY_PROMOTED):
-            mem.long_term.add(tuple(event.payload["pair"]))
+        kind, payload = event["kind"], event["payload"]
+        if (kind == EventKind.MERGE_ATTEMPTED and payload["outcome"] == "success"
+                or kind == EventKind.MEMORY_PROMOTED):
+            mem.long_term.add(tuple(payload["pair"]))
     eligible = grow_run.result.tree.eligible_fe_ids()
     n = grow_config.number_of_selected_node_merging
 

@@ -7,8 +7,15 @@ orchestrator.replay_events), and reports are derived from it. A
 checkpoint is a position in the log, the ``checkpoint_written`` event
 after a stage; the events before it rebuild the tree as it was then.
 
+An event is one record, the same dict in memory and on disk:
+``{"kind": str, "payload": dict, "seq": int, "ts": float}``, its kind
+the ``EventKind`` value as a plain string. ``RunLog.append`` builds it,
+``RunLog.flush`` writes it as one line, and ``iter_log`` yields the dict
+that line decodes to, so readers dispatch on ``record["kind"]`` and no
+other event type is built on either side.
+
 A run is read back as a stream: ``iter_log`` decodes the log one line
-at a time and yields each event once its line has passed the reader's
+at a time and yields each record once its line has passed the reader's
 checks, so a reader that keeps only what it builds
 (``orchestrator.replay``, ``report.progress_report`` and
 ``run_summary``) never holds the whole log; ``read_log`` is the same
@@ -18,11 +25,12 @@ The log and the snapshot have one codec. ``encode_json`` writes each
 record as orjson's UTF-8 JSON with sorted keys and no whitespace, and
 raises for what it cannot write back exactly: a non-finite float, an
 integer beyond 64 bits, a lone surrogate, a type JSON cannot hold.
-``decode_json`` reads them: orjson decodes each line, and json decodes
-again only a line that orjson refuses, to raise json's error for a bad
-line or to read a value orjson cannot (``NaN``, ``Infinity``, lone
-surrogates), as a hand-edited file may hold. A log of an older schema
-(``LOG_SCHEMA_VERSION``) is refused, not read.
+``decode_json`` reads a snapshot, and ``iter_log`` each log line, the
+same way: orjson decodes, and json decodes again only text that orjson
+refuses, to raise json's error for a bad line or to read a value orjson
+cannot (``NaN``, ``Infinity``, lone surrogates), as a hand-edited file
+may hold. A log line that is not UTF-8 is a bad line. A log of an
+older schema (``LOG_SCHEMA_VERSION``) is refused, not read.
 
 Reading a run back (``read_log``, ``orchestrator.replay`` and
 ``verify_replay``, ``report.progress_report`` and ``run_summary``,
@@ -31,7 +39,7 @@ what it builds until it returns, so a cyclic collection during it
 would walk every record and free none. The pause wraps the consumer of
 a generator, the function that walks ``iter_log`` to its end, never the
 generator itself: a decorated generator function returns its generator
-at once, and its pause would end before the first event is read.
+at once, and its pause would end before the first record is read.
 Writing a run does not pause the collector, since ports may run user
 code and threads.
 """
@@ -43,7 +51,7 @@ import gc
 import json
 from enum import Enum
 from pathlib import Path
-from typing import IO, Any, Callable, Iterator, NamedTuple, Optional, TypeVar
+from typing import IO, Any, Callable, Iterator, Optional, TypeVar
 
 import orjson
 
@@ -56,9 +64,9 @@ T = TypeVar("T")
 # the log file in a run directory
 LOG_FILENAME = "run.jsonl"
 
-# the characters JSON counts as whitespace: a log line of these alone
-# is blank, and ``iter_log`` skips it
-_JSON_WHITESPACE = " \t\n\r"
+# the bytes JSON counts as whitespace: a log line of these alone is
+# blank, and ``iter_log`` skips it
+_JSON_WHITESPACE = b" \t\n\r"
 
 
 class EventKind(str, Enum):
@@ -76,24 +84,24 @@ class EventKind(str, Enum):
     RUN_FINISHED = "run_finished"
 
 
-# EventKind by its value, so that decoding a log calls no Enum(value)
-_KINDS = {kind.value: kind for kind in EventKind}
-
-class Event(NamedTuple):
-    seq: int
-    ts: float
-    kind: EventKind
-    payload: dict
+# the kinds a log record may hold, as the strings it holds them
+_KIND_VALUES = frozenset(kind.value for kind in EventKind)
+_RUN_STARTED = EventKind.RUN_STARTED.value
+_RUN_FINISHED = EventKind.RUN_FINISHED.value
+# stands for a line orjson refused, which json decodes again
+_REFUSED = object()
 
 
 class RunLog:
-    """The events of a run not yet written, with an optional file sink
-    (one JSON object per line).
+    """The event records of a run not yet written, with an optional file
+    sink (one record per line).
 
     ``flush`` writes every pending event and drops it, so a log with a
     file holds only the events of the stage in progress; ``read_log``
     reads the run's history back from the file. A log without a file
-    writes nothing and keeps every event it was given. ``seq`` comes
+    writes nothing and keeps every event it was given. ``append``
+    returns the record it queued, which ``flush`` encodes as it is, so
+    the record a reader gets back from the file equals it. ``seq`` comes
     from a counter, so it stays contiguous across flushes and closes.
 
     The first flush opens the file with ``"w"``, so a run into an
@@ -104,30 +112,26 @@ class RunLog:
     a flush retried after it cannot write a line twice."""
 
     def __init__(self, clock=None, path: Optional[Path] = None):
-        self.events: list[Event] = []
+        self.events: list[dict] = []
         self.clock = clock
         self.path = Path(path) if path is not None else None
         self._seq = 0
         self._opened = False
         self._fh: Optional[IO[bytes]] = None
 
-    def append(self, kind: EventKind, **payload) -> Event:
+    def append(self, kind: EventKind, **payload) -> dict:
         ts = float(self.clock.elapsed()) if self.clock is not None else 0.0
         if kind is EventKind.RUN_STARTED:
             payload.setdefault("log_schema", LOG_SCHEMA_VERSION)
-        event = Event(self._seq, ts, kind, payload)
+        record = {"kind": kind.value, "payload": payload, "seq": self._seq, "ts": ts}
         self._seq += 1
-        self.events.append(event)
-        return event
+        self.events.append(record)
+        return record
 
     def flush(self) -> None:
         if self.path is None:
             return
-        data = b"".join(
-            encode_json({"kind": e.kind.value, "payload": e.payload, "seq": e.seq, "ts": e.ts})
-            + b"\n"
-            for e in self.events
-        )
+        data = b"".join(encode_json(record) + b"\n" for record in self.events)
         if self._fh is None:
             if not self._opened:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -220,73 +224,96 @@ def decode_json(text: str) -> Any:
         return json.loads(text)
 
 
-def iter_log(path: Path, *, partial: bool = False) -> Iterator[Event]:
-    """The events of a log file, read and verified one line at a time:
-    valid JSON lines, one event each, contiguous sequence numbers from
-    zero, a versioned header, and a terminal record. Lines of JSON
-    whitespace alone are skipped.
+def iter_log(path: Path, *, partial: bool = False) -> Iterator[dict]:
+    """The event records of a log file, read and verified one line at a
+    time: valid UTF-8 JSON lines, one event record each, contiguous
+    sequence numbers from zero, a versioned header, and a terminal
+    record. Lines of JSON whitespace alone are skipped.
 
     With ``partial`` the log of a crashed or killed run is read too: a
     missing ``run_finished`` is accepted, and a last line that is not an
-    event, torn by the crash, is dropped. A bad line followed by another
-    line that is not blank still raises. Every defect raises CorruptLog,
-    naming the line, counted from the start of the file.
+    event, torn by the crash (inside a UTF-8 character too), is dropped.
+    A bad line followed by another line that is not blank still raises.
+    Every defect raises CorruptLog, naming the line, counted from the
+    start of the file.
 
-    Each event is yielded once its line has passed these checks, so a
+    Each record is yielded once its line has passed these checks, so a
     reader holds one line of the log at a time, and a defect is raised
-    when the read reaches it, after the events before it. The file is
+    when the read reaches it, after the records before it. The file is
     opened at the first ``next``. This is a generator: pause the
     collector around the loop that consumes it, not on it (see the
     module docstring).
 
-    Each line is decoded by ``decode_json``, so the events equal
-    ``json.loads``'s reading of each line but for one difference: an
-    integer outside [-2**63, 2**64) decodes as a float."""
+    The file is read as bytes, so only ``\\n`` ends a line. orjson
+    decodes each line's bytes, and json decodes again, from UTF-8, only
+    a line that orjson refuses, as ``decode_json`` does. A record is the
+    dict its line decodes to, with its ``kind`` the string the line
+    holds; a ``seq`` that is not an int and a ``ts`` that is not a float
+    (a ``ts`` of ``1`` reads as ``1.0``) are converted in place. So the
+    records equal ``json.loads``'s reading of each line, those two
+    fields converted, but for one difference: an integer outside
+    [-2**63, 2**64) decodes as a float."""
     path = Path(path)
-    expected = 0  # the seq of the next event
-    last: Optional[Event] = None
+    loads = orjson.loads
+    expected = 0  # the seq of the next record
+    last: Optional[dict] = None
     # with ``partial``, the error of a bad line, raised if a line follows it
     torn: Optional[CorruptLog] = None
-    with path.open(encoding="utf-8") as fh:
+    with path.open("rb") as fh:
         for number, line in enumerate(fh, 1):
-            if not line.strip(_JSON_WHITESPACE):
-                continue
+            try:
+                record = loads(line)
+            except orjson.JSONDecodeError:
+                if not line.strip(_JSON_WHITESPACE):
+                    continue
+                record = _REFUSED
             if torn is not None:
                 # the bad line is not the last, so no crash tore it
                 raise torn
             try:
-                d = decode_json(line)
-                event = Event(int(d["seq"]), float(d["ts"]), _KINDS[d["kind"]], d["payload"])
+                if record is _REFUSED:
+                    record = json.loads(line.decode("utf-8"))
+                seq = record["seq"]
+                if type(seq) is not int:
+                    seq = record["seq"] = int(seq)
+                if type(record["ts"]) is not float:
+                    record["ts"] = float(record["ts"])
+                kind = record["kind"]
+                if kind not in _KIND_VALUES:
+                    raise KeyError(kind)
+                payload = record["payload"]
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 if isinstance(exc, json.JSONDecodeError):
                     reason = exc.msg
+                elif isinstance(exc, UnicodeDecodeError):
+                    reason = f"not UTF-8 ({exc.reason} at byte {exc.start})"
                 else:
                     reason = f"not an event record: {exc!r}"
                 torn = CorruptLog(f"bad log line {number}: {reason}")
                 if not partial:
                     raise torn from None
                 continue
-            if event.seq != expected:
-                raise CorruptLog(f"sequence gap at event {expected}: seq={event.seq}")
+            if seq != expected:
+                raise CorruptLog(f"sequence gap at event {expected}: seq={seq}")
             if expected == 0:
-                if event.kind is not EventKind.RUN_STARTED:
+                if kind != _RUN_STARTED:
                     raise CorruptLog("log does not begin with a run_started record")
-                version = event.payload.get("log_schema")
+                version = payload.get("log_schema")
                 if version != LOG_SCHEMA_VERSION:
                     raise LogVersionMismatch(
                         f"log schema {version!r}, supported {LOG_SCHEMA_VERSION}")
             expected += 1
-            last = event
-            yield event
+            last = record
+            yield record
     if last is None:
         raise CorruptLog(f"{path} is empty")
-    if not partial and last.kind is not EventKind.RUN_FINISHED:
+    if not partial and last["kind"] != _RUN_FINISHED:
         raise CorruptLog("log does not end with a run_finished record")
 
 
 @collector_paused()
-def read_log(path: Path, *, partial: bool = False) -> list[Event]:
-    """Every event of a log file, as ``iter_log`` reads and verifies
-    them, in a list; raises what ``iter_log`` raises. The read runs with
-    the garbage collector paused (``collector_paused``)."""
+def read_log(path: Path, *, partial: bool = False) -> list[dict]:
+    """Every event record of a log file, as ``iter_log`` reads and
+    verifies them, in a list; raises what ``iter_log`` raises. The read
+    runs with the garbage collector paused (``collector_paused``)."""
     return list(iter_log(path, partial=partial))

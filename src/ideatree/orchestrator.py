@@ -33,7 +33,7 @@ from .errors import (
     MissingRunArtifacts,
 )
 from .evaluation import EvaluationPort, LandscapeConfig, SimulatedEvaluator
-from .events import LOG_FILENAME, Event, EventKind, RunLog, collector_paused, iter_log
+from .events import LOG_FILENAME, EventKind, RunLog, collector_paused, iter_log
 # read_log stays importable here for bench/rep.py, whose --trace 1
 # patches it by this name
 from .events import read_log  # noqa: F401
@@ -535,17 +535,16 @@ def replay(log_path: Path) -> IdeationTree:
     return replay_events(iter_log(Path(log_path)))
 
 
-def replay_events(events: Iterable[Event]) -> IdeationTree:
-    """The tree that ``events``, in log order, build; they may be any
-    iterable, a stream from ``iter_log`` too."""
-    # the kinds replay acts on, bound once rather than looked up on the
-    # enum for every event
-    proposed, evaluated = EventKind.NODE_PROPOSED, EventKind.NODE_EVALUATED
-    predicted, started = EventKind.PREDICTION_MADE, EventKind.STAGE_STARTED
+def replay_events(events: Iterable[dict]) -> IdeationTree:
+    """The tree that ``events``, event records in log order, build; they
+    may be any iterable, a stream from ``iter_log`` too."""
+    # the kinds replay acts on, as the strings a record holds
+    proposed, evaluated = EventKind.NODE_PROPOSED.value, EventKind.NODE_EVALUATED.value
+    predicted, started = EventKind.PREDICTION_MADE.value, EventKind.STAGE_STARTED.value
     tree: Optional[IdeationTree] = None
     for event in events:
-        kind, payload = event.kind, event.payload
-        if kind is proposed:
+        kind, payload = event["kind"], event["payload"]
+        if kind == proposed:
             node = Node.from_dict(payload["node"])
             if tree is None:
                 if node.level is not NodeLevel.EDA:
@@ -555,15 +554,15 @@ def replay_events(events: Iterable[Event]) -> IdeationTree:
             tree.add_node(node.parent_id, node)
         elif tree is None:
             continue
-        elif kind is evaluated:
+        elif kind == evaluated:
             node_id = payload["node_id"]
             if payload["status"] == "evaluated":
                 tree.mark_evaluated(node_id, payload["raw_score"])
             else:
                 tree.mark_failed(node_id)
-        elif kind is predicted:
+        elif kind == predicted:
             tree.nodes[payload["node_id"]].predicted_score = payload["predicted"]
-        elif kind is started:
+        elif kind == started:
             tree.iteration = payload["iteration"]
     if tree is None:
         raise CorruptLog("log contains no proposed nodes")

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .errors import MalformedLeaderboardFile, MissingRunArtifacts
-from .events import LOG_FILENAME, Event, EventKind, collector_paused, iter_log
+from .events import LOG_FILENAME, EventKind, collector_paused, iter_log
 # read_log stays importable here for bench/rep.py, whose --trace 1
 # patches it by this name
 from .events import read_log  # noqa: F401
@@ -48,17 +48,18 @@ _FE = NodeLevel.FE.value
 _MT = NodeLevel.MT.value
 _MERGED = ProvenanceKind.MERGED.value
 _EVALUATED = NodeStatus.EVALUATED.value
-_STAGE_STARTED = EventKind.STAGE_STARTED
-_RUN_FINISHED = EventKind.RUN_FINISHED
+_STAGE_STARTED = EventKind.STAGE_STARTED.value
+_RUN_FINISHED = EventKind.RUN_FINISHED.value
 
 
 class _LogWalk:
     """Running tallies, and the progress rows, while scanning a log
     front to back.
 
-    ``feed`` hands each event's payload to the handler for its kind, in
-    ``_HANDLERS``; node fields are compared as the strings the log holds,
-    so a scan builds no enum members.
+    ``feed`` hands each event record's payload to the handler for its
+    kind, in ``_HANDLERS``, keyed by the kind string the record holds;
+    node fields are compared as the strings the log holds too, so a scan
+    builds no enum members.
 
     ``rows`` gets one row per iteration, plus row 0 for the initialized
     tree. A row captures the state just before the next iteration's
@@ -98,20 +99,20 @@ class _LogWalk:
             self.best_node_id = node_id
             self.best_raw = raw
 
-    def feed(self, event: Event) -> None:
-        kind = event.kind
-        if kind is _STAGE_STARTED and self._rowed is not None:
-            iteration = event.payload["iteration"]
+    def feed(self, event: dict) -> None:
+        kind, payload, ts = event["kind"], event["payload"], event["ts"]
+        if kind == _STAGE_STARTED and self._rowed is not None:
+            iteration = payload["iteration"]
             if iteration > self._rowed + 1:
                 # ``elapsed`` is still the previous event's stamp
                 self.rows.append(self.row(iteration - 1, self.elapsed))
                 self._rowed = iteration - 1
-        self.elapsed = event.ts
+        self.elapsed = ts
         handler = _HANDLERS.get(kind)
         if handler is not None:
-            handler(self, event.payload)
-        if kind is _RUN_FINISHED and self._rowed is not None:
-            self.rows.append(self.row(self._rowed + 1, event.ts))
+            handler(self, payload)
+        if kind == _RUN_FINISHED and self._rowed is not None:
+            self.rows.append(self.row(self._rowed + 1, ts))
             self._rowed = None
 
     def _run_started(self, payload: dict) -> None:
@@ -198,15 +199,15 @@ class _LogWalk:
 
 
 _HANDLERS = {
-    EventKind.RUN_STARTED: _LogWalk._run_started,
-    EventKind.NODE_PROPOSED: _LogWalk._node_proposed,
-    EventKind.NODE_EVALUATED: _LogWalk._node_evaluated,
-    EventKind.PREDICTION_MADE: _LogWalk._prediction_made,
-    EventKind.MERGE_ATTEMPTED: _LogWalk._merge_attempted,
-    EventKind.SKIPPED_STAGE: _LogWalk._skipped_stage,
-    EventKind.STAGE_STARTED: _LogWalk._stage_started,
-    EventKind.BUDGET_EXHAUSTED: _LogWalk._budget_exhausted,
-    EventKind.RUN_FINISHED: _LogWalk._run_finished,
+    EventKind.RUN_STARTED.value: _LogWalk._run_started,
+    EventKind.NODE_PROPOSED.value: _LogWalk._node_proposed,
+    EventKind.NODE_EVALUATED.value: _LogWalk._node_evaluated,
+    EventKind.PREDICTION_MADE.value: _LogWalk._prediction_made,
+    EventKind.MERGE_ATTEMPTED.value: _LogWalk._merge_attempted,
+    EventKind.SKIPPED_STAGE.value: _LogWalk._skipped_stage,
+    EventKind.STAGE_STARTED.value: _LogWalk._stage_started,
+    EventKind.BUDGET_EXHAUSTED.value: _LogWalk._budget_exhausted,
+    EventKind.RUN_FINISHED.value: _LogWalk._run_finished,
 }
 
 

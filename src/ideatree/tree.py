@@ -559,7 +559,7 @@ class IdeationTree:
             doc = decode_json(document)
         except json.JSONDecodeError as exc:
             raise MalformedDocument(f"snapshot is not valid JSON: {exc}") from exc
-        if not isinstance(doc, dict) or "nodes" not in doc:
+        if not isinstance(doc, dict) or not isinstance(doc.get("nodes"), list):
             raise MalformedDocument("snapshot lacks a nodes list")
         if doc.get("tree_schema") != TREE_SCHEMA_VERSION:
             raise MalformedDocument(
@@ -568,10 +568,15 @@ class IdeationTree:
         tree = cls()
         tree.iteration = int(doc.get("iteration", 0))
         # ids are assigned in creation order, so in id order each node's
-        # parent and sources are attached before it
+        # parent and sources are attached before it. The records are
+        # popped from the reversed list, so each is released as its node
+        # is attached and the decoded document never sits beside the
+        # whole tree.
+        records = doc["nodes"]
+        records.reverse()
         previous: Optional[int] = None
-        for d in doc["nodes"]:
-            rec = Node.from_dict(d)
+        while records:
+            rec = Node.from_dict(records.pop())
             if previous is None:
                 if rec.parent_id is not None:
                     raise InvariantViolation(f"snapshot begins with node {rec.id}, not its root")

@@ -18,7 +18,7 @@ import orjson
 from ideatree.embedding import HashedEmbedding
 from ideatree.errors import EvaluationFailure
 from ideatree.evaluation import FailureKind, FailureReport
-from ideatree.events import Event, EventKind, RunLog
+from ideatree.events import EventKind, RunLog
 from ideatree.tree import (
     IdeationTree,
     MetricDirection,
@@ -34,9 +34,9 @@ HIGHER = MetricSpec(name="score", direction=MetricDirection.HIGHER_BETTER)
 LOWER = MetricSpec(name="loss", direction=MetricDirection.LOWER_BETTER)
 
 
-def of_kind(log: RunLog, kind: EventKind) -> list[Event]:
-    """The events of one kind in a log, in order."""
-    return [e for e in log.events if e.kind is kind]
+def of_kind(log: RunLog, kind: EventKind) -> list[dict]:
+    """The event records of one kind in a log, in order."""
+    return [e for e in log.events if e["kind"] == kind]
 
 
 def build_random_tree(rng: np.random.Generator, max_nodes: int = 100) -> IdeationTree:

@@ -204,7 +204,7 @@ def test_criterion_03_stage_counts_and_memory_grid():
                 world.metric, world.rng, ctx=world.ctx, log=log, resample_k=1,
             )
             attempts = of_kind(log, EventKind.MERGE_ATTEMPTED)
-            pairs = {tuple(e.payload["pair"]) for e in attempts}
+            pairs = {tuple(e["payload"]["pair"]) for e in attempts}
             n_pairs = min(n, 3)
             assert len(attempts) == n_pairs
             assert len(pairs) == n_pairs
@@ -214,7 +214,7 @@ def test_criterion_03_stage_counts_and_memory_grid():
                 len(world.tree.nodes_at_level(NodeLevel.MT)) - mt_before == expected_mt
             )
             if forced_failure:
-                assert all(e.payload["outcome"] == "failure" for e in attempts)
+                assert all(e["payload"]["outcome"] == "failure" for e in attempts)
                 if theta == 1:
                     assert mem.long_term == pairs
                     assert not mem.short_term
@@ -222,7 +222,7 @@ def test_criterion_03_stage_counts_and_memory_grid():
                     assert dict.fromkeys(pairs, 1) == mem.short_term
                     assert not mem.long_term
             else:
-                assert all(e.payload["outcome"] == "success" for e in attempts)
+                assert all(e["payload"]["outcome"] == "success" for e in attempts)
                 assert mem.long_term == pairs
                 assert not mem.short_term
 
@@ -430,13 +430,13 @@ def test_criterion_09_budget_safety_and_alternation(tmp_path):
             enable_merging=(i % 4 != 3),
         )
         events = read_log(run_dir / LOG_FILENAME)
-        exhausted = [e.seq for e in events if e.kind is EventKind.BUDGET_EXHAUSTED]
-        starts = [e for e in events if e.kind is EventKind.STAGE_STARTED]
+        exhausted = [e["seq"] for e in events if e["kind"] == EventKind.BUDGET_EXHAUSTED]
+        starts = [e for e in events if e["kind"] == EventKind.STAGE_STARTED]
         if exhausted:
-            assert all(e.seq < exhausted[0] for e in starts)
+            assert all(e["seq"] < exhausted[0] for e in starts)
         for e in starts:
-            assert e.ts < budget
-        stages = [e.payload["stage"] for e in starts]
+            assert e["ts"] < budget
+        stages = [e["payload"]["stage"] for e in starts]
         for position, stage in enumerate(stages):
             assert stage == ("adding" if position % 2 == 0 else "merging")
 

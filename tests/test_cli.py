@@ -87,7 +87,7 @@ def test_run_again_into_a_run_directory_replaces_its_log(finished_run, config_pa
     assert main(["run", "--config", str(config_path), "--out", str(finished_run),
                  "--seed", "7"]) == EXIT_OK
     events = read_log(finished_run / "run.jsonl")
-    assert events[0].payload["seed"] == 7
+    assert events[0]["payload"]["seed"] == 7
     assert (finished_run / "run.jsonl").read_bytes() != first
     assert verify_replay(finished_run)
     assert main(["replay", str(finished_run)]) == EXIT_OK

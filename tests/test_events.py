@@ -22,10 +22,10 @@ from ideatree.config import RunConfig
 from ideatree.errors import CorruptLog, LogVersionMismatch
 from ideatree.events import (
     LOG_FILENAME,
-    Event,
     EventKind,
     RunLog,
     decode_json,
+    encode_json,
     read_log,
 )
 from ideatree.orchestrator import (
@@ -81,8 +81,8 @@ def _old_form(line: str) -> str:
 # ---- records ----
 
 def test_node_proposed_records_omit_unset_optional_fields(finished):
-    records = [e.payload["node"] for e in read_log(finished / LOG_FILENAME)
-               if e.kind is EventKind.NODE_PROPOSED]
+    records = [e["payload"]["node"] for e in read_log(finished / LOG_FILENAME)
+               if e["kind"] == EventKind.NODE_PROPOSED]
     assert records
     for record in records:
         assert None not in (record[key] for key in OPTIONAL_NODE_FIELDS if key in record)
@@ -99,7 +99,7 @@ def test_old_form_log_reads_and_replays_to_the_same_snapshot(run_dir):
     assert any('"raw_score": null' in line for line in old)
     _write(run_dir, old)
     events = read_log(run_dir / LOG_FILENAME)
-    assert [(e.seq, e.kind) for e in events] == [(e.seq, e.kind) for e in lean]
+    assert [(e["seq"], e["kind"]) for e in events] == [(e["seq"], e["kind"]) for e in lean]
     assert replay(run_dir / LOG_FILENAME).snapshot() == lean_snapshot
     assert lean_snapshot == (run_dir / FINAL_SNAPSHOT_FILENAME).read_text(encoding="utf-8")
     assert verify_replay(run_dir)
@@ -117,16 +117,11 @@ class _ListClock:
         return next(self.times)
 
 
-def _record(event: Event) -> dict:
-    return {"seq": event.seq, "ts": event.ts, "kind": event.kind.value, "payload": event.payload}
-
-
-def _dumps(event: Event) -> str:
-    """The log line of an event whose floats json and orjson spell
-    alike: json's text with sorted keys, no whitespace and no escapes
-    beyond JSON's own."""
-    return json.dumps(_record(event), sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=False)
+def _dumps(event: dict) -> str:
+    """The log line of an event record whose floats json and orjson
+    spell alike: json's text with sorted keys, no whitespace and no
+    escapes beyond JSON's own."""
+    return json.dumps(event, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 _SCALARS = st.one_of(
@@ -169,10 +164,10 @@ def test_flushed_lines_read_back_as_their_events_with_sorted_keys(batches, data)
     assert lines.pop() == b""
     assert len(lines) == len(written)
     for line, event in zip(lines, written):
-        assert json.dumps(json.loads(line.decode())) == json.dumps(_record(event), sort_keys=True)
+        assert json.dumps(json.loads(line.decode())) == json.dumps(event, sort_keys=True)
 
 
-def _write_log(path: Path, payloads) -> tuple[RunLog, list[Event]]:
+def _write_log(path: Path, payloads) -> tuple[RunLog, list[dict]]:
     log = RunLog(path=path)
     written = [log.append(EventKind.STAGE_STARTED, **payload) for payload in payloads]
     log.flush()
@@ -280,7 +275,7 @@ def test_seq_stays_contiguous_across_flushes_and_close(tmp_path):
     log.close()
     written.append(log.append(EventKind.RUN_FINISHED))
     log.close()
-    assert [event.seq for event in written] == list(range(len(written)))
+    assert [event["seq"] for event in written] == list(range(len(written)))
     assert read_log(path) == written
 
 
@@ -295,7 +290,7 @@ def test_flush_that_fails_to_encode_keeps_its_events(tmp_path):
     with pytest.raises(TypeError):
         log.flush()
     assert log.events == written[1:]
-    bad.payload["value"] = 3
+    bad["payload"]["value"] = 3
     log.flush()
     log.close()
     assert log.events == []
@@ -402,11 +397,26 @@ def test_read_log_leaves_the_collector_as_it_found_it(run_dir, enabled):
 
 
 def test_events_are_records_read_back_equal(finished):
+    """An event reads back as the dict its line holds, its kind the
+    plain string, with no other type built around it."""
     events = read_log(finished / LOG_FILENAME)
     head = events[0]
-    assert isinstance(head, Event) and head.kind is EventKind.RUN_STARTED
-    assert not hasattr(head, "__dict__")
+    assert type(head) is dict and sorted(head) == ["kind", "payload", "seq", "ts"]
+    assert type(head["kind"]) is str and head["kind"] == EventKind.RUN_STARTED
     assert events == read_log(finished / LOG_FILENAME)
+
+
+def test_seq_and_ts_read_as_an_int_and_a_float(run_dir):
+    """A hand-edited line may spell ``seq`` as a float or ``ts`` as an
+    int; the record reads them as the int and the float they stand for."""
+    lines = _lines(run_dir)
+    event = json.loads(lines[4])
+    event.update(seq=4.0, ts=3)
+    lines[4] = json.dumps(event)
+    _write(run_dir, lines)
+    read = read_log(run_dir / LOG_FILENAME)[4]
+    assert type(read["seq"]) is int and read["seq"] == 4
+    assert type(read["ts"]) is float and read["ts"] == 3.0
 
 
 # ---- the streamed reader, line by line ----
@@ -439,11 +449,17 @@ LOGS = {
             '{"seq": 4, "ts": 0.0, "kind": "stage_started", "payload": {"x": [',
         ])
     },
+    # "\udcXX" is written as the byte XX, which is not UTF-8 on its own
+    "not UTF-8 middle line": lambda lines: (
+        _replaced(lines, 4, lines[4][:20] + "\udcff" + lines[4][20:]), "\n"),
     **{
         f"torn last line, end {end!r}": lambda lines, end=end: (
             lines[:-1] + [lines[-1][:30]], end)
         for end in ["", "\n\n  \n"]
     },
+    # a line cut after the first byte of "漢"
+    "torn last line, inside a character": lambda lines: (
+        lines[:-1] + [lines[-1][:30] + "\udce6"], ""),
     **{
         f"two values joined by {join!r}": lambda lines, join=join: (
             lines[:4] + [lines[4] + join + lines[5]] + lines[6:], "\n")
@@ -489,6 +505,8 @@ LOG_OUTCOMES = {
     **{name: (_bad(5), _bad(5)) for name in LOGS
        if name.startswith(("bad middle line", "two values joined", "one value split"))},
     **{name: (_bad("{last}"), BUT_LAST) for name in LOGS if name.startswith("torn last line")},
+    "not UTF-8 middle line": (
+        (CorruptLog, r"^bad log line 5: not UTF-8 \(invalid start byte at byte 20\)$"),) * 2,
     "sequence gap": ((CorruptLog, r"^sequence gap at event 6: seq=7$"),) * 2,
     "no header": ((CorruptLog, r"^sequence gap at event 0: seq=1$"),) * 2,
     "old schema": ((LogVersionMismatch, r"^log schema 0, supported 2$"),) * 2,
@@ -502,9 +520,8 @@ LOG_OUTCOMES = {
 }
 
 
-def _json_events(lines: list[str]) -> list[Event]:
-    return [Event(d["seq"], d["ts"], EventKind(d["kind"]), d["payload"])
-            for d in map(json.loads, filter(str.strip, lines))]
+def _json_events(lines: list[str]) -> list[dict]:
+    return [json.loads(line) for line in lines if line.strip()]
 
 
 @pytest.mark.parametrize("partial", [False, True])
@@ -518,7 +535,8 @@ def test_small_blocks_read_as_one_block_does(run_dir, name, partial):
     written = _lines(run_dir)
     lines, end = LOGS[name](written)
     path = run_dir / LOG_FILENAME
-    path.write_text("\n".join(lines) + end if lines else end, encoding="utf-8")
+    path.write_text("\n".join(lines) + end if lines else end, encoding="utf-8",
+                    errors="surrogateescape")
     expected = LOG_OUTCOMES[name][partial]
     if expected == EVENTS:
         assert read_log(path, partial=partial) == _json_events(lines)
@@ -533,25 +551,41 @@ def test_small_blocks_read_as_one_block_does(run_dir, name, partial):
                          str(raised.value))
 
 
+@pytest.fixture(scope="module")
+def multibyte_log(finished, tmp_path_factory) -> Path:
+    """The finished run's log with multi-byte UTF-8 text in every idea,
+    as an LLM's ideas may hold it."""
+    records = [json.loads(line) for line in _lines(finished)]
+    for record in records:
+        if record["kind"] == EventKind.NODE_PROPOSED:
+            record["payload"]["node"]["idea_text"] += " é ß 漢字 🌳"
+    path = tmp_path_factory.mktemp("multibyte") / LOG_FILENAME
+    path.write_bytes(b"".join(encode_json(record) + b"\n" for record in records))
+    return path
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
-def test_a_log_cut_anywhere_reads_up_to_its_last_whole_line(finished, data):
-    """A log cut at any byte, as a crash leaves it, reads with
-    ``partial`` as the events of its whole lines; a line that is whole
-    when the file ends without its newline counts.
-    Without ``partial`` the cut log raises. A bad line anywhere but
-    last still raises, naming its line, with ``partial`` too."""
-    text = (finished / LOG_FILENAME).read_text(encoding="utf-8")
-    full = read_log(finished / LOG_FILENAME)
-    # a cut before the last line's end, which a crash leaves unfinished
-    cut = data.draw(st.integers(0, len(text.rstrip("\n")) - 1), label="cut")
-    kept = text[:cut]
+def test_a_log_cut_anywhere_reads_up_to_its_last_whole_line(multibyte_log, data):
+    """A log cut at any byte, as a crash leaves it, inside a multi-byte
+    character too, reads with ``partial`` as the events of its whole
+    lines; a line that is whole when the file ends without its newline
+    counts. Without ``partial`` the cut log raises. A bad line anywhere
+    but last still raises, naming its line, with ``partial`` too."""
+    written = multibyte_log.read_bytes()
+    full = read_log(multibyte_log)
+    # a cut before the last line's end, which a crash leaves unfinished;
+    # half of the cuts fall inside a character, before a continuation byte
+    end = len(written.rstrip(b"\n"))
+    inside = [i for i in range(end) if 0x80 <= written[i] < 0xC0]
+    cut = data.draw(st.one_of(st.integers(0, end - 1), st.sampled_from(inside)), label="cut")
+    kept = written[:cut]
     # a line counts when its text is all there, newline or not: when the
     # newline that ends it is at the cut or before it
-    whole = text.count("\n", 0, cut + 1)
+    whole = written.count(b"\n", 0, cut + 1)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / LOG_FILENAME
-        path.write_text(kept, encoding="utf-8")
+        path.write_bytes(kept)
         with pytest.raises(CorruptLog):
             read_log(path)
         if whole == 0:
@@ -559,13 +593,13 @@ def test_a_log_cut_anywhere_reads_up_to_its_last_whole_line(finished, data):
                 read_log(path, partial=True)
             return
         assert read_log(path, partial=True) == full[:whole]
-        lines = kept.split("\n")
+        lines = kept.split(b"\n")
         last = max(i for i, line in enumerate(lines) if line.strip())
         if last == 0:
             return
         bad = data.draw(st.integers(0, last - 1), label="bad line index")
-        lines[bad] = "not json at all"
-        path.write_text("\n".join(lines), encoding="utf-8")
+        lines[bad] = b"not json at all"
+        path.write_bytes(b"\n".join(lines))
         with pytest.raises(CorruptLog, match=rf"^bad log line {bad + 1}:"):
             read_log(path, partial=True)
 
@@ -642,12 +676,12 @@ def _written_run(path: Path, payloads) -> list[dict]:
     """A log holding a header, one event per payload and a terminal
     record, flushed in two parts; returns the payloads as written."""
     log = RunLog(path=path)
-    written = [log.append(EventKind.RUN_STARTED).payload]
+    written = [log.append(EventKind.RUN_STARTED)["payload"]]
     for i, payload in enumerate(payloads):
-        written.append(log.append(EventKind.STAGE_STARTED, **payload).payload)
+        written.append(log.append(EventKind.STAGE_STARTED, **payload)["payload"])
         if i == len(payloads) // 2:
             log.flush()
-    written.append(log.append(EventKind.RUN_FINISHED).payload)
+    written.append(log.append(EventKind.RUN_FINISHED)["payload"])
     log.close()
     return written
 
@@ -662,7 +696,7 @@ def test_what_the_writer_writes_reads_back_the_same(payloads):
         path = Path(tmp) / LOG_FILENAME
         written = _written_run(path, payloads)
         read = read_log(path)
-    assert [repr(event.payload) for event in read] == [repr(_sorted_keys(p)) for p in written]
+    assert [repr(event["payload"]) for event in read] == [repr(_sorted_keys(p)) for p in written]
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, [1.5, {"x": -math.inf}]])
@@ -682,8 +716,8 @@ def test_non_finite_payloads_read_back_through_json(tmp_path, monkeypatch, value
     monkeypatch.setattr(json, "loads", lambda text: calls.append(text) or loads(text))
     read = read_log(path)
     assert len(calls) == 1
-    assert repr(read[1].payload) == repr({"value": value})
-    assert [e.payload for e in read[2:]] == written[2:]
+    assert repr(read[1]["payload"]) == repr({"value": value})
+    assert [e["payload"] for e in read[2:]] == written[2:]
 
 
 @pytest.mark.parametrize("text", [

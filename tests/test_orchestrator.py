@@ -544,7 +544,7 @@ def test_ports_may_return_numpy_scalars(tmp_path):
                                       predictor=_NumpyPredictor(ports.predictor))
     execute_run(config, numpy_ports, tmp_path / "numpy")
     execute_run(config, build_synthetic_ports(config), tmp_path / "float")
-    kinds = {e.kind for e in read_log(tmp_path / "numpy" / LOG_FILENAME)}
+    kinds = {e["kind"] for e in read_log(tmp_path / "numpy" / LOG_FILENAME)}
     assert {EventKind.NODE_EVALUATED, EventKind.PREDICTION_MADE} <= kinds
     assert verify_replay(tmp_path / "numpy")
     for name in (LOG_FILENAME, FINAL_SNAPSHOT_FILENAME):
@@ -569,7 +569,7 @@ def test_snapshot_runs_once_per_run(tmp_path, monkeypatch):
         _, out, _ = _run(tmp_path, f"b{int(budget)}", seed=1, time_run_minutes=budget,
                          checkpoint_every_stage=True)
         checkpoints = [e for e in read_log(out / LOG_FILENAME)
-                       if e.kind is EventKind.CHECKPOINT_WRITTEN]
+                       if e["kind"] == EventKind.CHECKPOINT_WRITTEN]
         assert len(checkpoints) > 10
         assert calls["snapshot"] == 1, (budget, calls)
 
@@ -611,7 +611,7 @@ def test_run_artifacts_layout(tmp_path):
     assert (out / "config.yaml").exists()
     # checkpoints are log events, not files
     assert [e for e in read_log(out / LOG_FILENAME)
-            if e.kind is EventKind.CHECKPOINT_WRITTEN]
+            if e["kind"] == EventKind.CHECKPOINT_WRITTEN]
     assert not (out / "checkpoints").exists()
     assert sorted(p.name for p in out.iterdir()) == sorted(
         (LOG_FILENAME, FINAL_SNAPSHOT_FILENAME, RESULT_FILENAME, "config.yaml"))
@@ -627,8 +627,8 @@ def test_run_artifacts_layout(tmp_path):
 def test_stages_alternate_adding_then_merging(tmp_path):
     _, out, result = _run(tmp_path)
     assert result.iterations >= 2
-    starts = [e.payload["stage"] for e in read_log(out / LOG_FILENAME)
-              if e.kind is EventKind.STAGE_STARTED]
+    starts = [e["payload"]["stage"] for e in read_log(out / LOG_FILENAME)
+              if e["kind"] == EventKind.STAGE_STARTED]
     assert starts, "no stages ran"
     for i, stage in enumerate(starts):
         assert stage == ("adding" if i % 2 == 0 else "merging")
@@ -637,10 +637,10 @@ def test_stages_alternate_adding_then_merging(tmp_path):
 def test_budget_event_recorded_once(tmp_path):
     _, out, result = _run(tmp_path)
     events = read_log(out / LOG_FILENAME)
-    budget_events = [e for e in events if e.kind is EventKind.BUDGET_EXHAUSTED]
+    budget_events = [e for e in events if e["kind"] == EventKind.BUDGET_EXHAUSTED]
     assert result.budget_exhausted
     assert len(budget_events) == 1
-    assert budget_events[0].payload["elapsed"] >= budget_events[0].payload["budget"]
+    assert budget_events[0]["payload"]["elapsed"] >= budget_events[0]["payload"]["budget"]
 
 
 def test_tiny_budget_still_reports_a_best(tmp_path):
@@ -649,25 +649,25 @@ def test_tiny_budget_still_reports_a_best(tmp_path):
     assert result.budget_exhausted
     assert result.best_node_id is not None
     finished = [e for e in read_log(out / LOG_FILENAME)
-                if e.kind is EventKind.RUN_FINISHED]
-    assert finished[-1].payload["best_node_id"] == result.best_node_id
+                if e["kind"] == EventKind.RUN_FINISHED]
+    assert finished[-1]["payload"]["best_node_id"] == result.best_node_id
 
 
 def test_no_stage_starts_after_budget_event(tmp_path):
     _, out, _ = _run(tmp_path)
     events = read_log(out / LOG_FILENAME)
-    exhausted_seq = next(e.seq for e in events
-                         if e.kind is EventKind.BUDGET_EXHAUSTED)
+    exhausted_seq = next(e["seq"] for e in events
+                         if e["kind"] == EventKind.BUDGET_EXHAUSTED)
     late_starts = [e for e in events
-                   if e.kind is EventKind.STAGE_STARTED and e.seq > exhausted_seq]
+                   if e["kind"] == EventKind.STAGE_STARTED and e["seq"] > exhausted_seq]
     assert late_starts == []
 
 
 def test_checkpoint_best_is_monotone(tmp_path):
     _, out, _ = _run(tmp_path)
     events = read_log(out / LOG_FILENAME)
-    bests = [e.payload["best_raw_score"] for e in events
-             if e.kind is EventKind.CHECKPOINT_WRITTEN]
+    bests = [e["payload"]["best_raw_score"] for e in events
+             if e["kind"] == EventKind.CHECKPOINT_WRITTEN]
     assert len(bests) >= 2
     assert all(b is not None for b in bests)
     assert all(later >= earlier for earlier, later in zip(bests, bests[1:]))
@@ -688,7 +688,7 @@ def _run_capturing_checkpoints(tmp_path, monkeypatch, name="run", **overrides):
     def capturing(log, kind, **payload):
         event = append(log, kind, **payload)
         if kind is EventKind.CHECKPOINT_WRITTEN:
-            captured[event.seq] = trees[-1].snapshot()
+            captured[event["seq"]] = trees[-1].snapshot()
         return event
 
     with monkeypatch.context() as patch:
@@ -706,7 +706,7 @@ def test_checkpoints_match_log_prefix_replay(tmp_path, monkeypatch, workers):
     the log up to that checkpoint's event, byte for byte."""
     out, captured = _run_capturing_checkpoints(tmp_path, monkeypatch, worker_count=workers)
     events = read_log(out / LOG_FILENAME)
-    checkpoints = [e.seq for e in events if e.kind is EventKind.CHECKPOINT_WRITTEN]
+    checkpoints = [e["seq"] for e in events if e["kind"] == EventKind.CHECKPOINT_WRITTEN]
     assert len(checkpoints) >= 4
     assert sorted(captured) == checkpoints
     for seq in checkpoints:
@@ -732,7 +732,7 @@ def test_crashed_log_replays_to_last_checkpoint(tmp_path, monkeypatch):
     for cut in cuts:
         crashed.write_bytes(data[:cut])
         events = read_log(crashed, partial=True)
-        last = max(e.seq for e in events if e.kind is EventKind.CHECKPOINT_WRITTEN)
+        last = max(e["seq"] for e in events if e["kind"] == EventKind.CHECKPOINT_WRITTEN)
         assert last == max(seq for seq, end in ends if end <= cut), cut
         assert replay_events(events[:last]).snapshot() == captured[last], cut
 
@@ -740,16 +740,16 @@ def test_crashed_log_replays_to_last_checkpoint(tmp_path, monkeypatch):
 def test_merging_disabled_emits_skip_trio(tmp_path):
     _, out, _ = _run(tmp_path, enable_merging=False)
     events = read_log(out / LOG_FILENAME)
-    skips = [e for e in events if e.kind is EventKind.SKIPPED_STAGE]
-    assert skips and all(e.payload["reason"] == "merging disabled" for e in skips)
+    skips = [e for e in events if e["kind"] == EventKind.SKIPPED_STAGE]
+    assert skips and all(e["payload"]["reason"] == "merging disabled" for e in skips)
     merge_starts = [e for e in events
-                    if e.kind is EventKind.STAGE_STARTED
-                    and e.payload["stage"] == "merging"]
+                    if e["kind"] == EventKind.STAGE_STARTED
+                    and e["payload"]["stage"] == "merging"]
     merge_finishes = [e for e in events
-                      if e.kind is EventKind.STAGE_FINISHED
-                      and e.payload["stage"] == "merging"]
+                      if e["kind"] == EventKind.STAGE_FINISHED
+                      and e["payload"]["stage"] == "merging"]
     assert len(merge_starts) == len(skips) == len(merge_finishes)
-    assert all(e.payload["outcome"] == "skipped" for e in merge_finishes)
+    assert all(e["payload"]["outcome"] == "skipped" for e in merge_finishes)
 
 
 @pytest.mark.parametrize("enable_merging", [True, False])
@@ -810,14 +810,14 @@ def test_generator_failure_skips_ahead_to_merging(tmp_path):
     result = execute_run(config, ports, out)
     events = read_log(out / LOG_FILENAME)
     failures = [e for e in events
-                if e.kind is EventKind.STAGE_FINISHED
-                and e.payload["outcome"] == "generator_failure"]
+                if e["kind"] == EventKind.STAGE_FINISHED
+                and e["payload"]["outcome"] == "generator_failure"]
     assert len(failures) == 1
-    assert failures[0].payload["stage"] == "adding"
+    assert failures[0]["payload"]["stage"] == "adding"
     # with a single feature node, the same iteration's merging phase is
     # skipped for lack of a second parent
-    skips = [e for e in events if e.kind is EventKind.SKIPPED_STAGE]
-    assert skips[0].payload["reason"] == "fewer than two eligible feature nodes"
+    skips = [e for e in events if e["kind"] == EventKind.SKIPPED_STAGE]
+    assert skips[0]["payload"]["reason"] == "fewer than two eligible feature nodes"
     assert result.iterations >= 2
 
 
@@ -875,10 +875,10 @@ def test_failing_generator_ends_the_run(tmp_path, monkeypatch, merging):
     assert not result.budget_exhausted
     assert ports.clock.elapsed() < 500.0
     events = read_log(out / LOG_FILENAME)
-    ran = [e.payload["outcome"] for e in events
-           if e.kind is EventKind.STAGE_FINISHED and e.payload["outcome"] != "skipped"]
+    ran = [e["payload"]["outcome"] for e in events
+           if e["kind"] == EventKind.STAGE_FINISHED and e["payload"]["outcome"] != "skipped"]
     assert ran == ["generator_failure"] * MAX_FAILED_STAGES
-    finished = events[-1].payload
+    finished = events[-1]["payload"]
     assert finished["stop_reason"] == "generator_failures"
     assert finished["budget_exhausted"] is False
     written = json.loads((out / RESULT_FILENAME).read_text(encoding="utf-8"))
@@ -895,10 +895,10 @@ def test_stage_that_finishes_resets_the_failed_row(tmp_path, monkeypatch):
     assert result.budget_exhausted
     assert result.stop_reason == "budget_exhausted"
     events = read_log(out / LOG_FILENAME)
-    failed = [e for e in events if e.kind is EventKind.STAGE_FINISHED
-              and e.payload["outcome"] == "generator_failure"]
+    failed = [e for e in events if e["kind"] == EventKind.STAGE_FINISHED
+              and e["payload"]["outcome"] == "generator_failure"]
     assert len(failed) > MAX_FAILED_STAGES
-    assert "stop_reason" not in events[-1].payload
+    assert "stop_reason" not in events[-1]["payload"]
 
 
 def test_run_charges_every_returned_call(tmp_path):
@@ -1009,7 +1009,7 @@ def test_wall_clock_overrun_is_one_job_with_two_workers(tmp_path):
     result = execute_run(config, ports, tmp_path / "run")
     overrun_s = ports.clock.elapsed() * 60.0 - budget_s
     stages = [e for e in read_log(tmp_path / "run" / LOG_FILENAME)
-              if e.kind is EventKind.STAGE_STARTED]
+              if e["kind"] == EventKind.STAGE_STARTED]
     assert result.budget_exhausted
     assert stages, "initialization used the whole budget"
     assert overrun_s <= job_s + 0.1, overrun_s
@@ -1146,15 +1146,15 @@ def test_unexpected_port_error_flushes_and_closes_the_log(tmp_path):
     assert _fds_open_on(out / LOG_FILENAME) == 0
 
     events = read_log(out / LOG_FILENAME, partial=True)
-    assert events[-1].kind is not EventKind.RUN_FINISHED
-    started = max(i for i, e in enumerate(events) if e.kind is EventKind.STAGE_STARTED)
-    assert events[started].payload == {"stage": "adding", "iteration": 2}
+    assert events[-1]["kind"] != EventKind.RUN_FINISHED
+    started = max(i for i, e in enumerate(events) if e["kind"] == EventKind.STAGE_STARTED)
+    assert events[started]["payload"] == {"stage": "adding", "iteration": 2}
     stage = events[started + 1:]
-    assert EventKind.STAGE_FINISHED not in {e.kind for e in stage}
-    proposed = [e.payload["node"]["id"] for e in stage if e.kind is EventKind.NODE_PROPOSED]
+    assert EventKind.STAGE_FINISHED not in {e["kind"] for e in stage}
+    proposed = [e["payload"]["node"]["id"] for e in stage if e["kind"] == EventKind.NODE_PROPOSED]
     assert ports.evaluator.raised_on.id in proposed
     # the stage before it was flushed whole, with its checkpoint
-    assert EventKind.CHECKPOINT_WRITTEN in {e.kind for e in events[:started]}
+    assert EventKind.CHECKPOINT_WRITTEN in {e["kind"] for e in events[:started]}
 
 
 @pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc/self/fd")
@@ -1178,7 +1178,7 @@ def test_port_error_propagates_when_the_last_flush_fails_too(tmp_path, monkeypat
     assert _fds_open_on(out / LOG_FILENAME) == 0
     # the stages before the failing one were flushed
     events = read_log(out / LOG_FILENAME, partial=True)
-    assert events[-1].kind is EventKind.CHECKPOINT_WRITTEN
+    assert events[-1]["kind"] == EventKind.CHECKPOINT_WRITTEN
 
 
 # ---- prediction wiring ----
@@ -1186,13 +1186,13 @@ def test_port_error_propagates_when_the_last_flush_fails_too(tmp_path, monkeypat
 def test_prediction_gating_produces_prediction_events(tmp_path):
     _, out, result = _run(tmp_path, predict_before_evaluate=True)
     events = read_log(out / LOG_FILENAME)
-    predictions = [e for e in events if e.kind is EventKind.PREDICTION_MADE]
+    predictions = [e for e in events if e["kind"] == EventKind.PREDICTION_MADE]
     assert predictions
-    evaluated_ids = {e.payload["node_id"] for e in events
-                     if e.kind is EventKind.NODE_EVALUATED}
+    evaluated_ids = {e["payload"]["node_id"] for e in events
+                     if e["kind"] == EventKind.NODE_EVALUATED}
     # every prediction refers to a proposed node, and pruned nodes
     # (predicted but never evaluated) must exist for gating to matter
-    predicted_ids = {e.payload["node_id"] for e in predictions}
+    predicted_ids = {e["payload"]["node_id"] for e in predictions}
     assert predicted_ids - evaluated_ids, "gating never pruned anything"
     assert verify_replay(out)
 

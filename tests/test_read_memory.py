@@ -6,7 +6,8 @@ size of what it reads, so a change that decodes the whole log, or
 encodes the whole snapshot document as one dict, again fails here. A
 read of the whole log as a list peaks at about seven times the log's
 size, and the one-dict snapshot at about five and a half times the
-document's."""
+document's. A restore that keeps every decoded node record until it
+returns peaks at about six times the document."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from ideatree.orchestrator import (
     verify_replay,
 )
 from ideatree.report import progress_report, run_summary
+from ideatree.tree import IdeationTree
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -71,3 +73,13 @@ def test_snapshot_peaks_below_two_and_a_half_documents(grow_run):
     result, run_dir = grow_run
     document_bytes = (run_dir / FINAL_SNAPSHOT_FILENAME).stat().st_size
     assert _peak(result.tree.snapshot) < 2.5 * document_bytes
+
+
+def test_restore_peaks_below_five_documents(grow_run):
+    """The decoded document and the tree it builds: each node record is
+    released as its node is attached, so the two are not held whole at
+    once."""
+    _, run_dir = grow_run
+    document = (run_dir / FINAL_SNAPSHOT_FILENAME).read_text(encoding="utf-8")
+    assert len(document) > 1_000_000
+    assert _peak(IdeationTree.restore, document) < 5 * len(document)

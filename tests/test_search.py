@@ -345,11 +345,11 @@ def _booked_verdict(tree, merged, a, b, metric, epsilon):
     _book_merge(tree, mem, pair_key(a, b), merged, metric, epsilon, log)
     (event,) = of_kind(log, EventKind.MERGE_ATTEMPTED)
     key = pair_key(a, b)
-    if event.payload["outcome"] == "success":
+    if event["payload"]["outcome"] == "success":
         assert key in mem.long_term and not mem.short_term
     else:
         assert mem.short_term == {key: 1} and not mem.long_term
-    return event.payload["outcome"]
+    return event["payload"]["outcome"]
 
 
 def test_merge_delta_lower_better_example():
@@ -571,7 +571,7 @@ def test_pending_job_runs_its_validation_runs_then_the_metric_run(attempts, acce
     assert world.clock.elapsed() == pytest.approx(
         attempts * shakeout_cost + world.landscape.full_cost)
     (event,) = of_kind(log, EventKind.NODE_EVALUATED)
-    assert event.payload == {"node_id": node.id, "raw_score": node.raw_score,
+    assert event["payload"] == {"node_id": node.id, "raw_score": node.raw_score,
                              "status": NodeStatus.EVALUATED.value}
 
 
@@ -600,7 +600,7 @@ def test_failed_validation_run_skips_the_metric_run():
     assert node.raw_score is None
     assert world.clock.elapsed() == pytest.approx(world.landscape.debug_cost)
     (event,) = of_kind(log, EventKind.NODE_EVALUATED)
-    assert event.payload == {"node_id": node.id, "raw_score": None,
+    assert event["payload"] == {"node_id": node.id, "raw_score": None,
                              "status": NodeStatus.FAILED.value, "error": "injected failure"}
 
 
@@ -660,7 +660,7 @@ def test_non_finite_prediction_falls_back_to_full():
                     if n.id not in mt_before), key=lambda n: n.id)
     assert [n.idea_text for n in fresh] == calls and len(calls) == 9
     made = of_kind(log, EventKind.PREDICTION_MADE)
-    assert all(math.isfinite(e.payload["predicted"]) for e in made)
+    assert all(math.isfinite(e["payload"]["predicted"]) for e in made)
     finite = set()
     for i, node in enumerate(fresh):
         value = cycle[i % len(cycle)]
@@ -670,7 +670,7 @@ def test_non_finite_prediction_falls_back_to_full():
         else:
             assert node.predicted_score is None
             assert node.status is NodeStatus.EVALUATED
-    assert {e.payload["node_id"] for e in made} == finite
+    assert {e["payload"]["node_id"] for e in made} == finite
     # the finite predictions still prune
     assert any(n.status is NodeStatus.PROPOSED for n in fresh)
 
@@ -820,15 +820,15 @@ def test_merging_stage_budget_stop_books_finished_pairs():
     with pytest.raises(BudgetExhausted):
         merging_stage(world.tree, mem, world.gen, world.evaluator, params,
                       world.metric, world.rng, ctx=world.ctx, log=log, clock=world.clock)
-    merged = [e.payload["node"]["id"] for e in of_kind(log, EventKind.NODE_PROPOSED)
-              if e.payload["node"]["level"] == NodeLevel.FE.value]
+    merged = [e["payload"]["node"]["id"] for e in of_kind(log, EventKind.NODE_PROPOSED)
+              if e["payload"]["node"]["level"] == NodeLevel.FE.value]
     verdicts = of_kind(log, EventKind.MERGE_ATTEMPTED)
     assert len(merged) == 2
-    assert [e.payload["merged_id"] for e in verdicts] == merged[:1]
+    assert [e["payload"]["merged_id"] for e in verdicts] == merged[:1]
     assert len(mem.short_term) + len(mem.long_term) == 1
     finish = of_kind(log, EventKind.STAGE_FINISHED)
-    assert [e.payload["outcome"] for e in finish] == ["budget_exhausted"]
-    assert verdicts[0].seq < finish[0].seq
+    assert [e["payload"]["outcome"] for e in finish] == ["budget_exhausted"]
+    assert verdicts[0]["seq"] < finish[0]["seq"]
 
 
 def test_merging_stage_generator_failure_books_finished_pairs():
@@ -860,7 +860,7 @@ def test_merging_stage_generator_failure_books_finished_pairs():
     assert len(of_kind(log, EventKind.MERGE_ATTEMPTED)) == 1
     assert len(mem.short_term) + len(mem.long_term) == 1
     finish = of_kind(log, EventKind.STAGE_FINISHED)
-    assert [e.payload["outcome"] for e in finish] == ["generator_failure"]
+    assert [e["payload"]["outcome"] for e in finish] == ["generator_failure"]
 
 
 def test_merging_stage_resample_leaves_origin_untouched():

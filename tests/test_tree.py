@@ -207,6 +207,9 @@ def test_restore_rejects_garbage():
         IdeationTree.restore("{not json")
     with pytest.raises(MalformedDocument):
         IdeationTree.restore(json.dumps({"tree_schema": 2}))
+    for nodes in ({}, None, "nodes"):
+        with pytest.raises(MalformedDocument, match="lacks a nodes list"):
+            IdeationTree.restore(json.dumps({"tree_schema": 2, "nodes": nodes}))
     with pytest.raises(MalformedDocument, match="unsupported tree_schema 1"):
         IdeationTree.restore(json.dumps({"tree_schema": 1, "nodes": []}))
 
