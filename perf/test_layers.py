@@ -21,7 +21,13 @@ from ideatree.events import LOG_FILENAME, EventKind, RunLog, collector_paused, i
 from ideatree.orchestrator import replay_events, verify_replay
 from ideatree.report import progress_report, run_summary
 from ideatree.retrieval import FileCorpusRetriever
-from ideatree.search import MergeMemory, draw_merge_pairs, softmax_select
+from ideatree.search import (
+    EvalPolicy,
+    MergeMemory,
+    PendingSet,
+    draw_merge_pairs,
+    softmax_select,
+)
 from ideatree.tree import (
     IdeationTree,
     MetricDirection,
@@ -163,16 +169,19 @@ def test_synthetic_merge_fe(benchmark, grow_run, grow_ports):
 
 # ---- tree ops ----
 
-def test_spawn(benchmark, grow_run):
+def test_spawn(benchmark, grow_run, grow_ports):
     """The final tree's nodes spawned into a fresh tree in id order,
-    each under its parent with its provenance, about 5,200 spawns."""
+    each under its parent with its provenance, about 5,200 spawns, as a
+    stage spawns them: through ``PendingSet.spawn``, which also logs
+    each node's ``node_proposed`` event, here to an in-memory log."""
     nodes = sorted(grow_run.result.tree.nodes.values(), key=lambda node: node.id)
     root, rest = nodes[0], nodes[1:]
 
     def grow() -> IdeationTree:
         tree = IdeationTree.create(root.idea_text)
+        pending = PendingSet(tree, grow_ports.evaluator, EvalPolicy())
         for node in rest:
-            tree.spawn(node.parent_id, node.level, node.idea_text, provenance=node.provenance)
+            pending.spawn(node.parent_id, node.level, node.idea_text, provenance=node.provenance)
         return tree
 
     tree = benchmark(grow)

@@ -11,7 +11,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any
 
 import yaml
 
@@ -36,6 +36,9 @@ class SyntheticConfig:
     merge_bonus: float = 0.1
     optimum: tuple = ()
 
+    def __post_init__(self):
+        self.optimum = tuple(self.optimum)
+
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)
         doc["optimum"] = list(self.optimum)
@@ -56,8 +59,12 @@ class RunConfig:
     number_of_ideas_modelling: int = 2
     max_add_idea: int = 2
     number_of_selected_node: int = 2
+    # how many consecutive loop iterations a new FE node stays eligible
+    # for selected-set expansion
     number_of_iterations_parents: int = 2
     number_of_selected_node_merging: int = 2
+    # per merge, how many scored children are resampled from each parent
+    # subtree into the merged node
     number_of_iterations_children: int = 3
 
     # scoring model anchors
@@ -66,6 +73,7 @@ class RunConfig:
 
     # retrieval
     retrieve_n_papers: int = 3
+    # most externally retrieved idea segments accepted per query
     number_rag_ideas: int = 5
 
     # engine
@@ -94,25 +102,6 @@ class RunConfig:
     endpoint: EndpointConfig = field(
         default_factory=lambda: EndpointConfig(base_url="", model="")
     )
-
-    # ---- named accessors for the loosely-specified knobs ----
-
-    @property
-    def parent_window(self) -> int:
-        """How many consecutive loop iterations a new FE node stays
-        eligible for selected-set expansion."""
-        return self.number_of_iterations_parents
-
-    @property
-    def resample_count(self) -> int:
-        """Per merge, how many scored children are resampled from each
-        parent subtree into the merged node."""
-        return self.number_of_iterations_children
-
-    @property
-    def external_idea_cap(self) -> int:
-        """Most externally-retrieved idea segments accepted per query."""
-        return self.number_rag_ideas
 
     # ---- validation ----
 
@@ -212,36 +201,14 @@ class RunConfig:
         if kwargs.get("memory_size") == "nearest_nodes":
             kwargs["memory_size"] = cls.memory_size
             kwargs.setdefault("memory_strategy", MemoryStrategy.NEAREST.value)
-        if "synthetic" in kwargs:
-            syn = kwargs["synthetic"]
-            if isinstance(syn, SyntheticConfig):
-                pass
-            elif isinstance(syn, dict):
-                syn_known = {f.name for f in fields(SyntheticConfig)}
-                for key in sorted(set(syn) - syn_known):
-                    problems.append(f"unknown key synthetic.{key!r}")
-                syn_kwargs = {k: v for k, v in syn.items() if k in syn_known}
-                if "optimum" in syn_kwargs:
-                    syn_kwargs["optimum"] = tuple(syn_kwargs["optimum"])
-                kwargs["synthetic"] = SyntheticConfig(**syn_kwargs)
-            else:
-                problems.append("synthetic section must be a mapping")
-                del kwargs["synthetic"]
-        if "endpoint" in kwargs:
-            ep = kwargs["endpoint"]
-            if isinstance(ep, EndpointConfig):
-                pass
-            elif isinstance(ep, dict):
-                ep_known = {f.name for f in fields(EndpointConfig)}
-                for key in sorted(set(ep) - ep_known):
-                    problems.append(f"unknown key endpoint.{key!r}")
-                ep_kwargs = {k: v for k, v in ep.items() if k in ep_known}
-                ep_kwargs.setdefault("base_url", "")
-                ep_kwargs.setdefault("model", "")
-                kwargs["endpoint"] = EndpointConfig(**ep_kwargs)
-            else:
-                problems.append("endpoint section must be a mapping")
-                del kwargs["endpoint"]
+        for name, section_cls, defaults in (
+            ("synthetic", SyntheticConfig, {}),
+            ("endpoint", EndpointConfig, {"base_url": "", "model": ""}),
+        ):
+            if name in kwargs:
+                section = _section(name, kwargs.pop(name), section_cls, defaults, problems)
+                if section is not None:
+                    kwargs[name] = section
         if problems:
             raise ConfigInvalid(problems)
         try:
@@ -259,6 +226,22 @@ class RunConfig:
         doc["synthetic"] = self.synthetic.to_dict()
         doc["endpoint"] = dataclasses.asdict(self.endpoint)
         return doc
+
+
+def _section(name: str, value, section_cls, defaults: dict, problems: list[str]):
+    """The ``section_cls`` a config section reads as: an instance as it
+    is, a mapping's known keys over ``defaults``, and None for anything
+    else. Unknown keys and a section that is not a mapping are added to
+    ``problems``."""
+    if isinstance(value, section_cls):
+        return value
+    if not isinstance(value, dict):
+        problems.append(f"{name} section must be a mapping")
+        return None
+    known = {f.name for f in fields(section_cls)}
+    for key in sorted(set(value) - known):
+        problems.append(f"unknown key {name}.{key!r}")
+    return section_cls(**{**defaults, **{k: v for k, v in value.items() if k in known}})
 
 
 def _number_values(doc: dict, prefix: str = ""):

@@ -282,6 +282,8 @@ def iter_log(path: Path, *, partial: bool = False) -> Iterator[dict]:
                 if kind not in _KIND_VALUES:
                     raise KeyError(kind)
                 payload = record["payload"]
+                if type(payload) is not dict:
+                    raise TypeError(f"payload is a {type(payload).__name__}, not an object")
             except (KeyError, TypeError, ValueError, OverflowError) as exc:
                 if isinstance(exc, json.JSONDecodeError):
                     reason = exc.msg

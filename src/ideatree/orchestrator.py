@@ -16,7 +16,7 @@ import json
 import logging
 from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Optional
 
@@ -210,24 +210,18 @@ def initialize_tree(
     InitializationFailure is raised.
     """
     tree = IdeationTree.create(root_idea)
-    if log is not None:
-        log.append(EventKind.NODE_PROPOSED, node=tree.root.to_record())
+    pending = PendingSet(tree, evaluator, _eval_policy(config), clock=clock, log=log, pool=pool)
+    pending.log.append(EventKind.NODE_PROPOSED, node=tree.root.to_record())
     for _ in range(config.number_of_ideas_eda):
         note = gen.enrich_eda(tree, ctx)
         if note:
             ctx.append(SegmentTag.EDA, note)
     fe_texts = gen.propose_fe(ctx, config.number_of_ideas_data)
-    pending = PendingSet(tree, evaluator, _eval_policy(config), clock=clock, log=log, pool=pool)
     try:
         for fe_text in fe_texts:
-            fe = tree.spawn(tree.root.id, NodeLevel.FE, fe_text)
-            if log is not None:
-                log.append(EventKind.NODE_PROPOSED, node=fe.to_record())
+            fe = pending.spawn(tree.root.id, NodeLevel.FE, fe_text)
             for mt_text in gen.propose_mt(fe, ctx, config.number_of_ideas_modelling):
-                node = tree.spawn(fe.id, NodeLevel.MT, mt_text)
-                if log is not None:
-                    log.append(EventKind.NODE_PROPOSED, node=node.to_record())
-                pending.dispatch(node)
+                pending.dispatch(pending.spawn(fe.id, NodeLevel.MT, mt_text))
     finally:
         pending.commit()
     backpropagate(tree)
@@ -320,9 +314,9 @@ def run_main_loop(
             tree, ctx, ports.gen, ports.evaluator, adding_params, ports.metric, rng,
             log=log, clock=clock, policy=policy,
             external_policy=ExternalQueryPolicy(config.rag_policy),
-            external_cap=config.external_idea_cap,
+            external_cap=config.number_rag_ideas,
             max_add=config.max_add_idea,
-            parent_window=config.parent_window,
+            parent_window=config.number_of_iterations_parents,
             selection_mode=SelectionMode(config.selection_mode),
             pool=pool,
         )
@@ -337,7 +331,7 @@ def run_main_loop(
                 tree, mem, ports.gen, ports.evaluator, merging_params,
                 ports.metric, rng,
                 ctx=ctx, log=log, clock=clock, policy=policy,
-                resample_k=config.resample_count,
+                resample_k=config.number_of_iterations_children,
                 proportional_resample=config.sample_top_proportional,
                 pool=pool,
             )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import logging
 import re
 from concurrent.futures import Executor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Protocol
 
 from .embedding import cosine_similarity
@@ -26,7 +26,7 @@ from .errors import (
     NoFeNodes,
 )
 from .evaluation import EvaluationPort
-from .events import EventKind, RunLog
+from .events import RunLog
 from .generation import EndpointConfig, _load_template, complete_with_retries
 from .search import EvalPolicy, PendingSet, softmax_select
 from .tree import IdeationTree, MetricSpec, Node, NodeLevel, NodeStatus, backpropagate
@@ -132,9 +132,7 @@ def build_anchor_set(
     def evaluate_anchors(fe: Node, archs: list[str]) -> list[Anchor]:
         nodes = []
         for arch in archs:
-            node = tree.spawn(fe.id, NodeLevel.MT, arch)
-            if log is not None:
-                log.append(EventKind.NODE_PROPOSED, node=node.to_record())
+            node = pending.spawn(fe.id, NodeLevel.MT, arch)
             pending.dispatch(node)
             nodes.append(node)
         pending.commit()

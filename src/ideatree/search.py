@@ -2,8 +2,9 @@
 softmax selection, and the short/long-term merge memories.
 
 A main-loop pass runs ``adding_stage`` then ``merging_stage``. Both
-mutate the tree in place, emit structured events when given a log, and
-stop early (committing partial work) when the clock runs out.
+mutate the tree in place through a ``PendingSet``, which spawns and logs
+every node they attach, and stop early (committing partial work) when
+the clock runs out.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .clock import WallClock
+from .clock import SimulatedClock, WallClock
 from .errors import (
     BudgetExhausted,
     EmptyInput,
@@ -352,11 +353,6 @@ class _BudgetStop(Exception):
     """Internal: the clock ran out mid-stage."""
 
 
-def _emit(log: Optional[RunLog], kind: EventKind, **payload):
-    if log is not None:
-        log.append(kind, **payload)
-
-
 # =====================================================================
 # Pending evaluations
 # =====================================================================
@@ -395,7 +391,12 @@ class _RanInline:
 
 
 class PendingSet:
-    """A stage's evaluations, dispatched and not yet committed.
+    """A stage's writer: the nodes it attaches and the evaluations it
+    dispatched and has not yet committed.
+
+    ``spawn`` attaches a node to the tree and logs its ``node_proposed``
+    event, so every node a stage, initialization or the anchor sweeps
+    add reaches the tree and the log the same way.
 
     ``dispatch`` hands a candidate's calls (its validation runs, then
     the metric run) to ``pool``, or makes them at once when there is
@@ -422,6 +423,10 @@ class PendingSet:
     one after another at that length, ``check_budget`` commits; it
     stops when what is left after that would not cover one more job.
     The overrun is then about one job, with any number of workers.
+
+    With no ``log`` the events go to an in-memory ``RunLog``, and with
+    no ``clock`` the evaluations charge a simulated clock whose budget
+    never runs out.
     """
 
     def __init__(self, tree: IdeationTree, evaluator, policy: EvalPolicy, *,
@@ -429,14 +434,22 @@ class PendingSet:
                  pool: Optional[Executor] = None):
         self.tree = tree
         self.evaluator = evaluator
-        self.clock = clock
-        self.log = log
+        self.policy = policy
+        self.clock = clock if clock is not None else SimulatedClock(math.inf)
+        self.log = log if log is not None else RunLog()
         self.pool = pool
         shakeout = EvalMode.DEBUG if policy.accelerated_debug else EvalMode.FULL
         self._modes = (shakeout,) * policy.validation_attempts + (EvalMode.FULL,)
         self._costs = [evaluator.cost(mode) for mode in self._modes]
         self._jobs: list[tuple[int, Node, Future | _RanInline]] = []
         self._after: list[Callable[[], None]] = []
+
+    def spawn(self, parent_id: int, level: NodeLevel, text: str, **fields) -> Node:
+        """Attach a new node under ``parent_id`` (``IdeationTree.spawn``)
+        and log its ``node_proposed`` event."""
+        node = self.tree.spawn(parent_id, level, text, **fields)
+        self.log.append(EventKind.NODE_PROPOSED, node=node.to_record())
+        return node
 
     def dispatch(self, node: Node) -> None:
         if self.pool is None:
@@ -450,8 +463,6 @@ class PendingSet:
 
     def check_budget(self) -> None:
         """Raise _BudgetStop, after committing, when the clock is out."""
-        if self.clock is None:
-            return
         if isinstance(self.clock, WallClock):
             longest = self.clock.longest_job
             if self.clock.remaining() <= longest * (len(self._jobs) + 1):
@@ -478,24 +489,23 @@ class PendingSet:
             score, error, returned, seconds = job.result()
             if isinstance(self.clock, WallClock):
                 self.clock.note_job(seconds)
-            elif self.clock is not None:
+            else:
                 for cost in self._costs[:returned]:
                     self.clock.charge(cost)
             if error is None:
                 self.tree.mark_evaluated(node.id, score)
-                _emit(self.log, EventKind.NODE_EVALUATED, node_id=node.id,
-                      raw_score=node.raw_score, status=node.status.value)
+                self.log.append(EventKind.NODE_EVALUATED, node_id=node.id,
+                                raw_score=node.raw_score, status=node.status.value)
             else:
                 self.tree.mark_failed(node.id)
-                _emit(self.log, EventKind.NODE_EVALUATED, node_id=node.id,
-                      raw_score=None, status=node.status.value, error=error)
+                self.log.append(EventKind.NODE_EVALUATED, node_id=node.id,
+                                raw_score=None, status=node.status.value, error=error)
         for fn in after:
             fn()
 
 
 @contextmanager
-def _stage_scope(tree: IdeationTree, log: Optional[RunLog], stage: str,
-                 pending: PendingSet) -> Iterator[None]:
+def _stage_scope(stage: str, pending: PendingSet) -> Iterator[None]:
     """Bracket a stage's body with its start and finish events.
 
     However the body ends, what it dispatched is committed. On the ways
@@ -504,13 +514,15 @@ def _stage_scope(tree: IdeationTree, log: Optional[RunLog], stage: str,
     _BudgetStop leaves as BudgetExhausted. Any other exception
     propagates once the jobs in flight have finished.
     """
+    tree, log = pending.tree, pending.log
+
     def finish(outcome: str, **extra) -> None:
         pending.commit()
         backpropagate(tree)
-        _emit(log, EventKind.STAGE_FINISHED, stage=stage, iteration=tree.iteration,
-              outcome=outcome, **extra)
+        log.append(EventKind.STAGE_FINISHED, stage=stage, iteration=tree.iteration,
+                   outcome=outcome, **extra)
 
-    _emit(log, EventKind.STAGE_STARTED, stage=stage, iteration=tree.iteration)
+    log.append(EventKind.STAGE_STARTED, stage=stage, iteration=tree.iteration)
     try:
         yield
     except _BudgetStop:
@@ -530,26 +542,21 @@ def _stage_scope(tree: IdeationTree, log: Optional[RunLog], stage: str,
 # =====================================================================
 
 def _propose_and_score_mt(
-    tree: IdeationTree,
     fe_node: Node,
     ctx: Optional[ContextState],
     gen,
     m: int,
     metric: MetricSpec,
-    policy: EvalPolicy,
     pending: PendingSet,
-    log: Optional[RunLog],
 ) -> list[Node]:
     """Attach m fresh MT children under ``fe_node`` and dispatch their
-    evaluations, applying predict-then-evaluate pruning when the policy
-    carries a predictor. Returns the new nodes, not yet scored."""
+    evaluations, applying predict-then-evaluate pruning when the
+    pending set's policy carries a predictor. Returns the new nodes, not
+    yet scored."""
     texts = gen.propose_mt(fe_node, ctx, m)
-    spawned = []
-    for text in texts:
-        node = tree.spawn(fe_node.id, NodeLevel.MT, text)
-        _emit(log, EventKind.NODE_PROPOSED, node=node.to_record())
-        spawned.append(node)
+    spawned = [pending.spawn(fe_node.id, NodeLevel.MT, text) for text in texts]
 
+    policy = pending.policy
     to_evaluate = spawned
     if policy.predict_fn is not None and len(spawned) > 1:
         predicted_ok: list[Node] = []
@@ -566,7 +573,7 @@ def _propose_and_score_mt(
                 fallback.append(node)
                 continue
             node.predicted_score = value
-            _emit(log, EventKind.PREDICTION_MADE, node_id=node.id, predicted=value)
+            pending.log.append(EventKind.PREDICTION_MADE, node_id=node.id, predicted=value)
             predicted_ok.append(node)
         keep_n = max(1, math.ceil(policy.predict_fraction * len(predicted_ok))) if predicted_ok else 0
         ranked = sorted(
@@ -645,9 +652,9 @@ def adding_stage(
     Raises GeneratorFailure (stage aborted, committed nodes stay) and
     BudgetExhausted (partial results committed).
     """
-    policy = policy or EvalPolicy()
-    pending = PendingSet(tree, evaluator, policy, clock=clock, log=log, pool=pool)
-    with _stage_scope(tree, log, "adding", pending):
+    pending = PendingSet(tree, evaluator, policy or EvalPolicy(), clock=clock, log=log,
+                         pool=pool)
+    with _stage_scope("adding", pending):
         pending.check_budget()
         segment = gen.enrich_eda(tree, ctx)
         if segment:
@@ -655,18 +662,12 @@ def adding_stage(
         gate_external_query(ctx, external_policy, gen, cap=external_cap)
 
         fe_texts = gen.propose_fe(ctx, params.n_fe)
-        new_fe: list[Node] = []
-        for text in fe_texts:
-            node = tree.spawn(tree.root.id, NodeLevel.FE, text, status=NodeStatus.IMPLEMENTED)
-            _emit(log, EventKind.NODE_PROPOSED, node=node.to_record())
-            new_fe.append(node)
+        new_fe = [pending.spawn(tree.root.id, NodeLevel.FE, text, status=NodeStatus.IMPLEMENTED)
+                  for text in fe_texts]
 
         fresh_mt: list[Node] = []
         for fe in new_fe:
-            fresh_mt.extend(
-                _propose_and_score_mt(tree, fe, ctx, gen, params.m_mt,
-                                      metric, policy, pending, log)
-            )
+            fresh_mt.extend(_propose_and_score_mt(fe, ctx, gen, params.m_mt, metric, pending))
         pending.commit()
         backpropagate(tree)
 
@@ -675,8 +676,7 @@ def adding_stage(
         )
         per_target = params.m_mt if max_add is None else min(params.m_mt, max_add)
         for fe_id in targets:
-            _propose_and_score_mt(tree, tree.nodes[fe_id], ctx, gen, per_target,
-                                  metric, policy, pending, log)
+            _propose_and_score_mt(tree.nodes[fe_id], ctx, gen, per_target, metric, pending)
     return tree
 
 
@@ -774,36 +774,35 @@ def merging_stage(
             f"merging needs >= 2 FE nodes with evaluated children, found {len(eligible)}"
         )
     pending = PendingSet(tree, evaluator, policy, clock=clock, log=log, pool=pool)
-    with _stage_scope(tree, log, "merging", pending):
+    with _stage_scope("merging", pending):
         for a_id, b_id in draw_merge_pairs(eligible, mem, params.n_fe, rng):
             pending.check_budget()
-            _merge_one_pair(tree, mem, gen, params, metric, rng, a_id, b_id,
-                            ctx, log, policy, pending, resample_k, proportional_resample)
+            _merge_one_pair(mem, gen, params, metric, rng, a_id, b_id,
+                            ctx, pending, resample_k, proportional_resample)
         pending.commit()
         backpropagate(tree)
 
-        _merge_best_children(tree, gen, params, metric, rng, ctx, log, pending)
+        _merge_best_children(gen, params, metric, rng, ctx, pending)
     return tree, mem
 
 
 def _merge_one_pair(
-    tree, mem, gen, params, metric, rng,
-    a_id, b_id, ctx, log, policy, pending, resample_k, proportional_resample,
+    mem, gen, params, metric, rng,
+    a_id, b_id, ctx, pending, resample_k, proportional_resample,
 ):
     """Merge one FE pair into a new FE node, dispatch its fresh MT
     children, add the resampled copies, and have the verdict booked
     when the fresh children are committed."""
+    tree = pending.tree
     key = pair_key(a_id, b_id)
     node_a, node_b = tree.nodes[a_id], tree.nodes[b_id]
     merged_text = gen.merge_fe(node_a, node_b, ctx)
-    merged = tree.spawn(
+    merged = pending.spawn(
         tree.root.id, NodeLevel.FE, merged_text,
         provenance=Provenance.merged(a_id, b_id), status=NodeStatus.IMPLEMENTED,
     )
-    _emit(log, EventKind.NODE_PROPOSED, node=merged.to_record())
 
-    _propose_and_score_mt(tree, merged, ctx, gen, params.m_mt,
-                          metric, policy, pending, log)
+    _propose_and_score_mt(merged, ctx, gen, params.m_mt, metric, pending)
 
     if resample_k > 0:
         for parent_id in (a_id, b_id):
@@ -812,17 +811,17 @@ def _merge_one_pair(
                                temperature=params.softmax_temperature,
                                proportional=proportional_resample)
             for origin in picks:
-                copy = tree.spawn(
+                pending.spawn(
                     merged.id, NodeLevel.MT, origin.idea_text,
                     provenance=Provenance.resampled(origin.id),
                     status=NodeStatus.EVALUATED,
                     raw_score=origin.raw_score,
                     code_artifact=origin.code_artifact,
                 )
-                _emit(log, EventKind.NODE_PROPOSED, node=copy.to_record())
 
     pending.after_commit(
-        lambda: _book_merge(tree, mem, key, merged.id, metric, params.merge_epsilon, log)
+        lambda: _book_merge(tree, mem, key, merged.id, metric, params.merge_epsilon,
+                            pending.log)
     )
 
 
@@ -841,19 +840,20 @@ def _book_merge(tree, mem, key, merged_id, metric, epsilon, log):
 
     if failed:
         promoted = mem.record_failure(key)
-        _emit(log, EventKind.MERGE_ATTEMPTED, pair=list(key), merged_id=merged_id,
-              outcome="failure", delta=delta)
+        log.append(EventKind.MERGE_ATTEMPTED, pair=list(key), merged_id=merged_id,
+                   outcome="failure", delta=delta)
         if promoted:
-            _emit(log, EventKind.MEMORY_PROMOTED, pair=list(key), failures=mem.theta_fail)
+            log.append(EventKind.MEMORY_PROMOTED, pair=list(key), failures=mem.theta_fail)
     else:
         mem.record_success(key)
-        _emit(log, EventKind.MERGE_ATTEMPTED, pair=list(key), merged_id=merged_id,
-              outcome="success", delta=delta)
+        log.append(EventKind.MERGE_ATTEMPTED, pair=list(key), merged_id=merged_id,
+                   outcome="success", delta=delta)
 
 
-def _merge_best_children(tree, gen, params, metric, rng, ctx, log, pending):
+def _merge_best_children(gen, params, metric, rng, ctx, pending):
     """Within each softmax-selected FE node, merge its two best MT
     children into one new scored child."""
+    tree = pending.tree
     for fe_id in _sample_scored_fe(tree, params, metric, rng):
         kids = sorted(
             tree.evaluated_mt_children(fe_id),
@@ -864,6 +864,5 @@ def _merge_best_children(tree, gen, params, metric, rng, ctx, log, pending):
         u, v = kids[0], kids[1]
         pending.check_budget()
         text = gen.merge_mt(u, v, ctx)
-        node = tree.spawn(fe_id, NodeLevel.MT, text, provenance=Provenance.merged(u.id, v.id))
-        _emit(log, EventKind.NODE_PROPOSED, node=node.to_record())
+        node = pending.spawn(fe_id, NodeLevel.MT, text, provenance=Provenance.merged(u.id, v.id))
         pending.dispatch(node)

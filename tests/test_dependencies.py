@@ -1,6 +1,7 @@
 """Every third-party module the package imports is declared in
 pyproject.toml's ``dependencies``, function-local imports included, so
-an install from the project metadata alone can run every path."""
+an install from the project metadata alone can run every path; and
+every name a package module imports is used in that module."""
 
 from __future__ import annotations
 
@@ -43,3 +44,34 @@ def test_every_third_party_import_is_a_declared_dependency():
     assert {"numpy", "orjson", "yaml", "requests"} <= third_party
     needed = {DISTRIBUTIONS.get(name, name) for name in third_party}
     assert sorted(needed - _declared()) == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names ``path`` imports and never reads, as ``module.name``.
+
+    Imports anywhere count, in functions and ``TYPE_CHECKING`` blocks
+    too, and a name read anywhere in the module counts as used. A name
+    only a quoted annotation reads is not seen. Names in ``__all__`` and
+    imports marked ``# noqa: F401`` are exempt."""
+    source = path.read_text(encoding="utf-8")
+    lines = source.splitlines()
+    imported: dict[str, None] = {}
+    used: set[str] = set()
+    for node in ast.walk(ast.parse(source, str(path))):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            marked = any("# noqa: F401" in line for line in lines[node.lineno - 1:node.end_lineno])
+            if not marked and getattr(node, "module", None) != "__future__":
+                imported.update(dict.fromkeys(
+                    alias.asname or alias.name.split(".")[0] for alias in node.names))
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "__all__"
+                for target in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return [f"{path.stem}.{name}" for name in imported if name not in used]
+
+
+def test_every_imported_name_is_used():
+    unused = [name for path in sorted(PACKAGE.rglob("*.py")) for name in _unused_imports(path)]
+    assert unused == []

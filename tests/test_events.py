@@ -449,6 +449,10 @@ LOGS = {
             '{"seq": 4, "ts": 0.0, "kind": "stage_started", "payload": {"x": [',
         ])
     },
+    "header payload not an object": lambda lines: (
+        _replaced(lines, 0, '{"kind":"run_started","payload":[],"seq":0,"ts":0.0}'), "\n"),
+    "middle payload not an object": lambda lines: (
+        _replaced(lines, 4, '{"kind":"stage_started","payload":[],"seq":4,"ts":0.0}'), "\n"),
     # "\udcXX" is written as the byte XX, which is not UTF-8 on its own
     "not UTF-8 middle line": lambda lines: (
         _replaced(lines, 4, lines[4][:20] + "\udcff" + lines[4][20:]), "\n"),
@@ -505,6 +509,10 @@ LOG_OUTCOMES = {
     **{name: (_bad(5), _bad(5)) for name in LOGS
        if name.startswith(("bad middle line", "two values joined", "one value split"))},
     **{name: (_bad("{last}"), BUT_LAST) for name in LOGS if name.startswith("torn last line")},
+    **{name: ((CorruptLog, rf"^bad log line {line}: not an event record: "
+                           r"TypeError\('payload is a list, not an object'\)$"),) * 2
+       for name, line in [("header payload not an object", 1),
+                          ("middle payload not an object", 5)]},
     "not UTF-8 middle line": (
         (CorruptLog, r"^bad log line 5: not UTF-8 \(invalid start byte at byte 20\)$"),) * 2,
     "sequence gap": ((CorruptLog, r"^sequence gap at event 6: seq=7$"),) * 2,

@@ -4,7 +4,6 @@ log replay, mostly end to end over the synthetic ports."""
 from __future__ import annotations
 
 import dataclasses
-import inspect
 import json
 import math
 import os
@@ -223,35 +222,20 @@ def test_documented_defaults():
     assert config.number_rag_ideas == 5
 
 
-def test_named_accessors_track_their_fields():
-    config = RunConfig(number_of_iterations_parents=4,
-                       number_of_iterations_children=6,
-                       number_rag_ideas=9)
-    assert config.parent_window == 4
-    assert config.resample_count == 6
-    assert config.external_idea_cap == 9
-
-
 def test_every_config_field_is_read():
     """Each config field is read somewhere in the package outside
-    config.py, as ``.<field>`` or through a RunConfig property that
-    returns it. A field nothing reads is a knob that does nothing."""
+    config.py, as ``.<field>``. A field nothing reads is a knob that
+    does nothing."""
     package = Path(orchestrator.__file__).parent
     source = "\n".join(
         path.read_text(encoding="utf-8")
         for path in sorted(package.glob("*.py")) if path.name != "config.py"
     )
-    aliases: dict[str, list[str]] = {}
-    for name, member in vars(RunConfig).items():
-        if isinstance(member, property):
-            for field_name in re.findall(r"self\.(\w+)", inspect.getsource(member.fget)):
-                aliases.setdefault(field_name, []).append(name)
     unread = [
         f"{cls.__name__}.{f.name}"
         for cls in (RunConfig, SyntheticConfig, EndpointConfig)
         for f in dataclasses.fields(cls)
-        if not any(re.search(rf"\.{name}\b", source)
-                   for name in [f.name, *aliases.get(f.name, [])])
+        if not re.search(rf"\.{f.name}\b", source)
     ]
     assert unread == []
 
@@ -262,10 +246,15 @@ def test_unknown_key_rejected():
     assert any("unknown key 'no_such_knob'" in p for p in exc_info.value.problems)
 
 
-def test_unknown_synthetic_key_rejected():
+@pytest.mark.parametrize("section", ["synthetic", "endpoint"])
+@pytest.mark.parametrize("value, problem", [
+    ({"bogus": 1}, "unknown key {section}.'bogus'"),
+    ([1, 2], "{section} section must be a mapping"),
+], ids=["unknown key", "not a mapping"])
+def test_bad_section_rejected(section, value, problem):
     with pytest.raises(ConfigInvalid) as exc_info:
-        RunConfig.from_dict({"synthetic": {"bogus": 1}})
-    assert any("synthetic.'bogus'" in p for p in exc_info.value.problems)
+        RunConfig.from_dict({section: value})
+    assert exc_info.value.problems == [problem.format(section=section)]
 
 
 def test_memory_size_accepts_nearest_nodes_alias():
