@@ -37,7 +37,9 @@ class SyntheticConfig:
     optimum: tuple = ()
 
     def __post_init__(self):
-        self.optimum = tuple(self.optimum)
+        # any other type is left for ``RunConfig.problems`` to name
+        if isinstance(self.optimum, list):
+            self.optimum = tuple(self.optimum)
 
     def to_dict(self) -> dict:
         doc = dataclasses.asdict(self)
@@ -106,7 +108,10 @@ class RunConfig:
     # ---- validation ----
 
     def problems(self) -> list[str]:
-        out: list[str] = []
+        out = _type_problems(self)
+        if out:
+            # the bounds below compare values of the declared types only
+            return out
 
         def positive(name: str):
             if getattr(self, name) <= 0:
@@ -242,6 +247,33 @@ def _section(name: str, value, section_cls, defaults: dict, problems: list[str])
     for key in sorted(set(value) - known):
         problems.append(f"unknown key {name}.{key!r}")
     return section_cls(**{**defaults, **{k: v for k, v in value.items() if k in known}})
+
+
+# the types a config value may have, by its field's annotation: an int
+# stands for a float, but a bool for no number
+_FIELD_TYPES = {
+    "bool": (bool,),
+    "int": (int,),
+    "float": (int, float),
+    "str": (str,),
+    "Optional[str]": (str, type(None)),
+    "tuple": (tuple,),
+}
+
+
+def _type_problems(section, prefix: str = "") -> list[str]:
+    """A problem for each field of the config dataclass ``section``, and
+    of its sections, whose value does not have the type its annotation
+    names."""
+    out: list[str] = []
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if dataclasses.is_dataclass(value):
+            out += _type_problems(value, f"{prefix}{f.name}.")
+        elif not isinstance(value, _FIELD_TYPES[f.type]) or (
+                isinstance(value, bool) and f.type != "bool"):
+            out.append(f"{prefix}{f.name} must be {f.type}, got {value!r}")
+    return out
 
 
 def _number_values(doc: dict, prefix: str = ""):

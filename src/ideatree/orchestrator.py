@@ -1,10 +1,11 @@
 """The budgeted main loop: initialize, then alternate expansion and
 recombination until time runs out, checkpointing as it goes.
 
-Everything stochastic draws from streams spawned off one seed, and every
-tree mutation is mirrored into the event log, so a finished run can be
-reproduced bit-for-bit or reconstructed from its log alone. The log is
-the only per-stage record: a checkpoint is a ``checkpoint_written``
+Everything stochastic draws from streams spawned off one seed, and the
+run changes its tree only by applying the records it logs
+(``IdeationTree.apply``), so a finished run can be reproduced
+bit-for-bit or reconstructed from its log alone. The log is the only
+per-stage record: a checkpoint is a ``checkpoint_written``
 event, and replaying the events before it rebuilds the tree at that
 stage, for a crashed run too (``iter_log(path, partial=True)``).
 """
@@ -28,6 +29,7 @@ from .errors import (
     BudgetExhausted,
     CorruptLog,
     GeneratorFailure,
+    IdeaTreeError,
     InitializationFailure,
     InsufficientParents,
     MissingRunArtifacts,
@@ -71,8 +73,8 @@ from .tree import (
     IdeationTree,
     MetricDirection,
     MetricSpec,
-    Node,
     NodeLevel,
+    NodeStatus,
     backpropagate,
 )
 
@@ -209,9 +211,9 @@ def initialize_tree(
     idea survives evaluation there is nothing to search from and
     InitializationFailure is raised.
     """
-    tree = IdeationTree.create(root_idea)
+    tree = IdeationTree()
     pending = PendingSet(tree, evaluator, _eval_policy(config), clock=clock, log=log, pool=pool)
-    pending.log.append(EventKind.NODE_PROPOSED, node=tree.root.to_record())
+    pending.spawn(None, NodeLevel.EDA, root_idea, status=NodeStatus.IMPLEMENTED)
     for _ in range(config.number_of_ideas_eda):
         note = gen.enrich_eda(tree, ctx)
         if note:
@@ -324,7 +326,7 @@ def run_main_loop(
 
     def merging(rng: np.random.Generator) -> bool:
         if not config.enable_merging:
-            _skip_merging(log, tree, reason="merging disabled")
+            _skip_merging(log, iterations, reason="merging disabled")
             return False
         try:
             merging_stage(
@@ -336,7 +338,7 @@ def run_main_loop(
                 pool=pool,
             )
         except InsufficientParents:
-            _skip_merging(log, tree, reason="fewer than two eligible feature nodes")
+            _skip_merging(log, iterations, reason="fewer than two eligible feature nodes")
             return False
         return True
 
@@ -346,7 +348,7 @@ def run_main_loop(
             break
         if stage is adding:
             iterations += 1
-            tree.iteration = iterations
+        tree.apply(log.append(EventKind.STAGE_STARTED, stage=name, iteration=iterations))
         stage_number += 1
         rng = np.random.default_rng(
             np.random.SeedSequence(config.seed, spawn_key=(stage_number,)))
@@ -390,11 +392,9 @@ def run_main_loop(
     )
 
 
-def _skip_merging(log: RunLog, tree: IdeationTree, reason: str) -> None:
-    log.append(EventKind.STAGE_STARTED, stage="merging", iteration=tree.iteration)
-    log.append(EventKind.SKIPPED_STAGE, stage="merging", iteration=tree.iteration,
-               reason=reason)
-    log.append(EventKind.STAGE_FINISHED, stage="merging", iteration=tree.iteration,
+def _skip_merging(log: RunLog, iteration: int, reason: str) -> None:
+    log.append(EventKind.SKIPPED_STAGE, stage="merging", iteration=iteration, reason=reason)
+    log.append(EventKind.STAGE_FINISHED, stage="merging", iteration=iteration,
                outcome="skipped")
 
 
@@ -530,35 +530,17 @@ def replay(log_path: Path) -> IdeationTree:
 
 
 def replay_events(events: Iterable[dict]) -> IdeationTree:
-    """The tree that ``events``, event records in log order, build; they
-    may be any iterable, a stream from ``iter_log`` too."""
-    # the kinds replay acts on, as the strings a record holds
-    proposed, evaluated = EventKind.NODE_PROPOSED.value, EventKind.NODE_EVALUATED.value
-    predicted, started = EventKind.PREDICTION_MADE.value, EventKind.STAGE_STARTED.value
-    tree: Optional[IdeationTree] = None
+    """The tree that ``events``, event records in log order, build when
+    applied to an empty tree as the run applied them to its own; they
+    may be any iterable, a stream from ``iter_log`` too. A record that
+    does not apply is a CorruptLog naming its seq."""
+    tree = IdeationTree()
     for event in events:
-        kind, payload = event["kind"], event["payload"]
-        if kind == proposed:
-            node = Node.from_dict(payload["node"])
-            if tree is None:
-                if node.level is not NodeLevel.EDA:
-                    raise CorruptLog("first proposed node is not the root")
-                tree = IdeationTree.create(node.idea_text)
-                continue
-            tree.add_node(node.parent_id, node)
-        elif tree is None:
-            continue
-        elif kind == evaluated:
-            node_id = payload["node_id"]
-            if payload["status"] == "evaluated":
-                tree.mark_evaluated(node_id, payload["raw_score"])
-            else:
-                tree.mark_failed(node_id)
-        elif kind == predicted:
-            tree.nodes[payload["node_id"]].predicted_score = payload["predicted"]
-        elif kind == started:
-            tree.iteration = payload["iteration"]
-    if tree is None:
+        try:
+            tree.apply(event)
+        except (IdeaTreeError, LookupError, TypeError, ValueError) as exc:
+            raise CorruptLog(f"event {event.get('seq')} does not apply: {exc!r}") from exc
+    if not tree.nodes:
         raise CorruptLog("log contains no proposed nodes")
     return backpropagate(tree)
 

@@ -2,9 +2,9 @@
 softmax selection, and the short/long-term merge memories.
 
 A main-loop pass runs ``adding_stage`` then ``merging_stage``. Both
-mutate the tree in place through a ``PendingSet``, which spawns and logs
-every node they attach, and stop early (committing partial work) when
-the clock runs out.
+change the tree through a ``PendingSet``, which logs each change and
+applies the record, and stop early (committing partial work) when the
+clock runs out.
 """
 
 from __future__ import annotations
@@ -359,17 +359,20 @@ class _BudgetStop(Exception):
 
 def _run_calls(evaluator, node: Node, modes: tuple[EvalMode, ...]):
     """Make one candidate's evaluator calls in order, stopping at the
-    first EvaluationFailure. Returns ``(raw score or None, error or
-    None, number of calls that returned, wall seconds the calls took)``.
-    May run on a worker thread, so it touches nothing but the
+    first EvaluationFailure; a call that returns a value that is not
+    finite fails as if it had raised one. Returns ``(raw score or None,
+    error or None, number of calls that returned, wall seconds the calls
+    took)``. May run on a worker thread, so it touches nothing but the
     evaluator."""
     start = time.monotonic()
     for returned, mode in enumerate(modes):
         try:
-            value = evaluator.evaluate(node, mode)
+            value = float(evaluator.evaluate(node, mode))
+            if not math.isfinite(value):
+                raise EvaluationFailure(f"evaluator returned {value}")
         except EvaluationFailure as exc:
             return None, str(exc) or "evaluation failed", returned, time.monotonic() - start
-    return float(value), None, len(modes), time.monotonic() - start
+    return value, None, len(modes), time.monotonic() - start
 
 
 class _RanInline:
@@ -394,9 +397,10 @@ class PendingSet:
     """A stage's writer: the nodes it attaches and the evaluations it
     dispatched and has not yet committed.
 
-    ``spawn`` attaches a node to the tree and logs its ``node_proposed``
-    event, so every node a stage, initialization or the anchor sweeps
-    add reaches the tree and the log the same way.
+    ``record`` logs an event and applies its record to the tree
+    (``IdeationTree.apply``), the one way a writer changes the tree.
+    ``spawn`` records a new node, so every node a stage, initialization
+    or the anchor sweeps add reaches the tree and the log the same way.
 
     ``dispatch`` hands a candidate's calls (its validation runs, then
     the metric run) to ``pool``, or makes them at once when there is
@@ -404,8 +408,8 @@ class PendingSet:
     Nothing a job does reaches the tree, the log or the clock before
     ``commit``: that waits for every job, then in node-id order charges
     ``evaluator.cost(mode)`` for each call that returned (one that
-    raised costs nothing), marks the node evaluated or failed and logs
-    ``node_evaluated``, and last runs the ``after_commit`` callbacks in
+    raised costs nothing) and records the node's ``node_evaluated``,
+    evaluated or failed, and last runs the ``after_commit`` callbacks in
     order. A job that raises anything but EvaluationFailure has it
     raised again by ``commit``, once the jobs before it are applied.
 
@@ -426,7 +430,9 @@ class PendingSet:
 
     With no ``log`` the events go to an in-memory ``RunLog``, and with
     no ``clock`` the evaluations charge a simulated clock whose budget
-    never runs out.
+    never runs out. A simulated clock with a budget and an evaluator
+    that reports no cost are refused: nothing would ever charge the
+    clock, so the run would never end.
     """
 
     def __init__(self, tree: IdeationTree, evaluator, policy: EvalPolicy, *,
@@ -441,14 +447,24 @@ class PendingSet:
         shakeout = EvalMode.DEBUG if policy.accelerated_debug else EvalMode.FULL
         self._modes = (shakeout,) * policy.validation_attempts + (EvalMode.FULL,)
         self._costs = [evaluator.cost(mode) for mode in self._modes]
+        if (self._costs[-1] is None and isinstance(self.clock, SimulatedClock)
+                and math.isfinite(self.clock.budget)):
+            raise InvalidParams(
+                "a simulated clock with a budget needs an evaluator that reports a cost;"
+                " this one reports none, so the budget would never run out")
         self._jobs: list[tuple[int, Node, Future | _RanInline]] = []
         self._after: list[Callable[[], None]] = []
 
-    def spawn(self, parent_id: int, level: NodeLevel, text: str, **fields) -> Node:
-        """Attach a new node under ``parent_id`` (``IdeationTree.spawn``)
-        and log its ``node_proposed`` event."""
-        node = self.tree.spawn(parent_id, level, text, **fields)
-        self.log.append(EventKind.NODE_PROPOSED, node=node.to_record())
+    def record(self, kind: EventKind, built: Optional[Node] = None, **payload) -> None:
+        """Append a ``kind`` event and apply its record to the tree."""
+        self.tree.apply(self.log.append(kind, **payload), built)
+
+    def spawn(self, parent_id: Optional[int], level: NodeLevel, text: str,
+              **fields) -> Node:
+        """Record a new node (``IdeationTree.new_node``) under
+        ``parent_id`` in a ``node_proposed`` event."""
+        node = self.tree.new_node(parent_id, level, text, **fields)
+        self.record(EventKind.NODE_PROPOSED, node, node=node.to_record())
         return node
 
     def dispatch(self, node: Node) -> None:
@@ -493,20 +509,19 @@ class PendingSet:
                 for cost in self._costs[:returned]:
                     self.clock.charge(cost)
             if error is None:
-                self.tree.mark_evaluated(node.id, score)
-                self.log.append(EventKind.NODE_EVALUATED, node_id=node.id,
-                                raw_score=node.raw_score, status=node.status.value)
+                self.record(EventKind.NODE_EVALUATED, node_id=node.id, raw_score=score,
+                            status=NodeStatus.EVALUATED.value)
             else:
-                self.tree.mark_failed(node.id)
-                self.log.append(EventKind.NODE_EVALUATED, node_id=node.id,
-                                raw_score=None, status=node.status.value, error=error)
+                self.record(EventKind.NODE_EVALUATED, node_id=node.id, raw_score=None,
+                            status=NodeStatus.FAILED.value, error=error)
         for fn in after:
             fn()
 
 
 @contextmanager
 def _stage_scope(stage: str, pending: PendingSet) -> Iterator[None]:
-    """Bracket a stage's body with its start and finish events.
+    """Close a stage's body, whose start its caller logs, with its
+    finish event.
 
     However the body ends, what it dispatched is committed. On the ways
     out a run carries on from (done, clock out, generator failure) the
@@ -522,7 +537,6 @@ def _stage_scope(stage: str, pending: PendingSet) -> Iterator[None]:
         log.append(EventKind.STAGE_FINISHED, stage=stage, iteration=tree.iteration,
                    outcome=outcome, **extra)
 
-    log.append(EventKind.STAGE_STARTED, stage=stage, iteration=tree.iteration)
     try:
         yield
     except _BudgetStop:
@@ -572,8 +586,7 @@ def _propose_and_score_mt(
                 logger.debug("prediction failed for node %s: %s", node.id, exc)
                 fallback.append(node)
                 continue
-            node.predicted_score = value
-            pending.log.append(EventKind.PREDICTION_MADE, node_id=node.id, predicted=value)
+            pending.record(EventKind.PREDICTION_MADE, node_id=node.id, predicted=value)
             predicted_ok.append(node)
         keep_n = max(1, math.ceil(policy.predict_fraction * len(predicted_ok))) if predicted_ok else 0
         ranked = sorted(

@@ -36,7 +36,9 @@ has grown:
   nodes; ``backpropagate`` writes the aggregates it recomputes into it.
 
 Node status and raw scores must therefore change only through
-``mark_evaluated`` and ``mark_failed``.
+``mark_evaluated`` and ``mark_failed``. A run changes its tree only
+through ``apply``, which takes one event record of the run's log, so
+the log replays to the tree the run holds.
 
 The tree also keeps the best evaluated MT node for the last metric
 asked about as a running best, since every stage's checkpoint event
@@ -64,7 +66,7 @@ from .errors import (
     NonFiniteScore,
     UnknownParent,
 )
-from .events import collector_paused, decode_json, encode_json
+from .events import EventKind, collector_paused, decode_json, encode_json
 
 TREE_SCHEMA_VERSION = 2
 
@@ -101,6 +103,13 @@ class MetricDirection(str, Enum):
 _LEVELS = {level.value: level for level in NodeLevel}
 _STATUSES = {status.value: status for status in NodeStatus}
 _PROVENANCE_KINDS = {kind.value: kind for kind in ProvenanceKind}
+
+# the record kinds that ``IdeationTree.apply`` acts on, as a record
+# holds them
+_PROPOSED = EventKind.NODE_PROPOSED.value
+_EVALUATED = EventKind.NODE_EVALUATED.value
+_PREDICTED = EventKind.PREDICTION_MADE.value
+_STAGE_STARTED = EventKind.STAGE_STARTED.value
 
 # the node fields that a node record omits when they are None
 OPTIONAL_NODE_FIELDS = ("code_artifact", "raw_score", "predicted_score", "aggregated_score")
@@ -326,18 +335,10 @@ class IdeationTree:
     # ---- construction ----
 
     @classmethod
-    def create(cls, root_idea: str, created_iteration: int = 0) -> "IdeationTree":
+    def create(cls, root_idea: str) -> "IdeationTree":
         """Make a tree holding just the EDA root."""
         tree = cls()
-        root = Node(
-            id=tree.allocate_id(),
-            level=NodeLevel.EDA,
-            parent_id=None,
-            idea_text=root_idea,
-            status=NodeStatus.IMPLEMENTED,
-            created_iteration=created_iteration,
-        )
-        tree._attach(root)
+        tree.spawn(None, NodeLevel.EDA, root_idea, status=NodeStatus.IMPLEMENTED)
         return tree
 
     def allocate_id(self) -> int:
@@ -386,30 +387,38 @@ class IdeationTree:
             self._next_id = node.id + 1
         return node
 
-    def spawn(
-        self,
-        parent_id: Optional[int],
-        level: NodeLevel,
-        idea_text: str,
-        *,
-        provenance: Optional[Provenance] = None,
-        status: NodeStatus = NodeStatus.PROPOSED,
-        code_artifact: Optional[str] = None,
-        raw_score: Optional[float] = None,
-    ) -> Node:
-        """Allocate an id and attach a new node in one step."""
-        node = Node(
-            id=self.allocate_id(),
-            level=level,
-            parent_id=parent_id,
-            idea_text=idea_text,
-            code_artifact=code_artifact,
-            raw_score=raw_score,
-            status=status,
-            provenance=provenance or _GENERATED,
-            created_iteration=self.iteration,
-        )
-        return self.add_node(parent_id, node)
+    def new_node(self, parent_id: Optional[int], level: NodeLevel, idea_text: str, *,
+                 provenance: Optional[Provenance] = None, **fields) -> Node:
+        """A new node with the next id, created this iteration, not yet
+        attached: the id is taken when ``add_node`` attaches it."""
+        return Node(id=self._next_id, level=level, parent_id=parent_id, idea_text=idea_text,
+                    provenance=provenance or _GENERATED, created_iteration=self.iteration,
+                    **fields)
+
+    def spawn(self, parent_id: Optional[int], level: NodeLevel, idea_text: str,
+              **fields) -> Node:
+        """Build (``new_node``) and attach a new node in one step."""
+        return self.add_node(parent_id, self.new_node(parent_id, level, idea_text, **fields))
+
+    def apply(self, record: dict, built: Optional[Node] = None) -> None:
+        """Change the tree as one event record says: ``node_proposed``
+        attaches ``built``, the node its writer holds, or else the
+        record's node decoded; ``node_evaluated``, ``prediction_made``
+        and ``stage_started`` set a node's status and score, its
+        predicted score and the iteration. Other kinds change nothing."""
+        kind, payload = record["kind"], record["payload"]
+        if kind == _PROPOSED:
+            node = built if built is not None else Node.from_dict(payload["node"])
+            self.add_node(node.parent_id, node)
+        elif kind == _EVALUATED:
+            if payload["status"] == NodeStatus.EVALUATED._value_:
+                self.mark_evaluated(payload["node_id"], payload["raw_score"])
+            else:
+                self.mark_failed(payload["node_id"])
+        elif kind == _PREDICTED:
+            self.nodes[payload["node_id"]].predicted_score = payload["predicted"]
+        elif kind == _STAGE_STARTED:
+            self.iteration = payload["iteration"]
 
     def _attach(self, node: Node) -> None:
         table = self.fe_table

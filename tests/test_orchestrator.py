@@ -10,6 +10,7 @@ import os
 import random
 import re
 import sys
+import tempfile
 import threading
 import time
 import zlib
@@ -334,6 +335,31 @@ def test_config_floats_must_be_finite(name, value):
     with pytest.raises(ConfigInvalid) as exc_info:
         RunConfig.from_dict({section: doc} if section else doc)
     assert f"{name} must be finite, got {value}" in exc_info.value.problems
+
+
+@pytest.mark.parametrize("values, problem", [
+    ({"number_of_ideas_data": "two"}, "number_of_ideas_data must be int, got 'two'"),
+    ({"synthetic": {"dimension": "x"}}, "synthetic.dimension must be int, got 'x'"),
+    ({"endpoint": {"timeout_s": "x"}}, "endpoint.timeout_s must be float, got 'x'"),
+    ({"synthetic": {"optimum": 3}}, "synthetic.optimum must be tuple, got 3"),
+])
+def test_config_value_of_the_wrong_type_is_a_problem(values, problem):
+    """Each value is checked against its field's type before any bound
+    compares it, so a mistyped value is a problem, not a TypeError."""
+    with pytest.raises(ConfigInvalid) as exc_info:
+        RunConfig.from_dict(values)
+    assert exc_info.value.problems == [problem]
+
+
+def test_config_type_problems_are_all_named_and_an_int_is_a_float():
+    with pytest.raises(ConfigInvalid) as exc_info:
+        RunConfig.from_dict({"seed": True, "clock_mode": 3, "synthetic": {"low": "a"}})
+    assert exc_info.value.problems == [
+        "seed must be int, got True",
+        "clock_mode must be str, got 3",
+        "synthetic.low must be float, got 'a'",
+    ]
+    assert RunConfig.from_dict({"softmax_temperature": 2}).softmax_temperature == 2
 
 
 @pytest.mark.parametrize("values", [
@@ -1248,6 +1274,117 @@ def test_partial_read_still_rejects_other_defects(tmp_path, defect):
     log_path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     with pytest.raises(CorruptLog):
         read_log(log_path, partial=True)
+
+
+_ROOT_RECORD = {"kind": "node_proposed", "seq": 0, "ts": 0.0, "payload": {"node": {
+    "created_iteration": 0, "id": 0, "idea_text": "root", "level": "eda", "parent_id": None,
+    "provenance": {"kind": "generated", "sources": []}, "status": "implemented"}}}
+
+
+@pytest.mark.parametrize("kind, payload", [
+    ("node_evaluated", {"node_id": 99, "raw_score": 0.5, "status": "evaluated"}),
+    ("node_evaluated", {"node_id": 0, "raw_score": None, "status": "evaluated"}),
+    ("prediction_made", {"node_id": 99, "predicted": 0.5}),
+    ("stage_started", {"stage": "adding"}),
+    ("node_proposed", {}),
+    ("node_proposed", {"node": {**_ROOT_RECORD["payload"]["node"], "id": 1}}),
+], ids=["evaluated unknown node", "evaluated without a score", "prediction for unknown node",
+        "stage without iteration", "proposed without node", "second root"])
+def test_replay_of_a_record_that_does_not_apply_is_a_corrupt_log(kind, payload):
+    record = {"kind": kind, "seq": 1, "ts": 0.0, "payload": payload}
+    with pytest.raises(CorruptLog, match="event 1 does not apply"):
+        replay_events([_ROOT_RECORD, record])
+
+
+def test_replay_needs_the_root_first_and_some_node():
+    fe = {**_ROOT_RECORD["payload"]["node"], "level": "fe", "parent_id": 0}
+    with pytest.raises(CorruptLog, match="event 0 does not apply"):
+        replay_events([{**_ROOT_RECORD, "payload": {"node": {**fe, "parent_id": None}}}])
+    with pytest.raises(CorruptLog, match="event 0 does not apply"):
+        replay_events([{**_ROOT_RECORD, "payload": {"node": fe}}])
+    stage = {"kind": "stage_started", "seq": 0, "ts": 0.0,
+             "payload": {"stage": "adding", "iteration": 1}}
+    with pytest.raises(CorruptLog, match="log contains no proposed nodes"):
+        replay_events([stage])
+
+
+class _NonFiniteOnCall:
+    """Forwards to ``inner``, but its ``call``-th call returns NaN."""
+
+    def __init__(self, inner, call: int):
+        self.inner = inner
+        self.call = call
+        self.calls = 0
+        self.failed_id = None
+
+    def evaluate(self, node, mode):
+        self.calls += 1
+        if self.calls == self.call:
+            self.failed_id = node.id
+            return math.nan
+        return self.inner.evaluate(node, mode)
+
+    def cost(self, mode):
+        return self.inner.cost(mode)
+
+
+def test_a_non_finite_score_fails_its_node_and_the_run_goes_on(tmp_path):
+    config = _sim_config()
+    ports = build_synthetic_ports(config)
+    ports.evaluator = _NonFiniteOnCall(ports.evaluator, call=20)
+    out = tmp_path / "run"
+    result = execute_run(config, ports, out)
+    node_id = ports.evaluator.failed_id
+    assert node_id is not None and result.budget_exhausted
+    assert result.tree.nodes[node_id].status is NodeStatus.FAILED
+    (event,) = [e for e in read_log(out / LOG_FILENAME)
+                if e["kind"] == EventKind.NODE_EVALUATED and e["payload"]["node_id"] == node_id]
+    assert event["payload"]["error"] == "evaluator returned nan"
+    assert verify_replay(out)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32),
+    workers=st.sampled_from([1, 2]),
+    predict=st.booleans(),
+    attempts=st.integers(0, 1),
+    merging=st.booleans(),
+    selection_mode=st.sampled_from(["fe_aggregate", "mt_literal"]),
+    budget=st.floats(150.0, 1000.0),
+)
+def test_replaying_a_log_prefix_gives_the_tree_the_run_held(
+        seed, workers, predict, attempts, merging, selection_mode, budget):
+    """For any run and any ``stage_finished`` record in its log, the log
+    replayed up to that record is the tree the run held there, byte for
+    byte: the property resuming a run from its log rests on."""
+    trees: list[IdeationTree] = []
+    captured: dict[int, str] = {}
+    initialize = orchestrator.initialize_tree
+    append = RunLog.append
+
+    def keeping_tree(*args, **kwargs):
+        trees.append(initialize(*args, **kwargs))
+        return trees[-1]
+
+    def capturing(log, kind, **payload):
+        event = append(log, kind, **payload)
+        if kind is EventKind.STAGE_FINISHED:
+            captured[event["seq"]] = trees[-1].snapshot()
+        return event
+
+    config = _sim_config(seed=seed, worker_count=workers, predict_before_evaluate=predict,
+                         validation_attempts=attempts, enable_merging=merging,
+                         selection_mode=selection_mode, time_run_minutes=budget)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orchestrator, "initialize_tree", keeping_tree)
+        patch.setattr(RunLog, "append", capturing)
+        execute_run(config, build_synthetic_ports(config), Path(tmp) / "run")
+        events = read_log(Path(tmp) / "run" / LOG_FILENAME)
+    finished = [e["seq"] for e in events if e["kind"] == EventKind.STAGE_FINISHED]
+    assert finished and sorted(captured) == finished
+    for seq in finished:
+        assert replay_events(events[:seq + 1]).snapshot() == captured[seq]
 
 
 def test_replay_requires_artifacts(tmp_path):

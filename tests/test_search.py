@@ -27,7 +27,7 @@ from ideatree.errors import (
     NoEvaluatedChildren,
     NonFiniteScore,
 )
-from ideatree.clock import SimulatedClock
+from ideatree.clock import SimulatedClock, WallClock
 from ideatree.evaluation import EvalMode
 from ideatree.events import EventKind, RunLog
 from ideatree.search import (
@@ -602,6 +602,71 @@ def test_failed_validation_run_skips_the_metric_run():
     (event,) = of_kind(log, EventKind.NODE_EVALUATED)
     assert event["payload"] == {"node_id": node.id, "raw_score": None,
                              "status": NodeStatus.FAILED.value, "error": "injected failure"}
+
+
+class _CostlessEvaluator:
+    """Scores as ``inner`` does and reports no cost, as a real evaluator
+    timed by a wall clock does."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def evaluate(self, node, mode):
+        return self.inner.evaluate(node, mode)
+
+    def cost(self, mode):
+        return None
+
+
+class _ReturnsValue:
+    """Returns ``value`` from every call and reports ``inner``'s costs."""
+
+    def __init__(self, inner, value):
+        self.inner = inner
+        self.value = value
+
+    def evaluate(self, node, mode):
+        return self.value
+
+    def cost(self, mode):
+        return self.inner.cost(mode)
+
+
+def test_pending_set_refuses_a_budget_its_evaluator_never_charges():
+    """A simulated clock is charged only the costs the evaluator reports,
+    so with a budget and an evaluator that reports none a run would
+    never end. The pending set refuses that pairing; an unbudgeted
+    simulated clock or a wall clock takes the same evaluator."""
+    world = make_world(seed=23)
+    evaluator = _CostlessEvaluator(world.evaluator)
+    with pytest.raises(InvalidParams, match="simulated clock with a budget needs an evaluator"):
+        PendingSet(world.tree, evaluator, EvalPolicy(), clock=SimulatedClock(100.0))
+    PendingSet(world.tree, evaluator, EvalPolicy())
+    PendingSet(world.tree, evaluator, EvalPolicy(), clock=WallClock(1.0))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("attempts", [0, 1])
+def test_a_non_finite_evaluator_value_fails_the_node(value, attempts):
+    """A call that returns a value that is not finite fails its job as an
+    EvaluationFailure would, in a validation run too: the node is marked
+    failed with the value in its error, and the call is not charged."""
+    world = make_world(seed=24)
+    evaluator = RecordingEvaluator(_ReturnsValue(world.evaluator, value))
+    log = RunLog()
+    pending = PendingSet(world.tree, evaluator, EvalPolicy(validation_attempts=attempts),
+                         clock=world.clock, log=log)
+    elapsed = world.clock.elapsed()
+    node = _fresh_mt(world)
+    pending.dispatch(node)
+    pending.commit()
+    assert len(evaluator.calls) == 1
+    assert node.status is NodeStatus.FAILED and node.raw_score is None
+    assert world.clock.elapsed() == elapsed
+    (event,) = of_kind(log, EventKind.NODE_EVALUATED)
+    assert event["payload"] == {"node_id": node.id, "raw_score": None,
+                                "status": NodeStatus.FAILED.value,
+                                "error": f"evaluator returned {value}"}
 
 
 def test_adding_stage_prediction_gating():

@@ -2,11 +2,18 @@
 merging stages and the anchor sweeps attach is spawned by their
 ``PendingSet``, which logs it in exactly one ``node_proposed`` event
 before any event names it. A stage given no log and no clock grows the
-tree an in-memory log and an unbudgeted clock grow."""
+tree an in-memory log and an unbudgeted clock grow.
+
+One mutation path: outside ``tree.py`` the package changes a tree only
+by applying the records it logs (``IdeationTree.apply``), and a run
+decodes no node record to do so."""
 
 from __future__ import annotations
 
+import ast
+import dataclasses
 import math
+from pathlib import Path
 
 import pytest
 
@@ -14,10 +21,11 @@ from ideatree.clock import SimulatedClock
 from ideatree.config import RunConfig
 from ideatree.events import EventKind, RunLog
 from ideatree.generation import ContextState
-from ideatree.orchestrator import build_synthetic_ports, initialize_tree
+from ideatree import orchestrator
+from ideatree.orchestrator import build_synthetic_ports, execute_run, initialize_tree, verify_replay
 from ideatree.scoring import build_anchor_set
 from ideatree.search import MergeMemory, StageParams, adding_stage, merging_stage
-from ideatree.tree import NodeLevel, ProvenanceKind
+from ideatree.tree import Node, NodeLevel, ProvenanceKind
 
 from helpers import make_world
 
@@ -103,3 +111,57 @@ def test_no_log_and_no_clock_grow_the_tree_a_log_and_an_unbudgeted_clock_grow(st
     stage(bare)
     stage(written, log=RunLog(), clock=SimulatedClock(math.inf))
     assert bare.tree.snapshot() == written.tree.snapshot()
+
+
+# the tree's methods that change it, and the attributes of a tree or a
+# node that only the tree may assign
+TREE_MUTATORS = {"add_node", "mark_evaluated", "mark_failed", "spawn"}
+TREE_ATTRIBUTES = {f.name for f in dataclasses.fields(Node)} | {"iteration"}
+
+
+def test_only_the_tree_changes_a_tree():
+    """Outside tree.py no module of the package calls a tree's mutators
+    or assigns a node field or the iteration, so a run's tree changes
+    only through ``IdeationTree.apply`` (and ``restore`` and
+    ``backpropagate``, in tree.py). A ``spawn`` on ``pending``, the
+    name every caller gives its ``PendingSet``, records a node and is
+    allowed."""
+    package = Path(orchestrator.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "tree.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                name = node.func.attr
+                if name in TREE_MUTATORS and not (
+                        name == "spawn" and ast.unparse(node.func.value) == "pending"):
+                    found.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}()")
+            elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for target in targets:
+                    for part in ast.walk(target):
+                        if isinstance(part, ast.Attribute) and part.attr in TREE_ATTRIBUTES:
+                            found.append(f"{path.name}:{node.lineno}: {ast.unparse(part)} =")
+    assert found == []
+
+
+def test_a_run_decodes_no_node_record(tmp_path, monkeypatch):
+    """The live path applies each ``node_proposed`` with the node it
+    built, so a run calls ``Node.from_dict`` 0 times; replay decodes
+    every node."""
+    calls = []
+    from_dict = Node.from_dict
+
+    def counting(record):
+        calls.append(record)
+        return from_dict(record)
+
+    monkeypatch.setattr(Node, "from_dict", counting)
+    config = RunConfig.from_dict({"seed": 5, "clock_mode": "simulated",
+                                  "time_run_minutes": 500.0,
+                                  "predict_before_evaluate": True})
+    result = execute_run(config, build_synthetic_ports(config), tmp_path / "run")
+    assert calls == []
+    assert verify_replay(tmp_path / "run")
+    assert len(calls) == len(result.tree.nodes)
