@@ -34,17 +34,7 @@ class SyntheticConfig:
     full_cost: float = 10.0
     debug_cost: float = 1.0
     merge_bonus: float = 0.1
-    optimum: tuple = ()
-
-    def __post_init__(self):
-        # any other type is left for ``RunConfig.problems`` to name
-        if isinstance(self.optimum, list):
-            self.optimum = tuple(self.optimum)
-
-    def to_dict(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["optimum"] = list(self.optimum)
-        return doc
+    optimum: list = field(default_factory=list)
 
 
 @dataclass
@@ -101,82 +91,26 @@ class RunConfig:
     synthetic: SyntheticConfig = field(default_factory=SyntheticConfig)
     # required only for the llm+subprocess port set; the secret itself
     # stays in the environment variable endpoint.api_key_env names
-    endpoint: EndpointConfig = field(
-        default_factory=lambda: EndpointConfig(base_url="", model="")
-    )
+    endpoint: EndpointConfig = field(default_factory=EndpointConfig)
 
     # ---- validation ----
 
     def problems(self) -> list[str]:
-        out = _type_problems(self)
+        out = _field_problems(self)
         if out:
-            # the bounds below compare values of the declared types only
+            # the rules below relate values that each passed their own checks
             return out
-
-        def positive(name: str):
-            if getattr(self, name) <= 0:
-                out.append(f"{name} must be positive, got {getattr(self, name)}")
-
-        for name in (
-            "time_run_minutes", "runtime_error_time", "subset_size_in_percent",
-            "validator_size_threshold", "number_of_ideas_eda", "number_of_ideas_data",
-            "number_of_ideas_modelling", "max_add_idea", "number_of_selected_node",
-            "number_of_iterations_parents", "number_of_selected_node_merging",
-            "number_of_iterations_children", "number_of_ideas_min", "number_of_ideas_max",
-            "retrieve_n_papers", "number_rag_ideas",
-            "theta_fail", "softmax_temperature", "worker_count", "memory_size",
-        ):
-            positive(name)
-        if self.subset_size_in_percent > 100:
-            out.append("subset_size_in_percent cannot exceed 100")
+        syn = self.synthetic
         if self.number_of_ideas_min > self.number_of_ideas_max:
             out.append("number_of_ideas_min cannot exceed number_of_ideas_max")
-        if not 0 < self.predict_fraction <= 1:
-            out.append(f"predict_fraction must be in (0, 1], got {self.predict_fraction}")
-        if self.max_resplits < 0:
-            out.append("max_resplits must be non-negative")
-        if self.validation_attempts < 0:
-            out.append("validation_attempts must be non-negative")
-        if self.clock_mode not in ("wall", "simulated"):
-            out.append(f"clock_mode must be wall or simulated, got {self.clock_mode!r}")
-        for name, enum in (
-            ("memory_strategy", MemoryStrategy),
-            ("rag_policy", ExternalQueryPolicy),
-            ("selection_mode", SelectionMode),
-        ):
-            value = getattr(self, name)
-            allowed = [m.value for m in enum]
-            if value not in allowed:
-                out.append(f"{name} must be one of {allowed}, got {value!r}")
-        syn = self.synthetic
-        if syn.dimension < 1:
-            out.append("synthetic.dimension must be >= 1")
         if syn.low >= syn.high:
             out.append("synthetic.low must be below synthetic.high")
-        if syn.mt_jitter < 0 or syn.merge_jitter < 0 or syn.noise_sigma < 0:
-            out.append("synthetic jitters and noise must be non-negative")
-        if syn.full_cost <= 0 or syn.debug_cost <= 0:
-            out.append("synthetic costs must be positive")
         if syn.debug_cost > syn.full_cost:
             out.append("synthetic.debug_cost cannot exceed synthetic.full_cost")
         if syn.optimum and len(syn.optimum) != syn.dimension:
             out.append("synthetic.optimum length must match synthetic.dimension")
-        for name, value in _number_values(self.to_dict()):
-            if isinstance(value, float):
-                if not math.isfinite(value):
-                    out.append(f"{name} must be finite, got {value}")
-            elif name == "seed":
-                if not 0 <= value < 2**64:
-                    out.append(f"seed must be in [0, 2**64), got {value}")
-            elif not -2**63 <= value < 2**63:
-                out.append(f"{name} must be in [-2**63, 2**63), got {value}")
-        ep = self.endpoint
-        if ep.base_url and not ep.model:
+        if self.endpoint.base_url and not self.endpoint.model:
             out.append("endpoint.model is required when endpoint.base_url is set")
-        if ep.max_retries < 0:
-            out.append("endpoint.max_retries must be non-negative")
-        if ep.timeout_s <= 0 or ep.max_tokens <= 0:
-            out.append("endpoint.timeout_s and endpoint.max_tokens must be positive")
         return out
 
     def validate(self) -> "RunConfig":
@@ -206,12 +140,9 @@ class RunConfig:
         if kwargs.get("memory_size") == "nearest_nodes":
             kwargs["memory_size"] = cls.memory_size
             kwargs.setdefault("memory_strategy", MemoryStrategy.NEAREST.value)
-        for name, section_cls, defaults in (
-            ("synthetic", SyntheticConfig, {}),
-            ("endpoint", EndpointConfig, {"base_url": "", "model": ""}),
-        ):
+        for name, section_cls in (("synthetic", SyntheticConfig), ("endpoint", EndpointConfig)):
             if name in kwargs:
-                section = _section(name, kwargs.pop(name), section_cls, defaults, problems)
+                section = _section(name, kwargs.pop(name), section_cls, problems)
                 if section is not None:
                     kwargs[name] = section
         if problems:
@@ -223,19 +154,12 @@ class RunConfig:
         return config.validate()
 
     def to_dict(self) -> dict:
-        doc = {
-            f.name: getattr(self, f.name)
-            for f in fields(self)
-            if f.name not in ("synthetic", "endpoint")
-        }
-        doc["synthetic"] = self.synthetic.to_dict()
-        doc["endpoint"] = dataclasses.asdict(self.endpoint)
-        return doc
+        return dataclasses.asdict(self)
 
 
-def _section(name: str, value, section_cls, defaults: dict, problems: list[str]):
+def _section(name: str, value, section_cls, problems: list[str]):
     """The ``section_cls`` a config section reads as: an instance as it
-    is, a mapping's known keys over ``defaults``, and None for anything
+    is, a mapping's known keys over the defaults, and None for anything
     else. Unknown keys and a section that is not a mapping are added to
     ``problems``."""
     if isinstance(value, section_cls):
@@ -246,7 +170,7 @@ def _section(name: str, value, section_cls, defaults: dict, problems: list[str])
     known = {f.name for f in fields(section_cls)}
     for key in sorted(set(value) - known):
         problems.append(f"unknown key {name}.{key!r}")
-    return section_cls(**{**defaults, **{k: v for k, v in value.items() if k in known}})
+    return section_cls(**{k: v for k, v in value.items() if k in known})
 
 
 # the types a config value may have, by its field's annotation: an int
@@ -257,47 +181,83 @@ _FIELD_TYPES = {
     "float": (int, float),
     "str": (str,),
     "Optional[str]": (str, type(None)),
-    "tuple": (tuple,),
+    "list": (list,),
+}
+
+_POSITIVE = (lambda v: v > 0, "{name} must be positive, got {value}")
+_NON_NEGATIVE = (lambda v: v >= 0, "{name} must be non-negative")
+
+
+def _one_of(*allowed):
+    allowed = [getattr(v, "value", v) for v in allowed]
+    return (lambda v: v in allowed, f"{{name}} must be one of {allowed}, got {{value!r}}")
+
+
+# each field's rules beyond its type, by dotted name: a (test, message)
+# pair per rule, the message formatted with the name and the value
+_BOUNDS = {
+    **dict.fromkeys((
+        "time_run_minutes", "runtime_error_time", "validator_size_threshold",
+        "number_of_ideas_eda", "number_of_ideas_data", "number_of_ideas_modelling",
+        "max_add_idea", "number_of_selected_node", "number_of_iterations_parents",
+        "number_of_selected_node_merging", "number_of_iterations_children",
+        "number_of_ideas_min", "number_of_ideas_max", "retrieve_n_papers",
+        "number_rag_ideas", "theta_fail", "softmax_temperature", "worker_count",
+        "memory_size", "synthetic.dimension", "synthetic.full_cost",
+        "synthetic.debug_cost", "endpoint.timeout_s", "endpoint.max_tokens",
+    ), (_POSITIVE,)),
+    **dict.fromkeys((
+        "max_resplits", "validation_attempts", "synthetic.mt_jitter",
+        "synthetic.merge_jitter", "synthetic.noise_sigma", "endpoint.max_retries",
+    ), (_NON_NEGATIVE,)),
+    "subset_size_in_percent": (_POSITIVE, (lambda v: v <= 100, "{name} cannot exceed 100")),
+    "predict_fraction": ((lambda v: 0 < v <= 1, "{name} must be in (0, 1], got {value}"),),
+    "clock_mode": (_one_of("wall", "simulated"),),
+    "memory_strategy": (_one_of(*MemoryStrategy),),
+    "rag_policy": (_one_of(*ExternalQueryPolicy),),
+    "selection_mode": (_one_of(*SelectionMode),),
 }
 
 
-def _type_problems(section, prefix: str = "") -> list[str]:
-    """A problem for each field of the config dataclass ``section``, and
-    of its sections, whose value does not have the type its annotation
-    names."""
+def _field_problems(section, prefix: str = "") -> list[str]:
+    """A problem for each value of the config dataclass ``section``, and
+    of its sections, that breaks a rule of its own field."""
     out: list[str] = []
     for f in fields(section):
         value = getattr(section, f.name)
         if dataclasses.is_dataclass(value):
-            out += _type_problems(value, f"{prefix}{f.name}.")
-        elif not isinstance(value, _FIELD_TYPES[f.type]) or (
-                isinstance(value, bool) and f.type != "bool"):
-            out.append(f"{prefix}{f.name} must be {f.type}, got {value!r}")
+            out += _field_problems(value, f"{prefix}{f.name}.")
+        else:
+            out += _value_problems(prefix + f.name, f.type, value)
     return out
 
 
-def _number_values(doc: dict, prefix: str = ""):
-    """(dotted name, value) of every int and float in a ``to_dict``
-    document, bools aside, in its sections and sequences too.
+def _value_problems(name: str, kind: str, value) -> list[str]:
+    """The problems of ``value``, of field ``name`` annotated ``kind``,
+    checked in this order up to the first that fails: its type, that a
+    float is finite, that an int fits the log, and then every rule of
+    the field's ``_BOUNDS``. A list's elements are each checked as a
+    float.
 
     A run logs some of these (``seed``, the budget), and the log's
     reader decodes an integer outside [-2**63, 2**64) as a float, so
     the config must hold none; the seed, which seeds numpy's generators,
-    must also not be negative. A float must be finite: an infinite
-    budget never ends a simulated run, and NaN or infinity is not JSON
-    where the run logs it."""
-    for key, value in doc.items():
-        name = prefix + key
-        if isinstance(value, dict):
-            yield from _number_values(value, name + ".")
-        elif isinstance(value, (list, tuple)):
-            yield from ((name, v) for v in value if _is_number(v))
-        elif _is_number(value):
-            yield name, value
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    must also not be negative. An infinite budget never ends a simulated
+    run, and NaN or infinity is not JSON where the run logs it."""
+    types = _FIELD_TYPES[kind]
+    if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+        return [f"{name} must be {kind}, got {value!r}"]
+    if isinstance(value, list):
+        return [p for v in value for p in _value_problems(name, "float", v)]
+    if isinstance(value, float) and not math.isfinite(value):
+        return [f"{name} must be finite, got {value}"]
+    if isinstance(value, int) and not isinstance(value, bool):
+        low, high, span = ((0, 2**64, "[0, 2**64)") if name == "seed"
+                           else (-2**63, 2**63, "[-2**63, 2**63)"))
+        if not low <= value < high:
+            return [f"{name} must be in {span}, got {value}"]
+    return [message.format(name=name, value=value)
+            for test, message in _BOUNDS.get(name, ()) if not test(value)]
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -305,7 +265,10 @@ def load_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigInvalid([f"config file not found: {path}"])
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigInvalid([f"config file cannot be read: {path}: {exc}"])
     try:
         if path.suffix.lower() == ".json":
             doc = json.loads(text)

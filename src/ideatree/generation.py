@@ -292,8 +292,8 @@ class EndpointConfig:
     """Where and how to call a chat-completion service. The API key is
     read from the environment variable named here, never stored."""
 
-    base_url: str
-    model: str
+    base_url: str = ""
+    model: str = ""
     temperature: float = 0.2
     timeout_s: float = 60.0
     max_retries: int = 2

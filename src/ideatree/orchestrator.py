@@ -288,7 +288,6 @@ def run_main_loop(
     iterations = 0
     stage_number = 0
     budget_out = False
-    checkpoint_seq = 0
     failed_stages = 0
 
     def note_budget_out() -> None:
@@ -298,13 +297,11 @@ def run_main_loop(
                    budget=clock.budget)
 
     def checkpoint() -> None:
-        nonlocal checkpoint_seq
-        checkpoint_seq += 1
         if config.checkpoint_every_stage:
             best = tree.best_evaluated_mt(ports.metric)
             log.append(
                 EventKind.CHECKPOINT_WRITTEN,
-                sequence=checkpoint_seq,
+                sequence=stage_number,
                 best_node_id=best.id if best else None,
                 best_raw_score=best.raw_score if best else None,
             )

@@ -13,6 +13,7 @@ which the crash may have cut short.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Optional, Sequence
@@ -341,9 +342,12 @@ def read_leaderboard(path: Path) -> tuple[MetricDirection, list[float]]:
     scores: list[float] = []
     for i, line in enumerate(lines[1:], start=2):
         try:
-            scores.append(float(line))
+            score = float(line)
         except ValueError:
             raise MalformedLeaderboardFile(f"line {i} is not a number: {line!r}")
+        if not math.isfinite(score):
+            raise MalformedLeaderboardFile(f"line {i} is not a finite number: {line!r}")
+        scores.append(score)
     if not scores:
         raise MalformedLeaderboardFile(f"{path} has a header but no scores")
     return direction, scores

@@ -341,11 +341,6 @@ class IdeationTree:
         tree.spawn(None, NodeLevel.EDA, root_idea, status=NodeStatus.IMPLEMENTED)
         return tree
 
-    def allocate_id(self) -> int:
-        nid = self._next_id
-        self._next_id += 1
-        return nid
-
     def add_node(self, parent_id: Optional[int], node: Node) -> Node:
         """Attach ``node`` under ``parent_id`` after validating structure.
 

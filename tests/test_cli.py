@@ -72,6 +72,20 @@ def test_validate_config_missing_file(capsys):
     assert main(["validate-config", "--config", "/nope.yaml"]) == EXIT_CONFIG_INVALID
 
 
+@pytest.mark.parametrize("kind", ["not utf-8", "a directory"])
+def test_validate_config_unreadable_file(tmp_path, capsys, kind):
+    """A config file that cannot be read is a config error naming it,
+    exit 2, not a traceback."""
+    path = tmp_path / "bad.yaml"
+    if kind == "a directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"seed: 3\n# \xff\xfe\n")
+    assert main(["validate-config", "--config", str(path)]) == EXIT_CONFIG_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(path) in err
+
+
 # ---- run ----
 
 def test_run_writes_artifacts(finished_run):
@@ -312,6 +326,10 @@ def test_read_leaderboard_roundtrip(tmp_path):
     "0.1\n0.2\n",
     "higher_better\n",
     "higher_better\nnot a number\n",
+    "higher_better\n0.5\nnan\n",
+    "higher_better\n0.5\ninf\n",
+    "higher_better\n0.5\n-inf\n",
+    "higher_better\n0.5\n1e999\n",
 ])
 def test_read_leaderboard_rejects_malformed(tmp_path, text):
     lb = tmp_path / "lb.txt"

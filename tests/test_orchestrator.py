@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ideatree.config import RunConfig, SyntheticConfig, dump_config, load_config
@@ -35,7 +35,7 @@ from ideatree.errors import (
     ResplitsExhausted,
     StageFailure,
 )
-from ideatree import orchestrator
+from ideatree import config as config_module, orchestrator
 from ideatree.evaluation import EvalMode
 from ideatree.events import EventKind, RunLog, read_log
 from ideatree.generation import ContextState, EndpointConfig, SegmentTag
@@ -341,7 +341,7 @@ def test_config_floats_must_be_finite(name, value):
     ({"number_of_ideas_data": "two"}, "number_of_ideas_data must be int, got 'two'"),
     ({"synthetic": {"dimension": "x"}}, "synthetic.dimension must be int, got 'x'"),
     ({"endpoint": {"timeout_s": "x"}}, "endpoint.timeout_s must be float, got 'x'"),
-    ({"synthetic": {"optimum": 3}}, "synthetic.optimum must be tuple, got 3"),
+    ({"synthetic": {"optimum": 3}}, "synthetic.optimum must be list, got 3"),
 ])
 def test_config_value_of_the_wrong_type_is_a_problem(values, problem):
     """Each value is checked against its field's type before any bound
@@ -368,6 +368,99 @@ def test_config_type_problems_are_all_named_and_an_int_is_a_float():
 ])
 def test_config_integers_at_their_bounds_pass(values):
     RunConfig.from_dict(values)
+
+
+@pytest.mark.parametrize("optimum, problems", [
+    (["a", "b"], ["synthetic.optimum must be float, got 'a'",
+                  "synthetic.optimum must be float, got 'b'"]),
+    ([None, 0.0], ["synthetic.optimum must be float, got None"]),
+    ([True, 0.0], ["synthetic.optimum must be float, got True"]),
+])
+def test_config_optimum_elements_must_be_numbers(optimum, problems):
+    with pytest.raises(ConfigInvalid) as exc_info:
+        RunConfig.from_dict({"synthetic": {"optimum": optimum}})
+    assert exc_info.value.problems == problems
+
+
+def test_every_bound_names_a_config_field():
+    """A renamed field cannot leave a bound that checks nothing."""
+    names = {f.name for f in dataclasses.fields(RunConfig)} | {
+        f"{section}.{f.name}"
+        for section, cls in (("synthetic", SyntheticConfig), ("endpoint", EndpointConfig))
+        for f in dataclasses.fields(cls)
+    }
+    assert set(config_module._BOUNDS) - names == set()
+
+
+# values of a field's annotated type, where most configs that pass live;
+# no large valid int, since the synthetic ports allocate one coordinate
+# per unit of synthetic.dimension
+_STRINGS = st.one_of(st.text(max_size=2), st.sampled_from([
+    "wall", "simulated", "nearest", "random", "never", "mt_literal", "nearest_nodes", "http://x",
+]))
+_FLOATS = st.one_of(st.integers(0, 6), st.floats(0, 4))
+# and values of any type: ints past 64 bits, NaN and infinities too
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), _FLOATS, st.sampled_from([2**63, 2**64, -2**63 - 1, 2**70]),
+    st.floats(), _STRINGS,
+)
+_VALUES_BY_TYPE = {
+    "bool": st.booleans(), "int": st.integers(0, 6), "float": _FLOATS, "str": _STRINGS,
+    "Optional[str]": st.one_of(st.none(), _STRINGS), "list": st.lists(_SCALARS, max_size=2),
+}
+_ANY_VALUE = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3))
+
+
+def _or_any_value(strategy: st.SearchStrategy) -> st.SearchStrategy:
+    """``strategy`` seven times in eight, else any value. Not st.one_of,
+    which flattens _ANY_VALUE's branches beside ``strategy`` and would
+    draw it one time in eight."""
+    return st.integers(0, 7).flatmap(lambda draw: strategy if draw else _ANY_VALUE)
+
+
+def _section_docs(cls) -> st.SearchStrategy:
+    """Documents over ``cls``'s keys, each key there or not."""
+    return st.fixed_dictionaries({}, optional={
+        f.name: _or_any_value(_VALUES_BY_TYPE[f.type]) for f in dataclasses.fields(cls)
+    })
+
+
+_RUN_ENTRIES = st.sampled_from(
+    [f for f in dataclasses.fields(RunConfig) if f.type in _VALUES_BY_TYPE]
+).flatmap(lambda f: st.tuples(st.just(f.name), _or_any_value(_VALUES_BY_TYPE[f.type])))
+# up to four top-level keys, so that some documents pass, and each section
+# there or not; or else a synthetic section alone, the one the ports read
+_CONFIG_DOCS = st.one_of(
+    st.builds(lambda entries, sections: {**dict(entries), **sections},
+              st.lists(_RUN_ENTRIES, max_size=4),
+              st.fixed_dictionaries({}, optional={
+                  "synthetic": _or_any_value(_section_docs(SyntheticConfig)),
+                  "endpoint": _or_any_value(_section_docs(EndpointConfig)),
+              })),
+    _section_docs(SyntheticConfig).map(lambda doc: {"synthetic": doc}),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_CONFIG_DOCS)
+@example({"synthetic": {"optimum": [None, 0.0]}})
+def test_a_mistyped_config_is_invalid_or_builds_its_ports(doc):
+    """A config document is either refused with the list of its problems
+    or builds the synthetic ports: nothing it holds surfaces later as a
+    TypeError or ValueError from a port's own checks."""
+    try:
+        config = RunConfig.from_dict(doc)
+    except ConfigInvalid:
+        return
+    build_synthetic_ports(config)
+
+
+def test_readme_config_example_is_valid():
+    """README's YAML config example loads as a valid config."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (example_yaml,) = re.findall(r"```yaml\n(.*?)```", readme, re.DOTALL)
+    config = RunConfig.from_dict(yaml.safe_load(example_yaml))
+    assert config.endpoint.model == "some-model"
 
 
 def test_min_anchors_cannot_exceed_max():

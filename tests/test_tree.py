@@ -300,8 +300,8 @@ def test_restore_rejects_score_without_evaluated_status():
 
 def test_fe_nodes_attach_in_ascending_id_order():
     tree = IdeationTree.create("root")
-    late = Node(id=tree.allocate_id(), level=NodeLevel.FE, parent_id=None, idea_text="late")
-    tree.spawn(tree.root.id, NodeLevel.FE, "early")
+    late = Node(id=1, level=NodeLevel.FE, parent_id=None, idea_text="late")
+    tree.add_node(tree.root.id, Node(id=2, level=NodeLevel.FE, parent_id=None, idea_text="early"))
     with pytest.raises(InvariantViolation):
         tree.add_node(tree.root.id, late)
     assert late.id not in tree.nodes
@@ -363,9 +363,8 @@ def _apply_index_op(tree: IdeationTree, log: RunLog, op: str, data) -> IdeationT
         scored = [i for i in mts if tree.nodes[i].status is NodeStatus.EVALUATED]
         if scored:
             origin = tree.nodes[data.draw(st.sampled_from(scored))]
-            copy = Node(
-                id=tree.allocate_id(), level=NodeLevel.MT,
-                parent_id=data.draw(st.sampled_from(fes)), idea_text=origin.idea_text,
+            copy = tree.new_node(
+                data.draw(st.sampled_from(fes)), NodeLevel.MT, origin.idea_text,
                 raw_score=origin.raw_score, status=NodeStatus.EVALUATED,
                 provenance=Provenance.resampled(origin.id),
             )
