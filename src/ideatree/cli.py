@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -28,10 +29,10 @@ from .orchestrator import (
 from .report import (
     ABLATION_COLUMNS,
     ACCELERATION_COLUMNS,
+    PROGRESS_COLUMNS,
     ablation_table,
     acceleration_table,
     leaderboard_standing,
-    render_rows,
     render_summary,
     render_table,
     run_summary,
@@ -92,7 +93,6 @@ def build_llm_ports(config: RunConfig, dataset_dir: Path, out_dir: Path) -> Port
     evaluator = SubprocessEvaluator(
         workspace=Path(out_dir) / "workspace",
         limits=ExecLimits(wall_minutes=config.runtime_error_time),
-        metric=metric,
         subset_percent=config.subset_size_in_percent,
         clock=clock,
     )
@@ -163,7 +163,10 @@ def cmd_report(args: argparse.Namespace) -> int:
             return EXIT_FAILURE
         walk = walk_run_log(run_dirs[0])
         summary = walk.summary(run_dirs[0])
-        outputs.append(("progress.tsv", render_rows(walk.rows, delimiter=args.delimiter)))
+        rows = [asdict(row) for row in walk.rows]
+        outputs.append(
+            ("progress.tsv", render_table(PROGRESS_COLUMNS, rows, delimiter=args.delimiter))
+        )
         outputs.append(("summary.json", render_summary(summary)))
     elif args.mode == "ablation":
         table = ablation_table(run_dirs)

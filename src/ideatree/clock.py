@@ -11,10 +11,9 @@ import time
 
 
 class WallClock:
-    """Real elapsed time in minutes. ``charge`` is a no-op because the
-    cost of real work is the time it takes. ``longest_job`` is the
-    longest evaluation job noted so far, in minutes, which the engine
-    projects the pending work with."""
+    """Real elapsed time in minutes: the cost of real work is the time
+    it takes. ``longest_job`` is the longest evaluation job noted so
+    far, in minutes, which the engine projects the pending work with."""
 
     def __init__(self, budget_minutes: float):
         self.budget = float(budget_minutes)
@@ -26,9 +25,6 @@ class WallClock:
 
     def elapsed(self) -> float:
         return (time.monotonic() - self._start) / 60.0
-
-    def charge(self, cost: float | None) -> None:
-        pass
 
     def remaining(self) -> float:
         return self.budget - self.elapsed()

@@ -22,8 +22,16 @@ from .search import SelectionMode
 
 @dataclass
 class SyntheticConfig:
-    """Knobs for the simulated idea space and landscape used by the
-    synthetic port set (tests, drills, budget arithmetic)."""
+    """The simulated world of the synthetic ports: the idea space
+    ``SyntheticGenerator`` proposes in and the landscape
+    ``SimulatedEvaluator`` scores on. Ideas are points in
+    ``[low, high]^dimension``; an MT idea jitters around its FE parent
+    with scale ``mt_jitter``, and a merge is the midpoint, jittered with
+    scale ``merge_jitter``. Quality peaks at ``optimum`` (the origin
+    when empty) and decays with distance; a merged node earns
+    ``merge_bonus`` times its quality, and ``noise_sigma`` scales
+    Gaussian noise. An evaluation costs ``full_cost``, or ``debug_cost``
+    in debug mode. ``RunConfig.problems`` holds every rule of these."""
 
     dimension: int = 2
     low: float = -1.0
@@ -203,14 +211,17 @@ _BOUNDS = {
         "number_of_selected_node_merging", "number_of_iterations_children",
         "number_of_ideas_min", "number_of_ideas_max", "retrieve_n_papers",
         "number_rag_ideas", "theta_fail", "softmax_temperature", "worker_count",
-        "memory_size", "synthetic.dimension", "synthetic.full_cost",
-        "synthetic.debug_cost", "endpoint.timeout_s", "endpoint.max_tokens",
+        "memory_size", "synthetic.full_cost", "synthetic.debug_cost",
+        "endpoint.timeout_s", "endpoint.max_tokens",
     ), (_POSITIVE,)),
     **dict.fromkeys((
         "max_resplits", "validation_attempts", "synthetic.mt_jitter",
         "synthetic.merge_jitter", "synthetic.noise_sigma", "endpoint.max_retries",
     ), (_NON_NEGATIVE,)),
     "subset_size_in_percent": (_POSITIVE, (lambda v: v <= 100, "{name} cannot exceed 100")),
+    # every coordinate costs about 20 bytes of idea text in each node of
+    # the log and the snapshot
+    "synthetic.dimension": (_POSITIVE, (lambda v: v <= 1000, "{name} cannot exceed 1000")),
     "predict_fraction": ((lambda v: 0 < v <= 1, "{name} must be in (0, 1], got {value}"),),
     "clock_mode": (_one_of("wall", "simulated"),),
     "memory_strategy": (_one_of(*MemoryStrategy),),

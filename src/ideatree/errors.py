@@ -78,10 +78,6 @@ class RetrievalFailure(IdeaTreeError):
     """External document retrieval failed; treated as an empty result."""
 
 
-class InvalidSpaceConfig(IdeaTreeError):
-    """Synthetic idea space configuration is invalid."""
-
-
 class UnparseableIdea(IdeaTreeError):
     """Idea text does not parse as a numeric idea vector."""
 

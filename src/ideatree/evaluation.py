@@ -16,7 +16,7 @@ import sys
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Optional, Protocol
+from typing import TYPE_CHECKING, Optional, Protocol
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from .clock import WallClock
 from .embedding import parse_idea_vector
 from .errors import EvaluationFailure, InvalidParams, UnparseableIdea
 from .tree import MetricDirection, MetricSpec, Node, ProvenanceKind
+
+if TYPE_CHECKING:
+    from .config import SyntheticConfig
 
 
 class EvalMode(str, Enum):
@@ -63,89 +66,62 @@ class EvaluationPort(Protocol):
 # Simulated landscape
 # =====================================================================
 
-@dataclass(frozen=True)
-class LandscapeConfig:
-    """A smooth synthetic score surface over the idea space.
-
-    Quality peaks at ``optimum`` and decays with Euclidean distance.
-    Merged-provenance nodes earn ``merge_bonus`` scaled by their own
-    landscape quality, so combining good parents pays off. The costs
-    are what ``SimulatedEvaluator.cost`` reports; the engine charges
-    them to the run's clock.
-    """
-
-    dimension: int
-    optimum: tuple[float, ...] = ()
-    noise_sigma: float = 0.0
-    full_cost: float = 1.0
-    debug_cost: float = 0.1
-    merge_bonus: float = 0.0
-
-    def __post_init__(self):
-        if self.dimension < 1:
-            raise InvalidParams(f"dimension must be >= 1, got {self.dimension}")
-        opt = self.optimum or tuple(0.0 for _ in range(self.dimension))
-        if len(opt) != self.dimension:
-            raise InvalidParams(
-                f"optimum has {len(opt)} coordinates, dimension is {self.dimension}"
-            )
-        object.__setattr__(self, "optimum", tuple(float(v) for v in opt))
-        if self.noise_sigma < 0:
-            raise InvalidParams("noise_sigma must be non-negative")
-        if self.full_cost <= 0 or self.debug_cost <= 0:
-            raise InvalidParams("costs must be positive")
-        if self.debug_cost > self.full_cost:
-            raise InvalidParams("debug_cost cannot exceed full_cost")
+def landscape_optimum(syn: SyntheticConfig) -> tuple[float, ...]:
+    """``syn.optimum`` as floats; the origin when it is empty."""
+    return tuple(float(v) for v in syn.optimum) or (0.0,) * syn.dimension
 
 
 def simulated_evaluate(
     node: Node,
-    landscape: LandscapeConfig,
+    syn: SyntheticConfig,
     metric: MetricSpec,
     rng: Optional[np.random.Generator],
+    optimum: Optional[tuple[float, ...]] = None,
 ) -> float:
-    """Score one node on the landscape.
+    """Score one node on the landscape of ``syn``.
 
     quality = 1 / (1 + distance-to-optimum), plus merge_bonus * quality
     for merged-provenance nodes, plus Gaussian noise of scale
     ``noise_sigma`` drawn from ``rng``. ``rng`` is read only when
-    ``noise_sigma > 0``, and may be None otherwise. Raw value is the
-    quality for higher-is-better metrics and 1 - quality for
-    lower-is-better ones.
+    ``noise_sigma > 0``, and may be None otherwise. ``optimum``, if
+    given, is ``landscape_optimum(syn)`` computed once by the caller.
+    Raw value is the quality for higher-is-better metrics and
+    1 - quality for lower-is-better ones.
     """
     values = parse_idea_vector(node.idea_text)
-    if len(values) != landscape.dimension:
+    if len(values) != syn.dimension:
         raise UnparseableIdea(
-            f"idea has {len(values)} coordinates, landscape wants {landscape.dimension}"
+            f"idea has {len(values)} coordinates, landscape wants {syn.dimension}"
         )
-    diff = np.subtract(values, landscape.optimum)
+    diff = np.subtract(values, optimum or landscape_optimum(syn))
     # as np.linalg.norm computes it, without its dispatch
     distance = math.sqrt(diff.dot(diff))
     quality = 1.0 / (1.0 + distance)
     if node.provenance.kind is ProvenanceKind.MERGED:
-        quality += landscape.merge_bonus * (1.0 / (1.0 + distance))
-    if landscape.noise_sigma > 0:
-        quality += landscape.noise_sigma * float(rng.standard_normal())
+        quality += syn.merge_bonus * (1.0 / (1.0 + distance))
+    if syn.noise_sigma > 0:
+        quality += syn.noise_sigma * float(rng.standard_normal())
     if metric.direction is MetricDirection.HIGHER_BETTER:
         return quality
     return 1.0 - quality
 
 
 class SimulatedEvaluator:
-    """EvaluationPort over a landscape.
+    """EvaluationPort over the landscape of a ``SyntheticConfig``.
 
-    Noise is drawn only when the landscape's ``noise_sigma > 0``, from
-    a Generator keyed by the evaluator seed and the idea text, so repeat
+    Noise is drawn only when ``noise_sigma > 0``, from a Generator
+    keyed by the evaluator seed and the idea text, so repeat
     evaluations of the same idea agree regardless of call order; that
     also makes parallel evaluation safe. With zero noise no Generator is
     built. It charges no clock: the engine charges ``cost(mode)`` for
     each call that returns.
     """
 
-    def __init__(self, landscape: LandscapeConfig, metric: MetricSpec, seed: int):
-        self.landscape = landscape
+    def __init__(self, syn: SyntheticConfig, metric: MetricSpec, seed: int):
+        self.syn = syn
         self.metric = metric
         self.seed = int(seed)
+        self.optimum = landscape_optimum(syn)
 
     def _rng_for(self, node: Node) -> np.random.Generator:
         digest = hashlib.sha256(f"{self.seed}:{node.idea_text}".encode("utf-8")).digest()
@@ -153,11 +129,11 @@ class SimulatedEvaluator:
 
     def evaluate(self, node: Node, mode: EvalMode) -> float:
         # both modes score alike; they differ only in cost
-        rng = self._rng_for(node) if self.landscape.noise_sigma > 0 else None
-        return simulated_evaluate(node, self.landscape, self.metric, rng)
+        rng = self._rng_for(node) if self.syn.noise_sigma > 0 else None
+        return simulated_evaluate(node, self.syn, self.metric, rng, self.optimum)
 
     def cost(self, mode: EvalMode) -> Optional[float]:
-        return self.landscape.full_cost if mode is EvalMode.FULL else self.landscape.debug_cost
+        return self.syn.full_cost if mode is EvalMode.FULL else self.syn.debug_cost
 
 
 # =====================================================================
@@ -182,7 +158,6 @@ def subprocess_evaluate(
     node: Node,
     workspace: Path,
     limits: ExecLimits,
-    metric: MetricSpec,
     *,
     mode: EvalMode = EvalMode.FULL,
     subset_percent: Optional[float] = None,
@@ -300,11 +275,10 @@ class SubprocessEvaluator:
     below ``MIN_TIMEOUT_MINUTES``, so no candidate outlives the budget
     by more than that."""
 
-    def __init__(self, workspace: Path, limits: ExecLimits, metric: MetricSpec,
+    def __init__(self, workspace: Path, limits: ExecLimits,
                  subset_percent: Optional[float] = None, clock=None):
         self.workspace = Path(workspace)
         self.limits = limits
-        self.metric = metric
         self.subset_percent = subset_percent
         self.clock = clock
 
@@ -318,7 +292,7 @@ class SubprocessEvaluator:
 
     def evaluate(self, node: Node, mode: EvalMode) -> float:
         return subprocess_evaluate(
-            node, self.workspace, self._call_limits(), self.metric,
+            node, self.workspace, self._call_limits(),
             mode=mode, subset_percent=self.subset_percent,
         )
 

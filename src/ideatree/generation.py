@@ -29,7 +29,6 @@ from .embedding import (
 from .errors import (
     EmptyInput,
     GeneratorFailure,
-    InvalidSpaceConfig,
     MalformedResponse,
     RetriesExhausted,
     RetrievalFailure,
@@ -43,6 +42,8 @@ if TYPE_CHECKING:
     # imported where an endpoint is called, so that runs without one,
     # reports and replays never load it
     import requests
+
+    from .config import SyntheticConfig
 
 logger = logging.getLogger(__name__)
 
@@ -188,47 +189,21 @@ class IdeaGenerator(Protocol):
 # Synthetic generator
 # =====================================================================
 
-@dataclass(frozen=True)
-class SpaceConfig:
-    """Geometry of the synthetic idea space.
-
-    Ideas are points in ``[low, high]^dimension`` rendered as text. MT
-    proposals jitter around their FE parent; merges take the elementwise
-    midpoint plus an optional perturbation.
-    """
-
-    dimension: int
-    low: float = -1.0
-    high: float = 1.0
-    mt_jitter: float = 0.1
-    merge_jitter: float = 0.0
-
-    def __post_init__(self):
-        problems = []
-        if self.dimension < 1:
-            problems.append(f"dimension must be >= 1, got {self.dimension}")
-        if not self.low < self.high:
-            problems.append(f"low must be < high, got [{self.low}, {self.high}]")
-        if self.mt_jitter < 0 or self.merge_jitter < 0:
-            problems.append("jitter magnitudes must be non-negative")
-        if problems:
-            raise InvalidSpaceConfig("; ".join(problems))
-
-
 class SyntheticGenerator:
-    """Deterministic generator over a numeric idea space.
+    """Deterministic generator over the numeric idea space of a
+    ``SyntheticConfig``.
 
     All randomness flows through one internal stream seeded at
     construction and serialized behind a lock, so outputs are a pure
-    function of (seed, space, call sequence). Each draw is one
+    function of (seed, config, call sequence). Each draw is one
     Generator call of ``dimension`` values, turned into Python floats;
     the arithmetic on them is done on Python floats, which round as
     numpy's float64 does.
     """
 
-    def __init__(self, space: SpaceConfig, seed: int, retriever: Optional[FileCorpusRetriever] = None,
-                 retrieve_k: int = 3):
-        self.space = space
+    def __init__(self, syn: SyntheticConfig, seed: int,
+                 retriever: Optional[FileCorpusRetriever] = None, retrieve_k: int = 3):
+        self.syn = syn
         self.seed = int(seed)
         self.retriever = retriever
         self.retrieve_k = retrieve_k
@@ -237,14 +212,14 @@ class SyntheticGenerator:
 
     def _point(self, node: Node) -> list[float]:
         values = parse_idea_vector(node.idea_text)
-        if len(values) != self.space.dimension:
+        if len(values) != self.syn.dimension:
             raise UnparseableIdea(
-                f"idea has {len(values)} coordinates, the space has {self.space.dimension}"
+                f"idea has {len(values)} coordinates, the space has {self.syn.dimension}"
             )
         return values
 
     def propose_fe(self, ctx: ContextState, n: int) -> list[str]:
-        low, high, d = self.space.low, self.space.high, self.space.dimension
+        low, high, d = self.syn.low, self.syn.high, self.syn.dimension
         with self._lock:
             draws = [self._rng.uniform(low, high, d).tolist() for _ in range(n)]
         return [render_idea_vector(draw) for draw in draws]
@@ -252,15 +227,15 @@ class SyntheticGenerator:
     def propose_mt(self, fe_node: Node, ctx: Optional[ContextState], m: int) -> list[str]:
         base = self._point(fe_node)
         with self._lock:
-            draws = [self._rng.normal(0.0, self.space.mt_jitter, self.space.dimension).tolist()
+            draws = [self._rng.normal(0.0, self.syn.mt_jitter, self.syn.dimension).tolist()
                      for _ in range(m)]
         return [render_idea_vector([b + e for b, e in zip(base, draw)]) for draw in draws]
 
     def _merge(self, a: Node, b: Node) -> str:
         mid = [(x + y) / 2.0 for x, y in zip(self._point(a), self._point(b))]
-        if self.space.merge_jitter > 0:
+        if self.syn.merge_jitter > 0:
             with self._lock:
-                draw = self._rng.normal(0.0, self.space.merge_jitter, self.space.dimension).tolist()
+                draw = self._rng.normal(0.0, self.syn.merge_jitter, self.syn.dimension).tolist()
             mid = [x + e for x, e in zip(mid, draw)]
         return render_idea_vector(mid)
 

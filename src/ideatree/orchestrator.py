@@ -34,7 +34,7 @@ from .errors import (
     InsufficientParents,
     MissingRunArtifacts,
 )
-from .evaluation import EvaluationPort, LandscapeConfig, SimulatedEvaluator
+from .evaluation import EvaluationPort, SimulatedEvaluator
 from .events import LOG_FILENAME, EventKind, RunLog, collector_paused, iter_log
 # read_log stays importable here for bench/rep.py, whose --trace 1
 # patches it by this name
@@ -44,7 +44,6 @@ from .generation import (
     ExternalQueryPolicy,
     IdeaGenerator,
     SegmentTag,
-    SpaceConfig,
     SyntheticGenerator,
 )
 from .embedding import VectorIdeaEmbedding
@@ -124,19 +123,10 @@ def build_synthetic_ports(config: RunConfig, corpus_dir: Optional[Path] = None) 
     syn = config.synthetic
     metric = MetricSpec("landscape_quality", MetricDirection.HIGHER_BETTER)
     clock = build_clock(config)
-    space = SpaceConfig(
-        dimension=syn.dimension, low=syn.low, high=syn.high,
-        mt_jitter=syn.mt_jitter, merge_jitter=syn.merge_jitter,
-    )
     retriever = FileCorpusRetriever(corpus_dir) if corpus_dir else None
-    gen = SyntheticGenerator(space, seed=config.seed, retriever=retriever,
+    gen = SyntheticGenerator(syn, seed=config.seed, retriever=retriever,
                              retrieve_k=config.retrieve_n_papers)
-    landscape = LandscapeConfig(
-        dimension=syn.dimension, optimum=tuple(syn.optimum),
-        noise_sigma=syn.noise_sigma, full_cost=syn.full_cost,
-        debug_cost=syn.debug_cost, merge_bonus=syn.merge_bonus,
-    )
-    evaluator = SimulatedEvaluator(landscape, metric, seed=config.seed)
+    evaluator = SimulatedEvaluator(syn, metric, seed=config.seed)
     task = TaskSpec(
         description=f"synthetic {syn.dimension}-dimensional landscape",
         schema={f"x{i}": "float" for i in range(syn.dimension)},

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -243,6 +243,10 @@ def run_summary(run_dir: Path) -> dict:
 # Cross-run comparisons
 # =====================================================================
 
+PROGRESS_COLUMNS = (
+    "iteration", "elapsed", "best_oriented_score", "fe_count", "mt_count", "merged_count",
+)
+
 ABLATION_COLUMNS = (
     "label", "best_oriented_score", "best_raw_score", "iterations",
     "fe_count", "mt_count", "merged_count", "evaluations",
@@ -295,14 +299,6 @@ def _cell(value) -> str:
     if isinstance(value, float):
         return f"{value:.6g}"
     return str(value)
-
-
-def render_rows(rows: Sequence[ReportRow], delimiter: str = "\t") -> str:
-    header = [f.name for f in fields(ReportRow)]
-    lines = [delimiter.join(header)]
-    for row in rows:
-        lines.append(delimiter.join(_cell(getattr(row, name)) for name in header))
-    return "\n".join(lines) + "\n"
 
 
 def render_table(columns: Sequence[str], rows: Sequence[dict],

@@ -223,20 +223,20 @@ class ReferenceGenerator:
     """The synthetic generator's proposals and merges on numpy arrays,
     as they were written before the ports moved to Python floats."""
 
-    def __init__(self, space, seed: int):
-        self.space = space
+    def __init__(self, syn, seed: int):
+        self.syn = syn
         self._rng = np.random.default_rng(int(seed))
 
     def propose_fe(self, ctx, n: int) -> list[str]:
         return [
-            _reference_render(self._rng.uniform(self.space.low, self.space.high, self.space.dimension))
+            _reference_render(self._rng.uniform(self.syn.low, self.syn.high, self.syn.dimension))
             for _ in range(n)
         ]
 
     def propose_mt(self, fe_node, ctx, m: int) -> list[str]:
         base = np.asarray(_reference_parse(fe_node.idea_text))
         return [
-            _reference_render(base + self._rng.normal(0.0, self.space.mt_jitter, self.space.dimension))
+            _reference_render(base + self._rng.normal(0.0, self.syn.mt_jitter, self.syn.dimension))
             for _ in range(m)
         ]
 
@@ -244,8 +244,8 @@ class ReferenceGenerator:
         va = np.asarray(_reference_parse(a.idea_text))
         vb = np.asarray(_reference_parse(b.idea_text))
         mid = (va + vb) / 2.0
-        if self.space.merge_jitter > 0:
-            mid = mid + self._rng.normal(0.0, self.space.merge_jitter, self.space.dimension)
+        if self.syn.merge_jitter > 0:
+            mid = mid + self._rng.normal(0.0, self.syn.merge_jitter, self.syn.dimension)
         return _reference_render(mid)
 
     def merge_fe(self, a, b, ctx) -> str:
@@ -255,18 +255,20 @@ class ReferenceGenerator:
         return self._merge(a, b)
 
 
-def reference_simulated_evaluate(node, landscape, metric: MetricSpec, seed: int) -> float:
-    """A simulated evaluation with its own keyed Generator, built and
-    drawn from on every call whatever ``noise_sigma`` is, and the
-    distance from ``np.linalg.norm``."""
+def reference_simulated_evaluate(node, syn, metric: MetricSpec, seed: int) -> float:
+    """A simulated evaluation on the landscape of the SyntheticConfig
+    ``syn``, with its own keyed Generator, built and drawn from on every
+    call whatever ``noise_sigma`` is, and the distance from
+    ``np.linalg.norm``."""
     digest = hashlib.sha256(f"{int(seed)}:{node.idea_text}".encode("utf-8")).digest()
     rng = np.random.default_rng(int.from_bytes(digest[:8], "big"))
     point = np.asarray(_reference_parse(node.idea_text), dtype=float)
-    distance = float(np.linalg.norm(point - np.asarray(landscape.optimum)))
+    optimum = syn.optimum or [0.0] * syn.dimension
+    distance = float(np.linalg.norm(point - np.asarray(optimum, dtype=float)))
     quality = 1.0 / (1.0 + distance)
     if node.provenance.kind is ProvenanceKind.MERGED:
-        quality += landscape.merge_bonus * (1.0 / (1.0 + distance))
-    quality += landscape.noise_sigma * float(rng.standard_normal())
+        quality += syn.merge_bonus * (1.0 / (1.0 + distance))
+    quality += syn.noise_sigma * float(rng.standard_normal())
     if metric.direction is MetricDirection.HIGHER_BETTER:
         return quality
     return 1.0 - quality
@@ -290,18 +292,18 @@ def make_world(
     from types import SimpleNamespace
 
     from ideatree.clock import SimulatedClock
-    from ideatree.evaluation import EvalMode, LandscapeConfig, SimulatedEvaluator
-    from ideatree.generation import ContextState, SpaceConfig, SyntheticGenerator
+    from ideatree.config import SyntheticConfig
+    from ideatree.evaluation import EvalMode, SimulatedEvaluator
+    from ideatree.generation import ContextState, SyntheticGenerator
     from ideatree.tree import backpropagate
 
-    space = SpaceConfig(dimension=dim, mt_jitter=mt_jitter)
-    gen = SyntheticGenerator(space, seed)
-    landscape = LandscapeConfig(
-        dimension=dim, noise_sigma=noise, full_cost=1.0, debug_cost=0.1,
-        merge_bonus=merge_bonus,
+    syn = SyntheticConfig(
+        dimension=dim, mt_jitter=mt_jitter, noise_sigma=noise, full_cost=1.0,
+        debug_cost=0.1, merge_bonus=merge_bonus,
     )
+    gen = SyntheticGenerator(syn, seed)
     clock = SimulatedClock(budget)
-    evaluator = SimulatedEvaluator(landscape, metric, seed=seed)
+    evaluator = SimulatedEvaluator(syn, metric, seed=seed)
     tree = IdeationTree.create("root analysis")
     ctx = ContextState()
     for text in gen.propose_fe(ctx, n_fe):
@@ -313,7 +315,7 @@ def make_world(
     backpropagate(tree)
     return SimpleNamespace(
         tree=tree, ctx=ctx, gen=gen, evaluator=evaluator, metric=metric,
-        clock=clock, landscape=landscape, space=space,
+        clock=clock, syn=syn,
         rng=np.random.default_rng(seed),
     )
 

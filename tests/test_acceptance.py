@@ -16,9 +16,9 @@ import numpy as np
 import pytest
 from scipy.stats import spearmanr
 
-from ideatree.config import RunConfig
+from ideatree.config import RunConfig, SyntheticConfig
 from ideatree.embedding import VectorIdeaEmbedding, render_idea_vector
-from ideatree.evaluation import EvalMode, LandscapeConfig, SimulatedEvaluator
+from ideatree.evaluation import EvalMode, SimulatedEvaluator
 from ideatree.events import EventKind, RunLog, read_log
 from ideatree.generation import ContextState, SegmentTag
 from ideatree.orchestrator import (
@@ -367,7 +367,7 @@ def test_criterion_07_predictor_rank_fidelity():
     """200 candidates against 5 landscape-scored anchors: Spearman
     correlation of predicted vs true at least 0.8, and every prediction
     inside the anchor score hull."""
-    landscape = LandscapeConfig(dimension=2)
+    landscape = SyntheticConfig(dimension=2, full_cost=1.0, debug_cost=0.1, merge_bonus=0.0)
     evaluator = SimulatedEvaluator(landscape, HIGHER, seed=0)
     embedder = VectorIdeaEmbedding(dimension=2, radius=1.5)
     tree = IdeationTree.create("root")

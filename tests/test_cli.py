@@ -255,7 +255,10 @@ def test_report_progress_rejects_multiple_dirs(finished_run, tmp_path, capsys):
 def test_report_writes_files(finished_run, tmp_path):
     out_dir = tmp_path / "tables"
     assert main(["report", str(finished_run), "--out", str(out_dir)]) == EXIT_OK
-    assert (out_dir / "progress.tsv").exists()
+    progress = (out_dir / "progress.tsv").read_text(encoding="utf-8").splitlines()
+    assert progress[0] == "\t".join(
+        ["iteration", "elapsed", "best_oriented_score", "fe_count", "mt_count", "merged_count"])
+    assert len(progress) == len(progress_report(finished_run)) + 1
     summary = json.loads((out_dir / "summary.json").read_text(encoding="utf-8"))
     assert summary["iterations"] >= 1
 

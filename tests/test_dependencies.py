@@ -1,7 +1,8 @@
 """Every third-party module the package imports is declared in
 pyproject.toml's ``dependencies``, function-local imports included, so
-an install from the project metadata alone can run every path; and
-every name a package module imports is used in that module."""
+an install from the project metadata alone can run every path; every
+name a package module imports is used in that module; and every
+function and class the package defines is named by the package."""
 
 from __future__ import annotations
 
@@ -75,3 +76,51 @@ def _unused_imports(path: Path) -> list[str]:
 def test_every_imported_name_is_used():
     unused = [name for path in sorted(PACKAGE.rglob("*.py")) for name in _unused_imports(path)]
     assert unused == []
+
+
+# defined names the package never reads, each with the reason it stays
+UNREAD_BY_THE_PACKAGE = {
+    "create": "IdeationTree.create: only tests build a tree with it, "
+              "which CHANGES.md records as a FOUND note",
+    "restore": "IdeationTree.restore: bench/rep.py restores each run's "
+               "final snapshot for its round-trip check",
+}
+
+
+def _defined_and_read(node: ast.AST, defined: set[str], read: set[str],
+                      enclosing: frozenset = frozenset()) -> None:
+    """Add to ``defined`` each function and class under ``node``, and to
+    ``read`` each name under it read as a ``Name`` or an ``Attribute``,
+    except inside a definition of that same name."""
+    for child in ast.iter_child_nodes(node):
+        inside = enclosing
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(child.name)
+            inside = enclosing | {child.name}
+        elif isinstance(child, ast.Name) and child.id not in enclosing:
+            read.add(child.id)
+        elif isinstance(child, ast.Attribute) and child.attr not in enclosing:
+            read.add(child.attr)
+        _defined_and_read(child, defined, read, inside)
+
+
+def test_every_defined_name_is_read_by_the_package():
+    """No engine code that only tests call: each function and class
+    defined in the package is named somewhere in it outside its own
+    definition, or is exported, or is in UNREAD_BY_THE_PACKAGE. Dunder
+    methods, which Python calls itself, are exempt.
+
+    The match is by name only, across all modules: a method passes when
+    anything of its name is read, so ``IdeationTree.spawn`` passes
+    because ``PendingSet.spawn`` has the same name."""
+    import ideatree
+
+    defined: set[str] = set()
+    read: set[str] = set(ideatree.__all__)
+    for path in sorted(PACKAGE.rglob("*.py")):
+        _defined_and_read(ast.parse(path.read_text(encoding="utf-8"), str(path)),
+                          defined, read)
+    unread = {name for name in defined - read
+              if not (name.startswith("__") and name.endswith("__"))}
+    assert sorted(unread - set(UNREAD_BY_THE_PACKAGE)) == []
+    assert sorted(set(UNREAD_BY_THE_PACKAGE) - unread) == []

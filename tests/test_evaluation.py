@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ideatree.clock import SimulatedClock, WallClock
+from ideatree.config import SyntheticConfig
 from ideatree.embedding import render_idea_vector
 from ideatree.errors import EvaluationFailure, InvalidParams, UnparseableIdea
 from ideatree.evaluation import (
@@ -20,9 +21,9 @@ from ideatree.evaluation import (
     ExecLimits,
     FailureKind,
     MIN_TIMEOUT_MINUTES,
-    LandscapeConfig,
     SimulatedEvaluator,
     SubprocessEvaluator,
+    landscape_optimum,
     simulated_evaluate,
     subprocess_evaluate,
 )
@@ -39,32 +40,25 @@ def _mt(idea, provenance=None, artifact=None):
     return node
 
 
-# ---- landscape config ----
-
-def test_landscape_validation():
-    with pytest.raises(InvalidParams):
-        LandscapeConfig(dimension=0)
-    with pytest.raises(InvalidParams):
-        LandscapeConfig(dimension=2, optimum=(0.0,))
-    with pytest.raises(InvalidParams):
-        LandscapeConfig(dimension=1, noise_sigma=-1.0)
-    with pytest.raises(InvalidParams):
-        LandscapeConfig(dimension=1, debug_cost=2.0, full_cost=1.0)
-    cfg = LandscapeConfig(dimension=3)
-    assert cfg.optimum == (0.0, 0.0, 0.0)
-
-
 # ---- simulated evaluation ----
 
+def test_an_empty_optimum_is_the_origin():
+    cfg = SyntheticConfig(dimension=3)
+    assert landscape_optimum(cfg) == (0.0, 0.0, 0.0)
+    origin = _mt("0.0,0.0,0.0")
+    assert simulated_evaluate(origin, cfg, HIGHER, None) == 1.0
+    assert SimulatedEvaluator(cfg, HIGHER, seed=0).evaluate(origin, EvalMode.FULL) == 1.0
+
+
 def test_simulated_score_at_optimum():
-    cfg = LandscapeConfig(dimension=2, optimum=(0.5, -0.5))
+    cfg = SyntheticConfig(dimension=2, optimum=[0.5, -0.5])
     node = _mt("0.5,-0.5")
     rng = np.random.default_rng(0)
     assert simulated_evaluate(node, cfg, HIGHER, rng) == pytest.approx(1.0)
 
 
 def test_simulated_quality_decays_with_distance():
-    cfg = LandscapeConfig(dimension=1)
+    cfg = SyntheticConfig(dimension=1)
     rng = np.random.default_rng(0)
     near = simulated_evaluate(_mt("0.1"), cfg, HIGHER, rng)
     far = simulated_evaluate(_mt("3.0"), cfg, HIGHER, rng)
@@ -74,7 +68,7 @@ def test_simulated_quality_decays_with_distance():
 
 
 def test_simulated_lower_better_flips():
-    cfg = LandscapeConfig(dimension=1)
+    cfg = SyntheticConfig(dimension=1)
     rng = np.random.default_rng(0)
     node = _mt("1.0")
     hi = simulated_evaluate(node, cfg, HIGHER, rng)
@@ -83,7 +77,7 @@ def test_simulated_lower_better_flips():
 
 
 def test_simulated_merge_bonus():
-    cfg = LandscapeConfig(dimension=1, merge_bonus=0.2)
+    cfg = SyntheticConfig(dimension=1, merge_bonus=0.2)
     rng = np.random.default_rng(0)
     tree = IdeationTree.create("root")
     fe = tree.spawn(tree.root.id, NodeLevel.FE, "0.0")
@@ -96,7 +90,7 @@ def test_simulated_merge_bonus():
 
 
 def test_simulated_rejects_wrong_dimension():
-    cfg = LandscapeConfig(dimension=3)
+    cfg = SyntheticConfig(dimension=3)
     with pytest.raises(UnparseableIdea):
         simulated_evaluate(_mt("1.0,2.0"), cfg, HIGHER, np.random.default_rng(0))
     with pytest.raises(UnparseableIdea):
@@ -104,7 +98,7 @@ def test_simulated_rejects_wrong_dimension():
 
 
 def test_evaluator_noise_is_repeatable_per_idea():
-    cfg = LandscapeConfig(dimension=1, noise_sigma=0.1)
+    cfg = SyntheticConfig(dimension=1, noise_sigma=0.1)
     ev = SimulatedEvaluator(cfg, HIGHER, seed=7)
     a = _mt("0.4")
     b = _mt("0.4")
@@ -120,7 +114,7 @@ def test_evaluator_noise_is_repeatable_per_idea():
 def test_simulated_modes_score_alike_and_cost_apart(noise):
     """A debug run scores what a full run scores; only its cost, the
     landscape's debug_cost, differs."""
-    cfg = LandscapeConfig(dimension=2, noise_sigma=noise, full_cost=4.0, debug_cost=0.5)
+    cfg = SyntheticConfig(dimension=2, noise_sigma=noise, full_cost=4.0, debug_cost=0.5)
     ev = SimulatedEvaluator(cfg, LOWER, seed=3)
     node = _mt("0.3,-0.2")
     assert ev.evaluate(node, EvalMode.DEBUG) == ev.evaluate(node, EvalMode.FULL)
@@ -139,9 +133,9 @@ def test_simulated_evaluator_matches_its_numpy_form(seed, dimension, data):
     bit: with and without noise, merged or generated, either direction,
     in both modes."""
     coords = st.lists(_COORD, min_size=dimension, max_size=dimension)
-    landscape = LandscapeConfig(
+    landscape = SyntheticConfig(
         dimension=dimension,
-        optimum=tuple(data.draw(coords)),
+        optimum=data.draw(coords),
         noise_sigma=data.draw(st.just(0.0) | st.floats(1e-6, 5.0)),
         merge_bonus=data.draw(st.just(0.0) | st.floats(-2.0, 2.0)),
     )
@@ -169,7 +163,7 @@ with open("result.txt", "w") as fh:
 
 def test_subprocess_happy_path(tmp_path):
     node = _mt("any", artifact=OK_SCRIPT)
-    value = subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0), HIGHER)
+    value = subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0))
     assert value == pytest.approx(0.875)
     run_dir = tmp_path / "nodes" / f"node_{node.id:05d}_full"
     assert (run_dir / "stdout.txt").exists()
@@ -179,14 +173,14 @@ def test_subprocess_happy_path(tmp_path):
 def test_subprocess_no_artifact(tmp_path):
     node = _mt("any")
     with pytest.raises(EvaluationFailure) as err:
-        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0), HIGHER)
+        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0))
     assert err.value.report.kind is FailureKind.BAD_IDEA
 
 
 def test_subprocess_nonzero_exit(tmp_path):
     node = _mt("any", artifact="raise ValueError('bad split')\n")
     with pytest.raises(EvaluationFailure) as err:
-        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0), HIGHER)
+        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0))
     report = err.value.report
     assert report.kind is FailureKind.NONZERO_EXIT
     assert "bad split" in report.stderr
@@ -196,18 +190,18 @@ def test_subprocess_nonzero_exit(tmp_path):
 def test_subprocess_missing_result(tmp_path):
     node = _mt("any", artifact="print('done, forgot the file')\n")
     with pytest.raises(EvaluationFailure) as err:
-        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0), HIGHER)
+        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0))
     assert err.value.report.kind is FailureKind.MISSING_RESULT
 
 
 def test_subprocess_unparseable_result(tmp_path):
     node = _mt("any", artifact='open("result.txt", "w").write("not a number")\n')
     with pytest.raises(EvaluationFailure) as err:
-        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0), HIGHER)
+        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0))
     assert err.value.report.kind is FailureKind.UNPARSEABLE_RESULT
     node2 = _mt("any", artifact='open("result.txt", "w").write("inf")\n')
     with pytest.raises(EvaluationFailure) as err:
-        subprocess_evaluate(node2, tmp_path, ExecLimits(wall_minutes=1.0), HIGHER)
+        subprocess_evaluate(node2, tmp_path, ExecLimits(wall_minutes=1.0))
     assert err.value.report.kind is FailureKind.UNPARSEABLE_RESULT
 
 
@@ -215,7 +209,7 @@ def test_subprocess_timeout(tmp_path):
     node = _mt("any", artifact="import time\ntime.sleep(30)\n")
     limits = ExecLimits(wall_minutes=1.0 / 60.0)  # one second
     with pytest.raises(EvaluationFailure) as err:
-        subprocess_evaluate(node, tmp_path, limits, HIGHER)
+        subprocess_evaluate(node, tmp_path, limits)
     assert err.value.report.kind is FailureKind.TIMEOUT
 
 
@@ -227,7 +221,7 @@ with open("result.txt", "w") as fh:
 """
     node = _mt("any", artifact=script)
     value = subprocess_evaluate(
-        node, tmp_path, ExecLimits(wall_minutes=1.0), HIGHER,
+        node, tmp_path, ExecLimits(wall_minutes=1.0),
         mode=EvalMode.DEBUG, subset_percent=10.0,
     )
     assert value == pytest.approx(10.0)
@@ -245,9 +239,9 @@ def test_subprocess_subset_reaches_debug_runs_only(tmp_path):
     without one sees none either."""
     node = _mt("any", artifact=SUBSET_SCRIPT)
     limits = ExecLimits(wall_minutes=1.0)
-    full = subprocess_evaluate(node, tmp_path, limits, HIGHER,
+    full = subprocess_evaluate(node, tmp_path, limits,
                                mode=EvalMode.FULL, subset_percent=10.0)
-    debug = subprocess_evaluate(node, tmp_path, limits, HIGHER, mode=EvalMode.DEBUG)
+    debug = subprocess_evaluate(node, tmp_path, limits, mode=EvalMode.DEBUG)
     assert full == -1.0
     assert debug == -1.0
 
@@ -262,7 +256,7 @@ with open("result.txt", "w") as fh:
     fh.write("1")
 """
     node = _mt("any", artifact=script)
-    subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0), HIGHER)
+    subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0))
     run_dir = tmp_path / "nodes" / f"node_{node.id:05d}_full"
     seen = json.loads((run_dir / "seen.json").read_text(encoding="utf-8"))
     assert Path(seen["cwd"]).resolve() == run_dir.resolve()
@@ -280,8 +274,8 @@ open("result.txt", "w").write("0.5")
 """
     node = _mt("any", artifact=script)
     limits = ExecLimits(wall_minutes=1.0)
-    subprocess_evaluate(node, tmp_path, limits, HIGHER, mode=EvalMode.DEBUG, subset_percent=5.0)
-    subprocess_evaluate(node, tmp_path, limits, HIGHER, mode=EvalMode.FULL)
+    subprocess_evaluate(node, tmp_path, limits, mode=EvalMode.DEBUG, subset_percent=5.0)
+    subprocess_evaluate(node, tmp_path, limits, mode=EvalMode.FULL)
     for mode, printed in ((EvalMode.DEBUG, "subset 5.0\n"), (EvalMode.FULL, "subset all\n")):
         run_dir = tmp_path / "nodes" / f"node_{node.id:05d}_{mode.value}"
         assert (run_dir / "candidate.py").read_text(encoding="utf-8") == script
@@ -291,7 +285,7 @@ open("result.txt", "w").write("0.5")
 def test_subprocess_nonzero_exit_without_stderr(tmp_path):
     node = _mt("any", artifact="import sys\nsys.exit(3)\n")
     with pytest.raises(EvaluationFailure) as err:
-        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0), HIGHER)
+        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0))
     report = err.value.report
     assert report.kind is FailureKind.NONZERO_EXIT
     assert report.exit_code == 3
@@ -304,7 +298,7 @@ def test_subprocess_nonzero_exit_message_is_the_last_stderr_line(tmp_path):
     script = 'import sys\nsys.stderr.write("first\\nlast words\\n\\n  \\n")\nsys.exit(2)\n'
     node = _mt("any", artifact=script)
     with pytest.raises(EvaluationFailure) as err:
-        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0), HIGHER)
+        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0))
     assert err.value.report.message == "exit code 2: last words"
     assert str(err.value) == "exit code 2: last words"
     run_dir = tmp_path / "nodes" / f"node_{node.id:05d}_full"
@@ -323,7 +317,7 @@ time.sleep(30)
 """
     node = _mt("any", artifact=script)
     with pytest.raises(EvaluationFailure) as err:
-        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0 / 60.0), HIGHER)
+        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0 / 60.0))
     report = err.value.report
     assert report.kind is FailureKind.TIMEOUT
     assert report.stdout == "started\n"
@@ -335,14 +329,14 @@ time.sleep(30)
 
 def test_subprocess_result_whitespace_is_ignored(tmp_path):
     node = _mt("any", artifact='open("result.txt", "w").write("  \\n-0.25\\n\\n")\n')
-    assert subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0), HIGHER) == -0.25
+    assert subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0)) == -0.25
 
 
 @pytest.mark.parametrize("text", ["nan", "-inf", "", "1e400"])
 def test_subprocess_non_finite_or_empty_result_is_unparseable(tmp_path, text):
     node = _mt("any", artifact=f'open("result.txt", "w").write({text!r})\n')
     with pytest.raises(EvaluationFailure) as err:
-        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0), HIGHER)
+        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0))
     report = err.value.report
     assert report.kind is FailureKind.UNPARSEABLE_RESULT
     assert report.exit_code == 0
@@ -350,14 +344,14 @@ def test_subprocess_non_finite_or_empty_result_is_unparseable(tmp_path, text):
 
 
 def test_subprocess_evaluator_port(tmp_path):
-    ev = SubprocessEvaluator(tmp_path, ExecLimits(wall_minutes=1.0), HIGHER)
+    ev = SubprocessEvaluator(tmp_path, ExecLimits(wall_minutes=1.0))
     node = _mt("any", artifact=OK_SCRIPT)
     assert ev.evaluate(node, EvalMode.FULL) == pytest.approx(0.875)
     assert ev.cost(EvalMode.FULL) is None
 
 
 def test_subprocess_evaluator_passes_its_subset_to_debug_runs(tmp_path):
-    ev = SubprocessEvaluator(tmp_path, ExecLimits(wall_minutes=1.0), HIGHER, subset_percent=25.0)
+    ev = SubprocessEvaluator(tmp_path, ExecLimits(wall_minutes=1.0), subset_percent=25.0)
     node = _mt("any", artifact=SUBSET_SCRIPT)
     assert ev.evaluate(node, EvalMode.DEBUG) == 25.0
     assert ev.evaluate(node, EvalMode.FULL) == -1.0
@@ -385,7 +379,7 @@ def test_subprocess_timeout_is_clamped_to_the_runs_remaining_time(tmp_path, rema
     candidate fails by timeout within seconds, not after
     runtime_error_time; a spent budget still gets the floor."""
     limits = ExecLimits(wall_minutes=30.0)
-    ev = SubprocessEvaluator(tmp_path, limits, HIGHER, clock=_EndingClock(remaining))
+    ev = SubprocessEvaluator(tmp_path, limits, clock=_EndingClock(remaining))
     node = _mt("any", artifact="import time\ntime.sleep(30)\n")
     start = time.monotonic()
     with pytest.raises(EvaluationFailure) as err:
@@ -402,7 +396,7 @@ def test_subprocess_timeout_is_not_clamped_off_a_wall_clock(tmp_path):
     limits = ExecLimits(wall_minutes=1.0)
     node = _mt("any", artifact=OK_SCRIPT)
     for clock in (None, SimulatedClock(0.001), _EndingClock(5.0)):
-        ev = SubprocessEvaluator(tmp_path, limits, HIGHER, clock=clock)
+        ev = SubprocessEvaluator(tmp_path, limits, clock=clock)
         assert ev._call_limits() is limits
         assert ev.evaluate(node, EvalMode.FULL) == pytest.approx(0.875)
 

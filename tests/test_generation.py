@@ -23,6 +23,7 @@ import requests
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ideatree.config import SyntheticConfig
 from ideatree.embedding import HashedEmbedding, cosine_distance, parse_idea_vector
 from ideatree.errors import (
     EmptyInput,
@@ -43,7 +44,6 @@ from ideatree.generation import (
     LlmGenerator,
     MemoryStrategy,
     SegmentTag,
-    SpaceConfig,
     SyntheticGenerator,
     complete_with_retries,
     gate_external_query,
@@ -51,7 +51,6 @@ from ideatree.generation import (
     select_context_nodes,
     split_ideas,
 )
-from ideatree.errors import InvalidSpaceConfig
 from ideatree.retrieval import FileCorpusRetriever
 from ideatree.scoring import Anchor, AnchorSet, LlmPredictor
 from ideatree.tree import IdeationTree, NodeLevel
@@ -267,7 +266,7 @@ def test_retriever_non_utf8_file_is_a_retrieval_failure(corpus):
     retriever = FileCorpusRetriever(corpus)
     with pytest.raises(RetrievalFailure, match="cannot read corpus"):
         retriever.retrieve("gradient boosting trees", 3)
-    gen = SyntheticGenerator(SpaceConfig(dimension=2), seed=4, retriever=retriever)
+    gen = SyntheticGenerator(SyntheticConfig(dimension=2), seed=4, retriever=retriever)
     ctx = ContextState()
     assert gate_external_query(ctx, ExternalQueryPolicy.ALWAYS, gen) == []
     assert ctx.revision == 0
@@ -328,17 +327,8 @@ def test_retriever_index_matches_cold_reference(files, queries):
 
 # ---- synthetic generator ----
 
-def test_space_config_validation():
-    with pytest.raises(InvalidSpaceConfig):
-        SpaceConfig(dimension=0)
-    with pytest.raises(InvalidSpaceConfig):
-        SpaceConfig(dimension=2, low=1.0, high=-1.0)
-    with pytest.raises(InvalidSpaceConfig):
-        SpaceConfig(dimension=2, mt_jitter=-0.1)
-
-
 def test_synthetic_deterministic_per_seed():
-    space = SpaceConfig(dimension=3)
+    space = SyntheticConfig(dimension=3)
     ctx = ContextState()
     a = SyntheticGenerator(space, seed=9).propose_fe(ctx, 4)
     b = SyntheticGenerator(space, seed=9).propose_fe(ctx, 4)
@@ -347,7 +337,7 @@ def test_synthetic_deterministic_per_seed():
 
 
 def test_synthetic_fe_within_bounds():
-    space = SpaceConfig(dimension=5, low=-2.0, high=3.0)
+    space = SyntheticConfig(dimension=5, low=-2.0, high=3.0)
     gen = SyntheticGenerator(space, seed=1)
     for text in gen.propose_fe(ContextState(), 20):
         vec = parse_idea_vector(text)
@@ -356,7 +346,7 @@ def test_synthetic_fe_within_bounds():
 
 
 def test_synthetic_mt_jitters_around_parent():
-    space = SpaceConfig(dimension=2, mt_jitter=0.01)
+    space = SyntheticConfig(dimension=2, mt_jitter=0.01)
     gen = SyntheticGenerator(space, seed=2)
     tree = IdeationTree.create("root")
     fe = tree.spawn(tree.root.id, NodeLevel.FE, "1.0,1.0")
@@ -366,7 +356,7 @@ def test_synthetic_mt_jitters_around_parent():
 
 
 def test_synthetic_merge_is_midpoint():
-    space = SpaceConfig(dimension=2)
+    space = SyntheticConfig(dimension=2)
     gen = SyntheticGenerator(space, seed=3)
     tree = IdeationTree.create("root")
     a = tree.spawn(tree.root.id, NodeLevel.FE, "0.0,0.0")
@@ -379,9 +369,9 @@ _JITTER = st.just(0.0) | st.floats(1e-6, 10.0)
 
 
 @st.composite
-def _spaces(draw) -> SpaceConfig:
+def _spaces(draw) -> SyntheticConfig:
     low = draw(st.floats(-100.0, 100.0))
-    return SpaceConfig(
+    return SyntheticConfig(
         dimension=draw(st.integers(1, 8)),
         low=low,
         high=low + draw(st.floats(1e-3, 100.0)),
@@ -422,7 +412,7 @@ def test_synthetic_ports_match_their_numpy_forms(seed, space, calls, data):
 
 
 def test_synthetic_ports_reject_a_point_of_another_dimension():
-    gen = SyntheticGenerator(SpaceConfig(dimension=2, merge_jitter=0.1), seed=5)
+    gen = SyntheticGenerator(SyntheticConfig(dimension=2, merge_jitter=0.1), seed=5)
     tree = IdeationTree.create("root")
     flat = tree.spawn(tree.root.id, NodeLevel.FE, "1.0")
     plane = tree.spawn(tree.root.id, NodeLevel.FE, "1.0,2.0")
@@ -435,7 +425,7 @@ def test_synthetic_ports_reject_a_point_of_another_dimension():
 
 
 def test_synthetic_enrich_and_external(corpus):
-    space = SpaceConfig(dimension=2)
+    space = SyntheticConfig(dimension=2)
     gen = SyntheticGenerator(space, seed=4, retriever=FileCorpusRetriever(corpus), retrieve_k=3)
     tree = IdeationTree.create("root")
     ctx = ContextState()

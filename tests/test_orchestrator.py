@@ -283,6 +283,14 @@ def test_invalid_values_are_collected_not_first_only():
     ({"synthetic": {"dimension": 3, "optimum": [0.0, 0.0]}},
      "synthetic.optimum length must match synthetic.dimension"),
     ({"synthetic": {"low": 1.0, "high": 1.0}}, "synthetic.low must be below synthetic.high"),
+    ({"synthetic": {"dimension": 0}}, "synthetic.dimension must be positive, got 0"),
+    ({"synthetic": {"dimension": 1001}}, "synthetic.dimension cannot exceed 1000"),
+    ({"synthetic": {"dimension": 2**63 - 1}}, "synthetic.dimension cannot exceed 1000"),
+    ({"synthetic": {"noise_sigma": -1}}, "synthetic.noise_sigma must be non-negative"),
+    ({"synthetic": {"mt_jitter": -0.1}}, "synthetic.mt_jitter must be non-negative"),
+    ({"synthetic": {"merge_jitter": -0.1}}, "synthetic.merge_jitter must be non-negative"),
+    ({"synthetic": {"full_cost": 0.0}}, "synthetic.full_cost must be positive, got 0.0"),
+    ({"synthetic": {"debug_cost": 0.0}}, "synthetic.debug_cost must be positive, got 0.0"),
 ])
 def test_each_invalid_value_names_its_own_rule(values, problem):
     """One bad value yields exactly its rule's problem, so the message
@@ -446,8 +454,7 @@ _CONFIG_DOCS = st.one_of(
 @example({"synthetic": {"optimum": [None, 0.0]}})
 def test_a_mistyped_config_is_invalid_or_builds_its_ports(doc):
     """A config document is either refused with the list of its problems
-    or builds the synthetic ports: nothing it holds surfaces later as a
-    TypeError or ValueError from a port's own checks."""
+    or builds the synthetic ports without an error."""
     try:
         config = RunConfig.from_dict(doc)
     except ConfigInvalid:

@@ -7,6 +7,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from ideatree.clock import SimulatedClock
+from ideatree.config import SyntheticConfig
 from ideatree.embedding import VectorIdeaEmbedding, render_idea_vector
 from ideatree.errors import (
     AnchorConstructionFailed,
@@ -14,7 +15,7 @@ from ideatree.errors import (
     InvalidParams,
     NoFeNodes,
 )
-from ideatree.evaluation import EvalMode, LandscapeConfig, SimulatedEvaluator
+from ideatree.evaluation import EvalMode, SimulatedEvaluator
 from ideatree.scoring import (
     Anchor,
     AnchorSet,
@@ -56,7 +57,7 @@ def _prepared_tree(aggregates):
 
 
 def _evaluator():
-    return SimulatedEvaluator(LandscapeConfig(dimension=2), HIGHER, seed=0)
+    return SimulatedEvaluator(SyntheticConfig(dimension=2), HIGHER, seed=0)
 
 
 ARCHS = [render_idea_vector(v) for v in ([0.1, 0.1], [0.5, 0.5], [0.9, 0.9])]
@@ -104,7 +105,7 @@ def test_build_picks_best_aggregate_fe():
     # lower-is-better flips which feature node wins
     tree2 = _prepared_tree([0.3, 0.9, 0.6])
     best_low = min(tree2.fe_nodes(), key=lambda n: n.aggregated_score)
-    low_eval = SimulatedEvaluator(LandscapeConfig(dimension=2), LOWER, seed=0)
+    low_eval = SimulatedEvaluator(SyntheticConfig(dimension=2), LOWER, seed=0)
     anchor_set2 = build_anchor_set(tree2, low_eval, ARCHS, LOWER)
     assert anchor_set2.phase1_fe == best_low.id
 
@@ -257,7 +258,7 @@ def test_baseline_permutation_invariant():
 
 def test_baseline_tracks_landscape_ranks():
     # anchors placed across the space, true scores from the landscape
-    landscape = LandscapeConfig(dimension=2)
+    landscape = SyntheticConfig(dimension=2)
     evaluator = SimulatedEvaluator(landscape, HIGHER, seed=0)
     # radius just past the data's max norm keeps the lift curved where
     # the candidates live, which is what separates the similarities

@@ -443,7 +443,7 @@ def test_adding_stage_budget_exhaustion_commits_partial():
     world = make_world(seed=9, budget=1e9)
     # leave room for the pre-existing evaluations plus two more full runs
     spent = world.clock.elapsed()
-    world.clock.budget = spent + 2.0 * world.landscape.full_cost
+    world.clock.budget = spent + 2.0 * world.syn.full_cost
     params = StageParams(n_fe=2, m_mt=2, n_selected=2)
     mt_before = len(world.tree.nodes_at_level(NodeLevel.MT))
     with pytest.raises(BudgetExhausted):
@@ -522,8 +522,8 @@ def test_budget_projection_counts_validation_runs():
     starts exactly two."""
     world = make_world(seed=9)
     policy = EvalPolicy(validation_attempts=2)
-    job_cost = 2 * world.landscape.debug_cost + world.landscape.full_cost
-    world.clock.budget = 2 * job_cost - 0.5 * world.landscape.debug_cost
+    job_cost = 2 * world.syn.debug_cost + world.syn.full_cost
+    world.clock.budget = 2 * job_cost - 0.5 * world.syn.debug_cost
     mt_before = {n.id for n in world.tree.nodes_at_level(NodeLevel.MT)}
     params = StageParams(n_fe=2, m_mt=2, n_selected=2)
     with pytest.raises(BudgetExhausted):
@@ -567,9 +567,9 @@ def test_pending_job_runs_its_validation_runs_then_the_metric_run(attempts, acce
     assert evaluator.calls == [(node.id, shakeout, True)] * attempts + [(node.id, EvalMode.FULL, True)]
     assert node.status is NodeStatus.EVALUATED
     assert node.raw_score == world.evaluator.evaluate(node, EvalMode.FULL)
-    shakeout_cost = world.landscape.debug_cost if accelerated else world.landscape.full_cost
+    shakeout_cost = world.syn.debug_cost if accelerated else world.syn.full_cost
     assert world.clock.elapsed() == pytest.approx(
-        attempts * shakeout_cost + world.landscape.full_cost)
+        attempts * shakeout_cost + world.syn.full_cost)
     (event,) = of_kind(log, EventKind.NODE_EVALUATED)
     assert event["payload"] == {"node_id": node.id, "raw_score": node.raw_score,
                              "status": NodeStatus.EVALUATED.value}
@@ -598,7 +598,7 @@ def test_failed_validation_run_skips_the_metric_run():
     assert evaluator.calls == [(node.id, EvalMode.DEBUG, True), (node.id, EvalMode.DEBUG, False)]
     assert node.status is NodeStatus.FAILED
     assert node.raw_score is None
-    assert world.clock.elapsed() == pytest.approx(world.landscape.debug_cost)
+    assert world.clock.elapsed() == pytest.approx(world.syn.debug_cost)
     (event,) = of_kind(log, EventKind.NODE_EVALUATED)
     assert event["payload"] == {"node_id": node.id, "raw_score": None,
                              "status": NodeStatus.FAILED.value, "error": "injected failure"}
@@ -878,7 +878,7 @@ def test_merging_stage_budget_stop_books_finished_pairs():
     verdict is still booked, before the stage's finish event; the
     second pair, cut short, gets none."""
     world = make_world(seed=53, n_fe=4, m_mt=2)
-    world.clock.budget = world.clock.elapsed() + 3.0 * world.landscape.full_cost
+    world.clock.budget = world.clock.elapsed() + 3.0 * world.syn.full_cost
     mem = MergeMemory()
     log = RunLog()
     params = StageParams(n_fe=3, m_mt=2, n_selected=1)
