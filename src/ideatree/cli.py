@@ -40,13 +40,7 @@ from .report import (
 )
 from .retrieval import FileCorpusRetriever
 from .scoring import LlmPredictor
-from .setup_stages import (
-    DescriptionMetric,
-    DirectoryReader,
-    RotatingValidator,
-    ScriptedBaseliner,
-    SetupStages,
-)
+from .setup_stages import infer_metric, read_task
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -70,16 +64,15 @@ def _corpus_dir(dataset_dir: Optional[Path]) -> Optional[Path]:
 
 def build_llm_ports(config: RunConfig, dataset_dir: Path, out_dir: Path) -> PortSet:
     """Wire the real ports: chat-completion generation, subprocess
-    execution of code artifacts, dataset read from disk."""
+    execution of code artifacts, and the task read from the dataset
+    directory, once, with the metric its description names."""
     if not config.endpoint.base_url:
         raise ConfigInvalid(
             [f"endpoint.base_url is required for {PORTS_LLM} ports"]
         )
     dataset_dir = Path(dataset_dir)
-    reader = DirectoryReader()
-    task = reader.read(dataset_dir)
-    metric_port = DescriptionMetric()
-    metric = metric_port.infer(task)
+    task = read_task(dataset_dir)
+    metric = infer_metric(task)
     clock = build_clock(config)
     corpus = _corpus_dir(dataset_dir)
     gen = LlmGenerator(
@@ -99,13 +92,7 @@ def build_llm_ports(config: RunConfig, dataset_dir: Path, out_dir: Path) -> Port
     predictor = None
     if config.predict_before_evaluate:
         predictor = LlmPredictor(config.endpoint, metric_name=metric.name)
-    stages = SetupStages(
-        reader=reader,
-        metric=metric_port,
-        validator=RotatingValidator(),
-        baseliner=ScriptedBaseliner(),
-    )
-    return PortSet(stages=stages, gen=gen, evaluator=evaluator, metric=metric,
+    return PortSet(task=task, gen=gen, evaluator=evaluator, metric=metric,
                    clock=clock, predictor=predictor)
 
 
@@ -126,7 +113,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         ports = build_llm_ports(config, dataset_dir, out_dir)
     else:
         ports = build_synthetic_ports(config, corpus_dir=_corpus_dir(dataset_dir))
-    result = execute_run(config, ports, out_dir, dataset_dir=dataset_dir)
+    result = execute_run(config, ports, out_dir)
     score = "none" if result.best_raw_score is None else f"{result.best_raw_score:.6g}"
     print(f"run finished after {result.iterations} iterations; "
           f"best node {result.best_node_id}, {ports.metric.name} {score}")

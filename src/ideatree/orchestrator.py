@@ -58,16 +58,7 @@ from .search import (
     adding_stage,
     merging_stage,
 )
-from .setup_stages import (
-    RotatingValidator,
-    ScriptedBaseliner,
-    SetupResult,
-    SetupStages,
-    StaticMetric,
-    StaticReader,
-    TaskSpec,
-    pipeline_setup,
-)
+from .setup_stages import TaskSpec, pipeline_setup
 from .tree import (
     IdeationTree,
     MetricDirection,
@@ -93,10 +84,11 @@ MAX_FAILED_STAGES = 10
 
 @dataclass
 class PortSet:
-    """Every swappable dependency a run needs, already wired together.
-    The metric here must be the one the evaluator scores with."""
+    """Every swappable dependency a run needs, already wired together,
+    with the task they were built for and its metric: the one the
+    evaluator scores with, which the run ranks by and logs."""
 
-    stages: SetupStages
+    task: TaskSpec
     gen: IdeaGenerator
     evaluator: EvaluationPort
     metric: MetricSpec
@@ -111,10 +103,8 @@ class RunResult:
     best_raw_score: Optional[float]
     iterations: int
     budget_exhausted: bool
-    run_dir: Optional[Path] = None
     # "budget_exhausted", or "generator_failures" after MAX_FAILED_STAGES
     stop_reason: str = "budget_exhausted"
-    setup: Optional[SetupResult] = None
 
 
 def build_synthetic_ports(config: RunConfig, corpus_dir: Optional[Path] = None) -> PortSet:
@@ -132,12 +122,6 @@ def build_synthetic_ports(config: RunConfig, corpus_dir: Optional[Path] = None) 
         schema={f"x{i}": "float" for i in range(syn.dimension)},
         row_count=100,
     )
-    stages = SetupStages(
-        reader=StaticReader(task),
-        metric=StaticMetric(metric),
-        validator=RotatingValidator(),
-        baseliner=ScriptedBaseliner(),
-    )
     predictor = None
     if config.predict_before_evaluate:
         # radius a bit past the farthest corner keeps the lift curved
@@ -147,7 +131,7 @@ def build_synthetic_ports(config: RunConfig, corpus_dir: Optional[Path] = None) 
             embedder=VectorIdeaEmbedding(dimension=syn.dimension, radius=radius),
             temperature=0.1,
         )
-    return PortSet(stages=stages, gen=gen, evaluator=evaluator, metric=metric,
+    return PortSet(task=task, gen=gen, evaluator=evaluator, metric=metric,
                    clock=clock, predictor=predictor)
 
 
@@ -389,14 +373,11 @@ def _skip_merging(log: RunLog, iteration: int, reason: str) -> None:
 # Whole-run driver
 # =====================================================================
 
-def execute_run(
-    config: RunConfig,
-    ports: PortSet,
-    out_dir: Path,
-    dataset_dir: Optional[Path] = None,
-) -> RunResult:
+def execute_run(config: RunConfig, ports: PortSet, out_dir: Path) -> RunResult:
     """Setup → initialize → main loop, with the run directory laid out
-    for later reporting and replay.
+    for later reporting and replay. A config that fails
+    ``RunConfig.problems`` is ConfigInvalid before the directory is
+    made.
 
     One pool of ``worker_count`` threads serves every evaluation of the
     run and is shut down, its jobs finished, however the run ends. The
@@ -408,13 +389,14 @@ def execute_run(
     flushed after every stage, and flushed and closed however the run
     ends; when a port raises, that error, not a failure of the last
     flush, is the one that propagates."""
+    config.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dump_config(config, out_dir / CONFIG_COPY_FILENAME)
     clock = ports.clock
     log = RunLog(clock=clock, path=out_dir / LOG_FILENAME)
     try:
-        setup, result = _search(config, ports, dataset_dir, log)
+        result = _search(config, ports, log)
     except BaseException:
         try:
             log.close()
@@ -437,29 +419,26 @@ def execute_run(
         ),
         encoding="utf-8",
     )
-    result.run_dir = out_dir
-    result.setup = setup
     return result
 
 
-def _search(config: RunConfig, ports: PortSet, dataset_dir: Optional[Path],
-            log: RunLog) -> tuple[SetupResult, RunResult]:
-    """The logged part of a run: setup, initialization and the main
-    loop, on one evaluation pool."""
+def _search(config: RunConfig, ports: PortSet, log: RunLog) -> RunResult:
+    """The logged part of a run: setup of the ports' task,
+    initialization and the main loop, on one evaluation pool."""
     clock = ports.clock
-    setup = pipeline_setup(dataset_dir or Path("."), ports.stages, config)
+    setup = pipeline_setup(ports.task, config)
     log.append(
         EventKind.RUN_STARTED,
         seed=config.seed,
         budget_minutes=config.time_run_minutes,
-        metric=setup.metric.to_dict(),
-        task_rows=setup.task.row_count,
+        metric=ports.metric.to_dict(),
+        task_rows=ports.task.row_count,
         split_strategy=setup.plan.strategy,
         subset=setup.plan.use_subset,
     )
 
     ctx = ContextState()
-    ctx.append(SegmentTag.READER, setup.task.description)
+    ctx.append(SegmentTag.READER, ports.task.description)
     with _evaluation_pool(config.worker_count) as pool:
         tree = initialize_tree(
             ctx, ports.gen, ports.evaluator, config,
@@ -471,7 +450,7 @@ def _search(config: RunConfig, ports: PortSet, dataset_dir: Optional[Path],
             anchor_set = _build_anchors(tree, ports, config, ctx, log, pool)
             if anchor_set is not None:
                 predictor = ports.predictor
-                dataset_description = setup.task.description
+                dataset_description = ports.task.description
 
                 def predict_fn(text: str) -> float:
                     return predictor.predict(text, anchor_set, dataset_description)
@@ -481,7 +460,7 @@ def _search(config: RunConfig, ports: PortSet, dataset_dir: Optional[Path],
             tree, ctx, ports, mem, config, clock,
             log=log, predict_fn=predict_fn, pool=pool,
         )
-    return setup, result
+    return result
 
 
 def _build_anchors(tree, ports: PortSet, config: RunConfig, ctx, log,

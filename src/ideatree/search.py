@@ -768,7 +768,10 @@ def merging_stage(
     members have evaluated children, pair not in long-term memory),
     merges each into a new FE node that gets ``m_mt`` fresh scored MT
     children plus ``resample_k`` score-carrying copies sampled from each
-    parent, and books the outcome into the merge memory. Then
+    parent, and books the outcome into the merge memory. With
+    ``proportional_resample`` the copies are drawn in proportion to the
+    oriented scores of a parent whose children all score above zero,
+    and by softmax from any other parent. Then
     ``n_selected`` FE nodes are softmax-selected and each has its two
     best MT children merged into one new scored child. Evaluations run
     on ``pool`` when given; the merge verdicts are booked, in pair
@@ -819,10 +822,14 @@ def _merge_one_pair(
 
     if resample_k > 0:
         for parent_id in (a_id, b_id):
+            # proportional weights need every oriented score positive;
+            # a parent with one that is not is resampled by softmax
+            proportional = proportional_resample and all(
+                metric.orient(c.raw_score) > 0 for c in tree.evaluated_mt_children(parent_id))
             picks = sample_top(tree, parent_id, resample_k, rng,
                                metric=metric,
                                temperature=params.softmax_temperature,
-                               proportional=proportional_resample)
+                               proportional=proportional)
             for origin in picks:
                 pending.spawn(
                     merged.id, NodeLevel.MT, origin.idea_text,

@@ -1,10 +1,11 @@
-"""Run preparation: read the task, pick the metric, split the data,
+"""Run preparation: read the task, infer its metric, split the data,
 sanity-check the split with a baseline.
 
-Four small ports run in a fixed order. The baseliner can reject a split
-plan, which sends the validator back for an alternative strategy, a
-bounded number of times. Everything downstream treats the outputs as
-settled facts.
+The port builder reads the task (``read_task``) and infers its metric
+(``infer_metric``) once, as it builds a run's ports. The run's setup
+then agrees on a split: the baseliner can reject a split plan, which
+sends the validator back for an alternative strategy, a bounded number
+of times. Everything downstream treats the outputs as settled facts.
 """
 
 from __future__ import annotations
@@ -57,14 +58,6 @@ class BaselineResult:
     notes: str = ""
 
 
-class ReaderPort(Protocol):
-    def read(self, dataset_dir: Path) -> TaskSpec: ...
-
-
-class MetricPort(Protocol):
-    def infer(self, task: TaskSpec) -> MetricSpec: ...
-
-
 class ValidatorPort(Protocol):
     def split(self, task: TaskSpec, attempt: int) -> SplitPlan: ...
 
@@ -73,38 +66,37 @@ class BaselinerPort(Protocol):
     def baseline(self, task: TaskSpec, plan: SplitPlan) -> BaselineResult: ...
 
 
-@dataclass
-class SetupStages:
-    reader: ReaderPort
-    metric: MetricPort
-    validator: ValidatorPort
-    baseliner: BaselinerPort
-
-
 @dataclass(frozen=True)
 class SetupResult:
-    task: TaskSpec
-    metric: MetricSpec
     plan: SplitPlan
     baseline: BaselineResult
     validator_runs: int
 
 
-def pipeline_setup(dataset_dir: Path, stages: SetupStages, config: RunConfig) -> SetupResult:
-    """Reader → Metric → Validator → Baseliner, with bounded resplits.
+def pipeline_setup(
+    task: TaskSpec,
+    config: RunConfig,
+    *,
+    validator: Optional[ValidatorPort] = None,
+    baseliner: Optional[BaselinerPort] = None,
+) -> SetupResult:
+    """Validator → Baseliner on ``task``, with bounded resplits.
 
     A baseline verdict of RESPLIT_REQUESTED reruns the validator with an
     incremented attempt counter (its cue to try another strategy), at
     most ``config.max_resplits`` times beyond the first split. Large
     datasets (row count over ``validator_size_threshold``) get the plan's
-    subset flag set so training runs on ``subset_size_in_percent`` of
-    the rows.
+    subset flag and ``subset_size_in_percent``; the run only logs the
+    flag, as ``subset`` in ``run_started``. The validator and baseliner
+    default to a fresh ``RotatingValidator`` and ``ScriptedBaseliner``.
     """
-    task = _run_stage("reader", lambda: stages.reader.read(Path(dataset_dir)))
-    metric = _run_stage("metric", lambda: stages.metric.infer(task))
+    if validator is None:
+        validator = RotatingValidator()
+    if baseliner is None:
+        baseliner = ScriptedBaseliner()
 
     def make_plan(attempt: int) -> SplitPlan:
-        plan = _run_stage("validator", lambda: stages.validator.split(task, attempt))
+        plan = _run_stage("validator", lambda: validator.split(task, attempt))
         if task.row_count > config.validator_size_threshold and not plan.use_subset:
             plan = replace(plan, use_subset=True, subset_percent=config.subset_size_in_percent)
         return plan
@@ -113,12 +105,9 @@ def pipeline_setup(dataset_dir: Path, stages: SetupStages, config: RunConfig) ->
     validator_runs = 1
     plan = make_plan(attempt)
     while True:
-        result = _run_stage("baseliner", lambda: stages.baseliner.baseline(task, plan))
+        result = _run_stage("baseliner", lambda: baseliner.baseline(task, plan))
         if result.verdict is BaselineVerdict.SPLIT_OK:
-            return SetupResult(
-                task=task, metric=metric, plan=plan,
-                baseline=result, validator_runs=validator_runs,
-            )
+            return SetupResult(plan=plan, baseline=result, validator_runs=validator_runs)
         attempt += 1
         if attempt > config.max_resplits:
             raise ResplitsExhausted(
@@ -141,25 +130,6 @@ def _run_stage(name: str, fn):
 # =====================================================================
 # Stock implementations
 # =====================================================================
-
-@dataclass
-class StaticReader:
-    """Hands back a prebuilt TaskSpec, ignoring the directory. The
-    synthetic port set and most tests use this."""
-
-    task: TaskSpec
-
-    def read(self, dataset_dir: Path) -> TaskSpec:
-        return self.task
-
-
-@dataclass
-class StaticMetric:
-    metric: MetricSpec
-
-    def infer(self, task: TaskSpec) -> MetricSpec:
-        return self.metric
-
 
 @dataclass
 class RotatingValidator:
@@ -194,7 +164,7 @@ class ScriptedBaseliner:
                               notes=f"strategy {plan.strategy}")
 
 
-# ---- directory-backed reader and metric ----
+# ---- the task and its metric, from a dataset directory ----
 
 DESCRIPTION_FILENAME = "description.txt"
 DATA_FILENAME = "data.csv"
@@ -205,43 +175,41 @@ _METRIC_LINE = re.compile(
 )
 
 
-@dataclass
-class DirectoryReader:
-    """Reads the documented dataset layout: ``description.txt`` with the
-    task text and ``data.csv`` with a header row plus one row per
-    record."""
-
-    def read(self, dataset_dir: Path) -> TaskSpec:
-        dataset_dir = Path(dataset_dir)
-        description_path = dataset_dir / DESCRIPTION_FILENAME
-        if not description_path.exists():
-            raise FileNotFoundError(f"{DESCRIPTION_FILENAME} missing in {dataset_dir}")
-        description = description_path.read_text(encoding="utf-8").strip()
-        schema: dict[str, str] = {}
-        row_count = 0
-        data_path = dataset_dir / DATA_FILENAME
-        if data_path.exists():
-            with data_path.open(encoding="utf-8", newline="") as fh:
-                reader = csv.reader(fh)
-                header = next(reader, None)
-                if header:
-                    schema = {name.strip(): "unknown" for name in header}
-                row_count = sum(1 for _ in reader)
-        return TaskSpec(description=description, schema=schema, row_count=row_count)
+def read_task(dataset_dir: Path) -> TaskSpec:
+    """The task of the documented dataset layout: ``description.txt``
+    with the task text and ``data.csv`` with a header row plus one row
+    per record. A failure to read either, a missing description
+    included, is a StageFailure of stage ``reader``."""
+    return _run_stage("reader", lambda: _read_dataset(Path(dataset_dir)))
 
 
-@dataclass
-class DescriptionMetric:
-    """Parses a ``metric: <name> (<higher|lower> is better)`` line out of
-    the task description; defaults to accuracy when absent."""
+def _read_dataset(dataset_dir: Path) -> TaskSpec:
+    description_path = dataset_dir / DESCRIPTION_FILENAME
+    if not description_path.exists():
+        raise FileNotFoundError(f"{DESCRIPTION_FILENAME} missing in {dataset_dir}")
+    description = description_path.read_text(encoding="utf-8").strip()
+    schema: dict[str, str] = {}
+    row_count = 0
+    data_path = dataset_dir / DATA_FILENAME
+    if data_path.exists():
+        with data_path.open(encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header:
+                schema = {name.strip(): "unknown" for name in header}
+            row_count = sum(1 for _ in reader)
+    return TaskSpec(description=description, schema=schema, row_count=row_count)
 
-    def infer(self, task: TaskSpec) -> MetricSpec:
-        match = _METRIC_LINE.search(task.description)
-        if match:
-            direction = (
-                MetricDirection.HIGHER_BETTER
-                if match.group("direction").lower() == "higher"
-                else MetricDirection.LOWER_BETTER
-            )
-            return MetricSpec(match.group("name").strip(), direction)
-        return MetricSpec("accuracy", MetricDirection.HIGHER_BETTER)
+
+def infer_metric(task: TaskSpec) -> MetricSpec:
+    """The metric a ``metric: <name> (<higher|lower> is better)`` line
+    of the task description names; accuracy when there is none."""
+    match = _METRIC_LINE.search(task.description)
+    if match:
+        direction = (
+            MetricDirection.HIGHER_BETTER
+            if match.group("direction").lower() == "higher"
+            else MetricDirection.LOWER_BETTER
+        )
+        return MetricSpec(match.group("name").strip(), direction)
+    return MetricSpec("accuracy", MetricDirection.HIGHER_BETTER)

@@ -3,8 +3,10 @@ tables, leaderboard standings."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
+from pathlib import Path
 
 import pytest
 import yaml
@@ -22,7 +24,7 @@ from ideatree.config import RunConfig
 from ideatree.generation import EndpointConfig
 from ideatree.errors import MalformedLeaderboardFile, MissingRunArtifacts
 from ideatree.events import read_log
-from ideatree.orchestrator import verify_replay
+from ideatree.orchestrator import build_synthetic_ports, execute_run, verify_replay
 from ideatree.report import (
     percent_humans_beaten,
     progress_report,
@@ -146,6 +148,51 @@ def test_run_llm_ports_require_endpoint(tmp_path, config_path, capsys):
                  "--ports", "llm+subprocess", "--dataset", str(dataset)])
     assert code == EXIT_CONFIG_INVALID
     assert "endpoint.base_url" in capsys.readouterr().err
+
+
+def test_run_llm_ports_without_a_description_is_a_reader_error(tmp_path, capsys):
+    dataset = tmp_path / "ds"
+    dataset.mkdir()
+    config = tmp_path / "cfg.yaml"
+    config.write_text(yaml.safe_dump({"endpoint": {"base_url": "http://localhost:9",
+                                                   "model": "m"}}), encoding="utf-8")
+    code = main(["run", "--config", str(config), "--out", str(tmp_path / "x"),
+                 "--ports", "llm+subprocess", "--dataset", str(dataset)])
+    assert code == EXIT_FAILURE
+    assert capsys.readouterr().err == f"error: reader: description.txt missing in {dataset}\n"
+
+
+def test_llm_ports_and_the_run_read_the_dataset_once(tmp_path, monkeypatch):
+    """Building the llm ports reads the task and infers its metric; the
+    run's setup and its ``run_started`` event use those, opening no
+    dataset file again. The generator and evaluator are swapped for
+    synthetic ones so the run needs no endpoint."""
+    dataset = tmp_path / "ds"
+    dataset.mkdir()
+    (dataset / "description.txt").write_text(
+        "Predict late deliveries.\nmetric: f1 (higher is better)\n", encoding="utf-8")
+    (dataset / "data.csv").write_text("distance,late\n4.0,0\n9.5,1\n", encoding="utf-8")
+    opened = []
+    real_open = Path.open
+
+    def counting_open(self, *args, **kwargs):
+        if self.parent == dataset:
+            opened.append(self.name)
+        return real_open(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "open", counting_open)
+    config = RunConfig(seed=5, clock_mode="simulated", time_run_minutes=100.0,
+                       endpoint=EndpointConfig(base_url="http://localhost:9", model="m"))
+    ports = build_llm_ports(config, dataset, tmp_path / "run")
+    synthetic = build_synthetic_ports(config)
+    ports = dataclasses.replace(ports, gen=synthetic.gen, evaluator=synthetic.evaluator,
+                                predictor=None)
+    execute_run(config, ports, tmp_path / "run")
+    assert sorted(opened) == ["data.csv", "description.txt"]
+    (started,) = [e for e in read_log(tmp_path / "run" / "run.jsonl")
+                  if e["kind"] == "run_started"]
+    assert started["payload"]["metric"] == {"name": "f1", "direction": "higher_better"}
+    assert started["payload"]["task_rows"] == 2
 
 
 def test_llm_ports_clamp_subprocess_timeouts_to_the_run_clock(tmp_path):

@@ -1,0 +1,69 @@
+"""Pinned run directories: the sha256 of ``run.jsonl`` and
+``final_snapshot.json`` for three small seeded runs with the settings of
+the benchmark's workloads (``bench/workloads.py``), over bare synthetic
+ports.
+
+Criterion 8 compares two runs of one commit. These digests compare a
+run with the same run at an earlier commit, so a change that is meant
+to keep every run directory byte-identical fails here if it does not.
+A change that alters trajectories on purpose updates the digests and
+says so."""
+
+from __future__ import annotations
+
+import hashlib
+import importlib
+from pathlib import Path
+
+import pytest
+
+from ideatree.config import RunConfig
+from ideatree.orchestrator import (
+    FINAL_SNAPSHOT_FILENAME,
+    LOG_FILENAME,
+    build_synthetic_ports,
+    execute_run,
+    verify_replay,
+)
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+
+# workload, budget in cost units, and the digests of its seed-1 run
+GOLDEN = {
+    "grow-25k": (10_000, {
+        LOG_FILENAME: "c4bcbb9f654df32fe99808bfd91b66a9cf1b6a1e07088061c7eeb0ab435351e9",
+        FINAL_SNAPSHOT_FILENAME:
+            "59fea66b4fbace87f2a0520a5a1de63781dd8fc019427fd3fba7b6612aa6d6b1",
+    }),
+    "checkpoint-10k": (3_000, {
+        LOG_FILENAME: "4c50411655b198f1067b8c3761b9b7bd6a030409cf0a09aa19c95719eef309f7",
+        FINAL_SNAPSHOT_FILENAME:
+            "774e63dec2487da3240ab0550fecb67c32cdf0ecac7b96e8e00f93934e6871b9",
+    }),
+    "ports-2.5k": (2_500, {
+        LOG_FILENAME: "875d06066e6cfe6ec623e0c4978c3ffa6aee25b0674b7b46ad1fe34b12543eaf",
+        FINAL_SNAPSHOT_FILENAME:
+            "418097edd46e373018fb50dd2408633adfc13dee380444b046fcb913ad981b6a",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_run_directory_matches_its_pinned_digests(name, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    workloads = importlib.import_module("workloads")
+    workload = workloads.WORKLOADS[name]
+    budget, digests = GOLDEN[name]
+    config = RunConfig.from_dict(
+        {**workloads.run_config(workload, seed=1), "time_run_minutes": budget})
+    corpus = None
+    if workload.corpus_docs:
+        corpus = tmp_path / "corpus"
+        workloads.write_corpus(corpus, workload.corpus_docs, seed=1)
+    out = tmp_path / "run"
+    execute_run(config, build_synthetic_ports(config, corpus_dir=corpus), out)
+    assert {
+        filename: hashlib.sha256((out / filename).read_bytes()).hexdigest()
+        for filename in digests
+    } == digests
+    assert verify_replay(out)

@@ -54,18 +54,13 @@ from ideatree.orchestrator import (
 from ideatree import retrieval
 from ideatree.retrieval import FileCorpusRetriever
 from ideatree.setup_stages import (
-    BaselineResult,
     BaselineVerdict,
-    DescriptionMetric,
-    DirectoryReader,
     RotatingValidator,
     ScriptedBaseliner,
-    SetupStages,
-    SplitPlan,
-    StaticMetric,
-    StaticReader,
     TaskSpec,
+    infer_metric,
     pipeline_setup,
+    read_task,
 )
 from ideatree.tree import (
     IdeationTree,
@@ -76,20 +71,18 @@ from ideatree.tree import (
     NodeStatus,
 )
 
-from helpers import HIGHER, FlakyEvaluator, RecordingEvaluator, SleepyEvaluator
+from helpers import FlakyEvaluator, RecordingEvaluator, SleepyEvaluator
 
 RESPLIT = BaselineVerdict.RESPLIT_REQUESTED
 OK = BaselineVerdict.SPLIT_OK
 
 
-def _stages(rows=100, verdicts=(OK,), validator=None):
+def _setup(config, rows=100, verdicts=(OK,), validator=None):
+    """The split protocol on a toy task of ``rows`` rows, the baseliner
+    reading ``verdicts``."""
     task = TaskSpec(description="toy task", schema={"a": "float"}, row_count=rows)
-    return SetupStages(
-        reader=StaticReader(task),
-        metric=StaticMetric(HIGHER),
-        validator=validator or RotatingValidator(),
-        baseliner=ScriptedBaseliner(verdicts=verdicts),
-    )
+    return pipeline_setup(task, config, validator=validator,
+                          baseliner=ScriptedBaseliner(verdicts=verdicts))
 
 
 def _sim_config(**overrides):
@@ -106,7 +99,7 @@ def _sim_config(**overrides):
 # ---- setup pipeline ----
 
 def test_setup_happy_path():
-    result = pipeline_setup(".", _stages(), RunConfig())
+    result = _setup(RunConfig())
     assert result.validator_runs == 1
     assert result.plan.strategy == "random_holdout"
     assert not result.plan.use_subset
@@ -115,19 +108,19 @@ def test_setup_happy_path():
 
 def test_large_dataset_gets_subset_flag():
     config = RunConfig()
-    result = pipeline_setup(".", _stages(rows=20_000), config)
+    result = _setup(config, rows=20_000)
     assert result.plan.use_subset
     assert result.plan.subset_percent == config.subset_size_in_percent
 
 
 def test_small_dataset_keeps_full_rows():
     config = RunConfig()
-    result = pipeline_setup(".", _stages(rows=config.validator_size_threshold), config)
+    result = _setup(config, rows=config.validator_size_threshold)
     assert not result.plan.use_subset
 
 
 def test_resplit_rotates_strategy():
-    result = pipeline_setup(".", _stages(verdicts=(RESPLIT, OK)), RunConfig())
+    result = _setup(RunConfig(), verdicts=(RESPLIT, OK))
     assert result.validator_runs == 2
     assert result.plan.strategy == "stratified_holdout"
 
@@ -143,25 +136,22 @@ def test_resplits_exhausted_after_bounded_retries():
             calls.append(attempt)
             return self.inner.split(task, attempt)
 
-    stages = _stages(verdicts=(RESPLIT,),
-                     validator=CountingValidator(RotatingValidator()))
     with pytest.raises(ResplitsExhausted):
-        pipeline_setup(".", stages, RunConfig())
+        _setup(RunConfig(), verdicts=(RESPLIT,),
+               validator=CountingValidator(RotatingValidator()))
     # first split plus max_resplits retries
     assert calls == [0, 1, 2]
 
 
 def test_stage_failure_names_the_stage():
-    class BrokenReader:
-        def read(self, dataset_dir):
-            raise ValueError("no such dataset")
+    class BrokenValidator:
+        def split(self, task, attempt):
+            raise ValueError("no column to stratify on")
 
-    stages = _stages()
-    stages.reader = BrokenReader()
     with pytest.raises(StageFailure) as exc_info:
-        pipeline_setup(".", stages, RunConfig())
-    assert exc_info.value.stage == "reader"
-    assert "no such dataset" in str(exc_info.value)
+        _setup(RunConfig(), validator=BrokenValidator())
+    assert exc_info.value.stage == "validator"
+    assert "no column to stratify on" in str(exc_info.value)
 
 
 def test_directory_reader_and_metric(tmp_path):
@@ -171,32 +161,41 @@ def test_directory_reader_and_metric(tmp_path):
     (tmp_path / "data.csv").write_text(
         "order_id,distance,late\n1,4.0,0\n2,9.5,1\n3,2.2,0\n", encoding="utf-8"
     )
-    task = DirectoryReader().read(tmp_path)
+    task = read_task(tmp_path)
     assert task.row_count == 3
     assert set(task.schema) == {"order_id", "distance", "late"}
-    metric = DescriptionMetric().infer(task)
+    metric = infer_metric(task)
     assert metric.name == "f1"
     assert metric.direction is MetricDirection.HIGHER_BETTER
 
 
 def test_directory_reader_requires_description(tmp_path):
-    stages = _stages()
-    stages.reader = DirectoryReader()
     with pytest.raises(StageFailure) as exc_info:
-        pipeline_setup(tmp_path, stages, RunConfig())
+        read_task(tmp_path)
     assert exc_info.value.stage == "reader"
+
+
+@pytest.mark.parametrize("broken", ["description.txt", "data.csv"])
+def test_an_unreadable_dataset_file_is_a_reader_failure(tmp_path, broken):
+    (tmp_path / "description.txt").write_text("a task", encoding="utf-8")
+    (tmp_path / "data.csv").write_text("a\n1\n", encoding="utf-8")
+    (tmp_path / broken).write_bytes(b"\xff\xfe not utf-8")
+    with pytest.raises(StageFailure) as exc_info:
+        read_task(tmp_path)
+    assert exc_info.value.stage == "reader"
+    assert "can't decode" in str(exc_info.value)
 
 
 def test_description_metric_defaults_to_accuracy():
     task = TaskSpec(description="no metric line here")
-    metric = DescriptionMetric().infer(task)
+    metric = infer_metric(task)
     assert metric.name == "accuracy"
     assert metric.direction is MetricDirection.HIGHER_BETTER
 
 
 def test_description_metric_parses_lower_better():
     task = TaskSpec(description="metric: rmse (lower is better)")
-    metric = DescriptionMetric().infer(task)
+    metric = infer_metric(task)
     assert metric.name == "rmse"
     assert metric.direction is MetricDirection.LOWER_BETTER
 
@@ -716,6 +715,42 @@ def test_corpus_is_read_once_per_run(tmp_path, monkeypatch):
              time_run_minutes=budget, rag_policy="always")
         assert calls["retrieve"] > 1, calls
         assert calls["parse"] == 4, (budget, calls)
+
+
+def test_a_run_of_an_invalid_config_is_refused_before_its_directory(tmp_path):
+    config = RunConfig(clock_mode="simulated", time_run_minutes=math.inf)
+    ports = build_synthetic_ports(config)
+    with pytest.raises(ConfigInvalid) as exc_info:
+        execute_run(config, ports, tmp_path / "run")
+    assert exc_info.value.problems == ["time_run_minutes must be finite, got inf"]
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_proportional_resampling_falls_back_to_softmax(tmp_path, monkeypatch, seed):
+    """With ``sample_top_proportional``, a merge parent with a child
+    whose oriented score is not positive is resampled by softmax, and
+    any other parent in proportion to its scores; the noisy landscape
+    has parents of both kinds."""
+    from ideatree import search
+
+    calls = []
+    real_sample_top = search.sample_top
+
+    def recording(tree, fe_node_id, k, rng, *, metric, proportional, **kwargs):
+        scores = [metric.orient(c.raw_score) for c in tree.evaluated_mt_children(fe_node_id)]
+        calls.append((proportional, min(scores) > 0))
+        return real_sample_top(tree, fe_node_id, k, rng, metric=metric,
+                               proportional=proportional, **kwargs)
+
+    monkeypatch.setattr(search, "sample_top", recording)
+    _, out, result = _run(
+        tmp_path, seed=seed, time_run_minutes=3_000.0, sample_top_proportional=True,
+        synthetic={"full_cost": 10.0, "debug_cost": 1.0, "noise_sigma": 1.0})
+    assert result.budget_exhausted
+    assert {positive for _, positive in calls} == {True, False}
+    assert all(proportional == positive for proportional, positive in calls)
+    assert verify_replay(out)
 
 
 def test_run_artifacts_layout(tmp_path):
