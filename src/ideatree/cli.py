@@ -16,7 +16,7 @@ from typing import Optional
 
 from .config import RunConfig, load_config
 from .errors import ConfigInvalid, IdeaTreeError, InitializationFailure
-from .evaluation import ExecLimits, SubprocessEvaluator
+from .evaluation import SubprocessEvaluator
 from .events import collector_paused
 from .generation import LlmGenerator, MemoryStrategy
 from .orchestrator import (
@@ -65,7 +65,10 @@ def _corpus_dir(dataset_dir: Optional[Path]) -> Optional[Path]:
 def build_llm_ports(config: RunConfig, dataset_dir: Path, out_dir: Path) -> PortSet:
     """Wire the real ports: chat-completion generation, subprocess
     execution of code artifacts, and the task read from the dataset
-    directory, once, with the metric its description names."""
+    directory, once, with the metric its description names. A config
+    that fails ``RunConfig.problems`` is ConfigInvalid before any of
+    them is built."""
+    config.validate()
     if not config.endpoint.base_url:
         raise ConfigInvalid(
             [f"endpoint.base_url is required for {PORTS_LLM} ports"]
@@ -85,7 +88,7 @@ def build_llm_ports(config: RunConfig, dataset_dir: Path, out_dir: Path) -> Port
     )
     evaluator = SubprocessEvaluator(
         workspace=Path(out_dir) / "workspace",
-        limits=ExecLimits(wall_minutes=config.runtime_error_time),
+        wall_minutes=config.runtime_error_time,
         subset_percent=config.subset_size_in_percent,
         clock=clock,
     )
@@ -104,7 +107,6 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config) if args.config else RunConfig()
     if args.seed is not None:
         config.seed = args.seed
-        config.validate()
     out_dir = Path(args.out)
     dataset_dir = Path(args.dataset) if args.dataset else None
     if args.ports == PORTS_LLM:
@@ -250,7 +252,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except InitializationFailure as exc:
         print(f"initialization failed: {exc}", file=sys.stderr)
         return EXIT_INITIALIZATION
-    except IdeaTreeError as exc:
+    except (IdeaTreeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 

@@ -40,8 +40,6 @@ class HashedEmbedding:
     """
 
     def __init__(self, dimension: int = 64):
-        if dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {dimension}")
         self.dimension = dimension
 
     def embed(self, text: str) -> np.ndarray:
@@ -68,10 +66,6 @@ class VectorIdeaEmbedding:
     """
 
     def __init__(self, dimension: int, radius: float = 4.0):
-        if dimension < 1:
-            raise ValueError(f"dimension must be >= 1, got {dimension}")
-        if radius <= 0:
-            raise ValueError(f"radius must be positive, got {radius}")
         self.dimension = dimension
         self.radius = radius
 

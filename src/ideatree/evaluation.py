@@ -13,7 +13,7 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Protocol
@@ -22,7 +22,7 @@ import numpy as np
 
 from .clock import WallClock
 from .embedding import parse_idea_vector
-from .errors import EvaluationFailure, InvalidParams, UnparseableIdea
+from .errors import EvaluationFailure, UnparseableIdea
 from .tree import MetricDirection, MetricSpec, Node, ProvenanceKind
 
 if TYPE_CHECKING:
@@ -140,32 +140,22 @@ class SimulatedEvaluator:
 # Subprocess executor
 # =====================================================================
 
-@dataclass(frozen=True)
-class ExecLimits:
-    """Caps on one candidate execution."""
-
-    wall_minutes: float = 30.0
-
-    def __post_init__(self):
-        if self.wall_minutes <= 0:
-            raise InvalidParams("wall_minutes must be positive")
-
-
 RESULT_FILENAME = "result.txt"
 
 
 def subprocess_evaluate(
     node: Node,
     workspace: Path,
-    limits: ExecLimits,
+    wall_minutes: float,
     *,
     mode: EvalMode = EvalMode.FULL,
     subset_percent: Optional[float] = None,
 ) -> float:
     """Run a node's code artifact as a Python script in its own
-    workspace subdirectory and read the single numeric result it writes
-    to ``result.txt``. Raises EvaluationFailure with a full report on
-    timeout, nonzero exit, or a missing/unparseable result.
+    workspace subdirectory, for at most ``wall_minutes``, and read the
+    single numeric result it writes to ``result.txt``. Raises
+    EvaluationFailure with a full report on timeout, nonzero exit, or a
+    missing/unparseable result.
 
     Contract for the script: run with cwd set to a fresh directory,
     ``INPUT_DIR`` pointing at shared read-only inputs, and (debug mode)
@@ -196,12 +186,12 @@ def subprocess_evaluate(
             env=env,
             capture_output=True,
             text=True,
-            timeout=limits.wall_minutes * 60.0,
+            timeout=wall_minutes * 60.0,
         )
     except subprocess.TimeoutExpired as exc:
         report = FailureReport(
             kind=FailureKind.TIMEOUT,
-            message=f"exceeded {limits.wall_minutes} minutes",
+            message=f"exceeded {wall_minutes} minutes",
             stdout=_as_text(exc.stdout),
             stderr=_as_text(exc.stderr),
         )
@@ -271,28 +261,25 @@ class SubprocessEvaluator:
     Costs are wall time, so ``cost`` reports None for both modes.
 
     Under a ``WallClock`` each call's timeout is the smaller of
-    ``limits.wall_minutes`` and the run's remaining time, but never
+    ``wall_minutes`` and the run's remaining time, but never
     below ``MIN_TIMEOUT_MINUTES``, so no candidate outlives the budget
     by more than that."""
 
-    def __init__(self, workspace: Path, limits: ExecLimits,
+    def __init__(self, workspace: Path, wall_minutes: float,
                  subset_percent: Optional[float] = None, clock=None):
         self.workspace = Path(workspace)
-        self.limits = limits
+        self.wall_minutes = wall_minutes
         self.subset_percent = subset_percent
         self.clock = clock
 
-    def _call_limits(self) -> ExecLimits:
+    def _call_minutes(self) -> float:
         if not isinstance(self.clock, WallClock):
-            return self.limits
-        remaining = max(MIN_TIMEOUT_MINUTES, self.clock.remaining())
-        if remaining >= self.limits.wall_minutes:
-            return self.limits
-        return replace(self.limits, wall_minutes=remaining)
+            return self.wall_minutes
+        return min(self.wall_minutes, max(MIN_TIMEOUT_MINUTES, self.clock.remaining()))
 
     def evaluate(self, node: Node, mode: EvalMode) -> float:
         return subprocess_evaluate(
-            node, self.workspace, self._call_limits(),
+            node, self.workspace, self._call_minutes(),
             mode=mode, subset_percent=self.subset_percent,
         )
 

@@ -111,8 +111,6 @@ def select_context_nodes(
     """Pick up to n same-level nodes (anchor excluded) as memory for the
     next generation call: closest / farthest by cosine distance of idea
     embeddings, or uniformly at random. Distance ties break on node id."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
     eligible = sorted(
         (node for node in tree.nodes_at_level(anchor_node.level) if node.id != anchor_node.id),
         key=lambda node: node.id,
@@ -163,6 +161,18 @@ def gate_external_query(
     if cap is not None:
         texts = texts[:cap]
     return [ctx.append(SegmentTag.EXTERNAL, text) for text in texts if text and text.strip()]
+
+
+def _retrieve_external(retriever: Optional[FileCorpusRetriever], k: int,
+                       ctx: ContextState, fallback: str) -> list[str]:
+    """A generator's ``query_external``: the texts of the ``k``
+    documents ``retriever`` finds for the context's last segment, or for
+    ``fallback`` while the context is empty; none without a retriever."""
+    if retriever is None:
+        return []
+    segments = ctx._segments
+    query = segments[-1].text if segments else fallback
+    return [f"{d.title}: {d.body}" for d in retriever.retrieve(query, k)]
 
 
 # =====================================================================
@@ -251,11 +261,8 @@ class SyntheticGenerator:
         return f"tree survey: {len(tree.nodes)} nodes, {fe_count} feature ideas, {mt_count} model ideas"
 
     def query_external(self, ctx: ContextState) -> list[str]:
-        if self.retriever is None:
-            return []
-        query = ctx.segments[-1].text if ctx.segments else "general modelling advice"
-        docs = self.retriever.retrieve(query, self.retrieve_k)
-        return [f"{d.title}: {d.body}" for d in docs]
+        return _retrieve_external(self.retriever, self.retrieve_k, ctx,
+                                  "general modelling advice")
 
 
 # =====================================================================
@@ -482,8 +489,5 @@ class LlmGenerator:
         return ideas[0]
 
     def query_external(self, ctx: ContextState) -> list[str]:
-        if self.retriever is None:
-            return []
-        query = ctx.segments[-1].text if ctx.segments else "machine learning competition advice"
-        docs = self.retriever.retrieve(query, self.retrieve_k)
-        return [f"{d.title}: {d.body}" for d in docs]
+        return _retrieve_external(self.retriever, self.retrieve_k, ctx,
+                                  "machine learning competition advice")

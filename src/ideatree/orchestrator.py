@@ -109,7 +109,9 @@ class RunResult:
 
 def build_synthetic_ports(config: RunConfig, corpus_dir: Optional[Path] = None) -> PortSet:
     """Self-contained ports over the simulated landscape: no network, no
-    subprocesses, deterministic for a given config."""
+    subprocesses, deterministic for a given config. A config that fails
+    ``RunConfig.problems`` is ConfigInvalid before any port is built."""
+    config.validate()
     syn = config.synthetic
     metric = MetricSpec("landscape_quality", MetricDirection.HIGHER_BETTER)
     clock = build_clock(config)
@@ -166,28 +168,26 @@ def _evaluation_pool(worker_count: int):
 
 def initialize_tree(
     ctx: ContextState,
-    gen: IdeaGenerator,
-    evaluator: EvaluationPort,
+    ports: PortSet,
     config: RunConfig,
     *,
-    metric: MetricSpec,
     log: Optional[RunLog] = None,
-    root_idea: str = DEFAULT_ROOT_IDEA,
-    clock=None,
     pool: Optional[Executor] = None,
 ) -> IdeationTree:
     """Build the starting tree: enriched root, a first rank of feature
     ideas, and fully evaluated model children under each.
 
     Initialization is not budget-gated (a zero-budget run still ends
-    with a best node), but evaluations do charge ``clock``. They run on
-    ``pool`` when given and are committed at the end. If not one model
-    idea survives evaluation there is nothing to search from and
+    with a best node), but evaluations do charge the ports' clock. They
+    run on ``pool`` when given and are committed at the end. If not one
+    model idea survives evaluation there is nothing to search from and
     InitializationFailure is raised.
     """
+    gen = ports.gen
     tree = IdeationTree()
-    pending = PendingSet(tree, evaluator, _eval_policy(config), clock=clock, log=log, pool=pool)
-    pending.spawn(None, NodeLevel.EDA, root_idea, status=NodeStatus.IMPLEMENTED)
+    pending = PendingSet(tree, ports.evaluator, _eval_policy(config), clock=ports.clock,
+                         log=log, pool=pool)
+    pending.spawn(None, NodeLevel.EDA, DEFAULT_ROOT_IDEA, status=NodeStatus.IMPLEMENTED)
     for _ in range(config.number_of_ideas_eda):
         note = gen.enrich_eda(tree, ctx)
         if note:
@@ -201,7 +201,7 @@ def initialize_tree(
     finally:
         pending.commit()
     backpropagate(tree)
-    if tree.best_evaluated_mt(metric) is None:
+    if tree.best_evaluated_mt(ports.metric) is None:
         raise InitializationFailure("no model idea survived initial evaluation")
     return tree
 
@@ -214,9 +214,7 @@ def run_main_loop(
     tree: IdeationTree,
     ctx: ContextState,
     ports: PortSet,
-    mem: MergeMemory,
     config: RunConfig,
-    clock,
     *,
     log: RunLog,
     predict_fn=None,
@@ -259,6 +257,8 @@ def run_main_loop(
         merge_epsilon=config.merge_epsilon,
     )
     policy = _eval_policy(config, predict_fn)
+    clock = ports.clock
+    mem = MergeMemory(theta_fail=config.theta_fail)
     iterations = 0
     stage_number = 0
     budget_out = False
@@ -425,7 +425,6 @@ def execute_run(config: RunConfig, ports: PortSet, out_dir: Path) -> RunResult:
 def _search(config: RunConfig, ports: PortSet, log: RunLog) -> RunResult:
     """The logged part of a run: setup of the ports' task,
     initialization and the main loop, on one evaluation pool."""
-    clock = ports.clock
     setup = pipeline_setup(ports.task, config)
     log.append(
         EventKind.RUN_STARTED,
@@ -440,10 +439,7 @@ def _search(config: RunConfig, ports: PortSet, log: RunLog) -> RunResult:
     ctx = ContextState()
     ctx.append(SegmentTag.READER, ports.task.description)
     with _evaluation_pool(config.worker_count) as pool:
-        tree = initialize_tree(
-            ctx, ports.gen, ports.evaluator, config,
-            metric=ports.metric, log=log, clock=clock, pool=pool,
-        )
+        tree = initialize_tree(ctx, ports, config, log=log, pool=pool)
 
         predict_fn = None
         if config.predict_before_evaluate and ports.predictor is not None:
@@ -455,10 +451,8 @@ def _search(config: RunConfig, ports: PortSet, log: RunLog) -> RunResult:
                 def predict_fn(text: str) -> float:
                     return predictor.predict(text, anchor_set, dataset_description)
 
-        mem = MergeMemory(theta_fail=config.theta_fail)
         result = run_main_loop(
-            tree, ctx, ports, mem, config, clock,
-            log=log, predict_fn=predict_fn, pool=pool,
+            tree, ctx, ports, config, log=log, predict_fn=predict_fn, pool=pool,
         )
     return result
 

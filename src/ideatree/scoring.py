@@ -114,10 +114,6 @@ def build_anchor_set(
     procedure, nothing usable came back and AnchorConstructionFailed is
     raised.
     """
-    if min_anchors < 1 or max_anchors < min_anchors:
-        raise InvalidParams(
-            f"need 1 <= min_anchors <= max_anchors, got {min_anchors}..{max_anchors}"
-        )
     fe_nodes = tree.fe_nodes()
     if not fe_nodes:
         raise NoFeNodes("anchor construction needs at least one feature node")

@@ -211,10 +211,6 @@ class MergeMemory:
     short_term: dict[MergePairKey, int] = field(default_factory=dict)
     long_term: set[MergePairKey] = field(default_factory=set)
 
-    def __post_init__(self):
-        if self.theta_fail < 1:
-            raise InvalidParams(f"theta_fail must be >= 1, got {self.theta_fail}")
-
     def record_failure(self, key: MergePairKey) -> bool:
         """Count one failure; returns True when this promoted the pair."""
         if key in self.long_term:
@@ -311,17 +307,6 @@ class StageParams:
     softmax_temperature: float = 1.0
     merge_epsilon: float = 0.0
 
-    def __post_init__(self):
-        for name in ("n_fe", "m_mt", "n_selected"):
-            if getattr(self, name) < 1:
-                raise InvalidParams(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.softmax_temperature <= 0:
-            raise InvalidParams(
-                f"softmax_temperature must be positive, got {self.softmax_temperature}"
-            )
-        if not math.isfinite(self.merge_epsilon):
-            raise InvalidParams("merge_epsilon must be finite")
-
 
 @dataclass
 class EvalPolicy:
@@ -341,12 +326,6 @@ class EvalPolicy:
     accelerated_debug: bool = True
     predict_fn: Optional[Callable[[str], float]] = None
     predict_fraction: float = 0.5
-
-    def __post_init__(self):
-        if self.validation_attempts < 0:
-            raise InvalidParams("validation_attempts must be >= 0")
-        if not 0.0 < self.predict_fraction <= 1.0:
-            raise InvalidParams("predict_fraction must be in (0, 1]")
 
 
 class _BudgetStop(Exception):
@@ -782,8 +761,6 @@ def merging_stage(
     """
     # nothing is pruned here: the merge verdict needs real scores
     policy = replace(policy or EvalPolicy(), predict_fn=None)
-    if resample_k < 0:
-        raise InvalidParams(f"resample_k must be >= 0, got {resample_k}")
     eligible = tree.eligible_fe_ids()
     if len(eligible) < 2:
         raise InsufficientParents(

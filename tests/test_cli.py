@@ -22,7 +22,7 @@ from ideatree.cli import (
 from ideatree.clock import WallClock
 from ideatree.config import RunConfig
 from ideatree.generation import EndpointConfig
-from ideatree.errors import MalformedLeaderboardFile, MissingRunArtifacts
+from ideatree.errors import ConfigInvalid, MalformedLeaderboardFile, MissingRunArtifacts
 from ideatree.events import read_log
 from ideatree.orchestrator import build_synthetic_ports, execute_run, verify_replay
 from ideatree.report import (
@@ -117,6 +117,14 @@ def test_run_seed_flag_overrides_config(tmp_path, config_path):
     assert copied["seed"] == 99
 
 
+def test_run_seed_flag_is_validated(tmp_path, config_path, capsys):
+    out = tmp_path / "run_negative"
+    assert main(["run", "--config", str(config_path), "--out", str(out),
+                 "--seed", "-1"]) == EXIT_CONFIG_INVALID
+    assert capsys.readouterr().err == "config error: seed must be in [0, 2**64), got -1\n"
+    assert not out.exists()
+
+
 def test_run_initialization_failure_exit_code(tmp_path, config_path, monkeypatch):
     import ideatree.cli as cli_module
 
@@ -206,6 +214,15 @@ def test_llm_ports_clamp_subprocess_timeouts_to_the_run_clock(tmp_path):
     ports = build_llm_ports(config, dataset, tmp_path / "run")
     assert isinstance(ports.clock, WallClock)
     assert ports.evaluator.clock is ports.clock
+    assert ports.evaluator.wall_minutes == config.runtime_error_time
+
+
+def test_llm_ports_refuse_an_invalid_config_before_reading_the_dataset(tmp_path):
+    config = RunConfig(runtime_error_time=0.0,
+                       endpoint=EndpointConfig(base_url="http://localhost:9", model="m"))
+    with pytest.raises(ConfigInvalid) as exc_info:
+        build_llm_ports(config, tmp_path / "missing", tmp_path / "run")
+    assert exc_info.value.problems == ["runtime_error_time must be positive, got 0.0"]
 
 
 # ---- replay ----
@@ -297,6 +314,19 @@ def test_report_progress_parses_the_log_once(finished_run, tmp_path, monkeypatch
 def test_report_progress_rejects_multiple_dirs(finished_run, tmp_path, capsys):
     code = main(["report", str(finished_run), str(tmp_path)])
     assert code == EXIT_FAILURE
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_an_out_path_that_is_a_file_is_an_error(finished_run, tmp_path, config_path,
+                                                 capsys, command):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    args = (["run", "--config", str(config_path)] if command == "run"
+            else ["report", str(finished_run)])
+    capsys.readouterr()
+    assert main(args + ["--out", str(taken)]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(taken) in err
 
 
 def test_report_writes_files(finished_run, tmp_path):

@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 from ideatree.clock import SimulatedClock, WallClock
 from ideatree.config import SyntheticConfig
 from ideatree.embedding import render_idea_vector
-from ideatree.errors import EvaluationFailure, InvalidParams, UnparseableIdea
+from ideatree.errors import EvaluationFailure, UnparseableIdea
 from ideatree.evaluation import (
     EvalMode,
-    ExecLimits,
     FailureKind,
     MIN_TIMEOUT_MINUTES,
     SimulatedEvaluator,
@@ -163,7 +162,7 @@ with open("result.txt", "w") as fh:
 
 def test_subprocess_happy_path(tmp_path):
     node = _mt("any", artifact=OK_SCRIPT)
-    value = subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0))
+    value = subprocess_evaluate(node, tmp_path, 1.0)
     assert value == pytest.approx(0.875)
     run_dir = tmp_path / "nodes" / f"node_{node.id:05d}_full"
     assert (run_dir / "stdout.txt").exists()
@@ -173,14 +172,14 @@ def test_subprocess_happy_path(tmp_path):
 def test_subprocess_no_artifact(tmp_path):
     node = _mt("any")
     with pytest.raises(EvaluationFailure) as err:
-        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0))
+        subprocess_evaluate(node, tmp_path, 1.0)
     assert err.value.report.kind is FailureKind.BAD_IDEA
 
 
 def test_subprocess_nonzero_exit(tmp_path):
     node = _mt("any", artifact="raise ValueError('bad split')\n")
     with pytest.raises(EvaluationFailure) as err:
-        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0))
+        subprocess_evaluate(node, tmp_path, 1.0)
     report = err.value.report
     assert report.kind is FailureKind.NONZERO_EXIT
     assert "bad split" in report.stderr
@@ -190,26 +189,25 @@ def test_subprocess_nonzero_exit(tmp_path):
 def test_subprocess_missing_result(tmp_path):
     node = _mt("any", artifact="print('done, forgot the file')\n")
     with pytest.raises(EvaluationFailure) as err:
-        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0))
+        subprocess_evaluate(node, tmp_path, 1.0)
     assert err.value.report.kind is FailureKind.MISSING_RESULT
 
 
 def test_subprocess_unparseable_result(tmp_path):
     node = _mt("any", artifact='open("result.txt", "w").write("not a number")\n')
     with pytest.raises(EvaluationFailure) as err:
-        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0))
+        subprocess_evaluate(node, tmp_path, 1.0)
     assert err.value.report.kind is FailureKind.UNPARSEABLE_RESULT
     node2 = _mt("any", artifact='open("result.txt", "w").write("inf")\n')
     with pytest.raises(EvaluationFailure) as err:
-        subprocess_evaluate(node2, tmp_path, ExecLimits(wall_minutes=1.0))
+        subprocess_evaluate(node2, tmp_path, 1.0)
     assert err.value.report.kind is FailureKind.UNPARSEABLE_RESULT
 
 
 def test_subprocess_timeout(tmp_path):
     node = _mt("any", artifact="import time\ntime.sleep(30)\n")
-    limits = ExecLimits(wall_minutes=1.0 / 60.0)  # one second
     with pytest.raises(EvaluationFailure) as err:
-        subprocess_evaluate(node, tmp_path, limits)
+        subprocess_evaluate(node, tmp_path, 1.0 / 60.0)  # one second
     assert err.value.report.kind is FailureKind.TIMEOUT
 
 
@@ -221,7 +219,7 @@ with open("result.txt", "w") as fh:
 """
     node = _mt("any", artifact=script)
     value = subprocess_evaluate(
-        node, tmp_path, ExecLimits(wall_minutes=1.0),
+        node, tmp_path, 1.0,
         mode=EvalMode.DEBUG, subset_percent=10.0,
     )
     assert value == pytest.approx(10.0)
@@ -238,10 +236,9 @@ def test_subprocess_subset_reaches_debug_runs_only(tmp_path):
     """A full run sees no subset even when one is given; a debug run
     without one sees none either."""
     node = _mt("any", artifact=SUBSET_SCRIPT)
-    limits = ExecLimits(wall_minutes=1.0)
-    full = subprocess_evaluate(node, tmp_path, limits,
+    full = subprocess_evaluate(node, tmp_path, 1.0,
                                mode=EvalMode.FULL, subset_percent=10.0)
-    debug = subprocess_evaluate(node, tmp_path, limits, mode=EvalMode.DEBUG)
+    debug = subprocess_evaluate(node, tmp_path, 1.0, mode=EvalMode.DEBUG)
     assert full == -1.0
     assert debug == -1.0
 
@@ -256,7 +253,7 @@ with open("result.txt", "w") as fh:
     fh.write("1")
 """
     node = _mt("any", artifact=script)
-    subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0))
+    subprocess_evaluate(node, tmp_path, 1.0)
     run_dir = tmp_path / "nodes" / f"node_{node.id:05d}_full"
     seen = json.loads((run_dir / "seen.json").read_text(encoding="utf-8"))
     assert Path(seen["cwd"]).resolve() == run_dir.resolve()
@@ -273,9 +270,8 @@ print("subset", os.environ.get("DATA_SUBSET_PERCENT", "all"))
 open("result.txt", "w").write("0.5")
 """
     node = _mt("any", artifact=script)
-    limits = ExecLimits(wall_minutes=1.0)
-    subprocess_evaluate(node, tmp_path, limits, mode=EvalMode.DEBUG, subset_percent=5.0)
-    subprocess_evaluate(node, tmp_path, limits, mode=EvalMode.FULL)
+    subprocess_evaluate(node, tmp_path, 1.0, mode=EvalMode.DEBUG, subset_percent=5.0)
+    subprocess_evaluate(node, tmp_path, 1.0, mode=EvalMode.FULL)
     for mode, printed in ((EvalMode.DEBUG, "subset 5.0\n"), (EvalMode.FULL, "subset all\n")):
         run_dir = tmp_path / "nodes" / f"node_{node.id:05d}_{mode.value}"
         assert (run_dir / "candidate.py").read_text(encoding="utf-8") == script
@@ -285,7 +281,7 @@ open("result.txt", "w").write("0.5")
 def test_subprocess_nonzero_exit_without_stderr(tmp_path):
     node = _mt("any", artifact="import sys\nsys.exit(3)\n")
     with pytest.raises(EvaluationFailure) as err:
-        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0))
+        subprocess_evaluate(node, tmp_path, 1.0)
     report = err.value.report
     assert report.kind is FailureKind.NONZERO_EXIT
     assert report.exit_code == 3
@@ -298,7 +294,7 @@ def test_subprocess_nonzero_exit_message_is_the_last_stderr_line(tmp_path):
     script = 'import sys\nsys.stderr.write("first\\nlast words\\n\\n  \\n")\nsys.exit(2)\n'
     node = _mt("any", artifact=script)
     with pytest.raises(EvaluationFailure) as err:
-        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0))
+        subprocess_evaluate(node, tmp_path, 1.0)
     assert err.value.report.message == "exit code 2: last words"
     assert str(err.value) == "exit code 2: last words"
     run_dir = tmp_path / "nodes" / f"node_{node.id:05d}_full"
@@ -317,7 +313,7 @@ time.sleep(30)
 """
     node = _mt("any", artifact=script)
     with pytest.raises(EvaluationFailure) as err:
-        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0 / 60.0))
+        subprocess_evaluate(node, tmp_path, 1.0 / 60.0)
     report = err.value.report
     assert report.kind is FailureKind.TIMEOUT
     assert report.stdout == "started\n"
@@ -329,14 +325,14 @@ time.sleep(30)
 
 def test_subprocess_result_whitespace_is_ignored(tmp_path):
     node = _mt("any", artifact='open("result.txt", "w").write("  \\n-0.25\\n\\n")\n')
-    assert subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0)) == -0.25
+    assert subprocess_evaluate(node, tmp_path, 1.0) == -0.25
 
 
 @pytest.mark.parametrize("text", ["nan", "-inf", "", "1e400"])
 def test_subprocess_non_finite_or_empty_result_is_unparseable(tmp_path, text):
     node = _mt("any", artifact=f'open("result.txt", "w").write({text!r})\n')
     with pytest.raises(EvaluationFailure) as err:
-        subprocess_evaluate(node, tmp_path, ExecLimits(wall_minutes=1.0))
+        subprocess_evaluate(node, tmp_path, 1.0)
     report = err.value.report
     assert report.kind is FailureKind.UNPARSEABLE_RESULT
     assert report.exit_code == 0
@@ -344,14 +340,14 @@ def test_subprocess_non_finite_or_empty_result_is_unparseable(tmp_path, text):
 
 
 def test_subprocess_evaluator_port(tmp_path):
-    ev = SubprocessEvaluator(tmp_path, ExecLimits(wall_minutes=1.0))
+    ev = SubprocessEvaluator(tmp_path, 1.0)
     node = _mt("any", artifact=OK_SCRIPT)
     assert ev.evaluate(node, EvalMode.FULL) == pytest.approx(0.875)
     assert ev.cost(EvalMode.FULL) is None
 
 
 def test_subprocess_evaluator_passes_its_subset_to_debug_runs(tmp_path):
-    ev = SubprocessEvaluator(tmp_path, ExecLimits(wall_minutes=1.0), subset_percent=25.0)
+    ev = SubprocessEvaluator(tmp_path, 1.0, subset_percent=25.0)
     node = _mt("any", artifact=SUBSET_SCRIPT)
     assert ev.evaluate(node, EvalMode.DEBUG) == 25.0
     assert ev.evaluate(node, EvalMode.FULL) == -1.0
@@ -378,8 +374,7 @@ def test_subprocess_timeout_is_clamped_to_the_runs_remaining_time(tmp_path, rema
     """Under a wall clock near the end of its budget a sleeping
     candidate fails by timeout within seconds, not after
     runtime_error_time; a spent budget still gets the floor."""
-    limits = ExecLimits(wall_minutes=30.0)
-    ev = SubprocessEvaluator(tmp_path, limits, clock=_EndingClock(remaining))
+    ev = SubprocessEvaluator(tmp_path, 30.0, clock=_EndingClock(remaining))
     node = _mt("any", artifact="import time\ntime.sleep(30)\n")
     start = time.monotonic()
     with pytest.raises(EvaluationFailure) as err:
@@ -387,20 +382,13 @@ def test_subprocess_timeout_is_clamped_to_the_runs_remaining_time(tmp_path, rema
     assert err.value.report.kind is FailureKind.TIMEOUT
     assert err.value.report.message == f"exceeded {timeout} minutes"
     assert time.monotonic() - start < timeout * 60.0 + 10.0
-    assert ev.limits is limits
 
 
 def test_subprocess_timeout_is_not_clamped_off_a_wall_clock(tmp_path):
     """A simulated clock counts cost units, not minutes, and a wall
     clock with more time left than the limit leaves the limit alone."""
-    limits = ExecLimits(wall_minutes=1.0)
     node = _mt("any", artifact=OK_SCRIPT)
     for clock in (None, SimulatedClock(0.001), _EndingClock(5.0)):
-        ev = SubprocessEvaluator(tmp_path, limits, clock=clock)
-        assert ev._call_limits() is limits
+        ev = SubprocessEvaluator(tmp_path, 1.0, clock=clock)
+        assert ev._call_minutes() == 1.0
         assert ev.evaluate(node, EvalMode.FULL) == pytest.approx(0.875)
-
-
-def test_exec_limits_validation():
-    with pytest.raises(InvalidParams):
-        ExecLimits(wall_minutes=0.0)

@@ -513,8 +513,7 @@ def test_initialize_tree_shape():
     config = _sim_config()
     ports = build_synthetic_ports(config)
     ctx = ContextState()
-    tree = initialize_tree(ctx, ports.gen, ports.evaluator, config,
-                           metric=ports.metric)
+    tree = initialize_tree(ctx, ports, config)
     fe_nodes = tree.fe_nodes()
     assert len(fe_nodes) == config.number_of_ideas_data
     mt_nodes = tree.nodes_at_level(NodeLevel.MT)
@@ -528,8 +527,7 @@ def test_initialize_tree_shape():
 def test_initialize_tree_charges_but_ignores_budget():
     config = _sim_config(time_run_minutes=0.001)
     ports = build_synthetic_ports(config)
-    tree = initialize_tree(ContextState(), ports.gen, ports.evaluator, config,
-                           metric=ports.metric, clock=ports.clock)
+    tree = initialize_tree(ContextState(), ports, config)
     assert tree.best_evaluated_mt(ports.metric) is not None
     assert ports.clock.elapsed() > config.time_run_minutes
 
@@ -544,8 +542,7 @@ def test_initialize_tree_charges_each_returned_call():
         ports.evaluator,
         fail=lambda node, mode: zlib.crc32(f"{node.idea_text}|{mode.value}".encode()) % 4 == 0,
     )
-    initialize_tree(ContextState(), ports.gen, evaluator, config,
-                    metric=ports.metric, clock=ports.clock)
+    initialize_tree(ContextState(), dataclasses.replace(ports, evaluator=evaluator), config)
     raised = {mode for _, mode, returned in evaluator.calls if not returned}
     assert raised == {EvalMode.DEBUG, EvalMode.FULL}
     assert ports.clock.elapsed() == pytest.approx(evaluator.returned_cost())
@@ -556,8 +553,7 @@ def test_initialize_tree_raises_when_nothing_survives():
     ports = build_synthetic_ports(config)
     broken = FlakyEvaluator(ports.evaluator, lambda node: True)
     with pytest.raises(InitializationFailure):
-        initialize_tree(ContextState(), ports.gen, broken, config,
-                        metric=ports.metric)
+        initialize_tree(ContextState(), dataclasses.replace(ports, evaluator=broken), config)
 
 
 # ---- whole runs ----
@@ -718,12 +714,90 @@ def test_corpus_is_read_once_per_run(tmp_path, monkeypatch):
 
 
 def test_a_run_of_an_invalid_config_is_refused_before_its_directory(tmp_path):
+    ports = build_synthetic_ports(RunConfig(clock_mode="simulated"))
     config = RunConfig(clock_mode="simulated", time_run_minutes=math.inf)
-    ports = build_synthetic_ports(config)
     with pytest.raises(ConfigInvalid) as exc_info:
         execute_run(config, ports, tmp_path / "run")
     assert exc_info.value.problems == ["time_run_minutes must be finite, got inf"]
     assert not (tmp_path / "run").exists()
+
+
+def test_synthetic_ports_refuse_an_invalid_config_before_building():
+    """A dimension past the bound is refused at once, not after
+    building a landscape of two million coordinates."""
+    config = RunConfig(synthetic=SyntheticConfig(dimension=2_000_000))
+    with pytest.raises(ConfigInvalid) as exc_info:
+        build_synthetic_ports(config)
+    assert exc_info.value.problems == ["synthetic.dimension cannot exceed 1000"]
+
+
+_COUNT_KNOBS = (
+    "number_of_ideas_eda", "number_of_ideas_data", "number_of_ideas_modelling",
+    "max_add_idea", "number_of_selected_node", "number_of_iterations_parents",
+    "number_of_selected_node_merging", "number_of_iterations_children",
+    "retrieve_n_papers", "number_rag_ideas", "memory_size", "max_resplits",
+)
+_BOOL_KNOBS = (
+    "predict_before_evaluate", "sample_top_proportional", "checkpoint_every_stage",
+    "accelerated_debugging", "enable_merging",
+)
+_ENUM_KNOBS = {
+    "memory_strategy": ["nearest", "farthest", "random"],
+    "rag_policy": ["never", "adaptive", "always"],
+    "selection_mode": ["fe_aggregate", "mt_literal"],
+}
+
+
+@st.composite
+def _valid_search_docs(draw) -> dict:
+    """Config documents that pass ``RunConfig.problems``, over the
+    knobs of the search, at the edges of their ranges."""
+    doc = {name: draw(st.integers(1, 3)) for name in _COUNT_KNOBS}
+    doc.update({name: draw(st.booleans()) for name in _BOOL_KNOBS})
+    doc.update({name: draw(st.sampled_from(values)) for name, values in _ENUM_KNOBS.items()})
+    low, high = sorted(draw(st.lists(st.integers(1, 3), min_size=2, max_size=2)))
+    doc.update(
+        seed=draw(st.integers(0, 2**16)),
+        clock_mode="simulated",
+        time_run_minutes=draw(st.sampled_from([1.0, 60.0, 100.0])),
+        number_of_ideas_min=low,
+        number_of_ideas_max=high,
+        theta_fail=draw(st.integers(1, 3)),
+        validation_attempts=draw(st.integers(0, 2)),
+        predict_fraction=draw(st.sampled_from([0.01, 0.5, 1.0])),
+        softmax_temperature=draw(st.sampled_from([0.01, 1.0, 50.0])),
+        merge_epsilon=draw(st.sampled_from([-1.0, 0.0, 1e9])),
+        worker_count=draw(st.integers(1, 2)),
+        synthetic={
+            "full_cost": 1.0,
+            "debug_cost": draw(st.sampled_from([0.1, 1.0])),
+            "noise_sigma": draw(st.sampled_from([0.0, 0.05, 1.0])),
+            "mt_jitter": draw(st.sampled_from([0.0, 0.1, 2.0])),
+            "merge_jitter": draw(st.sampled_from([0.0, 0.1, 2.0])),
+            "merge_bonus": draw(st.sampled_from([-0.5, 0.0, 0.1, 2.0])),
+        },
+    )
+    return doc
+
+
+@settings(max_examples=60, deadline=None)
+@given(_valid_search_docs(), st.booleans())
+def test_every_valid_config_completes_a_run(doc, with_corpus):
+    """The engine checks no range a valid config can break: any valid
+    setting of the search knobs finishes a run that replays, with a
+    corpus to retrieve from or without."""
+    config = RunConfig.from_dict(doc)
+    with tempfile.TemporaryDirectory() as tmp:
+        corpus = None
+        if with_corpus:
+            corpus = Path(tmp) / "corpus"
+            corpus.mkdir()
+            for i in range(4):
+                (corpus / f"doc_{i}.txt").write_text(
+                    f"title: idea {i}\n\ntree survey nodes {i}", encoding="utf-8")
+        execute_run(config, build_synthetic_ports(config, corpus_dir=corpus),
+                    Path(tmp) / "run")
+        assert verify_replay(Path(tmp) / "run")
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

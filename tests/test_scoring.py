@@ -170,8 +170,6 @@ def test_build_validation():
     tree2 = _prepared_tree([0.3])
     with pytest.raises(InvalidParams):
         build_anchor_set(tree2, _evaluator(), [], HIGHER)
-    with pytest.raises(InvalidParams):
-        build_anchor_set(tree2, _evaluator(), ARCHS, HIGHER, min_anchors=3, max_anchors=2)
 
 
 # ---- prompt assembly ----

@@ -534,15 +534,6 @@ def test_budget_projection_counts_validation_runs():
     assert world.clock.elapsed() == pytest.approx(2 * job_cost)
 
 
-def test_eval_policy_validation():
-    with pytest.raises(InvalidParams):
-        EvalPolicy(validation_attempts=-1)
-    for fraction in (0.0, -0.5, 1.5, math.nan):
-        with pytest.raises(InvalidParams):
-            EvalPolicy(predict_fraction=fraction)
-    assert EvalPolicy(validation_attempts=0, predict_fraction=1.0).predict_fraction == 1.0
-
-
 def _fresh_mt(world):
     """A new unevaluated MT node under the world's first FE node."""
     fe = world.tree.fe_nodes()[0]

@@ -68,8 +68,7 @@ def test_initialize_tree_logs_every_node_it_attaches():
     config = RunConfig.from_dict({"seed": 7, "clock_mode": "simulated"})
     ports = build_synthetic_ports(config)
     log = RunLog()
-    tree = initialize_tree(ContextState(), ports.gen, ports.evaluator, config,
-                           metric=ports.metric, log=log, clock=ports.clock)
+    tree = initialize_tree(ContextState(), ports, config, log=log)
     assert_proposed_once_before_named(log, tree, set())
 
 
