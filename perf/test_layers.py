@@ -26,6 +26,7 @@ from ideatree.search import (
     MergeMemory,
     PendingSet,
     draw_merge_pairs,
+    sample_top,
     softmax_select,
 )
 from ideatree.tree import (
@@ -125,6 +126,22 @@ def test_sample_without_replacement(benchmark, grow_run):
     rng = np.random.default_rng(1)
     picked = benchmark(dist.sample_without_replacement, 2, rng)
     assert len(set(picked)) == 2
+
+
+def test_sample_top(benchmark, grow_run, grow_config):
+    """A merging stage's resample from one parent: a softmax over an FE
+    node's evaluated MT children and k=3 draws from it. The FE node is
+    the final tree's first with the median number of evaluated children
+    among the FE nodes that have any."""
+    tree = grow_run.result.tree
+    table = tree.fe_table
+    counts = table.evaluated[table.evaluated > 0]
+    fe_id = int(table.ids[table.evaluated == int(np.median(counts))][0])
+    metric = MetricSpec("score", MetricDirection.HIGHER_BETTER)
+    rng = np.random.default_rng(1)
+    picked = benchmark(sample_top, tree, fe_id, 3, rng, metric=metric,
+                       temperature=grow_config.softmax_temperature)
+    assert len({node.id for node in picked}) == 3
 
 
 def test_simulated_evaluate(benchmark, grow_run, grow_ports):
@@ -247,7 +264,7 @@ def test_draw_merge_pairs(benchmark, grow_run, grow_config):
         kind, payload = event["kind"], event["payload"]
         if (kind == EventKind.MERGE_ATTEMPTED and payload["outcome"] == "success"
                 or kind == EventKind.MEMORY_PROMOTED):
-            mem.long_term.add(tuple(payload["pair"]))
+            mem.record_success(tuple(payload["pair"]))
     eligible = grow_run.result.tree.eligible_fe_ids()
     n = grow_config.number_of_selected_node_merging
 

@@ -195,7 +195,7 @@ def initialize_tree(
     fe_texts = gen.propose_fe(ctx, config.number_of_ideas_data)
     try:
         for fe_text in fe_texts:
-            fe = pending.spawn(tree.root.id, NodeLevel.FE, fe_text)
+            fe = pending.spawn(tree.root_id, NodeLevel.FE, fe_text)
             for mt_text in gen.propose_mt(fe, ctx, config.number_of_ideas_modelling):
                 pending.dispatch(pending.spawn(fe.id, NodeLevel.MT, mt_text))
     finally:
@@ -460,18 +460,20 @@ def _search(config: RunConfig, ports: PortSet, log: RunLog) -> RunResult:
 def _build_anchors(tree, ports: PortSet, config: RunConfig, ctx, log,
                    pool: Optional[Executor]) -> Optional[AnchorSet]:
     """Anchor evaluations happen once, before the loop, outside the
-    budget gate (like initialization). Failure to build anchors turns
-    prediction off rather than killing the run."""
+    budget gate (like initialization). A failure that a port raises (an
+    IdeaTreeError) while the anchors are proposed or built turns
+    prediction off rather than killing the run; any other exception is
+    a fault of the program and ends it."""
     anchor_fe = rank_fe_nodes(tree.fe_nodes(), ports.metric)[0]
-    architectures = ports.gen.propose_mt(anchor_fe, ctx, config.number_of_ideas_modelling)
     try:
+        architectures = ports.gen.propose_mt(anchor_fe, ctx, config.number_of_ideas_modelling)
         return build_anchor_set(
             tree, ports.evaluator, architectures, ports.metric,
             min_anchors=config.number_of_ideas_min,
             max_anchors=config.number_of_ideas_max,
             log=log, clock=ports.clock, pool=pool,
         )
-    except Exception as exc:
+    except IdeaTreeError as exc:
         logger.warning("anchor construction failed, prediction disabled: %s", exc)
         return None
 

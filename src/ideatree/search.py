@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from bisect import bisect_right, insort
+from bisect import insort
 from concurrent.futures import Executor, Future, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
@@ -74,8 +74,12 @@ def orient_scores(scores: Sequence[float], metric: MetricSpec) -> list[float]:
 
 @dataclass(frozen=True, eq=False)
 class SelectionDistribution:
-    """Aligned ids and probabilities, held as numpy arrays (int64 and
-    float64); checked on construction."""
+    """Aligned ids and probabilities. The constructor holds them as
+    numpy arrays (int64 and float64) and checks them.
+
+    ``softmax_select`` builds its distributions with ``_computed``,
+    which skips the checks, because a softmax is valid by construction,
+    and keeps the ids as it is given them, any sequence of ints."""
 
     node_ids: np.ndarray
     probabilities: np.ndarray
@@ -94,22 +98,38 @@ class SelectionDistribution:
         if not abs(total - 1.0) <= 1e-9:
             raise InvalidParams(f"probabilities sum to {total}, not 1")
 
+    @classmethod
+    def _computed(cls, node_ids: Sequence[int] | np.ndarray,
+                  probabilities: np.ndarray) -> "SelectionDistribution":
+        """A distribution the engine computed and knows to be valid,
+        taken as it is, unchecked."""
+        dist = object.__new__(cls)
+        object.__setattr__(dist, "node_ids", node_ids)
+        object.__setattr__(dist, "probabilities", probabilities)
+        return dist
+
     def sample_without_replacement(self, k: int, rng: np.random.Generator) -> list[int]:
         """Draw up to k distinct ids, renormalizing after each draw. The
         draws stop early once every probability left is zero, as it is
         when they have all underflowed."""
         ids, probs = self.node_ids, self.probabilities
         picked: list[int] = []
+        taken: list[int] = []   # positions in ids drawn so far, ascending
         draws = min(k, len(ids))
         for draw in range(1, draws + 1):
             total = probs.sum()
             if total == 0:
                 break
             idx = _draw_index(probs / total, rng)
-            picked.append(int(ids[idx]))
             if draw < draws:
-                ids = np.concatenate((ids[:idx], ids[idx + 1:]))
                 probs = np.concatenate((probs[:idx], probs[idx + 1:]))
+            # idx counts the ids not yet drawn; step over the drawn ones
+            for position in taken:
+                if position > idx:
+                    break
+                idx += 1
+            insort(taken, idx)
+            picked.append(int(ids[idx]))
         return picked
 
 
@@ -118,8 +138,9 @@ def _draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
     the same state: one ``rng.random()`` inverted through the cdf of
     ``p``, renormalised to end at exactly 1, as numpy's ``choice`` does
     once it has validated ``p``. ``p`` must be non-negative and sum to
-    1 within rounding; the callers' checks ensure that, so ``choice``'s
-    own per-call checks are not repeated here."""
+    1 within rounding; a checked distribution, or a softmax by its
+    construction, ensures that, so ``choice``'s own per-call checks are
+    not repeated here."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
@@ -131,19 +152,22 @@ def softmax_select(
     node_ids: Optional[Sequence[int] | np.ndarray] = None,
 ) -> SelectionDistribution:
     """Softmax over oriented scores, computed with max subtraction so
-    large magnitudes cannot overflow."""
+    large magnitudes cannot overflow. The probabilities are non-negative
+    and sum to 1 by construction, so they are not checked again."""
     if len(oriented) == 0:
         raise EmptyInput("softmax over an empty score list")
     if temperature <= 0:
         raise InvalidParams(f"temperature must be positive, got {temperature}")
     arr = np.asarray(oriented, dtype=float)
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise NonFiniteScore("non-finite value in oriented scores")
     z = (arr - arr.max()) / temperature
     e = np.exp(z)
     p = e / e.sum()
-    ids = node_ids if node_ids is not None else np.arange(len(arr))
-    return SelectionDistribution(node_ids=ids, probabilities=p)
+    ids = node_ids if node_ids is not None else range(len(arr))
+    if len(ids) != len(p):
+        raise InvalidParams("ids and probabilities differ in length")
+    return SelectionDistribution._computed(ids, p)
 
 
 def sample_top(
@@ -205,11 +229,21 @@ class MergeMemory:
     pair is promoted to ``long_term`` and never re-attempted. A
     successful merge also parks its pair in ``long_term`` so the same
     combination is not redone.
+
+    Beside the set, the long-term pairs are kept as two append-only
+    int64 columns (``long_term_columns``) that ``draw_merge_pairs``
+    reads with array operations. Only ``record_failure`` and
+    ``record_success`` write them, so change ``long_term`` only through
+    those two, or by passing the set when the memory is built.
     """
 
     theta_fail: int = 2
     short_term: dict[MergePairKey, int] = field(default_factory=dict)
     long_term: set[MergePairKey] = field(default_factory=set)
+
+    def __post_init__(self) -> None:
+        self._pairs = np.array(list(self.long_term), dtype=np.int64).reshape(-1, 2)
+        self._size = len(self._pairs)
 
     def record_failure(self, key: MergePairKey) -> bool:
         """Count one failure; returns True when this promoted the pair."""
@@ -218,18 +252,36 @@ class MergeMemory:
         count = self.short_term.get(key, 0) + 1
         if count >= self.theta_fail:
             self.short_term.pop(key, None)
-            self.long_term.add(key)
+            self._exclude(key)
             return True
         self.short_term[key] = count
         return False
 
     def record_success(self, key: MergePairKey) -> None:
         self.short_term.pop(key, None)
+        if key not in self.long_term:
+            self._exclude(key)
+
+    def _exclude(self, key: MergePairKey) -> None:
         self.long_term.add(key)
+        size = self._size
+        if size == len(self._pairs):
+            # doubling keeps appends amortised constant time
+            grown = np.empty((max(64, 2 * size), 2), dtype=np.int64)
+            grown[:size] = self._pairs
+            self._pairs = grown
+        self._pairs[size] = key
+        self._size = size + 1
+
+    def long_term_columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """The long-term pairs' first and second ids, as two int64
+        arrays, in the order the pairs entered."""
+        pairs = self._pairs[:self._size]
+        return pairs[:, 0], pairs[:, 1]
 
 
 def draw_merge_pairs(
-    eligible: Sequence[int],
+    eligible: Sequence[int] | np.ndarray,
     mem: MergeMemory,
     n: int,
     rng: np.random.Generator,
@@ -240,37 +292,46 @@ def draw_merge_pairs(
     ``combinations(eligible, 2)`` not in long-term memory, in that
     lexicographic order; ``rng.choice`` picks positions in that list
     without replacement, and each position is mapped straight to its
-    pair. Nothing is enumerated: the ranks of the excluded pairs are
-    skipped over and the rank left is unranked, so the cost grows with
-    the number of eligible ids and of pairs in long-term memory, not
-    with the number of pairs. The draws and the generator's state
-    afterwards are those of listing the candidates and indexing into
-    the list.
+    pair. Nothing is enumerated: the memory's columns are mapped onto
+    positions in ``eligible`` with ``searchsorted``, the ranks of the
+    excluded pairs are sorted and skipped over, and the rank left is
+    unranked. Those are array operations over the eligible ids and the
+    long-term pairs, and only the ``n`` picks are unranked one by one,
+    so no Python loop runs over memory or the eligible ids. The draws
+    and the generator's state afterwards are those of listing the
+    candidates and indexing into the list.
     """
+    eligible = np.asarray(eligible, dtype=np.int64)
     k = len(eligible)
-    position = {fe_id: i for i, fe_id in enumerate(eligible)}
-    excluded = sorted(
-        _pair_rank(position[a], position[b], k)
-        for a, b in mem.long_term
-        if a < b and a in position and b in position
-    )
+    first, second = mem.long_term_columns()
+    i = eligible.searchsorted(first)
+    j = eligible.searchsorted(second)
+    # a pair is excluded when it is canonical and both its ids are
+    # eligible; i <= j < k then holds, so both lookups are in range
+    inside = (first < second) & (j < k)
+    i, j = i[inside], j[inside]
+    found = (eligible[i] == first[inside]) & (eligible[j] == second[inside])
+    i, j = i[found], j[found]
+    excluded = np.sort(_pair_rank(i, j, k))
     n_candidates = k * (k - 1) // 2 - len(excluded)
     if n_candidates <= 0:
         return []
     # preceding[i] is the number of candidates ranked below the i-th
     # excluded rank; the d-th candidate's rank is d plus the number of
     # excluded ranks below it, which are those with preceding[i] <= d
-    preceding = [r - i for i, r in enumerate(excluded)]
+    preceding = excluded - np.arange(len(excluded))
     picked = rng.choice(n_candidates, size=min(n, n_candidates), replace=False)
+    ranks = picked + preceding.searchsorted(picked, side="right")
     pairs = []
-    for d in picked:
-        i, j = _pair_unrank(int(d) + bisect_right(preceding, int(d)), k)
-        pairs.append((eligible[i], eligible[j]))
+    for rank in ranks.tolist():
+        a, b = _pair_unrank(rank, k)
+        pairs.append((int(eligible[a]), int(eligible[b])))
     return pairs
 
 
-def _pair_rank(i: int, j: int, k: int) -> int:
-    """Position of (i, j), i < j, in ``combinations(range(k), 2)``."""
+def _pair_rank(i, j, k: int):
+    """Position of (i, j), i < j, in ``combinations(range(k), 2)``; of
+    each pair, elementwise, when ``i`` and ``j`` are int arrays."""
     return i * (2 * k - i - 1) // 2 + (j - i - 1)
 
 
@@ -654,7 +715,7 @@ def adding_stage(
         gate_external_query(ctx, external_policy, gen, cap=external_cap)
 
         fe_texts = gen.propose_fe(ctx, params.n_fe)
-        new_fe = [pending.spawn(tree.root.id, NodeLevel.FE, text, status=NodeStatus.IMPLEMENTED)
+        new_fe = [pending.spawn(tree.root_id, NodeLevel.FE, text, status=NodeStatus.IMPLEMENTED)
                   for text in fe_texts]
 
         fresh_mt: list[Node] = []
@@ -791,7 +852,7 @@ def _merge_one_pair(
     node_a, node_b = tree.nodes[a_id], tree.nodes[b_id]
     merged_text = gen.merge_fe(node_a, node_b, ctx)
     merged = pending.spawn(
-        tree.root.id, NodeLevel.FE, merged_text,
+        tree.root_id, NodeLevel.FE, merged_text,
         provenance=Provenance.merged(a_id, b_id), status=NodeStatus.IMPLEMENTED,
     )
 

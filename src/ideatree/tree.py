@@ -3,7 +3,8 @@
 The tree always has exactly one root at the analysis (EDA) level. Its
 children hold feature-engineering ideas (FE) and the leaves hold model
 training ideas (MT). Raw metric values live only on evaluated MT nodes;
-FE and root aggregates are recomputed from them by ``backpropagate``.
+FE aggregates are recomputed from them by ``backpropagate``, and the
+root's from the FE aggregates when it is read.
 
 Layout::
 
@@ -17,7 +18,7 @@ Layout::
 Scores are stored in native metric units; orientation (higher or lower
 is better) is applied at comparison time via :class:`MetricSpec`.
 
-The tree keeps four indexes up to date as nodes are attached and
+The tree keeps three indexes up to date as nodes are attached and
 scored, so that a search step costs the same however large the tree
 has grown:
 
@@ -34,6 +35,12 @@ has grown:
   Softmax selection over FE nodes and the merge-eligible ids
   (``eligible_fe_ids``) are array operations on it, not scans of the
   nodes; ``backpropagate`` writes the aggregates it recomputes into it.
+
+The root aggregate, the mean of the FE aggregates, is reporting-only:
+no selection reads it. ``backpropagate`` only notes how many FE rows it
+covers, and the mean is taken when the root is read, through ``root``
+or by ``snapshot_pieces``. Stage code names the root by ``root_id``,
+which computes nothing.
 
 Node status and raw scores must therefore change only through
 ``mark_evaluated`` and ``mark_failed``. A run changes its tree only
@@ -196,7 +203,8 @@ class Node:
 
     ``raw_score`` is set exactly when ``status`` is EVALUATED and only on
     MT nodes. ``aggregated_score`` is maintained by ``backpropagate`` on
-    FE nodes and the root. ``predicted_score`` never overwrites either.
+    FE nodes, and on the root when it is read (``IdeationTree.root``).
+    ``predicted_score`` never overwrites either.
     """
 
     id: int
@@ -329,6 +337,9 @@ class IdeationTree:
         self._by_level: dict[NodeLevel, list[Node]] = {level: [] for level in NodeLevel}
         self._dirty_fe: set[int] = set()
         self.fe_table = FeTable()
+        # FE rows the root aggregate is to be the mean of, when the last
+        # backpropagate left it to be computed on read; else None
+        self._root_rows: Optional[int] = None
         # (metric, best evaluated MT node) or None when unknown
         self._best: Optional[tuple[MetricSpec, Optional[Node]]] = None
 
@@ -452,10 +463,32 @@ class IdeationTree:
     # ---- access ----
 
     @property
-    def root(self) -> Node:
+    def root_id(self) -> int:
+        """The root's id, read without computing its aggregate."""
         if self._root_id is None:
             raise InvariantViolation("tree has no root")
-        return self.nodes[self._root_id]
+        return self._root_id
+
+    @property
+    def root(self) -> Node:
+        """The root, its aggregate brought up to date."""
+        root = self.nodes[self.root_id]
+        self._settle_root()
+        return root
+
+    def _settle_root(self) -> None:
+        """When the last ``backpropagate`` left it to be read, set the
+        root aggregate to the mean of the set FE aggregates among the
+        rows it covered: the set entries, in attach order, summed one
+        after another in Python floats, as a loop over the FE nodes
+        would."""
+        rows, self._root_rows = self._root_rows, None
+        if rows is None or self._root_id is None:
+            return
+        aggregates = self.fe_table.aggregates[:rows]
+        parts = aggregates[~np.isnan(aggregates)].tolist()
+        self.nodes[self._root_id].aggregated_score = (
+            float(sum(parts) / len(parts)) if parts else None)
 
     def children(self, node_id: int) -> list[Node]:
         return [self.nodes[c] for c in self._children.get(node_id, [])]
@@ -472,12 +505,16 @@ class IdeationTree:
         return self.nodes_at_level(NodeLevel.FE)
 
     def evaluated_mt_children(self, fe_id: int) -> list[Node]:
-        return [c for c in self.children(fe_id) if c.status is NodeStatus.EVALUATED]
+        """The evaluated children of an FE node, in attach order."""
+        nodes, evaluated = self.nodes, NodeStatus.EVALUATED
+        return [child for child_id in self._children.get(fe_id, ())
+                if (child := nodes[child_id]).status is evaluated]
 
-    def eligible_fe_ids(self) -> list[int]:
-        """Ids of the FE nodes with at least one evaluated child, ascending."""
+    def eligible_fe_ids(self) -> np.ndarray:
+        """Ids of the FE nodes with at least one evaluated child,
+        ascending, as an int64 array."""
         table = self.fe_table
-        return table.ids[table.evaluated > 0].tolist()
+        return table.ids[table.evaluated > 0]
 
     def mark_evaluated(self, node_id: int, raw_score: float) -> None:
         if not math.isfinite(raw_score):
@@ -542,7 +579,8 @@ class IdeationTree:
 
         Each piece is ``encode_json``'s, so the joined bytes are those
         of ``encode_json`` of the whole document: keys sorted, no
-        whitespace."""
+        whitespace. The root aggregate is brought up to date first."""
+        self._settle_root()
         head = encode_json({"iteration": self.iteration, "next_id": self._next_id})
         yield head[:-1] + b',"nodes":['
         nodes = self.nodes
@@ -618,7 +656,7 @@ def _check_score_consistency(node: Node) -> None:
 
 
 def backpropagate(tree: IdeationTree) -> IdeationTree:
-    """Bring aggregated scores up to date and return the same tree.
+    """Bring FE aggregates up to date and return the same tree.
 
     An FE node's aggregate is the arithmetic mean of its evaluated MT
     children's raw scores, in child order, unset when it has none. Only
@@ -626,23 +664,21 @@ def backpropagate(tree: IdeationTree) -> IdeationTree:
     then cleared; every other FE aggregate is already current. Each
     recomputed aggregate is written to the node and to its row of the
     FE table. The result equals a full recompute of every FE node, float
-    for float. Idempotent, and independent of insertion order.
+    for float. Idempotent, and independent of insertion order. The cost
+    is that of the dirty FE nodes' children, not of the tree.
 
-    The root aggregate is the mean of the set FE aggregates, taken from
-    the table's aggregate column: the set entries, in attach order, are
-    summed one after another in Python floats, as a loop over the FE
-    nodes would. It is reporting-only, never feeding selection, but it
-    is kept current here so the root is up to date when this returns.
+    The root aggregate, the mean of the set FE aggregates, is not
+    computed here: this notes how many FE rows it covers, and the root
+    takes their mean when it is next read (``IdeationTree.root``, or a
+    snapshot). So a stage pays nothing for it, and a reader sees the
+    value a recompute here would have given.
     """
     table = tree.fe_table
+    tree._root_rows = len(table)
     for fe_id in tree._dirty_fe:
         scores = [c.raw_score for c in tree.evaluated_mt_children(fe_id)]
         aggregate = float(sum(scores) / len(scores)) if scores else None
         tree.nodes[fe_id].aggregated_score = aggregate
         table.set_aggregate(fe_id, aggregate)
     tree._dirty_fe.clear()
-    aggregates = table.aggregates
-    root_parts = aggregates[~np.isnan(aggregates)].tolist()
-    root = tree.root
-    root.aggregated_score = float(sum(root_parts) / len(root_parts)) if root_parts else None
     return tree

@@ -1,6 +1,7 @@
 """Every third-party module the package imports is declared in
 pyproject.toml's ``dependencies``, function-local imports included, so
-an install from the project metadata alone can run every path; every
+an install from the project metadata alone can run every path; what the
+test suites need is declared there or in the ``test`` extra; every
 name a package module imports is used in that module; and every
 function and class the package defines is named by the package."""
 
@@ -22,9 +23,9 @@ PACKAGE = ROOT / "src" / "ideatree"
 DISTRIBUTIONS = {"yaml": "pyyaml"}
 
 
-def _imported_top_level_names() -> set[str]:
+def _imported_top_level_names(*directories: Path) -> set[str]:
     names: set[str] = set()
-    for path in sorted(PACKAGE.rglob("*.py")):
+    for path in sorted(p for d in directories or (PACKAGE,) for p in d.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
             if isinstance(node, ast.Import):
                 names.update(alias.name.split(".")[0] for alias in node.names)
@@ -33,10 +34,14 @@ def _imported_top_level_names() -> set[str]:
     return names
 
 
-def _declared() -> set[str]:
+def _declared(extra: str | None = None) -> set[str]:
+    """The distributions pyproject.toml declares, with ``extra``'s too."""
     project = tomllib.loads((ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    specs = project["dependencies"]
+    if extra is not None:
+        specs = specs + project["optional-dependencies"][extra]
     return {re.match(r"[A-Za-z0-9._-]+", spec).group().lower().replace("_", "-")
-            for spec in project["dependencies"]}
+            for spec in specs}
 
 
 def test_every_third_party_import_is_a_declared_dependency():
@@ -45,6 +50,20 @@ def test_every_third_party_import_is_a_declared_dependency():
     assert {"numpy", "orjson", "yaml", "requests"} <= third_party
     needed = {DISTRIBUTIONS.get(name, name) for name in third_party}
     assert sorted(needed - _declared()) == []
+
+
+def test_the_test_extra_declares_what_the_suites_need():
+    """An install of ``.[test]`` runs tests/ and perf/: each third-party
+    module they import is declared, and so is pytest-benchmark, whose
+    ``benchmark`` fixture the perf cases take and whose
+    ``--benchmark-disable`` flag tests/test_perf_suite.py passes."""
+    suites = (ROOT / "tests", ROOT / "perf")
+    local = {p.stem for d in (*suites, ROOT / "bench") for p in d.glob("*.py")}
+    third_party = (_imported_top_level_names(*suites) - set(sys.stdlib_module_names)
+                   - local - {"ideatree"})
+    assert {"pytest", "hypothesis", "numpy"} <= third_party
+    needed = {DISTRIBUTIONS.get(name, name) for name in third_party} | {"pytest-benchmark"}
+    assert sorted(needed - _declared("test")) == []
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -84,6 +103,9 @@ UNREAD_BY_THE_PACKAGE = {
               "which CHANGES.md records as a FOUND note",
     "restore": "IdeationTree.restore: bench/rep.py restores each run's "
                "final snapshot for its round-trip check",
+    "root": "IdeationTree.root: the root with its aggregate computed on read, "
+            "for readers of a tree; the engine names the root by root_id, "
+            "which computes nothing, and snapshots settle the aggregate themselves",
 }
 
 

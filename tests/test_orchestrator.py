@@ -684,6 +684,28 @@ def test_snapshot_runs_once_per_run(tmp_path, monkeypatch):
         assert calls["snapshot"] == 1, (budget, calls)
 
 
+def test_root_mean_is_taken_once_per_run(tmp_path, monkeypatch):
+    """Stages name the root by ``root_id`` and ``backpropagate`` leaves
+    the root mean to be read, so a run takes that mean once, when its
+    final snapshot is encoded, at a 2.5k and a 10k budget alike.
+    Computing it in every ``backpropagate``, or reading ``root`` in
+    stage code, fails this."""
+    taken: Counter = Counter()
+    settle = IdeationTree._settle_root
+
+    def counted(tree):
+        taken["mean"] += tree._root_rows is not None
+        return settle(tree)
+
+    monkeypatch.setattr(IdeationTree, "_settle_root", counted)
+    for budget in (2_500.0, 10_000.0):
+        taken.clear()
+        _, out, result = _run(tmp_path, f"b{int(budget)}", seed=1, time_run_minutes=budget)
+        assert taken["mean"] == 1, (budget, taken)
+        assert result.tree.root.aggregated_score is not None
+        assert taken["mean"] == 1
+
+
 def test_corpus_is_read_once_per_run(tmp_path, monkeypatch):
     """A run parses each corpus file once, however many stages query the
     corpus. Reading the directory again per query makes the parses grow
@@ -1419,6 +1441,52 @@ def test_prediction_gating_produces_prediction_events(tmp_path):
     predicted_ids = {e["payload"]["node_id"] for e in predictions}
     assert predicted_ids - evaluated_ids, "gating never pruned anything"
     assert verify_replay(out)
+
+
+class _AnchorProposalFails:
+    """The synthetic generator, but its ``propose_mt`` call numbered
+    ``failing`` (from 1) raises GeneratorFailure."""
+
+    def __init__(self, inner, failing: int):
+        self.inner, self.failing, self.calls = inner, failing, 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def propose_mt(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == self.failing:
+            raise GeneratorFailure("no architectures for the anchors")
+        return self.inner.propose_mt(*args, **kwargs)
+
+
+def test_a_port_failure_proposing_anchors_turns_prediction_off(tmp_path, caplog):
+    """Initialization proposes MT ideas once per FE idea; the next
+    ``propose_mt`` call is the anchor sweep's. Its GeneratorFailure
+    turns prediction off, as a failed anchor evaluation would, and the
+    run goes on."""
+    config = _sim_config(predict_before_evaluate=True)
+    ports = build_synthetic_ports(config)
+    gen = _AnchorProposalFails(ports.gen, failing=config.number_of_ideas_data + 1)
+    with caplog.at_level("WARNING", logger="ideatree.orchestrator"):
+        execute_run(config, dataclasses.replace(ports, gen=gen), tmp_path / "run")
+    assert "prediction disabled: no architectures for the anchors" in caplog.text
+    kinds = {e["kind"] for e in read_log(tmp_path / "run" / LOG_FILENAME)}
+    assert EventKind.PREDICTION_MADE not in kinds
+    assert EventKind.RUN_FINISHED in kinds
+    assert verify_replay(tmp_path / "run")
+
+
+def test_a_program_fault_building_anchors_ends_the_run(tmp_path, monkeypatch):
+    """Only the failures ports raise turn prediction off: a TypeError
+    from building the anchor set is a fault, and ends the run."""
+    def broken(*args, **kwargs):
+        raise TypeError("a bug in the anchor path")
+
+    monkeypatch.setattr(orchestrator, "build_anchor_set", broken)
+    config = _sim_config(predict_before_evaluate=True)
+    with pytest.raises(TypeError, match="a bug in the anchor path"):
+        execute_run(config, build_synthetic_ports(config), tmp_path / "run")
 
 
 # ---- replay ----

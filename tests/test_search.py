@@ -950,7 +950,7 @@ def test_merging_stage_forced_failure_promotes_after_theta():
         if fe.provenance.kind is ProvenanceKind.MERGED:
             for other in world.tree.fe_nodes():
                 if other.id != fe.id:
-                    mem.long_term.add(pair_key(fe.id, other.id))
+                    mem.record_success(pair_key(fe.id, other.id))
     merging_stage(world.tree, mem, world.gen, world.evaluator, params,
                   world.metric, world.rng, ctx=world.ctx, clock=world.clock)
     assert only_pair in mem.long_term and only_pair not in mem.short_term
@@ -970,7 +970,7 @@ def test_merging_stage_excluded_pairs_not_reattempted():
     mem = MergeMemory(theta_fail=2)
     world = make_world(seed=55, n_fe=2, m_mt=1)
     only_pair = tuple(sorted(n.id for n in world.tree.fe_nodes()))
-    mem.long_term.add(only_pair)
+    mem.record_success(only_pair)
     params = StageParams(n_fe=2, m_mt=1, n_selected=1)
     fe_before = len(world.tree.fe_nodes())
     merging_stage(world.tree, mem, world.gen, world.evaluator, params,
@@ -1078,3 +1078,38 @@ def test_draw_merge_pairs_fully_excluded_draws_nothing():
     before = rng.bit_generator.state
     assert draw_merge_pairs(eligible, mem, 4, rng) == []
     assert rng.bit_generator.state == before
+
+
+@st.composite
+def _memory_histories(draw):
+    """Eligible ids, and memory writes over keys drawn from a small pool
+    (so keys repeat) of eligible ids and strays, in either order."""
+    eligible = sorted(draw(st.sets(st.integers(0, 30), min_size=2, max_size=12)))
+    ids = st.one_of(st.sampled_from(eligible), st.integers(0, 40))
+    pool = draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=10))
+    writes = draw(st.lists(st.tuples(st.sampled_from(["failure", "success"]),
+                                     st.sampled_from(pool)), max_size=40))
+    return eligible, writes
+
+
+@settings(max_examples=200, deadline=None)
+@given(theta=st.integers(1, 3), history=_memory_histories(), n=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_memory_columns_follow_the_set_and_the_draw_its_enumeration(theta, history, n, seed):
+    """After every write, the long-term columns hold exactly the
+    long-term set, and ``draw_merge_pairs`` picks what enumerating the
+    candidates picks, leaving the generator in the same state."""
+    eligible, writes = history
+    mem = MergeMemory(theta_fail=theta)
+    for verdict, key in writes:
+        if verdict == "failure":
+            mem.record_failure(key)
+        else:
+            mem.record_success(key)
+        first, second = mem.long_term_columns()
+        columns = list(zip(first.tolist(), second.tolist()))
+        assert len(columns) == len(mem.long_term) and set(columns) == mem.long_term
+        rng_ref, rng_new = np.random.default_rng(seed), np.random.default_rng(seed)
+        assert draw_merge_pairs(eligible, mem, n, rng_new) == _enumerated_pairs(
+            eligible, mem, n, rng_ref)
+        assert rng_new.bit_generator.state == rng_ref.bit_generator.state

@@ -143,6 +143,26 @@ def test_backpropagate_empty_fe_unset():
     assert tree.root.aggregated_score is None
 
 
+def test_root_mean_is_the_one_the_last_backpropagate_left():
+    """The root mean is taken when the root is read, over the FE rows
+    the last backpropagate covered, so it reads as if taken then: an FE
+    node attached later, even one carrying an aggregate, and a child
+    scored later change it only at the next backpropagate."""
+    tree = IdeationTree.create("root")
+    fe = tree.spawn(tree.root_id, NodeLevel.FE, "fe")
+    first = tree.spawn(fe.id, NodeLevel.MT, "mt")
+    tree.mark_evaluated(first.id, 1.0)
+    backpropagate(tree)
+    carried = tree.new_node(tree.root_id, NodeLevel.FE, "carried", aggregated_score=5.0)
+    tree.add_node(carried.parent_id, carried)
+    second = tree.spawn(fe.id, NodeLevel.MT, "mt")
+    tree.mark_evaluated(second.id, 3.0)
+    assert tree.root.aggregated_score == 1.0
+    backpropagate(tree)
+    assert tree.nodes[carried.id].aggregated_score is None
+    assert tree.root.aggregated_score == 2.0
+
+
 def test_backpropagate_oracle_1000_random_trees():
     rng = np.random.default_rng(20260815)
     for _ in range(1000):
@@ -162,9 +182,12 @@ def test_backpropagate_idempotent():
     for _ in range(50):
         tree = build_random_tree(rng, max_nodes=60)
         backpropagate(tree)
-        first = {n.id: n.aggregated_score for n in tree.nodes.values()}
+        # the root's mean is taken when the root is read
+        first = {tree.root_id: tree.root.aggregated_score,
+                 **{n.id: n.aggregated_score for n in tree.nodes.values()}}
         backpropagate(tree)
-        second = {n.id: n.aggregated_score for n in tree.nodes.values()}
+        second = {tree.root_id: tree.root.aggregated_score,
+                  **{n.id: n.aggregated_score for n in tree.nodes.values()}}
         assert first == second
 
 
@@ -423,7 +446,7 @@ def test_indexes_match_full_scans(data):
         for level in NodeLevel:
             scanned = [n for n in tree.nodes.values() if n.level is level]
             assert [id(n) for n in tree.nodes_at_level(level)] == [id(n) for n in scanned]
-        assert tree.eligible_fe_ids() == sorted(
+        assert tree.eligible_fe_ids().tolist() == sorted(
             fe.id for fe in tree.fe_nodes() if tree.evaluated_mt_children(fe.id)
         )
         assert replay_events(log.events).snapshot() == tree.snapshot()
