@@ -111,6 +111,18 @@ class RunConfig:
         syn = self.synthetic
         if self.number_of_ideas_min > self.number_of_ideas_max:
             out.append("number_of_ideas_min cannot exceed number_of_ideas_max")
+        elif self.predict_before_evaluate:
+            # the most anchors scoring.build_anchor_set gathers when no
+            # evaluation fails: sweep one runs the MT ideas proposed under
+            # the best FE node, at most number_of_ideas_max of them, and
+            # sweep two one more under each other FE node of the initial tree
+            reachable = (min(self.number_of_ideas_modelling, self.number_of_ideas_max)
+                         + self.number_of_ideas_data - 1)
+            if self.number_of_ideas_min > reachable:
+                out.append(
+                    f"number_of_ideas_min ({self.number_of_ideas_min}) exceeds the {reachable}"
+                    " anchors predict_before_evaluate can build: min(number_of_ideas_modelling,"
+                    " number_of_ideas_max) + number_of_ideas_data - 1")
         if syn.low >= syn.high:
             out.append("synthetic.low must be below synthetic.high")
         if syn.debug_cost > syn.full_cost:

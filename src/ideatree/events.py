@@ -121,9 +121,11 @@ class RunLog:
 
     def append(self, kind: EventKind, **payload) -> dict:
         ts = float(self.clock.elapsed()) if self.clock is not None else 0.0
-        if kind is EventKind.RUN_STARTED:
+        # ``_value_`` skips the Enum ``value`` property's descriptor call
+        value = kind._value_
+        if value == _RUN_STARTED:
             payload.setdefault("log_schema", LOG_SCHEMA_VERSION)
-        record = {"kind": kind.value, "payload": payload, "seq": self._seq, "ts": ts}
+        record = {"kind": value, "payload": payload, "seq": self._seq, "ts": ts}
         self._seq += 1
         self.events.append(record)
         return record

@@ -511,8 +511,10 @@ def replay_events(events: Iterable[dict]) -> IdeationTree:
 def verify_replay(run_dir: Path) -> bool:
     """True iff the log replays to exactly the bytes of the final
     snapshot. The replayed tree's snapshot is compared piece by piece
-    with the file as it is read, so neither document is held whole.
-    Runs with the garbage collector paused."""
+    (``IdeationTree.snapshot_pieces``: the root's node, then chunks of
+    ``SNAPSHOT_CHUNK`` nodes) with the file as it is read, so neither
+    document is held whole, only one chunk of each. Runs with the
+    garbage collector paused."""
     run_dir = Path(run_dir)
     log_path = run_dir / LOG_FILENAME
     snapshot_path = run_dir / FINAL_SNAPSHOT_FILENAME

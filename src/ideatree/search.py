@@ -50,6 +50,10 @@ logger = logging.getLogger(__name__)
 
 MergePairKey = tuple[int, int]
 
+# the statuses a ``node_evaluated`` record holds, as strings
+_EVALUATED = NodeStatus.EVALUATED.value
+_FAILED = NodeStatus.FAILED.value
+
 
 def pair_key(a: int, b: int) -> MergePairKey:
     """Canonical unordered key for an FE pair."""
@@ -186,13 +190,15 @@ def sample_top(
     Weights come from a softmax over oriented child scores by default.
     ``proportional`` switches to probabilities directly proportional to
     the oriented scores, which requires them all to be positive. With no
-    metric given, raw scores are treated as higher-is-better.
+    metric given, raw scores are treated as higher-is-better. The
+    children are taken in ``evaluated_mt_children``'s order, which is
+    ascending id, so the draw does not depend on how they were found.
     """
     if fe_node_id not in tree.nodes:
         raise UnknownParent(f"node {fe_node_id} not in tree")
     if k < 0:
         raise InvalidParams(f"k must be non-negative, got {k}")
-    children = sorted(tree.evaluated_mt_children(fe_node_id), key=lambda n: n.id)
+    children = tree.evaluated_mt_children(fe_node_id)
     if not children:
         raise NoEvaluatedChildren(f"node {fe_node_id} has no evaluated children")
     if k == 0:
@@ -550,10 +556,10 @@ class PendingSet:
                     self.clock.charge(cost)
             if error is None:
                 self.record(EventKind.NODE_EVALUATED, node_id=node.id, raw_score=score,
-                            status=NodeStatus.EVALUATED.value)
+                            status=_EVALUATED)
             else:
                 self.record(EventKind.NODE_EVALUATED, node_id=node.id, raw_score=None,
-                            status=NodeStatus.FAILED.value, error=error)
+                            status=_FAILED, error=error)
         for fn in after:
             fn()
 

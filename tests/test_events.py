@@ -35,6 +35,7 @@ from ideatree.orchestrator import (
     replay,
     verify_replay,
 )
+from ideatree import tree as tree_module
 from ideatree.tree import OPTIONAL_NODE_FIELDS, Node
 
 from helpers import full_record
@@ -647,6 +648,36 @@ def test_verify_replay_sees_a_truncated_snapshot_or_trailing_bytes(finished, dat
         shutil.copytree(finished, run_dir)
         assert not _verify_with_snapshot(run_dir, document[:length])
         assert not _verify_with_snapshot(run_dir, document + trailing)
+
+
+def _cut_last_byte(document: bytes, end: int) -> bytes:
+    return document[:end - 1] + document[end:]
+
+
+def _add_a_byte(document: bytes, end: int) -> bytes:
+    return document[:end] + b" " + document[end:]
+
+
+def _change_a_byte(document: bytes, end: int) -> bytes:
+    return document[:end - 1] + bytes([document[end - 1] ^ 1]) + document[end:]
+
+
+@pytest.mark.parametrize("edit", [_cut_last_byte, _add_a_byte, _change_a_byte])
+@pytest.mark.parametrize("where", ["the document", "the last chunk"])
+def test_verify_replay_sees_an_edit_at_the_end_of_the_last_chunk(finished, tmp_path,
+                                                                 monkeypatch, edit, where):
+    """With chunks of eight nodes, so that the run's snapshot has
+    several: its last byte cut, a byte added or a byte changed, at the
+    end of the document or of its last chunk, fails the comparison."""
+    monkeypatch.setattr(tree_module, "SNAPSHOT_CHUNK", 8)
+    run_dir = tmp_path / "run"
+    shutil.copytree(finished, run_dir)
+    document = (run_dir / FINAL_SNAPSHOT_FILENAME).read_bytes()
+    pieces = list(replay(run_dir / LOG_FILENAME).snapshot_pieces())
+    assert len(pieces) > 4 and b"".join(pieces) == document
+    end = len(document) if where == "the document" else len(document) - len(pieces[-1])
+    assert verify_replay(run_dir)
+    assert not _verify_with_snapshot(run_dir, edit(document, end))
 
 
 # ---- the decoder: orjson, and json where orjson refuses ----

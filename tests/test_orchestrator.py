@@ -69,6 +69,7 @@ from ideatree.tree import (
     Node,
     NodeLevel,
     NodeStatus,
+    ProvenanceKind,
 )
 
 from helpers import FlakyEvaluator, RecordingEvaluator, SleepyEvaluator
@@ -474,6 +475,49 @@ def test_min_anchors_cannot_exceed_max():
         RunConfig.from_dict({"number_of_ideas_min": 6, "number_of_ideas_max": 5})
 
 
+def test_a_predicting_config_whose_anchor_sweeps_cannot_reach_the_minimum_is_refused():
+    """With one FE idea and one MT idea, the sweeps gather one anchor,
+    and such a run used to turn prediction off with only a warning."""
+    doc = {"number_of_ideas_data": 1, "number_of_ideas_modelling": 1,
+           "predict_before_evaluate": True}
+    with pytest.raises(ConfigInvalid) as exc_info:
+        RunConfig.from_dict(doc)
+    assert exc_info.value.problems == [
+        "number_of_ideas_min (2) exceeds the 1 anchors predict_before_evaluate can build:"
+        " min(number_of_ideas_modelling, number_of_ideas_max) + number_of_ideas_data - 1"]
+    RunConfig.from_dict({**doc, "predict_before_evaluate": False})
+    RunConfig.from_dict({**doc, "number_of_ideas_min": 1})
+
+
+@pytest.mark.parametrize("data, modelling, most", [
+    (1, 1, 5), (1, 2, 5), (2, 1, 5), (1, 3, 2), (3, 3, 4), (3, 2, 2), (2, 3, 5),
+])
+def test_the_anchor_rule_allows_what_the_sweeps_gather(data, modelling, most):
+    """With ports that never fail, the run's anchor sweeps gather as many
+    anchors as the largest number_of_ideas_min the config allows, so a
+    valid config never falls back for want of anchors."""
+    shape = {"number_of_ideas_data": data, "number_of_ideas_modelling": modelling,
+             "number_of_ideas_max": most, "predict_before_evaluate": True}
+    allowed = max(low for low in range(1, most + 2)
+                  if not RunConfig(**shape, number_of_ideas_min=low).problems())
+    config = _sim_config(**shape, number_of_ideas_min=1)
+    ports = build_synthetic_ports(config)
+    ctx = ContextState()
+    tree = initialize_tree(ctx, ports, config)
+    anchor_set = orchestrator._build_anchors(tree, ports, config, ctx, RunLog(), None)
+    assert len(anchor_set.anchors) == allowed
+
+
+def test_a_run_at_the_anchor_bound_predicts(tmp_path):
+    """The smallest config the anchor rule allows at its default
+    minimum builds its anchors and predicts."""
+    _, out, _ = _run(tmp_path, seed=1, time_run_minutes=300.0,
+                     number_of_ideas_data=1, number_of_ideas_modelling=2,
+                     predict_before_evaluate=True)
+    kinds = {e["kind"] for e in read_log(out / LOG_FILENAME)}
+    assert EventKind.PREDICTION_MADE in kinds
+
+
 def test_config_yaml_roundtrip(tmp_path):
     config = _sim_config(seed=123, predict_before_evaluate=True)
     path = tmp_path / "run.yaml"
@@ -778,6 +822,10 @@ def _valid_search_docs(draw) -> dict:
     doc.update({name: draw(st.booleans()) for name in _BOOL_KNOBS})
     doc.update({name: draw(st.sampled_from(values)) for name, values in _ENUM_KNOBS.items()})
     low, high = sorted(draw(st.lists(st.integers(1, 3), min_size=2, max_size=2)))
+    if doc["predict_before_evaluate"]:
+        # no more anchors than the two sweeps can gather
+        low = min(low, min(doc["number_of_ideas_modelling"], high)
+                  + doc["number_of_ideas_data"] - 1)
     doc.update(
         seed=draw(st.integers(0, 2**16)),
         clock_mode="simulated",
@@ -1487,6 +1535,21 @@ def test_a_program_fault_building_anchors_ends_the_run(tmp_path, monkeypatch):
     config = _sim_config(predict_before_evaluate=True)
     with pytest.raises(TypeError, match="a bug in the anchor path"):
         execute_run(config, build_synthetic_ports(config), tmp_path / "run")
+
+
+def test_children_come_in_ascending_id_order(tmp_path):
+    """``sample_top`` draws over ``evaluated_mt_children`` as it comes,
+    so its order must be ascending id: every node a run attaches takes
+    the next id, merged FE nodes' resampled children too."""
+    _, _, result = _run(tmp_path, seed=3, time_run_minutes=1_000.0)
+    tree = result.tree
+    merged = [fe for fe in tree.fe_nodes() if fe.provenance.kind is ProvenanceKind.MERGED]
+    assert any(len(tree.evaluated_mt_children(fe.id)) > 1 for fe in merged)
+    for fe in tree.fe_nodes():
+        ids = [child.id for child in tree.children(fe.id)]
+        assert ids == sorted(ids)
+        assert [c.id for c in tree.evaluated_mt_children(fe.id)] == [
+            i for i in ids if tree.nodes[i].status is NodeStatus.EVALUATED]
 
 
 # ---- replay ----

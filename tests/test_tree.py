@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ideatree.errors import (
+    CorruptLog,
     DuplicateId,
     InvariantViolation,
     LevelMismatch,
@@ -21,6 +22,7 @@ from ideatree.errors import (
 from ideatree.events import EventKind, RunLog, encode_json
 from ideatree.orchestrator import replay_events
 from ideatree.tree import (
+    SNAPSHOT_CHUNK,
     IdeationTree,
     Node,
     NodeLevel,
@@ -321,6 +323,69 @@ def test_restore_rejects_score_without_evaluated_status():
         IdeationTree.restore(json.dumps(doc))
 
 
+# ---- the leaner decode and attach reject what they rejected ----
+
+def _record(node_id: int, level: str, parent_id, **fields) -> dict:
+    return {"created_iteration": 0, "id": node_id, "idea_text": f"idea {node_id}",
+            "level": level, "parent_id": parent_id,
+            "provenance": {"kind": "generated", "sources": []},
+            "status": "implemented", **fields}
+
+
+# a root, two FE nodes and an evaluated MT node under the first
+_PREFIX = [
+    _record(0, "eda", None),
+    _record(1, "fe", 0),
+    _record(2, "fe", 0),
+    _record(3, "mt", 1, status="evaluated", raw_score=1.0),
+]
+
+
+def _as_document(records: list[dict]) -> str:
+    return json.dumps({"iteration": 0, "next_id": len(records), "nodes": records,
+                       "tree_schema": 2})
+
+
+def _as_events(records: list[dict]) -> list[dict]:
+    return [{"kind": "node_proposed", "payload": {"node": record}, "seq": seq, "ts": 0.0}
+            for seq, record in enumerate(records)]
+
+
+@pytest.mark.parametrize("record, error, message", [
+    (_record(4, "mt", 1, provenance={"kind": "merged", "sources": [3]}),
+     InvariantViolation, "merged provenance needs two distinct sources"),
+    (_record(4, "mt", 1, status="evaluated"),
+     InvariantViolation, "evaluated node 4 has no raw score"),
+    (_record(4, "mt", 1, status="proposed", raw_score=0.5),
+     InvariantViolation, "node 4 has a raw score but status proposed"),
+    (_record(4, "mt", 3),
+     LevelMismatch, "mt nodes cannot have children"),
+], ids=["merged with one source", "evaluated without a raw score",
+        "raw score on a proposed node", "child under an MT node"])
+def test_restore_and_replay_reject_a_bad_node_record(record, error, message):
+    """Each node record is rejected by ``restore`` with the error the
+    attach raises, and by ``replay_events`` as a CorruptLog naming its
+    seq, though the decode takes the shared generated provenance and
+    the attach skips the checks a valid record cannot fail."""
+    IdeationTree.restore(_as_document(_PREFIX))
+    replay_events(_as_events(_PREFIX))
+    with pytest.raises(error, match=message):
+        IdeationTree.restore(_as_document(_PREFIX + [record]))
+    with pytest.raises(CorruptLog, match=f"^event 4 does not apply: .*{message}"):
+        replay_events(_as_events(_PREFIX + [record]))
+
+
+def test_restore_and_replay_reject_an_fe_node_attached_out_of_order():
+    """Both readers name the two ids: restore refuses any descending id,
+    and the attach that replay makes refuses an FE id below the FE
+    table's last."""
+    records = [_record(0, "eda", None), _record(5, "fe", 0), _record(3, "fe", 0)]
+    with pytest.raises(InvariantViolation, match="node id 3 follows node id 5"):
+        IdeationTree.restore(_as_document(records))
+    with pytest.raises(CorruptLog, match="^event 2 does not apply: .*FE node 3 attached after FE node 5"):
+        replay_events(_as_events(records))
+
+
 def test_fe_nodes_attach_in_ascending_id_order():
     tree = IdeationTree.create("root")
     late = Node(id=1, level=NodeLevel.FE, parent_id=None, idea_text="late")
@@ -556,6 +621,55 @@ def test_snapshot_encodes_non_ascii_text_and_extreme_floats(text):
     tree.mark_evaluated(mt.id, 1e-300)
     backpropagate(tree)
     assert tree.snapshot() == reference_snapshot(tree)
+
+
+def _tree_of(n_nodes: int) -> IdeationTree:
+    """A tree of ``n_nodes`` nodes: the root, an FE node every tenth id
+    and MT nodes under the latest one, every third scored and every
+    fifth predicted, and the aggregates brought up to date."""
+    tree = IdeationTree.create("root")
+    fe = None
+    while len(tree.nodes) < n_nodes:
+        i = len(tree.nodes)
+        if fe is None or i % 10 == 0:
+            fe = tree.spawn(tree.root_id, NodeLevel.FE, f"fe {i}")
+            continue
+        mt = tree.spawn(fe.id, NodeLevel.MT, f"mt {i}",
+                        predicted_score=i / 7 if i % 5 == 0 else None)
+        if i % 3 == 0:
+            tree.mark_evaluated(mt.id, i / 3)
+    backpropagate(tree)
+    return tree
+
+
+@pytest.mark.parametrize("n_nodes", [1, SNAPSHOT_CHUNK, SNAPSHOT_CHUNK + 1,
+                                     2 * SNAPSHOT_CHUNK + 2])
+def test_snapshot_chunks_join_to_a_cold_encode(n_nodes):
+    """The root's piece, then a piece per SNAPSHOT_CHUNK other nodes,
+    the last one short or not, join between the head and the tail to a
+    cold encode of the whole document."""
+    tree = _tree_of(n_nodes)
+    assert len(tree.nodes) == n_nodes
+    pieces = list(tree.snapshot_pieces())
+    # the head, the root, the chunks of the other nodes, the tail
+    assert len(pieces) == 3 + math.ceil((n_nodes - 1) / SNAPSHOT_CHUNK)
+    assert b"".join(pieces).decode() == reference_snapshot(tree)
+    assert tree.snapshot() == reference_snapshot(tree)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("field", ["predicted_score", "aggregated_score"])
+def test_a_non_finite_score_in_a_later_chunk_is_refused(field, value):
+    """Only a piece holding ``null`` is checked again for non-finite
+    floats; orjson writes one as ``null``, so a chunk far from the root
+    is checked too."""
+    tree = _tree_of(2 * SNAPSHOT_CHUNK + 2)
+    level = NodeLevel.MT if field == "predicted_score" else NodeLevel.FE
+    last = tree.nodes_at_level(level)[-1]
+    assert last.id > SNAPSHOT_CHUNK
+    setattr(last, field, value)
+    with pytest.raises(ValueError):
+        tree.snapshot()
 
 
 def test_node_records_encode_with_sorted_keys():
