@@ -40,7 +40,7 @@ from .report import (
 )
 from .retrieval import FileCorpusRetriever
 from .scoring import LlmPredictor
-from .setup_stages import infer_metric, read_task
+from .setup_stages import infer_metric, pipeline_setup, read_task
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -65,7 +65,9 @@ def _corpus_dir(dataset_dir: Optional[Path]) -> Optional[Path]:
 def build_llm_ports(config: RunConfig, dataset_dir: Path, out_dir: Path) -> PortSet:
     """Wire the real ports: chat-completion generation, subprocess
     execution of code artifacts, and the task read from the dataset
-    directory, once, with the metric its description names. A config
+    directory, once, with the metric its description names. The
+    evaluator runs debug mode on ``subset_size_in_percent`` of the rows
+    only for a table that ``pipeline_setup`` flags as large. A config
     that fails ``RunConfig.problems`` is ConfigInvalid before any of
     them is built."""
     config.validate()
@@ -89,7 +91,7 @@ def build_llm_ports(config: RunConfig, dataset_dir: Path, out_dir: Path) -> Port
     evaluator = SubprocessEvaluator(
         workspace=Path(out_dir) / "workspace",
         wall_minutes=config.runtime_error_time,
-        subset_percent=config.subset_size_in_percent,
+        subset_percent=config.subset_size_in_percent if pipeline_setup(task, config) else None,
         clock=clock,
     )
     predictor = None

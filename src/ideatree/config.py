@@ -87,7 +87,6 @@ class RunConfig:
     memory_size: int = 5
     memory_strategy: str = MemoryStrategy.RANDOM.value
     merge_epsilon: float = 0.0
-    max_resplits: int = 2
     rag_policy: str = ExternalQueryPolicy.ADAPTIVE.value
     selection_mode: str = SelectionMode.FE_AGGREGATE.value
     sample_top_proportional: bool = False
@@ -227,7 +226,7 @@ _BOUNDS = {
         "endpoint.timeout_s", "endpoint.max_tokens",
     ), (_POSITIVE,)),
     **dict.fromkeys((
-        "max_resplits", "validation_attempts", "synthetic.mt_jitter",
+        "validation_attempts", "synthetic.mt_jitter",
         "synthetic.merge_jitter", "synthetic.noise_sigma", "endpoint.max_retries",
     ), (_NON_NEGATIVE,)),
     "subset_size_in_percent": (_POSITIVE, (lambda v: v <= 100, "{name} cannot exceed 100")),

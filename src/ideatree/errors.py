@@ -22,12 +22,12 @@ class LevelMismatch(IdeaTreeError):
     """Node level is not the required child level of its parent."""
 
 
-class DuplicateId(IdeaTreeError):
-    """Node id already present in the tree."""
-
-
 class InvariantViolation(IdeaTreeError):
     """A structural invariant of the tree does not hold."""
+
+
+class DuplicateId(InvariantViolation):
+    """Node id already present in the tree."""
 
 
 class MalformedDocument(IdeaTreeError):
@@ -99,15 +99,12 @@ class BudgetExhausted(IdeaTreeError):
 # ---- orchestration ----
 
 class StageFailure(IdeaTreeError):
-    """A setup stage failed; carries the stage name."""
+    """Reading the run's dataset failed; carries the stage name
+    (``reader``) and the cause's message."""
 
     def __init__(self, stage: str, message: str = ""):
         super().__init__(f"{stage}: {message}" if message else stage)
         self.stage = stage
-
-
-class ResplitsExhausted(IdeaTreeError):
-    """Baseliner kept rejecting splits past the configured resplit limit."""
 
 
 class InitializationFailure(IdeaTreeError):

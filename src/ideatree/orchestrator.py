@@ -425,15 +425,16 @@ def execute_run(config: RunConfig, ports: PortSet, out_dir: Path) -> RunResult:
 def _search(config: RunConfig, ports: PortSet, log: RunLog) -> RunResult:
     """The logged part of a run: setup of the ports' task,
     initialization and the main loop, on one evaluation pool."""
-    setup = pipeline_setup(ports.task, config)
+    subset = pipeline_setup(ports.task, config)
     log.append(
         EventKind.RUN_STARTED,
         seed=config.seed,
         budget_minutes=config.time_run_minutes,
         metric=ports.metric.to_dict(),
         task_rows=ports.task.row_count,
-        split_strategy=setup.plan.strategy,
-        subset=setup.plan.use_subset,
+        # no split is chosen; the field keeps the value every run has logged
+        split_strategy="random_holdout",
+        subset=subset,
     )
 
     ctx = ContextState()

@@ -30,8 +30,8 @@ has grown:
   failed. ``backpropagate`` recomputes only those;
 * the FE table (``fe_table``): numpy columns of every FE node's id,
   aggregate (NaN when unset), ``created_iteration`` and number of
-  evaluated children, one row per FE node in attach order. FE nodes
-  must attach in ascending id order, so the rows are in id order too.
+  evaluated children, one row per FE node in attach order. Nodes
+  attach in ascending id order, so the rows are in id order too.
   Softmax selection over FE nodes and the merge-eligible ids
   (``eligible_fe_ids``) are array operations on it, not scans of the
   nodes; ``backpropagate`` writes the aggregates it recomputes into it.
@@ -288,13 +288,11 @@ class FeTable:
     ``created`` (``created_iteration``) and ``evaluated`` (the number of
     evaluated children) are read-only views of the filled rows. The
     tree appends a row when it attaches an FE node and writes the other
-    columns as they change; ``rows`` maps an FE id to its row, and
-    ``last_id`` is the id of the last row, None while there is none.
+    columns as they change; ``rows`` maps an FE id to its row.
     """
 
     def __init__(self) -> None:
         self.rows: dict[int, int] = {}
-        self.last_id: Optional[int] = None
         self._ids = np.empty(0, dtype=np.int64)
         self._aggregates = np.empty(0, dtype=float)
         self._created = np.empty(0, dtype=np.int64)
@@ -317,7 +315,6 @@ class FeTable:
         self._created[row] = node.created_iteration
         self._evaluated[row] = 0
         self.rows[node.id] = row
-        self.last_id = node.id
 
     def set_aggregate(self, fe_id: int, value: Optional[float]) -> None:
         self._aggregates[self.rows[fe_id]] = np.nan if value is None else value
@@ -378,11 +375,16 @@ class IdeationTree:
     def add_node(self, parent_id: Optional[int], node: Node) -> Node:
         """Attach ``node`` under ``parent_id`` after validating structure.
 
-        The root is added with ``parent_id=None`` exactly once. Raises
-        UnknownParent, LevelMismatch, DuplicateId or InvariantViolation.
+        The root is added with ``parent_id=None`` exactly once, and ids
+        strictly ascend: a node's id is at least the tree's next id.
+        Raises UnknownParent, LevelMismatch, DuplicateId or
+        InvariantViolation.
         """
         if node.id in self.nodes:
             raise DuplicateId(f"node id {node.id} already in tree")
+        if node.id < self._next_id:
+            raise InvariantViolation(
+                f"node id {node.id} is below next id {self._next_id}; ids must strictly ascend")
         provenance = node.provenance
         # the shared sourceless provenance is valid and names no source
         if provenance is not _GENERATED:
@@ -416,8 +418,7 @@ class IdeationTree:
                     )
         node.parent_id = parent_id
         self._attach(node)
-        if node.id >= self._next_id:
-            self._next_id = node.id + 1
+        self._next_id = node.id + 1
         return node
 
     def new_node(self, parent_id: Optional[int], level: NodeLevel, idea_text: str, *,
@@ -455,12 +456,6 @@ class IdeationTree:
 
     def _attach(self, node: Node) -> None:
         level = node.level
-        if level is _FE:
-            table = self.fe_table
-            if table.last_id is not None and node.id <= table.last_id:
-                raise InvariantViolation(
-                    f"FE node {node.id} attached after FE node {table.last_id}"
-                )
         self.nodes[node.id] = node
         # an MT node has no children, so it gets no list
         if level is not _MT:
@@ -468,7 +463,7 @@ class IdeationTree:
         self._by_level[level].append(node)
         if level is _FE:
             self._dirty_fe.add(node.id)
-            table.append(node)
+            self.fe_table.append(node)
         if node.parent_id is None:
             self._root_id = node.id
         else:
@@ -654,20 +649,14 @@ class IdeationTree:
         # is attached and the decoded document never sits beside the
         # whole tree.
         records = doc["nodes"]
+        if not records:
+            raise InvariantViolation("snapshot has 0 roots, expected 1")
         records.reverse()
-        previous: Optional[int] = None
         while records:
             rec = Node.from_dict(records.pop())
-            if previous is None:
-                if rec.parent_id is not None:
-                    raise InvariantViolation(f"snapshot begins with node {rec.id}, not its root")
-            elif rec.id <= previous:
-                raise InvariantViolation(
-                    f"node id {rec.id} follows node id {previous}; ids must strictly ascend")
+            if tree._root_id is None and rec.parent_id is not None:
+                raise InvariantViolation(f"snapshot begins with node {rec.id}, not its root")
             tree.add_node(rec.parent_id, rec)
-            previous = rec.id
-        if previous is None:
-            raise InvariantViolation("snapshot has 0 roots, expected 1")
         stored_next = doc.get("next_id")
         if stored_next is not None:
             tree._next_id = max(tree._next_id, int(stored_next))

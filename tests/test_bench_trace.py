@@ -2,7 +2,8 @@
 
 ``bench/rep.py``'s ``trace_program`` patches engine functions and
 methods by name where they are looked up. A refactor that renames one
-would otherwise break only a traced bench run, which no test starts."""
+would otherwise break only a traced bench run, which no test starts;
+a name the run no longer calls records no span."""
 
 from __future__ import annotations
 
@@ -36,6 +37,6 @@ def test_trace_program_patches_and_counts_the_run_layers(tmp_path, monkeypatch):
     metrics, self_s = rep.layer_metrics(tracer, out)
     assert metrics["tree.backpropagate.calls"] > 0
     assert metrics["tree.snapshot.calls"] > 0
-    assert {"search.adding", "search.merging"} <= set(self_s)
+    assert {"search.adding", "search.merging", "setup_stages.pipeline_setup"} <= set(self_s)
     assert metrics["evaluation.debug.calls"] > 0
     assert metrics["scoring.predict.calls"] > 0

@@ -217,6 +217,29 @@ def test_llm_ports_clamp_subprocess_timeouts_to_the_run_clock(tmp_path):
     assert ports.evaluator.wall_minutes == config.runtime_error_time
 
 
+@pytest.mark.parametrize("extra_rows, subset_percent", [(0, None), (1, 25.0)],
+                         ids=["at the threshold", "one row over"])
+def test_llm_ports_send_the_subset_only_for_a_large_table(tmp_path, monkeypatch,
+                                                          extra_rows, subset_percent):
+    """The subprocess evaluator gets ``subset_size_in_percent`` only for
+    a table of more than ``validator_size_threshold`` rows; building
+    the ports calls no endpoint."""
+    def no_endpoint(*args, **kwargs):
+        raise AssertionError("building the ports called an endpoint")
+
+    monkeypatch.setattr("requests.Session.request", no_endpoint)
+    config = RunConfig(validator_size_threshold=3, subset_size_in_percent=25.0,
+                       endpoint=EndpointConfig(base_url="http://localhost:9", model="m"))
+    dataset = tmp_path / "ds"
+    dataset.mkdir()
+    (dataset / "description.txt").write_text("a task", encoding="utf-8")
+    rows = config.validator_size_threshold + extra_rows
+    (dataset / "data.csv").write_text("a\n" + "1\n" * rows, encoding="utf-8")
+    ports = build_llm_ports(config, dataset, tmp_path / "run")
+    assert ports.task.row_count == rows
+    assert ports.evaluator.subset_percent == subset_percent
+
+
 def test_llm_ports_refuse_an_invalid_config_before_reading_the_dataset(tmp_path):
     config = RunConfig(runtime_error_time=0.0,
                        endpoint=EndpointConfig(base_url="http://localhost:9", model="m"))

@@ -1,6 +1,7 @@
-"""Pinned run directories: the sha256 of ``run.jsonl`` and
-``final_snapshot.json`` for three small seeded runs with the settings of
-the benchmark's workloads (``bench/workloads.py``), over bare synthetic
+"""Pinned run directories: the sha256 of every file a run writes
+(``config.yaml``, ``run.jsonl``, ``final_snapshot.json`` and
+``result.json``) for three small seeded runs with the settings of the
+benchmark's workloads (``bench/workloads.py``), over bare synthetic
 ports.
 
 Criterion 8 compares two runs of one commit. These digests compare a
@@ -19,8 +20,10 @@ import pytest
 
 from ideatree.config import RunConfig
 from ideatree.orchestrator import (
+    CONFIG_COPY_FILENAME,
     FINAL_SNAPSHOT_FILENAME,
     LOG_FILENAME,
+    RESULT_FILENAME,
     build_synthetic_ports,
     execute_run,
     verify_replay,
@@ -31,19 +34,25 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 # workload, budget in cost units, and the digests of its seed-1 run
 GOLDEN = {
     "grow-25k": (10_000, {
+        CONFIG_COPY_FILENAME: "42c39d21a2beb066a9701cd1374548440fffa0b80b1ff0179d6c1c0d176915d1",
         LOG_FILENAME: "c4bcbb9f654df32fe99808bfd91b66a9cf1b6a1e07088061c7eeb0ab435351e9",
         FINAL_SNAPSHOT_FILENAME:
             "59fea66b4fbace87f2a0520a5a1de63781dd8fc019427fd3fba7b6612aa6d6b1",
+        RESULT_FILENAME: "2c97995df68c208e762e83eeb797af956724b747b44b91edcb74ec50621aaf1b",
     }),
     "checkpoint-10k": (3_000, {
+        CONFIG_COPY_FILENAME: "83d5ccb5ab21765f4dd80d4e3eea1ba9f662ba9df00c180b4a2241fd1497c36d",
         LOG_FILENAME: "4c50411655b198f1067b8c3761b9b7bd6a030409cf0a09aa19c95719eef309f7",
         FINAL_SNAPSHOT_FILENAME:
             "774e63dec2487da3240ab0550fecb67c32cdf0ecac7b96e8e00f93934e6871b9",
+        RESULT_FILENAME: "b4e65a747aec31d978c1ec5c4c9cb81ad2682d5f8c437c146ffe00e4ea93ec87",
     }),
     "ports-2.5k": (2_500, {
+        CONFIG_COPY_FILENAME: "148bac2441b7b5a6dc093bc51295bcde715bd6c4b73c7dd454bce22d02449bfd",
         LOG_FILENAME: "875d06066e6cfe6ec623e0c4978c3ffa6aee25b0674b7b46ad1fe34b12543eaf",
         FINAL_SNAPSHOT_FILENAME:
             "418097edd46e373018fb50dd2408633adfc13dee380444b046fcb913ad981b6a",
+        RESULT_FILENAME: "c61639cf7b9f2db4a7dafe94f8f04b7932fcf36c6f107de52f0f96f740126d43",
     }),
 }
 
@@ -63,7 +72,7 @@ def test_run_directory_matches_its_pinned_digests(name, tmp_path, monkeypatch):
     out = tmp_path / "run"
     execute_run(config, build_synthetic_ports(config, corpus_dir=corpus), out)
     assert {
-        filename: hashlib.sha256((out / filename).read_bytes()).hexdigest()
-        for filename in digests
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in out.iterdir()
     } == digests
     assert verify_replay(out)

@@ -1,4 +1,4 @@
-"""Setup pipeline, config handling, initialization, the main loop, and
+"""Setup, config handling, initialization, the main loop, and
 log replay, mostly end to end over the synthetic ports."""
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import time
 import zlib
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,6 @@ from ideatree.errors import (
     GeneratorFailure,
     InitializationFailure,
     MissingRunArtifacts,
-    ResplitsExhausted,
     StageFailure,
 )
 from ideatree import config as config_module, orchestrator
@@ -54,9 +52,6 @@ from ideatree.orchestrator import (
 from ideatree import retrieval
 from ideatree.retrieval import FileCorpusRetriever
 from ideatree.setup_stages import (
-    BaselineVerdict,
-    RotatingValidator,
-    ScriptedBaseliner,
     TaskSpec,
     infer_metric,
     pipeline_setup,
@@ -74,16 +69,9 @@ from ideatree.tree import (
 
 from helpers import FlakyEvaluator, RecordingEvaluator, SleepyEvaluator
 
-RESPLIT = BaselineVerdict.RESPLIT_REQUESTED
-OK = BaselineVerdict.SPLIT_OK
 
-
-def _setup(config, rows=100, verdicts=(OK,), validator=None):
-    """The split protocol on a toy task of ``rows`` rows, the baseliner
-    reading ``verdicts``."""
-    task = TaskSpec(description="toy task", schema={"a": "float"}, row_count=rows)
-    return pipeline_setup(task, config, validator=validator,
-                          baseliner=ScriptedBaseliner(verdicts=verdicts))
+def _toy_task(rows: int) -> TaskSpec:
+    return TaskSpec(description="toy task", schema={"a": "float"}, row_count=rows)
 
 
 def _sim_config(**overrides):
@@ -97,62 +85,34 @@ def _sim_config(**overrides):
     return RunConfig.from_dict(doc)
 
 
-# ---- setup pipeline ----
+# ---- setup ----
 
-def test_setup_happy_path():
-    result = _setup(RunConfig())
-    assert result.validator_runs == 1
-    assert result.plan.strategy == "random_holdout"
-    assert not result.plan.use_subset
-    assert result.baseline.verdict is OK
+def test_setup_happy_path(tmp_path):
+    """A run's ``run_started`` event logs the one split strategy and
+    the subset flag of its task."""
+    config = _sim_config()
+    execute_run(config, build_synthetic_ports(config), tmp_path)
+    started = json.loads((tmp_path / LOG_FILENAME).read_text(encoding="utf-8").split("\n")[0])
+    assert started["payload"]["split_strategy"] == "random_holdout"
+    assert started["payload"]["subset"] is False
 
 
 def test_large_dataset_gets_subset_flag():
     config = RunConfig()
-    result = _setup(config, rows=20_000)
-    assert result.plan.use_subset
-    assert result.plan.subset_percent == config.subset_size_in_percent
+    assert pipeline_setup(_toy_task(config.validator_size_threshold + 1), config) is True
 
 
 def test_small_dataset_keeps_full_rows():
     config = RunConfig()
-    result = _setup(config, rows=config.validator_size_threshold)
-    assert not result.plan.use_subset
+    assert pipeline_setup(_toy_task(config.validator_size_threshold), config) is False
 
 
-def test_resplit_rotates_strategy():
-    result = _setup(RunConfig(), verdicts=(RESPLIT, OK))
-    assert result.validator_runs == 2
-    assert result.plan.strategy == "stratified_holdout"
-
-
-def test_resplits_exhausted_after_bounded_retries():
-    calls = []
-
-    @dataclass
-    class CountingValidator:
-        inner: RotatingValidator
-
-        def split(self, task, attempt):
-            calls.append(attempt)
-            return self.inner.split(task, attempt)
-
-    with pytest.raises(ResplitsExhausted):
-        _setup(RunConfig(), verdicts=(RESPLIT,),
-               validator=CountingValidator(RotatingValidator()))
-    # first split plus max_resplits retries
-    assert calls == [0, 1, 2]
-
-
-def test_stage_failure_names_the_stage():
-    class BrokenValidator:
-        def split(self, task, attempt):
-            raise ValueError("no column to stratify on")
-
+def test_stage_failure_names_the_stage(tmp_path):
+    (tmp_path / "description.txt").mkdir()
     with pytest.raises(StageFailure) as exc_info:
-        _setup(RunConfig(), validator=BrokenValidator())
-    assert exc_info.value.stage == "validator"
-    assert "no column to stratify on" in str(exc_info.value)
+        read_task(tmp_path)
+    assert exc_info.value.stage == "reader"
+    assert "Is a directory" in str(exc_info.value)
 
 
 def test_directory_reader_and_metric(tmp_path):
@@ -276,7 +236,7 @@ def test_invalid_values_are_collected_not_first_only():
     ({"validation_attempts": -1}, "validation_attempts must be non-negative"),
     ({"predict_fraction": 0.0}, "predict_fraction must be in (0, 1], got 0.0"),
     ({"predict_fraction": 1.5}, "predict_fraction must be in (0, 1], got 1.5"),
-    ({"max_resplits": -1}, "max_resplits must be non-negative"),
+    ({"max_resplits": 2}, "unknown key 'max_resplits'"),
     ({"subset_size_in_percent": 150}, "subset_size_in_percent cannot exceed 100"),
     ({"synthetic": {"full_cost": 1.0, "debug_cost": 2.0}},
      "synthetic.debug_cost cannot exceed synthetic.full_cost"),
@@ -801,7 +761,7 @@ _COUNT_KNOBS = (
     "number_of_ideas_eda", "number_of_ideas_data", "number_of_ideas_modelling",
     "max_add_idea", "number_of_selected_node", "number_of_iterations_parents",
     "number_of_selected_node_merging", "number_of_iterations_children",
-    "retrieve_n_papers", "number_rag_ideas", "memory_size", "max_resplits",
+    "retrieve_n_papers", "number_rag_ideas", "memory_size",
 )
 _BOOL_KNOBS = (
     "predict_before_evaluate", "sample_top_proportional", "checkpoint_every_stage",

@@ -376,14 +376,17 @@ def test_restore_and_replay_reject_a_bad_node_record(record, error, message):
 
 
 def test_restore_and_replay_reject_an_fe_node_attached_out_of_order():
-    """Both readers name the two ids: restore refuses any descending id,
-    and the attach that replay makes refuses an FE id below the FE
-    table's last."""
-    records = [_record(0, "eda", None), _record(5, "fe", 0), _record(3, "fe", 0)]
-    with pytest.raises(InvariantViolation, match="node id 3 follows node id 5"):
-        IdeationTree.restore(_as_document(records))
-    with pytest.raises(CorruptLog, match="^event 2 does not apply: .*FE node 3 attached after FE node 5"):
-        replay_events(_as_events(records))
+    """Restore and replay attach through ``add_node``, which refuses an
+    id below the tree's next id, at any level, and names both ids."""
+    fe_descending = [_record(0, "eda", None), _record(5, "fe", 0), _record(3, "fe", 0)]
+    mt_descending = [_record(0, "eda", None), _record(1, "fe", 0), _record(5, "mt", 1),
+                     _record(3, "mt", 1)]
+    for records in (fe_descending, mt_descending):
+        with pytest.raises(InvariantViolation, match="^node id 3 is below next id 6;"):
+            IdeationTree.restore(_as_document(records))
+        with pytest.raises(CorruptLog,
+                           match=f"^event {len(records) - 1} does not apply: .*node id 3 is below next id 6;"):
+            replay_events(_as_events(records))
 
 
 def test_fe_nodes_attach_in_ascending_id_order():
