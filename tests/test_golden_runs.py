@@ -2,7 +2,8 @@
 (``config.yaml``, ``run.jsonl``, ``final_snapshot.json`` and
 ``result.json``) for three small seeded runs with the settings of the
 benchmark's workloads (``bench/workloads.py``), over bare synthetic
-ports.
+ports, and for one run whose stage knobs each hold a value of their
+own (``STAGE_KNOBS``).
 
 Criterion 8 compares two runs of one commit. These digests compare a
 run with the same run at an earlier commit, so a change that is meant
@@ -54,21 +55,62 @@ GOLDEN = {
             "418097edd46e373018fb50dd2408633adfc13dee380444b046fcb913ad981b6a",
         RESULT_FILENAME: "c61639cf7b9f2db4a7dafe94f8f04b7932fcf36c6f107de52f0f96f740126d43",
     }),
+    "stage-knobs": (5_000, {
+        CONFIG_COPY_FILENAME: "d22ab0b13c8db661e2054137523fca9e9ea16c96edd4fef26d200ed18019f1a3",
+        LOG_FILENAME: "73b96085613643b79bb7e03438afbdbecffbc66156b2d2a24f8b762fcc78b72d",
+        FINAL_SNAPSHOT_FILENAME:
+            "934bc3e0a8ab63755dce4b760cb6501eb7fb5d174a149f6c43cc1d960a8ad912",
+        RESULT_FILENAME: "681b1aef16fa3176aa6431a49da54608a5e74a996a7f9b2865dfdc0579273858",
+    }),
 }
+
+# The knobs a stage reads, each set to a value no other holds, so a
+# change that hands a stage one knob's value for another's moves this
+# run's digests; raising or lowering any one of them by one alone moves
+# its log too. The retrieval cap is below the papers retrieved so that
+# it bites, though the context it caps is in no file of the run.
+STAGE_KNOBS = {
+    "clock_mode": "simulated",
+    "checkpoint_every_stage": False,
+    "worker_count": 2,
+    "predict_before_evaluate": True,
+    "predict_fraction": 0.75,
+    "validation_attempts": 1,
+    "accelerated_debugging": False,
+    "rag_policy": "always",
+    "retrieve_n_papers": 3,
+    "number_rag_ideas": 2,
+    "number_of_ideas_eda": 1,
+    "number_of_ideas_max": 3,
+    "theta_fail": 1,
+    "number_of_iterations_parents": 2,
+    "max_add_idea": 3,
+    "number_of_ideas_modelling": 4,
+    "number_of_ideas_data": 5,
+    "number_of_selected_node_merging": 6,
+    "number_of_selected_node": 7,
+    "number_of_iterations_children": 8,
+    "softmax_temperature": 0.5,
+    "merge_epsilon": 0.01,
+}
+STAGE_KNOBS_CORPUS_DOCS = 20
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_run_directory_matches_its_pinned_digests(name, tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(BENCH))
     workloads = importlib.import_module("workloads")
-    workload = workloads.WORKLOADS[name]
     budget, digests = GOLDEN[name]
-    config = RunConfig.from_dict(
-        {**workloads.run_config(workload, seed=1), "time_run_minutes": budget})
+    if name == "stage-knobs":
+        doc, corpus_docs = {**STAGE_KNOBS, "seed": 1}, STAGE_KNOBS_CORPUS_DOCS
+    else:
+        workload = workloads.WORKLOADS[name]
+        doc, corpus_docs = workloads.run_config(workload, seed=1), workload.corpus_docs
+    config = RunConfig.from_dict({**doc, "time_run_minutes": budget})
     corpus = None
-    if workload.corpus_docs:
+    if corpus_docs:
         corpus = tmp_path / "corpus"
-        workloads.write_corpus(corpus, workload.corpus_docs, seed=1)
+        workloads.write_corpus(corpus, corpus_docs, seed=1)
     out = tmp_path / "run"
     execute_run(config, build_synthetic_ports(config, corpus_dir=corpus), out)
     assert {
