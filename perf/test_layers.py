@@ -22,7 +22,6 @@ from ideatree.orchestrator import replay_events, verify_replay
 from ideatree.report import progress_report, run_summary
 from ideatree.retrieval import FileCorpusRetriever
 from ideatree.search import (
-    EvalPolicy,
     MergeMemory,
     PendingSet,
     draw_merge_pairs,
@@ -140,7 +139,8 @@ def test_sample_top(benchmark, grow_run, grow_config):
     metric = MetricSpec("score", MetricDirection.HIGHER_BETTER)
     rng = np.random.default_rng(1)
     picked = benchmark(sample_top, tree, fe_id, 3, rng, metric=metric,
-                       temperature=grow_config.softmax_temperature)
+                       temperature=grow_config.softmax_temperature,
+                       proportional=grow_config.sample_top_proportional)
     assert len({node.id for node in picked}) == 3
 
 
@@ -196,7 +196,7 @@ def test_spawn(benchmark, grow_run, grow_ports):
 
     def grow() -> IdeationTree:
         tree = IdeationTree.create(root.idea_text)
-        pending = PendingSet(tree, grow_ports.evaluator, EvalPolicy())
+        pending = PendingSet(tree, grow_ports.evaluator, (EvalMode.FULL,))
         for node in rest:
             pending.spawn(node.parent_id, node.level, node.idea_text, provenance=node.provenance)
         return tree

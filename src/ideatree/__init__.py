@@ -21,7 +21,7 @@ from .orchestrator import (
     verify_replay,
 )
 from .report import ReportRow, percent_humans_beaten, progress_report, run_summary
-from .search import MergeMemory, StageParams, adding_stage, merging_stage
+from .search import MergeMemory, adding_stage, merging_stage
 from .tree import (
     IdeationTree,
     MetricDirection,
@@ -49,7 +49,6 @@ __all__ = [
     "RunLog",
     "RunResult",
     "SimulatedClock",
-    "StageParams",
     "SyntheticConfig",
     "WallClock",
     "adding_stage",

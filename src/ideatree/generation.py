@@ -144,7 +144,7 @@ def gate_external_query(
     policy: ExternalQueryPolicy,
     gen: "IdeaGenerator",
     *,
-    cap: Optional[int] = None,
+    cap: int,
 ) -> list[Segment]:
     """Maybe ask the generator for external references and append them
     as external segments, at most ``cap`` per call. NEVER short-circuits
@@ -158,9 +158,8 @@ def gate_external_query(
     except RetrievalFailure as exc:
         logger.warning("external query failed, continuing without: %s", exc)
         return []
-    if cap is not None:
-        texts = texts[:cap]
-    return [ctx.append(SegmentTag.EXTERNAL, text) for text in texts if text and text.strip()]
+    return [ctx.append(SegmentTag.EXTERNAL, text)
+            for text in texts[:cap] if text and text.strip()]
 
 
 def _retrieve_external(retriever: Optional[FileCorpusRetriever], k: int,

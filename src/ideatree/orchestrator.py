@@ -39,25 +39,11 @@ from .events import LOG_FILENAME, EventKind, RunLog, collector_paused, iter_log
 # read_log stays importable here for bench/rep.py, whose --trace 1
 # patches it by this name
 from .events import read_log  # noqa: F401
-from .generation import (
-    ContextState,
-    ExternalQueryPolicy,
-    IdeaGenerator,
-    SegmentTag,
-    SyntheticGenerator,
-)
+from .generation import ContextState, IdeaGenerator, SegmentTag, SyntheticGenerator
 from .embedding import VectorIdeaEmbedding
 from .retrieval import FileCorpusRetriever
 from .scoring import AnchorSet, BaselinePredictor, Predictor, build_anchor_set, rank_fe_nodes
-from .search import (
-    EvalPolicy,
-    MergeMemory,
-    PendingSet,
-    SelectionMode,
-    StageParams,
-    adding_stage,
-    merging_stage,
-)
+from .search import MergeMemory, PendingSet, adding_stage, evaluation_modes, merging_stage
 from .setup_stages import TaskSpec, pipeline_setup
 from .tree import (
     IdeationTree,
@@ -119,11 +105,8 @@ def build_synthetic_ports(config: RunConfig, corpus_dir: Optional[Path] = None) 
     gen = SyntheticGenerator(syn, seed=config.seed, retriever=retriever,
                              retrieve_k=config.retrieve_n_papers)
     evaluator = SimulatedEvaluator(syn, metric, seed=config.seed)
-    task = TaskSpec(
-        description=f"synthetic {syn.dimension}-dimensional landscape",
-        schema={f"x{i}": "float" for i in range(syn.dimension)},
-        row_count=100,
-    )
+    task = TaskSpec(description=f"synthetic {syn.dimension}-dimensional landscape",
+                    row_count=100)
     predictor = None
     if config.predict_before_evaluate:
         # radius a bit past the farthest corner keeps the lift curved
@@ -142,15 +125,6 @@ def build_clock(config: RunConfig):
     if config.clock_mode == "simulated":
         return SimulatedClock(config.time_run_minutes)
     return WallClock(config.time_run_minutes)
-
-
-def _eval_policy(config: RunConfig, predict_fn=None) -> EvalPolicy:
-    return EvalPolicy(
-        validation_attempts=config.validation_attempts,
-        accelerated_debug=config.accelerated_debugging,
-        predict_fn=predict_fn,
-        predict_fraction=config.predict_fraction,
-    )
 
 
 def _evaluation_pool(worker_count: int):
@@ -185,7 +159,7 @@ def initialize_tree(
     """
     gen = ports.gen
     tree = IdeationTree()
-    pending = PendingSet(tree, ports.evaluator, _eval_policy(config), clock=ports.clock,
+    pending = PendingSet(tree, ports.evaluator, evaluation_modes(config), clock=ports.clock,
                          log=log, pool=pool)
     pending.spawn(None, NodeLevel.EDA, DEFAULT_ROOT_IDEA, status=NodeStatus.IMPLEMENTED)
     for _ in range(config.number_of_ideas_eda):
@@ -242,21 +216,6 @@ def run_main_loop(
     included, draws from the stream keyed by ``(config.seed, n)``, so
     its draws do not depend on what earlier stages drew.
     """
-    adding_params = StageParams(
-        n_fe=config.number_of_ideas_data,
-        m_mt=config.number_of_ideas_modelling,
-        n_selected=config.number_of_selected_node,
-        softmax_temperature=config.softmax_temperature,
-        merge_epsilon=config.merge_epsilon,
-    )
-    merging_params = StageParams(
-        n_fe=config.number_of_selected_node_merging,
-        m_mt=config.number_of_ideas_modelling,
-        n_selected=config.number_of_selected_node_merging,
-        softmax_temperature=config.softmax_temperature,
-        merge_epsilon=config.merge_epsilon,
-    )
-    policy = _eval_policy(config, predict_fn)
     clock = ports.clock
     mem = MergeMemory(theta_fail=config.theta_fail)
     iterations = 0
@@ -283,16 +242,7 @@ def run_main_loop(
 
     # a stage returns False when it was skipped
     def adding(rng: np.random.Generator) -> bool:
-        adding_stage(
-            tree, ctx, ports.gen, ports.evaluator, adding_params, ports.metric, rng,
-            log=log, clock=clock, policy=policy,
-            external_policy=ExternalQueryPolicy(config.rag_policy),
-            external_cap=config.number_rag_ideas,
-            max_add=config.max_add_idea,
-            parent_window=config.number_of_iterations_parents,
-            selection_mode=SelectionMode(config.selection_mode),
-            pool=pool,
-        )
+        adding_stage(tree, ctx, ports, config, rng, log=log, predict_fn=predict_fn, pool=pool)
         return True
 
     def merging(rng: np.random.Generator) -> bool:
@@ -300,14 +250,7 @@ def run_main_loop(
             _skip_merging(log, iterations, reason="merging disabled")
             return False
         try:
-            merging_stage(
-                tree, mem, ports.gen, ports.evaluator, merging_params,
-                ports.metric, rng,
-                ctx=ctx, log=log, clock=clock, policy=policy,
-                resample_k=config.number_of_iterations_children,
-                proportional_resample=config.sample_top_proportional,
-                pool=pool,
-            )
+            merging_stage(tree, mem, ports, config, rng, ctx=ctx, log=log, pool=pool)
         except InsufficientParents:
             _skip_merging(log, iterations, reason="fewer than two eligible feature nodes")
             return False
@@ -468,12 +411,7 @@ def _build_anchors(tree, ports: PortSet, config: RunConfig, ctx, log,
     anchor_fe = rank_fe_nodes(tree.fe_nodes(), ports.metric)[0]
     try:
         architectures = ports.gen.propose_mt(anchor_fe, ctx, config.number_of_ideas_modelling)
-        return build_anchor_set(
-            tree, ports.evaluator, architectures, ports.metric,
-            min_anchors=config.number_of_ideas_min,
-            max_anchors=config.number_of_ideas_max,
-            log=log, clock=ports.clock, pool=pool,
-        )
+        return build_anchor_set(tree, ports, config, architectures, log=log, pool=pool)
     except IdeaTreeError as exc:
         logger.warning("anchor construction failed, prediction disabled: %s", exc)
         return None

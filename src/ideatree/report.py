@@ -323,7 +323,11 @@ def read_leaderboard(path: Path) -> tuple[MetricDirection, list[float]]:
     path = Path(path)
     if not path.exists():
         raise MalformedLeaderboardFile(f"leaderboard file not found: {path}")
-    lines = [line.strip() for line in path.read_text(encoding="utf-8").splitlines()]
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MalformedLeaderboardFile(f"leaderboard file cannot be read: {path}: {exc}")
+    lines = [line.strip() for line in text.splitlines()]
     lines = [line for line in lines if line]
     if not lines:
         raise MalformedLeaderboardFile(f"{path} is empty")

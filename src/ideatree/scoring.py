@@ -25,14 +25,17 @@ from .errors import (
     MalformedResponse,
     NoFeNodes,
 )
-from .evaluation import EvaluationPort
+from .evaluation import EvalMode
 from .events import RunLog
 from .generation import EndpointConfig, _load_template, complete_with_retries
-from .search import EvalPolicy, PendingSet, softmax_select
+from .search import PendingSet, softmax_select
 from .tree import IdeationTree, MetricSpec, Node, NodeLevel, NodeStatus, backpropagate
 
 if TYPE_CHECKING:
     import requests
+
+    from .config import RunConfig
+    from .orchestrator import PortSet
 
 logger = logging.getLogger(__name__)
 
@@ -91,28 +94,27 @@ def rank_fe_nodes(fe_nodes: list[Node], metric: MetricSpec) -> list[Node]:
 
 def build_anchor_set(
     tree: IdeationTree,
-    evaluator: EvaluationPort,
+    ports: PortSet,
+    config: RunConfig,
     architectures: list[str],
-    metric: MetricSpec,
     *,
-    min_anchors: int = 2,
-    max_anchors: int = 5,
     log: Optional[RunLog] = None,
-    clock=None,
     pool: Optional[Executor] = None,
 ) -> AnchorSet:
-    """Gather anchors in two sweeps of real evaluations.
+    """Gather anchors in two sweeps of real evaluations, with the ports'
+    evaluator, metric and clock.
 
-    Sweep one runs each architecture (up to ``max_anchors``) under the
-    feature node with the best oriented aggregate, ties to the lowest
-    id. Sweep two takes the architecture that scored best in sweep one
-    and runs it under the remaining feature nodes, best aggregates
-    first, until ``max_anchors`` is reached. Every evaluation lands in
-    the tree as an ordinary node, charged to ``clock`` like a stage's
-    (sweep one's run together on ``pool`` when given); failures are
-    marked and omitted. If fewer than ``min_anchors`` survive the whole
-    procedure, nothing usable came back and AnchorConstructionFailed is
-    raised.
+    Sweep one runs each architecture (up to ``number_of_ideas_max``)
+    under the feature node with the best oriented aggregate, ties to the
+    lowest id. Sweep two takes the architecture that scored best in
+    sweep one and runs it under the remaining feature nodes, best
+    aggregates first, until ``number_of_ideas_max`` is reached. Every
+    evaluation lands in the tree as an ordinary node, charged to the
+    clock like a stage's (sweep one's run together on ``pool`` when
+    given), but gets the metric run alone, none of the validation runs
+    a stage's candidate gets. Failures are marked and omitted. If fewer
+    than ``number_of_ideas_min`` survive the whole procedure, nothing
+    usable came back and AnchorConstructionFailed is raised.
     """
     fe_nodes = tree.fe_nodes()
     if not fe_nodes:
@@ -120,10 +122,13 @@ def build_anchor_set(
     if not architectures:
         raise InvalidParams("architectures must be non-empty")
 
+    metric = ports.metric
+    min_anchors, max_anchors = config.number_of_ideas_min, config.number_of_ideas_max
     ranked_fe = rank_fe_nodes(fe_nodes, metric)
     phase1_fe = ranked_fe[0]
 
-    pending = PendingSet(tree, evaluator, EvalPolicy(), clock=clock, log=log, pool=pool)
+    pending = PendingSet(tree, ports.evaluator, (EvalMode.FULL,), clock=ports.clock, log=log,
+                         pool=pool)
 
     def evaluate_anchors(fe: Node, archs: list[str]) -> list[Anchor]:
         nodes = []

@@ -15,9 +15,9 @@ import time
 from bisect import insort
 from concurrent.futures import Executor, Future, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterator, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -45,6 +45,12 @@ from .tree import (
     Provenance,
     backpropagate,
 )
+
+if TYPE_CHECKING:
+    # config.py imports SelectionMode from here, and orchestrator.py
+    # imports the stages
+    from .config import RunConfig
+    from .orchestrator import PortSet
 
 logger = logging.getLogger(__name__)
 
@@ -78,39 +84,13 @@ def orient_scores(scores: Sequence[float], metric: MetricSpec) -> list[float]:
 
 @dataclass(frozen=True, eq=False)
 class SelectionDistribution:
-    """Aligned ids and probabilities. The constructor holds them as
-    numpy arrays (int64 and float64) and checks them.
+    """Aligned ids, any sequence of ints, and their probabilities, a
+    float64 array. Only the engine builds one, from weights that are
+    non-negative and sum to 1 by construction, so they are not checked
+    again."""
 
-    ``softmax_select`` builds its distributions with ``_computed``,
-    which skips the checks, because a softmax is valid by construction,
-    and keeps the ids as it is given them, any sequence of ints."""
-
-    node_ids: np.ndarray
+    node_ids: Sequence[int] | np.ndarray
     probabilities: np.ndarray
-
-    def __post_init__(self):
-        ids = np.asarray(self.node_ids, dtype=np.int64)
-        probs = np.asarray(self.probabilities, dtype=float)
-        object.__setattr__(self, "node_ids", ids)
-        object.__setattr__(self, "probabilities", probs)
-        if ids.shape != probs.shape:
-            raise InvalidParams("ids and probabilities differ in length")
-        if np.any(probs < 0):
-            raise InvalidParams("negative probability")
-        total = float(probs.sum())
-        # written so that a NaN sum fails it too
-        if not abs(total - 1.0) <= 1e-9:
-            raise InvalidParams(f"probabilities sum to {total}, not 1")
-
-    @classmethod
-    def _computed(cls, node_ids: Sequence[int] | np.ndarray,
-                  probabilities: np.ndarray) -> "SelectionDistribution":
-        """A distribution the engine computed and knows to be valid,
-        taken as it is, unchecked."""
-        dist = object.__new__(cls)
-        object.__setattr__(dist, "node_ids", node_ids)
-        object.__setattr__(dist, "probabilities", probabilities)
-        return dist
 
     def sample_without_replacement(self, k: int, rng: np.random.Generator) -> list[int]:
         """Draw up to k distinct ids, renormalizing after each draw. The
@@ -142,9 +122,9 @@ def _draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
     the same state: one ``rng.random()`` inverted through the cdf of
     ``p``, renormalised to end at exactly 1, as numpy's ``choice`` does
     once it has validated ``p``. ``p`` must be non-negative and sum to
-    1 within rounding; a checked distribution, or a softmax by its
-    construction, ensures that, so ``choice``'s own per-call checks are
-    not repeated here."""
+    1 within rounding; a ``SelectionDistribution`` ensures that by its
+    construction, so ``choice``'s own per-call checks are not repeated
+    here."""
     cdf = p.cumsum()
     cdf /= cdf[-1]
     return int(cdf.searchsorted(rng.random(), side="right"))
@@ -171,7 +151,7 @@ def softmax_select(
     ids = node_ids if node_ids is not None else range(len(arr))
     if len(ids) != len(p):
         raise InvalidParams("ids and probabilities differ in length")
-    return SelectionDistribution._computed(ids, p)
+    return SelectionDistribution(ids, p)
 
 
 def sample_top(
@@ -180,19 +160,18 @@ def sample_top(
     k: int,
     rng: np.random.Generator,
     *,
-    metric: Optional[MetricSpec] = None,
-    temperature: float = 1.0,
-    proportional: bool = False,
+    metric: MetricSpec,
+    temperature: float,
+    proportional: bool,
 ) -> list[Node]:
     """Sample up to k distinct evaluated MT children of an FE node,
     weighted towards high oriented scores.
 
-    Weights come from a softmax over oriented child scores by default.
-    ``proportional`` switches to probabilities directly proportional to
-    the oriented scores, which requires them all to be positive. With no
-    metric given, raw scores are treated as higher-is-better. The
-    children are taken in ``evaluated_mt_children``'s order, which is
-    ascending id, so the draw does not depend on how they were found.
+    Weights come from a softmax over oriented child scores, or with
+    ``proportional`` are directly proportional to the oriented scores,
+    which requires them all to be positive. The children are taken in
+    ``evaluated_mt_children``'s order, which is ascending id, so the
+    draw does not depend on how they were found.
     """
     if fe_node_id not in tree.nodes:
         raise UnknownParent(f"node {fe_node_id} not in tree")
@@ -203,20 +182,16 @@ def sample_top(
         raise NoEvaluatedChildren(f"node {fe_node_id} has no evaluated children")
     if k == 0:
         return []
-    raw = [c.raw_score for c in children]
-    oriented = orient_scores(raw, metric) if metric is not None else [float(s) for s in raw]
+    oriented = orient_scores([c.raw_score for c in children], metric)
+    ids = [c.id for c in children]
     if proportional:
         if any(s <= 0 for s in oriented):
             raise InvalidParams(
                 "proportional sampling needs strictly positive oriented scores"
             )
-        total = sum(oriented)
-        dist = SelectionDistribution(
-            node_ids=tuple(c.id for c in children),
-            probabilities=tuple(s / total for s in oriented),
-        )
+        dist = SelectionDistribution(ids, np.asarray(oriented, dtype=float) / sum(oriented))
     else:
-        dist = softmax_select(oriented, temperature, [c.id for c in children])
+        dist = softmax_select(oriented, temperature, ids)
     picked = dist.sample_without_replacement(k, rng)
     by_id = {c.id: c for c in children}
     return [by_id[i] for i in picked]
@@ -349,7 +324,7 @@ def _pair_unrank(rank: int, k: int) -> tuple[int, int]:
 
 
 # =====================================================================
-# Stage parameters and evaluation policy
+# Selection mode and evaluation modes
 # =====================================================================
 
 class SelectionMode(str, Enum):
@@ -359,40 +334,13 @@ class SelectionMode(str, Enum):
     MT_LITERAL = "mt_literal"
 
 
-@dataclass(frozen=True)
-class StageParams:
-    """Counts and knobs shared by both stages.
-
-    n_fe: new FE ideas per adding stage / FE pairs per merging stage.
-    m_mt: MT children attached per expanded or merged node.
-    n_selected: size of the post-expansion / merge-target subset.
-    """
-
-    n_fe: int
-    m_mt: int
-    n_selected: int
-    softmax_temperature: float = 1.0
-    merge_epsilon: float = 0.0
-
-
-@dataclass
-class EvalPolicy:
-    """How fresh candidates get scored.
-
-    ``validation_attempts`` models the shake-out runs a new candidate
-    needs before its metric run: charged at debug cost when
-    ``accelerated_debug`` is on, at full cost otherwise.
-
-    ``predict_fn`` enables predict-then-evaluate pruning: candidates are
-    ranked by predicted score and only the top ``predict_fraction`` get
-    the real evaluation; the rest keep just their prediction. Prediction
-    failures fall back to a real evaluation.
-    """
-
-    validation_attempts: int = 0
-    accelerated_debug: bool = True
-    predict_fn: Optional[Callable[[str], float]] = None
-    predict_fraction: float = 0.5
+def evaluation_modes(config: RunConfig) -> tuple[EvalMode, ...]:
+    """The evaluator calls a fresh candidate gets, in order: the
+    ``validation_attempts`` shake-out runs a candidate needs before its
+    metric run, in debug mode with ``accelerated_debugging`` and in full
+    mode without, then the metric run."""
+    shakeout = EvalMode.DEBUG if config.accelerated_debugging else EvalMode.FULL
+    return (shakeout,) * config.validation_attempts + (EvalMode.FULL,)
 
 
 class _BudgetStop(Exception):
@@ -441,7 +389,8 @@ class _RanInline:
 
 class PendingSet:
     """A stage's writer: the nodes it attaches and the evaluations it
-    dispatched and has not yet committed.
+    dispatched and has not yet committed. Each candidate gets the
+    evaluator calls ``modes`` names, in order (``evaluation_modes``).
 
     ``record`` logs an event and applies its record to the tree
     (``IdeationTree.apply``), the one way a writer changes the tree.
@@ -481,17 +430,15 @@ class PendingSet:
     clock, so the run would never end.
     """
 
-    def __init__(self, tree: IdeationTree, evaluator, policy: EvalPolicy, *,
+    def __init__(self, tree: IdeationTree, evaluator, modes: tuple[EvalMode, ...], *,
                  clock=None, log: Optional[RunLog] = None,
                  pool: Optional[Executor] = None):
         self.tree = tree
         self.evaluator = evaluator
-        self.policy = policy
         self.clock = clock if clock is not None else SimulatedClock(math.inf)
         self.log = log if log is not None else RunLog()
         self.pool = pool
-        shakeout = EvalMode.DEBUG if policy.accelerated_debug else EvalMode.FULL
-        self._modes = (shakeout,) * policy.validation_attempts + (EvalMode.FULL,)
+        self._modes = modes
         self._costs = [evaluator.cost(mode) for mode in self._modes]
         if (self._costs[-1] is None and isinstance(self.clock, SimulatedClock)
                 and math.isfinite(self.clock.budget)):
@@ -603,27 +550,30 @@ def _stage_scope(stage: str, pending: PendingSet) -> Iterator[None]:
 
 def _propose_and_score_mt(
     fe_node: Node,
-    ctx: Optional[ContextState],
-    gen,
+    ctx: ContextState,
     m: int,
-    metric: MetricSpec,
+    ports: PortSet,
+    config: RunConfig,
     pending: PendingSet,
+    predict_fn: Optional[Callable[[str], float]],
 ) -> list[Node]:
     """Attach m fresh MT children under ``fe_node`` and dispatch their
-    evaluations, applying predict-then-evaluate pruning when the
-    pending set's policy carries a predictor. Returns the new nodes, not
-    yet scored."""
-    texts = gen.propose_mt(fe_node, ctx, m)
+    evaluations. With ``predict_fn``, a batch of two or more is pruned
+    first: the candidates are ranked by predicted score and only the top
+    ``predict_fraction`` get the real evaluation, the rest keep just
+    their prediction; a candidate whose prediction fails gets a real
+    evaluation. Returns the new nodes, not yet scored."""
+    texts = ports.gen.propose_mt(fe_node, ctx, m)
     spawned = [pending.spawn(fe_node.id, NodeLevel.MT, text) for text in texts]
 
-    policy = pending.policy
     to_evaluate = spawned
-    if policy.predict_fn is not None and len(spawned) > 1:
+    if predict_fn is not None and len(spawned) > 1:
+        metric = ports.metric
         predicted_ok: list[Node] = []
         fallback: list[Node] = []
         for node in spawned:
             try:
-                value = float(policy.predict_fn(node.idea_text))
+                value = float(predict_fn(node.idea_text))
                 if not math.isfinite(value):
                     # an infinity would win the ranking and a NaN
                     # unsettle its order: a failure, like a raise
@@ -634,7 +584,8 @@ def _propose_and_score_mt(
                 continue
             pending.record(EventKind.PREDICTION_MADE, node_id=node.id, predicted=value)
             predicted_ok.append(node)
-        keep_n = max(1, math.ceil(policy.predict_fraction * len(predicted_ok))) if predicted_ok else 0
+        keep_n = (max(1, math.ceil(config.predict_fraction * len(predicted_ok)))
+                  if predicted_ok else 0)
         ranked = sorted(
             predicted_ok,
             key=lambda n: (-metric.orient(n.predicted_score), n.id),
@@ -680,101 +631,99 @@ def merge_delta(
 def adding_stage(
     tree: IdeationTree,
     ctx: ContextState,
-    gen,
-    evaluator,
-    params: StageParams,
-    metric: MetricSpec,
+    ports: PortSet,
+    config: RunConfig,
     rng: np.random.Generator,
     *,
     log: Optional[RunLog] = None,
-    clock=None,
-    policy: Optional[EvalPolicy] = None,
-    external_policy: ExternalQueryPolicy = ExternalQueryPolicy.ALWAYS,
-    external_cap: Optional[int] = None,
-    max_add: Optional[int] = None,
-    parent_window: Optional[int] = None,
-    selection_mode: SelectionMode = SelectionMode.FE_AGGREGATE,
+    predict_fn: Optional[Callable[[str], float]] = None,
     pool: Optional[Executor] = None,
 ) -> IdeationTree:
-    """One expansion pass.
+    """One expansion pass, with the ports' generator, evaluator, metric
+    and clock and the config's counts.
 
-    Enriches the context, proposes ``n_fe`` new FE ideas with ``m_mt``
-    scored MT children each, then softmax-selects ``n_selected`` FE
-    nodes by aggregated score and gives each of those up to ``m_mt``
-    more children (capped by ``max_add`` when set). ``parent_window``
-    restricts selection to FE nodes created within that many recent
-    iterations. ``selection_mode=MT_LITERAL`` instead samples the subset
-    over the freshly scored MT nodes and expands their parents.
-    Evaluations run on ``pool`` when given, while the stage keeps
-    proposing, and are committed before each selection.
+    Enriches the context, proposes ``number_of_ideas_data`` new FE ideas
+    with ``number_of_ideas_modelling`` scored MT children each, then
+    softmax-selects ``number_of_selected_node`` FE nodes by aggregated
+    score, among those created within ``number_of_iterations_parents``
+    recent iterations, and gives each of those
+    ``min(number_of_ideas_modelling, max_add_idea)`` more children.
+    ``selection_mode`` ``mt_literal`` instead samples the subset over
+    the freshly scored MT nodes and expands their parents. With
+    ``predict_fn`` each batch of fresh children is pruned by prediction
+    (``_propose_and_score_mt``). Evaluations run on ``pool`` when given,
+    while the stage keeps proposing, and are committed before each
+    selection.
 
     Raises GeneratorFailure (stage aborted, committed nodes stay) and
     BudgetExhausted (partial results committed).
     """
-    pending = PendingSet(tree, evaluator, policy or EvalPolicy(), clock=clock, log=log,
-                         pool=pool)
+    gen, m = ports.gen, config.number_of_ideas_modelling
+    pending = PendingSet(tree, ports.evaluator, evaluation_modes(config), clock=ports.clock,
+                         log=log, pool=pool)
     with _stage_scope("adding", pending):
         pending.check_budget()
         segment = gen.enrich_eda(tree, ctx)
         if segment:
             ctx.append(SegmentTag.EDA, segment)
-        gate_external_query(ctx, external_policy, gen, cap=external_cap)
+        gate_external_query(ctx, ExternalQueryPolicy(config.rag_policy), gen,
+                            cap=config.number_rag_ideas)
 
-        fe_texts = gen.propose_fe(ctx, params.n_fe)
+        fe_texts = gen.propose_fe(ctx, config.number_of_ideas_data)
         new_fe = [pending.spawn(tree.root_id, NodeLevel.FE, text, status=NodeStatus.IMPLEMENTED)
                   for text in fe_texts]
 
         fresh_mt: list[Node] = []
         for fe in new_fe:
-            fresh_mt.extend(_propose_and_score_mt(fe, ctx, gen, params.m_mt, metric, pending))
+            fresh_mt.extend(
+                _propose_and_score_mt(fe, ctx, m, ports, config, pending, predict_fn))
         pending.commit()
         backpropagate(tree)
 
-        targets = _select_expansion_targets(
-            tree, fresh_mt, params, metric, rng, parent_window, selection_mode
-        )
-        per_target = params.m_mt if max_add is None else min(params.m_mt, max_add)
+        targets = _select_expansion_targets(tree, fresh_mt, ports.metric, config, rng)
+        per_target = min(m, config.max_add_idea)
         for fe_id in targets:
-            _propose_and_score_mt(tree.nodes[fe_id], ctx, gen, per_target, metric, pending)
+            _propose_and_score_mt(tree.nodes[fe_id], ctx, per_target, ports, config, pending,
+                                  predict_fn)
     return tree
 
 
 def _select_expansion_targets(
     tree: IdeationTree,
     fresh_mt: list[Node],
-    params: StageParams,
     metric: MetricSpec,
+    config: RunConfig,
     rng: np.random.Generator,
-    parent_window: Optional[int],
-    selection_mode: SelectionMode,
 ) -> list[int]:
     """FE ids receiving extra children, chosen without replacement from
     a softmax over oriented scores."""
-    if selection_mode is SelectionMode.MT_LITERAL:
+    if SelectionMode(config.selection_mode) is SelectionMode.MT_LITERAL:
         cands = sorted((n for n in fresh_mt if n.status is NodeStatus.EVALUATED),
                        key=lambda n: n.id)
         if not cands:
             return []
         oriented = [metric.orient(n.raw_score) for n in cands]
-        dist = softmax_select(oriented, params.softmax_temperature, [n.id for n in cands])
-        picked = dist.sample_without_replacement(params.n_selected, rng)
+        dist = softmax_select(oriented, config.softmax_temperature, [n.id for n in cands])
+        picked = dist.sample_without_replacement(config.number_of_selected_node, rng)
         return [tree.nodes[mt_id].parent_id for mt_id in picked]
 
-    return _sample_scored_fe(tree, params, metric, rng, window=parent_window)
+    return _sample_scored_fe(tree, config.number_of_selected_node, config.softmax_temperature,
+                             metric, rng, window=config.number_of_iterations_parents)
 
 
 def _sample_scored_fe(
     tree: IdeationTree,
-    params: StageParams,
+    n: int,
+    temperature: float,
     metric: MetricSpec,
     rng: np.random.Generator,
-    window: Optional[int] = None,
+    window: Optional[int],
 ) -> list[int]:
-    """Draw up to ``n_selected`` FE ids without replacement from a
-    softmax over the oriented aggregates of every FE node that has one,
-    in id order. With ``window``, only FE nodes created within that many
-    recent iterations take part. The candidates are masked, oriented
-    and weighted on the tree's FE table in a few array operations."""
+    """Draw up to ``n`` FE ids without replacement from a softmax over
+    the oriented aggregates of every FE node that has one, in id order.
+    With a ``window``, only FE nodes created within that many recent
+    iterations take part. The candidates are masked, oriented and
+    weighted on the tree's FE table in a few array operations."""
     table = tree.fe_table
     aggregates = table.aggregates
     scored = ~np.isnan(aggregates)
@@ -782,9 +731,8 @@ def _sample_scored_fe(
         scored &= tree.iteration - table.created < window
     if not scored.any():
         return []
-    dist = softmax_select(metric.orient(aggregates[scored]), params.softmax_temperature,
-                          table.ids[scored])
-    return dist.sample_without_replacement(params.n_selected, rng)
+    dist = softmax_select(metric.orient(aggregates[scored]), temperature, table.ids[scored])
+    return dist.sample_without_replacement(n, rng)
 
 
 # =====================================================================
@@ -794,97 +742,91 @@ def _sample_scored_fe(
 def merging_stage(
     tree: IdeationTree,
     mem: MergeMemory,
-    gen,
-    evaluator,
-    params: StageParams,
-    metric: MetricSpec,
+    ports: PortSet,
+    config: RunConfig,
     rng: np.random.Generator,
     *,
-    ctx: Optional[ContextState] = None,
+    ctx: ContextState,
     log: Optional[RunLog] = None,
-    clock=None,
-    policy: Optional[EvalPolicy] = None,
-    resample_k: int = 1,
-    proportional_resample: bool = False,
     pool: Optional[Executor] = None,
 ) -> tuple[IdeationTree, MergeMemory]:
-    """One recombination pass.
+    """One recombination pass, with the ports' generator, evaluator,
+    metric and clock and the config's counts.
 
-    Samples ``n_fe`` FE pairs uniformly from the eligible set (both
-    members have evaluated children, pair not in long-term memory),
-    merges each into a new FE node that gets ``m_mt`` fresh scored MT
-    children plus ``resample_k`` score-carrying copies sampled from each
-    parent, and books the outcome into the merge memory. With
-    ``proportional_resample`` the copies are drawn in proportion to the
-    oriented scores of a parent whose children all score above zero,
+    Samples ``number_of_selected_node_merging`` FE pairs uniformly from
+    the eligible set (both members have evaluated children, pair not in
+    long-term memory), merges each into a new FE node that gets
+    ``number_of_ideas_modelling`` fresh scored MT children plus
+    ``number_of_iterations_children`` score-carrying copies sampled from
+    each parent, and books the outcome into the merge memory. With
+    ``sample_top_proportional`` the copies are drawn in proportion to
+    the oriented scores of a parent whose children all score above zero,
     and by softmax from any other parent. Then
-    ``n_selected`` FE nodes are softmax-selected and each has its two
-    best MT children merged into one new scored child. Evaluations run
-    on ``pool`` when given; the merge verdicts are booked, in pair
-    order, once the pair loop's evaluations are committed.
+    ``number_of_selected_node_merging`` FE nodes are softmax-selected
+    and each has its two best MT children merged into one new scored
+    child. Nothing is pruned by prediction: the merge verdict needs real
+    scores. Evaluations run on ``pool`` when given; the merge verdicts
+    are booked, in pair order, once the pair loop's evaluations are
+    committed.
 
     Raises InsufficientParents when fewer than two FE nodes are
     eligible, GeneratorFailure, and BudgetExhausted.
     """
-    # nothing is pruned here: the merge verdict needs real scores
-    policy = replace(policy or EvalPolicy(), predict_fn=None)
     eligible = tree.eligible_fe_ids()
     if len(eligible) < 2:
         raise InsufficientParents(
             f"merging needs >= 2 FE nodes with evaluated children, found {len(eligible)}"
         )
-    pending = PendingSet(tree, evaluator, policy, clock=clock, log=log, pool=pool)
+    pending = PendingSet(tree, ports.evaluator, evaluation_modes(config), clock=ports.clock,
+                         log=log, pool=pool)
     with _stage_scope("merging", pending):
-        for a_id, b_id in draw_merge_pairs(eligible, mem, params.n_fe, rng):
+        for a_id, b_id in draw_merge_pairs(eligible, mem, config.number_of_selected_node_merging,
+                                           rng):
             pending.check_budget()
-            _merge_one_pair(mem, gen, params, metric, rng, a_id, b_id,
-                            ctx, pending, resample_k, proportional_resample)
+            _merge_one_pair(mem, ports, config, rng, a_id, b_id, ctx, pending)
         pending.commit()
         backpropagate(tree)
 
-        _merge_best_children(gen, params, metric, rng, ctx, pending)
+        _merge_best_children(ports, config, rng, ctx, pending)
     return tree, mem
 
 
-def _merge_one_pair(
-    mem, gen, params, metric, rng,
-    a_id, b_id, ctx, pending, resample_k, proportional_resample,
-):
+def _merge_one_pair(mem, ports, config, rng, a_id, b_id, ctx, pending):
     """Merge one FE pair into a new FE node, dispatch its fresh MT
     children, add the resampled copies, and have the verdict booked
     when the fresh children are committed."""
-    tree = pending.tree
+    tree, metric = pending.tree, ports.metric
     key = pair_key(a_id, b_id)
     node_a, node_b = tree.nodes[a_id], tree.nodes[b_id]
-    merged_text = gen.merge_fe(node_a, node_b, ctx)
+    merged_text = ports.gen.merge_fe(node_a, node_b, ctx)
     merged = pending.spawn(
         tree.root_id, NodeLevel.FE, merged_text,
         provenance=Provenance.merged(a_id, b_id), status=NodeStatus.IMPLEMENTED,
     )
 
-    _propose_and_score_mt(merged, ctx, gen, params.m_mt, metric, pending)
+    _propose_and_score_mt(merged, ctx, config.number_of_ideas_modelling, ports, config, pending,
+                          None)
 
-    if resample_k > 0:
-        for parent_id in (a_id, b_id):
-            # proportional weights need every oriented score positive;
-            # a parent with one that is not is resampled by softmax
-            proportional = proportional_resample and all(
-                metric.orient(c.raw_score) > 0 for c in tree.evaluated_mt_children(parent_id))
-            picks = sample_top(tree, parent_id, resample_k, rng,
-                               metric=metric,
-                               temperature=params.softmax_temperature,
-                               proportional=proportional)
-            for origin in picks:
-                pending.spawn(
-                    merged.id, NodeLevel.MT, origin.idea_text,
-                    provenance=Provenance.resampled(origin.id),
-                    status=NodeStatus.EVALUATED,
-                    raw_score=origin.raw_score,
-                    code_artifact=origin.code_artifact,
-                )
+    for parent_id in (a_id, b_id):
+        # proportional weights need every oriented score positive;
+        # a parent with one that is not is resampled by softmax
+        proportional = config.sample_top_proportional and all(
+            metric.orient(c.raw_score) > 0 for c in tree.evaluated_mt_children(parent_id))
+        picks = sample_top(tree, parent_id, config.number_of_iterations_children, rng,
+                           metric=metric,
+                           temperature=config.softmax_temperature,
+                           proportional=proportional)
+        for origin in picks:
+            pending.spawn(
+                merged.id, NodeLevel.MT, origin.idea_text,
+                provenance=Provenance.resampled(origin.id),
+                status=NodeStatus.EVALUATED,
+                raw_score=origin.raw_score,
+                code_artifact=origin.code_artifact,
+            )
 
     pending.after_commit(
-        lambda: _book_merge(tree, mem, key, merged.id, metric, params.merge_epsilon,
+        lambda: _book_merge(tree, mem, key, merged.id, metric, config.merge_epsilon,
                             pending.log)
     )
 
@@ -914,11 +856,12 @@ def _book_merge(tree, mem, key, merged_id, metric, epsilon, log):
                    outcome="success", delta=delta)
 
 
-def _merge_best_children(gen, params, metric, rng, ctx, pending):
+def _merge_best_children(ports, config, rng, ctx, pending):
     """Within each softmax-selected FE node, merge its two best MT
     children into one new scored child."""
-    tree = pending.tree
-    for fe_id in _sample_scored_fe(tree, params, metric, rng):
+    tree, metric = pending.tree, ports.metric
+    for fe_id in _sample_scored_fe(tree, config.number_of_selected_node_merging,
+                                   config.softmax_temperature, metric, rng, window=None):
         kids = sorted(
             tree.evaluated_mt_children(fe_id),
             key=lambda n: (-metric.orient(n.raw_score), n.id),
@@ -927,6 +870,6 @@ def _merge_best_children(gen, params, metric, rng, ctx, pending):
             continue
         u, v = kids[0], kids[1]
         pending.check_budget()
-        text = gen.merge_mt(u, v, ctx)
+        text = ports.gen.merge_mt(u, v, ctx)
         node = pending.spawn(fe_id, NodeLevel.MT, text, provenance=Provenance.merged(u.id, v.id))
         pending.dispatch(node)

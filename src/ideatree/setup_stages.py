@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import csv
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from .config import RunConfig
 from .errors import StageFailure
@@ -25,9 +24,7 @@ class TaskSpec:
     """What the dataset is and what the task asks for."""
 
     description: str
-    schema: dict[str, str] = field(default_factory=dict)
     row_count: int = 0
-    target_column: Optional[str] = None
 
 
 def pipeline_setup(task: TaskSpec, config: RunConfig) -> bool:
@@ -66,17 +63,14 @@ def _read_dataset(dataset_dir: Path) -> TaskSpec:
     if not description_path.exists():
         raise FileNotFoundError(f"{DESCRIPTION_FILENAME} missing in {dataset_dir}")
     description = description_path.read_text(encoding="utf-8").strip()
-    schema: dict[str, str] = {}
     row_count = 0
     data_path = dataset_dir / DATA_FILENAME
     if data_path.exists():
         with data_path.open(encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            header = next(reader, None)
-            if header:
-                schema = {name.strip(): "unknown" for name in header}
+            next(reader, None)  # the header row
             row_count = sum(1 for _ in reader)
-    return TaskSpec(description=description, schema=schema, row_count=row_count)
+    return TaskSpec(description=description, row_count=row_count)
 
 
 def infer_metric(task: TaskSpec) -> MetricSpec:

@@ -287,14 +287,17 @@ def make_world(
 ):
     """A small ready-to-search world: seeded synthetic generator, a
     simulated landscape evaluator, a clock for the stages to charge
-    (the preloaded evaluations are not charged), and a tree preloaded
-    with ``n_fe`` FE nodes carrying ``m_mt`` evaluated children each."""
+    (the preloaded evaluations are not charged), the three as the
+    ``ports`` a stage takes, and a tree preloaded with ``n_fe`` FE nodes
+    carrying ``m_mt`` evaluated children each."""
     from types import SimpleNamespace
 
     from ideatree.clock import SimulatedClock
     from ideatree.config import SyntheticConfig
     from ideatree.evaluation import EvalMode, SimulatedEvaluator
     from ideatree.generation import ContextState, SyntheticGenerator
+    from ideatree.orchestrator import PortSet
+    from ideatree.setup_stages import TaskSpec
     from ideatree.tree import backpropagate
 
     syn = SyntheticConfig(
@@ -313,9 +316,11 @@ def make_world(
             mt = tree.spawn(fe.id, NodeLevel.MT, t)
             tree.mark_evaluated(mt.id, evaluator.evaluate(mt, EvalMode.FULL))
     backpropagate(tree)
+    ports = PortSet(task=TaskSpec(description="synthetic test world"), gen=gen,
+                    evaluator=evaluator, metric=metric, clock=clock)
     return SimpleNamespace(
         tree=tree, ctx=ctx, gen=gen, evaluator=evaluator, metric=metric,
-        clock=clock, syn=syn,
+        clock=clock, syn=syn, ports=ports,
         rng=np.random.default_rng(seed),
     )
 

@@ -32,7 +32,6 @@ from ideatree.report import percent_humans_beaten, read_leaderboard
 from ideatree.scoring import Anchor, AnchorSet, BaselinePredictor
 from ideatree.search import (
     MergeMemory,
-    StageParams,
     adding_stage,
     merging_stage,
     pair_key,
@@ -172,8 +171,9 @@ def test_criterion_03_stage_counts_and_memory_grid():
     parents getting min(m, max_add=2) children each. Merging, on 3
     eligible FE with clean memory: min(n, 3) pairs, each producing one
     merged FE with m fresh children and 2 resampled copies, then
-    min(s, 3+pairs) best-child merges of one child each. Wall budget:
-    120 seconds."""
+    min(n, 3+pairs) best-child merges of one child each: a run sets the
+    pairs drawn and the nodes selected for a best-child merge with one
+    knob, number_of_selected_node_merging. Wall budget: 120 seconds."""
     started = time.monotonic()
     grid = itertools.product((1, 2, 3), (1, 2, 3), (1, 2, 3), (1, 2, 3))
     for n, m, s, theta in grid:
@@ -184,9 +184,11 @@ def test_criterion_03_stage_counts_and_memory_grid():
         fe_before = len(world.tree.fe_nodes())
         mt_before = len(world.tree.nodes_at_level(NodeLevel.MT))
         adding_stage(
-            world.tree, world.ctx, world.gen, world.evaluator,
-            StageParams(n_fe=n, m_mt=m, n_selected=s),
-            world.metric, world.rng, parent_window=2, max_add=2,
+            world.tree, world.ctx, world.ports,
+            RunConfig(number_of_ideas_data=n, number_of_ideas_modelling=m,
+                      number_of_selected_node=s, number_of_iterations_parents=2,
+                      max_add_idea=2),
+            world.rng,
         )
         assert len(world.tree.fe_nodes()) - fe_before == n
         expected_mt = n * m + min(s, 2 + n) * min(m, 2)
@@ -199,9 +201,10 @@ def test_criterion_03_stage_counts_and_memory_grid():
             fe_before = len(world.tree.fe_nodes())
             mt_before = len(world.tree.nodes_at_level(NodeLevel.MT))
             merging_stage(
-                world.tree, mem, world.gen, world.evaluator,
-                StageParams(n_fe=n, m_mt=m, n_selected=s, merge_epsilon=epsilon),
-                world.metric, world.rng, ctx=world.ctx, log=log, resample_k=1,
+                world.tree, mem, world.ports,
+                RunConfig(number_of_selected_node_merging=n, number_of_ideas_modelling=m,
+                          merge_epsilon=epsilon, number_of_iterations_children=1),
+                world.rng, ctx=world.ctx, log=log,
             )
             attempts = of_kind(log, EventKind.MERGE_ATTEMPTED)
             pairs = {tuple(e["payload"]["pair"]) for e in attempts}
@@ -209,7 +212,7 @@ def test_criterion_03_stage_counts_and_memory_grid():
             assert len(attempts) == n_pairs
             assert len(pairs) == n_pairs
             assert len(world.tree.fe_nodes()) - fe_before == n_pairs
-            expected_mt = n_pairs * (m + 2) + min(s, 3 + n_pairs)
+            expected_mt = n_pairs * (m + 2) + min(n, 3 + n_pairs)
             assert (
                 len(world.tree.nodes_at_level(NodeLevel.MT)) - mt_before == expected_mt
             )

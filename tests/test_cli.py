@@ -433,10 +433,11 @@ def test_read_leaderboard_roundtrip(tmp_path):
     "higher_better\n0.5\ninf\n",
     "higher_better\n0.5\n-inf\n",
     "higher_better\n0.5\n1e999\n",
+    b"higher_better\n\xff\xfe0.5\n",
 ])
 def test_read_leaderboard_rejects_malformed(tmp_path, text):
     lb = tmp_path / "lb.txt"
-    lb.write_text(text, encoding="utf-8")
+    lb.write_bytes(text if isinstance(text, bytes) else text.encode("utf-8"))
     with pytest.raises(MalformedLeaderboardFile):
         read_leaderboard(lb)
 

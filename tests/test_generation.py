@@ -190,7 +190,7 @@ class StubGen:
 def test_gate_external_never_skips_generator():
     ctx = ContextState()
     gen = StubGen(texts=["hint"])
-    assert gate_external_query(ctx, ExternalQueryPolicy.NEVER, gen) == []
+    assert gate_external_query(ctx, ExternalQueryPolicy.NEVER, gen, cap=5) == []
     assert gen.calls == 0
     assert ctx.revision == 0
 
@@ -206,14 +206,14 @@ def test_gate_external_always_appends_up_to_cap():
 def test_gate_external_failure_is_soft():
     ctx = ContextState()
     gen = StubGen(fail=True)
-    assert gate_external_query(ctx, ExternalQueryPolicy.ALWAYS, gen) == []
+    assert gate_external_query(ctx, ExternalQueryPolicy.ALWAYS, gen, cap=5) == []
     assert ctx.revision == 0
 
 
 def test_gate_external_adaptive_respects_empty_decision():
     ctx = ContextState()
     gen = StubGen(texts=[])
-    assert gate_external_query(ctx, ExternalQueryPolicy.ADAPTIVE, gen) == []
+    assert gate_external_query(ctx, ExternalQueryPolicy.ADAPTIVE, gen, cap=5) == []
     assert gen.calls == 1
 
 
@@ -268,7 +268,7 @@ def test_retriever_non_utf8_file_is_a_retrieval_failure(corpus):
         retriever.retrieve("gradient boosting trees", 3)
     gen = SyntheticGenerator(SyntheticConfig(dimension=2), seed=4, retriever=retriever)
     ctx = ContextState()
-    assert gate_external_query(ctx, ExternalQueryPolicy.ALWAYS, gen) == []
+    assert gate_external_query(ctx, ExternalQueryPolicy.ALWAYS, gen, cap=5) == []
     assert ctx.revision == 0
     (corpus / "f_binary.txt").write_text("title: Mended\n\nbody", encoding="utf-8")
     assert len(retriever.retrieve("gradient boosting trees", 99)) == 6

@@ -64,11 +64,12 @@ GOLDEN = {
     }),
 }
 
-# The knobs a stage reads, each set to a value no other holds, so a
-# change that hands a stage one knob's value for another's moves this
-# run's digests; raising or lowering any one of them by one alone moves
-# its log too. The retrieval cap is below the papers retrieved so that
-# it bites, though the context it caps is in no file of the run.
+# The knobs a stage reads, the counts each set to a value no other
+# holds, so a change that hands a stage one knob's value for another's
+# moves this run's digests; changing any one of them alone moves its
+# log too. The two retrieval knobs are the exception: the retrieval cap
+# is below the papers retrieved so that it bites, but the context it
+# caps is in no file of the run.
 STAGE_KNOBS = {
     "clock_mode": "simulated",
     "checkpoint_every_stage": False,

@@ -71,7 +71,7 @@ from helpers import FlakyEvaluator, RecordingEvaluator, SleepyEvaluator
 
 
 def _toy_task(rows: int) -> TaskSpec:
-    return TaskSpec(description="toy task", schema={"a": "float"}, row_count=rows)
+    return TaskSpec(description="toy task", row_count=rows)
 
 
 def _sim_config(**overrides):
@@ -124,7 +124,6 @@ def test_directory_reader_and_metric(tmp_path):
     )
     task = read_task(tmp_path)
     assert task.row_count == 3
-    assert set(task.schema) == {"order_id", "distance", "late"}
     metric = infer_metric(task)
     assert metric.name == "f1"
     assert metric.direction is MetricDirection.HIGHER_BETTER
@@ -1014,7 +1013,7 @@ def test_each_stage_draws_the_next_spawned_stream(tmp_path, monkeypatch, enable_
     seen = []
     for name in ("adding_stage", "merging_stage"):
         def wrapped(*args, _real=getattr(orchestrator, name), _name=name, **kwargs):
-            seen.append((_name, args[0].iteration, args[6].bit_generator.state))
+            seen.append((_name, args[0].iteration, args[4].bit_generator.state))
             return _real(*args, **kwargs)
         monkeypatch.setattr(orchestrator, name, wrapped)
     config, _, _ = _run(tmp_path, enable_merging=enable_merging)

@@ -7,7 +7,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from ideatree.clock import SimulatedClock
-from ideatree.config import SyntheticConfig
+from ideatree.config import RunConfig, SyntheticConfig
 from ideatree.embedding import VectorIdeaEmbedding, render_idea_vector
 from ideatree.errors import (
     AnchorConstructionFailed,
@@ -16,6 +16,7 @@ from ideatree.errors import (
     NoFeNodes,
 )
 from ideatree.evaluation import EvalMode, SimulatedEvaluator
+from ideatree.orchestrator import PortSet
 from ideatree.scoring import (
     Anchor,
     AnchorSet,
@@ -25,6 +26,7 @@ from ideatree.scoring import (
     build_anchor_set,
     parse_predicted_value,
 )
+from ideatree.setup_stages import TaskSpec
 from ideatree.tree import IdeationTree, NodeLevel, NodeStatus, backpropagate
 
 from helpers import (
@@ -63,6 +65,13 @@ def _evaluator():
 ARCHS = [render_idea_vector(v) for v in ([0.1, 0.1], [0.5, 0.5], [0.9, 0.9])]
 
 
+def _ports(evaluator, metric=HIGHER, clock=None):
+    """The ports an anchor sweep reads: an evaluator, a metric and a
+    clock, unbudgeted when none is given."""
+    return PortSet(task=TaskSpec(description="anchor test"), gen=None, evaluator=evaluator,
+                   metric=metric, clock=clock)
+
+
 # ---- anchor set type ----
 
 def test_anchor_set_rejects_empty():
@@ -80,7 +89,7 @@ def test_anchor_set_bounds_and_order():
 
 def test_build_single_fe_all_architectures():
     tree = _prepared_tree([0.5])
-    anchor_set = build_anchor_set(tree, _evaluator(), ARCHS, HIGHER)
+    anchor_set = build_anchor_set(tree, _ports(_evaluator()), RunConfig(), ARCHS)
     assert len(anchor_set.anchors) == 3
     fe_ids = {a.fe_node_id for a in anchor_set.anchors}
     assert fe_ids == {anchor_set.phase1_fe}
@@ -88,7 +97,7 @@ def test_build_single_fe_all_architectures():
 
 def test_build_two_phase_counts():
     tree = _prepared_tree([0.3, 0.9, 0.6])
-    anchor_set = build_anchor_set(tree, _evaluator(), ARCHS[:2], HIGHER)
+    anchor_set = build_anchor_set(tree, _ports(_evaluator()), RunConfig(), ARCHS[:2])
     # 2 from the sweep + 2 more feature nodes with the winning arch
     assert len(anchor_set.anchors) == 4
     phase1 = [a for a in anchor_set.anchors if a.fe_node_id == anchor_set.phase1_fe]
@@ -100,19 +109,19 @@ def test_build_two_phase_counts():
 def test_build_picks_best_aggregate_fe():
     tree = _prepared_tree([0.3, 0.9, 0.6])
     best_fe = max(tree.fe_nodes(), key=lambda n: n.aggregated_score)
-    anchor_set = build_anchor_set(tree, _evaluator(), ARCHS, HIGHER)
+    anchor_set = build_anchor_set(tree, _ports(_evaluator()), RunConfig(), ARCHS)
     assert anchor_set.phase1_fe == best_fe.id
     # lower-is-better flips which feature node wins
     tree2 = _prepared_tree([0.3, 0.9, 0.6])
     best_low = min(tree2.fe_nodes(), key=lambda n: n.aggregated_score)
     low_eval = SimulatedEvaluator(SyntheticConfig(dimension=2), LOWER, seed=0)
-    anchor_set2 = build_anchor_set(tree2, low_eval, ARCHS, LOWER)
+    anchor_set2 = build_anchor_set(tree2, _ports(low_eval, LOWER), RunConfig(), ARCHS)
     assert anchor_set2.phase1_fe == best_low.id
 
 
 def test_build_phase2_arch_is_phase1_winner():
     tree = _prepared_tree([0.3, 0.9])
-    anchor_set = build_anchor_set(tree, _evaluator(), ARCHS, HIGHER)
+    anchor_set = build_anchor_set(tree, _ports(_evaluator()), RunConfig(), ARCHS)
     phase1 = [a for a in anchor_set.anchors if a.fe_node_id == anchor_set.phase1_fe]
     winner = max(phase1, key=lambda a: a.true_score)
     assert anchor_set.phase2_arch == winner.architecture_tag
@@ -120,13 +129,14 @@ def test_build_phase2_arch_is_phase1_winner():
 
 def test_build_respects_max_anchors():
     tree = _prepared_tree([0.1, 0.2, 0.3, 0.4, 0.5, 0.6])
-    anchor_set = build_anchor_set(tree, _evaluator(), ARCHS, HIGHER, max_anchors=5)
+    anchor_set = build_anchor_set(tree, _ports(_evaluator()), RunConfig(number_of_ideas_max=5),
+                                  ARCHS)
     assert len(anchor_set.anchors) == 5
 
 
 def test_build_anchors_are_real_tree_nodes():
     tree = _prepared_tree([0.3, 0.9])
-    anchor_set = build_anchor_set(tree, _evaluator(), ARCHS, HIGHER)
+    anchor_set = build_anchor_set(tree, _ports(_evaluator()), RunConfig(), ARCHS)
     for anchor in anchor_set.anchors:
         node = tree.nodes[anchor.mt_node_id]
         assert node.status is NodeStatus.EVALUATED
@@ -137,7 +147,7 @@ def test_build_anchors_are_real_tree_nodes():
 def test_build_failed_anchor_omitted():
     tree = _prepared_tree([0.3, 0.9])
     flaky = FlakyEvaluator(_evaluator(), should_fail=lambda n: n.idea_text == ARCHS[1])
-    anchor_set = build_anchor_set(tree, flaky, ARCHS, HIGHER)
+    anchor_set = build_anchor_set(tree, _ports(flaky), RunConfig(), ARCHS)
     assert all(a.architecture_tag != ARCHS[1] for a in anchor_set.anchors)
     failed = [n for n in tree.nodes_at_level(NodeLevel.MT) if n.status is NodeStatus.FAILED]
     assert len(failed) >= 1
@@ -149,7 +159,7 @@ def test_build_charges_each_returned_call():
     tree = _prepared_tree([0.3, 0.9, 0.6])
     clock = SimulatedClock(budget_minutes=1.0)
     evaluator = RecordingEvaluator(_evaluator(), fail=lambda n, mode: n.idea_text == ARCHS[1])
-    build_anchor_set(tree, evaluator, ARCHS, HIGHER, clock=clock)
+    build_anchor_set(tree, _ports(evaluator, clock=clock), RunConfig(), ARCHS)
     assert {mode for _, mode, _ in evaluator.calls} == {EvalMode.FULL}
     assert [returned for _, _, returned in evaluator.calls].count(False) == 1
     assert clock.elapsed() == pytest.approx(evaluator.returned_cost())
@@ -160,16 +170,16 @@ def test_build_too_few_survivors():
     tree = _prepared_tree([0.3])
     flaky = FlakyEvaluator(_evaluator(), should_fail=lambda n: n.idea_text in ARCHS[1:])
     with pytest.raises(AnchorConstructionFailed):
-        build_anchor_set(tree, flaky, ARCHS, HIGHER, min_anchors=2)
+        build_anchor_set(tree, _ports(flaky), RunConfig(number_of_ideas_min=2), ARCHS)
 
 
 def test_build_validation():
     tree = IdeationTree.create("root")
     with pytest.raises(NoFeNodes):
-        build_anchor_set(tree, _evaluator(), ARCHS, HIGHER)
+        build_anchor_set(tree, _ports(_evaluator()), RunConfig(), ARCHS)
     tree2 = _prepared_tree([0.3])
     with pytest.raises(InvalidParams):
-        build_anchor_set(tree2, _evaluator(), [], HIGHER)
+        build_anchor_set(tree2, _ports(_evaluator()), RunConfig(), [])
 
 
 # ---- prompt assembly ----

@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 import zlib
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from itertools import combinations
 from unittest import mock
 
@@ -28,20 +29,19 @@ from ideatree.errors import (
     NonFiniteScore,
 )
 from ideatree.clock import SimulatedClock, WallClock
+from ideatree.config import RunConfig
 from ideatree.evaluation import EvalMode
 from ideatree.events import EventKind, RunLog
+from ideatree.generation import SegmentTag
 from ideatree.search import (
-    EvalPolicy,
     MergeMemory,
     PendingSet,
-    SelectionDistribution,
-    SelectionMode,
-    StageParams,
     _book_merge,
     _draw_index,
     _sample_scored_fe,
     adding_stage,
     draw_merge_pairs,
+    evaluation_modes,
     merge_delta,
     merging_stage,
     orient_scores,
@@ -140,20 +140,6 @@ def test_softmax_input_validation():
         softmax_select([float("inf"), 1.0])
 
 
-def test_selection_distribution_validation():
-    with pytest.raises(InvalidParams):
-        SelectionDistribution(node_ids=(1,), probabilities=(0.5, 0.5))
-    with pytest.raises(InvalidParams):
-        SelectionDistribution(node_ids=(1, 2), probabilities=(0.7, 0.7))
-    with pytest.raises(InvalidParams):
-        SelectionDistribution(node_ids=(1, 2), probabilities=(1.5, -0.5))
-
-
-def test_selection_distribution_rejects_nan():
-    with pytest.raises(InvalidParams):
-        SelectionDistribution(node_ids=(1, 2), probabilities=(math.nan, 1.0))
-
-
 # weights that cover n == 1, zero entries, subnormal and tiny masses
 # beside large ones, and many equal entries
 _WEIGHTS = st.lists(
@@ -232,7 +218,8 @@ def test_sample_top_equal_scores_frequencies():
     rng = np.random.default_rng(11)
     counts = {cid: 0 for cid in child_ids}
     for _ in range(10_000):
-        picked = sample_top(tree, fe_id, 1, rng, metric=HIGHER)
+        picked = sample_top(tree, fe_id, 1, rng, metric=HIGHER, temperature=1.0,
+                            proportional=False)
         counts[picked[0].id] += 1
     for cid in child_ids:
         assert counts[cid] / 10_000 == pytest.approx(0.5, abs=0.05)
@@ -245,7 +232,8 @@ def test_sample_top_softmax_frequencies_match_oracle():
     child_ids = [c.id for c in tree.children(fe_id)]
     counts = {cid: 0 for cid in child_ids}
     for _ in range(10_000):
-        picked = sample_top(tree, fe_id, 1, rng, metric=HIGHER)
+        picked = sample_top(tree, fe_id, 1, rng, metric=HIGHER, temperature=1.0,
+                            proportional=False)
         counts[picked[0].id] += 1
     for cid, expected in zip(child_ids, want):
         assert counts[cid] / 10_000 == pytest.approx(expected, abs=0.05)
@@ -257,7 +245,8 @@ def test_sample_top_proportional_mode():
     child_ids = [c.id for c in tree.children(fe_id)]
     counts = {cid: 0 for cid in child_ids}
     for _ in range(10_000):
-        picked = sample_top(tree, fe_id, 1, rng, metric=HIGHER, proportional=True)
+        picked = sample_top(tree, fe_id, 1, rng, metric=HIGHER, temperature=1.0,
+                            proportional=True)
         counts[picked[0].id] += 1
     assert counts[child_ids[0]] / 10_000 == pytest.approx(0.25, abs=0.05)
     assert counts[child_ids[1]] / 10_000 == pytest.approx(0.75, abs=0.05)
@@ -267,7 +256,7 @@ def test_sample_top_proportional_rejects_non_positive():
     tree, fe_id = _tree_with_children([1.0, -3.0])
     rng = np.random.default_rng(14)
     with pytest.raises(InvalidParams):
-        sample_top(tree, fe_id, 1, rng, metric=HIGHER, proportional=True)
+        sample_top(tree, fe_id, 1, rng, metric=HIGHER, temperature=1.0, proportional=True)
 
 
 def test_sample_top_orientation_lower_better():
@@ -275,7 +264,9 @@ def test_sample_top_orientation_lower_better():
     rng = np.random.default_rng(15)
     good = tree.children(fe_id)[0].id
     wins = sum(
-        sample_top(tree, fe_id, 1, rng, metric=LOWER)[0].id == good for _ in range(2000)
+        sample_top(tree, fe_id, 1, rng, metric=LOWER, temperature=1.0,
+                   proportional=False)[0].id == good
+        for _ in range(2000)
     )
     assert wins / 2000 > 0.9
 
@@ -283,12 +274,13 @@ def test_sample_top_orientation_lower_better():
 def test_sample_top_k_edge_cases():
     tree, fe_id = _tree_with_children([0.2, 0.4])
     rng = np.random.default_rng(16)
-    assert sample_top(tree, fe_id, 0, rng, metric=HIGHER) == []
-    both = sample_top(tree, fe_id, 5, rng, metric=HIGHER)
+    softmax = {"metric": HIGHER, "temperature": 1.0, "proportional": False}
+    assert sample_top(tree, fe_id, 0, rng, **softmax) == []
+    both = sample_top(tree, fe_id, 5, rng, **softmax)
     assert len(both) == 2 and len({n.id for n in both}) == 2
     empty_fe = tree.spawn(tree.root.id, NodeLevel.FE, "no kids")
     with pytest.raises(NoEvaluatedChildren):
-        sample_top(tree, empty_fe.id, 1, rng, metric=HIGHER)
+        sample_top(tree, empty_fe.id, 1, rng, **softmax)
 
 
 # ---- merge memory ----
@@ -387,18 +379,18 @@ def test_adding_stage_counting_invariant():
         world = make_world(seed=100 + n * 10 + m, n_fe=3, m_mt=2)
         fe_before = len(world.tree.fe_nodes())
         mt_before = len(world.tree.nodes_at_level(NodeLevel.MT))
-        params = StageParams(n_fe=n, m_mt=m, n_selected=k)
-        adding_stage(world.tree, world.ctx, world.gen, world.evaluator, params,
-                     world.metric, world.rng, clock=world.clock)
+        config = RunConfig(number_of_ideas_data=n, number_of_ideas_modelling=m,
+                           number_of_selected_node=k, max_add_idea=m)
+        adding_stage(world.tree, world.ctx, world.ports, config, world.rng)
         assert len(world.tree.fe_nodes()) == fe_before + n
         assert len(world.tree.nodes_at_level(NodeLevel.MT)) == mt_before + n * m + k * m
 
 
 def test_adding_stage_new_nodes_scored_and_aggregated():
     world = make_world(seed=7)
-    params = StageParams(n_fe=2, m_mt=2, n_selected=1)
-    adding_stage(world.tree, world.ctx, world.gen, world.evaluator, params,
-                 world.metric, world.rng, clock=world.clock)
+    config = RunConfig(number_of_ideas_data=2, number_of_ideas_modelling=2,
+                       number_of_selected_node=1)
+    adding_stage(world.tree, world.ctx, world.ports, config, world.rng)
     for fe in world.tree.fe_nodes():
         kids = world.tree.evaluated_mt_children(fe.id)
         assert kids, f"fe {fe.id} ended with no evaluated children"
@@ -410,9 +402,9 @@ def test_adding_stage_new_nodes_scored_and_aggregated():
 def test_adding_stage_deterministic_for_seed():
     def run_once():
         world = make_world(seed=21)
-        params = StageParams(n_fe=2, m_mt=2, n_selected=2)
-        adding_stage(world.tree, world.ctx, world.gen, world.evaluator, params,
-                     world.metric, world.rng, clock=world.clock)
+        config = RunConfig(number_of_ideas_data=2, number_of_ideas_modelling=2,
+                           number_of_selected_node=2)
+        adding_stage(world.tree, world.ctx, world.ports, config, world.rng)
         return world.tree.snapshot()
 
     assert run_once() == run_once()
@@ -432,11 +424,37 @@ def test_adding_stage_generator_failure_leaves_tree():
             raise GeneratorFailure("endpoint down")
 
     before = world.tree.snapshot()
-    params = StageParams(n_fe=1, m_mt=1, n_selected=1)
+    config = RunConfig(number_of_ideas_data=1, number_of_ideas_modelling=1,
+                       number_of_selected_node=1)
     with pytest.raises(GeneratorFailure):
-        adding_stage(world.tree, world.ctx, FailingGen(), world.evaluator, params,
-                     world.metric, world.rng, clock=world.clock)
+        adding_stage(world.tree, world.ctx, replace(world.ports, gen=FailingGen()), config,
+                     world.rng)
     assert world.tree.snapshot() == before
+
+
+@pytest.mark.parametrize("rag_policy, kept", [("always", 2), ("adaptive", 2), ("never", 0)])
+def test_adding_stage_keeps_external_segments_up_to_the_cap(rag_policy, kept):
+    """The stage asks the generator for external references unless
+    ``rag_policy`` is ``never``, and appends at most ``number_rag_ideas``
+    of them to the context."""
+    world = make_world(seed=6)
+
+    class ThreeReferences:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def query_external(self, ctx):
+            return ["first", "second", "third"]
+
+        def __getattr__(self, name):
+            return getattr(self.inner, name)
+
+    config = RunConfig(number_of_ideas_data=1, number_of_ideas_modelling=1,
+                       number_of_selected_node=1, number_rag_ideas=2, rag_policy=rag_policy)
+    adding_stage(world.tree, world.ctx, replace(world.ports, gen=ThreeReferences(world.gen)),
+                 config, world.rng)
+    external = [seg.text for seg in world.ctx.segments if seg.tag is SegmentTag.EXTERNAL]
+    assert external == ["first", "second"][:kept]
 
 
 def test_adding_stage_budget_exhaustion_commits_partial():
@@ -444,11 +462,11 @@ def test_adding_stage_budget_exhaustion_commits_partial():
     # leave room for the pre-existing evaluations plus two more full runs
     spent = world.clock.elapsed()
     world.clock.budget = spent + 2.0 * world.syn.full_cost
-    params = StageParams(n_fe=2, m_mt=2, n_selected=2)
+    config = RunConfig(number_of_ideas_data=2, number_of_ideas_modelling=2,
+                       number_of_selected_node=2)
     mt_before = len(world.tree.nodes_at_level(NodeLevel.MT))
     with pytest.raises(BudgetExhausted):
-        adding_stage(world.tree, world.ctx, world.gen, world.evaluator, params,
-                     world.metric, world.rng, clock=world.clock)
+        adding_stage(world.tree, world.ctx, world.ports, config, world.rng)
     evaluated_new = [
         n for n in world.tree.nodes_at_level(NodeLevel.MT)
         if n.status is NodeStatus.EVALUATED
@@ -472,12 +490,12 @@ def test_stages_charge_each_returned_call():
         world.evaluator,
         fail=lambda node, mode: zlib.crc32(f"{node.idea_text}|{mode.value}".encode()) % 4 == 0,
     )
-    policy = EvalPolicy(validation_attempts=2)
-    params = StageParams(n_fe=3, m_mt=3, n_selected=2)
-    adding_stage(world.tree, world.ctx, world.gen, evaluator, params,
-                 world.metric, world.rng, clock=world.clock, policy=policy)
-    merging_stage(world.tree, MergeMemory(), world.gen, evaluator, params,
-                  world.metric, world.rng, ctx=world.ctx, clock=world.clock, policy=policy)
+    ports = replace(world.ports, evaluator=evaluator)
+    config = RunConfig(validation_attempts=2, number_of_ideas_data=3,
+                       number_of_ideas_modelling=3, number_of_selected_node=2, max_add_idea=3,
+                       number_of_selected_node_merging=3, number_of_iterations_children=1)
+    adding_stage(world.tree, world.ctx, ports, config, world.rng)
+    merging_stage(world.tree, MergeMemory(), ports, config, world.rng, ctx=world.ctx)
     raised = {mode for _, mode, returned in evaluator.calls if not returned}
     assert raised == {EvalMode.DEBUG, EvalMode.FULL}
     assert world.clock.elapsed() == pytest.approx(evaluator.returned_cost())
@@ -504,11 +522,12 @@ def test_unexpected_port_error_waits_for_jobs_in_flight():
             return getattr(self.inner, name)
 
     before = set(world.tree.nodes)
-    params = StageParams(n_fe=3, m_mt=2, n_selected=1)
+    ports = replace(world.ports, gen=BreaksOnThirdProposal(world.gen), evaluator=evaluator)
+    config = RunConfig(number_of_ideas_data=3, number_of_ideas_modelling=2,
+                       number_of_selected_node=1)
     with ThreadPoolExecutor(max_workers=2) as pool:
         with pytest.raises(RuntimeError, match="port bug"):
-            adding_stage(world.tree, world.ctx, BreaksOnThirdProposal(world.gen), evaluator,
-                         params, world.metric, world.rng, clock=world.clock, pool=pool)
+            adding_stage(world.tree, world.ctx, ports, config, world.rng, pool=pool)
         # the pool is still open: the stage itself waited
         assert evaluator.started == evaluator.finished == 4
     fresh = [n for n in world.tree.nodes_at_level(NodeLevel.MT) if n.id not in before]
@@ -521,14 +540,13 @@ def test_budget_projection_counts_validation_runs():
     metric run: with room for less than two such jobs, the stage
     starts exactly two."""
     world = make_world(seed=9)
-    policy = EvalPolicy(validation_attempts=2)
     job_cost = 2 * world.syn.debug_cost + world.syn.full_cost
     world.clock.budget = 2 * job_cost - 0.5 * world.syn.debug_cost
     mt_before = {n.id for n in world.tree.nodes_at_level(NodeLevel.MT)}
-    params = StageParams(n_fe=2, m_mt=2, n_selected=2)
+    config = RunConfig(validation_attempts=2, number_of_ideas_data=2,
+                       number_of_ideas_modelling=2, number_of_selected_node=2)
     with pytest.raises(BudgetExhausted):
-        adding_stage(world.tree, world.ctx, world.gen, world.evaluator, params,
-                     world.metric, world.rng, clock=world.clock, policy=policy)
+        adding_stage(world.tree, world.ctx, world.ports, config, world.rng)
     fresh = [n for n in world.tree.nodes_at_level(NodeLevel.MT) if n.id not in mt_before]
     assert sum(n.status is NodeStatus.EVALUATED for n in fresh) == 2
     assert world.clock.elapsed() == pytest.approx(2 * job_cost)
@@ -548,9 +566,10 @@ def test_pending_job_runs_its_validation_runs_then_the_metric_run(attempts, acce
     call whose value is the score; commit charges each call's cost."""
     world = make_world(seed=21)
     evaluator = RecordingEvaluator(world.evaluator)
-    policy = EvalPolicy(validation_attempts=attempts, accelerated_debug=accelerated)
+    modes = evaluation_modes(
+        RunConfig(validation_attempts=attempts, accelerated_debugging=accelerated))
     log = RunLog()
-    pending = PendingSet(world.tree, evaluator, policy, clock=world.clock, log=log)
+    pending = PendingSet(world.tree, evaluator, modes, clock=world.clock, log=log)
     node = _fresh_mt(world)
     pending.dispatch(node)
     pending.commit()
@@ -581,7 +600,8 @@ def test_failed_validation_run_skips_the_metric_run():
 
     evaluator = RecordingEvaluator(world.evaluator, fail=second_debug_call_fails)
     log = RunLog()
-    pending = PendingSet(world.tree, evaluator, EvalPolicy(validation_attempts=3),
+    pending = PendingSet(world.tree, evaluator,
+                         evaluation_modes(RunConfig(validation_attempts=3)),
                          clock=world.clock, log=log)
     node = _fresh_mt(world)
     pending.dispatch(node)
@@ -631,9 +651,9 @@ def test_pending_set_refuses_a_budget_its_evaluator_never_charges():
     world = make_world(seed=23)
     evaluator = _CostlessEvaluator(world.evaluator)
     with pytest.raises(InvalidParams, match="simulated clock with a budget needs an evaluator"):
-        PendingSet(world.tree, evaluator, EvalPolicy(), clock=SimulatedClock(100.0))
-    PendingSet(world.tree, evaluator, EvalPolicy())
-    PendingSet(world.tree, evaluator, EvalPolicy(), clock=WallClock(1.0))
+        PendingSet(world.tree, evaluator, (EvalMode.FULL,), clock=SimulatedClock(100.0))
+    PendingSet(world.tree, evaluator, (EvalMode.FULL,))
+    PendingSet(world.tree, evaluator, (EvalMode.FULL,), clock=WallClock(1.0))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -645,7 +665,8 @@ def test_a_non_finite_evaluator_value_fails_the_node(value, attempts):
     world = make_world(seed=24)
     evaluator = RecordingEvaluator(_ReturnsValue(world.evaluator, value))
     log = RunLog()
-    pending = PendingSet(world.tree, evaluator, EvalPolicy(validation_attempts=attempts),
+    pending = PendingSet(world.tree, evaluator,
+                         evaluation_modes(RunConfig(validation_attempts=attempts)),
                          clock=world.clock, log=log)
     elapsed = world.clock.elapsed()
     node = _fresh_mt(world)
@@ -662,11 +683,11 @@ def test_a_non_finite_evaluator_value_fails_the_node(value, attempts):
 
 def test_adding_stage_prediction_gating():
     world = make_world(seed=31)
-    policy = EvalPolicy(predict_fn=lambda text: 0.5, predict_fraction=0.5)
-    params = StageParams(n_fe=2, m_mt=2, n_selected=1)
+    config = RunConfig(number_of_ideas_data=2, number_of_ideas_modelling=2,
+                       number_of_selected_node=1, predict_fraction=0.5)
     mt_before = {n.id for n in world.tree.nodes_at_level(NodeLevel.MT)}
-    adding_stage(world.tree, world.ctx, world.gen, world.evaluator, params,
-                 world.metric, world.rng, clock=world.clock, policy=policy)
+    adding_stage(world.tree, world.ctx, world.ports, config, world.rng,
+                 predict_fn=lambda text: 0.5)
     fresh = [n for n in world.tree.nodes_at_level(NodeLevel.MT) if n.id not in mt_before]
     assert len(fresh) == 6
     evaluated = [n for n in fresh if n.status is NodeStatus.EVALUATED]
@@ -683,11 +704,11 @@ def test_adding_stage_prediction_failure_falls_back_to_full():
     def flaky_predict(text):
         raise RuntimeError("predictor offline")
 
-    policy = EvalPolicy(predict_fn=flaky_predict, predict_fraction=0.5)
-    params = StageParams(n_fe=1, m_mt=2, n_selected=1)
+    config = RunConfig(number_of_ideas_data=1, number_of_ideas_modelling=2,
+                       number_of_selected_node=1, predict_fraction=0.5)
     mt_before = {n.id for n in world.tree.nodes_at_level(NodeLevel.MT)}
-    adding_stage(world.tree, world.ctx, world.gen, world.evaluator, params,
-                 world.metric, world.rng, clock=world.clock, policy=policy)
+    adding_stage(world.tree, world.ctx, world.ports, config, world.rng,
+                 predict_fn=flaky_predict)
     fresh = [n for n in world.tree.nodes_at_level(NodeLevel.MT) if n.id not in mt_before]
     assert all(n.status is NodeStatus.EVALUATED for n in fresh)
 
@@ -707,11 +728,11 @@ def test_non_finite_prediction_falls_back_to_full():
         return cycle[(len(calls) - 1) % len(cycle)]
 
     log = RunLog()
-    policy = EvalPolicy(predict_fn=predict, predict_fraction=0.5)
-    params = StageParams(n_fe=2, m_mt=3, n_selected=1)
+    config = RunConfig(number_of_ideas_data=2, number_of_ideas_modelling=3,
+                       number_of_selected_node=1, max_add_idea=3, predict_fraction=0.5)
     mt_before = {n.id for n in world.tree.nodes_at_level(NodeLevel.MT)}
-    adding_stage(world.tree, world.ctx, world.gen, world.evaluator, params,
-                 world.metric, world.rng, log=log, clock=world.clock, policy=policy)
+    adding_stage(world.tree, world.ctx, world.ports, config, world.rng, log=log,
+                 predict_fn=predict)
     fresh = sorted((n for n in world.tree.nodes_at_level(NodeLevel.MT)
                     if n.id not in mt_before), key=lambda n: n.id)
     assert [n.idea_text for n in fresh] == calls and len(calls) == 9
@@ -733,11 +754,10 @@ def test_non_finite_prediction_falls_back_to_full():
 
 def test_adding_stage_mt_literal_mode_runs():
     world = make_world(seed=33)
-    params = StageParams(n_fe=2, m_mt=2, n_selected=2)
+    config = RunConfig(number_of_ideas_data=2, number_of_ideas_modelling=2,
+                       number_of_selected_node=2, selection_mode="mt_literal")
     mt_before = len(world.tree.nodes_at_level(NodeLevel.MT))
-    adding_stage(world.tree, world.ctx, world.gen, world.evaluator, params,
-                 world.metric, world.rng, clock=world.clock,
-                 selection_mode=SelectionMode.MT_LITERAL)
+    adding_stage(world.tree, world.ctx, world.ports, config, world.rng)
     # literal mode still adds n*m fresh plus n_selected batches of m
     assert len(world.tree.nodes_at_level(NodeLevel.MT)) == mt_before + 2 * 2 + 2 * 2
 
@@ -745,9 +765,9 @@ def test_adding_stage_mt_literal_mode_runs():
 def test_adding_stage_parent_window_limits_targets():
     world = make_world(seed=34)
     world.tree.iteration = 10  # preloaded FE nodes were created at iteration 0
-    params = StageParams(n_fe=1, m_mt=1, n_selected=3)
-    adding_stage(world.tree, world.ctx, world.gen, world.evaluator, params,
-                 world.metric, world.rng, clock=world.clock, parent_window=2)
+    config = RunConfig(number_of_ideas_data=1, number_of_ideas_modelling=1,
+                       number_of_selected_node=3, number_of_iterations_parents=2)
+    adding_stage(world.tree, world.ctx, world.ports, config, world.rng)
     # only the single FE node created this stage was eligible, so the
     # selected subset collapses to it
     recent = [fe for fe in world.tree.fe_nodes() if fe.created_iteration == 10]
@@ -760,9 +780,10 @@ def test_parent_window_admits_nodes_younger_than_the_window(age, eligible):
     world = make_world(seed=34)
     world.tree.iteration = age  # preloaded FE nodes were created at iteration 0
     before = {fe.id: len(world.tree.children(fe.id)) for fe in world.tree.fe_nodes()}
-    params = StageParams(n_fe=1, m_mt=1, n_selected=len(before) + 1)
-    adding_stage(world.tree, world.ctx, world.gen, world.evaluator, params,
-                 world.metric, world.rng, clock=world.clock, parent_window=2)
+    config = RunConfig(number_of_ideas_data=1, number_of_ideas_modelling=1,
+                       number_of_selected_node=len(before) + 1,
+                       number_of_iterations_parents=2)
+    adding_stage(world.tree, world.ctx, world.ports, config, world.rng)
     expanded = [fe_id for fe_id, n in before.items() if len(world.tree.children(fe_id)) > n]
     assert expanded == (sorted(before) if eligible else [])
 
@@ -785,13 +806,11 @@ def _scored_fe_cases(draw):
         else:
             fe_ids.append(tree.spawn(tree.root.id, NodeLevel.FE, "fe").id)
     backpropagate(tree)
-    params = StageParams(
-        n_fe=1, m_mt=1, n_selected=draw(st.integers(1, 8)),
-        softmax_temperature=draw(st.sampled_from((0.05, 0.5, 1.0, 3.0, 100.0))),
-    )
+    n = draw(st.integers(1, 8))
+    temperature = draw(st.sampled_from((0.05, 0.5, 1.0, 3.0, 100.0)))
     metric = draw(st.sampled_from((HIGHER, LOWER)))
     window = draw(st.one_of(st.none(), st.integers(1, 6)))
-    return tree, params, metric, window, draw(st.integers(0, 2**32 - 1))
+    return tree, n, temperature, metric, window, draw(st.integers(0, 2**32 - 1))
 
 
 class _RecordingRng:
@@ -824,12 +843,11 @@ def test_sample_scored_fe_matches_list_reference(case):
     inverts the probability vectors the list-based draw hands
     ``rng.choice``, float for float, and leaves the generator in the
     same state."""
-    tree, params, metric, window, seed = case
+    tree, n, temperature, metric, window, seed = case
     rng_ref, rng_new = _RecordingRng(seed), _RecordingRng(seed)
-    expected = reference_sample_scored_fe(
-        tree, params.n_selected, params.softmax_temperature, metric, rng_ref, window)
+    expected = reference_sample_scored_fe(tree, n, temperature, metric, rng_ref, window)
     with mock.patch("ideatree.search._draw_index", _recording_draw_index):
-        got = _sample_scored_fe(tree, params, metric, rng_new, window=window)
+        got = _sample_scored_fe(tree, n, temperature, metric, rng_new, window=window)
     assert got == expected
     assert all(type(fe_id) is int for fe_id in got)
     assert rng_new.vectors == rng_ref.vectors
@@ -841,11 +859,10 @@ def test_sample_scored_fe_matches_list_reference(case):
 def test_merging_stage_structure_and_memory():
     world = make_world(seed=51, n_fe=3, m_mt=2)
     mem = MergeMemory(theta_fail=2)
-    params = StageParams(n_fe=2, m_mt=2, n_selected=1, merge_epsilon=0.0)
+    config = RunConfig(number_of_selected_node_merging=2, number_of_ideas_modelling=2,
+                       number_of_iterations_children=1, merge_epsilon=0.0)
     fe_before = {n.id for n in world.tree.fe_nodes()}
-    merging_stage(world.tree, mem, world.gen, world.evaluator, params,
-                  world.metric, world.rng, ctx=world.ctx, clock=world.clock,
-                  resample_k=1)
+    merging_stage(world.tree, mem, world.ports, config, world.rng, ctx=world.ctx)
     merged = [n for n in world.tree.fe_nodes() if n.id not in fe_before]
     assert len(merged) == 2
     for node in merged:
@@ -872,10 +889,10 @@ def test_merging_stage_budget_stop_books_finished_pairs():
     world.clock.budget = world.clock.elapsed() + 3.0 * world.syn.full_cost
     mem = MergeMemory()
     log = RunLog()
-    params = StageParams(n_fe=3, m_mt=2, n_selected=1)
+    config = RunConfig(number_of_selected_node_merging=3, number_of_ideas_modelling=2,
+                       number_of_iterations_children=1)
     with pytest.raises(BudgetExhausted):
-        merging_stage(world.tree, mem, world.gen, world.evaluator, params,
-                      world.metric, world.rng, ctx=world.ctx, log=log, clock=world.clock)
+        merging_stage(world.tree, mem, world.ports, config, world.rng, ctx=world.ctx, log=log)
     merged = [e["payload"]["node"]["id"] for e in of_kind(log, EventKind.NODE_PROPOSED)
               if e["payload"]["node"]["level"] == NodeLevel.FE.value]
     verdicts = of_kind(log, EventKind.MERGE_ATTEMPTED)
@@ -908,10 +925,11 @@ def test_merging_stage_generator_failure_books_finished_pairs():
 
     mem = MergeMemory()
     log = RunLog()
-    params = StageParams(n_fe=3, m_mt=2, n_selected=1)
+    config = RunConfig(number_of_selected_node_merging=3, number_of_ideas_modelling=2,
+                       number_of_iterations_children=1)
     with pytest.raises(GeneratorFailure):
-        merging_stage(world.tree, mem, FailsSecondMerge(world.gen), world.evaluator, params,
-                      world.metric, world.rng, ctx=world.ctx, log=log, clock=world.clock)
+        merging_stage(world.tree, mem, replace(world.ports, gen=FailsSecondMerge(world.gen)),
+                      config, world.rng, ctx=world.ctx, log=log)
     assert len(of_kind(log, EventKind.NODE_EVALUATED)) == 2
     assert len(of_kind(log, EventKind.MERGE_ATTEMPTED)) == 1
     assert len(mem.short_term) + len(mem.long_term) == 1
@@ -922,14 +940,13 @@ def test_merging_stage_generator_failure_books_finished_pairs():
 def test_merging_stage_resample_leaves_origin_untouched():
     world = make_world(seed=52)
     mem = MergeMemory()
-    params = StageParams(n_fe=1, m_mt=1, n_selected=1)
+    config = RunConfig(number_of_selected_node_merging=1, number_of_ideas_modelling=1,
+                       number_of_iterations_children=2)
     originals = {
         n.id: (n.idea_text, n.raw_score, n.parent_id)
         for n in world.tree.nodes_at_level(NodeLevel.MT)
     }
-    merging_stage(world.tree, mem, world.gen, world.evaluator, params,
-                  world.metric, world.rng, ctx=world.ctx, clock=world.clock,
-                  resample_k=2)
+    merging_stage(world.tree, mem, world.ports, config, world.rng, ctx=world.ctx)
     for nid, (text, score, parent) in originals.items():
         node = world.tree.nodes[nid]
         assert (node.idea_text, node.raw_score, node.parent_id) == (text, score, parent)
@@ -938,11 +955,11 @@ def test_merging_stage_resample_leaves_origin_untouched():
 def test_merging_stage_forced_failure_promotes_after_theta():
     # a huge epsilon means no merge can ever succeed
     mem = MergeMemory(theta_fail=2)
-    params = StageParams(n_fe=1, m_mt=1, n_selected=1, merge_epsilon=1e9)
+    config = RunConfig(number_of_selected_node_merging=1, number_of_ideas_modelling=1,
+                       number_of_iterations_children=1, merge_epsilon=1e9)
     world = make_world(seed=53, n_fe=2, m_mt=1)
     only_pair = tuple(sorted(n.id for n in world.tree.fe_nodes()))
-    merging_stage(world.tree, mem, world.gen, world.evaluator, params,
-                  world.metric, world.rng, ctx=world.ctx, clock=world.clock)
+    merging_stage(world.tree, mem, world.ports, config, world.rng, ctx=world.ctx)
     assert mem.short_term.get(only_pair) == 1
     # the failed merge node stays in the tree and would widen the candidate
     # pool, so rule its pairs out to force a retry of the original pair
@@ -951,18 +968,17 @@ def test_merging_stage_forced_failure_promotes_after_theta():
             for other in world.tree.fe_nodes():
                 if other.id != fe.id:
                     mem.record_success(pair_key(fe.id, other.id))
-    merging_stage(world.tree, mem, world.gen, world.evaluator, params,
-                  world.metric, world.rng, ctx=world.ctx, clock=world.clock)
+    merging_stage(world.tree, mem, world.ports, config, world.rng, ctx=world.ctx)
     assert only_pair in mem.long_term and only_pair not in mem.short_term
 
 
 def test_merging_stage_forced_success_records_long_term():
     mem = MergeMemory(theta_fail=2)
-    params = StageParams(n_fe=1, m_mt=1, n_selected=1, merge_epsilon=-1e9)
+    config = RunConfig(number_of_selected_node_merging=1, number_of_ideas_modelling=1,
+                       number_of_iterations_children=1, merge_epsilon=-1e9)
     world = make_world(seed=54, n_fe=2, m_mt=1)
     only_pair = tuple(sorted(n.id for n in world.tree.fe_nodes()))
-    merging_stage(world.tree, mem, world.gen, world.evaluator, params,
-                  world.metric, world.rng, ctx=world.ctx, clock=world.clock)
+    merging_stage(world.tree, mem, world.ports, config, world.rng, ctx=world.ctx)
     assert only_pair in mem.long_term and not mem.short_term
 
 
@@ -971,10 +987,10 @@ def test_merging_stage_excluded_pairs_not_reattempted():
     world = make_world(seed=55, n_fe=2, m_mt=1)
     only_pair = tuple(sorted(n.id for n in world.tree.fe_nodes()))
     mem.record_success(only_pair)
-    params = StageParams(n_fe=2, m_mt=1, n_selected=1)
+    config = RunConfig(number_of_selected_node_merging=2, number_of_ideas_modelling=1,
+                       number_of_iterations_children=1)
     fe_before = len(world.tree.fe_nodes())
-    merging_stage(world.tree, mem, world.gen, world.evaluator, params,
-                  world.metric, world.rng, ctx=world.ctx, clock=world.clock)
+    merging_stage(world.tree, mem, world.ports, config, world.rng, ctx=world.ctx)
     merged = [n for n in world.tree.fe_nodes() if n.provenance.kind is ProvenanceKind.MERGED]
     assert merged == []
     assert len(world.tree.fe_nodes()) == fe_before
@@ -983,23 +999,24 @@ def test_merging_stage_excluded_pairs_not_reattempted():
 def test_merging_stage_insufficient_parents():
     world = make_world(seed=56, n_fe=1)
     mem = MergeMemory()
-    params = StageParams(n_fe=1, m_mt=1, n_selected=1)
+    config = RunConfig(number_of_selected_node_merging=1, number_of_ideas_modelling=1)
     with pytest.raises(InsufficientParents):
-        merging_stage(world.tree, mem, world.gen, world.evaluator, params,
-                      world.metric, world.rng, ctx=world.ctx, clock=world.clock)
+        merging_stage(world.tree, mem, world.ports, config, world.rng, ctx=world.ctx)
 
 
 def test_merging_stage_merges_best_two_children():
     world = make_world(seed=57, n_fe=2, m_mt=3)
     mem = MergeMemory()
-    params = StageParams(n_fe=1, m_mt=1, n_selected=2, merge_epsilon=1e9)
+    # two FE nodes make one pair, so the one knob draws that pair and
+    # selects two nodes for their best children's merge
+    config = RunConfig(number_of_selected_node_merging=2, number_of_ideas_modelling=1,
+                       number_of_iterations_children=1, merge_epsilon=1e9)
     mt_merges_before = [
         n for n in world.tree.nodes_at_level(NodeLevel.MT)
         if n.provenance.kind is ProvenanceKind.MERGED
     ]
     assert not mt_merges_before
-    merging_stage(world.tree, mem, world.gen, world.evaluator, params,
-                  world.metric, world.rng, ctx=world.ctx, clock=world.clock)
+    merging_stage(world.tree, mem, world.ports, config, world.rng, ctx=world.ctx)
     mt_merges = [
         n for n in world.tree.nodes_at_level(NodeLevel.MT)
         if n.provenance.kind is ProvenanceKind.MERGED
@@ -1016,10 +1033,9 @@ def test_merging_stage_deterministic_for_seed():
     def run_once():
         world = make_world(seed=58)
         mem = MergeMemory()
-        params = StageParams(n_fe=2, m_mt=2, n_selected=2)
-        merging_stage(world.tree, mem, world.gen, world.evaluator, params,
-                      world.metric, world.rng, ctx=world.ctx, clock=world.clock,
-                      resample_k=2)
+        config = RunConfig(number_of_selected_node_merging=2, number_of_ideas_modelling=2,
+                           number_of_iterations_children=2)
+        merging_stage(world.tree, mem, world.ports, config, world.rng, ctx=world.ctx)
         return world.tree.snapshot()
 
     assert run_once() == run_once()

@@ -2,7 +2,8 @@
 merging stages and the anchor sweeps attach is spawned by their
 ``PendingSet``, which logs it in exactly one ``node_proposed`` event
 before any event names it. A stage given no log and no clock grows the
-tree an in-memory log and an unbudgeted clock grow.
+tree an in-memory log and an unbudgeted clock grow: the clock a stage
+charges is its ports'.
 
 One mutation path: outside ``tree.py`` the package changes a tree only
 by applying the records it logs (``IdeationTree.apply``), and a run
@@ -24,12 +25,13 @@ from ideatree.generation import ContextState
 from ideatree import orchestrator
 from ideatree.orchestrator import build_synthetic_ports, execute_run, initialize_tree, verify_replay
 from ideatree.scoring import build_anchor_set
-from ideatree.search import MergeMemory, StageParams, adding_stage, merging_stage
+from ideatree.search import MergeMemory, adding_stage, merging_stage
 from ideatree.tree import Node, NodeLevel, ProvenanceKind
 
 from helpers import make_world
 
-PARAMS = StageParams(n_fe=2, m_mt=2, n_selected=2)
+CONFIG = RunConfig(number_of_ideas_data=2, number_of_ideas_modelling=2, number_of_selected_node=2,
+                   number_of_selected_node_merging=2, number_of_iterations_children=1)
 
 
 def _named(payload: dict) -> list[int]:
@@ -54,14 +56,12 @@ def assert_proposed_once_before_named(log: RunLog, tree, before: set[int]) -> No
     assert proposed == set(tree.nodes) - before
 
 
-def _adding(world, **kwargs):
-    adding_stage(world.tree, world.ctx, world.gen, world.evaluator, PARAMS, world.metric,
-                 world.rng, **kwargs)
+def _adding(world, ports, **kwargs):
+    adding_stage(world.tree, world.ctx, ports, CONFIG, world.rng, **kwargs)
 
 
-def _merging(world, **kwargs):
-    merging_stage(world.tree, MergeMemory(), world.gen, world.evaluator, PARAMS,
-                  world.metric, world.rng, ctx=world.ctx, resample_k=1, **kwargs)
+def _merging(world, ports, **kwargs):
+    merging_stage(world.tree, MergeMemory(), ports, CONFIG, world.rng, ctx=world.ctx, **kwargs)
 
 
 def test_initialize_tree_logs_every_node_it_attaches():
@@ -76,7 +76,7 @@ def test_adding_stage_logs_every_node_it_attaches():
     world = make_world(seed=41)
     before = set(world.tree.nodes)
     log = RunLog()
-    _adding(world, log=log, clock=world.clock)
+    _adding(world, world.ports, log=log)
     assert_proposed_once_before_named(log, world.tree, before)
 
 
@@ -86,7 +86,7 @@ def test_merging_stage_logs_every_node_it_attaches():
     world = make_world(seed=41)
     before = set(world.tree.nodes)
     log = RunLog()
-    _merging(world, log=log, clock=world.clock)
+    _merging(world, world.ports, log=log)
     new = [world.tree.nodes[i] for i in sorted(set(world.tree.nodes) - before)]
     assert any(n.provenance.kind is ProvenanceKind.RESAMPLED for n in new)
     assert any(n.level is NodeLevel.MT and n.provenance.kind is ProvenanceKind.MERGED
@@ -99,16 +99,16 @@ def test_build_anchor_set_logs_every_node_it_attaches():
     before = set(world.tree.nodes)
     log = RunLog()
     architectures = world.gen.propose_mt(world.tree.fe_nodes()[0], world.ctx, 3)
-    build_anchor_set(world.tree, world.evaluator, architectures, world.metric,
-                     log=log, clock=world.clock)
+    build_anchor_set(world.tree, world.ports, RunConfig(), architectures, log=log)
     assert_proposed_once_before_named(log, world.tree, before)
 
 
 @pytest.mark.parametrize("stage", [_adding, _merging])
 def test_no_log_and_no_clock_grow_the_tree_a_log_and_an_unbudgeted_clock_grow(stage):
     bare, written = make_world(seed=47), make_world(seed=47)
-    stage(bare)
-    stage(written, log=RunLog(), clock=SimulatedClock(math.inf))
+    stage(bare, dataclasses.replace(bare.ports, clock=None))
+    stage(written, dataclasses.replace(written.ports, clock=SimulatedClock(math.inf)),
+          log=RunLog())
     assert bare.tree.snapshot() == written.tree.snapshot()
 
 
