@@ -22,8 +22,10 @@ from ideatree.orchestrator import replay_events, verify_replay
 from ideatree.report import progress_report, run_summary
 from ideatree.retrieval import FileCorpusRetriever
 from ideatree.search import (
+    SMALL_DRAW,
     MergeMemory,
     PendingSet,
+    _sample_scored_fe,
     draw_merge_pairs,
     sample_top,
     softmax_select,
@@ -116,32 +118,68 @@ def test_restore(benchmark, grow_run):
 
 def test_sample_without_replacement(benchmark, grow_run):
     """Two draws from a softmax over the final tree's FE aggregates, as
-    an adding stage makes them."""
+    a merging stage makes them over every scored FE node: about 700
+    ids, above ``SMALL_DRAW``, so the draws run on numpy arrays."""
     result = grow_run.result
     table = result.tree.fe_table
     scored = ~np.isnan(table.aggregates)
     metric = MetricSpec("score", MetricDirection.HIGHER_BETTER)
     dist = softmax_select(metric.orient(table.aggregates[scored]), 1.0, table.ids[scored])
+    assert len(dist.node_ids) > SMALL_DRAW
     rng = np.random.default_rng(1)
     picked = benchmark(dist.sample_without_replacement, 2, rng)
     assert len(set(picked)) == 2
 
 
-def test_sample_top(benchmark, grow_run, grow_config):
-    """A merging stage's resample from one parent: a softmax over an FE
-    node's evaluated MT children and k=3 draws from it. The FE node is
-    the final tree's first with the median number of evaluated children
-    among the FE nodes that have any."""
-    tree = grow_run.result.tree
+def _median_parent(tree: IdeationTree) -> int:
+    """The final tree's first FE node with the median number of
+    evaluated children among the FE nodes that have any."""
     table = tree.fe_table
     counts = table.evaluated[table.evaluated > 0]
-    fe_id = int(table.ids[table.evaluated == int(np.median(counts))][0])
+    return int(table.ids[table.evaluated == int(np.median(counts))][0])
+
+
+def test_sample_top(benchmark, grow_run, grow_config):
+    """A merging stage's resample from one parent (``_median_parent``):
+    a softmax over an FE node's evaluated MT children and k=3 draws
+    from it."""
+    tree = grow_run.result.tree
     metric = MetricSpec("score", MetricDirection.HIGHER_BETTER)
     rng = np.random.default_rng(1)
-    picked = benchmark(sample_top, tree, fe_id, 3, rng, metric=metric,
+    picked = benchmark(sample_top, tree, _median_parent(tree), 3, rng, metric=metric,
                        temperature=grow_config.softmax_temperature,
                        proportional=grow_config.sample_top_proportional)
     assert len({node.id for node in picked}) == 3
+
+
+def test_softmax_select(benchmark, grow_run, grow_config):
+    """The softmax ``sample_top`` builds for one parent
+    (``_median_parent``), over the oriented scores of its evaluated MT
+    children: fewer than ``SMALL_DRAW``, so it runs on Python floats."""
+    tree = grow_run.result.tree
+    children = tree.evaluated_mt_children(_median_parent(tree))
+    oriented = [child.raw_score for child in children]
+    assert 1 < len(oriented) <= SMALL_DRAW
+    dist = benchmark(softmax_select, oriented, grow_config.softmax_temperature)
+    assert len(dist.probabilities) == len(children)
+
+
+def test_sample_scored_fe_windowed(benchmark, grow_run, grow_config):
+    """An adding stage's draw of expansion targets on the final tree:
+    ``number_of_selected_node`` FE ids from a softmax over the
+    aggregates of the FE nodes created within the
+    ``number_of_iterations_parents`` last iterations, a few candidates,
+    so the draw runs on Python floats."""
+    tree = grow_run.result.tree
+    window = grow_config.number_of_iterations_parents
+    table = tree.fe_table
+    candidates = (~np.isnan(table.aggregates)) & (tree.iteration - table.created < window)
+    assert 1 < candidates.sum() <= SMALL_DRAW
+    metric = MetricSpec("score", MetricDirection.HIGHER_BETTER)
+    rng = np.random.default_rng(1)
+    picked = benchmark(_sample_scored_fe, tree, grow_config.number_of_selected_node,
+                       grow_config.softmax_temperature, metric, rng, window=window)
+    assert len(set(picked)) == grow_config.number_of_selected_node
 
 
 def test_simulated_evaluate(benchmark, grow_run, grow_ports):

@@ -122,6 +122,13 @@ class RunConfig:
                     f"number_of_ideas_min ({self.number_of_ideas_min}) exceeds the {reachable}"
                     " anchors predict_before_evaluate can build: min(number_of_ideas_modelling,"
                     " number_of_ideas_max) + number_of_ideas_data - 1")
+        if self.predict_before_evaluate and self.number_of_ideas_modelling < 2:
+            # search._propose_and_score_mt prunes only a batch of two or
+            # more, and no batch holds more than number_of_ideas_modelling
+            out.append(
+                "predict_before_evaluate needs number_of_ideas_modelling of at least 2:"
+                " prediction prunes only a batch of two or more fresh MT ideas, and no"
+                " batch holds more than number_of_ideas_modelling")
         if syn.low >= syn.high:
             out.append("synthetic.low must be below synthetic.high")
         if syn.debug_cost > syn.full_cost:

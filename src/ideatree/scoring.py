@@ -29,7 +29,15 @@ from .evaluation import EvalMode
 from .events import RunLog
 from .generation import EndpointConfig, _load_template, complete_with_retries
 from .search import PendingSet, softmax_select
-from .tree import IdeationTree, MetricSpec, Node, NodeLevel, NodeStatus, backpropagate
+from .tree import (
+    IdeationTree,
+    MetricSpec,
+    Node,
+    NodeLevel,
+    NodeStatus,
+    backpropagate,
+    sum_in_order,
+)
 
 if TYPE_CHECKING:
     import requests
@@ -213,7 +221,8 @@ def baseline_predict(
 
     Weights are a softmax over cosine similarities between the candidate
     embedding and each anchor description embedding; lower temperatures
-    concentrate mass on the nearest anchors. Being a convex combination,
+    concentrate mass on the nearest anchors. The weighted scores are
+    added in anchor order (``sum_in_order``). Being a convex combination,
     the output always lies inside the anchor score range.
     """
     anchors = anchor_set.sorted_anchors()
@@ -222,8 +231,8 @@ def baseline_predict(
         cosine_similarity(candidate_vec, embedder.embed(anchor.description))
         for anchor in anchors
     ]
-    weights = softmax_select(sims, temperature).probabilities
-    return float(sum(w * a.true_score for w, a in zip(weights, anchors)))
+    weights = softmax_select(sims, temperature).probabilities.tolist()
+    return float(sum_in_order(w * a.true_score for w, a in zip(weights, anchors)))
 
 
 @dataclass

@@ -12,11 +12,12 @@ from __future__ import annotations
 import logging
 import math
 import time
-from bisect import insort
+from bisect import bisect_right, insort
 from concurrent.futures import Executor, Future, wait
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import accumulate
 from typing import TYPE_CHECKING, Callable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -44,6 +45,7 @@ from .tree import (
     NodeStatus,
     Provenance,
     backpropagate,
+    sum_in_order,
 )
 
 if TYPE_CHECKING:
@@ -82,12 +84,51 @@ def orient_scores(scores: Sequence[float], metric: MetricSpec) -> list[float]:
     return out
 
 
+# A distribution over at most this many candidates is computed and drawn
+# from in Python floats, one over more on numpy arrays. Either path
+# computes the same floats; this is the size at which the two cost about
+# the same (2-CPU x86-64 host, Python 3.11, numpy 2.4: about 20 and 19 us
+# for two draws over 32 candidates). ``sample_top``, the windowed FE
+# draw and the baseline predictor fall below it; the merging stage's
+# draw over every scored FE node lies above it once the tree has grown.
+SMALL_DRAW = 32
+
+
+def _pairwise_sum(values: list[float]) -> float:
+    """``float(np.sum(values))`` for up to 128 values, numpy's block
+    size, computed in Python floats in numpy's order: below 8 values,
+    one after another; from 8 on, eight running sums over the values in
+    blocks of eight, added in pairs, then the values left over. (Above
+    128, numpy sums two halves on their own; a small draw never gets
+    there.)"""
+    n = len(values)
+    if n < 8:
+        return sum_in_order(values)
+    r0, r1, r2, r3, r4, r5, r6, r7 = values[:8]
+    end = n - n % 8
+    for i in range(8, end, 8):
+        a0, a1, a2, a3, a4, a5, a6, a7 = values[i:i + 8]
+        r0, r1, r2, r3, r4, r5, r6, r7 = (r0 + a0, r1 + a1, r2 + a2, r3 + a3,
+                                          r4 + a4, r5 + a5, r6 + a6, r7 + a7)
+    total = sum_in_order(values[end:], ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)))
+    # added to the reduction's initial value, as numpy does: this only
+    # turns a -0.0 into 0.0
+    return 0.0 + total
+
+
 @dataclass(frozen=True, eq=False)
 class SelectionDistribution:
     """Aligned ids, any sequence of ints, and their probabilities, a
     float64 array. Only the engine builds one, from weights that are
     non-negative and sum to 1 by construction, so they are not checked
-    again."""
+    again.
+
+    Up to ``SMALL_DRAW`` candidates are drawn from in Python floats, which
+    saves numpy's cost per call on arrays this small. Each total there is
+    taken in numpy's summation order (``_pairwise_sum``) and each prefix
+    sum left to right, as ``np.cumsum`` does, so both paths compute the
+    same floats: the draws, and the generator's state after them, do not
+    depend on the path."""
 
     node_ids: Sequence[int] | np.ndarray
     probabilities: np.ndarray
@@ -96,7 +137,10 @@ class SelectionDistribution:
         """Draw up to k distinct ids, renormalizing after each draw. The
         draws stop early once every probability left is zero, as it is
         when they have all underflowed."""
-        ids, probs = self.node_ids, self.probabilities
+        ids = self.node_ids
+        if len(ids) <= SMALL_DRAW:
+            return self._sample_small(k, rng)
+        probs = self.probabilities
         picked: list[int] = []
         taken: list[int] = []   # positions in ids drawn so far, ascending
         draws = min(k, len(ids))
@@ -116,18 +160,41 @@ class SelectionDistribution:
             picked.append(int(ids[idx]))
         return picked
 
+    def _sample_small(self, k: int, rng: np.random.Generator) -> list[int]:
+        """``sample_without_replacement`` on a list of Python floats: the
+        same totals, renormalised vectors and draws."""
+        ids = self.node_ids
+        probs = self.probabilities.tolist()
+        left = list(range(len(probs)))   # positions in ids not drawn yet
+        picked: list[int] = []
+        for _ in range(min(k, len(probs))):
+            total = _pairwise_sum(probs)
+            if total == 0:
+                break
+            idx = _draw_index([x / total for x in probs], rng)
+            del probs[idx]
+            picked.append(int(ids[left.pop(idx)]))
+        return picked
 
-def _draw_index(p: np.ndarray, rng: np.random.Generator) -> int:
+
+def _draw_index(p: Sequence[float] | np.ndarray, rng: np.random.Generator) -> int:
     """The index ``rng.choice(len(p), p=p)`` draws, leaving ``rng`` in
     the same state: one ``rng.random()`` inverted through the cdf of
     ``p``, renormalised to end at exactly 1, as numpy's ``choice`` does
     once it has validated ``p``. ``p`` must be non-negative and sum to
     1 within rounding; a ``SelectionDistribution`` ensures that by its
     construction, so ``choice``'s own per-call checks are not repeated
-    here."""
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    return int(cdf.searchsorted(rng.random(), side="right"))
+    here. ``p`` is an array or, for a small draw, a list of floats,
+    whose cdf is summed left to right in Python floats: ``np.cumsum``'s
+    order, so both give the same cdf and the same index."""
+    if isinstance(p, np.ndarray):
+        cdf = p.cumsum()
+        cdf /= cdf[-1]
+        return int(cdf.searchsorted(rng.random(), side="right"))
+    cdf = list(accumulate(p))
+    last = cdf[-1]
+    # searched as if divided by its last entry, as the array path divides it
+    return bisect_right(cdf, rng.random(), key=lambda c: c / last)
 
 
 def softmax_select(
@@ -137,19 +204,36 @@ def softmax_select(
 ) -> SelectionDistribution:
     """Softmax over oriented scores, computed with max subtraction so
     large magnitudes cannot overflow. The probabilities are non-negative
-    and sum to 1 by construction, so they are not checked again."""
-    if len(oriented) == 0:
+    and sum to 1 by construction, so they are not checked again.
+
+    Up to ``SMALL_DRAW`` scores are shifted, scaled and normalised in
+    Python floats, with ``np.exp`` still taking the exponentials (the
+    last bit of ``math.exp`` can differ from it) and the total taken in
+    numpy's summation order (``_pairwise_sum``), so the probabilities
+    are the ones the numpy path computes, float for float."""
+    n = len(oriented)
+    if n == 0:
         raise EmptyInput("softmax over an empty score list")
     if temperature <= 0:
         raise InvalidParams(f"temperature must be positive, got {temperature}")
-    arr = np.asarray(oriented, dtype=float)
-    if not np.isfinite(arr).all():
-        raise NonFiniteScore("non-finite value in oriented scores")
-    z = (arr - arr.max()) / temperature
-    e = np.exp(z)
-    p = e / e.sum()
-    ids = node_ids if node_ids is not None else range(len(arr))
-    if len(ids) != len(p):
+    if n > SMALL_DRAW:
+        arr = np.asarray(oriented, dtype=float)
+        if not np.isfinite(arr).all():
+            raise NonFiniteScore("non-finite value in oriented scores")
+        e = np.exp((arr - arr.max()) / temperature)
+        p = e / e.sum()
+    else:
+        if isinstance(oriented, np.ndarray):
+            values = oriented.astype(float, copy=False).tolist()
+        else:
+            values = [float(s) for s in oriented]
+        if not all(map(math.isfinite, values)):
+            raise NonFiniteScore("non-finite value in oriented scores")
+        top = max(values)
+        e = np.exp([(s - top) / temperature for s in values])
+        p = e / _pairwise_sum(e.tolist())
+    ids = node_ids if node_ids is not None else range(n)
+    if len(ids) != n:
         raise InvalidParams("ids and probabilities differ in length")
     return SelectionDistribution(ids, p)
 
@@ -183,18 +267,17 @@ def sample_top(
     if k == 0:
         return []
     oriented = orient_scores([c.raw_score for c in children], metric)
-    ids = [c.id for c in children]
+    # the distribution is over positions in ``children``
     if proportional:
         if any(s <= 0 for s in oriented):
             raise InvalidParams(
                 "proportional sampling needs strictly positive oriented scores"
             )
-        dist = SelectionDistribution(ids, np.asarray(oriented, dtype=float) / sum(oriented))
+        dist = SelectionDistribution(range(len(children)),
+                                     np.asarray(oriented, dtype=float) / sum_in_order(oriented))
     else:
-        dist = softmax_select(oriented, temperature, ids)
-    picked = dist.sample_without_replacement(k, rng)
-    by_id = {c.id: c for c in children}
-    return [by_id[i] for i in picked]
+        dist = softmax_select(oriented, temperature)
+    return [children[i] for i in dist.sample_without_replacement(k, rng)]
 
 
 # =====================================================================
@@ -728,10 +811,12 @@ def _sample_scored_fe(
     aggregates = table.aggregates
     scored = ~np.isnan(aggregates)
     if window is not None:
-        scored &= tree.iteration - table.created < window
-    if not scored.any():
+        # created within the window: iteration - created < window
+        scored &= table.created > tree.iteration - window
+    candidates = aggregates[scored]
+    if len(candidates) == 0:
         return []
-    dist = softmax_select(metric.orient(aggregates[scored]), temperature, table.ids[scored])
+    dist = softmax_select(metric.orient(candidates), temperature, table.ids[scored])
     return dist.sample_without_replacement(n, rng)
 
 

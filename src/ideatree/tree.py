@@ -61,7 +61,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -76,6 +76,18 @@ from .errors import (
 from .events import EventKind, collector_paused, decode_json, encode_json
 
 TREE_SCHEMA_VERSION = 2
+
+
+def sum_in_order(values: Iterable[float], start: float = 0.0) -> float:
+    """``start`` and then each of ``values`` added one after another,
+    left to right. Since Python 3.12 the built-in ``sum`` compensates a
+    float sum, which can move its last bit; every float total the engine
+    keeps is taken here, so a run computes the same values on every
+    supported Python."""
+    total = start
+    for value in values:
+        total += value
+    return total
 
 
 class NodeLevel(str, Enum):
@@ -506,15 +518,15 @@ class IdeationTree:
         """When the last ``backpropagate`` left it to be read, set the
         root aggregate to the mean of the set FE aggregates among the
         rows it covered: the set entries, in attach order, summed one
-        after another in Python floats, as a loop over the FE nodes
-        would."""
+        after another in Python floats (``sum_in_order``), as a loop
+        over the FE nodes would."""
         rows, self._root_rows = self._root_rows, None
         if rows is None or self._root_id is None:
             return
         aggregates = self.fe_table.aggregates[:rows]
         parts = aggregates[~np.isnan(aggregates)].tolist()
         self.nodes[self._root_id].aggregated_score = (
-            float(sum(parts) / len(parts)) if parts else None)
+            float(sum_in_order(parts) / len(parts)) if parts else None)
 
     def children(self, node_id: int) -> list[Node]:
         return [self.nodes[c] for c in self._children.get(node_id, [])]
@@ -687,11 +699,11 @@ def backpropagate(tree: IdeationTree) -> IdeationTree:
     """Bring FE aggregates up to date and return the same tree.
 
     An FE node's aggregate is the arithmetic mean of its evaluated MT
-    children's raw scores, in child order, unset when it has none. Only
-    the FE nodes in the tree's dirty set are recomputed, and the set is
-    then cleared; every other FE aggregate is already current. Each
-    recomputed aggregate is written to the node and to its row of the
-    FE table. The result equals a full recompute of every FE node, float
+    children's raw scores, added in child order (``sum_in_order``),
+    unset when it has none. Only the FE nodes in the tree's dirty set
+    are recomputed, and the set is then cleared; every other FE
+    aggregate is already current. Each recomputed aggregate is written
+    to the node and to its row of the FE table. The result equals a full recompute of every FE node, float
     for float. Idempotent, and independent of insertion order. The cost
     is that of the dirty FE nodes' children, not of the tree.
 
@@ -705,7 +717,7 @@ def backpropagate(tree: IdeationTree) -> IdeationTree:
     tree._root_rows = len(table)
     for fe_id in tree._dirty_fe:
         scores = [c.raw_score for c in tree.evaluated_mt_children(fe_id)]
-        aggregate = float(sum(scores) / len(scores)) if scores else None
+        aggregate = float(sum_in_order(scores) / len(scores)) if scores else None
         tree.nodes[fe_id].aggregated_score = aggregate
         table.set_aggregate(fe_id, aggregate)
     tree._dirty_fe.clear()

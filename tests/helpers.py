@@ -122,6 +122,38 @@ def reference_sample_scored_fe(
     return picked
 
 
+def reference_numpy_draw(
+    oriented,
+    temperature: float,
+    node_ids,
+    k: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, list[int], list[bytes]]:
+    """The softmax draw on numpy arrays alone, whatever the number of
+    candidates: a max-shifted softmax over ``oriented`` as one float64
+    array, then up to ``k`` draws without replacement, each handing
+    ``rng.choice`` the probabilities left renormalized by their
+    ``sum()`` and deleting the one drawn, until every probability left
+    is zero. Returns the probabilities, the ids drawn and the bytes of
+    each vector handed to ``choice``."""
+    arr = np.asarray(oriented, dtype=float)
+    e = np.exp((arr - arr.max()) / temperature)
+    probabilities = e / e.sum()
+    ids = list(range(len(arr)) if node_ids is None else node_ids)
+    probs = probabilities
+    picked, vectors = [], []
+    for _ in range(min(k, len(ids))):
+        total = probs.sum()
+        if total == 0:
+            break
+        p = probs / total
+        vectors.append(p.tobytes())
+        idx = int(rng.choice(len(ids), p=p))
+        picked.append(int(ids.pop(idx)))
+        probs = np.delete(probs, idx)
+    return probabilities, picked, vectors
+
+
 def full_record(node: Node) -> dict:
     """Every field of a node, read afresh, the unset ones as None: a
     node record as logs held it before records left unset fields out."""

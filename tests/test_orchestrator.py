@@ -434,22 +434,34 @@ def test_min_anchors_cannot_exceed_max():
         RunConfig.from_dict({"number_of_ideas_min": 6, "number_of_ideas_max": 5})
 
 
+_ANCHOR_PROBLEM = (
+    "number_of_ideas_min (2) exceeds the 1 anchors predict_before_evaluate can build:"
+    " min(number_of_ideas_modelling, number_of_ideas_max) + number_of_ideas_data - 1")
+_BATCH_PROBLEM = (
+    "predict_before_evaluate needs number_of_ideas_modelling of at least 2:"
+    " prediction prunes only a batch of two or more fresh MT ideas, and no"
+    " batch holds more than number_of_ideas_modelling")
+
+
 def test_a_predicting_config_whose_anchor_sweeps_cannot_reach_the_minimum_is_refused():
     """With one FE idea and one MT idea, the sweeps gather one anchor,
-    and such a run used to turn prediction off with only a warning."""
+    and such a run used to turn prediction off with only a warning.
+    One MT idea per batch also leaves nothing to prune, which is a
+    problem of its own."""
     doc = {"number_of_ideas_data": 1, "number_of_ideas_modelling": 1,
            "predict_before_evaluate": True}
     with pytest.raises(ConfigInvalid) as exc_info:
         RunConfig.from_dict(doc)
-    assert exc_info.value.problems == [
-        "number_of_ideas_min (2) exceeds the 1 anchors predict_before_evaluate can build:"
-        " min(number_of_ideas_modelling, number_of_ideas_max) + number_of_ideas_data - 1"]
+    assert exc_info.value.problems == [_ANCHOR_PROBLEM, _BATCH_PROBLEM]
     RunConfig.from_dict({**doc, "predict_before_evaluate": False})
-    RunConfig.from_dict({**doc, "number_of_ideas_min": 1})
+    assert RunConfig(**doc, number_of_ideas_min=1).problems() == [_BATCH_PROBLEM]
+    with pytest.raises(ConfigInvalid) as exc_info:
+        RunConfig.from_dict({**doc, "number_of_ideas_data": 2})
+    assert exc_info.value.problems == [_BATCH_PROBLEM]
 
 
 @pytest.mark.parametrize("data, modelling, most", [
-    (1, 1, 5), (1, 2, 5), (2, 1, 5), (1, 3, 2), (3, 3, 4), (3, 2, 2), (2, 3, 5),
+    (1, 2, 1), (1, 2, 5), (2, 2, 5), (1, 3, 2), (3, 3, 4), (3, 2, 2), (2, 3, 5),
 ])
 def test_the_anchor_rule_allows_what_the_sweeps_gather(data, modelling, most):
     """With ports that never fail, the run's anchor sweeps gather as many
@@ -782,7 +794,9 @@ def _valid_search_docs(draw) -> dict:
     doc.update({name: draw(st.sampled_from(values)) for name, values in _ENUM_KNOBS.items()})
     low, high = sorted(draw(st.lists(st.integers(1, 3), min_size=2, max_size=2)))
     if doc["predict_before_evaluate"]:
-        # no more anchors than the two sweeps can gather
+        # batches of at least two to prune, and no more anchors than
+        # the two sweeps can gather
+        doc["number_of_ideas_modelling"] = max(2, doc["number_of_ideas_modelling"])
         low = min(low, min(doc["number_of_ideas_modelling"], high)
                   + doc["number_of_ideas_data"] - 1)
     doc.update(

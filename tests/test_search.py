@@ -16,7 +16,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ideatree.errors import (
@@ -34,10 +34,12 @@ from ideatree.evaluation import EvalMode
 from ideatree.events import EventKind, RunLog
 from ideatree.generation import SegmentTag
 from ideatree.search import (
+    SMALL_DRAW,
     MergeMemory,
     PendingSet,
     _book_merge,
     _draw_index,
+    _pairwise_sum,
     _sample_scored_fe,
     adding_stage,
     draw_merge_pairs,
@@ -65,6 +67,7 @@ from helpers import (
     attach_evaluated_fe,
     make_world,
     of_kind,
+    reference_numpy_draw,
     reference_sample_scored_fe,
 )
 
@@ -157,13 +160,17 @@ def test_draw_index_matches_generator_choice(weights, seed):
     same state, draw after draw."""
     w = np.asarray(weights, dtype=float)
     p = w / w.sum()
-    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    ours, listed = np.random.default_rng(seed), np.random.default_rng(seed)
+    theirs = np.random.default_rng(seed)
     for _ in range(5):
         got = _draw_index(p, ours)
         assert type(got) is int
         assert got == theirs.choice(len(p), p=p)
         assert p[got] > 0
         assert ours.bit_generator.state == theirs.bit_generator.state
+        # the small draws hand it a list of the same floats
+        assert _draw_index(p.tolist(), listed) == got
+        assert listed.bit_generator.state == theirs.bit_generator.state
 
 
 class _FixedUniform:
@@ -179,6 +186,7 @@ def test_draw_index_skips_zero_mass_at_cdf_steps(u, index):
     """A uniform draw equal to a cdf value goes to the next entry with
     mass, as in ``Generator.choice``: never to an entry of zero mass."""
     assert _draw_index(np.array([0.0, 0.5, 0.0, 0.5]), _FixedUniform(u)) == index
+    assert _draw_index([0.0, 0.5, 0.0, 0.5], _FixedUniform(u)) == index
 
 
 def test_sample_without_replacement_basics():
@@ -202,6 +210,65 @@ def test_sample_without_replacement_stops_when_the_mass_left_is_zero():
     # the one draw consumed the stream as an ordinary draw does
     assert reference.choice(3, p=dist.probabilities) == 0
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+# ---- small draws on Python floats ----
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, SMALL_DRAW).flatmap(lambda n: st.lists(
+    st.one_of(st.floats(0.0, 1.0), st.floats(-1e150, 1e150), st.just(-0.0)),
+    min_size=n, max_size=n)))
+@example([-0.0] * 9)
+def test_pairwise_sum_is_numpys_sum(values):
+    """The small draws' totals are numpy's, float for float, at every
+    size they take: a numpy whose summation order changed fails here
+    rather than moving run trajectories."""
+    want = float(np.sum(np.asarray(values, dtype=float)))
+    assert np.float64(_pairwise_sum(values)).tobytes() == np.float64(want).tobytes()
+
+
+@st.composite
+def _draw_cases(draw):
+    """Scores on both sides of the cut-off, some spread far enough that
+    all but one probability underflows, with ids as a list, an array
+    or not given."""
+    n = draw(st.integers(1, SMALL_DRAW + 8))
+    score = draw(st.sampled_from((st.floats(-1e6, 1e6), st.sampled_from((1e6, -1e6, 0.0)),
+                                  st.floats(-3.0, 3.0))))
+    scores = draw(st.lists(score, min_size=n, max_size=n))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    ids = draw(st.sampled_from((ids, np.asarray(ids, dtype=np.int64), None)))
+    return (scores, draw(st.booleans()), draw(st.floats(0.05, 100.0)),
+            draw(st.sampled_from((HIGHER, LOWER))), ids, draw(st.integers(0, n + 1)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_draw_cases())
+@example(([1e6, -1e6, -1e6], False, 0.05, HIGHER, [7, 8, 9], 2, 3))
+@example(([1e6, -1e6, -1e6], True, 0.05, LOWER, None, 4, 3))
+def test_softmax_draws_match_the_numpy_reference(case):
+    """Below and above ``SMALL_DRAW``, a softmax draw computes the
+    probabilities the numpy-only draw computes, inverts the same
+    vectors it hands ``rng.choice``, float for float, picks the same
+    ids and leaves the generator in the same state."""
+    scores, as_array, temperature, metric, ids, k, seed = case
+    oriented = metric.orient(np.asarray(scores, dtype=float))
+    if not as_array:
+        oriented = oriented.tolist()
+    reference = np.random.default_rng(seed)
+    probabilities, expected, vectors = reference_numpy_draw(
+        oriented, temperature, ids, k, reference)
+    dist = softmax_select(oriented, temperature, ids)
+    assert dist.probabilities.dtype == np.float64
+    assert dist.probabilities.tobytes() == probabilities.tobytes()
+    rng = _RecordingRng(seed)
+    with mock.patch("ideatree.search._draw_index", _recording_draw_index):
+        got = dist.sample_without_replacement(k, rng)
+    assert got == expected
+    assert all(type(i) is int for i in got)
+    assert rng.vectors == vectors
+    assert rng.inner.bit_generator.state == reference.bit_generator.state
 
 
 # ---- sample_top ----

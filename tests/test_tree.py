@@ -29,6 +29,7 @@ from ideatree.tree import (
     NodeStatus,
     Provenance,
     backpropagate,
+    sum_in_order,
 )
 
 from helpers import (
@@ -163,6 +164,31 @@ def test_root_mean_is_the_one_the_last_backpropagate_left():
     backpropagate(tree)
     assert tree.nodes[carried.id].aggregated_score is None
     assert tree.root.aggregated_score == 2.0
+
+
+# scores whose left-to-right sum is 0.0 and whose exact sum is 2.0
+_ORDER_SENSITIVE = [0.1] * 10 + [1e16, 1.0, -1e16]
+
+
+def test_aggregates_add_their_scores_left_to_right():
+    """An FE aggregate and the root mean add their terms one after
+    another, as the built-in ``sum`` did up to Python 3.11; since 3.12
+    that compensates, and on these scores gives the exact 2.0."""
+    assert math.fsum(_ORDER_SENSITIVE) == 2.0
+    assert sum_in_order(_ORDER_SENSITIVE) == 0.0
+    assert sum_in_order(_ORDER_SENSITIVE[1:], _ORDER_SENSITIVE[0]) == 0.0
+    tree = IdeationTree.create("root")
+    fe = tree.spawn(tree.root_id, NodeLevel.FE, "fe")
+    for score in _ORDER_SENSITIVE:
+        tree.mark_evaluated(tree.spawn(fe.id, NodeLevel.MT, "mt").id, score)
+    backpropagate(tree)
+    assert tree.nodes[fe.id].aggregated_score == 0.0
+    tree = IdeationTree.create("root")
+    for score in _ORDER_SENSITIVE:
+        parent = tree.spawn(tree.root_id, NodeLevel.FE, "fe")
+        tree.mark_evaluated(tree.spawn(parent.id, NodeLevel.MT, "mt").id, score)
+    backpropagate(tree)
+    assert tree.root.aggregated_score == 0.0
 
 
 def test_backpropagate_oracle_1000_random_trees():
