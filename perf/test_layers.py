@@ -227,14 +227,16 @@ def test_synthetic_merge_fe(benchmark, grow_run, grow_ports):
 def test_spawn(benchmark, grow_run, grow_ports):
     """The final tree's nodes spawned into a fresh tree in id order,
     each under its parent with its provenance, about 5,200 spawns, as a
-    stage spawns them: through ``PendingSet.spawn``, which also logs
-    each node's ``node_proposed`` event, here to an in-memory log."""
+    run spawns them: through ``PendingSet.spawn``, the root too, as
+    ``initialize_tree`` does, which also logs each node's
+    ``node_proposed`` event, here to an in-memory log."""
     nodes = sorted(grow_run.result.tree.nodes.values(), key=lambda node: node.id)
     root, rest = nodes[0], nodes[1:]
 
     def grow() -> IdeationTree:
-        tree = IdeationTree.create(root.idea_text)
+        tree = IdeationTree()
         pending = PendingSet(tree, grow_ports.evaluator, (EvalMode.FULL,))
+        pending.spawn(None, NodeLevel.EDA, root.idea_text, status=NodeStatus.IMPLEMENTED)
         for node in rest:
             pending.spawn(node.parent_id, node.level, node.idea_text, provenance=node.provenance)
         return tree

@@ -87,7 +87,7 @@ class RunConfig:
     memory_size: int = 5
     memory_strategy: str = MemoryStrategy.RANDOM.value
     merge_epsilon: float = 0.0
-    rag_policy: str = ExternalQueryPolicy.ADAPTIVE.value
+    rag_policy: str = ExternalQueryPolicy.ALWAYS.value
     selection_mode: str = SelectionMode.FE_AGGREGATE.value
     sample_top_proportional: bool = False
     # log a checkpoint_written event (a log position, no file) per stage
@@ -151,7 +151,6 @@ class RunConfig:
     def from_dict(cls, doc: dict) -> "RunConfig":
         if not isinstance(doc, dict):
             raise ConfigInvalid([f"config document must be a mapping, got {type(doc).__name__}"])
-        doc = dict(doc)
         problems: list[str] = []
         known = {f.name for f in fields(cls)}
         unknown = sorted(set(doc) - known)
@@ -160,12 +159,6 @@ class RunConfig:
         kwargs: dict[str, Any] = {}
         for key in set(doc) & known:
             kwargs[key] = doc[key]
-
-        # memory_size accepts the string alias "nearest_nodes", meaning:
-        # similarity-based recall with the default size
-        if kwargs.get("memory_size") == "nearest_nodes":
-            kwargs["memory_size"] = cls.memory_size
-            kwargs.setdefault("memory_strategy", MemoryStrategy.NEAREST.value)
         for name, section_cls in (("synthetic", SyntheticConfig), ("endpoint", EndpointConfig)):
             if name in kwargs:
                 section = _section(name, kwargs.pop(name), section_cls, problems)

@@ -250,8 +250,9 @@ def iter_log(path: Path, *, partial: bool = False) -> Iterator[dict]:
     decodes each line's bytes, and json decodes again, from UTF-8, only
     a line that orjson refuses, as ``decode_json`` does. A record is the
     dict its line decodes to, with its ``kind`` the string the line
-    holds; a ``seq`` that is not an int and a ``ts`` that is not a float
-    (a ``ts`` of ``1`` reads as ``1.0``) are converted in place. So the
+    holds. Its ``seq`` is an int or an integral float (``4.0`` reads as
+    ``4``) and its ``ts`` an int or a float (``1`` reads as ``1.0``),
+    converted in place; any other value makes the line bad. So the
     records equal ``json.loads``'s reading of each line, those two
     fields converted, but for one difference: an integer outside
     [-2**63, 2**64) decodes as a float."""
@@ -277,8 +278,12 @@ def iter_log(path: Path, *, partial: bool = False) -> Iterator[dict]:
                     record = json.loads(line.decode("utf-8"))
                 seq = record["seq"]
                 if type(seq) is not int:
+                    if type(seq) is not float or not seq.is_integer():
+                        raise TypeError(f"seq {seq!r} is not an integer")
                     seq = record["seq"] = int(seq)
                 if type(record["ts"]) is not float:
+                    if type(record["ts"]) is not int:
+                        raise TypeError(f"ts {record['ts']!r} is not a number")
                     record["ts"] = float(record["ts"])
                 kind = record["kind"]
                 if kind not in _KIND_VALUES:

@@ -136,7 +136,6 @@ def select_context_nodes(
 class ExternalQueryPolicy(str, Enum):
     ALWAYS = "always"
     NEVER = "never"
-    ADAPTIVE = "adaptive"
 
 
 def gate_external_query(
@@ -148,9 +147,9 @@ def gate_external_query(
 ) -> list[Segment]:
     """Maybe ask the generator for external references and append them
     as external segments, at most ``cap`` per call. NEVER short-circuits
-    without consulting the generator; ADAPTIVE lets the generator decide
-    (returning nothing is a valid decision). Retrieval failures are
-    logged and treated as an empty result."""
+    without consulting the generator; ALWAYS asks it, and it may return
+    nothing. Retrieval failures are logged and treated as an empty
+    result."""
     if policy is ExternalQueryPolicy.NEVER:
         return []
     try:
@@ -169,7 +168,7 @@ def _retrieve_external(retriever: Optional[FileCorpusRetriever], k: int,
     ``fallback`` while the context is empty; none without a retriever."""
     if retriever is None:
         return []
-    segments = ctx._segments
+    segments = ctx.segments
     query = segments[-1].text if segments else fallback
     return [f"{d.title}: {d.body}" for d in retriever.retrieve(query, k)]
 
@@ -327,9 +326,12 @@ def request_completion(
     if response.status_code != 200:
         raise TransportFailure(f"endpoint returned HTTP {response.status_code}")
     try:
-        return response.json()["choices"][0]["message"]["content"]
+        content = response.json()["choices"][0]["message"]["content"]
     except (ValueError, KeyError, IndexError, TypeError) as exc:
         raise MalformedResponse(f"unexpected response shape: {exc}") from exc
+    if not isinstance(content, str):
+        raise MalformedResponse(f"reply content is {type(content).__name__}, not text")
+    return content
 
 
 def complete_with_retries(

@@ -377,13 +377,6 @@ class IdeationTree:
 
     # ---- construction ----
 
-    @classmethod
-    def create(cls, root_idea: str) -> "IdeationTree":
-        """Make a tree holding just the EDA root."""
-        tree = cls()
-        tree.spawn(None, NodeLevel.EDA, root_idea, status=NodeStatus.IMPLEMENTED)
-        return tree
-
     def add_node(self, parent_id: Optional[int], node: Node) -> Node:
         """Attach ``node`` under ``parent_id`` after validating structure.
 
@@ -440,11 +433,6 @@ class IdeationTree:
         return Node(id=self._next_id, level=level, parent_id=parent_id, idea_text=idea_text,
                     provenance=provenance or _GENERATED, created_iteration=self.iteration,
                     **fields)
-
-    def spawn(self, parent_id: Optional[int], level: NodeLevel, idea_text: str,
-              **fields) -> Node:
-        """Build (``new_node``) and attach a new node in one step."""
-        return self.add_node(parent_id, self.new_node(parent_id, level, idea_text, **fields))
 
     def apply(self, record: dict, built: Optional[Node] = None) -> None:
         """Change the tree as one event record says: ``node_proposed``
@@ -527,9 +515,6 @@ class IdeationTree:
         parts = aggregates[~np.isnan(aggregates)].tolist()
         self.nodes[self._root_id].aggregated_score = (
             float(sum_in_order(parts) / len(parts)) if parts else None)
-
-    def children(self, node_id: int) -> list[Node]:
-        return [self.nodes[c] for c in self._children.get(node_id, [])]
 
     def nodes_at_level(self, level: NodeLevel) -> list[Node]:
         """Nodes of one level in attach order (a fresh list)."""

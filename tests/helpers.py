@@ -39,23 +39,42 @@ def of_kind(log: RunLog, kind: EventKind) -> list[dict]:
     return [e for e in log.events if e["kind"] == kind]
 
 
+def new_tree(root_idea: str) -> IdeationTree:
+    """A tree holding just its implemented EDA root."""
+    tree = IdeationTree()
+    spawn(tree, None, NodeLevel.EDA, root_idea, status=NodeStatus.IMPLEMENTED)
+    return tree
+
+
+def spawn(tree: IdeationTree, parent_id: int | None, level: NodeLevel, idea_text: str,
+          **fields) -> Node:
+    """Build a node with the tree's next id (``new_node``) and attach it
+    under ``parent_id`` (``add_node``)."""
+    return tree.add_node(parent_id, tree.new_node(parent_id, level, idea_text, **fields))
+
+
+def children(tree: IdeationTree, node_id: int) -> list[Node]:
+    """The nodes the tree lists under ``node_id``, in attach order."""
+    return [tree.nodes[child_id] for child_id in tree._children.get(node_id, [])]
+
+
 def build_random_tree(rng: np.random.Generator, max_nodes: int = 100) -> IdeationTree:
     """Grow a legal tree by random spawn operations.
 
     Roughly a third of MT nodes are left unevaluated or failed so that
     aggregation code sees every status mix.
     """
-    tree = IdeationTree.create("root analysis")
+    tree = new_tree("root analysis")
     n_fe = int(rng.integers(1, 8))
     fe_ids = []
     for i in range(n_fe):
-        fe = tree.spawn(tree.root.id, NodeLevel.FE, f"fe idea {i}")
+        fe = spawn(tree, tree.root.id, NodeLevel.FE, f"fe idea {i}")
         fe.status = NodeStatus.IMPLEMENTED
         fe_ids.append(fe.id)
     budget = max_nodes - len(tree.nodes)
     while budget > 0 and rng.random() < 0.95:
         fe_id = int(rng.choice(fe_ids))
-        mt = tree.spawn(fe_id, NodeLevel.MT, f"mt idea {len(tree.nodes)}")
+        mt = spawn(tree, fe_id, NodeLevel.MT, f"mt idea {len(tree.nodes)}")
         roll = rng.random()
         if roll < 0.66:
             tree.mark_evaluated(mt.id, float(rng.normal(0.0, 10.0)))
@@ -339,13 +358,13 @@ def make_world(
     gen = SyntheticGenerator(syn, seed)
     clock = SimulatedClock(budget)
     evaluator = SimulatedEvaluator(syn, metric, seed=seed)
-    tree = IdeationTree.create("root analysis")
+    tree = new_tree("root analysis")
     ctx = ContextState()
     for text in gen.propose_fe(ctx, n_fe):
-        fe = tree.spawn(tree.root.id, NodeLevel.FE, text)
+        fe = spawn(tree, tree.root.id, NodeLevel.FE, text)
         fe.status = NodeStatus.IMPLEMENTED
         for t in gen.propose_mt(fe, ctx, m_mt):
-            mt = tree.spawn(fe.id, NodeLevel.MT, t)
+            mt = spawn(tree, fe.id, NodeLevel.MT, t)
             tree.mark_evaluated(mt.id, evaluator.evaluate(mt, EvalMode.FULL))
     backpropagate(tree)
     ports = PortSet(task=TaskSpec(description="synthetic test world"), gen=gen,
@@ -361,10 +380,10 @@ def attach_evaluated_fe(
     tree: IdeationTree, scores: list[float], idea: str = "fe", vector: str | None = None
 ) -> int:
     """Spawn one FE node with the given evaluated MT children, return its id."""
-    fe = tree.spawn(tree.root.id, NodeLevel.FE, vector or idea)
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, vector or idea)
     fe.status = NodeStatus.IMPLEMENTED
     for k, s in enumerate(scores):
-        mt = tree.spawn(fe.id, NodeLevel.MT, vector or f"{idea} mt {k}")
+        mt = spawn(tree, fe.id, NodeLevel.MT, vector or f"{idea} mt {k}")
         tree.mark_evaluated(mt.id, s)
     return fe.id
 

@@ -50,9 +50,12 @@ from helpers import (
     LOWER,
     anchor_score_bounds,
     build_random_tree,
+    children,
     make_world,
+    new_tree,
     of_kind,
     oracle_aggregates,
+    spawn,
 )
 
 CRITERIA = {
@@ -101,7 +104,7 @@ def test_criterion_01_structural_invariants():
 
         parent_of: dict[int, int] = {}
         for node in tree.nodes.values():
-            for child in tree.children(node.id):
+            for child in children(tree, node.id):
                 assert child.id not in parent_of, "node listed under two parents"
                 parent_of[child.id] = node.id
         root = tree.root
@@ -285,11 +288,11 @@ def test_criterion_04_softmax_and_sampling():
     ]
     draws = 10_000
     for metric, scores, temperature, proportional in cases:
-        tree = IdeationTree.create("root")
-        fe = tree.spawn(tree.root.id, NodeLevel.FE, "fe")
+        tree = new_tree("root")
+        fe = spawn(tree, tree.root.id, NodeLevel.FE, "fe")
         child_ids = []
         for k, raw in enumerate(scores):
-            mt = tree.spawn(fe.id, NodeLevel.MT, f"mt {k}")
+            mt = spawn(tree, fe.id, NodeLevel.MT, f"mt {k}")
             tree.mark_evaluated(mt.id, raw)
             child_ids.append(mt.id)
         oriented = [metric.orient(raw) for raw in scores]
@@ -373,12 +376,12 @@ def test_criterion_07_predictor_rank_fidelity():
     landscape = SyntheticConfig(dimension=2, full_cost=1.0, debug_cost=0.1, merge_bonus=0.0)
     evaluator = SimulatedEvaluator(landscape, HIGHER, seed=0)
     embedder = VectorIdeaEmbedding(dimension=2, radius=1.5)
-    tree = IdeationTree.create("root")
-    fe = tree.spawn(tree.root.id, NodeLevel.FE, render_idea_vector([0.0, 0.0]))
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, render_idea_vector([0.0, 0.0]))
     anchors = []
     for point in [(-0.8, -0.8), (-0.4, 0.4), (0.0, 0.0), (0.5, -0.5), (0.9, 0.9)]:
         text = render_idea_vector(point)
-        node = tree.spawn(fe.id, NodeLevel.MT, text)
+        node = spawn(tree, fe.id, NodeLevel.MT, text)
         raw = evaluator.evaluate(node, EvalMode.FULL)
         anchors.append(Anchor(
             description=text, true_score=raw, fe_node_id=fe.id,
@@ -392,7 +395,7 @@ def test_criterion_07_predictor_rank_fidelity():
     predicted, truth = [], []
     for _ in range(200):
         text = render_idea_vector(rng.uniform(-1, 1, 2))
-        node = tree.spawn(fe.id, NodeLevel.MT, text)
+        node = spawn(tree, fe.id, NodeLevel.MT, text)
         value = predictor.predict(text, anchor_set)
         assert low - 1e-12 <= value <= high + 1e-12
         predicted.append(value)

@@ -99,8 +99,6 @@ def test_every_imported_name_is_used():
 
 # defined names the package never reads, each with the reason it stays
 UNREAD_BY_THE_PACKAGE = {
-    "create": "IdeationTree.create: only tests build a tree with it, "
-              "which CHANGES.md records as a FOUND note",
     "restore": "IdeationTree.restore: bench/rep.py restores each run's "
                "final snapshot for its round-trip check",
     "root": "IdeationTree.root: the root with its aggregate computed on read, "
@@ -109,20 +107,23 @@ UNREAD_BY_THE_PACKAGE = {
 }
 
 
-def _defined_and_read(node: ast.AST, defined: set[str], read: set[str],
-                      enclosing: frozenset = frozenset()) -> None:
-    """Add to ``defined`` each function and class under ``node``, and to
-    ``read`` each name under it read as a ``Name`` or an ``Attribute``,
-    except inside a definition of that same name."""
+def _defined_and_read(node: ast.AST, defined: set[tuple[str, bool]],
+                      read: set[tuple[str, bool]], enclosing: frozenset = frozenset()) -> None:
+    """Add to ``defined`` each function and class under ``node``, as
+    ``(name, is a method)``, a method being a ``def`` in a class body;
+    and to ``read`` each name under it read, as ``(name, through an
+    attribute)`` for a ``Name`` or an ``Attribute``, except inside a
+    definition of that same name."""
     for child in ast.iter_child_nodes(node):
         inside = enclosing
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            defined.add(child.name)
+            method = isinstance(node, ast.ClassDef) and not isinstance(child, ast.ClassDef)
+            defined.add((child.name, method))
             inside = enclosing | {child.name}
         elif isinstance(child, ast.Name) and child.id not in enclosing:
-            read.add(child.id)
+            read.add((child.id, False))
         elif isinstance(child, ast.Attribute) and child.attr not in enclosing:
-            read.add(child.attr)
+            read.add((child.attr, True))
         _defined_and_read(child, defined, read, inside)
 
 
@@ -132,17 +133,22 @@ def test_every_defined_name_is_read_by_the_package():
     definition, or is exported, or is in UNREAD_BY_THE_PACKAGE. Dunder
     methods, which Python calls itself, are exempt.
 
-    The match is by name only, across all modules: a method passes when
-    anything of its name is read, so ``IdeationTree.spawn`` passes
-    because ``PendingSet.spawn`` has the same name."""
+    A method counts as read only when an attribute of its name is read
+    (``.name``), so a local variable of the same name does not hide it.
+    The match is otherwise by name only, across all modules: a method
+    passes when any object's attribute of its name is read."""
     import ideatree
 
-    defined: set[str] = set()
-    read: set[str] = set(ideatree.__all__)
+    defined: set[tuple[str, bool]] = set()
+    read: set[tuple[str, bool]] = set()
     for path in sorted(PACKAGE.rglob("*.py")):
         _defined_and_read(ast.parse(path.read_text(encoding="utf-8"), str(path)),
                           defined, read)
-    unread = {name for name in defined - read
-              if not (name.startswith("__") and name.endswith("__"))}
+    exported = set(ideatree.__all__)
+    by_attribute = {name for name, through_attribute in read if through_attribute} | exported
+    by_any = {name for name, _ in read} | exported
+    unread = {name for name, method in defined
+              if name not in (by_attribute if method else by_any)
+              and not (name.startswith("__") and name.endswith("__"))}
     assert sorted(unread - set(UNREAD_BY_THE_PACKAGE)) == []
     assert sorted(set(UNREAD_BY_THE_PACKAGE) - unread) == []

@@ -26,16 +26,16 @@ from ideatree.evaluation import (
     simulated_evaluate,
     subprocess_evaluate,
 )
-from ideatree.tree import IdeationTree, NodeLevel, Provenance
+from ideatree.tree import NodeLevel, Provenance
 
-from helpers import HIGHER, LOWER, reference_simulated_evaluate
+from helpers import HIGHER, LOWER, new_tree, reference_simulated_evaluate, spawn
 
 
 def _mt(idea, provenance=None, artifact=None):
-    tree = IdeationTree.create("root")
-    fe = tree.spawn(tree.root.id, NodeLevel.FE, "0.0,0.0")
-    extra = tree.spawn(tree.root.id, NodeLevel.FE, "0.1,0.1")
-    node = tree.spawn(fe.id, NodeLevel.MT, idea, provenance=provenance, code_artifact=artifact)
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, "0.0,0.0")
+    extra = spawn(tree, tree.root.id, NodeLevel.FE, "0.1,0.1")
+    node = spawn(tree, fe.id, NodeLevel.MT, idea, provenance=provenance, code_artifact=artifact)
     return node
 
 
@@ -78,12 +78,12 @@ def test_simulated_lower_better_flips():
 def test_simulated_merge_bonus():
     cfg = SyntheticConfig(dimension=1, merge_bonus=0.2)
     rng = np.random.default_rng(0)
-    tree = IdeationTree.create("root")
-    fe = tree.spawn(tree.root.id, NodeLevel.FE, "0.0")
-    a = tree.spawn(fe.id, NodeLevel.MT, "0.9")
-    b = tree.spawn(fe.id, NodeLevel.MT, "1.1")
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, "0.0")
+    a = spawn(tree, fe.id, NodeLevel.MT, "0.9")
+    b = spawn(tree, fe.id, NodeLevel.MT, "1.1")
     plain = simulated_evaluate(_mt("1.0"), cfg, HIGHER, rng)
-    merged_node = tree.spawn(fe.id, NodeLevel.MT, "1.0", provenance=Provenance.merged(a.id, b.id))
+    merged_node = spawn(tree, fe.id, NodeLevel.MT, "1.0", provenance=Provenance.merged(a.id, b.id))
     merged = simulated_evaluate(merged_node, cfg, HIGHER, rng)
     assert merged == pytest.approx(plain * 1.2)
 
@@ -139,12 +139,12 @@ def test_simulated_evaluator_matches_its_numpy_form(seed, dimension, data):
         merge_bonus=data.draw(st.just(0.0) | st.floats(-2.0, 2.0)),
     )
     metric = data.draw(st.sampled_from([HIGHER, LOWER]))
-    tree = IdeationTree.create("root")
-    fe = tree.spawn(tree.root.id, NodeLevel.FE, "fe")
-    a = tree.spawn(fe.id, NodeLevel.MT, "a")
-    b = tree.spawn(fe.id, NodeLevel.MT, "b")
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, "fe")
+    a = spawn(tree, fe.id, NodeLevel.MT, "a")
+    b = spawn(tree, fe.id, NodeLevel.MT, "b")
     provenance = Provenance.merged(a.id, b.id) if data.draw(st.booleans()) else None
-    node = tree.spawn(fe.id, NodeLevel.MT, render_idea_vector(data.draw(coords)),
+    node = spawn(tree, fe.id, NodeLevel.MT, render_idea_vector(data.draw(coords)),
                       provenance=provenance)
     expected = reference_simulated_evaluate(node, landscape, metric, seed)
     evaluator = SimulatedEvaluator(landscape, metric, seed)

@@ -308,6 +308,11 @@ def test_flush_that_fails_to_encode_keeps_its_events(tmp_path):
     '{"seq": 4, "ts": 0.0, "payload": {}}',
     "[1, 2, 3]",
     '{"seq": 4, "ts": 0.0, "kind": "stage_started", "payload": {"x": [1}',
+    '{"seq": 4.9, "ts": 0.0, "kind": "stage_started", "payload": {}}',
+    '{"seq": "4", "ts": 0.0, "kind": "stage_started", "payload": {}}',
+    '{"seq": true, "ts": 0.0, "kind": "stage_started", "payload": {}}',
+    '{"seq": 4, "ts": true, "kind": "stage_started", "payload": {}}',
+    '{"seq": 4, "ts": "0.0", "kind": "stage_started", "payload": {}}',
 ])
 @pytest.mark.parametrize("partial", [False, True])
 def test_bad_middle_line_names_its_line(run_dir, bad, partial):

@@ -53,9 +53,9 @@ from ideatree.generation import (
 )
 from ideatree.retrieval import FileCorpusRetriever
 from ideatree.scoring import Anchor, AnchorSet, LlmPredictor
-from ideatree.tree import IdeationTree, NodeLevel
+from ideatree.tree import NodeLevel
 
-from helpers import ReferenceGenerator, attach_evaluated_fe, reference_retrieve
+from helpers import ReferenceGenerator, attach_evaluated_fe, new_tree, reference_retrieve, spawn
 
 
 # ---- context state ----
@@ -87,7 +87,7 @@ def test_context_segments_tuple_is_readonly_view():
 # ---- memory selection ----
 
 def _vector_tree():
-    tree = IdeationTree.create("root")
+    tree = new_tree("root")
     # comma vectors at distinct angles so cosine distances are all different
     for text in ("1.0,0.0", "0.9,0.1", "0.0,1.0", "0.5,0.5"):
         attach_evaluated_fe(tree, [0.5], idea=text)
@@ -136,7 +136,7 @@ def test_select_context_nodes_embeds_once_and_ties_break_on_id(strategy, expecte
     """Vectors along one ray are at equal distance from the anchor, so
     the lower node id goes first in both directions; every node is
     embedded once."""
-    tree = IdeationTree.create("root")
+    tree = new_tree("root")
     for text in ("1.0,0.0", "0.0,1.0", "0.0,2.0", "1.0,1.0", "2.0,2.0", "3.0,0.0"):
         attach_evaluated_fe(tree, [0.5], idea=text)
     anchor = tree.fe_nodes()[0]
@@ -164,7 +164,7 @@ def test_select_context_nodes_random_excludes_anchor():
 
 
 def test_select_context_nodes_handles_small_pools():
-    tree = IdeationTree.create("root")
+    tree = new_tree("root")
     attach_evaluated_fe(tree, [0.5], idea="only one")
     anchor = tree.fe_nodes()[0]
     rng = np.random.default_rng(0)
@@ -210,10 +210,10 @@ def test_gate_external_failure_is_soft():
     assert ctx.revision == 0
 
 
-def test_gate_external_adaptive_respects_empty_decision():
+def test_gate_external_always_respects_empty_decision():
     ctx = ContextState()
     gen = StubGen(texts=[])
-    assert gate_external_query(ctx, ExternalQueryPolicy.ADAPTIVE, gen, cap=5) == []
+    assert gate_external_query(ctx, ExternalQueryPolicy.ALWAYS, gen, cap=5) == []
     assert gen.calls == 1
 
 
@@ -348,8 +348,8 @@ def test_synthetic_fe_within_bounds():
 def test_synthetic_mt_jitters_around_parent():
     space = SyntheticConfig(dimension=2, mt_jitter=0.01)
     gen = SyntheticGenerator(space, seed=2)
-    tree = IdeationTree.create("root")
-    fe = tree.spawn(tree.root.id, NodeLevel.FE, "1.0,1.0")
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, "1.0,1.0")
     for text in gen.propose_mt(fe, None, 10):
         vec = np.asarray(parse_idea_vector(text))
         assert np.linalg.norm(vec - np.array([1.0, 1.0])) < 0.2
@@ -358,9 +358,9 @@ def test_synthetic_mt_jitters_around_parent():
 def test_synthetic_merge_is_midpoint():
     space = SyntheticConfig(dimension=2)
     gen = SyntheticGenerator(space, seed=3)
-    tree = IdeationTree.create("root")
-    a = tree.spawn(tree.root.id, NodeLevel.FE, "0.0,0.0")
-    b = tree.spawn(tree.root.id, NodeLevel.FE, "1.0,2.0")
+    tree = new_tree("root")
+    a = spawn(tree, tree.root.id, NodeLevel.FE, "0.0,0.0")
+    b = spawn(tree, tree.root.id, NodeLevel.FE, "1.0,2.0")
     merged = parse_idea_vector(gen.merge_fe(a, b, None))
     assert merged == [0.5, 1.0]
 
@@ -395,10 +395,10 @@ def test_synthetic_ports_match_their_numpy_forms(seed, space, calls, data):
     and leaves the Generator in the same state: the same draws, of the
     same sizes, in the same order. Parents are a drawn point and
     whatever the calls made."""
-    tree = IdeationTree.create("root")
+    tree = new_tree("root")
     start = data.draw(st.lists(st.floats(-1e3, 1e3), min_size=space.dimension,
                                max_size=space.dimension))
-    nodes = [tree.spawn(tree.root.id, NodeLevel.FE, ",".join(map(repr, start)))]
+    nodes = [spawn(tree, tree.root.id, NodeLevel.FE, ",".join(map(repr, start)))]
     gen, ref = SyntheticGenerator(space, seed), ReferenceGenerator(space, seed)
     ctx = ContextState()
     for name, count, i, j in calls:
@@ -408,14 +408,14 @@ def test_synthetic_ports_match_their_numpy_forms(seed, space, calls, data):
         assert got == getattr(ref, name)(*args)
         assert gen._rng.bit_generator.state == ref._rng.bit_generator.state
         for text in got if isinstance(got, list) else [got]:
-            nodes.append(tree.spawn(tree.root.id, NodeLevel.FE, text))
+            nodes.append(spawn(tree, tree.root.id, NodeLevel.FE, text))
 
 
 def test_synthetic_ports_reject_a_point_of_another_dimension():
     gen = SyntheticGenerator(SyntheticConfig(dimension=2, merge_jitter=0.1), seed=5)
-    tree = IdeationTree.create("root")
-    flat = tree.spawn(tree.root.id, NodeLevel.FE, "1.0")
-    plane = tree.spawn(tree.root.id, NodeLevel.FE, "1.0,2.0")
+    tree = new_tree("root")
+    flat = spawn(tree, tree.root.id, NodeLevel.FE, "1.0")
+    plane = spawn(tree, tree.root.id, NodeLevel.FE, "1.0,2.0")
     state = gen._rng.bit_generator.state
     with pytest.raises(UnparseableIdea):
         gen.propose_mt(flat, None, 2)
@@ -427,7 +427,7 @@ def test_synthetic_ports_reject_a_point_of_another_dimension():
 def test_synthetic_enrich_and_external(corpus):
     space = SyntheticConfig(dimension=2)
     gen = SyntheticGenerator(space, seed=4, retriever=FileCorpusRetriever(corpus), retrieve_k=3)
-    tree = IdeationTree.create("root")
+    tree = new_tree("root")
     ctx = ContextState()
     note = gen.enrich_eda(tree, ctx)
     assert "1 nodes" in note
@@ -532,9 +532,9 @@ def test_llm_retries_then_succeeds(stub_server):
         (200, _chat_reply("merged plan")),
     ]
     gen = LlmGenerator(_endpoint(stub_server))
-    tree = IdeationTree.create("root")
-    a = tree.spawn(tree.root.id, NodeLevel.FE, "plan a")
-    b = tree.spawn(tree.root.id, NodeLevel.FE, "plan b")
+    tree = new_tree("root")
+    a = spawn(tree, tree.root.id, NodeLevel.FE, "plan a")
+    b = spawn(tree, tree.root.id, NodeLevel.FE, "plan b")
     assert gen.merge_fe(a, b, None) == "merged plan"
     assert len(_ScriptedHandler.requests_seen) == 2
 
@@ -553,6 +553,16 @@ def test_llm_malformed_shape_retries_then_fails(stub_server):
     gen = LlmGenerator(_endpoint(stub_server))
     with pytest.raises(RetriesExhausted):
         gen.propose_fe(ContextState(), 1)
+
+
+@pytest.mark.parametrize("content", [None, 3, ["idea"]])
+def test_llm_reply_whose_content_is_not_text_is_retried(stub_server, content):
+    """Some endpoints send ``"content": null``; that reply is malformed,
+    so the call retries rather than failing in the idea parser."""
+    _ScriptedHandler.script = [(200, _chat_reply(content)), (200, _chat_reply("idea one"))]
+    gen = LlmGenerator(_endpoint(stub_server))
+    assert gen.propose_fe(ContextState(), 1) == ["idea one"]
+    assert len(_ScriptedHandler.requests_seen) == 2
 
 
 def test_llm_wrong_idea_count_is_malformed(stub_server):
@@ -668,7 +678,7 @@ def test_import_loads_no_http_client():
 def test_llm_enrich_refreshes_memory_notes(stub_server):
     _ScriptedHandler.script = [(200, _chat_reply("dataset is imbalanced"))]
     gen = LlmGenerator(_endpoint(stub_server), memory_n=2)
-    tree = IdeationTree.create("root")
+    tree = new_tree("root")
     for text in ("ratios", "log transforms", "binning"):
         attach_evaluated_fe(tree, [0.5], idea=text)
     note = gen.enrich_eda(tree, ContextState())

@@ -35,14 +35,14 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 # workload, budget in cost units, and the digests of its seed-1 run
 GOLDEN = {
     "grow-25k": (10_000, {
-        CONFIG_COPY_FILENAME: "42c39d21a2beb066a9701cd1374548440fffa0b80b1ff0179d6c1c0d176915d1",
+        CONFIG_COPY_FILENAME: "6ce5b6f7d0123790d991e8ed72eb83c1e9f05cc8b61e18dc3ccfd350a28caa5f",
         LOG_FILENAME: "c4bcbb9f654df32fe99808bfd91b66a9cf1b6a1e07088061c7eeb0ab435351e9",
         FINAL_SNAPSHOT_FILENAME:
             "59fea66b4fbace87f2a0520a5a1de63781dd8fc019427fd3fba7b6612aa6d6b1",
         RESULT_FILENAME: "2c97995df68c208e762e83eeb797af956724b747b44b91edcb74ec50621aaf1b",
     }),
     "checkpoint-10k": (3_000, {
-        CONFIG_COPY_FILENAME: "83d5ccb5ab21765f4dd80d4e3eea1ba9f662ba9df00c180b4a2241fd1497c36d",
+        CONFIG_COPY_FILENAME: "b2d1f0f7e998b224ae93840044e637d4c8d46c7fba473943f39224f3a943e576",
         LOG_FILENAME: "4c50411655b198f1067b8c3761b9b7bd6a030409cf0a09aa19c95719eef309f7",
         FINAL_SNAPSHOT_FILENAME:
             "774e63dec2487da3240ab0550fecb67c32cdf0ecac7b96e8e00f93934e6871b9",

@@ -67,7 +67,7 @@ from ideatree.tree import (
     ProvenanceKind,
 )
 
-from helpers import FlakyEvaluator, RecordingEvaluator, SleepyEvaluator
+from helpers import FlakyEvaluator, RecordingEvaluator, SleepyEvaluator, children
 
 
 def _toy_task(rows: int) -> TaskSpec:
@@ -217,10 +217,18 @@ def test_bad_section_rejected(section, value, problem):
     assert exc_info.value.problems == [problem.format(section=section)]
 
 
-def test_memory_size_accepts_nearest_nodes_alias():
-    config = RunConfig.from_dict({"memory_size": "nearest_nodes"})
-    assert config.memory_size == RunConfig.memory_size
-    assert config.memory_strategy == "nearest"
+@pytest.mark.parametrize("doc, problem", [
+    ({"memory_size": "nearest_nodes"}, "memory_size must be int, got 'nearest_nodes'"),
+    ({"rag_policy": "adaptive"}, "rag_policy must be one of ['always', 'never'], got 'adaptive'"),
+], ids=["nearest_nodes", "adaptive"])
+def test_removed_spellings_are_refused(doc, problem):
+    with pytest.raises(ConfigInvalid) as exc_info:
+        RunConfig.from_dict(doc)
+    assert exc_info.value.problems == [problem]
+
+
+def test_rag_policy_defaults_to_always():
+    assert RunConfig().rag_policy == "always"
 
 
 def test_invalid_values_are_collected_not_first_only():
@@ -780,7 +788,7 @@ _BOOL_KNOBS = (
 )
 _ENUM_KNOBS = {
     "memory_strategy": ["nearest", "farthest", "random"],
-    "rag_policy": ["never", "adaptive", "always"],
+    "rag_policy": ["never", "always"],
     "selection_mode": ["fe_aggregate", "mt_literal"],
 }
 
@@ -1519,7 +1527,7 @@ def test_children_come_in_ascending_id_order(tmp_path):
     merged = [fe for fe in tree.fe_nodes() if fe.provenance.kind is ProvenanceKind.MERGED]
     assert any(len(tree.evaluated_mt_children(fe.id)) > 1 for fe in merged)
     for fe in tree.fe_nodes():
-        ids = [child.id for child in tree.children(fe.id)]
+        ids = [child.id for child in children(tree, fe.id)]
         assert ids == sorted(ids)
         assert [c.id for c in tree.evaluated_mt_children(fe.id)] == [
             i for i in ids if tree.nodes[i].status is NodeStatus.EVALUATED]

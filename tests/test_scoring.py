@@ -27,7 +27,7 @@ from ideatree.scoring import (
     parse_predicted_value,
 )
 from ideatree.setup_stages import TaskSpec
-from ideatree.tree import IdeationTree, NodeLevel, NodeStatus, backpropagate
+from ideatree.tree import NodeLevel, NodeStatus, backpropagate
 
 from helpers import (
     HIGHER,
@@ -36,6 +36,8 @@ from helpers import (
     RecordingEvaluator,
     anchor_score_bounds,
     attach_evaluated_fe,
+    new_tree,
+    spawn,
 )
 
 
@@ -51,7 +53,7 @@ def _anchor(mt_id, score, description=None, fe=1, arch="a"):
 
 def _prepared_tree(aggregates):
     """Tree with one evaluated-MT FE per aggregate value given."""
-    tree = IdeationTree.create("root")
+    tree = new_tree("root")
     for value in aggregates:
         attach_evaluated_fe(tree, [value], idea=render_idea_vector([value, 0.0]))
     backpropagate(tree)
@@ -174,7 +176,7 @@ def test_build_too_few_survivors():
 
 
 def test_build_validation():
-    tree = IdeationTree.create("root")
+    tree = new_tree("root")
     with pytest.raises(NoFeNodes):
         build_anchor_set(tree, _ports(_evaluator()), RunConfig(), ARCHS)
     tree2 = _prepared_tree([0.3])
@@ -272,13 +274,13 @@ def test_baseline_tracks_landscape_ranks():
     # the candidates live, which is what separates the similarities
     emb = VectorIdeaEmbedding(dimension=2, radius=1.5)
     rng = np.random.default_rng(7)
-    tree = IdeationTree.create("root")
-    fe = tree.spawn(tree.root.id, NodeLevel.FE, "0.0,0.0")
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, "0.0,0.0")
     anchor_points = [(-0.8, -0.8), (-0.4, 0.4), (0.0, 0.0), (0.5, -0.5), (0.9, 0.9)]
     anchors = []
     for i, point in enumerate(anchor_points, start=1):
         text = render_idea_vector(point)
-        node = tree.spawn(fe.id, NodeLevel.MT, text)
+        node = spawn(tree, fe.id, NodeLevel.MT, text)
         raw = evaluator.evaluate(node, EvalMode.FULL)
         anchors.append(_anchor(node.id, raw, description=text))
     anchor_set = AnchorSet(tuple(anchors), phase1_fe=fe.id, phase2_arch="x")
@@ -287,7 +289,7 @@ def test_baseline_tracks_landscape_ranks():
     for _ in range(200):
         point = rng.uniform(-1, 1, 2)
         text = render_idea_vector(point)
-        node = tree.spawn(fe.id, NodeLevel.MT, text)
+        node = spawn(tree, fe.id, NodeLevel.MT, text)
         predicted.append(predictor.predict(text, anchor_set))
         truth.append(evaluator.evaluate(node, EvalMode.FULL))
     rho = spearmanr(predicted, truth).statistic

@@ -36,79 +36,82 @@ from helpers import (
     HIGHER,
     LOWER,
     build_random_tree,
+    children,
+    new_tree,
     oracle_aggregates,
     oracle_best,
     reference_snapshot,
+    spawn,
 )
 
 
 def test_create_root_only():
-    tree = IdeationTree.create("look at the data")
+    tree = new_tree("look at the data")
     assert tree.root.level is NodeLevel.EDA
     assert tree.root.parent_id is None
     assert len(tree.nodes) == 1
 
 
 def test_spawn_respects_levels():
-    tree = IdeationTree.create("root")
-    fe = tree.spawn(tree.root.id, NodeLevel.FE, "fe")
-    mt = tree.spawn(fe.id, NodeLevel.MT, "mt")
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, "fe")
+    mt = spawn(tree, fe.id, NodeLevel.MT, "mt")
     assert mt.parent_id == fe.id
-    assert [c.id for c in tree.children(fe.id)] == [mt.id]
+    assert [c.id for c in children(tree, fe.id)] == [mt.id]
 
 
 def test_add_mt_under_root_rejected():
-    tree = IdeationTree.create("root")
+    tree = new_tree("root")
     with pytest.raises(LevelMismatch):
-        tree.spawn(tree.root.id, NodeLevel.MT, "mt under root")
+        spawn(tree, tree.root.id, NodeLevel.MT, "mt under root")
 
 
 def test_children_under_mt_rejected():
-    tree = IdeationTree.create("root")
-    fe = tree.spawn(tree.root.id, NodeLevel.FE, "fe")
-    mt = tree.spawn(fe.id, NodeLevel.MT, "mt")
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, "fe")
+    mt = spawn(tree, fe.id, NodeLevel.MT, "mt")
     with pytest.raises(LevelMismatch):
-        tree.spawn(mt.id, NodeLevel.MT, "grandchild")
+        spawn(tree, mt.id, NodeLevel.MT, "grandchild")
 
 
 def test_unknown_parent():
-    tree = IdeationTree.create("root")
+    tree = new_tree("root")
     with pytest.raises(UnknownParent):
         tree.add_node(99, Node(id=5, level=NodeLevel.FE, parent_id=99, idea_text="x"))
 
 
 def test_duplicate_id():
-    tree = IdeationTree.create("root")
-    fe = tree.spawn(tree.root.id, NodeLevel.FE, "fe")
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, "fe")
     with pytest.raises(DuplicateId):
         tree.add_node(tree.root.id, Node(id=fe.id, level=NodeLevel.FE, parent_id=None, idea_text="dup"))
 
 
 def test_second_root_rejected():
-    tree = IdeationTree.create("root")
+    tree = new_tree("root")
     with pytest.raises(InvariantViolation):
         tree.add_node(None, Node(id=7, level=NodeLevel.EDA, parent_id=None, idea_text="another root"))
 
 
 def test_merged_provenance_validation():
-    tree = IdeationTree.create("root")
-    a = tree.spawn(tree.root.id, NodeLevel.FE, "a")
-    b = tree.spawn(tree.root.id, NodeLevel.FE, "b")
-    merged = tree.spawn(tree.root.id, NodeLevel.FE, "a+b", provenance=Provenance.merged(a.id, b.id))
+    tree = new_tree("root")
+    a = spawn(tree, tree.root.id, NodeLevel.FE, "a")
+    b = spawn(tree, tree.root.id, NodeLevel.FE, "b")
+    merged = spawn(tree, tree.root.id, NodeLevel.FE, "a+b", provenance=Provenance.merged(a.id, b.id))
     assert merged.provenance.sources == (a.id, b.id)
     # same node twice is not a valid pair
     with pytest.raises(InvariantViolation):
-        tree.spawn(tree.root.id, NodeLevel.FE, "bad", provenance=Provenance.merged(a.id, a.id))
+        spawn(tree, tree.root.id, NodeLevel.FE, "bad", provenance=Provenance.merged(a.id, a.id))
     # cross-level sources are rejected
-    mt = tree.spawn(a.id, NodeLevel.MT, "mt")
+    mt = spawn(tree, a.id, NodeLevel.MT, "mt")
     with pytest.raises(InvariantViolation):
-        tree.spawn(tree.root.id, NodeLevel.FE, "bad", provenance=Provenance.merged(mt.id, b.id))
+        spawn(tree, tree.root.id, NodeLevel.FE, "bad", provenance=Provenance.merged(mt.id, b.id))
 
 
 def test_non_finite_score_rejected():
-    tree = IdeationTree.create("root")
-    fe = tree.spawn(tree.root.id, NodeLevel.FE, "fe")
-    mt = tree.spawn(fe.id, NodeLevel.MT, "mt")
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, "fe")
+    mt = spawn(tree, fe.id, NodeLevel.MT, "mt")
     with pytest.raises(NonFiniteScore):
         tree.mark_evaluated(mt.id, float("nan"))
     with pytest.raises(NonFiniteScore):
@@ -116,10 +119,10 @@ def test_non_finite_score_rejected():
 
 
 def test_backpropagate_two_children_example():
-    tree = IdeationTree.create("root")
-    fe = tree.spawn(tree.root.id, NodeLevel.FE, "fe")
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, "fe")
     for s in (0.8, 0.6):
-        mt = tree.spawn(fe.id, NodeLevel.MT, "mt")
+        mt = spawn(tree, fe.id, NodeLevel.MT, "mt")
         tree.mark_evaluated(mt.id, s)
     backpropagate(tree)
     assert tree.nodes[fe.id].aggregated_score == pytest.approx(0.7, abs=1e-15)
@@ -127,20 +130,20 @@ def test_backpropagate_two_children_example():
 
 
 def test_backpropagate_ignores_unevaluated():
-    tree = IdeationTree.create("root")
-    fe = tree.spawn(tree.root.id, NodeLevel.FE, "fe")
-    mt1 = tree.spawn(fe.id, NodeLevel.MT, "mt1")
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, "fe")
+    mt1 = spawn(tree, fe.id, NodeLevel.MT, "mt1")
     tree.mark_evaluated(mt1.id, 2.0)
-    tree.spawn(fe.id, NodeLevel.MT, "mt2")  # stays proposed
-    mt3 = tree.spawn(fe.id, NodeLevel.MT, "mt3")
+    spawn(tree, fe.id, NodeLevel.MT, "mt2")  # stays proposed
+    mt3 = spawn(tree, fe.id, NodeLevel.MT, "mt3")
     tree.mark_failed(mt3.id)
     backpropagate(tree)
     assert tree.nodes[fe.id].aggregated_score == 2.0
 
 
 def test_backpropagate_empty_fe_unset():
-    tree = IdeationTree.create("root")
-    fe = tree.spawn(tree.root.id, NodeLevel.FE, "fe")
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, "fe")
     backpropagate(tree)
     assert tree.nodes[fe.id].aggregated_score is None
     assert tree.root.aggregated_score is None
@@ -151,14 +154,14 @@ def test_root_mean_is_the_one_the_last_backpropagate_left():
     the last backpropagate covered, so it reads as if taken then: an FE
     node attached later, even one carrying an aggregate, and a child
     scored later change it only at the next backpropagate."""
-    tree = IdeationTree.create("root")
-    fe = tree.spawn(tree.root_id, NodeLevel.FE, "fe")
-    first = tree.spawn(fe.id, NodeLevel.MT, "mt")
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root_id, NodeLevel.FE, "fe")
+    first = spawn(tree, fe.id, NodeLevel.MT, "mt")
     tree.mark_evaluated(first.id, 1.0)
     backpropagate(tree)
     carried = tree.new_node(tree.root_id, NodeLevel.FE, "carried", aggregated_score=5.0)
     tree.add_node(carried.parent_id, carried)
-    second = tree.spawn(fe.id, NodeLevel.MT, "mt")
+    second = spawn(tree, fe.id, NodeLevel.MT, "mt")
     tree.mark_evaluated(second.id, 3.0)
     assert tree.root.aggregated_score == 1.0
     backpropagate(tree)
@@ -177,16 +180,16 @@ def test_aggregates_add_their_scores_left_to_right():
     assert math.fsum(_ORDER_SENSITIVE) == 2.0
     assert sum_in_order(_ORDER_SENSITIVE) == 0.0
     assert sum_in_order(_ORDER_SENSITIVE[1:], _ORDER_SENSITIVE[0]) == 0.0
-    tree = IdeationTree.create("root")
-    fe = tree.spawn(tree.root_id, NodeLevel.FE, "fe")
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root_id, NodeLevel.FE, "fe")
     for score in _ORDER_SENSITIVE:
-        tree.mark_evaluated(tree.spawn(fe.id, NodeLevel.MT, "mt").id, score)
+        tree.mark_evaluated(spawn(tree, fe.id, NodeLevel.MT, "mt").id, score)
     backpropagate(tree)
     assert tree.nodes[fe.id].aggregated_score == 0.0
-    tree = IdeationTree.create("root")
+    tree = new_tree("root")
     for score in _ORDER_SENSITIVE:
-        parent = tree.spawn(tree.root_id, NodeLevel.FE, "fe")
-        tree.mark_evaluated(tree.spawn(parent.id, NodeLevel.MT, "mt").id, score)
+        parent = spawn(tree, tree.root_id, NodeLevel.FE, "fe")
+        tree.mark_evaluated(spawn(tree, parent.id, NodeLevel.MT, "mt").id, score)
     backpropagate(tree)
     assert tree.root.aggregated_score == 0.0
 
@@ -220,11 +223,11 @@ def test_backpropagate_idempotent():
 
 
 def test_best_evaluated_mt_orientation_and_ties():
-    tree = IdeationTree.create("root")
-    fe = tree.spawn(tree.root.id, NodeLevel.FE, "fe")
-    a = tree.spawn(fe.id, NodeLevel.MT, "a")
-    b = tree.spawn(fe.id, NodeLevel.MT, "b")
-    c = tree.spawn(fe.id, NodeLevel.MT, "c")
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, "fe")
+    a = spawn(tree, fe.id, NodeLevel.MT, "a")
+    b = spawn(tree, fe.id, NodeLevel.MT, "b")
+    c = spawn(tree, fe.id, NodeLevel.MT, "c")
     tree.mark_evaluated(a.id, 0.3)
     tree.mark_evaluated(b.id, 0.1)
     tree.mark_evaluated(c.id, 0.3)
@@ -233,7 +236,7 @@ def test_best_evaluated_mt_orientation_and_ties():
 
 
 def test_best_evaluated_mt_none_when_empty():
-    tree = IdeationTree.create("root")
+    tree = new_tree("root")
     assert tree.best_evaluated_mt(HIGHER) is None
 
 
@@ -248,7 +251,7 @@ def test_snapshot_roundtrip_byte_identical():
 
 
 def test_snapshot_declares_schema():
-    tree = IdeationTree.create("root")
+    tree = new_tree("root")
     doc = json.loads(tree.snapshot())
     assert doc["tree_schema"] == 2
 
@@ -266,8 +269,8 @@ def test_restore_rejects_garbage():
 
 
 def test_restore_rejects_generated_node_with_sources():
-    tree = IdeationTree.create("root")
-    tree.spawn(tree.root.id, NodeLevel.FE, "a")
+    tree = new_tree("root")
+    spawn(tree, tree.root.id, NodeLevel.FE, "a")
     doc = json.loads(tree.snapshot())
     doc["nodes"][1]["provenance"]["sources"] = [0]
     with pytest.raises(InvariantViolation):
@@ -275,8 +278,8 @@ def test_restore_rejects_generated_node_with_sources():
 
 
 def test_restore_rejects_duplicate_node_entries():
-    tree = IdeationTree.create("root")
-    fe = tree.spawn(tree.root.id, NodeLevel.FE, "fe")
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, "fe")
     doc = json.loads(tree.snapshot())
     clash = dict(doc["nodes"][1])
     clash["idea_text"] = "same id, different parent story"
@@ -306,9 +309,9 @@ def test_restore_rejects_two_roots():
 
 
 def _three_node_snapshot() -> dict:
-    tree = IdeationTree.create("root")
-    fe = tree.spawn(tree.root.id, NodeLevel.FE, "fe")
-    tree.spawn(fe.id, NodeLevel.MT, "mt")
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, "fe")
+    spawn(tree, fe.id, NodeLevel.MT, "mt")
     return json.loads(tree.snapshot())
 
 
@@ -337,9 +340,9 @@ def test_restore_rejects_a_snapshot_without_nodes():
 
 
 def test_restore_rejects_score_without_evaluated_status():
-    tree = IdeationTree.create("root")
-    fe = tree.spawn(tree.root.id, NodeLevel.FE, "fe")
-    mt = tree.spawn(fe.id, NodeLevel.MT, "mt")
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, "fe")
+    mt = spawn(tree, fe.id, NodeLevel.MT, "mt")
     tree.mark_evaluated(mt.id, 1.0)
     doc = json.loads(tree.snapshot())
     for rec in doc["nodes"]:
@@ -416,7 +419,7 @@ def test_restore_and_replay_reject_an_fe_node_attached_out_of_order():
 
 
 def test_fe_nodes_attach_in_ascending_id_order():
-    tree = IdeationTree.create("root")
+    tree = new_tree("root")
     late = Node(id=1, level=NodeLevel.FE, parent_id=None, idea_text="late")
     tree.add_node(tree.root.id, Node(id=2, level=NodeLevel.FE, parent_id=None, idea_text="early"))
     with pytest.raises(InvariantViolation):
@@ -426,11 +429,11 @@ def test_fe_nodes_attach_in_ascending_id_order():
 
 
 def test_ids_not_reused_after_restore():
-    tree = IdeationTree.create("root")
-    tree.spawn(tree.root.id, NodeLevel.FE, "fe")
+    tree = new_tree("root")
+    spawn(tree, tree.root.id, NodeLevel.FE, "fe")
     restored = IdeationTree.restore(tree.snapshot())
     used = set(restored.nodes)
-    fresh = restored.spawn(restored.root.id, NodeLevel.FE, "later fe")
+    fresh = spawn(restored, restored.root.id, NodeLevel.FE, "later fe")
     assert fresh.id not in used
 
 
@@ -446,7 +449,7 @@ def _full_recompute(tree: IdeationTree) -> dict:
     out = {}
     root_parts = []
     for fe in [n for n in tree.nodes.values() if n.level is NodeLevel.FE]:
-        scores = [c.raw_score for c in tree.children(fe.id) if c.status is NodeStatus.EVALUATED]
+        scores = [c.raw_score for c in children(tree, fe.id) if c.status is NodeStatus.EVALUATED]
         if scores:
             out[fe.id] = float(sum(scores) / len(scores))
             root_parts.append(out[fe.id])
@@ -462,10 +465,10 @@ def _apply_index_op(tree: IdeationTree, log: RunLog, op: str, data) -> IdeationT
     mts = [n.id for n in tree.nodes.values() if n.level is NodeLevel.MT]
     score = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
     if op == "fe":
-        node = tree.spawn(tree.root.id, NodeLevel.FE, "fe", status=NodeStatus.IMPLEMENTED)
+        node = spawn(tree, tree.root.id, NodeLevel.FE, "fe", status=NodeStatus.IMPLEMENTED)
         log.append(EventKind.NODE_PROPOSED, node=node.to_record())
     elif op == "mt" and fes:
-        node = tree.spawn(data.draw(st.sampled_from(fes)), NodeLevel.MT, "mt")
+        node = spawn(tree, data.draw(st.sampled_from(fes)), NodeLevel.MT, "mt")
         log.append(EventKind.NODE_PROPOSED, node=node.to_record())
     elif op in ("evaluate", "fail") and mts:
         node_id = data.draw(st.sampled_from(mts))
@@ -522,7 +525,7 @@ def test_indexes_match_full_scans(data):
     the brute-force oracle, and every index equals a scan of all nodes.
     The FE table is checked against a scan after every mutation too,
     restores and replays included."""
-    tree = IdeationTree.create("root")
+    tree = new_tree("root")
     log = RunLog()
     log.append(EventKind.NODE_PROPOSED, node=tree.root.to_record())
     for _ in range(data.draw(st.integers(1, 30))):
@@ -570,7 +573,7 @@ def _apply_best_op(tree: IdeationTree, log: RunLog, op: str, data) -> IdeationTr
         fes = [n.id for n in tree.nodes.values() if n.level is NodeLevel.FE]
         if fes:
             # non-ASCII text, and extreme values where they feed no mean
-            node = tree.spawn(
+            node = spawn(tree, 
                 data.draw(st.sampled_from(fes)), NodeLevel.MT, data.draw(st.text()),
                 code_artifact=data.draw(st.text()), status=NodeStatus.EVALUATED,
                 raw_score=data.draw(st.floats(-1e300, 1e300)),
@@ -584,7 +587,7 @@ def _apply_best_op(tree: IdeationTree, log: RunLog, op: str, data) -> IdeationTr
     elif op == "mt_scored":
         fes = [n.id for n in tree.nodes.values() if n.level is NodeLevel.FE]
         if fes:
-            node = tree.spawn(
+            node = spawn(tree, 
                 data.draw(st.sampled_from(fes)), NodeLevel.MT, "scored mt",
                 status=NodeStatus.EVALUATED,
                 raw_score=data.draw(st.floats(min_value=-1e3, max_value=1e3)),
@@ -611,7 +614,7 @@ def test_snapshot_and_running_best_match_cold_scans(data):
     running best is warm when scores change: every snapshot equals a
     cold encode of the whole tree, and the best evaluated MT node
     equals a full scan for either metric direction."""
-    tree = IdeationTree.create("root")
+    tree = new_tree("root")
     log = RunLog()
     log.append(EventKind.NODE_PROPOSED, node=tree.root.to_record())
     for _ in range(data.draw(st.integers(1, 30))):
@@ -627,9 +630,9 @@ def test_snapshot_and_running_best_match_cold_scans(data):
 def test_snapshot_encodes_equal_values_apart():
     """0.0 and -0.0, or 1, 1.0 and True, compare equal but encode
     apart; the snapshot keeps each as it was written."""
-    tree = IdeationTree.create("root")
-    fe = tree.spawn(tree.root.id, NodeLevel.FE, "fe")
-    mt = tree.spawn(fe.id, NodeLevel.MT, "mt")
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, "fe")
+    mt = spawn(tree, fe.id, NodeLevel.MT, "mt")
     tree.mark_evaluated(mt.id, -0.0)
     for predicted in (1, 1.0, True):
         mt.predicted_score = predicted
@@ -641,10 +644,10 @@ def test_snapshot_encodes_non_ascii_text_and_extreme_floats(text):
     """Non-ASCII and control characters in idea and code text, and
     floats at the edges of their repr, encode as a cold encode of the
     whole document encodes them."""
-    tree = IdeationTree.create(text)
-    fe = tree.spawn(tree.root.id, NodeLevel.FE, text)
+    tree = new_tree(text)
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, text)
     for value in (1e-05, 1e16, 5e-324, 1.7976931348623157e308, -0.0, 2**64 - 1):
-        mt = tree.spawn(fe.id, NodeLevel.MT, text, code_artifact=text * 2)
+        mt = spawn(tree, fe.id, NodeLevel.MT, text, code_artifact=text * 2)
         mt.predicted_score = value
         assert tree.snapshot() == reference_snapshot(tree)
     tree.mark_evaluated(mt.id, 1e-300)
@@ -656,14 +659,14 @@ def _tree_of(n_nodes: int) -> IdeationTree:
     """A tree of ``n_nodes`` nodes: the root, an FE node every tenth id
     and MT nodes under the latest one, every third scored and every
     fifth predicted, and the aggregates brought up to date."""
-    tree = IdeationTree.create("root")
+    tree = new_tree("root")
     fe = None
     while len(tree.nodes) < n_nodes:
         i = len(tree.nodes)
         if fe is None or i % 10 == 0:
-            fe = tree.spawn(tree.root_id, NodeLevel.FE, f"fe {i}")
+            fe = spawn(tree, tree.root_id, NodeLevel.FE, f"fe {i}")
             continue
-        mt = tree.spawn(fe.id, NodeLevel.MT, f"mt {i}",
+        mt = spawn(tree, fe.id, NodeLevel.MT, f"mt {i}",
                         predicted_score=i / 7 if i % 5 == 0 else None)
         if i % 3 == 0:
             tree.mark_evaluated(mt.id, i / 3)
@@ -705,11 +708,11 @@ def test_node_records_encode_with_sorted_keys():
     """A node record's keys come out sorted at every level, whatever
     order the record was built in, so equal nodes encode to equal
     bytes."""
-    tree = IdeationTree.create("root")
-    a = tree.spawn(tree.root.id, NodeLevel.FE, "a")
-    b = tree.spawn(tree.root.id, NodeLevel.FE, "b")
-    merged = tree.spawn(tree.root.id, NodeLevel.FE, "ab", provenance=Provenance.merged(a.id, b.id))
-    tree.spawn(merged.id, NodeLevel.MT, "mt", code_artifact="print(1)")
+    tree = new_tree("root")
+    a = spawn(tree, tree.root.id, NodeLevel.FE, "a")
+    b = spawn(tree, tree.root.id, NodeLevel.FE, "b")
+    merged = spawn(tree, tree.root.id, NodeLevel.FE, "ab", provenance=Provenance.merged(a.id, b.id))
+    spawn(tree, merged.id, NodeLevel.MT, "mt", code_artifact="print(1)")
     for node in tree.nodes.values():
         record = node.to_record()
         d = json.loads(encode_json(dict(reversed(record.items()))))

@@ -114,7 +114,7 @@ def test_no_log_and_no_clock_grow_the_tree_a_log_and_an_unbudgeted_clock_grow(st
 
 # the tree's methods that change it, and the attributes of a tree or a
 # node that only the tree may assign
-TREE_MUTATORS = {"add_node", "mark_evaluated", "mark_failed", "spawn"}
+TREE_MUTATORS = {"add_node", "mark_evaluated", "mark_failed"}
 TREE_ATTRIBUTES = {f.name for f in dataclasses.fields(Node)} | {"iteration"}
 
 
@@ -122,9 +122,7 @@ def test_only_the_tree_changes_a_tree():
     """Outside tree.py no module of the package calls a tree's mutators
     or assigns a node field or the iteration, so a run's tree changes
     only through ``IdeationTree.apply`` (and ``restore`` and
-    ``backpropagate``, in tree.py). A ``spawn`` on ``pending``, the
-    name every caller gives its ``PendingSet``, records a node and is
-    allowed."""
+    ``backpropagate``, in tree.py)."""
     package = Path(orchestrator.__file__).parent
     found = []
     for path in sorted(package.glob("*.py")):
@@ -132,9 +130,7 @@ def test_only_the_tree_changes_a_tree():
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                name = node.func.attr
-                if name in TREE_MUTATORS and not (
-                        name == "spawn" and ast.unparse(node.func.value) == "pending"):
+                if node.func.attr in TREE_MUTATORS:
                     found.append(f"{path.name}:{node.lineno}: {ast.unparse(node.func)}()")
             elif isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
