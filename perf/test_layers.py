@@ -1,7 +1,8 @@
 """Layer timings with pytest-benchmark: writing and reading the log,
 replay, the reports, snapshotting and restoring the tree, the tree
-ops, the softmax and merge-pair draws, the synthetic ports and the
-corpus retriever, on the inputs of a grow-25k run.
+ops, the softmax and merge-pair draws, the synthetic ports, the
+baseline predictor and the corpus retriever, on the inputs of a
+grow-25k run.
 
     python -m pytest perf --benchmark-only
 
@@ -13,12 +14,14 @@ and after a change go to ``BENCH_<pr>.json`` at the repository root.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 from workloads import write_corpus
 
 from ideatree.evaluation import EvalMode
 from ideatree.events import LOG_FILENAME, EventKind, RunLog, collector_paused, iter_log, read_log
-from ideatree.orchestrator import replay_events, verify_replay
+from ideatree.orchestrator import build_synthetic_ports, replay_events, verify_replay
 from ideatree.report import progress_report, run_summary
 from ideatree.retrieval import FileCorpusRetriever
 from ideatree.search import (
@@ -317,6 +320,25 @@ def test_draw_merge_pairs(benchmark, grow_run, grow_config):
 
 
 # ---- ports ----
+
+def test_baseline_predict(benchmark, grow_run, grow_config):
+    """One baseline prediction of every MT idea of the final tree, about
+    4,500, against the tree's first five evaluated MT nodes as anchors,
+    with the predictor the synthetic ports build for a predicting run."""
+    mt_nodes = grow_run.result.tree.nodes_at_level(NodeLevel.MT)
+    anchors = tuple([node for node in mt_nodes if node.status is NodeStatus.EVALUATED][:5])
+    config = dataclasses.replace(grow_config, predict_before_evaluate=True)
+    predict = build_synthetic_ports(config).predictor.predict
+    texts = [node.idea_text for node in mt_nodes]
+
+    def predict_all() -> list[float]:
+        return [predict(text, anchors) for text in texts]
+
+    predictions = benchmark(predict_all)
+    low, high = min(a.raw_score for a in anchors), max(a.raw_score for a in anchors)
+    assert len(anchors) == 5 and len(predictions) == len(mt_nodes) > 1000
+    assert all(low - 1e-12 <= value <= high + 1e-12 for value in predictions)
+
 
 def test_corpus_retrieve(benchmark, grow_run, tmp_path):
     """One top-k lookup over the ports-2.5k corpus of 200 documents, with

@@ -121,14 +121,6 @@ class ConfigInvalid(IdeaTreeError):
 
 # ---- scoring ----
 
-class NoFeNodes(IdeaTreeError):
-    """Anchor construction requires at least one scored mid-level node."""
-
-
-class EmptyAnchorSet(IdeaTreeError):
-    """Prediction requires a non-empty anchor set."""
-
-
 class AnchorConstructionFailed(IdeaTreeError):
     """Too few anchors survived evaluation to form a usable set."""
 

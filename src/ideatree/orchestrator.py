@@ -42,13 +42,14 @@ from .events import read_log  # noqa: F401
 from .generation import ContextState, IdeaGenerator, SegmentTag, SyntheticGenerator
 from .embedding import VectorIdeaEmbedding
 from .retrieval import FileCorpusRetriever
-from .scoring import AnchorSet, BaselinePredictor, Predictor, build_anchor_set, rank_fe_nodes
+from .scoring import BaselinePredictor, Predictor, build_anchor_set
 from .search import MergeMemory, PendingSet, adding_stage, evaluation_modes, merging_stage
 from .setup_stages import TaskSpec, pipeline_setup
 from .tree import (
     IdeationTree,
     MetricDirection,
     MetricSpec,
+    Node,
     NodeLevel,
     NodeStatus,
     backpropagate,
@@ -387,13 +388,13 @@ def _search(config: RunConfig, ports: PortSet, log: RunLog) -> RunResult:
 
         predict_fn = None
         if config.predict_before_evaluate and ports.predictor is not None:
-            anchor_set = _build_anchors(tree, ports, config, ctx, log, pool)
-            if anchor_set is not None:
+            anchors = _build_anchors(tree, ports, config, ctx, log, pool)
+            if anchors is not None:
                 predictor = ports.predictor
                 dataset_description = ports.task.description
 
                 def predict_fn(text: str) -> float:
-                    return predictor.predict(text, anchor_set, dataset_description)
+                    return predictor.predict(text, anchors, dataset_description)
 
         result = run_main_loop(
             tree, ctx, ports, config, log=log, predict_fn=predict_fn, pool=pool,
@@ -402,16 +403,14 @@ def _search(config: RunConfig, ports: PortSet, log: RunLog) -> RunResult:
 
 
 def _build_anchors(tree, ports: PortSet, config: RunConfig, ctx, log,
-                   pool: Optional[Executor]) -> Optional[AnchorSet]:
+                   pool: Optional[Executor]) -> Optional[tuple[Node, ...]]:
     """Anchor evaluations happen once, before the loop, outside the
     budget gate (like initialization). A failure that a port raises (an
     IdeaTreeError) while the anchors are proposed or built turns
     prediction off rather than killing the run; any other exception is
     a fault of the program and ends it."""
-    anchor_fe = rank_fe_nodes(tree.fe_nodes(), ports.metric)[0]
     try:
-        architectures = ports.gen.propose_mt(anchor_fe, ctx, config.number_of_ideas_modelling)
-        return build_anchor_set(tree, ports, config, architectures, log=log, pool=pool)
+        return build_anchor_set(tree, ctx, ports, config, log=log, pool=pool)
     except IdeaTreeError as exc:
         logger.warning("anchor construction failed, prediction disabled: %s", exc)
         return None

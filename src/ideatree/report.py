@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .errors import MalformedLeaderboardFile, MissingRunArtifacts
+from .errors import CorruptLog, MalformedLeaderboardFile, MissingRunArtifacts
 from .events import LOG_FILENAME, EventKind, collector_paused, iter_log
 # read_log stays importable here for bench/rep.py, whose --trace 1
 # patches it by this name
@@ -215,13 +215,20 @@ _HANDLERS = {
 def walk_run_log(run_dir: Path) -> _LogWalk:
     """One walk of a run directory's log, read as a stream, from which
     both the progress rows and the summary are taken. A crashed or
-    killed run's log is read too, up to its last whole line."""
+    killed run's log is read too, up to its last whole line. A record
+    whose payload lacks a field the walk reads, or holds one of the
+    wrong type, is a CorruptLog naming its seq."""
     path = Path(run_dir) / LOG_FILENAME
     if not path.exists():
         raise MissingRunArtifacts(f"no {LOG_FILENAME} in {run_dir}")
     walk = _LogWalk()
-    for event in iter_log(path, partial=True):
-        walk.feed(event)
+    # one try around the whole loop, none per record: a report pays the
+    # walk's per-record cost on every line of the log
+    try:
+        for event in iter_log(path, partial=True):
+            walk.feed(event)
+    except (LookupError, TypeError, ValueError) as exc:
+        raise CorruptLog(f"event {event['seq']} does not apply: {exc!r}") from exc
     return walk
 
 

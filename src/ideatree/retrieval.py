@@ -1,9 +1,10 @@
 """File-backed document retrieval for external context enrichment.
 
 The corpus is a directory of plain text files with a tiny header block
-(``source:`` and ``title:`` lines, then a blank line, then the body).
-Retrieval ranks documents by cosine similarity of hashed embeddings and
-is a pure function of corpus content, query, and k.
+(``source:`` and ``title:`` lines, then a blank line, then the body); a
+``source:`` line is a header line whose value nothing reads. Retrieval
+ranks documents by cosine similarity of hashed embeddings and is a pure
+function of corpus content, query, and k.
 
 A retriever reads and embeds its corpus once, at its first successful
 ``retrieve``, and ranks every later query against that index. A run
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -27,22 +27,14 @@ from .errors import RetrievalFailure
 logger = logging.getLogger(__name__)
 
 
-class DocumentSource(str, Enum):
-    PAPERS = "papers"
-    COMPETITIONS = "competitions"
-    LOCAL = "local"
-
-
 @dataclass(frozen=True)
 class Document:
-    source: DocumentSource
     title: str
     body: str
 
 
 def _parse_document(path: Path) -> Document:
     text = path.read_text(encoding="utf-8")
-    source = DocumentSource.LOCAL
     title = path.stem
     lines = text.splitlines()
     body_start = 0
@@ -51,21 +43,15 @@ def _parse_document(path: Path) -> Document:
         if not stripped:
             body_start = i + 1
             break
-        if stripped.lower().startswith("source:"):
-            value = stripped.split(":", 1)[1].strip().lower()
-            try:
-                source = DocumentSource(value)
-            except ValueError:
-                source = DocumentSource.LOCAL
-        elif stripped.lower().startswith("title:"):
+        if stripped.lower().startswith("title:"):
             title = stripped.split(":", 1)[1].strip()
-        else:
+        elif not stripped.lower().startswith("source:"):
             # no header block, the whole file is body
             body_start = 0
             break
         body_start = i + 1
     body = "\n".join(lines[body_start:]).strip()
-    return Document(source=source, title=title, body=body)
+    return Document(title=title, body=body)
 
 
 class FileCorpusRetriever:

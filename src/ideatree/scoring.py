@@ -1,12 +1,12 @@
 """Predictive scoring of model-training candidates from anchor examples.
 
 Cheap score estimates let the engine rank fresh candidates and spend
-full evaluations only on the promising half. Anchors are real evaluated
-nodes gathered in two sweeps: several architectures under the strongest
+full evaluations only on the promising half. Anchors are the evaluated
+MT nodes of two sweeps: several architectures under the strongest
 feature idea, then the winning architecture under each remaining feature
-idea. Predictors consume (description, score) pairs; the baseline one is
-a pure similarity-weighted mean used to verify the plumbing without an
-endpoint.
+idea. Predictors read each anchor's idea text and raw score; the
+baseline one is a pure similarity-weighted mean used to verify the
+plumbing without an endpoint.
 """
 
 from __future__ import annotations
@@ -15,19 +15,13 @@ import logging
 import re
 from concurrent.futures import Executor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Protocol
+from typing import TYPE_CHECKING, Optional, Protocol, Sequence
 
 from .embedding import cosine_similarity
-from .errors import (
-    AnchorConstructionFailed,
-    EmptyAnchorSet,
-    InvalidParams,
-    MalformedResponse,
-    NoFeNodes,
-)
+from .errors import AnchorConstructionFailed, MalformedResponse
 from .evaluation import EvalMode
 from .events import RunLog
-from .generation import EndpointConfig, _load_template, complete_with_retries
+from .generation import ContextState, EndpointConfig, _load_template, complete_with_retries
 from .search import PendingSet, softmax_select
 from .tree import (
     IdeationTree,
@@ -48,40 +42,12 @@ if TYPE_CHECKING:
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class Anchor:
-    """One evaluated reference point: what was tried and what it scored.
-
-    ``mt_node_id`` ties the anchor back to the tree node whose full
-    evaluation produced ``true_score``; it is also the canonical sort
-    key wherever anchor order must not matter.
-    """
-
-    description: str
-    true_score: float
-    fe_node_id: int
-    architecture_tag: str
-    mt_node_id: int
-
-
-@dataclass(frozen=True)
-class AnchorSet:
-    anchors: tuple[Anchor, ...]
-    phase1_fe: int
-    phase2_arch: str
-
-    def __post_init__(self):
-        if not self.anchors:
-            raise EmptyAnchorSet("anchor set cannot be empty")
-
-    def sorted_anchors(self) -> list[Anchor]:
-        return sorted(self.anchors, key=lambda a: a.mt_node_id)
-
-
 class Predictor(Protocol):
-    """Estimates the raw metric value a candidate would achieve."""
+    """Estimates the raw metric value a candidate would achieve from
+    ``anchors``, evaluated MT nodes, each read for its ``idea_text``
+    and ``raw_score`` in ascending id."""
 
-    def predict(self, candidate_description: str, anchor_set: AnchorSet,
+    def predict(self, candidate_description: str, anchors: Sequence[Node],
                 dataset_description: str) -> float: ...
 
 
@@ -102,75 +68,69 @@ def rank_fe_nodes(fe_nodes: list[Node], metric: MetricSpec) -> list[Node]:
 
 def build_anchor_set(
     tree: IdeationTree,
+    ctx: ContextState,
     ports: PortSet,
     config: RunConfig,
-    architectures: list[str],
     *,
     log: Optional[RunLog] = None,
     pool: Optional[Executor] = None,
-) -> AnchorSet:
-    """Gather anchors in two sweeps of real evaluations, with the ports'
-    evaluator, metric and clock.
+) -> tuple[Node, ...]:
+    """Gather the anchors, the evaluated MT nodes of two sweeps of real
+    evaluations, with the ports' generator, evaluator, metric and clock;
+    returned in ascending id.
 
-    Sweep one runs each architecture (up to ``number_of_ideas_max``)
-    under the feature node with the best oriented aggregate, ties to the
-    lowest id. Sweep two takes the architecture that scored best in
-    sweep one and runs it under the remaining feature nodes, best
-    aggregates first, until ``number_of_ideas_max`` is reached. Every
-    evaluation lands in the tree as an ordinary node, charged to the
-    clock like a stage's (sweep one's run together on ``pool`` when
-    given), but gets the metric run alone, none of the validation runs
-    a stage's candidate gets. Failures are marked and omitted. If fewer
+    The feature nodes are ranked once: best oriented aggregate first,
+    ties to the lowest id. Sweep one asks the generator for
+    ``number_of_ideas_modelling`` architectures under the top feature
+    node and runs each (up to ``number_of_ideas_max``) there. Sweep two
+    takes the architecture that scored best in sweep one and runs it
+    under the remaining feature nodes, in rank order, until
+    ``number_of_ideas_max`` is reached. Every evaluation lands in the
+    tree as an ordinary node, charged to the clock like a stage's
+    (sweep one's run together on ``pool`` when given), but gets the
+    metric run alone, none of the validation runs a stage's candidate
+    gets. Failures are marked and omitted. If sweep one scores nothing
+    (no architecture proposed, or every evaluation failed), or fewer
     than ``number_of_ideas_min`` survive the whole procedure, nothing
     usable came back and AnchorConstructionFailed is raised.
     """
-    fe_nodes = tree.fe_nodes()
-    if not fe_nodes:
-        raise NoFeNodes("anchor construction needs at least one feature node")
-    if not architectures:
-        raise InvalidParams("architectures must be non-empty")
-
     metric = ports.metric
     min_anchors, max_anchors = config.number_of_ideas_min, config.number_of_ideas_max
-    ranked_fe = rank_fe_nodes(fe_nodes, metric)
-    phase1_fe = ranked_fe[0]
+    ranked_fe = rank_fe_nodes(tree.fe_nodes(), metric)
+    architectures = ports.gen.propose_mt(ranked_fe[0], ctx, config.number_of_ideas_modelling)
 
     pending = PendingSet(tree, ports.evaluator, (EvalMode.FULL,), clock=ports.clock, log=log,
                          pool=pool)
 
-    def evaluate_anchors(fe: Node, archs: list[str]) -> list[Anchor]:
+    def sweep(fe: Node, archs: list[str]) -> list[Node]:
         nodes = []
         for arch in archs:
             node = pending.spawn(fe.id, NodeLevel.MT, arch)
             pending.dispatch(node)
             nodes.append(node)
         pending.commit()
-        anchors = []
-        for arch, node in zip(archs, nodes):
-            if node.status is NodeStatus.EVALUATED:
-                anchors.append(Anchor(
-                    description=arch, true_score=node.raw_score, fe_node_id=fe.id,
-                    architecture_tag=arch, mt_node_id=node.id,
-                ))
-            else:
-                logger.warning("anchor evaluation failed for %r under fe %d", arch, fe.id)
-        return anchors
+        for node in nodes:
+            if node.status is not NodeStatus.EVALUATED:
+                logger.warning("anchor evaluation failed for %r under fe %d",
+                               node.idea_text, fe.id)
+        return [node for node in nodes if node.status is NodeStatus.EVALUATED]
 
-    anchors = evaluate_anchors(phase1_fe, architectures[:max_anchors])
+    swept = architectures[:max_anchors]
+    anchors = sweep(ranked_fe[0], swept)
 
     if not anchors:
         backpropagate(tree)
-        raise AnchorConstructionFailed("every architecture sweep evaluation failed")
+        raise AnchorConstructionFailed(
+            f"the architecture sweep scored no anchor out of {len(swept)} proposed architectures"
+        )
 
-    phase2_arch = min(
-        anchors, key=lambda a: (-metric.orient(a.true_score), a.mt_node_id)
-    ).architecture_tag
+    winner = min(anchors, key=lambda node: (-metric.orient(node.raw_score), node.id))
 
     slots = max_anchors - len(anchors)
     for fe in ranked_fe[1:]:
         if slots <= 0:
             break
-        found = evaluate_anchors(fe, [phase2_arch])
+        found = sweep(fe, [winner.idea_text])
         anchors.extend(found)
         slots -= len(found)
 
@@ -179,7 +139,7 @@ def build_anchor_set(
         raise AnchorConstructionFailed(
             f"only {len(anchors)} anchors survived, need at least {min_anchors}"
         )
-    return AnchorSet(anchors=tuple(anchors), phase1_fe=phase1_fe.id, phase2_arch=phase2_arch)
+    return tuple(anchors)
 
 
 # =====================================================================
@@ -188,18 +148,16 @@ def build_anchor_set(
 
 def assemble_prediction_prompt(
     candidate: str,
-    anchor_set: AnchorSet,
+    anchors: Sequence[Node],
     dataset_description: str,
     *,
     metric_name: str = "metric",
 ) -> str:
     """Render the prediction prompt. Anchors are sorted by node id so
-    the text is identical no matter how the set was assembled."""
-    if not anchor_set.anchors:
-        raise EmptyAnchorSet("cannot assemble a prompt from zero anchors")
+    the text is identical no matter how they were assembled."""
     blocks = [
-        f"- idea: {anchor.description}\n  {metric_name}: {anchor.true_score!r}"
-        for anchor in anchor_set.sorted_anchors()
+        f"- idea: {node.idea_text}\n  {metric_name}: {node.raw_score!r}"
+        for node in sorted(anchors, key=lambda node: node.id)
     ]
     template = _load_template("score_prediction.txt")
     return template.format(
@@ -212,7 +170,7 @@ def assemble_prediction_prompt(
 
 def baseline_predict(
     candidate: str,
-    anchor_set: AnchorSet,
+    anchors: Sequence[Node],
     embedder,
     *,
     temperature: float = 1.0,
@@ -220,19 +178,19 @@ def baseline_predict(
     """Similarity-weighted mean of anchor scores.
 
     Weights are a softmax over cosine similarities between the candidate
-    embedding and each anchor description embedding; lower temperatures
+    embedding and each anchor's idea embedding; lower temperatures
     concentrate mass on the nearest anchors. The weighted scores are
-    added in anchor order (``sum_in_order``). Being a convex combination,
+    added in node-id order (``sum_in_order``). Being a convex combination,
     the output always lies inside the anchor score range.
     """
-    anchors = anchor_set.sorted_anchors()
+    anchors = sorted(anchors, key=lambda node: node.id)
     candidate_vec = embedder.embed(candidate)
     sims = [
-        cosine_similarity(candidate_vec, embedder.embed(anchor.description))
-        for anchor in anchors
+        cosine_similarity(candidate_vec, embedder.embed(node.idea_text))
+        for node in anchors
     ]
     weights = softmax_select(sims, temperature).probabilities.tolist()
-    return float(sum_in_order(w * a.true_score for w, a in zip(weights, anchors)))
+    return float(sum_in_order(w * node.raw_score for w, node in zip(weights, anchors)))
 
 
 @dataclass
@@ -244,10 +202,10 @@ class BaselinePredictor:
     embedder: object
     temperature: float = 1.0
 
-    def predict(self, candidate_description: str, anchor_set: AnchorSet,
+    def predict(self, candidate_description: str, anchors: Sequence[Node],
                 dataset_description: str = "") -> float:
         return baseline_predict(
-            candidate_description, anchor_set, self.embedder,
+            candidate_description, anchors, self.embedder,
             temperature=self.temperature,
         )
 
@@ -278,10 +236,10 @@ class LlmPredictor:
             session = requests.Session()
         self._session = session
 
-    def predict(self, candidate_description: str, anchor_set: AnchorSet,
+    def predict(self, candidate_description: str, anchors: Sequence[Node],
                 dataset_description: str = "") -> float:
         prompt = assemble_prediction_prompt(
-            candidate_description, anchor_set, dataset_description,
+            candidate_description, anchors, dataset_description,
             metric_name=self.metric_name,
         )
         return complete_with_retries(

@@ -26,7 +26,6 @@ from ideatree.tree import (
     Node,
     NodeLevel,
     NodeStatus,
-    Provenance,
     ProvenanceKind,
 )
 
@@ -228,7 +227,7 @@ def reference_retrieve(corpus_dir, query: str, k: int, dimension: int = 64):
     """Read, parse, embed (with a fresh ``HashedEmbedding``) and rank
     every ``*.txt`` file afresh.
 
-    Returns ``(file name, source, title, body)`` for the top k, ranked by
+    Returns ``(file name, title, body)`` for the top k, ranked by
     cosine similarity to the query, ties to the lower file name. A file
     starts with header lines (``source:``, ``title:``) up to a blank
     line; a first line that is neither makes the whole file the body."""
@@ -239,27 +238,24 @@ def reference_retrieve(corpus_dir, query: str, k: int, dimension: int = 64):
     scored = []
     for path in sorted(Path(corpus_dir).glob("*.txt")):
         lines = path.read_text(encoding="utf-8").splitlines()
-        source, title, start = "local", path.stem, len(lines)
+        title, start = path.stem, len(lines)
         for i, line in enumerate(lines):
             key, colon, value = line.strip().partition(":")
             if not line.strip():
                 start = i + 1
                 break
-            if colon and key.lower() == "source":
-                value = value.strip().lower()
-                source = value if value in ("papers", "competitions", "local") else "local"
-            elif colon and key.lower() == "title":
+            if colon and key.lower() == "title":
                 title = value.strip()
-            else:
+            elif not (colon and key.lower() == "source"):
                 start = 0
                 break
         body = "\n".join(lines[start:]).strip()
         d = embedder.embed(title + "\n" + body)
         nq, nd = float(np.linalg.norm(q)), float(np.linalg.norm(d))
         sim = 0.0 if nq == 0.0 or nd == 0.0 else float(np.dot(q, d) / (nq * nd))
-        scored.append((-sim, path.name, source, title, body))
+        scored.append((-sim, path.name, title, body))
     scored.sort(key=lambda t: (t[0], t[1]))
-    return [(name, source, title, body) for _, name, source, title, body in scored[:k]]
+    return [(name, title, body) for _, name, title, body in scored[:k]]
 
 
 def _reference_parse(text: str) -> list[float]:
@@ -388,9 +384,23 @@ def attach_evaluated_fe(
     return fe.id
 
 
-def anchor_score_bounds(anchor_set) -> tuple[float, float]:
-    """The lowest and highest true score among an anchor set's anchors."""
-    scores = [a.true_score for a in anchor_set.anchors]
+def evaluated_anchors(scored) -> list[Node]:
+    """Anchors as the sweeps attach them: evaluated MT nodes under one
+    FE node of a fresh tree, one per ``(idea_text, raw_score)`` pair,
+    in ascending id."""
+    tree = new_tree("root")
+    fe = spawn(tree, tree.root.id, NodeLevel.FE, "fe")
+    anchors = []
+    for text, score in scored:
+        node = spawn(tree, fe.id, NodeLevel.MT, text)
+        tree.mark_evaluated(node.id, score)
+        anchors.append(node)
+    return anchors
+
+
+def anchor_score_bounds(anchors) -> tuple[float, float]:
+    """The lowest and highest raw score among anchor nodes."""
+    scores = [node.raw_score for node in anchors]
     return min(scores), max(scores)
 
 

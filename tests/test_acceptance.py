@@ -29,7 +29,7 @@ from ideatree.orchestrator import (
     verify_replay,
 )
 from ideatree.report import percent_humans_beaten, read_leaderboard
-from ideatree.scoring import Anchor, AnchorSet, BaselinePredictor
+from ideatree.scoring import BaselinePredictor
 from ideatree.search import (
     MergeMemory,
     adding_stage,
@@ -382,13 +382,9 @@ def test_criterion_07_predictor_rank_fidelity():
     for point in [(-0.8, -0.8), (-0.4, 0.4), (0.0, 0.0), (0.5, -0.5), (0.9, 0.9)]:
         text = render_idea_vector(point)
         node = spawn(tree, fe.id, NodeLevel.MT, text)
-        raw = evaluator.evaluate(node, EvalMode.FULL)
-        anchors.append(Anchor(
-            description=text, true_score=raw, fe_node_id=fe.id,
-            architecture_tag="x", mt_node_id=node.id,
-        ))
-    anchor_set = AnchorSet(tuple(anchors), phase1_fe=fe.id, phase2_arch="x")
-    low, high = anchor_score_bounds(anchor_set)
+        tree.mark_evaluated(node.id, evaluator.evaluate(node, EvalMode.FULL))
+        anchors.append(node)
+    low, high = anchor_score_bounds(anchors)
     predictor = BaselinePredictor(embedder=embedder, temperature=0.1)
 
     rng = np.random.default_rng(7)
@@ -396,7 +392,7 @@ def test_criterion_07_predictor_rank_fidelity():
     for _ in range(200):
         text = render_idea_vector(rng.uniform(-1, 1, 2))
         node = spawn(tree, fe.id, NodeLevel.MT, text)
-        value = predictor.predict(text, anchor_set)
+        value = predictor.predict(text, anchors)
         assert low - 1e-12 <= value <= high + 1e-12
         predicted.append(value)
         truth.append(evaluator.evaluate(node, EvalMode.FULL))

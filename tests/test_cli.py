@@ -22,7 +22,12 @@ from ideatree.cli import (
 from ideatree.clock import WallClock
 from ideatree.config import RunConfig
 from ideatree.generation import EndpointConfig
-from ideatree.errors import ConfigInvalid, MalformedLeaderboardFile, MissingRunArtifacts
+from ideatree.errors import (
+    ConfigInvalid,
+    CorruptLog,
+    MalformedLeaderboardFile,
+    MissingRunArtifacts,
+)
 from ideatree.events import read_log
 from ideatree.orchestrator import build_synthetic_ports, execute_run, verify_replay
 from ideatree.report import (
@@ -332,6 +337,23 @@ def test_report_progress_parses_the_log_once(finished_run, tmp_path, monkeypatch
         argv += ["--leaderboard", str(lb)]
     assert main(argv) == EXIT_OK
     assert len(calls) == 1
+
+
+def test_report_on_a_malformed_payload_is_an_error_naming_the_event(finished_run, capsys):
+    """A record whose payload lacks a field the report reads ends the
+    command with an error naming the record's seq, exit 1, and no
+    traceback; ``run_summary`` raises CorruptLog."""
+    log_path = finished_run / "run.jsonl"
+    records = [json.loads(line) for line in log_path.read_text(encoding="utf-8").splitlines()]
+    broken = next(r for r in records if r["kind"] == "node_evaluated")
+    del broken["payload"]["status"]
+    log_path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    assert main(["report", str(finished_run)]) == EXIT_FAILURE
+    err = capsys.readouterr().err
+    assert f"error: event {broken['seq']} does not apply: KeyError('status')" in err
+    assert "Traceback" not in err
+    with pytest.raises(CorruptLog, match=f"event {broken['seq']} "):
+        run_summary(finished_run)
 
 
 def test_report_progress_rejects_multiple_dirs(finished_run, tmp_path, capsys):

@@ -2,7 +2,8 @@
 pyproject.toml's ``dependencies``, function-local imports included, so
 an install from the project metadata alone can run every path; what the
 test suites need is declared there or in the ``test`` extra; every
-name a package module imports is used in that module; and every
+name a module of the package or of a test suite imports is used in
+that module; and every
 function and class the package defines is named by the package."""
 
 from __future__ import annotations
@@ -93,7 +94,9 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def test_every_imported_name_is_used():
-    unused = [name for path in sorted(PACKAGE.rglob("*.py")) for name in _unused_imports(path)]
+    """In the package and in the two test suites."""
+    paths = sorted(p for d in (PACKAGE, ROOT / "tests", ROOT / "perf") for p in d.rglob("*.py"))
+    unused = [name for path in paths for name in _unused_imports(path)]
     assert unused == []
 
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import math
 import time
 from pathlib import Path
 

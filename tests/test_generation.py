@@ -40,7 +40,6 @@ from ideatree.generation import (
     ContextState,
     EndpointConfig,
     ExternalQueryPolicy,
-    IDEA_SEPARATOR,
     LlmGenerator,
     MemoryStrategy,
     SegmentTag,
@@ -52,10 +51,17 @@ from ideatree.generation import (
     split_ideas,
 )
 from ideatree.retrieval import FileCorpusRetriever
-from ideatree.scoring import Anchor, AnchorSet, LlmPredictor
+from ideatree.scoring import LlmPredictor
 from ideatree.tree import NodeLevel
 
-from helpers import ReferenceGenerator, attach_evaluated_fe, new_tree, reference_retrieve, spawn
+from helpers import (
+    ReferenceGenerator,
+    attach_evaluated_fe,
+    evaluated_anchors,
+    new_tree,
+    reference_retrieve,
+    spawn,
+)
 
 
 # ---- context state ----
@@ -274,11 +280,11 @@ def test_retriever_non_utf8_file_is_a_retrieval_failure(corpus):
     assert len(retriever.retrieve("gradient boosting trees", 99)) == 6
 
 
-def test_retriever_headerless_file_becomes_local_doc(corpus):
+def test_retriever_headerless_file_is_titled_by_its_stem_and_all_body(corpus):
     retriever = FileCorpusRetriever(corpus)
     docs = retriever.retrieve("plain file without a header block", 5)
     hit = [d for d in docs if "plain file" in d.body]
-    assert hit and hit[0].source.value == "local"
+    assert hit and (hit[0].title, hit[0].body) == ("e_misc", "plain file without a header block")
 
 
 # words with mixed case, non-ASCII letters and digits; a small pool, so
@@ -319,9 +325,9 @@ def test_retriever_index_matches_cold_reference(files, queries):
             (corpus_dir / name).write_text(text, encoding="utf-8")
         retriever = FileCorpusRetriever(corpus_dir)
         for query, k in queries:
-            got = [(d.source.value, d.title, d.body) for d in retriever.retrieve(query, k)]
-            expected = [(source, title, body)
-                        for _, source, title, body in reference_retrieve(corpus_dir, query, k)]
+            got = [(d.title, d.body) for d in retriever.retrieve(query, k)]
+            expected = [(title, body)
+                        for _, title, body in reference_retrieve(corpus_dir, query, k)]
             assert got == expected
 
 
@@ -696,16 +702,8 @@ def test_llm_no_key_env_sends_no_auth_header(stub_server):
 
 # ---- http score predictor against the same stub ----
 
-def _anchor_set():
-    return AnchorSet(
-        anchors=(
-            Anchor(description="gbm", true_score=0.7, fe_node_id=1,
-                   architecture_tag="gbm", mt_node_id=2),
-            Anchor(description="mlp", true_score=0.6, fe_node_id=1,
-                   architecture_tag="mlp", mt_node_id=3),
-        ),
-        phase1_fe=1, phase2_arch="gbm",
-    )
+def _anchors():
+    return evaluated_anchors([("gbm", 0.7), ("mlp", 0.6)])
 
 
 def test_llm_predictor_retries_then_returns_number(stub_server):
@@ -714,7 +712,7 @@ def test_llm_predictor_retries_then_returns_number(stub_server):
         (200, _chat_reply(" 0.75.\n")),
     ]
     predictor = LlmPredictor(_endpoint(stub_server), metric_name="auc")
-    assert predictor.predict("stacked gbm", _anchor_set(), "churn data") == 0.75
+    assert predictor.predict("stacked gbm", _anchors(), "churn data") == 0.75
     assert len(_ScriptedHandler.requests_seen) == 2
     prompt = _ScriptedHandler.requests_seen[1]["body"]["messages"][1]["content"]
     assert "stacked gbm" in prompt and "auc" in prompt
@@ -726,5 +724,5 @@ def test_llm_predictor_non_number_exhausts_retries(stub_server, max_retries):
     endpoint = EndpointConfig(base_url=stub_server, model="test-model",
                               max_retries=max_retries)
     with pytest.raises(RetriesExhausted):
-        LlmPredictor(endpoint).predict("stacked gbm", _anchor_set())
+        LlmPredictor(endpoint).predict("stacked gbm", _anchors())
     assert len(_ScriptedHandler.requests_seen) == max_retries + 1

@@ -483,8 +483,8 @@ def test_the_anchor_rule_allows_what_the_sweeps_gather(data, modelling, most):
     ports = build_synthetic_ports(config)
     ctx = ContextState()
     tree = initialize_tree(ctx, ports, config)
-    anchor_set = orchestrator._build_anchors(tree, ports, config, ctx, RunLog(), None)
-    assert len(anchor_set.anchors) == allowed
+    anchors = orchestrator._build_anchors(tree, ports, config, ctx, RunLog(), None)
+    assert len(anchors) == allowed
 
 
 def test_a_run_at_the_anchor_bound_predicts(tmp_path):
@@ -1500,6 +1500,34 @@ def test_a_port_failure_proposing_anchors_turns_prediction_off(tmp_path, caplog)
     with caplog.at_level("WARNING", logger="ideatree.orchestrator"):
         execute_run(config, dataclasses.replace(ports, gen=gen), tmp_path / "run")
     assert "prediction disabled: no architectures for the anchors" in caplog.text
+    kinds = {e["kind"] for e in read_log(tmp_path / "run" / LOG_FILENAME)}
+    assert EventKind.PREDICTION_MADE not in kinds
+    assert EventKind.RUN_FINISHED in kinds
+    assert verify_replay(tmp_path / "run")
+
+
+class _AnchorProposalEmpty(_AnchorProposalFails):
+    """The synthetic generator, but its ``propose_mt`` call numbered
+    ``failing`` (from 1) proposes nothing."""
+
+    def propose_mt(self, *args, **kwargs):
+        self.calls += 1
+        if self.calls == self.failing:
+            return []
+        return self.inner.propose_mt(*args, **kwargs)
+
+
+def test_an_empty_anchor_proposal_turns_prediction_off(tmp_path, caplog):
+    """An anchor sweep with no architecture to run scores no anchor,
+    and turns prediction off with the warning a failed sweep gives; the
+    run goes on."""
+    config = _sim_config(predict_before_evaluate=True)
+    ports = build_synthetic_ports(config)
+    gen = _AnchorProposalEmpty(ports.gen, failing=config.number_of_ideas_data + 1)
+    with caplog.at_level("WARNING", logger="ideatree.orchestrator"):
+        execute_run(config, dataclasses.replace(ports, gen=gen), tmp_path / "run")
+    assert ("prediction disabled: the architecture sweep scored no anchor out of 0 proposed"
+            " architectures") in caplog.text
     kinds = {e["kind"] for e in read_log(tmp_path / "run" / LOG_FILENAME)}
     assert EventKind.PREDICTION_MADE not in kinds
     assert EventKind.RUN_FINISHED in kinds

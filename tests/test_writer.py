@@ -98,8 +98,7 @@ def test_build_anchor_set_logs_every_node_it_attaches():
     world = make_world(seed=43)
     before = set(world.tree.nodes)
     log = RunLog()
-    architectures = world.gen.propose_mt(world.tree.fe_nodes()[0], world.ctx, 3)
-    build_anchor_set(world.tree, world.ports, RunConfig(), architectures, log=log)
+    build_anchor_set(world.tree, world.ctx, world.ports, RunConfig(), log=log)
     assert_proposed_once_before_named(log, world.tree, before)
 
 
