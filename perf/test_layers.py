@@ -1,8 +1,8 @@
 """Layer timings with pytest-benchmark: writing and reading the log,
 replay, the reports, snapshotting and restoring the tree, the tree
 ops, the softmax and merge-pair draws, the synthetic ports, the
-baseline predictor and the corpus retriever, on the inputs of a
-grow-25k run.
+baseline predictor and the corpus retriever (its index build and a
+query), on the inputs of a grow-25k run.
 
     python -m pytest perf --benchmark-only
 
@@ -338,6 +338,21 @@ def test_baseline_predict(benchmark, grow_run, grow_config):
     low, high = min(a.raw_score for a in anchors), max(a.raw_score for a in anchors)
     assert len(anchors) == 5 and len(predictions) == len(mt_nodes) > 1000
     assert all(low - 1e-12 <= value <= high + 1e-12 for value in predictions)
+
+
+def test_corpus_index_build(benchmark, grow_run, tmp_path):
+    """A new retriever's first top-k lookup over the ports-2.5k corpus
+    of 200 documents, with the final tree's last FE idea as the query:
+    every file read, parsed, embedded by a new embedder and normed,
+    then the query ranked, as a run's first retrieval does."""
+    write_corpus(tmp_path / "corpus", 200, seed=1)
+    query = grow_run.result.tree.nodes_at_level(NodeLevel.FE)[-1].idea_text
+
+    def cold() -> tuple[tuple, dict]:
+        return (FileCorpusRetriever(tmp_path / "corpus"), query, 5), {}
+
+    documents = benchmark.pedantic(FileCorpusRetriever.retrieve, setup=cold, rounds=30)
+    assert len(documents) == 5
 
 
 def test_corpus_retrieve(benchmark, grow_run, tmp_path):

@@ -19,8 +19,13 @@ _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
 
 def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
+    return cosine_from_norms(a, float(np.linalg.norm(a)), b, float(np.linalg.norm(b)))
+
+
+def cosine_from_norms(a: np.ndarray, na: float, b: np.ndarray, nb: float) -> float:
+    """``cosine_similarity`` of ``a`` and ``b`` given their norms, each
+    ``float(np.linalg.norm(...))``, so that a vector compared many times
+    takes its norm once; the same float either way."""
     if na == 0.0 or nb == 0.0:
         return 0.0
     return float(np.dot(a, b) / (na * nb))
@@ -35,20 +40,32 @@ class HashedEmbedding:
 
     Each token lands in one of ``dimension`` buckets with a sign, both
     taken from a stable digest of the token, and the result is
-    L2-normalized. Identical texts embed identically; no vocabulary is
-    kept anywhere.
+    L2-normalized. Identical texts embed identically. An instance keeps
+    the bucket and sign of every token it has hashed, so the digest of
+    a token is taken once and the map grows only with the vocabulary;
+    the counts are summed in Python floats, exact for these integer
+    counts, so the vector is the one a fresh instance gives. Threads
+    that race to hash one token store the same slot.
     """
 
     def __init__(self, dimension: int = 64):
         self.dimension = dimension
+        self._slots: dict[str, tuple[int, float]] = {}
+
+    def _slot(self, token: str) -> tuple[int, float]:
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        slot = (int.from_bytes(digest[:4], "big") % self.dimension,
+                1.0 if digest[4] & 1 else -1.0)
+        self._slots[token] = slot
+        return slot
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dimension, dtype=float)
+        counts = [0.0] * self.dimension
+        slots = self._slots
         for token in _TOKEN_RE.findall(text.lower()):
-            digest = hashlib.sha256(token.encode("utf-8")).digest()
-            bucket = int.from_bytes(digest[:4], "big") % self.dimension
-            sign = 1.0 if digest[4] & 1 else -1.0
-            vec[bucket] += sign
+            bucket, sign = slots.get(token) or self._slot(token)
+            counts[bucket] += sign
+        vec = np.array(counts)
         norm = float(np.linalg.norm(vec))
         if norm > 0.0:
             vec /= norm

@@ -7,7 +7,10 @@ ranks documents by cosine similarity of hashed embeddings and is a pure
 function of corpus content, query, and k.
 
 A retriever reads and embeds its corpus once, at its first successful
-``retrieve``, and ranks every later query against that index. A run
+``retrieve``, and ranks every later query against that index: each
+document's file name, parsed title and body, embedding vector and the
+vector's norm. A query is embedded and normed once and then costs one
+dot product per document. A run
 builds one retriever over a corpus written before the run starts, so
 edits made to the directory after that first call are not seen by the
 retriever.
@@ -21,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import HashedEmbedding, cosine_similarity
+from .embedding import HashedEmbedding, cosine_from_norms
 from .errors import RetrievalFailure
 
 logger = logging.getLogger(__name__)
@@ -60,11 +63,12 @@ class FileCorpusRetriever:
     def __init__(self, corpus_dir: str | Path, embedder: HashedEmbedding | None = None):
         self.corpus_dir = Path(corpus_dir)
         self.embedder = embedder or HashedEmbedding()
-        self._index: list[tuple[str, Document, np.ndarray]] | None = None
+        self._index: list[tuple[str, Document, np.ndarray, float]] | None = None
 
-    def _load_index(self) -> list[tuple[str, Document, np.ndarray]]:
-        """Every document with its file name and embedding, in file name
-        order; read at the first call that succeeds, then kept."""
+    def _load_index(self) -> list[tuple[str, Document, np.ndarray, float]]:
+        """Every document with its file name, embedding and the
+        embedding's norm, in file name order; read at the first call
+        that succeeds, then kept."""
         if self._index is not None:
             return self._index
         if not self.corpus_dir.is_dir():
@@ -73,7 +77,8 @@ class FileCorpusRetriever:
         try:
             for path in sorted(self.corpus_dir.glob("*.txt")):
                 doc = _parse_document(path)
-                index.append((path.name, doc, self.embedder.embed(doc.title + "\n" + doc.body)))
+                vec = self.embedder.embed(doc.title + "\n" + doc.body)
+                index.append((path.name, doc, vec, float(np.linalg.norm(vec))))
         except (OSError, UnicodeDecodeError) as exc:
             raise RetrievalFailure(f"cannot read corpus: {exc}") from exc
         self._index = index
@@ -92,6 +97,8 @@ class FileCorpusRetriever:
         if not index:
             return []
         q = self.embedder.embed(query)
-        scored = [(-cosine_similarity(q, vec), name, doc) for name, doc, vec in index]
+        nq = float(np.linalg.norm(q))
+        scored = [(-cosine_from_norms(q, nq, vec, nd), name, doc)
+                  for name, doc, vec, nd in index]
         scored.sort(key=lambda t: (t[0], t[1]))
         return [doc for _, _, doc in scored[:k]]

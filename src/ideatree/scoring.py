@@ -14,10 +14,12 @@ from __future__ import annotations
 import logging
 import re
 from concurrent.futures import Executor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional, Protocol, Sequence
 
-from .embedding import cosine_similarity
+import numpy as np
+
+from .embedding import cosine_from_norms
 from .errors import AnchorConstructionFailed, MalformedResponse
 from .evaluation import EvalMode
 from .events import RunLog
@@ -168,46 +170,46 @@ def assemble_prediction_prompt(
     )
 
 
-def baseline_predict(
-    candidate: str,
-    anchors: Sequence[Node],
-    embedder,
-    *,
-    temperature: float = 1.0,
-) -> float:
-    """Similarity-weighted mean of anchor scores.
-
-    Weights are a softmax over cosine similarities between the candidate
-    embedding and each anchor's idea embedding; lower temperatures
-    concentrate mass on the nearest anchors. The weighted scores are
-    added in node-id order (``sum_in_order``). Being a convex combination,
-    the output always lies inside the anchor score range.
-    """
-    anchors = sorted(anchors, key=lambda node: node.id)
-    candidate_vec = embedder.embed(candidate)
-    sims = [
-        cosine_similarity(candidate_vec, embedder.embed(node.idea_text))
-        for node in anchors
-    ]
-    weights = softmax_select(sims, temperature).probabilities.tolist()
-    return float(sum_in_order(w * node.raw_score for w, node in zip(weights, anchors)))
-
-
-@dataclass
+@dataclass(frozen=True)
 class BaselinePredictor:
-    """Predictor port backed by baseline_predict. Pure in its inputs;
-    the dataset description is accepted for port compatibility and
-    ignored."""
+    """Predictor port: a similarity-weighted mean of anchor scores.
+
+    Pure in its inputs: a prediction is a function of the candidate,
+    the anchors' texts and scores, the embedder and the temperature.
+    The predictor keeps each anchor text's embedding and its norm, made
+    at the first prediction that reads the text, so a prediction
+    embeds only its candidate; the map grows only with the distinct
+    anchor texts. The dataset description is accepted for port
+    compatibility and ignored.
+    """
 
     embedder: object
     temperature: float = 1.0
+    _anchor_vectors: dict[str, tuple[np.ndarray, float]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+
+    def _anchor_vector(self, text: str) -> tuple[np.ndarray, float]:
+        cached = self._anchor_vectors.get(text)
+        if cached is None:
+            vec = self.embedder.embed(text)
+            cached = self._anchor_vectors[text] = (vec, float(np.linalg.norm(vec)))
+        return cached
 
     def predict(self, candidate_description: str, anchors: Sequence[Node],
                 dataset_description: str = "") -> float:
-        return baseline_predict(
-            candidate_description, anchors, self.embedder,
-            temperature=self.temperature,
-        )
+        """Weights are a softmax over cosine similarities between the
+        candidate embedding and each anchor's idea embedding; lower
+        temperatures concentrate mass on the nearest anchors. The
+        weighted scores are added in node-id order (``sum_in_order``).
+        Being a convex combination, the output always lies inside the
+        anchor score range."""
+        anchors = sorted(anchors, key=lambda node: node.id)
+        candidate = self.embedder.embed(candidate_description)
+        norm = float(np.linalg.norm(candidate))
+        sims = [cosine_from_norms(candidate, norm, *self._anchor_vector(node.idea_text))
+                for node in anchors]
+        weights = softmax_select(sims, self.temperature).probabilities.tolist()
+        return float(sum_in_order(w * node.raw_score for w, node in zip(weights, anchors)))
 
 
 _NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")

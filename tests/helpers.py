@@ -8,6 +8,7 @@ sides of a comparison.
 from __future__ import annotations
 
 import hashlib
+import re
 import threading
 import time
 from pathlib import Path
@@ -15,10 +16,10 @@ from pathlib import Path
 import numpy as np
 import orjson
 
-from ideatree.embedding import HashedEmbedding
 from ideatree.errors import EvaluationFailure
 from ideatree.evaluation import FailureKind, FailureReport
 from ideatree.events import EventKind, RunLog
+from ideatree.search import softmax_select
 from ideatree.tree import (
     IdeationTree,
     MetricDirection,
@@ -27,6 +28,7 @@ from ideatree.tree import (
     NodeLevel,
     NodeStatus,
     ProvenanceKind,
+    sum_in_order,
 )
 
 HIGHER = MetricSpec(name="score", direction=MetricDirection.HIGHER_BETTER)
@@ -223,9 +225,47 @@ def oracle_best(tree: IdeationTree, metric: MetricSpec):
     return None if best is None else best[1]
 
 
+def reference_hashed_embed(text: str, dimension: int = 64) -> np.ndarray:
+    """Feature hashing with no state: every lowercased ``[a-z0-9]+``
+    token's sha256 digest picks its bucket (the first 4 bytes, big
+    endian, modulo ``dimension``) and sign (the low bit of byte 4) and
+    is added into a float64 array, which is then L2-normalized."""
+    vec = np.zeros(dimension, dtype=float)
+    for token in re.findall(r"[a-z0-9]+", text.lower()):
+        digest = hashlib.sha256(token.encode("utf-8")).digest()
+        bucket = int.from_bytes(digest[:4], "big") % dimension
+        sign = 1.0 if digest[4] & 1 else -1.0
+        vec[bucket] += sign
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
+def _reference_cosine(a: np.ndarray, b: np.ndarray) -> float:
+    na, nb = float(np.linalg.norm(a)), float(np.linalg.norm(b))
+    return 0.0 if na == 0.0 or nb == 0.0 else float(np.dot(a, b) / (na * nb))
+
+
+def reference_baseline_predict(candidate: str, anchors, embedder,
+                               temperature: float = 1.0) -> float:
+    """The baseline prediction with every vector made afresh: the
+    candidate and then each anchor, in ascending id, embedded on every
+    call; a softmax over the cosine similarities and the weighted
+    scores added in id order. The softmax and the sum are the engine's
+    own (``softmax_select``, ``sum_in_order``), which their own oracles
+    check; this one checks the vectors and similarities."""
+    anchors = sorted(anchors, key=lambda node: node.id)
+    candidate_vec = embedder.embed(candidate)
+    sims = [_reference_cosine(candidate_vec, embedder.embed(node.idea_text))
+            for node in anchors]
+    weights = softmax_select(sims, temperature).probabilities.tolist()
+    return float(sum_in_order(w * node.raw_score for w, node in zip(weights, anchors)))
+
+
 def reference_retrieve(corpus_dir, query: str, k: int, dimension: int = 64):
-    """Read, parse, embed (with a fresh ``HashedEmbedding``) and rank
-    every ``*.txt`` file afresh.
+    """Read, parse, embed (``reference_hashed_embed``) and rank every
+    ``*.txt`` file afresh.
 
     Returns ``(file name, title, body)`` for the top k, ranked by
     cosine similarity to the query, ties to the lower file name. A file
@@ -233,8 +273,7 @@ def reference_retrieve(corpus_dir, query: str, k: int, dimension: int = 64):
     line; a first line that is neither makes the whole file the body."""
     if k <= 0:
         return []
-    embedder = HashedEmbedding(dimension)
-    q = embedder.embed(query)
+    q = reference_hashed_embed(query, dimension)
     scored = []
     for path in sorted(Path(corpus_dir).glob("*.txt")):
         lines = path.read_text(encoding="utf-8").splitlines()
@@ -250,10 +289,8 @@ def reference_retrieve(corpus_dir, query: str, k: int, dimension: int = 64):
                 start = 0
                 break
         body = "\n".join(lines[start:]).strip()
-        d = embedder.embed(title + "\n" + body)
-        nq, nd = float(np.linalg.norm(q)), float(np.linalg.norm(d))
-        sim = 0.0 if nq == 0.0 or nd == 0.0 else float(np.dot(q, d) / (nq * nd))
-        scored.append((-sim, path.name, title, body))
+        d = reference_hashed_embed(title + "\n" + body, dimension)
+        scored.append((-_reference_cosine(q, d), path.name, title, body))
     scored.sort(key=lambda t: (t[0], t[1]))
     return [(name, title, body) for _, name, title, body in scored[:k]]
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ideatree.config import SyntheticConfig
@@ -59,6 +59,7 @@ from helpers import (
     attach_evaluated_fe,
     evaluated_anchors,
     new_tree,
+    reference_hashed_embed,
     reference_retrieve,
     spawn,
 )
@@ -329,6 +330,24 @@ def test_retriever_index_matches_cold_reference(files, queries):
             expected = [(title, body)
                         for _, title, body in reference_retrieve(corpus_dir, query, k)]
             assert got == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(_phrases, st.text(max_size=40)), min_size=1, max_size=6),
+       st.sampled_from([1, 7, 64]))
+@example(["", "Tree TREE tree", "naïve straße İstanbul x1 42 x1", "tfidf tfidf tfidf"], 64)
+@example(["", ""], 7)
+def test_hashed_embedding_matches_reference_bit_for_bit(texts, dimension):
+    """``HashedEmbedding.embed`` gives the array of the stateless sha256
+    reference, same dtype and every bit, from a fresh instance and from
+    one reused across texts (keeping the tokens it has hashed)."""
+    reused = HashedEmbedding(dimension)
+    for text in texts:
+        expected = reference_hashed_embed(text, dimension)
+        for vec in (HashedEmbedding(dimension).embed(text), reused.embed(text)):
+            assert vec.dtype == expected.dtype
+            assert np.array_equal(vec, expected)
+            assert vec.tobytes() == expected.tobytes()
 
 
 # ---- synthetic generator ----

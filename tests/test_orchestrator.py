@@ -25,6 +25,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ideatree.config import RunConfig, SyntheticConfig, dump_config, load_config
+from ideatree.embedding import VectorIdeaEmbedding
 from ideatree.errors import (
     ConfigInvalid,
     CorruptLog,
@@ -51,6 +52,7 @@ from ideatree.orchestrator import (
 )
 from ideatree import retrieval
 from ideatree.retrieval import FileCorpusRetriever
+from ideatree.scoring import BaselinePredictor
 from ideatree.setup_stages import (
     TaskSpec,
     infer_metric,
@@ -756,6 +758,39 @@ def test_corpus_is_read_once_per_run(tmp_path, monkeypatch):
              time_run_minutes=budget, rag_policy="always")
         assert calls["retrieve"] > 1, calls
         assert calls["parse"] == 4, (budget, calls)
+
+
+def test_a_predicting_run_embeds_each_anchor_text_once(tmp_path, monkeypatch):
+    """A predicting run embeds each distinct anchor text once, however
+    many predictions read it, and each candidate once per prediction.
+    Sweep two runs one architecture under several feature nodes, so
+    anchors share texts. Embedding every anchor on every prediction
+    makes the calls grow with predictions times anchors and fails this."""
+    calls: Counter = Counter()
+    built: list = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    build = orchestrator.build_anchor_set
+
+    def keeping_anchors(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(VectorIdeaEmbedding, "embed",
+                        counting("embed", VectorIdeaEmbedding.embed))
+    monkeypatch.setattr(BaselinePredictor, "predict",
+                        counting("predict", BaselinePredictor.predict))
+    monkeypatch.setattr(orchestrator, "build_anchor_set", keeping_anchors)
+    _run(tmp_path, seed=1, time_run_minutes=2_500.0, predict_before_evaluate=True)
+    [anchors] = built
+    texts = {node.idea_text for node in anchors}
+    assert calls["predict"] > len(anchors) > len(texts), (calls, len(anchors), len(texts))
+    assert calls["embed"] == len(texts) + calls["predict"], (calls, len(texts))
 
 
 def test_a_run_of_an_invalid_config_is_refused_before_its_directory(tmp_path):

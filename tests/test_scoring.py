@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import spearmanr
 
 from ideatree.clock import SimulatedClock
@@ -15,7 +17,6 @@ from ideatree.orchestrator import PortSet
 from ideatree.scoring import (
     BaselinePredictor,
     assemble_prediction_prompt,
-    baseline_predict,
     build_anchor_set,
     parse_predicted_value,
 )
@@ -31,6 +32,7 @@ from helpers import (
     attach_evaluated_fe,
     evaluated_anchors,
     new_tree,
+    reference_baseline_predict,
     spawn,
 )
 
@@ -231,19 +233,19 @@ def test_baseline_equidistant_anchors_average():
         (render_idea_vector([-1.0, 0.0]), 0.5),
     ])
     candidate = render_idea_vector([0.0, 1.0])  # same angle to both
-    assert baseline_predict(candidate, anchors, emb) == pytest.approx(0.7)
+    assert BaselinePredictor(emb).predict(candidate, anchors) == pytest.approx(0.7)
 
 
 def test_baseline_concentrates_on_identical_anchor():
     emb = VectorIdeaEmbedding(dimension=2)
     target = render_idea_vector([0.5, 0.5])
     anchors = evaluated_anchors([(target, 0.9), (render_idea_vector([-3.0, -3.0]), 0.1)])
-    sharp = baseline_predict(target, anchors, emb, temperature=0.01)
+    sharp = BaselinePredictor(emb, temperature=0.01).predict(target, anchors)
     assert sharp == pytest.approx(0.9, abs=1e-6)
 
 
 def test_baseline_stays_in_anchor_hull():
-    emb = VectorIdeaEmbedding(dimension=3)
+    predictor = BaselinePredictor(VectorIdeaEmbedding(dimension=3))
     rng = np.random.default_rng(4)
     anchors = evaluated_anchors(
         (render_idea_vector(rng.uniform(-1, 1, 3)), float(rng.uniform(0, 1)))
@@ -252,21 +254,50 @@ def test_baseline_stays_in_anchor_hull():
     lo, hi = anchor_score_bounds(anchors)
     for _ in range(200):
         candidate = render_idea_vector(rng.uniform(-2, 2, 3))
-        value = baseline_predict(candidate, anchors, emb)
+        value = predictor.predict(candidate, anchors)
         assert lo - 1e-12 <= value <= hi + 1e-12
 
 
 def test_baseline_permutation_invariant():
-    emb = VectorIdeaEmbedding(dimension=2)
+    predictor = BaselinePredictor(VectorIdeaEmbedding(dimension=2))
     a, b, c = evaluated_anchors([
         (render_idea_vector([1.0, 0.2]), 0.9),
         (render_idea_vector([-0.4, 1.0]), 0.5),
         (render_idea_vector([0.3, -0.8]), 0.2),
     ])
     candidate = render_idea_vector([0.1, 0.1])
-    one = baseline_predict(candidate, (a, b, c), emb)
-    two = baseline_predict(candidate, (c, a, b), emb)
+    one = predictor.predict(candidate, (a, b, c))
+    two = predictor.predict(candidate, (c, a, b))
     assert one == two
+
+
+_coords = st.floats(-3.0, 3.0)
+_points = st.tuples(_coords, _coords).map(render_idea_vector)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_points, st.floats(-10.0, 10.0)), min_size=1, max_size=7),
+       st.sampled_from([0.01, 0.1, 1.0]), st.data())
+def test_baseline_predictor_keeps_the_floats_of_fresh_embeddings(scored, temperature, data):
+    """One predictor, which keeps its anchors' vectors between calls,
+    returns the floats of a prediction that embeds every anchor afresh,
+    over anchor sets that grow, then come shuffled and overlapping, all
+    holding two anchors that share a text."""
+    scored = scored + [(scored[0][0], scored[-1][1] + 1.0)]
+    pool = evaluated_anchors(scored)
+    growing = [pool[:k] for k in range(1, len(pool) + 1)]
+    subsets = st.permutations(pool).flatmap(
+        lambda order: st.integers(1, len(order)).map(lambda k: order[:k]))
+    anchor_sets = growing + data.draw(st.lists(subsets, max_size=4))
+    candidates = data.draw(st.lists(
+        st.one_of(_points, st.sampled_from([text for text, _ in scored])),
+        min_size=1, max_size=3))
+    predictor = BaselinePredictor(VectorIdeaEmbedding(dimension=2), temperature=temperature)
+    fresh = VectorIdeaEmbedding(dimension=2)
+    for anchors in anchor_sets:
+        for text in candidates:
+            expected = reference_baseline_predict(text, anchors, fresh, temperature)
+            assert predictor.predict(text, anchors) == expected
 
 
 def test_baseline_tracks_landscape_ranks():
